@@ -14,6 +14,7 @@ use dbsm_gcs::{
 use dbsm_sim::Sim;
 use dbsm_tpcc::{TpccConfig, TpccGen, TxnClass};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn rwset(table: u16, base: u64, n: u64) -> RwSet {
@@ -116,18 +117,40 @@ fn bench_stability(c: &mut Criterion) {
 }
 
 fn bench_lock_table(c: &mut Criterion) {
+    // Acquire 8 fresh tuples for transaction `k` and commit: nothing else
+    // holds or wants them. The set is handed over the way the engine does.
+    fn disjoint_pair(lt: &mut LockTable, k: u64) {
+        let set: Arc<[TupleId]> =
+            (0..8).map(|i| TupleId::new(TableId(1), k * 16 + i + 1)).collect();
+        assert_eq!(lt.acquire(TxnId(k), set, OwnerKind::LocalAbortable), Acquire::Granted);
+        black_box(lt.release(TxnId(k), true));
+    }
     c.bench_function("lock_acquire_release_disjoint", |b| {
         let mut lt = LockTable::new(CcPolicy::MultiVersion);
         let mut k = 0u64;
         b.iter(|| {
             k += 1;
-            let set: Vec<TupleId> =
-                (0..8).map(|i| TupleId::new(TableId(1), k * 16 + i + 1)).collect();
-            let t = TxnId(k);
-            assert_eq!(lt.acquire(t, set, OwnerKind::LocalAbortable), Acquire::Granted);
-            black_box(lt.release(t, true))
+            disjoint_pair(&mut lt, k)
         })
     });
+    // The same pair beside `n` queued requests for other tuples: flat in `n`
+    // (the scan-based table it replaced walked all of them, twice).
+    for n in [100u64, 1000, 10_000] {
+        c.bench_function(format!("lock_release_{n}_waiters"), |b| {
+            let mut lt = LockTable::new(CcPolicy::MultiVersion);
+            for w in 0..n {
+                let row = vec![TupleId::new(TableId(2), w + 1)];
+                lt.acquire(TxnId(u64::MAX - 2 * w), row.clone(), OwnerKind::LocalAbortable);
+                lt.acquire(TxnId(u64::MAX - 2 * w - 1), row, OwnerKind::LocalAbortable);
+            }
+            assert_eq!(lt.waiter_count() as u64, n);
+            let mut k = 0u64;
+            b.iter(|| {
+                k += 1;
+                disjoint_pair(&mut lt, k)
+            })
+        });
+    }
 }
 
 fn bench_event_queue(c: &mut Criterion) {

@@ -282,7 +282,7 @@ impl UnifiedPlacement {
                 loads.bump(0, 2);
                 note(first_above(&table.wildcard, start_seq));
                 if let Some(rows) = table.rows.get(&id.row()) {
-                    note(first_above(rows, start_seq));
+                    note(rows.first_above(start_seq));
                 }
             }
         }
@@ -344,7 +344,7 @@ impl UnifiedPlacement {
             if id.is_table_level() {
                 evict_front(&mut table.wildcard, seq);
             } else if let Some(rows) = table.rows.get_mut(&id.row()) {
-                evict_front(rows, seq);
+                rows.evict_front(seq);
                 if rows.is_empty() {
                     table.rows.remove(&id.row());
                 }

@@ -54,7 +54,7 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TableIndex {
     /// Row number → sequence numbers of committed transactions that wrote it.
-    pub(crate) rows: HashMap<u64, VecDeque<u64>>,
+    pub(crate) rows: HashMap<u64, RowSeqs>,
     /// Sequence numbers of table-level (wildcard) writes to this table.
     pub(crate) wildcard: VecDeque<u64>,
     /// Sequence numbers of *any* write touching this table (row or
@@ -81,6 +81,65 @@ pub(crate) fn evict_front(seqs: &mut VecDeque<u64>, seq: u64) {
     debug_assert!(seqs.front().is_none_or(|s| *s >= seq), "eviction out of order");
     if seqs.front() == Some(&seq) {
         seqs.pop_front();
+    }
+}
+
+/// The writers of one row, ascending. Most rows inside the conflict window
+/// were written once, and that one sequence number is stored inline; the
+/// deque is allocated only for a second concurrent writer.
+#[derive(Debug, Clone)]
+pub(crate) enum RowSeqs {
+    One(u64),
+    Many(VecDeque<u64>),
+}
+
+impl Default for RowSeqs {
+    /// The empty list (allocates nothing).
+    fn default() -> Self {
+        RowSeqs::Many(VecDeque::new())
+    }
+}
+
+impl RowSeqs {
+    /// Appends `seq`, which is above every sequence number present.
+    pub(crate) fn push_back(&mut self, seq: u64) {
+        match self {
+            RowSeqs::One(first) => *self = RowSeqs::Many(VecDeque::from([*first, seq])),
+            RowSeqs::Many(seqs) if seqs.is_empty() => *self = RowSeqs::One(seq),
+            RowSeqs::Many(seqs) => seqs.push_back(seq),
+        }
+    }
+
+    /// [`first_above`] over this row's writers.
+    pub(crate) fn first_above(&self, start_seq: u64) -> Option<u64> {
+        match self {
+            RowSeqs::One(seq) => (*seq > start_seq).then_some(*seq),
+            RowSeqs::Many(seqs) => first_above(seqs, start_seq),
+        }
+    }
+
+    /// [`evict_front`] over this row's writers.
+    pub(crate) fn evict_front(&mut self, seq: u64) {
+        match self {
+            RowSeqs::One(first) => {
+                debug_assert!(*first >= seq, "eviction out of order");
+                if *first == seq {
+                    *self = RowSeqs::default();
+                }
+            }
+            RowSeqs::Many(seqs) => evict_front(seqs, seq),
+        }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RowSeqs::One(_) => 1,
+            RowSeqs::Many(seqs) => seqs.len(),
+        }
     }
 }
 
@@ -544,6 +603,36 @@ mod tests {
             write_set: writes.iter().copied().collect(),
             write_bytes: 0,
         }
+    }
+
+    #[test]
+    fn row_seqs_match_a_plain_deque() {
+        // Grow through empty -> One -> Many and shrink back, probing every
+        // snapshot at every step against the list it replaces.
+        let mut rows = RowSeqs::default();
+        let mut plain: VecDeque<u64> = VecDeque::new();
+        let check = |rows: &RowSeqs, plain: &VecDeque<u64>| {
+            assert_eq!(rows.len(), plain.len());
+            assert_eq!(rows.is_empty(), plain.is_empty());
+            for start in 0..12 {
+                assert_eq!(rows.first_above(start), first_above(plain, start), "start {start}");
+            }
+        };
+        check(&rows, &plain);
+        for seq in [3, 5, 9] {
+            rows.push_back(seq);
+            plain.push_back(seq);
+            check(&rows, &plain);
+        }
+        // gc walks the history oldest-first; a seq that never wrote the row
+        // (4) evicts nothing.
+        for seq in [3, 4, 5, 9] {
+            rows.evict_front(seq);
+            evict_front(&mut plain, seq);
+            check(&rows, &plain);
+        }
+        rows.push_back(11);
+        assert!(matches!(rows, RowSeqs::One(11)), "a lone writer is stored inline");
     }
 
     #[test]

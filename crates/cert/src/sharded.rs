@@ -161,7 +161,7 @@ impl IndexPlacement for ShardedPlacement {
                 loads.bump(s, 2);
                 note(first_above(&table.wildcard, start_seq));
                 if let Some(rows) = table.rows.get(&id.row()) {
-                    note(first_above(rows, start_seq));
+                    note(rows.first_above(start_seq));
                 }
             }
         }
@@ -218,7 +218,7 @@ impl IndexPlacement for ShardedPlacement {
                 let s = self.shard_of(*id);
                 if let Some(table) = self.shards[s].tables.get_mut(&id.table()) {
                     if let Some(rows) = table.rows.get_mut(&id.row()) {
-                        evict_front(rows, seq);
+                        rows.evict_front(seq);
                         if rows.is_empty() {
                             table.rows.remove(&id.row());
                         }

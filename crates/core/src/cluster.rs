@@ -55,6 +55,12 @@ struct FifoEntry {
     /// entry's local writes intersect its read-set — the earlier outcome
     /// could change the probe.
     local_writes: RwSet,
+    /// Serial (see `SiteState::fifo_popped`) of the earlier entry last found
+    /// to block this one's vote. While that entry is still queued the
+    /// pairwise rescan is skipped: neither its `local_writes` nor this
+    /// entry's read-set changed. Cleared wherever `local_writes` is
+    /// recomputed or the entry is copied into another site's FIFO.
+    blocked_by: Option<u64>,
     /// How many times this entry's vote round was re-collected because a
     /// span it touches re-homed mid-round. Capped at [`RECOLLECT_CAP`].
     recollects: u8,
@@ -83,6 +89,9 @@ struct SiteState {
     /// Partial replication: delivered updates awaiting a decision, in total
     /// order (empty under full replication, where delivery decides).
     fifo: VecDeque<FifoEntry>,
+    /// Entries popped off `fifo` so far: the entry at index `i` has serial
+    /// `fifo_popped + i`, and a serial below `fifo_popped` has left the queue.
+    fifo_popped: u64,
     /// Wire votes that arrived before their transaction's delivery, keyed
     /// by `(origin site, txn)` — votes travel on their own (piggybacked)
     /// channel and may beat the data frame's total-order slot.
@@ -344,6 +353,7 @@ impl Cluster {
                 servers,
                 spec_ready: HashMap::new(),
                 fifo: VecDeque::new(),
+                fifo_popped: 0,
                 vote_stash: HashMap::new(),
                 skip_keys: HashSet::new(),
                 txn_seq: 0,
@@ -783,6 +793,7 @@ impl Cluster {
                         votes: e.votes.clone(),
                         cast: false,
                         local_writes: span.local_subset(&e.req.write_set),
+                        blocked_by: None,
                         recollects: e.recollects,
                     })
                     .collect();
@@ -1048,6 +1059,7 @@ impl Cluster {
                     };
                     for e in fifo.iter_mut() {
                         e.local_writes = span.local_subset(&e.req.write_set);
+                        e.blocked_by = None;
                         if touches(&e.req) {
                             e.cast = false;
                             e.votes.retain(|&(v, _)| v != adopter as u16);
@@ -1453,6 +1465,7 @@ impl Cluster {
             votes,
             cast: false,
             local_writes,
+            blocked_by: None,
             recollects: 0,
         });
     }
@@ -1489,6 +1502,7 @@ impl Cluster {
                     None => break,
                 };
                 let entry = sh.sites[site].fifo.pop_front().expect("head just inspected");
+                sh.sites[site].fifo_popped += 1;
                 if published.is_none() {
                     // First decision cluster-wide: cross-check the merged
                     // wire verdict against the full-replication oracle and
@@ -1545,7 +1559,7 @@ impl Cluster {
             let mut sh = self.shared.borrow_mut();
             let sh = &mut *sh;
             let rehomed = &sh.rehomed;
-            let SiteState { span, fifo, crashed, .. } = &mut sh.sites[site];
+            let SiteState { span, fifo, fifo_popped, crashed, .. } = &mut sh.sites[site];
             if *crashed {
                 return;
             }
@@ -1559,7 +1573,13 @@ impl Cluster {
                     fifo[k].cast = true;
                     continue;
                 }
-                if (0..k).any(|j| fifo[j].local_writes.intersects(&fifo[k].req.read_set)) {
+                if fifo[k].blocked_by.is_some_and(|b| b >= *fifo_popped) {
+                    continue;
+                }
+                let blocker =
+                    (0..k).find(|&j| fifo[j].local_writes.intersects(&fifo[k].req.read_set));
+                fifo[k].blocked_by = blocker.map(|j| *fifo_popped + j as u64);
+                if blocker.is_some() {
                     continue;
                 }
                 // Real code: the span-restricted conflict probe over only

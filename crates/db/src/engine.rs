@@ -11,11 +11,12 @@
 
 use crate::lock::{Acquire, CcPolicy, LockTable, OwnerKind, TxnId};
 use crate::storage::{Storage, StorageConfig};
-use dbsm_cert::RwSet;
+use dbsm_cert::{RwSet, TupleId};
 use dbsm_sim::{CpuBank, Sim, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A transaction ready for execution: its access sets and resource demands
@@ -96,7 +97,12 @@ type CommitRequestHook = Box<dyn FnOnce(TxnId, &TransactionSpec)>;
 type AppliedHook = Box<dyn FnOnce()>;
 
 struct Txn {
+    /// As submitted, except that `write_set` is empty: the engine keeps the
+    /// written tuples once, in `writes`.
     spec: TransactionSpec,
+    /// The write-set, shared with the lock table while it holds or queues
+    /// this transaction.
+    writes: Arc<[TupleId]>,
     phase: Phase,
     gen: u64,
     enqueued_at: SimTime,
@@ -179,7 +185,7 @@ impl DbEngine {
     /// protocol); `on_done` fires exactly once with the final outcome.
     pub fn begin_local(
         &self,
-        spec: TransactionSpec,
+        mut spec: TransactionSpec,
         on_commit_request: impl FnOnce(TxnId, &TransactionSpec) + 'static,
         on_done: impl FnOnce(TxnId, Outcome) + 'static,
     ) -> TxnId {
@@ -190,11 +196,13 @@ impl DbEngine {
             inner.next_txn += 1;
             let gen = inner.next_gen;
             inner.next_gen += 1;
-            let lock_set = if spec.read_only { Vec::new() } else { spec.write_set.ids().to_vec() };
+            let writes: Arc<[TupleId]> = std::mem::take(&mut spec.write_set).ids().into();
+            let lock_set = if spec.read_only { Arc::from([]) } else { Arc::clone(&writes) };
             inner.txns.insert(
                 id,
                 Txn {
                     spec,
+                    writes,
                     phase: Phase::WaitLocks,
                     gen,
                     enqueued_at: self.sim.now(),
@@ -235,13 +243,14 @@ impl DbEngine {
                     spec: TransactionSpec {
                         class: u8::MAX,
                         read_set: RwSet::new(),
-                        write_set,
+                        write_set: RwSet::new(),
                         write_bytes,
                         cpu: Duration::ZERO,
                         user_abort: false,
                         read_only: false,
                         relaxed: false,
                     },
+                    writes: write_set.ids().into(),
                     phase: Phase::RemoteWait,
                     gen,
                     enqueued_at: self.sim.now(),
@@ -261,7 +270,7 @@ impl DbEngine {
             let acquire = {
                 let mut inner = self.inner.borrow_mut();
                 let Some(t) = inner.txns.get(&id) else { return };
-                let set = t.spec.write_set.ids().to_vec();
+                let set = Arc::clone(&t.writes);
                 inner.locks.acquire(id, set, OwnerKind::Remote)
             };
             match acquire {
@@ -297,7 +306,7 @@ impl DbEngine {
                 let mut inner = self.inner.borrow_mut();
                 let t = inner.txns.get_mut(&id).expect("checked above");
                 t.phase = Phase::WriteBack;
-                (t.spec.write_set.len() as u32, t.gen)
+                (t.writes.len() as u32, t.gen)
             };
             let this = self.clone();
             self.storage.write(sectors, move || this.writeback_done(id, gen));
@@ -442,7 +451,7 @@ impl DbEngine {
                         let mut inner = self.inner.borrow_mut();
                         let Some(t) = inner.txns.get_mut(&id) else { continue };
                         t.phase = Phase::RemoteWrite;
-                        (t.spec.write_set.len() as u32, t.gen)
+                        (t.writes.len() as u32, t.gen)
                     };
                     let this = self.clone();
                     self.storage.write(sectors, move || this.remote_write_done(id, gen));
@@ -451,7 +460,9 @@ impl DbEngine {
                     let (hook, spec) = {
                         let mut inner = self.inner.borrow_mut();
                         let Some(t) = inner.txns.get_mut(&id) else { continue };
-                        (t.on_commit_request.take(), t.spec.clone())
+                        let mut spec = t.spec.clone();
+                        spec.write_set = RwSet::from_sorted(t.writes.to_vec());
+                        (t.on_commit_request.take(), spec)
                     };
                     if let Some(h) = hook {
                         h(id, &spec);
@@ -500,7 +511,7 @@ impl std::fmt::Debug for DbEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbsm_cert::{TableId, TupleId};
+    use dbsm_cert::TableId;
     use dbsm_sim::ProfilerMode;
 
     fn id(r: u64) -> TupleId {
@@ -552,6 +563,31 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_millis(6));
         assert_eq!(eng.metrics().committed, 1);
         assert_eq!(eng.active_txns(), 0);
+    }
+
+    #[test]
+    fn commit_request_sees_the_spec_as_submitted() {
+        // The engine keeps the write-set apart from the spec (shared with
+        // the lock table); the termination protocol must not notice.
+        let (sim, eng) = engine();
+        let submitted = spec(&[1, 2], &[3, 4], 5);
+        let seen: Rc<RefCell<Option<TransactionSpec>>> = Rc::default();
+        let s = seen.clone();
+        let e = eng.clone();
+        eng.begin_local(
+            submitted.clone(),
+            move |t, spec| {
+                *s.borrow_mut() = Some(spec.clone());
+                e.resolve(t, true)
+            },
+            |_, _| {},
+        );
+        sim.run();
+        let seen = seen.borrow_mut().take().expect("commit request raised");
+        assert_eq!(seen.write_set, submitted.write_set);
+        assert_eq!(seen.read_set, submitted.read_set);
+        // 5ms CPU + 2 write sectors on 2 channels (1ms).
+        assert_eq!(sim.now(), SimTime::from_millis(6));
     }
 
     #[test]

@@ -1,11 +1,161 @@
 //! Property tests of the lock table: under arbitrary interleavings of
 //! acquisitions and releases, the core invariants of the multi-version
-//! policy hold — exclusivity, atomicity, no lost waiters, no deadlock.
+//! policy hold — exclusivity, atomicity, no lost waiters, no deadlock — and
+//! the indexed table answers every call exactly like the scan-based one it
+//! replaced ([`reference::ScanLockTable`]).
 
 use dbsm_cert::{TableId, TupleId};
 use dbsm_db::{Acquire, CcPolicy, LockTable, OwnerKind, TxnId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+
+/// The lock table as it was before the wait index: one FIFO of waiters that
+/// `acquire` scans in full, a committing `release` drains and rebuilds, and
+/// `regrant` re-walks until nothing moves. Quadratic in queue depth and
+/// obviously right — the model the indexed table is held to.
+mod reference {
+    use dbsm_cert::TupleId;
+    use dbsm_db::{Acquire, CcPolicy, OwnerKind, ReleaseEffects, TxnId};
+    use std::collections::{HashMap, VecDeque};
+
+    struct Holder {
+        set: Vec<TupleId>,
+        kind: OwnerKind,
+    }
+
+    struct Waiter {
+        txn: TxnId,
+        set: Vec<TupleId>,
+        kind: OwnerKind,
+    }
+
+    pub struct ScanLockTable {
+        policy: CcPolicy,
+        held: HashMap<TupleId, TxnId>,
+        holders: HashMap<TxnId, Holder>,
+        waiters: VecDeque<Waiter>,
+    }
+
+    impl ScanLockTable {
+        pub fn new(policy: CcPolicy) -> Self {
+            ScanLockTable {
+                policy,
+                held: HashMap::new(),
+                holders: HashMap::new(),
+                waiters: VecDeque::new(),
+            }
+        }
+
+        pub fn holder_count(&self) -> usize {
+            self.holders.len()
+        }
+
+        pub fn waiter_count(&self) -> usize {
+            self.waiters.len()
+        }
+
+        pub fn is_holder(&self, txn: TxnId) -> bool {
+            self.holders.contains_key(&txn)
+        }
+
+        pub fn acquire(&mut self, txn: TxnId, set: Vec<TupleId>, kind: OwnerKind) -> Acquire {
+            assert!(!self.holders.contains_key(&txn), "{txn:?} already holds locks");
+            let mut conflicts: Vec<TxnId> = Vec::new();
+            for t in &set {
+                if let Some(h) = self.held.get(t) {
+                    if !conflicts.contains(h) {
+                        conflicts.push(*h);
+                    }
+                }
+            }
+            let blocked_by_queue =
+                self.waiters.iter().any(|w| w.set.iter().any(|t| set.contains(t)));
+            if conflicts.is_empty() && !blocked_by_queue {
+                for t in &set {
+                    self.held.insert(*t, txn);
+                }
+                self.holders.insert(txn, Holder { set, kind });
+                return Acquire::Granted;
+            }
+            if kind == OwnerKind::Remote {
+                let abortable: Vec<TxnId> = conflicts
+                    .iter()
+                    .copied()
+                    .filter(|c| self.holders[c].kind == OwnerKind::LocalAbortable)
+                    .collect();
+                if !abortable.is_empty() {
+                    return Acquire::Preempt(abortable);
+                }
+            }
+            self.waiters.push_back(Waiter { txn, set, kind });
+            Acquire::Queued
+        }
+
+        pub fn pin(&mut self, txn: TxnId) {
+            if let Some(h) = self.holders.get_mut(&txn) {
+                if h.kind == OwnerKind::LocalAbortable {
+                    h.kind = OwnerKind::LocalPinned;
+                }
+            }
+        }
+
+        pub fn release(&mut self, txn: TxnId, committed: bool) -> ReleaseEffects {
+            let mut effects = ReleaseEffects::default();
+            let released_set = match self.holders.remove(&txn) {
+                Some(h) => {
+                    for t in &h.set {
+                        self.held.remove(t);
+                    }
+                    h.set
+                }
+                None => {
+                    self.waiters.retain(|w| w.txn != txn);
+                    Vec::new()
+                }
+            };
+            if committed && self.policy == CcPolicy::MultiVersion && !released_set.is_empty() {
+                let mut keep = VecDeque::with_capacity(self.waiters.len());
+                for w in self.waiters.drain(..) {
+                    let hit = w.set.iter().any(|t| released_set.contains(t));
+                    if hit && w.kind != OwnerKind::Remote {
+                        effects.aborted.push(w.txn);
+                    } else {
+                        keep.push_back(w);
+                    }
+                }
+                self.waiters = keep;
+            }
+            self.regrant(&mut effects);
+            effects
+        }
+
+        fn regrant(&mut self, effects: &mut ReleaseEffects) {
+            let mut progressed = true;
+            while progressed {
+                progressed = false;
+                let mut idx = 0;
+                let mut reserved: Vec<TupleId> = Vec::new();
+                while idx < self.waiters.len() {
+                    let w = &self.waiters[idx];
+                    let free = w.set.iter().all(|t| !self.held.contains_key(t))
+                        && w.set.iter().all(|t| !reserved.contains(t));
+                    if free {
+                        let w = self.waiters.remove(idx).expect("index in range");
+                        for t in &w.set {
+                            self.held.insert(*t, w.txn);
+                        }
+                        effects.granted.push(w.txn);
+                        self.holders.insert(w.txn, Holder { set: w.set, kind: w.kind });
+                        progressed = true;
+                    } else {
+                        reserved.extend(w.set.iter().copied());
+                        idx += 1;
+                    }
+                }
+            }
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -21,6 +171,21 @@ fn arb_op() -> impl Strategy<Value = Op> {
             .prop_map(|(keys, remote)| Op::Acquire { keys, remote }),
         (any::<u8>(), any::<bool>()).prop_map(|(idx, commit)| Op::Release { idx, commit }),
     ]
+}
+
+/// The model test's stream: [`Op`]s (its releases pick among holders *and*
+/// waiters) plus pins of the k-th oldest active transaction.
+#[derive(Debug, Clone)]
+enum ModelOp {
+    Op(Op),
+    Pin { idx: u8 },
+}
+
+fn arb_model_op() -> impl Strategy<Value = ModelOp> {
+    // One pin for every three acquisitions or releases (the vendored
+    // `prop_oneof!` has no weights).
+    let op = || arb_op().prop_map(ModelOp::Op);
+    prop_oneof![op(), op(), op(), any::<u8>().prop_map(|idx| ModelOp::Pin { idx })]
 }
 
 fn tid(k: u8) -> TupleId {
@@ -185,5 +350,81 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 1000);
         }
+    }
+    /// Model-based equivalence: the indexed table and the scan-based
+    /// reference, driven by one random stream — local and remote
+    /// acquisitions over 12 keys (so queues form), pins, commit/abort
+    /// releases of holders, withdrawals of queued transactions, and the
+    /// engine's preempt → abort victims → re-acquire loop — give identical
+    /// `Acquire` results, identical `ReleaseEffects` including their order,
+    /// and equal holder/waiter counts after every call, under both policies.
+    #[test]
+    fn indexed_table_matches_scan_reference(
+        ops in prop::collection::vec(arb_model_op(), 1..120),
+        two_pl in any::<bool>(),
+    ) {
+        let policy = if two_pl { CcPolicy::Conservative2pl } else { CcPolicy::MultiVersion };
+        let mut lt = LockTable::new(policy);
+        let mut model = reference::ScanLockTable::new(policy);
+        // Every transaction holding or queued, oldest first.
+        let mut live: Vec<TxnId> = Vec::new();
+        let mut next = 1u64;
+        for op in ops {
+            match op {
+                ModelOp::Op(Op::Acquire { mut keys, remote }) => {
+                    keys.sort_unstable();
+                    keys.dedup();
+                    let txn = TxnId(next);
+                    next += 1;
+                    let set: Vec<TupleId> = keys.iter().map(|k| tid(*k)).collect();
+                    let kind = if remote { OwnerKind::Remote } else { OwnerKind::LocalAbortable };
+                    loop {
+                        let got = lt.acquire(txn, set.clone(), kind);
+                        prop_assert_eq!(&got, &model.acquire(txn, set.clone(), kind));
+                        let Acquire::Preempt(victims) = got else {
+                            live.push(txn);
+                            break;
+                        };
+                        prop_assert!(!victims.is_empty(), "a preemption names its victims");
+                        for v in victims {
+                            let fx = lt.release(v, false);
+                            prop_assert_eq!(&fx, &model.release(v, false));
+                            live.retain(|t| *t != v && !fx.aborted.contains(t));
+                        }
+                    }
+                }
+                ModelOp::Op(Op::Release { idx, commit }) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let txn = live.remove(idx as usize % live.len());
+                    let fx = lt.release(txn, commit);
+                    prop_assert_eq!(&fx, &model.release(txn, commit));
+                    for g in &fx.granted {
+                        prop_assert!(lt.is_holder(*g) && model.is_holder(*g));
+                    }
+                    live.retain(|t| !fx.aborted.contains(t));
+                }
+                ModelOp::Pin { idx } => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let txn = live[idx as usize % live.len()];
+                    lt.pin(txn);
+                    model.pin(txn);
+                }
+            }
+            prop_assert_eq!(lt.holder_count(), model.holder_count());
+            prop_assert_eq!(lt.waiter_count(), model.waiter_count());
+            prop_assert_eq!(lt.holder_count() + lt.waiter_count(), live.len());
+        }
+        // Drain in arrival order: every grant along the way must agree too.
+        while !live.is_empty() {
+            let txn = live.remove(0);
+            let fx = lt.release(txn, true);
+            prop_assert_eq!(&fx, &model.release(txn, true));
+            live.retain(|t| !fx.aborted.contains(t));
+        }
+        prop_assert_eq!((lt.holder_count(), lt.waiter_count()), (0, 0));
     }
 }
