@@ -1,158 +1,212 @@
 //! Machine-readable certification-bench results: `BENCH_cert.json`.
 //!
-//! The `ablation_cert_sharding` sweep writes one JSON document per run so
-//! the certification perf trajectory — throughput and the total vs
-//! critical-path work split per backend and client count — is tracked as an
-//! artifact across PRs instead of living only in terminal output. The
-//! workspace is offline (no serde), so this module hand-writes the small,
-//! stable schema and ships a minimal validating parser that CI and the unit
-//! tests use to guarantee the artifact stays well-formed JSON.
+//! The row-producing ablation sweeps ([`crate::sweeps`]) merge their rows
+//! into one JSON document so the certification perf trajectory — throughput
+//! and the total vs critical-path work split per backend and client count —
+//! is tracked as an artifact across PRs instead of living only in terminal
+//! output. The workspace is offline (no serde), so this module hand-writes
+//! the small, stable schema and ships a minimal validating parser that CI
+//! and the unit tests use to guarantee the artifact stays well-formed JSON.
 //!
-//! Schema (one object):
-//!
-//! ```json
-//! {
-//!   "group": "ablation_cert_sharding",
-//!   "rows": [
-//!     {
-//!       "backend": "sharded", "shards": 8, "clients": 10000,
-//!       "commit_path": "pipelined", "sites": 3, "replication_factor": 3,
-//!       "tpm": 35966.0,
-//!       "mean_latency_ms": 61.8, "abort_pct": 2.1,
-//!       "certifications": 900, "comparisons": 0, "probes": 181150,
-//!       "critical_probes": 60231, "mean_shards_touched": 3.1,
-//!       "parallel_speedup": 3.0, "shard_imbalance": 1.03,
-//!       "total_work_ns": 34303500.0, "critical_path_ns": 23420700.0,
-//!       "queue_ns": 120000, "service_ns": 830000, "merge_ns": 9000,
-//!       "stall_ns": 4000, "spec_hits": 870, "spec_revalidated": 25,
-//!       "spec_rollbacks": 2, "spec_misses": 3,
-//!       "span_fraction": 1.0, "vote_rounds": 0, "cross_span_txns": 0,
-//!       "votes_sent": 0, "votes_received": 0, "vote_piggyback_rate": 0,
-//!       "vote_resends": 0, "mean_vote_wait_ms": 0,
-//!       "config_hash": "f2a90c4d13b7e6a1"
-//!     }
-//!   ]
-//! }
-//! ```
+//! The document is one object, `{"group": "ablation_cert_sharding",
+//! "rows": [...]}`, with one row object per line. A row's keys are the
+//! fields of [`CertBenchRow`], declared once in the `cert_bench_row!` table
+//! below: the struct, the writer, the typed reader and [`KEYS`] are all
+//! generated from it, in document order, and the reader requires every key.
 //!
 //! Rows are keyed by
-//! `(backend, shards, clients, commit_path, sites, replication_factor)` —
-//! schema v3 added the last two so the partial-replication sweep can put
-//! the same backend at several sites × replication-factor points, and
-//! schema v4 added the decentralized-vote wire ledger (`votes_sent`,
-//! `votes_received`, `vote_piggyback_rate`, `vote_resends`,
-//! `mean_vote_wait_ms` — all zero under full replication, where no wire
-//! votes flow), and schema v5 added the re-placement ledger
-//! (`replacements`, `rehomed_spans`, `parked_ns` — nonzero only when churn
-//! stranded a span and the survivors re-homed it). The
-//! `config_hash` fingerprints everything else a row's numbers depend on
+//! `(backend, shards, clients, commit_path, sites, replication_factor)`.
+//! The `config_hash` fingerprints everything else a row's numbers depend on
 //! (schema version, sites, replication factor, CPUs per site, target
-//! transactions, history window, seed):
-//! [`merge_rows`]
-//! preserves rows a partial sweep didn't re-run, but refuses to mix rows
-//! whose hashes disagree for the same key — a silent half-updated artifact
-//! would be worse than no artifact. The parser reads schema v2 through v4
-//! documents too (the v3 fields default: `sites`/`replication_factor` 0,
-//! `span_fraction` 1.0, vote counters 0; the v4 wire-vote fields and the
-//! v5 re-placement fields default to 0), so the CI gate keeps passing on
-//! artifacts written before the bump; any old-schema row a sweep re-runs
-//! is refused by the hash check and forces a clean re-sweep.
+//! transactions, history window, seed): [`merge_rows`] preserves rows a
+//! partial sweep didn't re-run, but refuses to mix rows whose hashes
+//! disagree for the same key — a silent half-updated artifact would be
+//! worse than no artifact.
 
 use dbsm_core::{CertCostModel, ExperimentConfig, RunMetrics};
+use std::ffi::OsString;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Bumped whenever a schema or pricing change makes old rows incomparable
 /// with fresh ones; feeds [`config_hash`], so a bump forces a full re-sweep
 /// instead of a silent mixed-schema merge.
 pub const SCHEMA_VERSION: u32 = 5;
 
-/// One row of the certification sweep: a backend at a client count, with
-/// the throughput and the work-ledger split the sweep exists to track.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CertBenchRow {
-    /// Backend name (`linear`, `indexed`, `sharded`).
-    pub backend: String,
+/// A column type of the artifact: how a [`CertBenchRow`] field of this type
+/// is written into, and read back out of, a JSON row object.
+trait Column: Sized {
+    fn render(&self, out: &mut String);
+    fn read(row: &Json, key: &str) -> Result<Self, String>;
+}
+
+impl Column for String {
+    fn render(&self, out: &mut String) {
+        out.push_str(&json_str(self));
+    }
+    fn read(row: &Json, key: &str) -> Result<Self, String> {
+        match row.field(key)? {
+            Json::Str(s) => Ok(s.clone()),
+            other => Err(format!("key \"{key}\" must be a string, got {other:?}")),
+        }
+    }
+}
+
+impl Column for f64 {
+    fn render(&self, out: &mut String) {
+        out.push_str(&json_num(*self));
+    }
+    fn read(row: &Json, key: &str) -> Result<Self, String> {
+        match row.field(key)? {
+            Json::Num(n) => Ok(*n),
+            other => Err(format!("key \"{key}\" must be a number, got {other:?}")),
+        }
+    }
+}
+
+impl Column for u64 {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(row: &Json, key: &str) -> Result<Self, String> {
+        let n = f64::read(row, key)?;
+        if n < 0.0 || n.fract() != 0.0 {
+            return Err(format!("key \"{key}\" must be a non-negative integer, got {n}"));
+        }
+        Ok(n as u64)
+    }
+}
+
+impl Column for usize {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(row: &Json, key: &str) -> Result<Self, String> {
+        u64::read(row, key).map(|n| n as usize)
+    }
+}
+
+/// The one field table: each `/// doc` + `name: type` line is a struct
+/// field, a document key (same name, same position), a writer column and a
+/// required reader column.
+macro_rules! cert_bench_row {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty,)+) => {
+        /// One row of the certification sweeps: a backend at a client count
+        /// (and sites × replication factor), with the throughput and the
+        /// work-ledger split the sweeps exist to track.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct CertBenchRow {
+            $($(#[$doc])* pub $name: $ty,)+
+        }
+
+        /// Every row key, in document order.
+        pub const KEYS: &[&str] = &[$(stringify!($name)),+];
+
+        impl CertBenchRow {
+            /// Appends the row as one JSON object, keys in table order.
+            fn render(&self, out: &mut String) {
+                out.push('{');
+                $(
+                    let _ = write!(out, "\"{}\": ", stringify!($name));
+                    self.$name.render(out);
+                    out.push_str(", ");
+                )+
+                out.truncate(out.len() - 2);
+                out.push('}');
+            }
+
+            /// Reads a row back; every key of the table is required.
+            fn from_json(v: &Json) -> Result<Self, String> {
+                Ok(CertBenchRow { $($name: Column::read(v, stringify!($name))?,)+ })
+            }
+        }
+    };
+}
+
+cert_bench_row! {
+    /// Backend name (`linear`, `indexed`, `sharded{n}`), or the
+    /// re-placement sweep's synthetic `churn{n}` label.
+    backend: String,
     /// Keyed shard count (1 for the unsharded backends).
-    pub shards: usize,
+    shards: usize,
     /// Emulated clients.
-    pub clients: usize,
+    clients: usize,
     /// Commit path (`sync` or `pipelined`).
-    pub commit_path: String,
-    /// Replica sites in the run (schema v3; 0 when read from a v2 row).
-    pub sites: usize,
+    commit_path: String,
+    /// Replica sites in the run.
+    sites: usize,
     /// Replicas per warehouse: equal to `sites` under full replication,
-    /// lower under a partial placement (schema v3; 0 from a v2 row).
-    pub replication_factor: usize,
+    /// lower under a partial placement.
+    replication_factor: usize,
     /// Committed transactions per minute.
-    pub tpm: f64,
+    tpm: f64,
     /// Mean end-to-end latency of committed transactions, ms.
-    pub mean_latency_ms: f64,
+    mean_latency_ms: f64,
     /// Abort rate, percent.
-    pub abort_pct: f64,
+    abort_pct: f64,
     /// Certifications performed.
-    pub certifications: u64,
+    certifications: u64,
     /// Linear-scan merge comparisons.
-    pub comparisons: u64,
+    comparisons: u64,
     /// Index probes, all shards.
-    pub probes: u64,
+    probes: u64,
     /// Critical-path probes (most-loaded shard per request).
-    pub critical_probes: u64,
+    critical_probes: u64,
     /// Mean shards touched per certification.
-    pub mean_shards_touched: f64,
+    mean_shards_touched: f64,
     /// Total probes / critical-path probes.
-    pub parallel_speedup: f64,
+    parallel_speedup: f64,
     /// Mean fan-out / speedup (1.0 = perfectly balanced shards).
-    pub shard_imbalance: f64,
+    shard_imbalance: f64,
     /// Serial certification cost of the run, nanoseconds.
-    pub total_work_ns: f64,
+    total_work_ns: f64,
     /// Critical-path certification cost of the run, nanoseconds.
-    pub critical_path_ns: f64,
+    critical_path_ns: f64,
     /// Nanoseconds speculative probe work queued on shard servers.
-    pub queue_ns: u64,
+    queue_ns: u64,
     /// Nanoseconds of critical-server probe service (pipelined runs).
-    pub service_ns: u64,
+    service_ns: u64,
     /// Nanoseconds merging per-shard verdicts (pipelined runs).
-    pub merge_ns: u64,
+    merge_ns: u64,
     /// Data-dependent certification nanoseconds stalling the delivery loop.
-    pub stall_ns: u64,
+    stall_ns: u64,
     /// Confirmations resolved with zero delta work.
-    pub spec_hits: u64,
+    spec_hits: u64,
     /// Overtaken speculations upheld by the delta re-probe.
-    pub spec_revalidated: u64,
+    spec_revalidated: u64,
     /// Speculative passes overturned into aborts.
-    pub spec_rollbacks: u64,
+    spec_rollbacks: u64,
     /// Confirmations that found no speculation.
-    pub spec_misses: u64,
+    spec_misses: u64,
     /// Fraction of examined read/write-set entries local to the certifying
-    /// site's span — 1.0 under full replication (schema v3).
-    pub span_fraction: f64,
-    /// Partial-replication vote rounds performed (schema v3).
-    pub vote_rounds: u64,
-    /// Update transactions that crossed spans and voted (schema v3).
-    pub cross_span_txns: u64,
-    /// Wire-level certification votes multicast, all sites (schema v4).
-    pub votes_sent: u64,
-    /// Wire-level votes received, all sites (schema v4).
-    pub votes_received: u64,
+    /// site's span — 1.0 under full replication.
+    span_fraction: f64,
+    /// Partial-replication vote rounds performed.
+    vote_rounds: u64,
+    /// Update transactions that crossed spans and voted.
+    cross_span_txns: u64,
+    /// Wire-level certification votes multicast, all sites (zero under
+    /// full replication, where no wire votes flow — as are the four below).
+    votes_sent: u64,
+    /// Wire-level votes received, all sites.
+    votes_received: u64,
     /// Fraction of sent votes that rode outgoing data frames instead of
-    /// paying their own packet (schema v4).
-    pub vote_piggyback_rate: f64,
-    /// Vote retransmissions after loss (schema v4).
-    pub vote_resends: u64,
-    /// Mean origin-side wait from delivery to quorum decision, ms
-    /// (schema v4).
-    pub mean_vote_wait_ms: f64,
-    /// View changes that stranded spans and triggered re-placement
-    /// (schema v5).
-    pub replacements: u64,
-    /// Spans re-homed onto surviving adopters (schema v5).
-    pub rehomed_spans: u64,
-    /// Total nanoseconds clients of stranded spans spent parked
-    /// (schema v5).
-    pub parked_ns: u64,
+    /// paying their own packet.
+    vote_piggyback_rate: f64,
+    /// Vote retransmissions after loss.
+    vote_resends: u64,
+    /// Mean origin-side wait from delivery to quorum decision, ms.
+    mean_vote_wait_ms: f64,
+    /// View changes that stranded spans and triggered re-placement (nonzero
+    /// only when churn stranded a span and the survivors re-homed it — as
+    /// are the two below).
+    replacements: u64,
+    /// Spans re-homed onto surviving adopters.
+    rehomed_spans: u64,
+    /// Total nanoseconds clients of stranded spans spent parked.
+    parked_ns: u64,
     /// Hex fingerprint of the row's configuration (see [`config_hash`]).
-    pub config_hash: String,
+    config_hash: String,
 }
 
 fn splitmix64(x: u64) -> u64 {
@@ -312,96 +366,41 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Renders the sweep as the `BENCH_cert.json` document.
+/// Renders the sweep as the `BENCH_cert.json` document, one row per line.
 pub fn rows_to_json(group: &str, rows: &[CertBenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"group\": {},", json_str(group));
-    out.push_str("  \"rows\": [\n");
+    let mut out = format!("{{\n  \"group\": {},\n  \"rows\": [\n", json_str(group));
     for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"backend\": {}, \"shards\": {}, \"clients\": {}, \"commit_path\": {}, \
-             \"sites\": {}, \"replication_factor\": {}, \
-             \"tpm\": {}, \"mean_latency_ms\": {}, \"abort_pct\": {}, \"certifications\": {}, \
-             \"comparisons\": {}, \"probes\": {}, \"critical_probes\": {}, \
-             \"mean_shards_touched\": {}, \"parallel_speedup\": {}, \"shard_imbalance\": {}, \
-             \"total_work_ns\": {}, \"critical_path_ns\": {}, \"queue_ns\": {}, \
-             \"service_ns\": {}, \"merge_ns\": {}, \"stall_ns\": {}, \"spec_hits\": {}, \
-             \"spec_revalidated\": {}, \"spec_rollbacks\": {}, \"spec_misses\": {}, \
-             \"span_fraction\": {}, \"vote_rounds\": {}, \"cross_span_txns\": {}, \
-             \"votes_sent\": {}, \"votes_received\": {}, \"vote_piggyback_rate\": {}, \
-             \"vote_resends\": {}, \"mean_vote_wait_ms\": {}, \
-             \"replacements\": {}, \"rehomed_spans\": {}, \"parked_ns\": {}, \
-             \"config_hash\": {}}}",
-            json_str(&r.backend),
-            r.shards,
-            r.clients,
-            json_str(&r.commit_path),
-            r.sites,
-            r.replication_factor,
-            json_num(r.tpm),
-            json_num(r.mean_latency_ms),
-            json_num(r.abort_pct),
-            r.certifications,
-            r.comparisons,
-            r.probes,
-            r.critical_probes,
-            json_num(r.mean_shards_touched),
-            json_num(r.parallel_speedup),
-            json_num(r.shard_imbalance),
-            json_num(r.total_work_ns),
-            json_num(r.critical_path_ns),
-            r.queue_ns,
-            r.service_ns,
-            r.merge_ns,
-            r.stall_ns,
-            r.spec_hits,
-            r.spec_revalidated,
-            r.spec_rollbacks,
-            r.spec_misses,
-            json_num(r.span_fraction),
-            r.vote_rounds,
-            r.cross_span_txns,
-            r.votes_sent,
-            r.votes_received,
-            json_num(r.vote_piggyback_rate),
-            r.vote_resends,
-            json_num(r.mean_vote_wait_ms),
-            r.replacements,
-            r.rehomed_spans,
-            r.parked_ns,
-            json_str(&r.config_hash),
-        );
+        out.push_str("    ");
+        r.render(&mut out);
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-/// Where the artifact lands: `$DBSM_BENCH_CERT_JSON` if set, otherwise
-/// `BENCH_cert.json` at the workspace root (benches run with the package
-/// directory as cwd, so a relative path would bury the file).
-pub fn default_output_path() -> PathBuf {
-    if let Ok(p) = std::env::var("DBSM_BENCH_CERT_JSON") {
-        return PathBuf::from(p);
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_cert.json")
+/// The artifact path as a pure function of its three sources: an explicit
+/// override wins; otherwise `BENCH_cert.json` sits at the root of the
+/// workspace whose `crates/bench` is `run_dir` — the checkout being *run* —
+/// falling back to `build_dir`, the checkout the library was compiled in.
+/// The two differ when a checkout is copied together with its `target/`
+/// (or built on a restored cache): the copy reuses the rlib, and a path
+/// baked in at compile time would point back into the original checkout.
+fn artifact_path(over: Option<OsString>, run_dir: Option<OsString>, build_dir: &str) -> PathBuf {
+    over.map(PathBuf::from).unwrap_or_else(|| {
+        PathBuf::from(run_dir.unwrap_or_else(|| build_dir.into())).join("../../BENCH_cert.json")
+    })
 }
 
-/// Validates and writes the document, returning the path written.
-///
-/// # Errors
-///
-/// Returns any filesystem error, or `InvalidData` if the rendered document
-/// fails the self-check parse — a formatting bug must fail the bench run
-/// loudly, not poison the artifact.
-pub fn write_rows(group: &str, rows: &[CertBenchRow]) -> std::io::Result<PathBuf> {
-    let doc = rows_to_json(group, rows);
-    validate_json(&doc).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let path = default_output_path();
-    std::fs::write(&path, doc)?;
-    Ok(path)
+/// Where the artifact lands: `$DBSM_BENCH_CERT_JSON` if set, otherwise
+/// `BENCH_cert.json` at the workspace root (benches run with the package
+/// directory as cwd, so a relative path would bury the file). Cargo exports
+/// `CARGO_MANIFEST_DIR` to the bench/run/test processes it starts.
+pub fn default_output_path() -> PathBuf {
+    artifact_path(
+        std::env::var_os("DBSM_BENCH_CERT_JSON"),
+        std::env::var_os("CARGO_MANIFEST_DIR"),
+        env!("CARGO_MANIFEST_DIR"),
+    )
 }
 
 // ---- minimal JSON parser ----------------------------------------------
@@ -632,52 +631,6 @@ impl Json {
             _ => Err(format!("expected an object looking up \"{key}\"")),
         }
     }
-
-    fn str_field(&self, key: &str) -> Result<String, String> {
-        match self.field(key)? {
-            Json::Str(s) => Ok(s.clone()),
-            other => Err(format!("key \"{key}\" must be a string, got {other:?}")),
-        }
-    }
-
-    fn num_field(&self, key: &str) -> Result<f64, String> {
-        match self.field(key)? {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!("key \"{key}\" must be a number, got {other:?}")),
-        }
-    }
-
-    fn uint_field(&self, key: &str) -> Result<u64, String> {
-        let n = self.num_field(key)?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(format!("key \"{key}\" must be a non-negative integer, got {n}"));
-        }
-        Ok(n as u64)
-    }
-
-    fn has_key(&self, key: &str) -> bool {
-        matches!(self, Json::Obj(entries) if entries.iter().any(|(k, _)| k == key))
-    }
-
-    /// A key a later schema added: absent (older row) falls back to
-    /// `default`, but a present key with the wrong type is still a hard
-    /// error.
-    fn uint_field_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        if self.has_key(key) {
-            self.uint_field(key)
-        } else {
-            Ok(default)
-        }
-    }
-
-    /// Like [`Json::uint_field_or`] for float-valued late-schema keys.
-    fn num_field_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        if self.has_key(key) {
-            self.num_field(key)
-        } else {
-            Ok(default)
-        }
-    }
 }
 
 /// The parsed artifact: the sweep group label plus its rows.
@@ -689,63 +642,20 @@ pub struct CertBenchDoc {
     pub rows: Vec<CertBenchRow>,
 }
 
-fn row_from_json(v: &Json) -> Result<CertBenchRow, String> {
-    Ok(CertBenchRow {
-        backend: v.str_field("backend")?,
-        shards: v.uint_field("shards")? as usize,
-        clients: v.uint_field("clients")? as usize,
-        commit_path: v.str_field("commit_path")?,
-        sites: v.uint_field_or("sites", 0)? as usize,
-        replication_factor: v.uint_field_or("replication_factor", 0)? as usize,
-        tpm: v.num_field("tpm")?,
-        mean_latency_ms: v.num_field("mean_latency_ms")?,
-        abort_pct: v.num_field("abort_pct")?,
-        certifications: v.uint_field("certifications")?,
-        comparisons: v.uint_field("comparisons")?,
-        probes: v.uint_field("probes")?,
-        critical_probes: v.uint_field("critical_probes")?,
-        mean_shards_touched: v.num_field("mean_shards_touched")?,
-        parallel_speedup: v.num_field("parallel_speedup")?,
-        shard_imbalance: v.num_field("shard_imbalance")?,
-        total_work_ns: v.num_field("total_work_ns")?,
-        critical_path_ns: v.num_field("critical_path_ns")?,
-        queue_ns: v.uint_field("queue_ns")?,
-        service_ns: v.uint_field("service_ns")?,
-        merge_ns: v.uint_field("merge_ns")?,
-        stall_ns: v.uint_field("stall_ns")?,
-        spec_hits: v.uint_field("spec_hits")?,
-        spec_revalidated: v.uint_field("spec_revalidated")?,
-        spec_rollbacks: v.uint_field("spec_rollbacks")?,
-        spec_misses: v.uint_field("spec_misses")?,
-        span_fraction: v.num_field_or("span_fraction", 1.0)?,
-        vote_rounds: v.uint_field_or("vote_rounds", 0)?,
-        cross_span_txns: v.uint_field_or("cross_span_txns", 0)?,
-        votes_sent: v.uint_field_or("votes_sent", 0)?,
-        votes_received: v.uint_field_or("votes_received", 0)?,
-        vote_piggyback_rate: v.num_field_or("vote_piggyback_rate", 0.0)?,
-        vote_resends: v.uint_field_or("vote_resends", 0)?,
-        mean_vote_wait_ms: v.num_field_or("mean_vote_wait_ms", 0.0)?,
-        replacements: v.uint_field_or("replacements", 0)?,
-        rehomed_spans: v.uint_field_or("rehomed_spans", 0)?,
-        parked_ns: v.uint_field_or("parked_ns", 0)?,
-        config_hash: v.str_field("config_hash")?,
-    })
-}
-
 /// Parses a `BENCH_cert.json` document and enforces the schema contract:
-/// every row must carry every required key with the right type. This is
-/// what the CI schema gate runs — a well-formed-but-wrong-shape artifact
-/// fails here, not three PRs later when a consumer chokes on it.
+/// every row must carry every key of the field table with the right type.
+/// This is what the CI schema gate runs — a well-formed-but-wrong-shape
+/// artifact fails here, not three PRs later when a consumer chokes on it.
 pub fn parse_document(s: &str) -> Result<CertBenchDoc, String> {
     let root = parse_json(s)?;
-    let group = root.str_field("group")?;
+    let group = String::read(&root, "group")?;
     let rows_json = match root.field("rows")? {
         Json::Arr(items) => items,
         other => Err(format!("key \"rows\" must be an array, got {other:?}"))?,
     };
     let mut rows = Vec::with_capacity(rows_json.len());
     for (i, item) in rows_json.iter().enumerate() {
-        rows.push(row_from_json(item).map_err(|e| format!("row {i}: {e}"))?);
+        rows.push(CertBenchRow::from_json(item).map_err(|e| format!("row {i}: {e}"))?);
     }
     Ok(CertBenchDoc { group, rows })
 }
@@ -763,9 +673,10 @@ pub fn merge_rows(
     existing: &[CertBenchRow],
     fresh: &[CertBenchRow],
 ) -> Result<Vec<CertBenchRow>, String> {
+    let mut merged = fresh.to_vec();
     for old in existing {
-        if let Some(new) = fresh.iter().find(|r| r.key() == old.key()) {
-            if new.config_hash != old.config_hash {
+        match fresh.iter().find(|new| new.key() == old.key()) {
+            Some(new) if new.config_hash != old.config_hash => {
                 let (backend, shards, clients, path, sites, rf) = old.key();
                 return Err(format!(
                     "config hash mismatch for row ({backend}, shards={shards}, \
@@ -775,32 +686,27 @@ pub fn merge_rows(
                     old.config_hash, new.config_hash
                 ));
             }
+            Some(_) => {}
+            None => merged.push(old.clone()),
         }
     }
-    let mut merged: Vec<CertBenchRow> = existing
-        .iter()
-        .filter(|old| !fresh.iter().any(|new| new.key() == old.key()))
-        .cloned()
-        .collect();
-    merged.extend(fresh.iter().cloned());
-    merged.sort_by_key(|r| {
-        (
-            r.clients,
-            r.backend.clone(),
-            r.shards,
-            r.commit_path.clone(),
-            r.sites,
-            r.replication_factor,
-        )
-    });
+    merged.sort_by_key(|r| (r.clients, r.key()));
     Ok(merged)
 }
 
-/// Merges `fresh` into the artifact on disk (if any) and writes the result.
-/// An unreadable or unparsable existing artifact is replaced with a warning
-/// — the bench must not be bricked by a corrupt file — but a config-hash
+/// Merges `fresh` into the artifact on disk (if any), validates the
+/// rendered document and writes it, returning the path written. An
+/// unreadable or unparsable existing artifact is replaced with a warning —
+/// the bench must not be bricked by a corrupt file — but a config-hash
 /// mismatch against a *valid* artifact is a hard error (see [`merge_rows`]).
+///
+/// # Errors
+///
+/// Returns any filesystem error, or `InvalidData` on a hash mismatch or if
+/// the rendered document fails the self-check parse — a formatting bug
+/// must fail the bench run loudly, not poison the artifact.
 pub fn merge_and_write(group: &str, fresh: &[CertBenchRow]) -> std::io::Result<PathBuf> {
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let path = default_output_path();
     let existing = match std::fs::read_to_string(&path) {
         Ok(text) => match parse_document(&text) {
@@ -815,9 +721,10 @@ pub fn merge_and_write(group: &str, fresh: &[CertBenchRow]) -> std::io::Result<P
         },
         Err(_) => Vec::new(),
     };
-    let merged = merge_rows(&existing, fresh)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    write_rows(group, &merged)
+    let doc = rows_to_json(group, &merge_rows(&existing, fresh).map_err(invalid)?);
+    validate_json(&doc).map_err(invalid)?;
+    std::fs::write(&path, doc)?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -872,48 +779,7 @@ mod tests {
         let doc = rows_to_json("ablation_cert_sharding", &[sample_row(), sample_row()]);
         validate_json(&doc).expect("well-formed");
         // Every schema field appears.
-        for key in [
-            "group",
-            "rows",
-            "backend",
-            "shards",
-            "clients",
-            "tpm",
-            "mean_latency_ms",
-            "abort_pct",
-            "certifications",
-            "comparisons",
-            "probes",
-            "critical_probes",
-            "mean_shards_touched",
-            "parallel_speedup",
-            "shard_imbalance",
-            "total_work_ns",
-            "critical_path_ns",
-            "commit_path",
-            "queue_ns",
-            "service_ns",
-            "merge_ns",
-            "stall_ns",
-            "spec_hits",
-            "spec_revalidated",
-            "spec_rollbacks",
-            "spec_misses",
-            "sites",
-            "replication_factor",
-            "span_fraction",
-            "vote_rounds",
-            "cross_span_txns",
-            "votes_sent",
-            "votes_received",
-            "vote_piggyback_rate",
-            "vote_resends",
-            "mean_vote_wait_ms",
-            "replacements",
-            "rehomed_spans",
-            "parked_ns",
-            "config_hash",
-        ] {
+        for key in ["group", "rows"].iter().chain(KEYS) {
             assert!(doc.contains(&format!("\"{key}\"")), "missing {key}:\n{doc}");
         }
     }
@@ -1054,7 +920,7 @@ mod tests {
         let err = merge_rows(&[old], &[fresh]).unwrap_err();
         assert!(err.contains("config hash mismatch"), "{err}");
         assert!(err.contains("clients=10000"), "{err}");
-        // The full v3 key is named so the offending row is findable.
+        // The full six-component key is named so the offending row is findable.
         assert!(err.contains("sites=3"), "{err}");
         assert!(err.contains("replication_factor=3"), "{err}");
     }
@@ -1071,104 +937,44 @@ mod tests {
         assert_ne!(a, config_hash("ab", 1, 1, "c", 1, 2, 1, 1, 1, 1));
     }
 
+    /// The committed artifact, as the sweeps last regenerated it.
+    const ARTIFACT: &str = include_str!("../../../BENCH_cert.json");
+
     #[test]
-    fn typed_parser_accepts_schema_v2_rows_with_defaults() {
-        // A schema-v2 row: none of the v3 keys (sites, replication_factor,
-        // span_fraction, vote_rounds, cross_span_txns) nor the v4
-        // wire-vote keys are present.
-        let doc = r#"{"group": "g", "rows": [
-            {"backend": "sharded", "shards": 8, "clients": 10000,
-             "commit_path": "pipelined", "tpm": 35966.4,
-             "mean_latency_ms": 61.75, "abort_pct": 2.13,
-             "certifications": 912, "comparisons": 0, "probes": 181150,
-             "critical_probes": 60231, "mean_shards_touched": 3.08,
-             "parallel_speedup": 3.01, "shard_imbalance": 1.02,
-             "total_work_ns": 34300000, "critical_path_ns": 23400000,
-             "queue_ns": 120000, "service_ns": 830000, "merge_ns": 9000,
-             "stall_ns": 4000, "spec_hits": 870, "spec_revalidated": 25,
-             "spec_rollbacks": 2, "spec_misses": 3,
-             "config_hash": "deadbeefdeadbeef"}
-        ]}"#;
-        let parsed = parse_document(doc).expect("v2 rows stay readable");
-        let row = &parsed.rows[0];
-        assert_eq!(row.sites, 0);
-        assert_eq!(row.replication_factor, 0);
-        assert_eq!(row.span_fraction, 1.0);
-        assert_eq!(row.vote_rounds, 0);
-        assert_eq!(row.cross_span_txns, 0);
-        assert_eq!(row.votes_sent, 0);
-        assert_eq!(row.votes_received, 0);
-        assert_eq!(row.vote_piggyback_rate, 0.0);
-        assert_eq!(row.vote_resends, 0);
-        assert_eq!(row.mean_vote_wait_ms, 0.0);
-        // A v3 key present with the wrong type is still a hard error.
-        let bad = doc.replace("\"spec_misses\": 3,", "\"spec_misses\": 3, \"sites\": \"three\",");
-        assert!(parse_document(&bad).unwrap_err().contains("must be a number"));
+    fn committed_artifact_rerenders_byte_for_byte() {
+        // Pins the field order, the 3-decimal floats and the one-row-per-line
+        // layout: the strict reader accepts the committed file, and writing
+        // what it read reproduces the file exactly.
+        let doc = parse_document(ARTIFACT).expect("committed artifact parses");
+        assert_eq!(doc.rows.len(), 54);
+        assert!(rows_to_json(&doc.group, &doc.rows) == ARTIFACT, "re-rendered artifact differs");
     }
 
     #[test]
-    fn typed_parser_accepts_schema_v3_rows_with_defaults() {
-        // A schema-v3 row carries the partial-replication fields but none
-        // of the v4 wire-vote keys: those default to zero.
-        let doc = r#"{"group": "g", "rows": [
-            {"backend": "indexed", "shards": 1, "clients": 12000,
-             "commit_path": "sync", "sites": 6, "replication_factor": 2,
-             "tpm": 20000.0, "mean_latency_ms": 40.0, "abort_pct": 1.5,
-             "certifications": 900, "comparisons": 0, "probes": 8000,
-             "critical_probes": 8000, "mean_shards_touched": 0.0,
-             "parallel_speedup": 1.0, "shard_imbalance": 1.0,
-             "total_work_ns": 100000, "critical_path_ns": 100000,
-             "queue_ns": 0, "service_ns": 0, "merge_ns": 0,
-             "stall_ns": 5000, "spec_hits": 0, "spec_revalidated": 0,
-             "spec_rollbacks": 0, "spec_misses": 0,
-             "span_fraction": 0.4, "vote_rounds": 120, "cross_span_txns": 80,
-             "config_hash": "deadbeefdeadbeef"}
-        ]}"#;
-        let parsed = parse_document(doc).expect("v3 rows stay readable");
-        let row = &parsed.rows[0];
-        assert_eq!((row.sites, row.replication_factor), (6, 2));
-        assert_eq!(row.vote_rounds, 120);
-        assert_eq!(row.votes_sent, 0);
-        assert_eq!(row.votes_received, 0);
-        assert_eq!(row.vote_piggyback_rate, 0.0);
-        assert_eq!(row.vote_resends, 0);
-        assert_eq!(row.mean_vote_wait_ms, 0.0);
-        // A v4 key present with the wrong type is still a hard error.
-        let bad =
-            doc.replace("\"vote_rounds\": 120,", "\"vote_rounds\": 120, \"votes_sent\": \"many\",");
-        assert!(parse_document(&bad).unwrap_err().contains("must be a number"));
+    fn every_key_of_the_table_is_required_in_document_order() {
+        let mut row = String::new();
+        sample_row().render(&mut row);
+        let entries: Vec<&str> = row[1..row.len() - 1].split(", ").collect();
+        assert_eq!(entries.len(), KEYS.len());
+        for (i, key) in KEYS.iter().enumerate() {
+            assert!(entries[i].starts_with(&format!("\"{key}\": ")), "{key} out of order: {row}");
+            let mut kept = entries.clone();
+            kept.remove(i);
+            let doc = format!("{{\"group\": \"g\", \"rows\": [{{{}}}]}}", kept.join(", "));
+            let err = parse_document(&doc).unwrap_err();
+            assert!(err.contains(&format!("missing required key \"{key}\"")), "{key}: {err}");
+        }
     }
 
     #[test]
-    fn typed_parser_accepts_schema_v4_rows_with_defaults() {
-        // A schema-v4 row carries the wire-vote ledger but none of the v5
-        // re-placement keys: those default to zero.
-        let doc = r#"{"group": "g", "rows": [
-            {"backend": "indexed", "shards": 1, "clients": 12000,
-             "commit_path": "sync", "sites": 6, "replication_factor": 2,
-             "tpm": 20000.0, "mean_latency_ms": 40.0, "abort_pct": 1.5,
-             "certifications": 900, "comparisons": 0, "probes": 8000,
-             "critical_probes": 8000, "mean_shards_touched": 0.0,
-             "parallel_speedup": 1.0, "shard_imbalance": 1.0,
-             "total_work_ns": 100000, "critical_path_ns": 100000,
-             "queue_ns": 0, "service_ns": 0, "merge_ns": 0,
-             "stall_ns": 5000, "spec_hits": 0, "spec_revalidated": 0,
-             "spec_rollbacks": 0, "spec_misses": 0,
-             "span_fraction": 0.4, "vote_rounds": 120, "cross_span_txns": 80,
-             "votes_sent": 700, "votes_received": 3400,
-             "vote_piggyback_rate": 0.55, "vote_resends": 12,
-             "mean_vote_wait_ms": 0.8,
-             "config_hash": "deadbeefdeadbeef"}
-        ]}"#;
-        let parsed = parse_document(doc).expect("v4 rows stay readable");
-        let row = &parsed.rows[0];
-        assert_eq!(row.votes_sent, 700);
-        assert_eq!(row.replacements, 0);
-        assert_eq!(row.rehomed_spans, 0);
-        assert_eq!(row.parked_ns, 0);
-        // A v5 key present with the wrong type is still a hard error.
-        let bad =
-            doc.replace("\"votes_sent\": 700,", "\"votes_sent\": 700, \"rehomed_spans\": \"two\",");
-        assert!(parse_document(&bad).unwrap_err().contains("must be a number"));
+    fn artifact_path_prefers_override_then_run_time_then_compile_time_dir() {
+        let root = |dir: &str| PathBuf::from(dir).join("../../BENCH_cert.json");
+        let (run, build) = (Some(OsString::from("/copy/crates/bench")), "/orig/crates/bench");
+        assert_eq!(
+            artifact_path(Some("/tmp/x.json".into()), run.clone(), build),
+            PathBuf::from("/tmp/x.json")
+        );
+        assert_eq!(artifact_path(None, run, build), root("/copy/crates/bench"));
+        assert_eq!(artifact_path(None, None, build), root("/orig/crates/bench"));
     }
 }

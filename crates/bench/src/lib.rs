@@ -18,12 +18,15 @@
 //! | `table1_aborts` | Table 1: abort rates per class and configuration |
 //! | `table2_fault_aborts` | Table 2: abort rates under loss faults |
 //!
-//! The `ablation_cert_sharding` bench group additionally writes its results
-//! as a machine-readable `BENCH_cert.json` artifact — see [`cert_json`].
+//! The ablation sweeps are data: [`sweeps`] lists every point and runs the
+//! selected ones (`cargo bench --bench ablation -- <filter> ...`); the
+//! certification sweeps additionally merge their results into the
+//! machine-readable `BENCH_cert.json` artifact — see [`cert_json`].
 
 use dbsm_core::{run_experiment, ExperimentConfig, RunMetrics};
 
 pub mod cert_json;
+pub mod sweeps;
 
 /// Scale of a harness run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,0 +1,406 @@
+//! The ablation sweeps, as data: [`catalogue`] lists every point of every
+//! sweep over the design choices DESIGN.md calls out, and [`run`] is the one
+//! loop that simulates the selected points — each exactly once — prints
+//! their summary lines and merges the row points into `BENCH_cert.json`
+//! (see [`crate::cert_json`]). `benches/ablation.rs` is its command line.
+//! The result of a point is its printed system-level ledger, not the host
+//! time of simulating it (`benchmark/` records that); adding a point to a
+//! sweep is one more line in the table.
+
+use crate::cert_json::{merge_and_write, CertBenchRow};
+use dbsm_core::{run_experiment, AnnBatchPolicy, CertBackendKind, CommitPath, ExperimentConfig};
+use dbsm_db::CcPolicy;
+use dbsm_fault::{FaultPlan, FaultSpec};
+use dbsm_gcs::GcsConfig;
+use dbsm_sim::SimTime;
+use std::time::{Duration, Instant};
+
+/// One experiment of one sweep.
+#[derive(Debug, Clone)]
+pub struct Point {
+    /// The sweep it belongs to (`ablation_*`).
+    pub group: &'static str,
+    /// Its id within the sweep; filters match against `group/id`.
+    pub id: String,
+    /// The experiment to simulate.
+    pub cfg: ExperimentConfig,
+    /// Backend label and keyed shard count of its `BENCH_cert.json` row,
+    /// for the points that land in the artifact.
+    pub row: Option<(String, usize)>,
+}
+
+/// The paper-scale operating point: 2000 clients over 3 sites.
+fn paper_scale(target: u64) -> ExperimentConfig {
+    ExperimentConfig::replicated(3, 2000).with_target(target)
+}
+
+/// The scale-out shape shared by the pipeline, partial-replication,
+/// wire-vote and re-placement sweeps, so their rows are comparable with
+/// each other (the full-replication rows with the pipeline sweep's
+/// synchronous baseline, the `churn0` rows with the no-fault partial rows).
+fn scale_out(sites: usize, clients: usize) -> ExperimentConfig {
+    // 600 transactions (the sharding sweep's budget) would sample only the
+    // open-loop ramp, where mean latency is an artifact of which clients
+    // happen to finish first. One full population turnover puts the window
+    // in steady state, where the closed-loop law (latency =
+    // clients/throughput - think time) makes a throughput gain visible as
+    // a latency gain.
+    let mut cfg = ExperimentConfig::replicated(sites, clients).with_target(20_000);
+    // At these client counts tens of thousands of requests are in flight: a
+    // request's snapshot must not be garbage-collected before its delivery,
+    // or certification reports (correct but useless) truncation. Every
+    // point gets the same window; it is part of the config hash.
+    cfg.history_window = 1 << 17;
+    // The paper's mid CPU configuration: on 1 CPU these client counts sit
+    // far past the saturation knee, where mean latency measures backlog
+    // collapse rather than the commit path. 3 CPUs put 20k clients near the
+    // knee (where the delivery-loop stall matters) and leave 50k as the
+    // overload point.
+    cfg.cpus_per_site = 3;
+    cfg
+}
+
+/// A backend's `BENCH_cert.json` row label and keyed shard count.
+fn row_label(kind: CertBackendKind) -> (String, usize) {
+    match kind {
+        CertBackendKind::Sharded { shards } => (format!("sharded{shards}"), shards),
+        unsharded => (unsharded.name().to_string(), 1),
+    }
+}
+
+/// Every point of every sweep, in run order.
+pub fn catalogue() -> Vec<Point> {
+    let mut points = Vec::new();
+    let mut add = |group, id: String, cfg, row: Option<(&str, usize)>| {
+        let row = row.map(|(label, shards)| (label.to_string(), shards));
+        points.push(Point { group, id, cfg, row });
+    };
+    let small = || ExperimentConfig::replicated(3, 60).with_target(300);
+    let sharded = |shards| CertBackendKind::Sharded { shards };
+    let paths = [CommitPath::Synchronous, CommitPath::Pipelined];
+
+    // Locking policy: multi-version vs conservative 2PL, centralized.
+    for (name, policy) in
+        [("multiversion", CcPolicy::MultiVersion), ("conservative_2pl", CcPolicy::Conservative2pl)]
+    {
+        let mut cfg = ExperimentConfig::centralized(1, 60).with_target(300);
+        cfg.policy = policy;
+        add("ablation_locking", name.to_string(), cfg, None);
+    }
+
+    // Sequencer buffer share (the §5.3 mitigation) under 5% loss.
+    for (name, boost) in [("fair_share", 1.0), ("boosted_sequencer", 4.0)] {
+        let mut gcs = GcsConfig::lan(3);
+        gcs.sequencer_share_boost = boost;
+        let mut cfg = small().with_faults(FaultPlan::random_loss(0.05));
+        cfg.gcs = Some(gcs);
+        add("ablation_sequencer_share", name.to_string(), cfg, None);
+    }
+
+    // The §5.3 sweep at the paper-scale operating point: each announcement
+    // policy crossed with packet-loss rates. Loss stalls stability and backs
+    // the sequencer's send queue up, which is exactly when per-message
+    // announcements amplify the collapse — and when the adaptive policy
+    // widens its window and piggybacks. The comparison is tpm, latency and
+    // the announcements-vs-piggybacks `ann_work` ledger.
+    for (name, policy) in [
+        ("immediate", AnnBatchPolicy::Immediate),
+        ("batched_2ms", AnnBatchPolicy::Fixed(Duration::from_millis(2))),
+        ("adaptive", AnnBatchPolicy::adaptive_lan()),
+    ] {
+        for loss_pct in [0u32, 1, 5] {
+            let mut cfg = paper_scale(600).with_ann_policy(policy);
+            if loss_pct > 0 {
+                cfg = cfg.with_faults(FaultPlan::random_loss(loss_pct as f64 / 100.0));
+            }
+            let id = format!("clients_2000_{name}_loss_{loss_pct}pct");
+            add("ablation_ann_batching", id, cfg, None);
+        }
+    }
+
+    // Uniform delivery: optimistic vs uniform latency.
+    for (name, uniform) in [("optimistic", false), ("uniform", true)] {
+        let mut gcs = GcsConfig::lan(3);
+        gcs.uniform_delivery = uniform;
+        let mut cfg = small();
+        cfg.gcs = Some(gcs);
+        add("ablation_uniform_delivery", name.to_string(), cfg, None);
+    }
+
+    // Prices every fault-scenario family at the paper-scale operating
+    // point: what does each family cost in throughput and latency, and what
+    // does the fault machinery itself do (view installs, duplicate
+    // absorption, partition drops)? Note the partition rows run with
+    // uniform (safe) delivery — the runner forces it for partition plans.
+    let split = |heal_ms| {
+        let (from, to) = (SimTime::from_secs(1), SimTime::from_millis(heal_ms));
+        FaultPlan::partition(vec![vec![0, 1], vec![2]], from, to)
+    };
+    for (name, plan) in [
+        ("none", FaultPlan::none()),
+        ("random_loss_5pct", FaultPlan::random_loss(0.05)),
+        ("bursty_loss_5pct", FaultPlan::bursty_loss(0.05, 5)),
+        ("clock_drift_1.05", FaultPlan::clock_drift(1, 1.05)),
+        ("crash_at_1s", FaultPlan::crash(2, SimTime::from_secs(1))),
+        ("partition_2s", split(3_000)),
+        ("partition_300ms", split(1_300)),
+        ("duplicates_10pct_x2", FaultPlan::duplicate_delivery(0.10, 2)),
+        (
+            "correlated_burst_10pct",
+            FaultPlan::correlated_burst(vec![0, 1, 2], Duration::from_millis(10), 0.10),
+        ),
+    ] {
+        let cfg = paper_scale(600).with_faults(plan);
+        add("ablation_fault_plans", format!("clients_2000_{name}"), cfg, None);
+    }
+
+    // Prices the rejoin machinery at the paper-scale operating point: crash
+    // rate (how many sites are killed and replaced, staggered so a majority
+    // always survives) crossed with the restart delay (how long a dead site
+    // stays down, which sets the delta log it must replay on top of the
+    // snapshot). The summary lines carry the `rec=` recovery ledger. Each
+    // run simulates enough load to outlast the last restart plus its state
+    // transfer. The kills are staggered 10s apart: under this load a join
+    // grant takes a few seconds to find an order-clean point, and killing
+    // the next site before the previous grant lands would strand the
+    // survivor in a minority.
+    let recovery = |plan| {
+        let mut cfg = paper_scale(3_000).with_faults(plan);
+        cfg.max_sim = Duration::from_secs(120);
+        cfg
+    };
+    let (first_kill, stagger) = (SimTime::from_secs(1), Duration::from_secs(10));
+    for kills in [1usize, 2] {
+        for (delay, down) in [("1s", Duration::from_secs(1)), ("3s", Duration::from_secs(3))] {
+            let cfg = recovery(FaultPlan::kill_and_replace(kills, first_kill, stagger, down));
+            add("ablation_recovery", format!("clients_2000_kill{kills}_down{delay}"), cfg, None);
+        }
+    }
+    // The double-restart point: one site flaps twice (crash, 10s down, back,
+    // 10s up, crash again). Each incarnation must come back through its own
+    // snapshot + delta-log transfer, and the chain checker's multi-cut rule
+    // is what prices it — two rejoins, two transfer cuts.
+    let cfg = recovery(FaultPlan::flapping_crash(2, first_kill, stagger, 2));
+    add("ablation_recovery", "clients_2000_flap2_period10s".to_string(), cfg, None);
+
+    // The certification ablation at the paper-scale operating point: 2000
+    // clients keep a wide conflict window open, which is where the linear
+    // scan's O(window) cost and the index's O(request) probes diverge.
+    // Decisions are bit-identical across backends; tpm/latency and the
+    // scan-vs-probe work ledger are the comparison.
+    for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
+        let cfg = paper_scale(600).with_cert_backend(kind);
+        add("ablation_cert_backend", format!("clients_2000_{}", kind.name()), cfg, None);
+    }
+
+    // The post-PR-2 question: once the conflict check is indexed, the serial
+    // certifier is the remaining wall — where does throughput saturate when
+    // certification itself goes N-way parallel? Every backend crossed with
+    // client counts from the paper's 2000 up to 10000. Decisions are
+    // bit-identical everywhere; what moves is the certification *critical
+    // path* (most-loaded shard + merge).
+    for clients in [2000usize, 5000, 10000] {
+        let linear_and_indexed = [CertBackendKind::Linear, CertBackendKind::Indexed];
+        for kind in linear_and_indexed.into_iter().chain([2, 4, 8, 16].map(sharded)) {
+            let (name, shards) = row_label(kind);
+            let cfg =
+                ExperimentConfig::replicated(3, clients).with_target(600).with_cert_backend(kind);
+            let id = format!("clients_{clients}_{name}");
+            add("ablation_cert_sharding", id, cfg, Some((&name, shards)));
+        }
+    }
+
+    // The pipeline sweep: synchronous vs pipelined commit path at each shard
+    // count. This is where the delivery loop itself is the wall — how much
+    // of the certification stall does the tentative-delivery overlap
+    // actually remove, and do the shard servers queue?
+    for clients in [20000usize, 50000] {
+        for path in paths {
+            for kind in [CertBackendKind::Indexed, sharded(8), sharded(16)] {
+                let (name, shards) = row_label(kind);
+                let cfg = scale_out(3, clients).with_cert_backend(kind).with_commit_path(path);
+                let id = format!("clients_{clients}_{name}_{}", path.name());
+                add("ablation_cert_pipeline", id, cfg, Some((&name, shards)));
+            }
+        }
+    }
+
+    // The partial-replication question: at a fixed total data set (clients,
+    // hence warehouses, held constant), what does dropping the replication
+    // factor from full to k buy per site? Each site then indexes only the
+    // warehouses it replicates (~k/N of the rows), certifies against that
+    // span, and pays a vote round only for the cross-span minority — so
+    // per-site critical-path certification work should shrink ∝ k/N while
+    // aggregate throughput grows with the site count.
+    for sites in [3usize, 6, 9, 12] {
+        // `factor >= sites` materializes no placement: that point is the
+        // full-replication baseline the partial rows compare to (rf 3 at 3
+        // sites IS full replication, hence the dedup).
+        let mut factors = vec![2, 3, sites];
+        factors.dedup();
+        for factor in factors {
+            let label = if factor >= sites { "full".to_string() } else { factor.to_string() };
+            let cfg = scale_out(sites, 12_000).with_replication_factor(factor);
+            let id = format!("sites_{sites}_rf_{label}");
+            add("ablation_partial_replication", id, cfg, Some(("indexed", 1)));
+        }
+    }
+
+    // The decentralized-vote question: with certification verdicts multicast
+    // as wire-level votes (piggybacked on outgoing data frames where MTU
+    // slack allows) instead of modeled as a fixed RTT, what does the vote
+    // round actually cost — and how much of it does the pipelined path hide
+    // by pre-computing votes at tentative delivery, overlapping the vote
+    // round with the ordering round? Both commit paths at every genuinely
+    // partial point; the synchronous ones repeat the partial-replication
+    // sweep's experiments under the same row key.
+    for sites in [3usize, 6, 9, 12] {
+        for factor in [2usize, 3].into_iter().filter(|f| *f < sites) {
+            for path in paths {
+                let cfg =
+                    scale_out(sites, 12_000).with_replication_factor(factor).with_commit_path(path);
+                let id = format!("sites_{sites}_rf_{factor}_{}", path.name());
+                add("ablation_vote_wire", id, cfg, Some(("indexed", 1)));
+            }
+        }
+    }
+
+    // Re-placement under churn at 6 sites. Zero crashes is the baseline; one
+    // crash (site 5) removes one replica of its spans but strands nothing —
+    // clients re-route to the surviving replica; two crashes take the
+    // ADJACENT pair {0, 1}, which under round-robin placement at rf 2
+    // removes BOTH replicas of the spans homed on the pair, forcing the
+    // survivors to elect adopters and re-home those spans through state
+    // transfer. At rf 3 the same pair crash leaves a third replica alive, so
+    // its rows price pure degradation with no re-homing — the rf axis
+    // separates the two effects. Rows carry synthetic backend labels
+    // `churn{n}` so they never collide with the partial-replication sweep's
+    // rows at the same (sites, rf) point.
+    for factor in [2usize, 3] {
+        for crashes in [0usize, 1, 2] {
+            let plan = match crashes {
+                0 => FaultPlan::none(),
+                1 => FaultPlan::crash(5, SimTime::from_secs(3)),
+                _ => FaultPlan::crash(0, SimTime::from_secs(3))
+                    .with(FaultSpec::Crash { site: 1, at: SimTime::from_secs(5) }),
+            };
+            let cfg = scale_out(6, 12_000).with_replication_factor(factor).with_faults(plan);
+            let id = format!("rf_{factor}_crash_{crashes}");
+            add("ablation_replacement", id, cfg, Some((&format!("churn{crashes}"), 1)));
+        }
+    }
+    points
+}
+
+/// Simulates every point whose `group/id` contains one of `filters` (all
+/// points when there are none), once each, printing its summary line and
+/// the host time it took, then merges the row points into the artifact.
+///
+/// # Errors
+///
+/// Whatever [`merge_and_write`] returns — notably a config-hash mismatch
+/// against the artifact on disk.
+pub fn run(filters: &[String]) -> std::io::Result<()> {
+    let mut rows: Vec<CertBenchRow> = Vec::new();
+    for p in catalogue() {
+        let name = format!("{}/{}", p.group, p.id);
+        if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
+            continue;
+        }
+        let started = Instant::now();
+        let m = run_experiment(p.cfg.clone());
+        println!("    {}", dbsm_core::report::summary_line(&p.id, &m));
+        println!("{name:<50} simulated in {:.2?}", started.elapsed());
+        // A vote round stalled past its re-collect cap would park its
+        // clients forever and commits would collapse well below the
+        // no-crash baseline's ~15k — a genuine hang, not churn-degraded
+        // throughput.
+        assert!(
+            p.group != "ablation_replacement" || m.committed() >= 5_000,
+            "{name}: run stalled at {} commits",
+            m.committed()
+        );
+        if let Some((label, shards)) = &p.row {
+            // One row per key per invocation, the later point winning —
+            // what separate merges of the sweeps would leave behind.
+            let row = CertBenchRow::from_metrics(label, *shards, &p.cfg, &m);
+            rows.retain(|r| r.key() != row.key());
+            rows.push(row);
+        }
+    }
+    // Merge into the across-PR artifact: rows this invocation re-ran (even
+    // under narrowing filters) replace their old versions, rows it didn't
+    // run are preserved, and a config-hash mismatch (schema bump, changed
+    // seed/sites/target) fails loudly instead of mixing incomparable
+    // sweeps. An invocation that ran no row point does not touch the file.
+    if !rows.is_empty() {
+        let path = merge_and_write("ablation_cert_sharding", &rows)?;
+        println!("merged {} fresh rows into {}", rows.len(), path.display());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cert_json::parse_document;
+    use dbsm_core::RunMetrics;
+    use std::collections::BTreeSet;
+
+    fn names() -> Vec<String> {
+        catalogue().iter().map(|p| format!("{}/{}", p.group, p.id)).collect()
+    }
+
+    #[test]
+    fn catalogue_has_92_uniquely_named_points_in_12_groups() {
+        let names = names();
+        assert_eq!(names.len(), 92);
+        assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), 92, "duplicate group/id");
+        let mut groups: Vec<&str> = catalogue().iter().map(|p| p.group).collect();
+        groups.dedup();
+        assert_eq!(groups.len(), 12, "groups are contiguous: {groups:?}");
+    }
+
+    #[test]
+    fn row_points_are_exactly_the_committed_artifact() {
+        // A row's key and config hash need only its configuration, so this
+        // simulates nothing: a sweep edited without re-sweeping (or an
+        // artifact regenerated from a different table) fails here.
+        let identity = |r: &CertBenchRow| (r.key(), r.config_hash.clone());
+        let committed = parse_document(include_str!("../../../BENCH_cert.json")).expect("artifact");
+        let committed: BTreeSet<_> = committed.rows.iter().map(identity).collect();
+        let row_points: Vec<_> = catalogue()
+            .iter()
+            .filter_map(|p| {
+                let (label, shards) = p.row.as_ref()?;
+                let row =
+                    CertBenchRow::from_metrics(label, *shards, &p.cfg, &RunMetrics::default());
+                Some(identity(&row))
+            })
+            .collect();
+        assert_eq!(row_points.len(), 61);
+        assert_eq!(committed.len(), 54);
+        assert_eq!(row_points.into_iter().collect::<BTreeSet<_>>(), committed);
+    }
+
+    #[test]
+    fn every_documented_filter_selects_a_point() {
+        let names = names();
+        let docs = [
+            include_str!("../../../docs/EXPERIMENTS.md"),
+            include_str!("../../../README.md"),
+            include_str!("../../../.github/workflows/ci.yml"),
+        ];
+        let mut tokens = 0;
+        for doc in docs {
+            let is_token_char = |c: char| c.is_ascii_alphanumeric() || "_/.".contains(c);
+            for (at, _) in doc.match_indices("ablation_") {
+                let token: &str = doc[at..].split(|c| !is_token_char(c)).next().expect("non-empty");
+                let token = token.trim_end_matches('.');
+                assert!(names.iter().any(|n| n.contains(token)), "{token} selects no point");
+                tokens += 1;
+            }
+        }
+        assert!(tokens >= 30, "the documents name the sweeps ({tokens} mentions found)");
+    }
+}

@@ -1,6 +1,6 @@
 //! Experiment configuration: every knob the paper's §5 varies.
 
-use crate::placement::{PlacementError, PlacementMap, PlacementStrategy};
+use crate::placement::{PlacementError, PlacementMap};
 use dbsm_cert::{CertBackendKind, CertWork};
 use dbsm_db::{CcPolicy, StorageConfig};
 use dbsm_fault::{FaultPlan, PlanError};
@@ -163,15 +163,12 @@ impl ExperimentConfig {
     }
 
     /// Convenience: replicates each warehouse on `k` of the configured
-    /// sites under the round-robin strategy. `k >= sites` clears the map —
+    /// sites, round-robin. `k >= sites` clears the map —
     /// that is full replication, which runs the classic unrestricted path
     /// (set after [`ExperimentConfig::replicated`] fixes the site count).
     pub fn with_replication_factor(mut self, k: usize) -> Self {
-        self.placement = if k >= self.sites {
-            None
-        } else {
-            Some(PlacementMap::new(self.sites, k, PlacementStrategy::RoundRobin))
-        };
+        self.placement =
+            if k >= self.sites { None } else { Some(PlacementMap::new(self.sites, k)) };
         self
     }
 
@@ -618,7 +615,7 @@ mod tests {
         assert!(c.validate().is_ok());
         // A full map on the pipelined path stays legal too.
         let full = ExperimentConfig::replicated(6, 60)
-            .with_placement(PlacementMap::round_robin(6, 6))
+            .with_placement(PlacementMap::new(6, 6))
             .with_commit_path(CommitPath::Pipelined);
         assert!(full.validate().is_ok());
     }
@@ -641,7 +638,7 @@ mod tests {
             .with_faults(plan.clone());
         assert!(relaxed.validate().is_ok(), "stranded spans re-home by default");
         let strict = ExperimentConfig::replicated(6, 60)
-            .with_placement(PlacementMap::round_robin(6, 2).with_strict_coverage())
+            .with_placement(PlacementMap::new(6, 2).with_strict_coverage())
             .with_faults(plan.clone());
         let err = strict.validate().unwrap_err();
         assert!(err.to_string().contains("zero live replicas"), "{err}");
@@ -656,7 +653,7 @@ mod tests {
         // Full replication shrugs off the stranding partition.
         assert!(ExperimentConfig::replicated(6, 60).with_faults(plan).validate().is_ok());
         // And a mismatched map is caught before the fault cross-check.
-        let c = ExperimentConfig::replicated(6, 60).with_placement(PlacementMap::round_robin(3, 2));
+        let c = ExperimentConfig::replicated(6, 60).with_placement(PlacementMap::new(3, 2));
         assert!(matches!(
             c.validate(),
             Err(ConfigError::Placement(PlacementError::MismatchedSites { .. }))

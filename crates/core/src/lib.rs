@@ -40,4 +40,4 @@ pub use metrics::{
     AnnWorkTotals, CertWorkTotals, ClassStats, FaultWorkTotals, ReplacementWorkTotals, RunMetrics,
     SiteUsage, VoteWireTotals,
 };
-pub use placement::{PlacementError, PlacementMap, PlacementStrategy};
+pub use placement::{PlacementError, PlacementMap};

@@ -14,29 +14,6 @@
 
 use std::fmt;
 
-/// How warehouses are spread over the replica ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementStrategy {
-    /// Warehouse `w` starts at site `w % sites` and takes the next
-    /// `replication_factor` sites on the ring — perfectly balanced for the
-    /// uniform TPC-C warehouse population.
-    #[default]
-    RoundRobin,
-    /// Warehouse `w` starts at `mix64(w) % sites` — balanced in
-    /// expectation, robust to striding patterns in the warehouse ids.
-    Hash,
-}
-
-impl PlacementStrategy {
-    /// Stable lowercase name (used in reports and bench rows).
-    pub fn name(self) -> &'static str {
-        match self {
-            PlacementStrategy::RoundRobin => "round_robin",
-            PlacementStrategy::Hash => "hash",
-        }
-    }
-}
-
 /// Why a [`PlacementMap`] was rejected by [`PlacementMap::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementError {
@@ -72,7 +49,10 @@ impl std::error::Error for PlacementError {}
 /// Deterministic warehouse → replica-set assignment: each warehouse
 /// (0-based span key, as produced by
 /// [`home_warehouse_shard_key`](dbsm_tpcc::schema::home_warehouse_shard_key))
-/// lives on `replication_factor` of the `sites` replicas. A map with
+/// lives on `replication_factor` of the `sites` replicas, round-robin:
+/// warehouse `w` starts at site `w % sites` and takes the next
+/// `replication_factor` sites on the ring — perfectly balanced for the
+/// uniform TPC-C warehouse population. A map with
 /// `replication_factor >= sites` degenerates to full replication
 /// ([`PlacementMap::is_full`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +61,6 @@ pub struct PlacementMap {
     pub sites: usize,
     /// Replicas holding each warehouse (k of N).
     pub replication_factor: usize,
-    /// How warehouses are spread over the ring.
-    pub strategy: PlacementStrategy,
     /// Opt out of re-placement: validate fault plans under the strict
     /// pre-churn coverage rule (any stranded replica set rejects the run)
     /// instead of the relaxed default, where stranded spans re-home to an
@@ -102,19 +80,9 @@ fn mix64(mut x: u64) -> u64 {
 
 impl PlacementMap {
     /// Creates a map placing each warehouse on `replication_factor` of
-    /// `sites` replicas under `strategy`.
-    pub fn new(sites: usize, replication_factor: usize, strategy: PlacementStrategy) -> Self {
-        PlacementMap { sites, replication_factor, strategy, strict_coverage: false }
-    }
-
-    /// Round-robin convenience constructor.
-    pub fn round_robin(sites: usize, replication_factor: usize) -> Self {
-        PlacementMap::new(sites, replication_factor, PlacementStrategy::RoundRobin)
-    }
-
-    /// Hash-strategy convenience constructor.
-    pub fn hash(sites: usize, replication_factor: usize) -> Self {
-        PlacementMap::new(sites, replication_factor, PlacementStrategy::Hash)
+    /// `sites` replicas.
+    pub fn new(sites: usize, replication_factor: usize) -> Self {
+        PlacementMap { sites, replication_factor, strict_coverage: false }
     }
 
     /// Pins the strict pre-churn coverage rule: fault plans that strand
@@ -142,10 +110,7 @@ impl PlacementMap {
 
     /// The ring position the replica run for `span` starts at.
     fn start(&self, span: u64) -> usize {
-        match self.strategy {
-            PlacementStrategy::RoundRobin => (span % self.sites as u64) as usize,
-            PlacementStrategy::Hash => (mix64(span) % self.sites as u64) as usize,
-        }
+        (span % self.sites as u64) as usize
     }
 
     /// The sites replicating warehouse `span`, in ring order starting at
@@ -209,7 +174,7 @@ mod tests {
 
     #[test]
     fn round_robin_balances_and_covers() {
-        let p = PlacementMap::round_robin(6, 2);
+        let p = PlacementMap::new(6, 2);
         let mut per_site = vec![0usize; 6];
         for w in 0..600u64 {
             let reps = p.replicas(w);
@@ -227,21 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn hash_strategy_covers_and_roughly_balances() {
-        let p = PlacementMap::hash(5, 3);
-        let mut per_site = vec![0usize; 5];
-        for w in 0..1000u64 {
-            for &s in &p.replicas(w) {
-                per_site[s] += 1;
-            }
-        }
-        let (min, max) = (per_site.iter().min().unwrap(), per_site.iter().max().unwrap());
-        assert!(max - min < 120, "hash spread within ~20%: {per_site:?}");
-    }
-
-    #[test]
     fn spans_of_partitions_the_warehouse_space() {
-        let p = PlacementMap::round_robin(3, 2);
+        let p = PlacementMap::new(3, 2);
         let all: Vec<Vec<u64>> = (0..3).map(|s| p.spans_of(s, 12)).collect();
         for w in 0..12u64 {
             let owners = all.iter().filter(|spans| spans.contains(&w)).count();
@@ -251,25 +203,22 @@ mod tests {
 
     #[test]
     fn full_replication_degenerates() {
-        assert!(PlacementMap::round_robin(3, 3).is_full());
-        assert!(PlacementMap::round_robin(3, 9).is_full());
-        assert!(!PlacementMap::round_robin(3, 2).is_full());
-        assert_eq!(PlacementMap::round_robin(3, 9).replicas(5).len(), 3);
-        assert_eq!(PlacementMap::round_robin(1, 1).replicas(7), vec![0]);
+        assert!(PlacementMap::new(3, 3).is_full());
+        assert!(PlacementMap::new(3, 9).is_full());
+        assert!(!PlacementMap::new(3, 2).is_full());
+        assert_eq!(PlacementMap::new(3, 9).replicas(5).len(), 3);
+        assert_eq!(PlacementMap::new(1, 1).replicas(7), vec![0]);
     }
 
     #[test]
     fn validate_rejects_malformed_maps() {
-        assert_eq!(PlacementMap::round_robin(0, 1).validate(0), Err(PlacementError::NoSites));
+        assert_eq!(PlacementMap::new(0, 1).validate(0), Err(PlacementError::NoSites));
+        assert_eq!(PlacementMap::new(3, 0).validate(3), Err(PlacementError::ZeroReplication));
         assert_eq!(
-            PlacementMap::round_robin(3, 0).validate(3),
-            Err(PlacementError::ZeroReplication)
-        );
-        assert_eq!(
-            PlacementMap::round_robin(3, 2).validate(6),
+            PlacementMap::new(3, 2).validate(6),
             Err(PlacementError::MismatchedSites { map: 3, experiment: 6 })
         );
-        assert_eq!(PlacementMap::round_robin(3, 2).validate(3), Ok(()));
+        assert_eq!(PlacementMap::new(3, 2).validate(3), Ok(()));
         assert!(PlacementError::MismatchedSites { map: 3, experiment: 6 }
             .to_string()
             .contains("3 sites"));
@@ -277,14 +226,13 @@ mod tests {
 
     #[test]
     fn strict_coverage_flag_defaults_off_and_sticks() {
-        assert!(!PlacementMap::round_robin(3, 2).strict_coverage);
-        assert!(!PlacementMap::hash(3, 2).strict_coverage);
-        let strict = PlacementMap::round_robin(3, 2).with_strict_coverage();
+        assert!(!PlacementMap::new(3, 2).strict_coverage);
+        let strict = PlacementMap::new(3, 2).with_strict_coverage();
         assert!(strict.strict_coverage);
         // Everything else is untouched.
         assert_eq!(strict.sites, 3);
         assert_eq!(strict.replication_factor, 2);
-        assert_ne!(strict, PlacementMap::round_robin(3, 2), "flag participates in Eq");
+        assert_ne!(strict, PlacementMap::new(3, 2), "flag participates in Eq");
     }
 
     #[test]
@@ -312,12 +260,5 @@ mod tests {
         }
         let (min, max) = (per_site.iter().min().unwrap(), per_site.iter().max().unwrap());
         assert!(max - min < 80, "rendezvous spread stays rough-balanced: {per_site:?}");
-    }
-
-    #[test]
-    fn strategy_names() {
-        assert_eq!(PlacementStrategy::RoundRobin.name(), "round_robin");
-        assert_eq!(PlacementStrategy::Hash.name(), "hash");
-        assert_eq!(PlacementStrategy::default(), PlacementStrategy::RoundRobin);
     }
 }

@@ -981,10 +981,7 @@ impl Gcs {
             return;
         }
         match env.msg {
-            Message::Data { seq, total_frags, frag_idx, kind, ann, votes, payload, retrans } => {
-                if retrans {
-                    self.metrics.duplicates += 0; // counted below if truly dup
-                }
+            Message::Data { seq, total_frags, frag_idx, kind, ann, votes, payload, .. } => {
                 let rec =
                     FragRecord { total: total_frags, idx: frag_idx, kind, ann, votes, payload };
                 self.on_fragment(rt, env.sender, seq, rec);
@@ -1115,7 +1112,7 @@ impl Gcs {
             for (a, carrier_seq) in anns {
                 self.apply_assignment(a, from, carrier_seq);
             }
-            self.try_deliver(rt);
+            self.try_deliver();
         }
         if !piggy_votes.is_empty() {
             self.on_vote_frame(rt, from, 0, piggy_votes);
@@ -1154,7 +1151,7 @@ impl Gcs {
                 {
                     self.assign(rt, origin, msg_seq);
                 }
-                self.try_deliver(rt);
+                self.try_deliver();
             }
             PayloadKind::SeqAnn => {
                 // The announcement's own last fragment is the order carrier:
@@ -1164,7 +1161,7 @@ impl Gcs {
                     for a in assigns {
                         self.apply_assignment(a, origin, carrier_seq);
                     }
-                    self.try_deliver(rt);
+                    self.try_deliver();
                 }
             }
         }
@@ -1261,7 +1258,7 @@ impl Gcs {
         self.drain_sends(rt);
     }
 
-    fn try_deliver(&mut self, rt: &mut dyn ProtocolRuntime) {
+    fn try_deliver(&mut self) {
         loop {
             let g = self.to.next_deliver;
             if self.to.skipped.remove(&g) {
@@ -1298,7 +1295,6 @@ impl Gcs {
                 payload: stored.payload,
             });
         }
-        let _ = rt;
     }
 
     // ----- NAK / retransmission ----------------------------------------
@@ -1423,7 +1419,7 @@ impl Gcs {
             s.retained = s.retained.split_off(&keep);
         }
         if self.cfg.uniform_delivery {
-            self.try_deliver(rt);
+            self.try_deliver();
         }
         // Freed buffer share may unblock the sender.
         self.drain_sends(rt);
@@ -1782,7 +1778,7 @@ impl Gcs {
                 self.assign(rt, NodeId(origin), msg_seq);
             }
         }
-        self.try_deliver(rt);
+        self.try_deliver();
         self.drain_sends(rt);
     }
 

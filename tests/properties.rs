@@ -440,7 +440,7 @@ proptest! {
             }
         }
         let k = factor.min(sites);
-        let p = PlacementMap::round_robin(sites, k);
+        let p = PlacementMap::new(sites, k);
         let mut full = IndexedCertifier::new();
         let mut spans: Vec<SpanCertifier> = (0..sites)
             .map(|s| SpanCertifier::with_span(span8, p.spans_of(s, 8)))
@@ -539,7 +539,7 @@ proptest! {
             }
         }
         let k = factor.min(sites);
-        let p = PlacementMap::round_robin(sites, k);
+        let p = PlacementMap::new(sites, k);
         let mut full = IndexedCertifier::new();
         let mut spans: Vec<SpanCertifier> = (0..sites)
             .map(|s| SpanCertifier::with_span(span8, p.spans_of(s, 8)))

@@ -285,7 +285,7 @@ fn partial_replication_is_deterministic_and_fault_checked() {
         )
     };
     assert!(mk().with_faults(stranding()).validate().is_ok(), "relaxed default re-homes");
-    let strict = PlacementMap::round_robin(6, 2).with_strict_coverage();
+    let strict = PlacementMap::new(6, 2).with_strict_coverage();
     assert!(mk().with_placement(strict).with_faults(stranding()).validate().is_err());
     let total_outage = (0..6).fold(FaultPlan::none(), |p, s| {
         p.with(dbsm_testbed::fault::FaultSpec::Crash { site: s, at: SimTime::from_secs(1) })
