@@ -38,5 +38,8 @@ fn main() {
             sim_rtt.as_secs_f64() * 1e6
         );
     }
-    println!("\n(real = loopback UDP; 100 Mbit cap emulated on receive — see DESIGN.md)");
+    println!(
+        "\n(real = loopback UDP, which has no wire limit: the paper's 100 Mbit Ethernet cap \
+         is emulated by discarding on receive beyond the byte budget)"
+    );
 }

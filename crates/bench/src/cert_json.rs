@@ -1,27 +1,29 @@
-//! Machine-readable certification-bench results: `BENCH_cert.json`.
+//! Machine-readable results: `BENCH_cert.json` and `BENCH_paper.json`.
 //!
-//! The row-producing ablation sweeps ([`crate::sweeps`]) merge their rows
-//! into one JSON document so the certification perf trajectory — throughput
-//! and the total vs critical-path work split per backend and client count —
-//! is tracked as an artifact across PRs instead of living only in terminal
-//! output. The workspace is offline (no serde), so this module hand-writes
-//! the small, stable schema and ships a minimal validating parser that CI
-//! and the unit tests use to guarantee the artifact stays well-formed JSON.
+//! The row-producing sweeps ([`crate::sweeps`]) merge their rows into two
+//! committed JSON documents so the numbers are tracked as artifacts across
+//! PRs instead of living only in terminal output: the certification perf
+//! trajectory (throughput and the total vs critical-path work split per
+//! backend and client count, [`CertBenchRow`]) and the paper's own
+//! evaluation grid (Fig. 5–7, Tables 1–2, [`PaperRow`]). The workspace is
+//! offline (no serde), so this module hand-writes the small, stable schema
+//! and ships a minimal validating parser that CI and the unit tests use to
+//! guarantee the artifacts stay well-formed JSON.
 //!
-//! The document is one object, `{"group": "ablation_cert_sharding",
+//! A document is one object, `{"group": "ablation_cert_sharding",
 //! "rows": [...]}`, with one row object per line. A row's keys are the
-//! fields of [`CertBenchRow`], declared once in the `cert_bench_row!` table
-//! below: the struct, the writer, the typed reader and [`KEYS`] are all
-//! generated from it, in document order, and the reader requires every key.
+//! fields of its row type, declared once in a `cert_bench_row!` table
+//! below: the struct, the writer, the typed reader, the merge key and
+//! [`Row::KEYS`] are all generated from it, in document order, and the
+//! reader requires every key. Everything else — rendering, parsing, merging,
+//! the path — is written once over [`Row`].
 //!
-//! Rows are keyed by
-//! `(backend, shards, clients, commit_path, sites, replication_factor)`.
-//! The `config_hash` fingerprints everything else a row's numbers depend on
-//! (schema version, sites, replication factor, CPUs per site, target
-//! transactions, history window, seed): [`merge_rows`] preserves rows a
-//! partial sweep didn't re-run, but refuses to mix rows whose hashes
-//! disagree for the same key — a silent half-updated artifact would be
-//! worse than no artifact.
+//! Each table names its merge key (`keyed by`); rows sort by it. The
+//! `config_hash` fingerprints everything else a row's numbers depend on
+//! (schema version, CPUs per site, target transactions, history window,
+//! seed, …): [`merge_rows`] preserves rows a partial sweep didn't re-run,
+//! but refuses to mix rows whose hashes disagree for the same key — a
+//! silent half-updated artifact would be worse than no artifact.
 
 use dbsm_core::{CertCostModel, ExperimentConfig, RunMetrics};
 use std::ffi::OsString;
@@ -33,8 +35,8 @@ use std::path::PathBuf;
 /// instead of a silent mixed-schema merge.
 pub const SCHEMA_VERSION: u32 = 5;
 
-/// A column type of the artifact: how a [`CertBenchRow`] field of this type
-/// is written into, and read back out of, a JSON row object.
+/// A column type of an artifact: how a row field of this type is written
+/// into, and read back out of, a JSON row object.
 trait Column: Sized {
     fn render(&self, out: &mut String);
     fn read(row: &Json, key: &str) -> Result<Self, String>;
@@ -86,24 +88,65 @@ impl Column for usize {
     }
 }
 
-/// The one field table: each `/// doc` + `name: type` line is a struct
-/// field, a document key (same name, same position), a writer column and a
-/// required reader column.
+/// A row type of a committed artifact, generated from a `cert_bench_row!`
+/// field table; the document codec and the merge are written over it.
+pub trait Row: Clone {
+    /// The artifact's file name at the workspace root.
+    const FILE: &'static str;
+    /// Every row key, in document order.
+    const KEYS: &'static [&'static str];
+    /// The merge key: one artifact row exists per key, and the document
+    /// lists its rows in key order.
+    type Key: Ord;
+    /// This row's merge key.
+    fn key(&self) -> Self::Key;
+    /// The merge key as `name=value` pairs, for messages.
+    fn key_text(&self) -> String;
+    /// Hex fingerprint of the row's configuration (see [`config_hash`]).
+    fn fingerprint(&self) -> &str;
+    /// Appends the row as one JSON object, keys in table order.
+    fn render(&self, out: &mut String);
+    /// Reads a row back; every key of the table is required.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or mistyped key.
+    fn from_json(v: &Json) -> Result<Self, String>;
+}
+
+/// A field table: each `/// doc` + `name: type` line is a struct field, a
+/// document key (same name, same position), a writer column and a required
+/// reader column; `keyed by` lists the fields that make up the merge key.
+/// Every table ends in a `config_hash: String` field.
 macro_rules! cert_bench_row {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty,)+) => {
-        /// One row of the certification sweeps: a backend at a client count
-        /// (and sites × replication factor), with the throughput and the
-        /// work-ledger split the sweeps exist to track.
+    (
+        $(#[$row_doc:meta])*
+        $Row:ident in $file:literal, keyed by ($($key:ident: $key_ty:ty),+);
+        $($(#[$doc:meta])* $name:ident: $ty:ty,)+
+    ) => {
+        $(#[$row_doc])*
         #[derive(Debug, Clone, PartialEq)]
-        pub struct CertBenchRow {
+        pub struct $Row {
             $($(#[$doc])* pub $name: $ty,)+
         }
 
-        /// Every row key, in document order.
-        pub const KEYS: &[&str] = &[$(stringify!($name)),+];
+        impl Row for $Row {
+            const FILE: &'static str = $file;
+            const KEYS: &'static [&'static str] = &[$(stringify!($name)),+];
+            type Key = ($($key_ty,)+);
 
-        impl CertBenchRow {
-            /// Appends the row as one JSON object, keys in table order.
+            fn key(&self) -> Self::Key {
+                ($(self.$key.clone(),)+)
+            }
+
+            fn key_text(&self) -> String {
+                [$(format!("{}={}", stringify!($key), self.$key)),+].join(", ")
+            }
+
+            fn fingerprint(&self) -> &str {
+                &self.config_hash
+            }
+
             fn render(&self, out: &mut String) {
                 out.push('{');
                 $(
@@ -115,15 +158,21 @@ macro_rules! cert_bench_row {
                 out.push('}');
             }
 
-            /// Reads a row back; every key of the table is required.
             fn from_json(v: &Json) -> Result<Self, String> {
-                Ok(CertBenchRow { $($name: Column::read(v, stringify!($name))?,)+ })
+                Ok($Row { $($name: Column::read(v, stringify!($name))?,)+ })
             }
         }
     };
 }
 
 cert_bench_row! {
+    /// One row of the certification sweeps: a backend at a client count
+    /// (and sites × replication factor), with the throughput and the
+    /// work-ledger split the sweeps exist to track.
+    CertBenchRow in "BENCH_cert.json", keyed by (
+        clients: usize, backend: String, shards: usize, commit_path: String,
+        sites: usize, replication_factor: usize
+    );
     /// Backend name (`linear`, `indexed`, `sharded{n}`), or the
     /// re-placement sweep's synthetic `churn{n}` label.
     backend: String,
@@ -209,6 +258,67 @@ cert_bench_row! {
     config_hash: String,
 }
 
+cert_bench_row! {
+    /// One point of the paper's evaluation grid (§5): a configuration of
+    /// Fig. 5/6 at a client count, or the 3-site system under a loss plan
+    /// (Fig. 7, Table 2), with every number those figures and tables plot.
+    PaperRow in "BENCH_paper.json", keyed by (
+        sites: usize, cpus_per_site: usize, clients: usize, faults: String
+    );
+    /// Replica sites (1 = the centralised server).
+    sites: usize,
+    /// CPUs per site.
+    cpus_per_site: usize,
+    /// Emulated clients.
+    clients: usize,
+    /// Fault load: `none`, `random_loss_5pct` or `bursty_loss_5pct`.
+    faults: String,
+    /// Committed transactions per minute (Fig. 5a).
+    tpm: f64,
+    /// Mean end-to-end latency of committed transactions, ms (Fig. 5b).
+    mean_latency_ms: f64,
+    /// Median transaction latency, ms (Fig. 7a, as are the two below).
+    latency_p50_ms: f64,
+    /// 90th-percentile transaction latency, ms.
+    latency_p90_ms: f64,
+    /// 99th-percentile transaction latency, ms.
+    latency_p99_ms: f64,
+    /// Median certification latency, ms — commit request to outcome at the
+    /// origin site (Fig. 7b, as are the two below; 0 on a centralised
+    /// server, which certifies nothing).
+    cert_latency_p50_ms: f64,
+    /// 90th-percentile certification latency, ms.
+    cert_latency_p90_ms: f64,
+    /// 99th-percentile certification latency, ms.
+    cert_latency_p99_ms: f64,
+    /// Abort rate over all classes, percent (Fig. 5c, the tables' "All").
+    abort_pct: f64,
+    /// Abort rate of delivery, percent (Tables 1–2, as are the six below).
+    abort_pct_delivery: f64,
+    /// Abort rate of new-order, percent.
+    abort_pct_neworder: f64,
+    /// Abort rate of payment by last name, percent.
+    abort_pct_payment_long: f64,
+    /// Abort rate of payment by id, percent.
+    abort_pct_payment_short: f64,
+    /// Abort rate of order-status by last name, percent.
+    abort_pct_orderstatus_long: f64,
+    /// Abort rate of order-status by id, percent.
+    abort_pct_orderstatus_short: f64,
+    /// Abort rate of stock-level, percent.
+    abort_pct_stocklevel: f64,
+    /// Mean CPU utilisation across sites, all jobs, percent (Fig. 6a).
+    cpu_total_pct: f64,
+    /// Mean CPU utilisation by protocol (real) jobs, percent (Fig. 7c).
+    cpu_real_pct: f64,
+    /// Mean disk bandwidth utilisation across sites, percent (Fig. 6b).
+    disk_pct: f64,
+    /// Bytes put on the wire by all hosts, KB/s (Fig. 6c).
+    network_kbps: f64,
+    /// Hex fingerprint of the row's configuration (see [`config_hash`]).
+    config_hash: String,
+}
+
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -216,39 +326,17 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fingerprints everything a row's numbers depend on besides its key:
-/// schema version, sites, replication factor, CPUs per site, target
-/// transactions, certification history window and seed (SplitMix64 fold).
-/// Two rows with the same key but different hashes came from incomparable
-/// sweeps and must not be merged into one artifact.
-#[allow(clippy::too_many_arguments)]
-pub fn config_hash(
-    backend: &str,
-    shards: usize,
-    clients: usize,
-    commit_path: &str,
-    sites: usize,
-    replication_factor: usize,
-    cpus_per_site: usize,
-    target_txns: u64,
-    history_window: u64,
-    seed: u64,
-) -> String {
+/// Fingerprints a row's configuration — its key and everything else its
+/// numbers depend on: a SplitMix64 fold over the schema version, the
+/// `labels` (0-byte separated) and the `nums`, in the order given. Two rows
+/// with the same key but different hashes came from incomparable sweeps and
+/// must not be merged into one artifact.
+pub fn config_hash(labels: &[&str], nums: &[u64]) -> String {
     let mut h = SCHEMA_VERSION as u64;
-    for byte in backend.bytes().chain([0u8]).chain(commit_path.bytes()) {
+    for byte in labels.join("\0").bytes() {
         h = splitmix64(h ^ byte as u64);
     }
-    let nums = [
-        shards as u64,
-        clients as u64,
-        sites as u64,
-        replication_factor as u64,
-        cpus_per_site as u64,
-        target_txns,
-        history_window,
-        seed,
-    ];
-    for v in nums {
+    for &v in nums {
         h = splitmix64(h ^ v);
     }
     format!("{h:016x}")
@@ -269,16 +357,17 @@ impl CertBenchRow {
         let replication_factor =
             cfg.placement.map_or(cfg.sites, |p| p.effective_factor().min(cfg.sites));
         let config_hash = config_hash(
-            backend,
-            shards,
-            cfg.clients,
-            &commit_path,
-            cfg.sites,
-            replication_factor,
-            cfg.cpus_per_site,
-            cfg.target_txns,
-            cfg.history_window,
-            cfg.seed,
+            &[backend, &commit_path],
+            &[
+                shards as u64,
+                cfg.clients as u64,
+                cfg.sites as u64,
+                replication_factor as u64,
+                cfg.cpus_per_site as u64,
+                cfg.target_txns,
+                cfg.history_window,
+                cfg.seed,
+            ],
         );
         CertBenchRow {
             backend: backend.to_string(),
@@ -321,18 +410,69 @@ impl CertBenchRow {
             config_hash,
         }
     }
+}
 
-    /// The merge key: one artifact row exists per backend × shard count ×
-    /// client count × commit path × sites × replication factor.
-    pub fn key(&self) -> (String, usize, usize, String, usize, usize) {
-        (
-            self.backend.clone(),
-            self.shards,
-            self.clients,
-            self.commit_path.clone(),
-            self.sites,
-            self.replication_factor,
-        )
+impl PaperRow {
+    /// Builds a row from one experiment's metrics; `faults` labels the
+    /// fault load of `cfg` (part of the key and of the fingerprint).
+    pub fn from_metrics(faults: &str, cfg: &ExperimentConfig, m: &RunMetrics) -> Self {
+        let (mut latency, mut cert) = (m.pooled_latencies_ms(), m.cert_latencies_ms.clone());
+        let pct = |s: &mut dbsm_sim::stats::Samples, p| s.percentile(p).unwrap_or(0.0);
+        let [delivery, neworder, pay_long, pay_short, os_long, os_short, stocklevel, all] =
+            m.abort_rates();
+        let (cpu_total, cpu_real) = m.mean_cpu_usage();
+        PaperRow {
+            sites: cfg.sites,
+            cpus_per_site: cfg.cpus_per_site,
+            clients: cfg.clients,
+            faults: faults.to_string(),
+            tpm: m.tpm(),
+            mean_latency_ms: m.mean_latency_ms(),
+            latency_p50_ms: pct(&mut latency, 50.0),
+            latency_p90_ms: pct(&mut latency, 90.0),
+            latency_p99_ms: pct(&mut latency, 99.0),
+            cert_latency_p50_ms: pct(&mut cert, 50.0),
+            cert_latency_p90_ms: pct(&mut cert, 90.0),
+            cert_latency_p99_ms: pct(&mut cert, 99.0),
+            abort_pct: all,
+            abort_pct_delivery: delivery,
+            abort_pct_neworder: neworder,
+            abort_pct_payment_long: pay_long,
+            abort_pct_payment_short: pay_short,
+            abort_pct_orderstatus_long: os_long,
+            abort_pct_orderstatus_short: os_short,
+            abort_pct_stocklevel: stocklevel,
+            cpu_total_pct: cpu_total * 100.0,
+            cpu_real_pct: cpu_real * 100.0,
+            disk_pct: m.mean_disk_usage() * 100.0,
+            network_kbps: m.network_kbps(),
+            config_hash: config_hash(
+                &[faults],
+                &[
+                    cfg.sites as u64,
+                    cfg.cpus_per_site as u64,
+                    cfg.clients as u64,
+                    cfg.target_txns,
+                    cfg.history_window,
+                    cfg.seed,
+                ],
+            ),
+        }
+    }
+
+    /// Abort rates in [`dbsm_core::report::abort_table`] order: one per
+    /// transaction class, then "All".
+    pub fn abort_rates(&self) -> [f64; 8] {
+        [
+            self.abort_pct_delivery,
+            self.abort_pct_neworder,
+            self.abort_pct_payment_long,
+            self.abort_pct_payment_short,
+            self.abort_pct_orderstatus_long,
+            self.abort_pct_orderstatus_short,
+            self.abort_pct_stocklevel,
+            self.abort_pct,
+        ]
     }
 }
 
@@ -366,8 +506,8 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Renders the sweep as the `BENCH_cert.json` document, one row per line.
-pub fn rows_to_json(group: &str, rows: &[CertBenchRow]) -> String {
+/// Renders the rows as an artifact document, one row per line.
+pub fn rows_to_json<R: Row>(group: &str, rows: &[R]) -> String {
     let mut out = format!("{{\n  \"group\": {},\n  \"rows\": [\n", json_str(group));
     for (i, r) in rows.iter().enumerate() {
         out.push_str("    ");
@@ -378,25 +518,40 @@ pub fn rows_to_json(group: &str, rows: &[CertBenchRow]) -> String {
     out
 }
 
-/// The artifact path as a pure function of its three sources: an explicit
-/// override wins; otherwise `BENCH_cert.json` sits at the root of the
+/// The path of artifact `file` as a pure function of its three sources: an
+/// explicit override names where `BENCH_cert.json` lands, and any other
+/// artifact lands beside it; otherwise the artifacts sit at the root of the
 /// workspace whose `crates/bench` is `run_dir` — the checkout being *run* —
 /// falling back to `build_dir`, the checkout the library was compiled in.
 /// The two differ when a checkout is copied together with its `target/`
 /// (or built on a restored cache): the copy reuses the rlib, and a path
 /// baked in at compile time would point back into the original checkout.
-fn artifact_path(over: Option<OsString>, run_dir: Option<OsString>, build_dir: &str) -> PathBuf {
-    over.map(PathBuf::from).unwrap_or_else(|| {
-        PathBuf::from(run_dir.unwrap_or_else(|| build_dir.into())).join("../../BENCH_cert.json")
-    })
+fn artifact_path(
+    file: &str,
+    over: Option<OsString>,
+    run_dir: Option<OsString>,
+    build_dir: &str,
+) -> PathBuf {
+    let cert = over.map(PathBuf::from).unwrap_or_else(|| {
+        PathBuf::from(run_dir.unwrap_or_else(|| build_dir.into())).join("../..").join(CERT_FILE)
+    });
+    if file == CERT_FILE {
+        cert
+    } else {
+        cert.with_file_name(file)
+    }
 }
 
-/// Where the artifact lands: `$DBSM_BENCH_CERT_JSON` if set, otherwise
-/// `BENCH_cert.json` at the workspace root (benches run with the package
-/// directory as cwd, so a relative path would bury the file). Cargo exports
-/// `CARGO_MANIFEST_DIR` to the bench/run/test processes it starts.
-pub fn default_output_path() -> PathBuf {
+const CERT_FILE: &str = <CertBenchRow as Row>::FILE;
+
+/// Where `R`'s artifact lands: at the workspace root (benches run with the
+/// package directory as cwd, so a relative path would bury the file), or,
+/// with `$DBSM_BENCH_CERT_JSON` set, at that path (`BENCH_cert.json`) or
+/// beside it (any other artifact). Cargo exports `CARGO_MANIFEST_DIR` to
+/// the bench/run/test processes it starts.
+pub fn output_path<R: Row>() -> PathBuf {
     artifact_path(
+        R::FILE,
         std::env::var_os("DBSM_BENCH_CERT_JSON"),
         std::env::var_os("CARGO_MANIFEST_DIR"),
         env!("CARGO_MANIFEST_DIR"),
@@ -410,14 +565,20 @@ pub fn default_output_path() -> PathBuf {
 // and for the partial-sweep merge to read rows back out of the committed
 // document.
 
-/// A parsed JSON value — just enough structure to read the artifact back.
+/// A parsed JSON value — just enough structure to read an artifact back.
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub enum Json {
+    /// `null`.
     Null,
+    /// `true` or `false`.
     Bool(bool),
+    /// A number.
     Num(f64),
+    /// A string, unescaped.
     Str(String),
+    /// An array.
     Arr(Vec<Json>),
+    /// An object, entries in document order.
     Obj(Vec<(String, Json)>),
 }
 
@@ -633,20 +794,24 @@ impl Json {
     }
 }
 
-/// The parsed artifact: the sweep group label plus its rows.
+/// A parsed artifact: the sweep group label plus its rows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CertBenchDoc {
+pub struct Document<R> {
     /// Sweep group label, e.g. `ablation_cert_sharding`.
     pub group: String,
     /// All rows present in the document.
-    pub rows: Vec<CertBenchRow>,
+    pub rows: Vec<R>,
 }
 
-/// Parses a `BENCH_cert.json` document and enforces the schema contract:
-/// every row must carry every key of the field table with the right type.
-/// This is what the CI schema gate runs — a well-formed-but-wrong-shape
-/// artifact fails here, not three PRs later when a consumer chokes on it.
-pub fn parse_document(s: &str) -> Result<CertBenchDoc, String> {
+/// Parses an artifact document and enforces the schema contract: every row
+/// must carry every key of `R`'s field table with the right type. This is
+/// what the CI schema gate runs — a well-formed-but-wrong-shape artifact
+/// fails here, not three PRs later when a consumer chokes on it.
+///
+/// # Errors
+///
+/// The first JSON syntax error, or the first row key missing or mistyped.
+pub fn parse_document<R: Row>(s: &str) -> Result<Document<R>, String> {
     let root = parse_json(s)?;
     let group = String::read(&root, "group")?;
     let rows_json = match root.field("rows")? {
@@ -655,9 +820,9 @@ pub fn parse_document(s: &str) -> Result<CertBenchDoc, String> {
     };
     let mut rows = Vec::with_capacity(rows_json.len());
     for (i, item) in rows_json.iter().enumerate() {
-        rows.push(CertBenchRow::from_json(item).map_err(|e| format!("row {i}: {e}"))?);
+        rows.push(R::from_json(item).map_err(|e| format!("row {i}: {e}"))?);
     }
-    Ok(CertBenchDoc { group, rows })
+    Ok(Document { group, rows })
 }
 
 /// Merges a partial sweep into an existing artifact. Rows the fresh sweep
@@ -669,32 +834,28 @@ pub fn parse_document(s: &str) -> Result<CertBenchDoc, String> {
 /// `config_hash`, the sweeps are incomparable (schema bump, different
 /// seed/sites/target) and the merge refuses rather than emit a document
 /// that silently mixes them. Re-run the full sweep instead.
-pub fn merge_rows(
-    existing: &[CertBenchRow],
-    fresh: &[CertBenchRow],
-) -> Result<Vec<CertBenchRow>, String> {
+pub fn merge_rows<R: Row>(existing: &[R], fresh: &[R]) -> Result<Vec<R>, String> {
     let mut merged = fresh.to_vec();
     for old in existing {
         match fresh.iter().find(|new| new.key() == old.key()) {
-            Some(new) if new.config_hash != old.config_hash => {
-                let (backend, shards, clients, path, sites, rf) = old.key();
+            Some(new) if new.fingerprint() != old.fingerprint() => {
                 return Err(format!(
-                    "config hash mismatch for row ({backend}, shards={shards}, \
-                     clients={clients}, {path}, sites={sites}, \
-                     replication_factor={rf}): existing {} vs fresh {} — \
+                    "config hash mismatch for row ({}): existing {} vs fresh {} — \
                      the artifact holds an incomparable sweep; re-run it in full",
-                    old.config_hash, new.config_hash
+                    old.key_text(),
+                    old.fingerprint(),
+                    new.fingerprint()
                 ));
             }
             Some(_) => {}
             None => merged.push(old.clone()),
         }
     }
-    merged.sort_by_key(|r| (r.clients, r.key()));
+    merged.sort_by_key(R::key);
     Ok(merged)
 }
 
-/// Merges `fresh` into the artifact on disk (if any), validates the
+/// Merges `fresh` into `R`'s artifact on disk (if any), validates the
 /// rendered document and writes it, returning the path written. An
 /// unreadable or unparsable existing artifact is replaced with a warning —
 /// the bench must not be bricked by a corrupt file — but a config-hash
@@ -705,11 +866,11 @@ pub fn merge_rows(
 /// Returns any filesystem error, or `InvalidData` on a hash mismatch or if
 /// the rendered document fails the self-check parse — a formatting bug
 /// must fail the bench run loudly, not poison the artifact.
-pub fn merge_and_write(group: &str, fresh: &[CertBenchRow]) -> std::io::Result<PathBuf> {
+pub fn merge_and_write<R: Row>(group: &str, fresh: &[R]) -> std::io::Result<PathBuf> {
     let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let path = default_output_path();
+    let path = output_path::<R>();
     let existing = match std::fs::read_to_string(&path) {
-        Ok(text) => match parse_document(&text) {
+        Ok(text) => match parse_document::<R>(&text) {
             Ok(doc) => doc.rows,
             Err(e) => {
                 eprintln!(
@@ -730,6 +891,10 @@ pub fn merge_and_write(group: &str, fresh: &[CertBenchRow]) -> std::io::Result<P
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sample_hash(clients: u64, seed: u64) -> String {
+        config_hash(&["sharded", "pipelined"], &[8, clients, 3, 3, 1, 600, 4096, seed])
+    }
 
     fn sample_row() -> CertBenchRow {
         CertBenchRow {
@@ -770,7 +935,7 @@ mod tests {
             replacements: 1,
             rehomed_spans: 2,
             parked_ns: 2_500_000,
-            config_hash: config_hash("sharded", 8, 10000, "pipelined", 3, 3, 1, 600, 4096, 42),
+            config_hash: sample_hash(10000, 42),
         }
     }
 
@@ -779,14 +944,14 @@ mod tests {
         let doc = rows_to_json("ablation_cert_sharding", &[sample_row(), sample_row()]);
         validate_json(&doc).expect("well-formed");
         // Every schema field appears.
-        for key in ["group", "rows"].iter().chain(KEYS) {
+        for key in ["group", "rows"].iter().chain(CertBenchRow::KEYS) {
             assert!(doc.contains(&format!("\"{key}\"")), "missing {key}:\n{doc}");
         }
     }
 
     #[test]
     fn empty_sweep_is_still_valid_json() {
-        let doc = rows_to_json("ablation_cert_sharding", &[]);
+        let doc = rows_to_json::<CertBenchRow>("ablation_cert_sharding", &[]);
         validate_json(&doc).expect("well-formed");
         assert!(doc.contains("\"rows\": [\n  ]"));
     }
@@ -870,7 +1035,7 @@ mod tests {
         other.commit_path = "sync".to_string();
         let rows = vec![sample_row(), other];
         let doc = rows_to_json("ablation_cert_sharding", &rows);
-        let parsed = parse_document(&doc).expect("typed parse");
+        let parsed = parse_document::<CertBenchRow>(&doc).expect("typed parse");
         assert_eq!(parsed.group, "ablation_cert_sharding");
         assert_eq!(parsed.rows.len(), 2);
         assert_eq!(parsed.rows[0].key(), rows[0].key());
@@ -883,14 +1048,15 @@ mod tests {
     #[test]
     fn typed_parser_rejects_rows_missing_required_keys() {
         let doc = r#"{"group": "g", "rows": [{"backend": "linear", "shards": 1}]}"#;
-        let err = parse_document(doc).unwrap_err();
+        let err = parse_document::<CertBenchRow>(doc).unwrap_err();
         assert!(err.contains("missing required key"), "{err}");
         // Wrong type is also an error, not a silent coercion.
         let doc = r#"{"group": "g", "rows": [{"backend": 7}]}"#;
-        assert!(parse_document(doc).unwrap_err().contains("must be a string"));
+        assert!(parse_document::<CertBenchRow>(doc).unwrap_err().contains("must be a string"));
         // Negative or fractional counters are rejected.
         let full = rows_to_json("g", &[sample_row()]).replace("\"shards\": 8", "\"shards\": 8.5");
-        assert!(parse_document(&full).unwrap_err().contains("non-negative integer"));
+        let err = parse_document::<CertBenchRow>(&full).unwrap_err();
+        assert!(err.contains("non-negative integer"), "{err}");
     }
 
     #[test]
@@ -898,8 +1064,7 @@ mod tests {
         let kept = sample_row();
         let mut rerun_old = sample_row();
         rerun_old.clients = 20000;
-        rerun_old.config_hash =
-            config_hash("sharded", 8, 20000, "pipelined", 3, 3, 1, 600, 4096, 42);
+        rerun_old.config_hash = sample_hash(20000, 42);
         rerun_old.tpm = 1.0;
         let mut rerun_new = rerun_old.clone();
         rerun_new.tpm = 99.0;
@@ -916,7 +1081,7 @@ mod tests {
         let mut fresh = sample_row();
         // Same (backend, shards, clients, commit_path) key, but the sweep
         // was run against a different seed → different fingerprint.
-        fresh.config_hash = config_hash("sharded", 8, 10000, "pipelined", 3, 3, 1, 600, 4096, 43);
+        fresh.config_hash = sample_hash(10000, 43);
         let err = merge_rows(&[old], &[fresh]).unwrap_err();
         assert!(err.contains("config hash mismatch"), "{err}");
         assert!(err.contains("clients=10000"), "{err}");
@@ -928,53 +1093,76 @@ mod tests {
     #[test]
     fn config_hash_separates_backend_and_commit_path_bytes() {
         // The 0-byte separator means ("ab", "c") and ("a", "bc") differ.
-        let a = config_hash("ab", 1, 1, "c", 1, 1, 1, 1, 1, 1);
-        let b = config_hash("a", 1, 1, "bc", 1, 1, 1, 1, 1, 1);
+        let a = config_hash(&["ab", "c"], &[1; 8]);
+        let b = config_hash(&["a", "bc"], &[1; 8]);
         assert_ne!(a, b);
         // And the hash is stable across calls.
-        assert_eq!(a, config_hash("ab", 1, 1, "c", 1, 1, 1, 1, 1, 1));
+        assert_eq!(a, config_hash(&["ab", "c"], &[1; 8]));
         // The replication factor is part of the fingerprint.
-        assert_ne!(a, config_hash("ab", 1, 1, "c", 1, 2, 1, 1, 1, 1));
+        assert_ne!(a, config_hash(&["ab", "c"], &[1, 1, 1, 2, 1, 1, 1, 1]));
     }
 
-    /// The committed artifact, as the sweeps last regenerated it.
-    const ARTIFACT: &str = include_str!("../../../BENCH_cert.json");
+    /// The committed artifacts, as the sweeps last regenerated them.
+    const CERT: &str = include_str!("../../../BENCH_cert.json");
+    const PAPER: &str = include_str!("../../../BENCH_paper.json");
+
+    /// Pins the field order, the 3-decimal floats and the one-row-per-line
+    /// layout: the strict reader accepts the committed file, and writing
+    /// what it read reproduces the file exactly.
+    fn rerenders_byte_for_byte<R: Row>(artifact: &str, rows: usize) {
+        let doc = parse_document::<R>(artifact).expect("committed artifact parses");
+        assert_eq!(doc.rows.len(), rows, "{}", R::FILE);
+        assert!(rows_to_json(&doc.group, &doc.rows) == artifact, "re-rendered {}", R::FILE);
+    }
 
     #[test]
     fn committed_artifact_rerenders_byte_for_byte() {
-        // Pins the field order, the 3-decimal floats and the one-row-per-line
-        // layout: the strict reader accepts the committed file, and writing
-        // what it read reproduces the file exactly.
-        let doc = parse_document(ARTIFACT).expect("committed artifact parses");
-        assert_eq!(doc.rows.len(), 54);
-        assert!(rows_to_json(&doc.group, &doc.rows) == ARTIFACT, "re-rendered artifact differs");
+        rerenders_byte_for_byte::<CertBenchRow>(CERT, 54);
+        rerenders_byte_for_byte::<PaperRow>(PAPER, 49);
     }
 
-    #[test]
-    fn every_key_of_the_table_is_required_in_document_order() {
+    fn every_key_is_required_in_document_order<R: Row>(sample: &R) {
         let mut row = String::new();
-        sample_row().render(&mut row);
+        sample.render(&mut row);
         let entries: Vec<&str> = row[1..row.len() - 1].split(", ").collect();
-        assert_eq!(entries.len(), KEYS.len());
-        for (i, key) in KEYS.iter().enumerate() {
+        assert_eq!(entries.len(), R::KEYS.len());
+        for (i, key) in R::KEYS.iter().enumerate() {
             assert!(entries[i].starts_with(&format!("\"{key}\": ")), "{key} out of order: {row}");
             let mut kept = entries.clone();
             kept.remove(i);
             let doc = format!("{{\"group\": \"g\", \"rows\": [{{{}}}]}}", kept.join(", "));
-            let err = parse_document(&doc).unwrap_err();
+            let err = parse_document::<R>(&doc).map(|_| ()).unwrap_err();
             assert!(err.contains(&format!("missing required key \"{key}\"")), "{key}: {err}");
         }
+    }
+
+    #[test]
+    fn every_key_of_the_table_is_required_in_document_order() {
+        every_key_is_required_in_document_order(&sample_row());
+        let paper = parse_document::<PaperRow>(PAPER).expect("committed artifact parses");
+        every_key_is_required_in_document_order(&paper.rows[0]);
     }
 
     #[test]
     fn artifact_path_prefers_override_then_run_time_then_compile_time_dir() {
         let root = |dir: &str| PathBuf::from(dir).join("../../BENCH_cert.json");
         let (run, build) = (Some(OsString::from("/copy/crates/bench")), "/orig/crates/bench");
+        let over = Some(OsString::from("/tmp/x.json"));
         assert_eq!(
-            artifact_path(Some("/tmp/x.json".into()), run.clone(), build),
+            artifact_path(CERT_FILE, over.clone(), run.clone(), build),
             PathBuf::from("/tmp/x.json")
         );
-        assert_eq!(artifact_path(None, run, build), root("/copy/crates/bench"));
-        assert_eq!(artifact_path(None, None, build), root("/orig/crates/bench"));
+        assert_eq!(artifact_path(CERT_FILE, None, run.clone(), build), root("/copy/crates/bench"));
+        assert_eq!(artifact_path(CERT_FILE, None, None, build), root("/orig/crates/bench"));
+        // Any other artifact lands beside the certification one.
+        let paper = PaperRow::FILE;
+        assert_eq!(
+            artifact_path(paper, over, run.clone(), build),
+            PathBuf::from("/tmp").join(paper)
+        );
+        assert_eq!(
+            artifact_path(paper, None, run, build),
+            PathBuf::from("/copy/crates/bench/../..").join(paper)
+        );
     }
 }

@@ -1,0 +1,302 @@
+//! The paper's evaluation (§5) as views over `BENCH_paper.json`: the grid
+//! its figures share, and Fig. 5a–c, 6a–c, 7a–c and Tables 1–2 rendered
+//! from the artifact's rows ([`PaperRow`]) — nothing here simulates. The
+//! `paper/` group of [`crate::sweeps`] produces the rows; `paper_report`
+//! is the command line of [`view`].
+
+use crate::cert_json::PaperRow;
+use dbsm_core::report;
+
+/// The client counts of Fig. 5/6.
+pub const CLIENTS: [usize; 9] = [100, 250, 500, 750, 1000, 1250, 1500, 1750, 2000];
+
+/// The five configurations of Fig. 5/6 in the paper's legend order: name,
+/// sites, CPUs per site.
+pub const SERIES: [(&str, usize, usize); 5] =
+    [("1 CPU", 1, 1), ("3 CPU", 1, 3), ("6 CPU", 1, 6), ("3 Sites", 3, 1), ("6 Sites", 6, 1)];
+
+/// The fault loads of Fig. 7 and Table 2 (3 sites): the artifact's `faults`
+/// label, then the run's title in the figure and in the table.
+pub const LOADS: [(&str, &str, &str); 3] = [
+    ("none", "No Faults", "No Losses"),
+    ("random_loss_5pct", "Random Loss", "Random - 5%"),
+    ("bursty_loss_5pct", "Bursty Loss", "Bursty - 5%"),
+];
+
+/// Client counts of the lossy runs: Fig. 7's, then Table 2's.
+pub const LOSSY_CLIENTS: [usize; 2] = [750, 1000];
+
+/// The views [`view`] renders.
+pub const VIEWS: [&str; 5] = ["fig5", "fig6", "fig7", "table1", "table2"];
+
+/// The row of one grid point.
+///
+/// # Errors
+///
+/// Names the point when the artifact has no such row.
+pub fn find<'a>(
+    rows: &'a [PaperRow],
+    (sites, cpus, clients): (usize, usize, usize),
+    faults: &str,
+) -> Result<&'a PaperRow, String> {
+    let here = |r: &&PaperRow| {
+        (r.sites, r.cpus_per_site, r.clients, r.faults.as_str()) == (sites, cpus, clients, faults)
+    };
+    rows.iter().find(here).ok_or_else(|| {
+        format!(
+            "no row for sites={sites}, cpus_per_site={cpus}, clients={clients}, faults={faults}"
+        )
+    })
+}
+
+/// One `# title` + header + a line per client count, fault-free rows.
+fn series(
+    rows: &[PaperRow],
+    title: &str,
+    series: &[(&str, usize, usize)],
+    value: fn(&PaperRow) -> f64,
+) -> Result<String, String> {
+    let names: Vec<&str> = series.iter().map(|s| s.0).collect();
+    let mut out = format!("# {title}\n{}\n", report::series_header(&names));
+    for clients in CLIENTS {
+        let values = series
+            .iter()
+            .map(|&(_, sites, cpus)| find(rows, (sites, cpus, clients), "none").map(value))
+            .collect::<Result<Vec<f64>, String>>()?;
+        out.push_str(&report::series_row(clients, &values));
+        out.push('\n');
+    }
+    Ok(out)
+}
+
+/// `# title` + header + one line of `columns` per fault load (Fig. 7's
+/// three runs).
+fn per_load<const N: usize>(
+    rows: &[PaperRow],
+    title: &str,
+    columns: [&str; N],
+    value: fn(&PaperRow) -> [f64; N],
+) -> Result<String, String> {
+    let mut out = format!("# {title}\n{:<14}", "Run");
+    columns.iter().for_each(|c| out.push_str(&format!(" {c:>10}")));
+    for (faults, run, _) in LOADS {
+        out.push_str(&format!("\n{run:<14}"));
+        let values = value(find(rows, (3, 1, LOSSY_CLIENTS[0]), faults)?);
+        values.iter().for_each(|v| out.push_str(&format!(" {v:>10.3}")));
+    }
+    out.push('\n');
+    Ok(out)
+}
+
+/// `# title` + the abort table of the given `(column title, point, faults)`.
+fn aborts(
+    rows: &[PaperRow],
+    title: &str,
+    columns: &[(&str, (usize, usize, usize), &str)],
+) -> Result<String, String> {
+    let columns = columns
+        .iter()
+        .map(|&(name, point, faults)| Ok((name, find(rows, point, faults)?.abort_rates())))
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(format!("# {title}\n{}", report::abort_table(&columns)))
+}
+
+/// Renders one of [`VIEWS`] from the artifact's rows.
+///
+/// # Errors
+///
+/// An unknown view name, or a grid point the rows do not hold.
+pub fn view(rows: &[PaperRow], name: &str) -> Result<String, String> {
+    let parts = match name {
+        "fig5" => vec![
+            series(rows, "Fig 5a: throughput (tpm)", &SERIES, |r| r.tpm)?,
+            series(rows, "Fig 5b: mean latency (ms)", &SERIES, |r| r.mean_latency_ms)?,
+            series(rows, "Fig 5c: abort rate (%)", &SERIES, |r| r.abort_pct)?,
+        ],
+        "fig6" => vec![
+            series(rows, "Fig 6a: CPU usage (%)", &SERIES, |r| r.cpu_total_pct)?,
+            series(rows, "Fig 6b: disk bandwidth usage (%)", &SERIES, |r| r.disk_pct)?,
+            series(
+                rows,
+                "Fig 6c: network traffic (KB/s) — replicated configs only",
+                &SERIES[3..],
+                |r| r.network_kbps,
+            )?,
+        ],
+        "fig7" => {
+            let quantiles = ["p50", "p90", "p99"];
+            vec![
+                per_load(rows, "Fig 7a: transaction latency quantiles (ms)", quantiles, |r| {
+                    [r.latency_p50_ms, r.latency_p90_ms, r.latency_p99_ms]
+                })?,
+                per_load(rows, "Fig 7b: certification latency quantiles (ms)", quantiles, |r| {
+                    [r.cert_latency_p50_ms, r.cert_latency_p90_ms, r.cert_latency_p99_ms]
+                })?,
+                per_load(rows, "Fig 7c: CPU usage by protocol (real) jobs (%)", ["Usage"], |r| {
+                    [r.cpu_real_pct]
+                })?,
+            ]
+        }
+        "table1" => vec![aborts(
+            rows,
+            "Table 1: abort rates (%)",
+            &[
+                ("500c/1x1CPU", (1, 1, 500), "none"),
+                ("1000c/1x3CPU", (1, 3, 1000), "none"),
+                ("1000c/3x1CPU", (3, 1, 1000), "none"),
+                ("1500c/1x6CPU", (1, 6, 1500), "none"),
+                ("1500c/6x1CPU", (6, 1, 1500), "none"),
+            ],
+        )?],
+        "table2" => vec![aborts(
+            rows,
+            &format!("Table 2: abort rates with 3 sites, {} clients (%)", LOSSY_CLIENTS[1]),
+            &LOADS.map(|(faults, _, column)| (column, (3, 1, LOSSY_CLIENTS[1]), faults)),
+        )?],
+        other => return Err(format!("unknown view {other:?}; one of {VIEWS:?}")),
+    };
+    Ok(parts.join("\n"))
+}
+
+/// The paper's qualitative findings, asserted on the committed rows (seed
+/// 42, regenerated by `-- paper/`); nothing here simulates. Thresholds pin,
+/// with slack, what the rows show. Each check says whether the repository
+/// states the finding somewhere (*quoted*, with the place) or it was only
+/// observed in the rows (*observed, unreferenced*).
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cert_json::{parse_document, Row};
+
+    fn committed() -> Vec<PaperRow> {
+        parse_document(include_str!("../../../BENCH_paper.json")).expect("artifact").rows
+    }
+
+    /// One fault-free series, in client order.
+    fn curve(rows: &[PaperRow], sites: usize, cpus: usize) -> Vec<&PaperRow> {
+        CLIENTS.iter().map(|&n| find(rows, (sites, cpus, n), "none").expect("grid row")).collect()
+    }
+
+    /// The 1-CPU row at which throughput peaks.
+    fn one_cpu_peak(rows: &[PaperRow]) -> &PaperRow {
+        curve(rows, 1, 1).into_iter().max_by(|a, b| a.tpm.total_cmp(&b.tpm)).expect("nine rows")
+    }
+
+    /// Each replicated point with the centralised server of equal CPU
+    /// count, before either saturates (≤ 1 500 clients).
+    fn matched(rows: &[PaperRow]) -> impl Iterator<Item = (&PaperRow, &PaperRow)> {
+        let pairs = [3, 6].map(|n| curve(rows, n, 1).into_iter().zip(curve(rows, 1, n)));
+        pairs.into_iter().flatten().filter(|(s, _)| s.clients <= 1500)
+    }
+
+    fn fig5(rows: &[PaperRow]) {
+        // Quoted — crates/tpcc/src/profile.rs: "a single 1 GHz CPU saturates
+        // near the paper's ≈500-client / ≈3000 tpm operating point". The
+        // collapse past the knee is observed, unreferenced.
+        let (peak, one_cpu) = (one_cpu_peak(rows), curve(rows, 1, 1));
+        assert!(peak.clients <= 750, "1 CPU peaks at {} clients", peak.clients);
+        assert!(one_cpu[8].tpm < 0.8 * peak.tpm, "1 CPU ends at {} tpm", one_cpu[8].tpm);
+        for r in one_cpu.iter().filter(|r| r.clients >= 750) {
+            assert!(r.mean_latency_ms > 1000.0 && r.abort_pct > 25.0, "({})", r.key_text());
+        }
+        // Quoted — tests/replication.rs: "Fig. 5a's headline: 3 sites x 1
+        // CPU ≈ 1 site x 3 CPU". Replicated ≥ centralised latency is
+        // observed, unreferenced, and holds to 1 500 clients only: past it
+        // 3 CPU (282 ms) overtakes 3 Sites (271 ms) at 1 750 and 6 CPU
+        // overtakes 6 Sites at 2 000.
+        for (s, c) in matched(rows) {
+            assert!((s.tpm - c.tpm).abs() < 0.05 * c.tpm, "({}): tpm", s.key_text());
+            let (s_ms, c_ms) = (s.mean_latency_ms, c.mean_latency_ms);
+            assert!(c_ms <= s_ms && s_ms < 150.0, "({}): {s_ms} vs {c_ms} ms", s.key_text());
+            assert!(s.abort_pct < 5.0 && c.abort_pct < 5.0, "({}): aborts", s.key_text());
+        }
+    }
+
+    fn fig6(rows: &[PaperRow]) {
+        // No resource is busier than always — the stop-instant snapshot
+        // (tests/replication.rs::resource_usage_covers_only_the_measured_interval).
+        for r in rows {
+            let cpu_ok = r.cpu_real_pct <= r.cpu_total_pct && r.cpu_total_pct <= 100.0;
+            assert!(cpu_ok && r.disk_pct <= 100.0, "({}): over 100 %", r.key_text());
+        }
+        // Observed, unreferenced: the 1-CPU server is CPU-bound from its
+        // throughput peak on.
+        let peak_at = one_cpu_peak(rows).clients;
+        for r in curve(rows, 1, 1).iter().filter(|r| r.clients >= peak_at) {
+            assert!(r.cpu_total_pct >= 95.0, "({}): {} % CPU", r.key_text(), r.cpu_total_pct);
+        }
+        // Quoted — tests/replication.rs::network_traffic_scales_with_sites.
+        // Growth with clients is observed, and stops at 2 000 for 3 Sites,
+        // whose throughput collapses there (Fig. 5a).
+        let (three, six) = (curve(rows, 3, 1), curve(rows, 6, 1));
+        for i in 0..CLIENTS.len() {
+            assert!(six[i].network_kbps > three[i].network_kbps, "@ {}", CLIENTS[i]);
+            if 0 < i && CLIENTS[i] <= 1750 {
+                for c in [&three, &six] {
+                    assert!(c[i].network_kbps > c[i - 1].network_kbps, "({})", c[i].key_text());
+                }
+            }
+        }
+    }
+
+    fn fig7_and_tables(rows: &[PaperRow]) {
+        // Quoted — tests/replication.rs::random_loss_inflates_the_latency_tail
+        // (p99) and "Fig. 7c: protocol (real-job) CPU is a small share,
+        // ~1-2%". The other quantiles and the "All" ordering of Table 2 are
+        // observed, unreferenced.
+        let quantiles = |r: &PaperRow| {
+            let latency = [r.latency_p50_ms, r.latency_p90_ms, r.latency_p99_ms];
+            let cert = [r.cert_latency_p50_ms, r.cert_latency_p90_ms, r.cert_latency_p99_ms];
+            latency.into_iter().chain(cert)
+        };
+        for clients in LOSSY_CLIENTS {
+            let [none, random, bursty] =
+                LOADS.map(|(faults, ..)| find(rows, (3, 1, clients), faults).expect("row"));
+            for lossy in [random, bursty] {
+                let slower = quantiles(lossy).zip(quantiles(none)).all(|(l, h)| l >= h);
+                assert!(slower, "({}): a quantile improves under loss", lossy.key_text());
+                let moved = (lossy.cpu_real_pct - none.cpu_real_pct).abs();
+                assert!(moved < 0.5, "({}): protocol CPU moves {moved} pt", lossy.key_text());
+            }
+            let all = [none.abort_pct, random.abort_pct, bursty.abort_pct];
+            assert!(clients != LOSSY_CLIENTS[1] || all.is_sorted(), "Table 2 All: {all:?}");
+        }
+        // Quoted — tests/replication.rs: "Stock-level is relaxed: never
+        // aborts"; order-status at 0 % is observed, unreferenced.
+        for r in rows.iter().filter(|r| r.sites > 1) {
+            assert!(r.abort_rates()[4..7] == [0.0; 3], "({}): read-only aborts", r.key_text());
+        }
+    }
+
+    #[test]
+    fn committed_rows_show_the_papers_findings() {
+        let rows = committed();
+        fig5(&rows);
+        fig6(&rows);
+        fig7_and_tables(&rows);
+    }
+
+    #[test]
+    fn swapping_two_rows_tpm_fails_a_shape_test() {
+        let mut rows = committed();
+        let at = |clients| {
+            let key = (1, 1, clients, "none".to_string());
+            rows.iter().position(|r| r.key() == key).expect("1-CPU row")
+        };
+        let (peak, last) = (at(750), at(2000));
+        (rows[peak].tpm, rows[last].tpm) = (rows[last].tpm, rows[peak].tpm);
+        // A 1-CPU curve that ends on its peak must not pass.
+        assert!(std::panic::catch_unwind(|| fig5(&rows)).is_err());
+    }
+
+    #[test]
+    fn every_view_renders_from_the_committed_rows() {
+        let rows = committed();
+        for name in VIEWS {
+            let text = view(&rows, name).expect(name);
+            assert!(text.starts_with("# ") && text.ends_with('\n'), "{name}: {text}");
+        }
+        assert!(view(&rows, "fig8").is_err());
+        assert!(view(&rows[1..], "fig5").unwrap_err().contains("clients=100"));
+    }
+}

@@ -1,16 +1,20 @@
-//! The ablation sweeps, as data: [`catalogue`] lists every point of every
-//! sweep over the design choices DESIGN.md calls out, and [`run`] is the one
-//! loop that simulates the selected points — each exactly once — prints
-//! their summary lines and merges the row points into `BENCH_cert.json`
-//! (see [`crate::cert_json`]). `benches/ablation.rs` is its command line.
-//! The result of a point is its printed system-level ledger, not the host
-//! time of simulating it (`benchmark/` records that); adding a point to a
-//! sweep is one more line in the table.
+//! The experiments, as data: [`catalogue`] lists every point of the paper's
+//! evaluation grid (`paper/`) and of every sweep over the design choices
+//! `docs/EXPERIMENTS.md` lists (`ablation_*/`), and [`run`] is the one loop
+//! that simulates the selected points — each exactly once — prints their
+//! summary lines and merges the row points into `BENCH_paper.json` and
+//! `BENCH_cert.json` (see [`crate::cert_json`]). `benches/ablation.rs` is
+//! its command line. The result of a point is its printed system-level
+//! ledger, not the host time of simulating it (`benchmark/` records that);
+//! adding a point to a sweep is one more line in the table.
 
-use crate::cert_json::{merge_and_write, CertBenchRow};
-use dbsm_core::{run_experiment, AnnBatchPolicy, CertBackendKind, CommitPath, ExperimentConfig};
+use crate::cert_json::{merge_and_write, CertBenchRow, PaperRow, Row};
+use crate::paper;
+use dbsm_core::{
+    run_experiment, AnnBatchPolicy, CertBackendKind, CommitPath, ExperimentConfig, RunMetrics,
+};
 use dbsm_db::CcPolicy;
-use dbsm_fault::{FaultPlan, FaultSpec};
+use dbsm_fault::{check_logs, FaultPlan, FaultSpec};
 use dbsm_gcs::GcsConfig;
 use dbsm_sim::SimTime;
 use std::time::{Duration, Instant};
@@ -18,15 +22,44 @@ use std::time::{Duration, Instant};
 /// One experiment of one sweep.
 #[derive(Debug, Clone)]
 pub struct Point {
-    /// The sweep it belongs to (`ablation_*`).
+    /// The sweep it belongs to (`paper` or `ablation_*`).
     pub group: &'static str,
     /// Its id within the sweep; filters match against `group/id`.
     pub id: String,
     /// The experiment to simulate.
     pub cfg: ExperimentConfig,
-    /// Backend label and keyed shard count of its `BENCH_cert.json` row,
-    /// for the points that land in the artifact.
-    pub row: Option<(String, usize)>,
+    /// Which artifact row it lands in, for the points that land in one.
+    pub row: Option<RowLabel>,
+}
+
+/// The part of a row point's key its configuration does not carry.
+#[derive(Debug, Clone)]
+pub enum RowLabel {
+    /// A `BENCH_cert.json` row: backend label and keyed shard count.
+    Cert(String, usize),
+    /// A `BENCH_paper.json` row: fault-load label ([`paper::LOADS`]).
+    Paper(&'static str),
+}
+
+impl Point {
+    /// The point's `BENCH_cert.json` row for the metrics of its run, if it
+    /// lands there.
+    fn cert_row(&self, m: &RunMetrics) -> Option<CertBenchRow> {
+        match &self.row {
+            Some(RowLabel::Cert(label, shards)) => {
+                Some(CertBenchRow::from_metrics(label, *shards, &self.cfg, m))
+            }
+            _ => None,
+        }
+    }
+
+    /// The point's `BENCH_paper.json` row, likewise.
+    fn paper_row(&self, m: &RunMetrics) -> Option<PaperRow> {
+        match &self.row {
+            Some(RowLabel::Paper(faults)) => Some(PaperRow::from_metrics(faults, &self.cfg, m)),
+            _ => None,
+        }
+    }
 }
 
 /// The paper-scale operating point: 2000 clients over 3 sites.
@@ -71,9 +104,44 @@ fn row_label(kind: CertBackendKind) -> (String, usize) {
 /// Every point of every sweep, in run order.
 pub fn catalogue() -> Vec<Point> {
     let mut points = Vec::new();
+    let mut add_point = |group, id: String, cfg, row| points.push(Point { group, id, cfg, row });
+
+    // The paper's own evaluation (§5) at the paper's scale: Fig. 5, Fig. 6
+    // and Table 1 are views of one grid — five configurations at nine
+    // client counts, 10 000 transactions each (enough to carry the 1-CPU
+    // server past its saturation knee) — and Fig. 7 / Table 2 add the
+    // 3-site system under two 5 % loss plans. The fault-free runs of those
+    // are grid points already.
+    for (_, sites, cpus) in paper::SERIES {
+        for clients in paper::CLIENTS {
+            let (id, cfg) = match sites {
+                1 => (format!("cpu_{cpus}"), ExperimentConfig::centralized(cpus, clients)),
+                _ => (format!("sites_{sites}"), ExperimentConfig::replicated(sites, clients)),
+            };
+            let id = format!("{id}_clients_{clients}");
+            add_point(
+                "paper",
+                id,
+                cfg.with_target(10_000),
+                Some(RowLabel::Paper(paper::LOADS[0].0)),
+            );
+        }
+    }
+    for clients in paper::LOSSY_CLIENTS {
+        for ((label, ..), plan) in paper::LOADS[1..]
+            .iter()
+            .zip([FaultPlan::random_loss(0.05), FaultPlan::bursty_loss(0.05, 5)])
+        {
+            let cfg =
+                ExperimentConfig::replicated(3, clients).with_target(10_000).with_faults(plan);
+            let id = format!("sites_3_clients_{clients}_{label}");
+            add_point("paper", id, cfg, Some(RowLabel::Paper(label)));
+        }
+    }
+
     let mut add = |group, id: String, cfg, row: Option<(&str, usize)>| {
-        let row = row.map(|(label, shards)| (label.to_string(), shards));
-        points.push(Point { group, id, cfg, row });
+        let row = row.map(|(label, shards)| RowLabel::Cert(label.to_string(), shards));
+        add_point(group, id, cfg, row);
     };
     let small = || ExperimentConfig::replicated(3, 60).with_target(300);
     let sharded = |shards| CertBackendKind::Sharded { shards };
@@ -292,16 +360,36 @@ pub fn catalogue() -> Vec<Point> {
     points
 }
 
+/// One row per key per invocation, the later point winning — what separate
+/// merges of the sweeps would leave behind.
+fn keep_latest<R: Row>(rows: &mut Vec<R>, row: R) {
+    rows.retain(|r| r.key() != row.key());
+    rows.push(row);
+}
+
+/// Merges into the across-PR artifact: rows this invocation re-ran (even
+/// under narrowing filters) replace their old versions, rows it didn't run
+/// are preserved, and a config-hash mismatch (schema bump, changed
+/// seed/sites/target) fails loudly instead of mixing incomparable sweeps.
+/// An invocation that ran no row point of `R` does not touch its file.
+fn merge<R: Row>(group: &str, rows: &[R]) -> std::io::Result<()> {
+    if !rows.is_empty() {
+        let path = merge_and_write(group, rows)?;
+        println!("merged {} fresh rows into {}", rows.len(), path.display());
+    }
+    Ok(())
+}
+
 /// Simulates every point whose `group/id` contains one of `filters` (all
 /// points when there are none), once each, printing its summary line and
-/// the host time it took, then merges the row points into the artifact.
+/// the host time it took, then merges the row points into their artifacts.
 ///
 /// # Errors
 ///
 /// Whatever [`merge_and_write`] returns — notably a config-hash mismatch
-/// against the artifact on disk.
+/// against an artifact on disk.
 pub fn run(filters: &[String]) -> std::io::Result<()> {
-    let mut rows: Vec<CertBenchRow> = Vec::new();
+    let (mut cert_rows, mut paper_rows) = (Vec::new(), Vec::new());
     for p in catalogue() {
         let name = format!("{}/{}", p.group, p.id);
         if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
@@ -320,31 +408,26 @@ pub fn run(filters: &[String]) -> std::io::Result<()> {
             "{name}: run stalled at {} commits",
             m.committed()
         );
-        if let Some((label, shards)) = &p.row {
-            // One row per key per invocation, the later point winning —
-            // what separate merges of the sweeps would leave behind.
-            let row = CertBenchRow::from_metrics(label, *shards, &p.cfg, &m);
-            rows.retain(|r| r.key() != row.key());
-            rows.push(row);
+        if let Some(row) = p.cert_row(&m) {
+            keep_latest(&mut cert_rows, row);
+        }
+        if let Some(row) = p.paper_row(&m) {
+            // A number from a run whose replicas diverged is not a result:
+            // the paper's safety condition gates every row.
+            if let Err(e) = check_logs(&m.commit_logs, &vec![false; p.cfg.sites]) {
+                panic!("{name}: replicas committed different sequences: {e:?}");
+            }
+            keep_latest(&mut paper_rows, row);
         }
     }
-    // Merge into the across-PR artifact: rows this invocation re-ran (even
-    // under narrowing filters) replace their old versions, rows it didn't
-    // run are preserved, and a config-hash mismatch (schema bump, changed
-    // seed/sites/target) fails loudly instead of mixing incomparable
-    // sweeps. An invocation that ran no row point does not touch the file.
-    if !rows.is_empty() {
-        let path = merge_and_write("ablation_cert_sharding", &rows)?;
-        println!("merged {} fresh rows into {}", rows.len(), path.display());
-    }
-    Ok(())
+    merge("ablation_cert_sharding", &cert_rows)?;
+    merge("paper", &paper_rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cert_json::parse_document;
-    use dbsm_core::RunMetrics;
     use std::collections::BTreeSet;
 
     fn names() -> Vec<String> {
@@ -352,35 +435,43 @@ mod tests {
     }
 
     #[test]
-    fn catalogue_has_92_uniquely_named_points_in_12_groups() {
+    fn catalogue_has_141_uniquely_named_points_in_13_groups() {
         let names = names();
-        assert_eq!(names.len(), 92);
-        assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), 92, "duplicate group/id");
+        assert_eq!(names.len(), 141);
+        assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), 141, "duplicate group/id");
         let mut groups: Vec<&str> = catalogue().iter().map(|p| p.group).collect();
         groups.dedup();
-        assert_eq!(groups.len(), 12, "groups are contiguous: {groups:?}");
+        assert_eq!(groups.len(), 13, "groups are contiguous: {groups:?}");
+    }
+
+    /// The `(key, config_hash)` of every row point of one artifact, as its
+    /// configuration alone determines them, against the committed document.
+    /// Nothing is simulated: a sweep edited without re-sweeping (or an
+    /// artifact regenerated from a different table) fails here.
+    fn row_points_are_the_artifact<R: Row>(
+        artifact: &str,
+        row_of: fn(&Point, &RunMetrics) -> Option<R>,
+        (points, rows): (usize, usize),
+    ) {
+        let identity = |r: &R| (r.key(), r.fingerprint().to_string());
+        let committed = parse_document::<R>(artifact).expect("artifact");
+        let committed: BTreeSet<_> = committed.rows.iter().map(identity).collect();
+        let unrun = RunMetrics::new(0);
+        let row_points: Vec<R> = catalogue().iter().filter_map(|p| row_of(p, &unrun)).collect();
+        assert_eq!((row_points.len(), committed.len()), (points, rows), "{}", R::FILE);
+        assert!(
+            row_points.iter().map(identity).collect::<BTreeSet<_>>() == committed,
+            "{}",
+            R::FILE
+        );
     }
 
     #[test]
     fn row_points_are_exactly_the_committed_artifact() {
-        // A row's key and config hash need only its configuration, so this
-        // simulates nothing: a sweep edited without re-sweeping (or an
-        // artifact regenerated from a different table) fails here.
-        let identity = |r: &CertBenchRow| (r.key(), r.config_hash.clone());
-        let committed = parse_document(include_str!("../../../BENCH_cert.json")).expect("artifact");
-        let committed: BTreeSet<_> = committed.rows.iter().map(identity).collect();
-        let row_points: Vec<_> = catalogue()
-            .iter()
-            .filter_map(|p| {
-                let (label, shards) = p.row.as_ref()?;
-                let row =
-                    CertBenchRow::from_metrics(label, *shards, &p.cfg, &RunMetrics::default());
-                Some(identity(&row))
-            })
-            .collect();
-        assert_eq!(row_points.len(), 61);
-        assert_eq!(committed.len(), 54);
-        assert_eq!(row_points.into_iter().collect::<BTreeSet<_>>(), committed);
+        let cert = include_str!("../../../BENCH_cert.json");
+        row_points_are_the_artifact(cert, Point::cert_row, (61, 54));
+        let paper = include_str!("../../../BENCH_paper.json");
+        row_points_are_the_artifact(paper, Point::paper_row, (49, 49));
     }
 
     #[test]
@@ -391,16 +482,23 @@ mod tests {
             include_str!("../../../README.md"),
             include_str!("../../../.github/workflows/ci.yml"),
         ];
-        let mut tokens = 0;
-        for doc in docs {
-            let is_token_char = |c: char| c.is_ascii_alphanumeric() || "_/.".contains(c);
-            for (at, _) in doc.match_indices("ablation_") {
-                let token: &str = doc[at..].split(|c| !is_token_char(c)).next().expect("non-empty");
-                let token = token.trim_end_matches('.');
-                assert!(names.iter().any(|n| n.contains(token)), "{token} selects no point");
-                tokens += 1;
+        let is_token_char = |c: char| c.is_ascii_alphanumeric() || "_/.".contains(c);
+        for (prefix, at_least) in [("ablation_", 30), ("paper/", 5)] {
+            let mut tokens = 0;
+            for doc in docs {
+                for (at, _) in doc.match_indices(prefix) {
+                    // `paper/` must start a word: "…the paper/…" is prose.
+                    if doc[..at].ends_with(is_token_char) {
+                        continue;
+                    }
+                    let token: &str =
+                        doc[at..].split(|c| !is_token_char(c)).next().expect("non-empty");
+                    let token = token.trim_end_matches('.');
+                    assert!(names.iter().any(|n| n.contains(token)), "{token} selects no point");
+                    tokens += 1;
+                }
             }
+            assert!(tokens >= at_least, "the documents name {prefix} ({tokens} mentions found)");
         }
-        assert!(tokens >= 30, "the documents name the sweeps ({tokens} mentions found)");
     }
 }

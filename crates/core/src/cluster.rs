@@ -31,12 +31,12 @@ struct PendingCert {
     sent_at: SimTime,
 }
 
-/// One delivered-but-undecided update transaction in a site's
-/// partial-replication FIFO. Deliveries follow the total order, so the
 /// One collected wire verdict: `(voter site, conflicting sequence number
 /// if that voter's span saw a conflict)`.
 type SiteVote = (u16, Option<u64>);
 
+/// One delivered-but-undecided update transaction in a site's
+/// partial-replication FIFO. Deliveries follow the total order, so the
 /// FIFO *is* this site's copy of the global sequence: entries are decided
 /// and popped strictly in order, each once its wire votes cover every
 /// read-set span (or once another site's first decision lands in the
@@ -191,7 +191,6 @@ struct Shared {
     completed: u64,
     target: u64,
     stopped: bool,
-    stop_at: Option<SimTime>,
     sites: Vec<SiteState>,
     partial: Option<PartialState>,
     /// Staged state transfers, keyed by the rejoining site.
@@ -374,7 +373,6 @@ impl Cluster {
             completed: 0,
             target: cfg.target_txns,
             stopped: false,
-            stop_at: None,
             sites: site_states,
             partial: partial_map.map(|_| PartialState {
                 oracle: IndexedCertifier::new(),
@@ -1138,25 +1136,33 @@ impl Cluster {
         self.collect()
     }
 
-    fn collect(self) -> RunMetrics {
-        let elapsed = {
-            let sh = self.shared.borrow();
-            sh.stop_at.unwrap_or_else(|| self.sim.now())
-        };
-        let mut metrics = {
-            let mut sh = self.shared.borrow_mut();
-            std::mem::replace(&mut sh.metrics, RunMetrics::new(0))
-        };
-        metrics.elapsed = elapsed;
-        let el = elapsed.as_secs_f64();
+    /// Closes the measured interval at `at`: records its length and every
+    /// resource's use over exactly `[0, at]`. Called at the instant the
+    /// transaction target is reached — the simulation keeps draining
+    /// (in-flight commits, heartbeats, gossip) until `max_sim`, and that
+    /// idle tail belongs in neither the numerators nor the denominator.
+    fn record_usage(&self, metrics: &mut RunMetrics, at: SimTime) {
+        metrics.elapsed = at;
+        let denom = at.as_secs_f64() * self.cfg.cpus_per_site as f64;
         for (i, s) in self.sites.iter().enumerate() {
             let usage = s.cpu.usage();
-            let denom = el * self.cfg.cpus_per_site as f64;
             metrics.site_usage[i] = SiteUsage {
                 cpu_total: if denom > 0.0 { usage.busy_total().as_secs_f64() / denom } else { 0.0 },
                 cpu_real: if denom > 0.0 { usage.busy_real.as_secs_f64() / denom } else { 0.0 },
-                disk: s.engine.storage().utilization(elapsed),
+                disk: s.engine.storage().utilization(at),
             };
+        }
+        metrics.network_tx_bytes = self.net.stats().total_tx_bytes();
+    }
+
+    fn collect(self) -> RunMetrics {
+        let (mut metrics, stopped) = {
+            let mut sh = self.shared.borrow_mut();
+            (std::mem::replace(&mut sh.metrics, RunMetrics::new(0)), sh.stopped)
+        };
+        if !stopped {
+            // The time cap hit before the target: the interval is the run.
+            self.record_usage(&mut metrics, self.sim.now());
         }
         for s in self.sites.iter() {
             if let Some(b) = &s.bridge {
@@ -1169,7 +1175,6 @@ impl Cluster {
         let net_stats = self.net.stats();
         metrics.fault_work.dup_injected = net_stats.duplicates_injected();
         metrics.fault_work.partition_drops = net_stats.drops(dbsm_net::DropCause::Partition);
-        metrics.network_tx_bytes = net_stats.total_tx_bytes();
         metrics
     }
 
@@ -1265,7 +1270,7 @@ impl Cluster {
             sh.completed += 1;
             if sh.completed >= sh.target && !sh.stopped {
                 sh.stopped = true;
-                sh.stop_at = Some(now);
+                self.record_usage(&mut sh.metrics, now);
             }
             if sh.stopped {
                 return;

@@ -218,13 +218,9 @@ impl ExperimentConfig {
     /// only fault schedules leaving some instant with *zero live sites
     /// cluster-wide* are rejected, since a span stranded by the loss of its
     /// whole replica set now re-homes to an elected survivor instead of
-    /// becoming unroutable. A placement pinned with
-    /// [`PlacementMap::with_strict_coverage`] opts back into the static
-    /// pre-churn rule ([`FaultPlan::validate_coverage_strict`]): any
-    /// stranded replica set rejects the run. Both commit paths combine with
-    /// partial replication: the pipelined path precomputes each site's wire
-    /// vote at tentative delivery so the vote round overlaps the ordering
-    /// round.
+    /// becoming unroutable. Both commit paths combine with partial
+    /// replication: the pipelined path precomputes each site's wire vote at
+    /// tentative delivery so the vote round overlaps the ordering round.
     ///
     /// # Errors
     ///
@@ -240,11 +236,7 @@ impl ExperimentConfig {
         let replica_sets: Vec<Vec<u16>> = (0..warehouses as u64)
             .map(|w| placement.replicas(w).iter().map(|&s| s as u16).collect())
             .collect();
-        if placement.strict_coverage {
-            self.faults.validate_coverage_strict(self.sites, &replica_sets)?;
-        } else {
-            self.faults.validate_coverage(self.sites, &replica_sets)?;
-        }
+        self.faults.validate_coverage(self.sites, &replica_sets)?;
         Ok(())
     }
 }
@@ -626,23 +618,17 @@ mod tests {
         // 60 clients -> 6 warehouses round-robin over 6 sites at rf=2:
         // warehouse span w lives on sites {w, w+1 mod 6}. A majority
         // partition {0,1,2,3} strands spans 4 and 5 entirely on {4,5} —
-        // legal by default (the primary component re-homes them), rejected
-        // only when the placement pins the strict pre-churn rule.
+        // legal (the primary component re-homes them).
         let plan = FaultPlan::partition(
             vec![vec![0, 1, 2, 3], vec![4, 5]],
             SimTime::from_secs(1),
             SimTime::from_secs(2),
         );
-        let relaxed = ExperimentConfig::replicated(6, 60)
+        let stranded = ExperimentConfig::replicated(6, 60)
             .with_replication_factor(2)
             .with_faults(plan.clone());
-        assert!(relaxed.validate().is_ok(), "stranded spans re-home by default");
-        let strict = ExperimentConfig::replicated(6, 60)
-            .with_placement(PlacementMap::new(6, 2).with_strict_coverage())
-            .with_faults(plan.clone());
-        let err = strict.validate().unwrap_err();
-        assert!(err.to_string().contains("zero live replicas"), "{err}");
-        // Crashing every site is unservable under either rule.
+        assert!(stranded.validate().is_ok(), "stranded spans re-home");
+        // Crashing every site is unservable.
         let outage = (0..6).fold(FaultPlan::none(), |p, s| {
             p.with(dbsm_fault::FaultSpec::Crash { site: s, at: SimTime::from_secs(1) })
         });

@@ -615,6 +615,16 @@ impl RunMetrics {
         }
     }
 
+    /// Abort rates in percent as Tables 1 and 2 list them: one per class
+    /// in [`TxnClass::ALL`] order, then "All".
+    pub fn abort_rates(&self) -> [f64; 8] {
+        let mut rates = [self.abort_rate(); 8];
+        for (rate, class) in rates.iter_mut().zip(TxnClass::ALL) {
+            *rate = self.class(class).abort_rate();
+        }
+        rates
+    }
+
     /// Mean latency over all committed transactions, in milliseconds
     /// (Fig. 5b).
     pub fn mean_latency_ms(&self) -> f64 {
@@ -696,6 +706,8 @@ mod tests {
         assert_eq!(c.aborted(), 10);
         assert!((c.abort_rate() - 10.0).abs() < 1e-9);
         assert!((m.abort_rate() - 10.0).abs() < 1e-9);
+        // Table order: delivery, neworder, …, then "All".
+        assert_eq!(m.abort_rates(), [0.0, 10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0]);
     }
 
     #[test]

@@ -61,12 +61,6 @@ pub struct PlacementMap {
     pub sites: usize,
     /// Replicas holding each warehouse (k of N).
     pub replication_factor: usize,
-    /// Opt out of re-placement: validate fault plans under the strict
-    /// pre-churn coverage rule (any stranded replica set rejects the run)
-    /// instead of the relaxed default, where stranded spans re-home to an
-    /// elected survivor. Oracle tests that pin the static-placement
-    /// semantics set this via [`PlacementMap::with_strict_coverage`].
-    pub strict_coverage: bool,
 }
 
 /// SplitMix64 finalizer — the same mixer the bench artifact hashing uses,
@@ -82,18 +76,7 @@ impl PlacementMap {
     /// Creates a map placing each warehouse on `replication_factor` of
     /// `sites` replicas.
     pub fn new(sites: usize, replication_factor: usize) -> Self {
-        PlacementMap { sites, replication_factor, strict_coverage: false }
-    }
-
-    /// Pins the strict pre-churn coverage rule: fault plans that strand
-    /// this map's replica sets are rejected at [`validate`] time instead of
-    /// triggering re-placement.
-    ///
-    /// [`validate`]: crate::experiment::ExperimentConfig::validate
-    #[must_use]
-    pub fn with_strict_coverage(mut self) -> Self {
-        self.strict_coverage = true;
-        self
+        PlacementMap { sites, replication_factor }
     }
 
     /// True when every site stores every warehouse — the classic
@@ -222,17 +205,6 @@ mod tests {
         assert!(PlacementError::MismatchedSites { map: 3, experiment: 6 }
             .to_string()
             .contains("3 sites"));
-    }
-
-    #[test]
-    fn strict_coverage_flag_defaults_off_and_sticks() {
-        assert!(!PlacementMap::new(3, 2).strict_coverage);
-        let strict = PlacementMap::new(3, 2).with_strict_coverage();
-        assert!(strict.strict_coverage);
-        // Everything else is untouched.
-        assert_eq!(strict.sites, 3);
-        assert_eq!(strict.replication_factor, 2);
-        assert_ne!(strict, PlacementMap::new(3, 2), "flag participates in Eq");
     }
 
     #[test]

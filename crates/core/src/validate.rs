@@ -5,9 +5,12 @@
 //! The "real" sides substitute for the paper's physical testbed: flooding
 //! and round-trips run the native bridge's transport on the loopback
 //! interface, and the Fig. 4 reference is a multi-threaded in-memory engine
-//! executing the same TPC-C workload in wall-clock time with real locks —
-//! see DESIGN.md for why these substitutions preserve what is being
-//! validated.
+//! executing the same TPC-C workload in wall-clock time with real locks.
+//! What §4.2 validates is that the model's queueing (transport overheads,
+//! CPU contention, lock waits) reproduces the shape of a real execution;
+//! the substitutes keep real sockets, real threads and real locks on the
+//! measured side, so the model is still compared against genuinely
+//! concurrent code (commands in `docs/EXPERIMENTS.md`).
 
 use crate::cluster::run_experiment;
 use crate::experiment::ExperimentConfig;

@@ -200,15 +200,8 @@ pub enum PlanError {
     },
     /// `DuplicateDelivery::max_copies` is zero.
     ZeroCopies,
-    /// Under a partial-replication placement, a partition's surviving
-    /// primary component holds no replica of some span (warehouse): its
-    /// transactions would become unroutable for the rest of the run.
-    PartitionUncoveredSpan {
-        /// The stranded span (warehouse index).
-        span: u64,
-    },
-    /// Under a partial-replication placement, the plan crashes every
-    /// replica of some span (warehouse).
+    /// Under a partial-replication placement, the plan has every site down
+    /// at once, so no survivor can adopt the named span (warehouse).
     CrashUncoveredSpan {
         /// The stranded span (warehouse index).
         span: u64,
@@ -256,9 +249,6 @@ impl fmt::Display for PlanError {
             }
             PlanError::NotPositive { what } => write!(f, "{what} must be positive"),
             PlanError::ZeroCopies => write!(f, "duplicate delivery needs max_copies >= 1"),
-            PlanError::PartitionUncoveredSpan { span } => {
-                write!(f, "partition leaves warehouse span {span} with zero live replicas in the primary component")
-            }
             PlanError::CrashUncoveredSpan { span } => {
                 write!(f, "crashes leave warehouse span {span} with zero live replicas")
             }
@@ -706,10 +696,8 @@ impl FaultPlan {
     ///   stranded spans, and plans with no majority group halt the whole
     ///   system — a legitimate total-outage scenario.
     ///
-    /// The pre-re-placement rule (any stranded replica set rejects) lives on
-    /// as [`FaultPlan::validate_coverage_strict`] for oracle tests and
-    /// placements that opt out of re-homing. Call after
-    /// [`FaultPlan::validate`]; full replication never needs this check.
+    /// Call after [`FaultPlan::validate`]; full replication never needs
+    /// this check.
     ///
     /// # Errors
     ///
@@ -728,65 +716,6 @@ impl FaultPlan {
             if sites > 0 && (0..sites as u16).all(|s| self.down_at(s, t)) {
                 if let Some(span) = replica_sets.iter().position(|r| !r.is_empty()) {
                     return Err(PlanError::CrashUncoveredSpan { span: span as u64 });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The strict coverage rule partial replication enforced before
-    /// re-placement existed: rejects any plan whose faults strand a span's
-    /// *replica set*, even though survivors elsewhere could adopt it —
-    ///
-    /// * a partition whose surviving *primary component* (the group holding
-    ///   a strict majority of `sites`; minority segments halt under the
-    ///   PR 4 primary-component rule) contains no replica of the span;
-    /// * crashes that take down every replica of the span.
-    ///
-    /// Plans with no majority group halt the whole system — a legitimate
-    /// total-outage scenario — and are not rejected here. Oracle tests pin
-    /// this behavior via `PlacementMap::with_strict_coverage`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlanError::PartitionUncoveredSpan`] or
-    /// [`PlanError::CrashUncoveredSpan`] found.
-    pub fn validate_coverage_strict(
-        &self,
-        sites: usize,
-        replica_sets: &[Vec<u16>],
-    ) -> Result<(), PlanError> {
-        // Crash coverage is checked instant by instant: at every crash
-        // time, the set of simultaneously down sites (crashed, not yet
-        // restarted — [`FaultPlan::down_at`]) must leave each span a live
-        // replica. A replica crashed and restarted before another replica's
-        // crash does not strand the span; without restarts this degenerates
-        // to the old "every replica ever crashed" rule, since at the latest
-        // crash instant every crashed site is still down.
-        let crash_instants: Vec<SimTime> = self
-            .specs
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::Crash { at, .. } => Some(*at),
-                _ => None,
-            })
-            .collect();
-        for &t in &crash_instants {
-            for (span, replicas) in replica_sets.iter().enumerate() {
-                if !replicas.is_empty() && replicas.iter().all(|&r| self.down_at(r, t)) {
-                    return Err(PlanError::CrashUncoveredSpan { span: span as u64 });
-                }
-            }
-        }
-        for spec in &self.specs {
-            let FaultSpec::Partition { groups, .. } = spec else { continue };
-            // Sites missing from every group are isolated singletons, so a
-            // listed group is primary iff it holds a strict majority of all
-            // `sites`.
-            let Some(primary) = groups.iter().find(|g| g.len() * 2 > sites) else { continue };
-            for (span, replicas) in replica_sets.iter().enumerate() {
-                if !replicas.is_empty() && !replicas.iter().any(|r| primary.contains(r)) {
-                    return Err(PlanError::PartitionUncoveredSpan { span: span as u64 });
                 }
             }
         }
@@ -1116,16 +1045,11 @@ mod tests {
         let plan = FaultPlan::crash_restart(0, SimTime::from_secs(1), SimTime::from_secs(5))
             .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(10) });
         let replicas = vec![vec![0, 1], vec![0, 2]];
-        assert_eq!(plan.validate_coverage_strict(3, &replicas), Ok(()));
-        // Restarted too late: both are down together at t=10, so the strict
-        // rule rejects — but site 1 survives to adopt the span, so the
-        // relaxed (re-placement) rule accepts.
+        assert_eq!(plan.validate_coverage(3, &replicas), Ok(()));
+        // Restarted too late: both are down together at t=10 — but site 1
+        // survives to adopt the span, so the plan is still accepted.
         let late = FaultPlan::crash_restart(0, SimTime::from_secs(1), SimTime::from_secs(20))
             .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(10) });
-        assert_eq!(
-            late.validate_coverage_strict(3, &replicas),
-            Err(PlanError::CrashUncoveredSpan { span: 1 })
-        );
         assert_eq!(late.validate_coverage(3, &replicas), Ok(()));
         // The rolling kill-and-replace plan keeps every span covered.
         let rolling = FaultPlan::kill_and_replace(
@@ -1134,7 +1058,7 @@ mod tests {
             Duration::from_secs(30),
             Duration::from_secs(5),
         );
-        assert_eq!(rolling.validate_coverage_strict(3, &replicas), Ok(()));
+        assert_eq!(rolling.validate_coverage(3, &replicas), Ok(()));
     }
 
     #[test]
@@ -1183,8 +1107,6 @@ mod tests {
         assert!(e.to_string().contains("site 3"));
         let e = PlanError::BadProbability { what: "duplicate delivery", p: 2.0 };
         assert!(e.to_string().contains("duplicate delivery"));
-        let e = PlanError::PartitionUncoveredSpan { span: 7 };
-        assert!(e.to_string().contains("span 7"));
         let e = PlanError::CrashUncoveredSpan { span: 2 };
         assert!(e.to_string().contains("span 2"));
         let e = PlanError::RestartWithoutCrash { site: 4 };
@@ -1203,47 +1125,6 @@ mod tests {
             SimTime::from_secs(8),
         );
         let replicas = vec![vec![0, 3], vec![1, 4], vec![2, 3]];
-        assert_eq!(plan.validate_coverage_strict(5, &replicas), Ok(()));
-    }
-
-    #[test]
-    fn coverage_rejects_partitions_stranding_a_span() {
-        // Span 1 lives only on the minority side: under the strict rule its
-        // clients would hang, so the plan is rejected.
-        let plan = FaultPlan::partition(
-            vec![vec![0, 1, 2], vec![3, 4]],
-            SimTime::from_secs(5),
-            SimTime::from_secs(8),
-        );
-        let replicas = vec![vec![0, 1], vec![3, 4]];
-        assert_eq!(
-            plan.validate_coverage_strict(5, &replicas),
-            Err(PlanError::PartitionUncoveredSpan { span: 1 })
-        );
-        // No majority group: total outage, legitimate, not rejected here.
-        let halt = FaultPlan::partition(
-            vec![vec![0, 1], vec![2, 3]],
-            SimTime::from_secs(5),
-            SimTime::from_secs(8),
-        );
-        assert_eq!(halt.validate_coverage_strict(5, &replicas), Ok(()));
-    }
-
-    #[test]
-    fn coverage_rejects_crashing_every_replica_of_a_span() {
-        let plan = FaultPlan::crash(0, SimTime::from_secs(1))
-            .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(2) });
-        let replicas = vec![vec![0, 1], vec![0, 2]];
-        assert_eq!(
-            plan.validate_coverage_strict(3, &replicas),
-            Err(PlanError::CrashUncoveredSpan { span: 1 })
-        );
-        // The relaxed rule re-homes span 1 onto the surviving site 1.
-        assert_eq!(plan.validate_coverage(3, &replicas), Ok(()));
-        // One surviving replica is enough even for strict.
-        let single = FaultPlan::crash(0, SimTime::from_secs(1));
-        assert_eq!(single.validate_coverage_strict(3, &replicas), Ok(()));
-        // Full replication (or an empty placement) is never stranded.
-        assert_eq!(plan.validate_coverage_strict(3, &[]), Ok(()));
+        assert_eq!(plan.validate_coverage(5, &replicas), Ok(()));
     }
 }

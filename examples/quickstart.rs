@@ -18,7 +18,7 @@ fn main() {
     println!("{}", report::summary_line("3 sites", &metrics));
     println!();
     println!("per-class abort rates (%):");
-    print!("{}", report::abort_table(&[("3 sites", &metrics)]));
+    print!("{}", report::abort_table(&[("3 sites", metrics.abort_rates())]));
 
     // The paper's §5.3 safety condition: every operational site committed
     // exactly the same sequence of transactions.
