@@ -3,14 +3,14 @@
 //! The row-producing sweeps ([`crate::sweeps`]) merge their rows into two
 //! committed JSON documents so the numbers are tracked as artifacts across
 //! PRs instead of living only in terminal output: the certification perf
-//! trajectory (throughput and the total vs critical-path work split per
-//! backend and client count, [`CertBenchRow`]) and the paper's own
-//! evaluation grid (Fig. 5–7, Tables 1–2, [`PaperRow`]). The workspace is
-//! offline (no serde), so this module hand-writes the small, stable schema
-//! and ships a minimal validating parser that CI and the unit tests use to
-//! guarantee the artifacts stay well-formed JSON.
+//! trajectory (throughput and the work ledger per backend, commit path and
+//! client count, [`CertBenchRow`]) and the paper's own evaluation grid
+//! (Fig. 5–7, Tables 1–2, [`PaperRow`]). The workspace is offline (no
+//! serde), so this module hand-writes the small, stable schema and ships a
+//! minimal validating parser that CI and the unit tests use to guarantee
+//! the artifacts stay well-formed JSON.
 //!
-//! A document is one object, `{"group": "ablation_cert_sharding",
+//! A document is one object, `{"group": "ablation_cert_backend",
 //! "rows": [...]}`, with one row object per line. A row's keys are the
 //! fields of its row type, declared once in a `cert_bench_row!` table
 //! below: the struct, the writer, the typed reader, the merge key and
@@ -167,17 +167,15 @@ macro_rules! cert_bench_row {
 
 cert_bench_row! {
     /// One row of the certification sweeps: a backend at a client count
-    /// (and sites × replication factor), with the throughput and the
-    /// work-ledger split the sweeps exist to track.
+    /// (and sites × replication factor), with the throughput and the work
+    /// ledger the sweeps exist to track.
     CertBenchRow in "BENCH_cert.json", keyed by (
-        clients: usize, backend: String, shards: usize, commit_path: String,
+        clients: usize, backend: String, commit_path: String,
         sites: usize, replication_factor: usize
     );
-    /// Backend name (`linear`, `indexed`, `sharded{n}`), or the
-    /// re-placement sweep's synthetic `churn{n}` label.
+    /// Backend name (`linear`, `indexed`), or the re-placement sweep's
+    /// synthetic `churn{n}` label.
     backend: String,
-    /// Keyed shard count (1 for the unsharded backends).
-    shards: usize,
     /// Emulated clients.
     clients: usize,
     /// Commit path (`sync` or `pipelined`).
@@ -197,25 +195,15 @@ cert_bench_row! {
     certifications: u64,
     /// Linear-scan merge comparisons.
     comparisons: u64,
-    /// Index probes, all shards.
+    /// Index probes.
     probes: u64,
-    /// Critical-path probes (most-loaded shard per request).
-    critical_probes: u64,
-    /// Mean shards touched per certification.
-    mean_shards_touched: f64,
-    /// Total probes / critical-path probes.
-    parallel_speedup: f64,
-    /// Mean fan-out / speedup (1.0 = perfectly balanced shards).
-    shard_imbalance: f64,
-    /// Serial certification cost of the run, nanoseconds.
+    /// Certification cost of the run's conflict checks, nanoseconds.
     total_work_ns: f64,
-    /// Critical-path certification cost of the run, nanoseconds.
-    critical_path_ns: f64,
-    /// Nanoseconds speculative probe work queued on shard servers.
+    /// Nanoseconds speculative probe work queued on the sites' FIFOs.
     queue_ns: u64,
-    /// Nanoseconds of critical-server probe service (pipelined runs).
+    /// Nanoseconds of speculative probe service (pipelined runs).
     service_ns: u64,
-    /// Nanoseconds merging per-shard verdicts (pipelined runs).
+    /// Nanoseconds folding speculative verdicts (pipelined runs).
     merge_ns: u64,
     /// Data-dependent certification nanoseconds stalling the delivery loop.
     stall_ns: u64,
@@ -346,12 +334,7 @@ impl CertBenchRow {
     /// Builds a row from one experiment's metrics, pricing the work ledger
     /// with the default cost model (the one the simulation charged) and
     /// fingerprinting the configuration that produced it.
-    pub fn from_metrics(
-        backend: &str,
-        shards: usize,
-        cfg: &ExperimentConfig,
-        m: &RunMetrics,
-    ) -> Self {
+    pub fn from_metrics(backend: &str, cfg: &ExperimentConfig, m: &RunMetrics) -> Self {
         let costs = CertCostModel::default();
         let commit_path = cfg.commit_path.name().to_string();
         let replication_factor =
@@ -359,7 +342,6 @@ impl CertBenchRow {
         let config_hash = config_hash(
             &[backend, &commit_path],
             &[
-                shards as u64,
                 cfg.clients as u64,
                 cfg.sites as u64,
                 replication_factor as u64,
@@ -371,7 +353,6 @@ impl CertBenchRow {
         );
         CertBenchRow {
             backend: backend.to_string(),
-            shards,
             clients: cfg.clients,
             commit_path,
             sites: cfg.sites,
@@ -382,12 +363,7 @@ impl CertBenchRow {
             certifications: m.cert_work.certifications,
             comparisons: m.cert_work.comparisons,
             probes: m.cert_work.probes,
-            critical_probes: m.cert_work.critical_probes,
-            mean_shards_touched: m.cert_work.mean_shards_touched(),
-            parallel_speedup: m.cert_work.parallel_speedup(),
-            shard_imbalance: m.cert_work.shard_imbalance(),
             total_work_ns: costs.total_work_ns(&m.cert_work),
-            critical_path_ns: costs.critical_path_ns(&m.cert_work),
             queue_ns: m.cert_work.queue_ns,
             service_ns: m.cert_work.service_ns,
             merge_ns: m.cert_work.merge_ns,
@@ -797,7 +773,7 @@ impl Json {
 /// A parsed artifact: the sweep group label plus its rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Document<R> {
-    /// Sweep group label, e.g. `ablation_cert_sharding`.
+    /// Sweep group label, e.g. `ablation_cert_backend`.
     pub group: String,
     /// All rows present in the document.
     pub rows: Vec<R>,
@@ -893,13 +869,12 @@ mod tests {
     use super::*;
 
     fn sample_hash(clients: u64, seed: u64) -> String {
-        config_hash(&["sharded", "pipelined"], &[8, clients, 3, 3, 1, 600, 4096, seed])
+        config_hash(&["indexed", "pipelined"], &[clients, 3, 3, 1, 600, 4096, seed])
     }
 
     fn sample_row() -> CertBenchRow {
         CertBenchRow {
-            backend: "sharded".to_string(),
-            shards: 8,
+            backend: "indexed".to_string(),
             clients: 10000,
             commit_path: "pipelined".to_string(),
             sites: 3,
@@ -910,12 +885,7 @@ mod tests {
             certifications: 912,
             comparisons: 0,
             probes: 181150,
-            critical_probes: 60231,
-            mean_shards_touched: 3.08,
-            parallel_speedup: 3.01,
-            shard_imbalance: 1.02,
             total_work_ns: 3.43e7,
-            critical_path_ns: 2.34e7,
             queue_ns: 120_000,
             service_ns: 830_000,
             merge_ns: 9_000,
@@ -941,7 +911,7 @@ mod tests {
 
     #[test]
     fn rendered_document_passes_the_validator() {
-        let doc = rows_to_json("ablation_cert_sharding", &[sample_row(), sample_row()]);
+        let doc = rows_to_json("ablation_cert_backend", &[sample_row(), sample_row()]);
         validate_json(&doc).expect("well-formed");
         // Every schema field appears.
         for key in ["group", "rows"].iter().chain(CertBenchRow::KEYS) {
@@ -951,7 +921,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_still_valid_json() {
-        let doc = rows_to_json::<CertBenchRow>("ablation_cert_sharding", &[]);
+        let doc = rows_to_json::<CertBenchRow>("ablation_cert_backend", &[]);
         validate_json(&doc).expect("well-formed");
         assert!(doc.contains("\"rows\": [\n  ]"));
     }
@@ -960,7 +930,7 @@ mod tests {
     fn non_finite_metrics_degrade_to_zero_not_invalid_json() {
         let mut row = sample_row();
         row.tpm = f64::NAN;
-        row.parallel_speedup = f64::INFINITY;
+        row.vote_piggyback_rate = f64::INFINITY;
         let doc = rows_to_json("g", &[row]);
         validate_json(&doc).expect("NaN/inf must not leak into the artifact");
         assert!(doc.contains("\"tpm\": 0,"));
@@ -1015,16 +985,17 @@ mod tests {
         use dbsm_core::{run_experiment, CertBackendKind};
         let cfg = ExperimentConfig::replicated(3, 20)
             .with_target(40)
-            .with_cert_backend(CertBackendKind::Sharded { shards: 4 });
+            .with_cert_backend(CertBackendKind::Indexed);
         let m = run_experiment(cfg.clone());
-        let row = CertBenchRow::from_metrics("sharded", 4, &cfg, &m);
-        assert!(row.probes > 0, "sharded run probes");
-        assert!(row.critical_probes > 0 && row.critical_probes <= row.probes);
-        assert!(row.critical_path_ns <= row.total_work_ns);
-        assert!(row.parallel_speedup >= 1.0);
+        let row = CertBenchRow::from_metrics("indexed", &cfg, &m);
+        assert!(row.probes > 0, "indexed run probes");
+        // The run's priced work and the share of it that stalled the
+        // delivery loop: a synchronous run stalls on every conflict check.
+        assert!(row.total_work_ns > 0.0);
+        assert!(row.stall_ns > 0 && row.stall_ns as f64 <= row.total_work_ns);
         assert_eq!(row.commit_path, "sync");
         assert_eq!(row.config_hash.len(), 16);
-        let doc = rows_to_json("ablation_cert_sharding", &[row]);
+        let doc = rows_to_json("ablation_cert_backend", &[row]);
         validate_json(&doc).expect("well-formed from live metrics");
     }
 
@@ -1034,9 +1005,9 @@ mod tests {
         other.clients = 20000;
         other.commit_path = "sync".to_string();
         let rows = vec![sample_row(), other];
-        let doc = rows_to_json("ablation_cert_sharding", &rows);
+        let doc = rows_to_json("ablation_cert_backend", &rows);
         let parsed = parse_document::<CertBenchRow>(&doc).expect("typed parse");
-        assert_eq!(parsed.group, "ablation_cert_sharding");
+        assert_eq!(parsed.group, "ablation_cert_backend");
         assert_eq!(parsed.rows.len(), 2);
         assert_eq!(parsed.rows[0].key(), rows[0].key());
         assert_eq!(parsed.rows[0].config_hash, rows[0].config_hash);
@@ -1047,14 +1018,14 @@ mod tests {
 
     #[test]
     fn typed_parser_rejects_rows_missing_required_keys() {
-        let doc = r#"{"group": "g", "rows": [{"backend": "linear", "shards": 1}]}"#;
+        let doc = r#"{"group": "g", "rows": [{"backend": "linear", "clients": 1}]}"#;
         let err = parse_document::<CertBenchRow>(doc).unwrap_err();
         assert!(err.contains("missing required key"), "{err}");
         // Wrong type is also an error, not a silent coercion.
         let doc = r#"{"group": "g", "rows": [{"backend": 7}]}"#;
         assert!(parse_document::<CertBenchRow>(doc).unwrap_err().contains("must be a string"));
         // Negative or fractional counters are rejected.
-        let full = rows_to_json("g", &[sample_row()]).replace("\"shards\": 8", "\"shards\": 8.5");
+        let full = rows_to_json("g", &[sample_row()]).replace("\"sites\": 3", "\"sites\": 3.5");
         let err = parse_document::<CertBenchRow>(&full).unwrap_err();
         assert!(err.contains("non-negative integer"), "{err}");
     }
@@ -1079,13 +1050,14 @@ mod tests {
     fn merge_rejects_config_hash_mismatch_for_the_same_key() {
         let old = sample_row();
         let mut fresh = sample_row();
-        // Same (backend, shards, clients, commit_path) key, but the sweep
-        // was run against a different seed → different fingerprint.
+        // Same (clients, backend, commit_path, sites, replication_factor)
+        // key, but the sweep was run against a different seed → different
+        // fingerprint.
         fresh.config_hash = sample_hash(10000, 43);
         let err = merge_rows(&[old], &[fresh]).unwrap_err();
         assert!(err.contains("config hash mismatch"), "{err}");
         assert!(err.contains("clients=10000"), "{err}");
-        // The full six-component key is named so the offending row is findable.
+        // The full five-component key is named so the offending row is findable.
         assert!(err.contains("sites=3"), "{err}");
         assert!(err.contains("replication_factor=3"), "{err}");
     }
@@ -1093,13 +1065,13 @@ mod tests {
     #[test]
     fn config_hash_separates_backend_and_commit_path_bytes() {
         // The 0-byte separator means ("ab", "c") and ("a", "bc") differ.
-        let a = config_hash(&["ab", "c"], &[1; 8]);
-        let b = config_hash(&["a", "bc"], &[1; 8]);
+        let a = config_hash(&["ab", "c"], &[1; 7]);
+        let b = config_hash(&["a", "bc"], &[1; 7]);
         assert_ne!(a, b);
         // And the hash is stable across calls.
-        assert_eq!(a, config_hash(&["ab", "c"], &[1; 8]));
+        assert_eq!(a, config_hash(&["ab", "c"], &[1; 7]));
         // The replication factor is part of the fingerprint.
-        assert_ne!(a, config_hash(&["ab", "c"], &[1, 1, 1, 2, 1, 1, 1, 1]));
+        assert_ne!(a, config_hash(&["ab", "c"], &[1, 1, 2, 1, 1, 1, 1]));
     }
 
     /// The committed artifacts, as the sweeps last regenerated them.
@@ -1117,7 +1089,7 @@ mod tests {
 
     #[test]
     fn committed_artifact_rerenders_byte_for_byte() {
-        rerenders_byte_for_byte::<CertBenchRow>(CERT, 54);
+        rerenders_byte_for_byte::<CertBenchRow>(CERT, 34);
         rerenders_byte_for_byte::<PaperRow>(PAPER, 49);
     }
 

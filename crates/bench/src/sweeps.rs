@@ -35,8 +35,8 @@ pub struct Point {
 /// The part of a row point's key its configuration does not carry.
 #[derive(Debug, Clone)]
 pub enum RowLabel {
-    /// A `BENCH_cert.json` row: backend label and keyed shard count.
-    Cert(String, usize),
+    /// A `BENCH_cert.json` row: backend label.
+    Cert(String),
     /// A `BENCH_paper.json` row: fault-load label ([`paper::LOADS`]).
     Paper(&'static str),
 }
@@ -46,9 +46,7 @@ impl Point {
     /// lands there.
     fn cert_row(&self, m: &RunMetrics) -> Option<CertBenchRow> {
         match &self.row {
-            Some(RowLabel::Cert(label, shards)) => {
-                Some(CertBenchRow::from_metrics(label, *shards, &self.cfg, m))
-            }
+            Some(RowLabel::Cert(label)) => Some(CertBenchRow::from_metrics(label, &self.cfg, m)),
             _ => None,
         }
     }
@@ -72,7 +70,7 @@ fn paper_scale(target: u64) -> ExperimentConfig {
 /// each other (the full-replication rows with the pipeline sweep's
 /// synchronous baseline, the `churn0` rows with the no-fault partial rows).
 fn scale_out(sites: usize, clients: usize) -> ExperimentConfig {
-    // 600 transactions (the sharding sweep's budget) would sample only the
+    // 600 transactions (the backend sweep's budget) would sample only the
     // open-loop ramp, where mean latency is an artifact of which clients
     // happen to finish first. One full population turnover puts the window
     // in steady state, where the closed-loop law (latency =
@@ -91,14 +89,6 @@ fn scale_out(sites: usize, clients: usize) -> ExperimentConfig {
     // overload point.
     cfg.cpus_per_site = 3;
     cfg
-}
-
-/// A backend's `BENCH_cert.json` row label and keyed shard count.
-fn row_label(kind: CertBackendKind) -> (String, usize) {
-    match kind {
-        CertBackendKind::Sharded { shards } => (format!("sharded{shards}"), shards),
-        unsharded => (unsharded.name().to_string(), 1),
-    }
 }
 
 /// Every point of every sweep, in run order.
@@ -139,12 +129,10 @@ pub fn catalogue() -> Vec<Point> {
         }
     }
 
-    let mut add = |group, id: String, cfg, row: Option<(&str, usize)>| {
-        let row = row.map(|(label, shards)| RowLabel::Cert(label.to_string(), shards));
-        add_point(group, id, cfg, row);
+    let mut add = |group, id: String, cfg, row: Option<&str>| {
+        add_point(group, id, cfg, row.map(|label| RowLabel::Cert(label.to_string())));
     };
     let small = || ExperimentConfig::replicated(3, 60).with_target(300);
-    let sharded = |shards| CertBackendKind::Sharded { shards };
     let paths = [CommitPath::Synchronous, CommitPath::Pipelined];
 
     // Locking policy: multi-version vs conservative 2PL, centralized.
@@ -251,45 +239,29 @@ pub fn catalogue() -> Vec<Point> {
     let cfg = recovery(FaultPlan::flapping_crash(2, first_kill, stagger, 2));
     add("ablation_recovery", "clients_2000_flap2_period10s".to_string(), cfg, None);
 
-    // The certification ablation at the paper-scale operating point: 2000
-    // clients keep a wide conflict window open, which is where the linear
-    // scan's O(window) cost and the index's O(request) probes diverge.
-    // Decisions are bit-identical across backends; tpm/latency and the
-    // scan-vs-probe work ledger are the comparison.
-    for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
-        let cfg = paper_scale(600).with_cert_backend(kind);
-        add("ablation_cert_backend", format!("clients_2000_{}", kind.name()), cfg, None);
-    }
-
-    // The post-PR-2 question: once the conflict check is indexed, the serial
-    // certifier is the remaining wall — where does throughput saturate when
-    // certification itself goes N-way parallel? Every backend crossed with
-    // client counts from the paper's 2000 up to 10000. Decisions are
-    // bit-identical everywhere; what moves is the certification *critical
-    // path* (most-loaded shard + merge).
+    // The certification ablation from the paper's 2000 clients up to 10000:
+    // more clients keep a wider conflict window open, which is where the
+    // linear scan's O(window) cost and the index's O(request) probes
+    // diverge. Decisions are bit-identical across backends; tpm/latency and
+    // the scan-vs-probe work ledger are the comparison.
     for clients in [2000usize, 5000, 10000] {
-        let linear_and_indexed = [CertBackendKind::Linear, CertBackendKind::Indexed];
-        for kind in linear_and_indexed.into_iter().chain([2, 4, 8, 16].map(sharded)) {
-            let (name, shards) = row_label(kind);
+        for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
             let cfg =
                 ExperimentConfig::replicated(3, clients).with_target(600).with_cert_backend(kind);
-            let id = format!("clients_{clients}_{name}");
-            add("ablation_cert_sharding", id, cfg, Some((&name, shards)));
+            let id = format!("clients_{clients}_{}", kind.name());
+            add("ablation_cert_backend", id, cfg, Some(kind.name()));
         }
     }
 
-    // The pipeline sweep: synchronous vs pipelined commit path at each shard
-    // count. This is where the delivery loop itself is the wall — how much
-    // of the certification stall does the tentative-delivery overlap
-    // actually remove, and do the shard servers queue?
+    // The pipeline sweep: synchronous vs pipelined commit path. This is
+    // where the delivery loop itself is the wall — how much of the
+    // certification stall does the tentative-delivery overlap actually
+    // remove, and does the speculative FIFO queue?
     for clients in [20000usize, 50000] {
         for path in paths {
-            for kind in [CertBackendKind::Indexed, sharded(8), sharded(16)] {
-                let (name, shards) = row_label(kind);
-                let cfg = scale_out(3, clients).with_cert_backend(kind).with_commit_path(path);
-                let id = format!("clients_{clients}_{name}_{}", path.name());
-                add("ablation_cert_pipeline", id, cfg, Some((&name, shards)));
-            }
+            let cfg = scale_out(3, clients).with_commit_path(path);
+            let id = format!("clients_{clients}_indexed_{}", path.name());
+            add("ablation_cert_pipeline", id, cfg, Some("indexed"));
         }
     }
 
@@ -310,7 +282,7 @@ pub fn catalogue() -> Vec<Point> {
             let label = if factor >= sites { "full".to_string() } else { factor.to_string() };
             let cfg = scale_out(sites, 12_000).with_replication_factor(factor);
             let id = format!("sites_{sites}_rf_{label}");
-            add("ablation_partial_replication", id, cfg, Some(("indexed", 1)));
+            add("ablation_partial_replication", id, cfg, Some("indexed"));
         }
     }
 
@@ -328,7 +300,7 @@ pub fn catalogue() -> Vec<Point> {
                 let cfg =
                     scale_out(sites, 12_000).with_replication_factor(factor).with_commit_path(path);
                 let id = format!("sites_{sites}_rf_{factor}_{}", path.name());
-                add("ablation_vote_wire", id, cfg, Some(("indexed", 1)));
+                add("ablation_vote_wire", id, cfg, Some("indexed"));
             }
         }
     }
@@ -354,7 +326,7 @@ pub fn catalogue() -> Vec<Point> {
             };
             let cfg = scale_out(6, 12_000).with_replication_factor(factor).with_faults(plan);
             let id = format!("rf_{factor}_crash_{crashes}");
-            add("ablation_replacement", id, cfg, Some((&format!("churn{crashes}"), 1)));
+            add("ablation_replacement", id, cfg, Some(&format!("churn{crashes}")));
         }
     }
     points
@@ -420,7 +392,7 @@ pub fn run(filters: &[String]) -> std::io::Result<()> {
             keep_latest(&mut paper_rows, row);
         }
     }
-    merge("ablation_cert_sharding", &cert_rows)?;
+    merge("ablation_cert_backend", &cert_rows)?;
     merge("paper", &paper_rows)
 }
 
@@ -435,13 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn catalogue_has_141_uniquely_named_points_in_13_groups() {
+    fn catalogue_has_uniquely_named_points_in_contiguous_groups() {
         let names = names();
-        assert_eq!(names.len(), 141);
-        assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), 141, "duplicate group/id");
+        assert_eq!(names.len(), 119);
+        assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), 119, "duplicate group/id");
         let mut groups: Vec<&str> = catalogue().iter().map(|p| p.group).collect();
         groups.dedup();
-        assert_eq!(groups.len(), 13, "groups are contiguous: {groups:?}");
+        assert_eq!(groups.len(), 12, "groups are contiguous: {groups:?}");
     }
 
     /// The `(key, config_hash)` of every row point of one artifact, as its
@@ -469,7 +441,7 @@ mod tests {
     #[test]
     fn row_points_are_exactly_the_committed_artifact() {
         let cert = include_str!("../../../BENCH_cert.json");
-        row_points_are_the_artifact(cert, Point::cert_row, (61, 54));
+        row_points_are_the_artifact(cert, Point::cert_row, (41, 34));
         let paper = include_str!("../../../BENCH_paper.json");
         row_points_are_the_artifact(paper, Point::paper_row, (49, 49));
     }

@@ -3,7 +3,7 @@
 //! The DBSM conflict check (§3.3) is a pure function of the totally ordered
 //! request stream, so *how* the write history is organized is an
 //! implementation choice as long as every backend reaches bit-identical
-//! decisions. [`CertBackend`] captures the contract; three implementations
+//! decisions. [`CertBackend`] captures the contract; two implementations
 //! are provided:
 //!
 //! * [`LinearCertifier`] — the paper-faithful ordered-merge scan of every
@@ -14,28 +14,23 @@
 //!   any-writer interval lists, so certification probes only the request's
 //!   own keys. Cost is O(request) `probes`, independent of the window. This
 //!   is the default.
-//! * [`ShardedCertifier`](crate::ShardedCertifier) — the same index split
-//!   into N keyed shards plus a spill shard, probed per request only where
-//!   its read-set lands, and priced by the most-loaded shard (critical
-//!   path) instead of the serial sum.
 //!
-//! The indexed and sharded backends are one generic
-//! [`HistoryCertifier`](crate::HistoryCertifier) instantiated at different
-//! [`IndexPlacement`](crate::IndexPlacement)s, so they share the history
-//! window, gc semantics and the speculative certify/confirm pipeline; a
-//! property test (`tests/properties.rs`) and this module's equivalence
-//! tests hold every backend to identical outcome streams on the same
-//! totally ordered input, and the smoke test runs each backend's 3-replica
-//! experiment bit-reproducibly.
+//! The indexed backend is the generic
+//! [`HistoryCertifier`](crate::HistoryCertifier) at the
+//! [`UnifiedPlacement`], which it shares — history window, gc semantics and
+//! the speculative certify/confirm pipeline — with the span-restricted
+//! certifier of partial replication; a property test
+//! (`tests/properties.rs`) and this module's equivalence tests hold both
+//! backends to identical outcome streams on the same totally ordered input,
+//! and the smoke test runs each backend's 3-replica experiment
+//! bit-reproducibly.
 
 use crate::certifier::{CertWork, HistoryTruncated, LinearCertifier, Outcome};
 use crate::placement::{
-    evict_front, first_above, HistoryCertifier, IndexPlacement, ShardLoads, SpecProbe,
-    SpecResolution, TableIndex,
+    evict_front, first_above, HistoryCertifier, IndexPlacement, SpecResolution, TableIndex,
 };
 use crate::request::CertRequest;
 use crate::rwset::RwSet;
-use crate::sharded::ShardedCertifier;
 use crate::tuple::TableId;
 use std::collections::HashMap;
 
@@ -75,13 +70,6 @@ pub trait CertBackend {
     /// be certified.
     fn low_water(&self) -> u64;
 
-    /// Number of parallel index servers certification probes are spread
-    /// over — what a queueing simulation provisions as shard servers.
-    /// Backends without parallel placement report 1.
-    fn servers(&self) -> usize {
-        1
-    }
-
     /// Deep-copies the certifier behind the trait object. This is the donor
     /// half of a rejoin state transfer: a live site snapshots its certifier
     /// at the transfer cut and ships the copy to the rejoining site, which
@@ -94,8 +82,8 @@ pub trait CertBackend {
     /// [`HistoryCertifier::speculate`](crate::HistoryCertifier::speculate).
     /// The default performs no speculation, so
     /// [`CertBackend::confirm`] degenerates to a full synchronous certify.
-    fn speculate(&mut self, _req: &CertRequest) -> SpecProbe {
-        SpecProbe::default()
+    fn speculate(&mut self, _req: &CertRequest) -> CertWork {
+        CertWork::default()
     }
 
     /// Resolves a request at total-order delivery time against its
@@ -171,11 +159,7 @@ impl<P: IndexPlacement + Clone + 'static> CertBackend for HistoryCertifier<P> {
         HistoryCertifier::low_water(self)
     }
 
-    fn servers(&self) -> usize {
-        HistoryCertifier::servers(self)
-    }
-
-    fn speculate(&mut self, req: &CertRequest) -> SpecProbe {
+    fn speculate(&mut self, req: &CertRequest) -> CertWork {
         HistoryCertifier::speculate(self, req)
     }
 
@@ -200,15 +184,6 @@ pub enum CertBackendKind {
     /// default: same decisions as the linear scan at O(request) cost.
     #[default]
     Indexed,
-    /// The N-way sharded index ([`ShardedCertifier`]) with critical-path
-    /// cost accounting. Constructed through
-    /// [`CertBackendKind::new_backend`] it shards by the generic
-    /// [`row_shard_key`](crate::row_shard_key); deployments install a
-    /// workload-aware key via [`ShardedCertifier::with_key`].
-    Sharded {
-        /// Number of keyed shards (a spill shard is added on top).
-        shards: usize,
-    },
 }
 
 impl CertBackendKind {
@@ -217,7 +192,6 @@ impl CertBackendKind {
         match self {
             CertBackendKind::Linear => Box::new(LinearCertifier::new()),
             CertBackendKind::Indexed => Box::new(IndexedCertifier::new()),
-            CertBackendKind::Sharded { shards } => Box::new(ShardedCertifier::new(shards)),
         }
     }
 
@@ -226,7 +200,6 @@ impl CertBackendKind {
         match self {
             CertBackendKind::Linear => "linear",
             CertBackendKind::Indexed => "indexed",
-            CertBackendKind::Sharded { .. } => "sharded",
         }
     }
 }
@@ -248,45 +221,45 @@ pub struct UnifiedPlacement {
 
 impl UnifiedPlacement {
     /// The probe loop with an id filter: entries rejected by `local` are
-    /// skipped without bumping `loads` — a partially replicating site
+    /// skipped without counting a probe — a partially replicating site
     /// ([`SpanPlacement`](crate::SpanPlacement)) performs *no* work for
     /// tuples outside its span. The unfiltered placement passes `|_| true`.
     pub(crate) fn probe_where(
         &self,
         read_set: &RwSet,
         start_seq: u64,
-        loads: &mut ShardLoads,
         mut local: impl FnMut(crate::TupleId) -> bool,
-    ) -> Option<u64> {
+    ) -> (Option<u64>, usize) {
         let mut earliest: Option<u64> = None;
         let mut note = |seq: Option<u64>| {
             if let Some(s) = seq {
                 earliest = Some(earliest.map_or(s, |e| e.min(s)));
             }
         };
+        let mut probes = 0;
         for id in read_set.ids() {
             if !local(*id) {
                 continue;
             }
             // The table lookup itself is one probe.
-            loads.bump(0, 1);
+            probes += 1;
             let Some(table) = self.tables.get(&id.table()) else { continue };
             if id.is_table_level() {
                 // A wildcard read conflicts with any concurrent write to the
                 // table.
-                loads.bump(0, 1);
+                probes += 1;
                 note(first_above(&table.any_writer, start_seq));
             } else {
                 // A row read conflicts with concurrent writes to that row or
                 // with a concurrent table-level write.
-                loads.bump(0, 2);
+                probes += 2;
                 note(first_above(&table.wildcard, start_seq));
                 if let Some(rows) = table.rows.get(&id.row()) {
                     note(rows.first_above(start_seq));
                 }
             }
         }
-        earliest
+        (earliest, probes)
     }
 
     /// [`IndexPlacement::index_writes`] with an id filter: only entries
@@ -366,12 +339,8 @@ impl UnifiedPlacement {
 }
 
 impl IndexPlacement for UnifiedPlacement {
-    fn servers(&self) -> usize {
-        1
-    }
-
-    fn probe(&self, read_set: &RwSet, start_seq: u64, loads: &mut ShardLoads) -> Option<u64> {
-        self.probe_where(read_set, start_seq, loads, |_| true)
+    fn probe(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, usize) {
+        self.probe_where(read_set, start_seq, |_| true)
     }
 
     fn index_writes(&mut self, seq: u64, writes: &RwSet) {
@@ -490,9 +459,9 @@ mod tests {
     #[test]
     fn three_replicas_per_backend_stay_identical() {
         // The deterministic multi-replica check of the linear certifier,
-        // replayed across backend kinds: replicas of every kind (including
-        // two shard counts) fed the same totally ordered stream all agree
-        // with each other *and* across kinds.
+        // replayed across backend kinds: replicas of every kind fed the same
+        // totally ordered stream all agree with each other *and* across
+        // kinds.
         let mut replicas: Vec<Box<dyn CertBackend>> = vec![
             CertBackendKind::Linear.new_backend(),
             CertBackendKind::Linear.new_backend(),
@@ -500,8 +469,6 @@ mod tests {
             CertBackendKind::Indexed.new_backend(),
             CertBackendKind::Indexed.new_backend(),
             CertBackendKind::Indexed.new_backend(),
-            CertBackendKind::Sharded { shards: 2 }.new_backend(),
-            CertBackendKind::Sharded { shards: 8 }.new_backend(),
         ];
         for r in &stream(300) {
             let outcomes: Vec<_> =
@@ -592,21 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn unified_placement_reports_single_server_accounting() {
-        // The unified index is one server: plain probe counts, no
-        // critical-path or fan-out fields — those belong to parallel
-        // placements (and to the shard-server queueing model built on them).
-        let mut c = IndexedCertifier::new();
-        assert_eq!(CertBackend::servers(&c), 1);
-        c.certify(&req(0, 1, 0, &[], &[id(1, 1)])).expect("write");
-        let (o, w) = c.certify(&req(1, 2, 0, &[id(1, 1)], &[])).expect("read");
-        assert_eq!(o, Outcome::Abort { conflict_seq: 1 });
-        assert!(w.probes > 0);
-        assert_eq!(w.critical_probes, 0);
-        assert_eq!(w.shards_touched, 0);
-    }
-
-    #[test]
     fn default_constructed_certifiers_are_valid() {
         // Regression: a derived Default would zero next_seq and make
         // last_committed() underflow; Default must agree with new().
@@ -622,12 +574,7 @@ mod tests {
         assert_eq!(CertBackendKind::default(), CertBackendKind::Indexed);
         assert_eq!(CertBackendKind::Linear.name(), "linear");
         assert_eq!(CertBackendKind::Indexed.name(), "indexed");
-        assert_eq!(CertBackendKind::Sharded { shards: 4 }.name(), "sharded");
-        for kind in [
-            CertBackendKind::Linear,
-            CertBackendKind::Indexed,
-            CertBackendKind::Sharded { shards: 4 },
-        ] {
+        for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
             let mut b = kind.new_backend();
             assert_eq!(b.last_committed(), 0);
             let (o, _) = b.certify(&req(0, 1, 0, &[], &[id(1, 1)])).expect("first");
@@ -647,11 +594,7 @@ mod tests {
         // independent of the original afterwards.
         let all = stream(400);
         let (prefix, suffix) = all.split_at(250);
-        for kind in [
-            CertBackendKind::Linear,
-            CertBackendKind::Indexed,
-            CertBackendKind::Sharded { shards: 4 },
-        ] {
+        for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
             let mut donor = kind.new_backend();
             for r in prefix {
                 donor.certify(r).expect("prefix");
@@ -661,7 +604,6 @@ mod tests {
             assert_eq!(rejoiner.last_committed(), donor.last_committed());
             assert_eq!(rejoiner.history_len(), donor.history_len());
             assert_eq!(rejoiner.low_water(), donor.low_water());
-            assert_eq!(rejoiner.servers(), donor.servers());
             for r in suffix {
                 let a = donor.certify(r).expect("donor").0;
                 let b = rejoiner.certify(r).expect("rejoiner").0;
@@ -679,11 +621,7 @@ mod tests {
         // Through the trait object — the way the cluster drives it — every
         // kind resolves speculations to the synchronous answer, including
         // the Linear default which simply misses into a full certify.
-        for kind in [
-            CertBackendKind::Linear,
-            CertBackendKind::Indexed,
-            CertBackendKind::Sharded { shards: 4 },
-        ] {
+        for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
             let mut sync = kind.new_backend();
             let mut pipe = kind.new_backend();
             for r in &stream(200) {

@@ -12,17 +12,17 @@
 //! [`LinearCertifier`] is the paper-faithful ordered-merge scan (re-exported
 //! as [`Certifier`], its historical name), [`IndexedCertifier`] — the
 //! default — answers the same conflict check from a per-table write-history
-//! index in O(request) probes, and [`ShardedCertifier`] partitions that
-//! index into N shards by a [`ShardKeyFn`] and reports critical-path cost
-//! for parallel certification. All three produce bit-identical decisions;
-//! select one with [`CertBackendKind`].
+//! index in O(request) probes. Both produce bit-identical decisions; select
+//! one with [`CertBackendKind`].
 //!
-//! The indexed and sharded backends are one generic [`HistoryCertifier`]
-//! instantiated at different [`IndexPlacement`] strategies
-//! ([`UnifiedPlacement`] / [`ShardedPlacement`]), which also hosts the
-//! speculative certify/confirm pipeline ([`HistoryCertifier::speculate`] /
-//! [`HistoryCertifier::confirm`]) used by the pipelined commit path to
-//! overlap certification with the total-order broadcast.
+//! The indexed backend and partial replication's span-restricted
+//! [`SpanCertifier`] are one generic [`HistoryCertifier`] instantiated at
+//! two [`IndexPlacement`] strategies ([`UnifiedPlacement`] /
+//! [`SpanPlacement`], whose spans a [`ShardKeyFn`] assigns), which also
+//! hosts the speculative certify/confirm pipeline
+//! ([`HistoryCertifier::speculate`] / [`HistoryCertifier::confirm`]) used by
+//! the pipelined commit path to overlap certification with the total-order
+//! broadcast.
 //!
 //! This crate is deliberately free of any simulation dependency: it is the
 //! code "under test", driven identically by the simulation bridge and by
@@ -55,18 +55,16 @@ mod marshal;
 mod placement;
 mod request;
 mod rwset;
-mod sharded;
 mod span;
 mod tuple;
 
 pub use backend::{CertBackend, CertBackendKind, IndexedCertifier, UnifiedPlacement};
 pub use certifier::{CertWork, Certifier, HistoryTruncated, LinearCertifier, Outcome};
 pub use marshal::{marshal, marshalled_len, unmarshal, UnmarshalError, HEADER_LEN};
-pub use placement::{HistoryCertifier, IndexPlacement, ShardLoads, SpecProbe, SpecResolution};
+pub use placement::{HistoryCertifier, IndexPlacement, SpecResolution};
 pub use request::CertRequest;
 pub use rwset::RwSet;
-pub use sharded::{row_shard_key, ShardKeyFn, ShardedCertifier, ShardedPlacement};
-pub use span::{merge_votes, SpanCertifier, SpanPlacement};
+pub use span::{merge_votes, ShardKeyFn, SpanCertifier, SpanPlacement};
 pub use tuple::{TableId, TupleId, ROW_BITS, ROW_MASK};
 
 /// Identifier of a database site (replica).

@@ -1,11 +1,11 @@
-//! The index-placement abstraction behind the unified and sharded
+//! The index-placement abstraction behind the indexed and span-restricted
 //! certifiers, and the generic history certifier written once over it.
 //!
 //! [`IndexedCertifier`](crate::IndexedCertifier) and
-//! [`ShardedCertifier`](crate::ShardedCertifier) differ only in *where* a
-//! committed write lands in the probe index and *which* index servers a read
-//! probes — the history window, sequence numbering, garbage collection and
-//! the speculative certify/confirm pipeline are identical. [`IndexPlacement`]
+//! [`SpanCertifier`](crate::SpanCertifier) differ only in *which* committed
+//! writes land in the probe index and *which* read-set entries are probed —
+//! the history window, sequence numbering, garbage collection and the
+//! speculative certify/confirm pipeline are identical. [`IndexPlacement`]
 //! captures exactly the varying part; [`HistoryCertifier`] supplies the
 //! invariant scaffolding once, so the optimistic pipeline below lands in a
 //! single place instead of being duplicated per backend.
@@ -41,7 +41,6 @@
 use crate::certifier::{CertWork, HistoryTruncated, Outcome};
 use crate::request::CertRequest;
 use crate::rwset::RwSet;
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 /// Per-table slice of the write-history index.
@@ -143,69 +142,19 @@ impl RowSeqs {
     }
 }
 
-/// Reusable per-request probe accounting: a probe counter per index server
-/// plus the list of servers touched, reset after every request instead of
-/// reallocated — the certification hot path performs no per-request
-/// allocations.
-#[derive(Debug, Clone, Default)]
-pub struct ShardLoads {
-    /// Probe count per server for the request in flight.
-    probes: Vec<usize>,
-    /// Servers with a non-zero counter, so resetting is O(touched).
-    touched: Vec<usize>,
-}
-
-impl ShardLoads {
-    /// Creates accounting sized for `servers` index servers.
-    pub fn new(servers: usize) -> Self {
-        ShardLoads { probes: vec![0; servers], touched: Vec::with_capacity(servers) }
-    }
-
-    /// Adds `n` probes to `server`'s counter for the request in flight.
-    pub fn bump(&mut self, server: usize, n: usize) {
-        if self.probes[server] == 0 {
-            self.touched.push(server);
-        }
-        self.probes[server] += n;
-    }
-
-    /// The `(server, probes)` pairs accumulated so far, in touch order.
-    pub fn snapshot(&self) -> Vec<(usize, usize)> {
-        self.touched.iter().map(|&s| (s, self.probes[s])).collect()
-    }
-
-    /// Folds the counters into a [`CertWork`] and resets for the next
-    /// request.
-    pub fn drain(&mut self) -> CertWork {
-        let mut work = CertWork::default();
-        for &s in &self.touched {
-            work.probes += self.probes[s];
-            work.critical_probes = work.critical_probes.max(self.probes[s]);
-            self.probes[s] = 0;
-        }
-        work.shards_touched = self.touched.len();
-        self.touched.clear();
-        work
-    }
-}
-
-/// Where committed writes are indexed and which index servers a read-set
-/// probes — the only part that differs between the unified and sharded
-/// certifiers. [`HistoryCertifier`] supplies everything else.
+/// Which committed writes are indexed and which read-set entries are
+/// probed — the only part that differs between the indexed and
+/// span-restricted certifiers. [`HistoryCertifier`] supplies everything
+/// else.
 ///
-/// Implementations must be deterministic: the placement may move entries
-/// between servers freely, but the conflict answer returned by
-/// [`IndexPlacement::probe`] must equal the linear scan's first hit for
-/// every placement.
+/// Implementations must be deterministic, and over the tuples they index
+/// the conflict answer returned by [`IndexPlacement::probe`] must equal the
+/// linear scan's first hit.
 pub trait IndexPlacement {
-    /// Number of parallel index servers probes are spread over (1 for the
-    /// unified index; keyed shards plus the spill shard when sharded).
-    fn servers(&self) -> usize;
-
     /// Probes for the lowest sequence number strictly above `start_seq`
-    /// whose indexed write-set intersects `read_set`, bumping `loads` once
-    /// per index probe on the server that performs it.
-    fn probe(&self, read_set: &RwSet, start_seq: u64, loads: &mut ShardLoads) -> Option<u64>;
+    /// whose indexed write-set intersects `read_set`, returning it together
+    /// with the number of index probes performed.
+    fn probe(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, usize);
 
     /// Indexes a committed write-set under `seq` (sequence numbers arrive
     /// strictly increasing).
@@ -226,18 +175,6 @@ struct Speculation {
     basis: u64,
     /// The speculative conflict, if one was found.
     conflict: Option<u64>,
-}
-
-/// Probe accounting returned by [`HistoryCertifier::speculate`]: the work
-/// performed plus the per-server load split a queueing simulation feeds to
-/// its shard servers.
-#[derive(Debug, Clone, Default)]
-pub struct SpecProbe {
-    /// Probe accounting for the speculative pass.
-    pub work: CertWork,
-    /// `(server, probes)` pairs: how many index probes each placement
-    /// server absorbed for this request.
-    pub loads: Vec<(usize, usize)>,
 }
 
 /// How [`HistoryCertifier::confirm`] resolved a request against its
@@ -265,7 +202,7 @@ pub enum SpecResolution {
 ///
 /// Use through its concrete aliases
 /// [`IndexedCertifier`](crate::IndexedCertifier) and
-/// [`ShardedCertifier`](crate::ShardedCertifier).
+/// [`SpanCertifier`](crate::SpanCertifier).
 #[derive(Debug, Clone)]
 pub struct HistoryCertifier<P> {
     /// The probe index — the part that varies per backend.
@@ -279,23 +216,18 @@ pub struct HistoryCertifier<P> {
     low_water: u64,
     /// Outstanding speculations keyed by `(site, txn)`.
     specs: HashMap<(u16, u64), Speculation>,
-    /// Reused probe accounting (interior mutability because read-only
-    /// validation certifies through `&self`).
-    scratch: RefCell<ShardLoads>,
 }
 
 impl<P: IndexPlacement> HistoryCertifier<P> {
     /// Wraps a placement in the shared certification scaffolding; the first
     /// committed transaction receives sequence number 1.
     pub fn from_placement(place: P) -> Self {
-        let scratch = RefCell::new(ShardLoads::new(place.servers()));
         HistoryCertifier {
             place,
             history: VecDeque::new(),
             next_seq: 1,
             low_water: 0,
             specs: HashMap::new(),
-            scratch,
         }
     }
 
@@ -311,14 +243,12 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
         for (seq, writes) in &self.history {
             place.index_writes(*seq, writes);
         }
-        let scratch = RefCell::new(ShardLoads::new(place.servers()));
         HistoryCertifier {
             place,
             history: self.history.clone(),
             next_seq: self.next_seq,
             low_water: self.low_water,
             specs: HashMap::new(),
-            scratch,
         }
     }
 
@@ -337,30 +267,16 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
         self.low_water
     }
 
-    /// Number of parallel index servers the placement spreads probes over.
-    pub fn servers(&self) -> usize {
-        self.place.servers()
-    }
-
     /// Outstanding speculations (bounded by requests in flight between
     /// tentative and total-order delivery).
     pub fn speculations(&self) -> usize {
         self.specs.len()
     }
 
-    /// Probes the placement, folding per-server accounting into one
-    /// [`CertWork`]. A single-server placement reports plain `probes` only:
-    /// critical-path and fan-out accounting are properties of parallel
-    /// placements.
+    /// Probes the placement, reporting the probe count as [`CertWork`].
     fn probe_conflicts(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, CertWork) {
-        let mut scratch = self.scratch.borrow_mut();
-        let conflict = self.place.probe(read_set, start_seq, &mut scratch);
-        let mut work = scratch.drain();
-        if self.place.servers() == 1 {
-            work.critical_probes = 0;
-            work.shards_touched = 0;
-        }
-        (conflict, work)
+        let (conflict, probes) = self.place.probe(read_set, start_seq);
+        (conflict, CertWork { probes, ..CertWork::default() })
     }
 
     /// Appends a commit: assigns the next sequence number and indexes the
@@ -442,30 +358,17 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
     /// recording the answer for [`HistoryCertifier::confirm`]. Never
     /// mutates the index, so it is safe at any interleaving; requests whose
     /// snapshot already fell below the low-water mark are probed but not
-    /// recorded (their confirm re-checks and reports truncation).
-    pub fn speculate(&mut self, req: &CertRequest) -> SpecProbe {
-        let (loads, work) = {
-            let mut scratch = self.scratch.borrow_mut();
-            let conflict = self.place.probe(&req.read_set, req.start_seq, &mut scratch);
-            let loads = scratch.snapshot();
-            let mut work = scratch.drain();
-            if self.place.servers() == 1 {
-                work.critical_probes = 0;
-                work.shards_touched = 0;
-            }
-            if req.start_seq >= self.low_water {
-                self.specs.insert(
-                    (req.site.0, req.txn),
-                    Speculation {
-                        start_seq: req.start_seq,
-                        basis: self.last_committed(),
-                        conflict,
-                    },
-                );
-            }
-            (loads, work)
-        };
-        SpecProbe { work, loads }
+    /// recorded (their confirm re-checks and reports truncation). Returns
+    /// the work of the speculative probe.
+    pub fn speculate(&mut self, req: &CertRequest) -> CertWork {
+        let (conflict, work) = self.probe_conflicts(&req.read_set, req.start_seq);
+        if req.start_seq >= self.low_water {
+            self.specs.insert(
+                (req.site.0, req.txn),
+                Speculation { start_seq: req.start_seq, basis: self.last_committed(), conflict },
+            );
+        }
+        work
     }
 
     /// Resolves a request at total-order delivery time against its
@@ -588,7 +491,7 @@ mod tests {
     use super::*;
     use crate::certifier::LinearCertifier;
     use crate::tuple::{TableId, TupleId};
-    use crate::{IndexedCertifier, ShardedCertifier, SiteId};
+    use crate::{IndexedCertifier, SiteId};
 
     fn id(t: u16, r: u64) -> TupleId {
         TupleId::new(TableId(t), r)
@@ -661,9 +564,7 @@ mod tests {
         let mut c = IndexedCertifier::new();
         c.certify(&req(0, 1, 0, &[], &[id(1, 1)])).expect("seed"); // seq 1
         let r = req(1, 2, 1, &[id(1, 2)], &[id(1, 2)]);
-        let probe = c.speculate(&r);
-        assert!(probe.work.probes > 0, "speculation does the probe work");
-        assert_eq!(probe.loads, vec![(0, probe.work.probes)]);
+        assert!(c.speculate(&r).probes > 0, "speculation does the probe work");
         let (o, w, res) = c.confirm(&r).expect("confirm");
         assert_eq!(o, Outcome::Commit(2));
         assert_eq!(res, SpecResolution::Hit);
@@ -713,7 +614,7 @@ mod tests {
 
     #[test]
     fn confirm_without_speculation_is_a_full_certify() {
-        let mut c = ShardedCertifier::new(4);
+        let mut c = IndexedCertifier::new();
         c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("writer");
         let r = req(1, 2, 0, &[id(1, 5)], &[]);
         let (o, w, res) = c.confirm(&r).expect("confirm");
@@ -725,9 +626,10 @@ mod tests {
     #[test]
     fn pipelined_stream_matches_synchronous_certifier() {
         // Interleave speculate arbitrarily early, confirm in total order,
-        // with gc mixed in: outcomes match a synchronous twin bit for bit.
-        let mut sync = IndexedCertifier::new();
-        let mut pipe = ShardedCertifier::new(3);
+        // with gc mixed in: outcomes match the synchronous linear scan bit
+        // for bit.
+        let mut sync = LinearCertifier::new();
+        let mut pipe = IndexedCertifier::new();
         let mut x = 0xd1b5_4a32_d192_ed03u64;
         let mut rng = move || {
             x ^= x << 13;

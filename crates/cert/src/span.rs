@@ -36,10 +36,18 @@
 //! random streams, placements and gc interleavings.
 
 use crate::backend::UnifiedPlacement;
-use crate::placement::{HistoryCertifier, IndexPlacement, ShardLoads};
+use crate::placement::{HistoryCertifier, IndexPlacement};
 use crate::rwset::RwSet;
-use crate::sharded::ShardKeyFn;
 use crate::tuple::TupleId;
+
+/// Maps a tuple to the span (partition of the tuple space) that stores it,
+/// or `None` for tuples every replica stores.
+///
+/// The function must be **pure** — same tuple, same span — so every replica
+/// of a placement agrees on who owns what. For the TPC-C workload the span
+/// is the 0-based home warehouse
+/// (`dbsm_tpcc::schema::home_warehouse_shard_key`).
+pub type ShardKeyFn = fn(TupleId) -> Option<u64>;
 
 /// An [`IndexPlacement`] restricted to a set of owned spans: committed
 /// writes are indexed — and read-sets probed — only for tuples whose
@@ -89,12 +97,8 @@ impl SpanPlacement {
 }
 
 impl IndexPlacement for SpanPlacement {
-    fn servers(&self) -> usize {
-        1
-    }
-
-    fn probe(&self, read_set: &RwSet, start_seq: u64, loads: &mut ShardLoads) -> Option<u64> {
-        self.inner.probe_where(read_set, start_seq, loads, |id| self.is_local(id))
+    fn probe(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, usize) {
+        self.inner.probe_where(read_set, start_seq, |id| self.is_local(id))
     }
 
     fn index_writes(&mut self, seq: u64, writes: &RwSet) {

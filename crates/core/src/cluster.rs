@@ -7,8 +7,8 @@ use crate::experiment::{CertCostModel, CommitPath, ExperimentConfig};
 use crate::metrics::{RejoinRecord, RunMetrics, SiteUsage};
 use crate::placement::PlacementMap;
 use dbsm_cert::{
-    marshal, merge_votes, unmarshal, CertBackend, CertBackendKind, CertRequest, IndexedCertifier,
-    Outcome as CertOutcome, RwSet, ShardedCertifier, SiteId, SpanCertifier, SpanPlacement,
+    marshal, merge_votes, unmarshal, CertBackend, CertRequest, IndexedCertifier,
+    Outcome as CertOutcome, RwSet, SiteId, SpanCertifier, SpanPlacement,
 };
 use dbsm_db::{DbEngine, Outcome, TransactionSpec, TxnId};
 use dbsm_fault::FaultSpec;
@@ -18,7 +18,7 @@ use dbsm_net::{
     WindowedBurst,
 };
 use dbsm_sim::{
-    derive_seed, derive_seed_indexed, CpuBank, ProfilerMode, RealContext, ServerBank, Sim, SimTime,
+    derive_seed, derive_seed_indexed, CpuBank, ProfilerMode, RealContext, Sim, SimTime,
 };
 use dbsm_tpcc::{TpccConfig, TpccGen, TxnClass};
 use std::cell::RefCell;
@@ -79,11 +79,10 @@ struct SiteState {
     /// warehouses the [`PlacementMap`] assigns here. `None` (full
     /// replication) routes everything through `certifier`.
     span: Option<SpanCertifier>,
-    /// One FIFO shard server per certifier placement server: speculative
-    /// probe work queues here, so same-shard requests serialize and shard
-    /// imbalance shows up as queueing latency (pipelined commit path).
-    servers: ServerBank,
-    /// When each speculation's shard-server fan-out completes, keyed by
+    /// When this site's speculative-certification FIFO drains (pipelined
+    /// commit path): see [`queue_speculation`].
+    spec_free_at: SimTime,
+    /// When each speculation's verdict is ready, keyed by
     /// `(origin site, txn)` — consulted at total-order confirmation.
     spec_ready: HashMap<(u16, u64), SimTime>,
     /// Partial replication: delivered updates awaiting a decision, in total
@@ -230,20 +229,44 @@ struct SiteHandles {
     host: HostId,
 }
 
-/// Instantiates the configured certification backend for one site. The
-/// sharded backend is keyed by the TPC-C `(table, home warehouse)` pair
-/// (rather than the generic row key) so shards align with the workload's
-/// locality axis *and* one request's per-table probe runs spread over
-/// distinct shards — the intra-request parallelism the critical-path price
-/// rewards. Tuples without a home warehouse — the shared item catalogue,
-/// the append-only history table — spill.
-fn site_backend(kind: CertBackendKind) -> Box<dyn CertBackend> {
-    match kind {
-        CertBackendKind::Sharded { shards } => Box::new(ShardedCertifier::with_key(
-            shards,
-            dbsm_tpcc::schema::table_warehouse_shard_key,
-        )),
-        other => other.new_backend(),
+/// Timing of one speculation accepted by [`queue_speculation`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SpecTiming {
+    /// When the verdict is ready for total-order confirmation.
+    ready_at: SimTime,
+    /// Time spent waiting behind earlier speculations.
+    queued: Duration,
+    /// Probe service time.
+    service: Duration,
+    /// Verdict folding time, after service.
+    merge: Duration,
+}
+
+/// Queues a speculative probe of `probes` index probes on a site's
+/// speculative-certification FIFO, which drains at `*free_at`. Speculations
+/// are served one at a time in arrival order with known service times, so
+/// the whole queue collapses into that one clock: the probe starts at
+/// `max(now, free_at)`, occupies the FIFO for its service time, and its
+/// verdict is ready one merge later. A speculation that probed nothing
+/// never enters the FIFO and is ready at once.
+fn queue_speculation(
+    free_at: &mut SimTime,
+    now: SimTime,
+    probes: usize,
+    costs: &CertCostModel,
+) -> SpecTiming {
+    if probes == 0 {
+        return SpecTiming { ready_at: now, ..SpecTiming::default() };
+    }
+    let start = (*free_at).max(now);
+    let service = costs.probe_service(probes);
+    *free_at = start + service;
+    let merge = costs.merge();
+    SpecTiming {
+        ready_at: *free_at + merge,
+        queued: start.saturating_duration_since(now),
+        service,
+        merge,
     }
 }
 
@@ -334,8 +357,7 @@ impl Cluster {
                 None
             };
             site_handles.push(SiteHandles { cpu, engine, bridge, host: *host });
-            let certifier = site_backend(cfg.cert_backend);
-            let servers = ServerBank::new(certifier.servers());
+            let certifier = cfg.cert_backend.new_backend();
             // Each site's span certifier indexes only the warehouses the
             // placement assigns it — the span key is the TPC-C home
             // warehouse, with warehouse-less tuples (the shared item
@@ -349,7 +371,7 @@ impl Cluster {
             site_states.push(SiteState {
                 certifier,
                 span,
-                servers,
+                spec_free_at: SimTime::ZERO,
                 spec_ready: HashMap::new(),
                 fifo: VecDeque::new(),
                 fifo_popped: 0,
@@ -425,8 +447,8 @@ impl Cluster {
                 Upcall::Tentative { payload, .. } => {
                     // Pipelined commit path: certify speculatively the moment
                     // the reliable layer completes the message, queueing the
-                    // probe work on the per-site shard servers so it overlaps
-                    // the total-order broadcast.
+                    // probe work on the site's speculative FIFO so it
+                    // overlaps the total-order broadcast.
                     if this.cfg.commit_path != CommitPath::Pipelined {
                         return;
                     }
@@ -453,18 +475,14 @@ impl Cluster {
                     let mut sh = this.shared.borrow_mut();
                     let sh = &mut *sh;
                     let st = &mut sh.sites[i];
-                    let probe = match &mut st.span {
+                    let work = match &mut st.span {
                         Some(span) if this.partial_map().is_some() => span.speculate(&req),
                         _ => st.certifier.speculate(&req),
                     };
-                    let fanout = st.servers.submit_fanout(
-                        now,
-                        probe.loads.iter().map(|&(srv, p)| (srv, this.costs.probe_service(p))),
-                    );
-                    let merge = this.costs.merge(fanout.servers);
-                    sh.metrics.cert_work.record_spec_probe(probe.work);
-                    sh.metrics.cert_work.record_queueing(fanout.queued, fanout.service, merge);
-                    st.spec_ready.insert((req.site.0, req.txn), fanout.ready_at + merge);
+                    let t = queue_speculation(&mut st.spec_free_at, now, work.probes, &this.costs);
+                    sh.metrics.cert_work.record_spec_probe(work);
+                    sh.metrics.cert_work.record_queueing(t.queued, t.service, t.merge);
+                    st.spec_ready.insert((req.site.0, req.txn), t.ready_at);
                 }
                 Upcall::Deliver { payload, .. } => {
                     let Ok(req) = unmarshal(payload) else { return };
@@ -504,8 +522,8 @@ impl Cluster {
                             // mutation, commit log and gc cadence must happen
                             // here, in the global sequence — tentative order
                             // differs per site — while the engine-side
-                            // decision waits for the shard servers to finish
-                            // the speculative probe work.
+                            // decision waits for the speculative FIFO to
+                            // finish the probe work.
                             let (outcome, work, pending, ready_at) = {
                                 let mut sh = this.shared.borrow_mut();
                                 let sh = &mut *sh;
@@ -837,7 +855,7 @@ impl Cluster {
             let delta_bytes = replayed * self.costs.delta_bytes_per_entry;
             st.ref_gap = packet.cut.saturating_sub(kept);
             st.certifier = packet.certifier;
-            st.servers = ServerBank::new(st.certifier.servers());
+            st.spec_free_at = SimTime::ZERO;
             if packet.span.is_some() {
                 st.span = packet.span;
                 // The seeded FIFO replaces the first incarnation's: the
@@ -1549,8 +1567,8 @@ impl Cluster {
             }
         }
         for (req, outcome, pending, ready_at) in popped {
-            // Pipelined deliveries wait out the speculative probe's shard
-            // servers; synchronous ones have no speculation and apply now.
+            // Pipelined deliveries wait out the speculative probe's FIFO;
+            // synchronous ones have no speculation and apply now.
             let delay = ready_at.map_or(Duration::ZERO, |t| t.saturating_duration_since(now));
             let this = self.clone();
             ctx.schedule(delay, move || this.apply_decision(site, req, outcome, pending));
@@ -1661,7 +1679,7 @@ impl Cluster {
     /// The order-sensitive half of a delivery: gc cadence, pending lookup
     /// and the per-site commit log. Must run in the global sequence — the
     /// pipelined path calls it at total-order confirmation even though the
-    /// engine-side decision may still be waiting on the shard servers.
+    /// engine-side decision may still be waiting on the speculative FIFO.
     fn decision_bookkeeping(
         &self,
         sh: &mut Shared,
@@ -1744,4 +1762,35 @@ impl std::fmt::Debug for Cluster {
 /// Builds and runs one experiment, returning its metrics.
 pub fn run_experiment(cfg: ExperimentConfig) -> RunMetrics {
     Cluster::build(cfg).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn speculations_queue_first_in_first_out() {
+        let costs = CertCostModel::default();
+        let at = SimTime::from_micros;
+        let (service, merge) = (costs.probe_service(100), costs.merge());
+        let mut free_at = SimTime::ZERO;
+        // The first speculation finds the FIFO idle: no wait.
+        let a = queue_speculation(&mut free_at, at(100), 100, &costs);
+        let ready_at = at(100) + service + merge;
+        assert_eq!(a, SpecTiming { ready_at, queued: Duration::ZERO, service, merge });
+        // A second one submitted during the first one's service queues
+        // behind it.
+        let b = queue_speculation(&mut free_at, at(101), 100, &costs);
+        assert_eq!(b.queued, at(100) + service - at(101));
+        assert_eq!(b.ready_at, at(100) + service + service + merge);
+        // One submitted after the queue drained waits zero.
+        let c = queue_speculation(&mut free_at, at(1_000), 100, &costs);
+        assert_eq!((c.queued, c.ready_at), (Duration::ZERO, at(1_000) + service + merge));
+        // A speculation that probed nothing is ready at once, with no merge,
+        // and leaves the FIFO untouched.
+        let before = free_at;
+        let d = queue_speculation(&mut free_at, at(1_001), 0, &costs);
+        assert_eq!(d, SpecTiming { ready_at: at(1_001), ..SpecTiming::default() });
+        assert_eq!(free_at, before);
+    }
 }

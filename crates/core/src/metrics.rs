@@ -55,15 +55,10 @@ impl ClassStats {
 /// Total certification work performed across all sites in one run — the
 /// observable that distinguishes the backends: the linear scan accumulates
 /// `history_scanned`/`comparisons`, the indexed backend accumulates
-/// `probes`, and the sharded backend splits its probes into the serial
-/// total (`probes`) and the critical path (`critical_probes`, the
-/// most-loaded shard of each request) with the shard fan-out
-/// (`shard_touches`). Decisions are identical either way; this is the cost
-/// ledger. Price the two views in nanoseconds with
-/// [`CertCostModel::total_work_ns`] and [`CertCostModel::critical_path_ns`].
+/// `probes`. Decisions are identical either way; this is the cost ledger.
+/// Price it in nanoseconds with [`CertCostModel::total_work_ns`].
 ///
 /// [`CertCostModel::total_work_ns`]: crate::CertCostModel::total_work_ns
-/// [`CertCostModel::critical_path_ns`]: crate::CertCostModel::critical_path_ns
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CertWorkTotals {
     /// Certifications performed (update + local read-only validations).
@@ -72,22 +67,15 @@ pub struct CertWorkTotals {
     pub history_scanned: u64,
     /// Ordered-merge comparison steps by linear scans.
     pub comparisons: u64,
-    /// Index lookups by the indexed and sharded backends (all shards).
+    /// Index lookups by the indexed and span-restricted certifiers.
     pub probes: u64,
-    /// Critical-path index lookups: each request contributes its
-    /// most-loaded shard's probes (sharded backend; zero otherwise).
-    pub critical_probes: u64,
-    /// Shards touched, summed over certifications (sharded backend; zero
-    /// otherwise).
-    pub shard_touches: u64,
     /// Nanoseconds speculative probe work spent *queued* behind earlier
-    /// requests on its critical shard server (pipelined runs; zero
-    /// otherwise) — the latency cost of shard imbalance.
+    /// speculations on its site's FIFO (pipelined runs; zero otherwise).
     pub queue_ns: u64,
-    /// Nanoseconds of critical-server probe *service* performed for
-    /// speculative certifications (pipelined runs; zero otherwise).
+    /// Nanoseconds of probe *service* performed for speculative
+    /// certifications (pipelined runs; zero otherwise).
     pub service_ns: u64,
-    /// Nanoseconds spent joining per-shard verdicts into outcomes
+    /// Nanoseconds spent folding speculative verdicts into outcomes
     /// (pipelined runs; zero otherwise).
     pub merge_ns: u64,
     /// Data-dependent certification nanoseconds charged inline to the
@@ -128,8 +116,6 @@ impl CertWorkTotals {
         self.history_scanned += work.history_scanned as u64;
         self.comparisons += work.comparisons as u64;
         self.probes += work.probes as u64;
-        self.critical_probes += work.critical_probes as u64;
-        self.shard_touches += work.shards_touched as u64;
     }
 
     /// Accumulates one partial-replication certification's span coverage:
@@ -146,11 +132,9 @@ impl CertWorkTotals {
         self.history_scanned += work.history_scanned as u64;
         self.comparisons += work.comparisons as u64;
         self.probes += work.probes as u64;
-        self.critical_probes += work.critical_probes as u64;
-        self.shard_touches += work.shards_touched as u64;
     }
 
-    /// Accumulates one speculative fan-out's latency decomposition.
+    /// Accumulates one speculation's latency decomposition.
     pub(crate) fn record_queueing(
         &mut self,
         queued: std::time::Duration,
@@ -191,47 +175,6 @@ impl CertWorkTotals {
         }
     }
 
-    /// Mean critical-path probes per certification (sharded runs).
-    pub fn mean_critical_probes(&self) -> f64 {
-        if self.certifications == 0 {
-            0.0
-        } else {
-            self.critical_probes as f64 / self.certifications as f64
-        }
-    }
-
-    /// Mean shards touched per certification (0 for unsharded backends).
-    pub fn mean_shards_touched(&self) -> f64 {
-        if self.certifications == 0 {
-            0.0
-        } else {
-            self.shard_touches as f64 / self.certifications as f64
-        }
-    }
-
-    /// Effective parallel speedup of the probe work: total probes over
-    /// critical-path probes. 1.0 means serial (including every unsharded
-    /// run); the ceiling is the mean shard fan-out.
-    pub fn parallel_speedup(&self) -> f64 {
-        if self.critical_probes == 0 {
-            1.0
-        } else {
-            self.probes as f64 / self.critical_probes as f64
-        }
-    }
-
-    /// Per-shard load imbalance: the mean shard fan-out divided by the
-    /// achieved speedup. 1.0 means every touched shard carried equal probe
-    /// load; larger values mean skew concentrated the work (0.0 when no
-    /// sharding was recorded).
-    pub fn shard_imbalance(&self) -> f64 {
-        if self.critical_probes == 0 || self.shard_touches == 0 {
-            0.0
-        } else {
-            self.mean_shards_touched() / self.parallel_speedup()
-        }
-    }
-
     fn mean_us(&self, ns: u64) -> f64 {
         if self.certifications == 0 {
             0.0
@@ -240,14 +183,14 @@ impl CertWorkTotals {
         }
     }
 
-    /// Mean microseconds per certification spent queued on the critical
-    /// shard server (0 for synchronous runs).
+    /// Mean microseconds per certification spent queued on the site's
+    /// speculative FIFO (0 for synchronous runs).
     pub fn mean_queue_us(&self) -> f64 {
         self.mean_us(self.queue_ns)
     }
 
-    /// Mean microseconds per certification of critical-server probe
-    /// service (0 for synchronous runs).
+    /// Mean microseconds per certification of speculative probe service
+    /// (0 for synchronous runs).
     pub fn mean_service_us(&self) -> f64 {
         self.mean_us(self.service_ns)
     }
@@ -779,10 +722,6 @@ mod tests {
         assert_eq!(t.probes, 8);
         assert!((t.mean_comparisons() - 6.0).abs() < 1e-12);
         assert!((t.mean_probes() - 4.0).abs() < 1e-12);
-        // Unsharded work reports serial parallelism and no imbalance.
-        assert_eq!(t.parallel_speedup(), 1.0);
-        assert_eq!(t.shard_imbalance(), 0.0);
-        assert_eq!(t.mean_shards_touched(), 0.0);
     }
 
     #[test]
@@ -905,33 +844,5 @@ mod tests {
         t.wait_ns = 2_000_000;
         assert!((t.mean_wait_ms() - 0.5).abs() < 1e-12);
         assert_eq!(VoteWireTotals::default().piggyback_rate(), 0.0);
-    }
-
-    #[test]
-    fn sharded_work_totals_report_speedup_and_imbalance() {
-        let mut t = CertWorkTotals::default();
-        // Request 1: 30 probes over 3 shards, worst 10 (balanced).
-        t.record(CertWork {
-            probes: 30,
-            critical_probes: 10,
-            shards_touched: 3,
-            ..CertWork::default()
-        });
-        // Request 2: 20 probes over 2 shards, worst 18 (skewed).
-        t.record(CertWork {
-            probes: 20,
-            critical_probes: 18,
-            shards_touched: 2,
-            ..CertWork::default()
-        });
-        assert_eq!(t.critical_probes, 28);
-        assert_eq!(t.shard_touches, 5);
-        assert!((t.mean_critical_probes() - 14.0).abs() < 1e-12);
-        assert!((t.mean_shards_touched() - 2.5).abs() < 1e-12);
-        let speedup = t.parallel_speedup();
-        assert!((speedup - 50.0 / 28.0).abs() < 1e-12);
-        let imbalance = t.shard_imbalance();
-        assert!(imbalance > 1.0, "skew shows up as imbalance {imbalance}");
-        assert!((imbalance - 2.5 / speedup).abs() < 1e-12);
     }
 }

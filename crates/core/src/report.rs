@@ -44,22 +44,11 @@ pub fn series_header(configs: &[&str]) -> String {
     out
 }
 
-/// Formats an ECDF as `value cumulative` pairs (gnuplot-ready).
-pub fn ecdf_lines(points: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    for (v, f) in points {
-        out.push_str(&format!("{v:>12.3} {f:>8.4}\n"));
-    }
-    out
-}
-
-/// One-line run summary. The `cert=` section reads
-/// `comparisons/probes/critical-path probes` (all means per certification)
-/// and `sh=` is the mean shard fan-out — 0 for unsharded backends, where
-/// the critical path equals the total. The `pipe=` section decomposes the
+/// One-line run summary. The `cert=` section reads `comparisons/probes`
+/// (means per certification). The `pipe=` section decomposes the
 /// certification latency into queue/service/merge microseconds on the
-/// shard servers plus the inline delivery-loop `st`all (all means per
-/// certification), and `spec=` tallies confirmations as
+/// site's speculative FIFO plus the inline delivery-loop `st`all (all means
+/// per certification), and `spec=` tallies confirmations as
 /// `hits/revalidated/rollbacks/misses` — all zero for synchronous runs
 /// except the stall, which is where the synchronous path pays the full
 /// conflict check. The trailing `span=` fraction is how much of the
@@ -82,7 +71,7 @@ pub fn ecdf_lines(points: &[(f64, f64)]) -> String {
 /// span without a live replica.
 pub fn summary_line(label: &str, m: &RunMetrics) -> String {
     format!(
-        "{label}: tpm={:.0} latency={:.1}ms aborts={:.2}% cpu={:.0}%/{:.2}% disk={:.0}% net={:.0}KB/s cert={:.1}cmp/{:.1}probe/{:.1}crit sh={:.2} pipe=q{:.1}/s{:.1}/m{:.1}/st{:.1}us spec={}/{}/{}/{} ann={}x{:.1}+{}pb vc={} dup={}/{} span={:.2} vote={}/{} wire=s{}/r{}/p{}/x{} wait={:.1}ms rec={}/{}sn {}+{}KB replay={} ttu={:.0}ms repl={}/{}sp {}KB recast={} serve={:.0}ms park={:.0}ms",
+        "{label}: tpm={:.0} latency={:.1}ms aborts={:.2}% cpu={:.0}%/{:.2}% disk={:.0}% net={:.0}KB/s cert={:.1}cmp/{:.1}probe pipe=q{:.1}/s{:.1}/m{:.1}/st{:.1}us spec={}/{}/{}/{} ann={}x{:.1}+{}pb vc={} dup={}/{} span={:.2} vote={}/{} wire=s{}/r{}/p{}/x{} wait={:.1}ms rec={}/{}sn {}+{}KB replay={} ttu={:.0}ms repl={}/{}sp {}KB recast={} serve={:.0}ms park={:.0}ms",
         m.tpm(),
         m.mean_latency_ms(),
         m.abort_rate(),
@@ -92,8 +81,6 @@ pub fn summary_line(label: &str, m: &RunMetrics) -> String {
         m.network_kbps(),
         m.cert_work.mean_comparisons(),
         m.cert_work.mean_probes(),
-        m.cert_work.mean_critical_probes(),
-        m.cert_work.mean_shards_touched(),
         m.cert_work.mean_queue_us(),
         m.cert_work.mean_service_us(),
         m.cert_work.mean_merge_us(),
@@ -153,12 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_lines_format() {
-        let s = ecdf_lines(&[(1.0, 0.5), (2.0, 1.0)]);
-        assert_eq!(s.lines().count(), 2);
-    }
-
-    #[test]
     fn summary_line_is_single_line() {
         let m = RunMetrics::new(1);
         assert_eq!(summary_line("x", &m).lines().count(), 1);
@@ -174,13 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn summary_line_reports_certification_critical_path() {
+    fn summary_line_reports_certification_work() {
         let mut m = RunMetrics::new(1);
         m.cert_work.certifications = 10;
+        m.cert_work.comparisons = 35;
         m.cert_work.probes = 120;
-        m.cert_work.critical_probes = 40;
-        m.cert_work.shard_touches = 25;
-        assert!(summary_line("x", &m).contains("cert=0.0cmp/12.0probe/4.0crit sh=2.50"));
+        let line = summary_line("x", &m);
+        assert!(line.contains("cert=3.5cmp/12.0probe pipe="), "{line}");
     }
 
     #[test]

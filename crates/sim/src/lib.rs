@@ -14,7 +14,7 @@
 //! * profiling modes ([`ProfilerMode`]): deterministic synthetic costs or
 //!   wall-clock measurement with the paper's clock-stop semantics;
 //! * deterministic seed derivation ([`derive_seed`]), summary
-//!   statistics/ECDF/Q-Q utilities ([`stats`]), and a bounded [`Trace`].
+//!   statistics/quantile/Q-Q utilities ([`stats`]), and a bounded [`Trace`].
 //!
 //! # Examples
 //!
@@ -41,7 +41,6 @@ mod event;
 mod profiler;
 mod rng;
 mod scheduler;
-mod server;
 pub mod stats;
 mod time;
 mod trace;
@@ -51,6 +50,5 @@ pub use event::EventId;
 pub use profiler::ProfilerMode;
 pub use rng::{derive_seed, derive_seed_indexed};
 pub use scheduler::Sim;
-pub use server::{Fanout, ServerBank, ServerJob};
 pub use time::{duration_to_nanos, scale_duration, SimTime};
 pub use trace::{Trace, TraceKind, TraceRecord};

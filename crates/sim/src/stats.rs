@@ -1,6 +1,6 @@
 //! Small statistics toolkit used by the experiment harness: summary
-//! statistics, percentiles, empirical CDFs (Fig. 7), and quantile-quantile
-//! pairs (Fig. 4).
+//! statistics, percentiles (Fig. 7 records its CDFs as fixed quantiles),
+//! and quantile-quantile pairs (Fig. 4).
 
 /// Running summary statistics (count, mean, variance via Welford, min/max).
 ///
@@ -99,7 +99,7 @@ impl Summary {
     }
 }
 
-/// A collection of samples supporting percentiles, ECDF and Q-Q extraction.
+/// A collection of samples supporting percentiles, CDF and Q-Q extraction.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
@@ -166,24 +166,6 @@ impl Samples {
     /// Convenience percentile in `[0, 100]`.
     pub fn percentile(&mut self, p: f64) -> Option<f64> {
         self.quantile(p / 100.0)
-    }
-
-    /// The empirical CDF evaluated at `points.len()` evenly spaced ranks:
-    /// returns `(value, cumulative_fraction)` pairs suitable for plotting
-    /// (paper Fig. 7a/7b).
-    pub fn ecdf(&mut self, points: usize) -> Vec<(f64, f64)> {
-        self.ensure_sorted();
-        if self.values.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let n = self.values.len();
-        (1..=points)
-            .map(|i| {
-                let frac = i as f64 / points as f64;
-                let idx = ((frac * n as f64).ceil() as usize).clamp(1, n) - 1;
-                (self.values[idx], frac)
-            })
-            .collect()
     }
 
     /// Fraction of samples ≤ `x`.
@@ -294,18 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_is_monotone() {
-        let mut s: Samples = (1..=100).map(f64::from).collect();
-        let e = s.ecdf(10);
-        assert_eq!(e.len(), 10);
-        for w in e.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 > w[0].1);
-        }
-        assert_eq!(e.last().expect("non-empty"), &(100.0, 1.0));
-    }
-
-    #[test]
     fn cdf_at_counts_fraction() {
         let mut s: Samples = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
         assert_eq!(s.cdf_at(0.5), 0.0);
@@ -327,7 +297,6 @@ mod tests {
         let mut s = Samples::new();
         assert!(s.is_empty());
         assert_eq!(s.quantile(0.5), None);
-        assert!(s.ecdf(5).is_empty());
         assert!(s.qq(&mut Samples::new(), 5).is_empty());
     }
 }

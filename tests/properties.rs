@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use dbsm_testbed::cert::{
-    marshal, unmarshal, CertRequest, Certifier, IndexedCertifier, RwSet, ShardKeyFn,
-    ShardedCertifier, SiteId, SpecResolution, TableId, TupleId,
+    marshal, unmarshal, CertRequest, Certifier, IndexedCertifier, RwSet, SiteId, SpecResolution,
+    TableId, TupleId,
 };
 use dbsm_testbed::gcs::{testkit::TestNet, AnnBatchPolicy, GcsConfig, NodeId, NodeSet};
 use dbsm_testbed::sim::stats::Samples;
@@ -274,71 +274,11 @@ proptest! {
     }
 
     #[test]
-    fn sharded_matches_linear_outcome_streams(
-        stream in prop::collection::vec(
-            (0u16..3, arb_rwset_with_wildcards(8), arb_rwset_with_wildcards(4), 0u64..6, 0u8..8),
-            1..96),
-        shards in 1usize..17,
-        key_kind in 0u8..4,
-    ) {
-        // The sharding tentpole's equivalence property: for EVERY shard
-        // count and EVERY key function — row-uniform, table-grouped,
-        // all-in-one-shard, all-spill — the sharded certifier's outcome
-        // stream is bit-identical to the linear scan's: same commit
-        // sequence numbers, same abort decisions, same conflict_seq on
-        // every abort, same HistoryTruncated rejections under interleaved
-        // gc, and the same read-only validation verdicts. The shard map may
-        // only move index entries around, never change a decision.
-        fn key_row(id: TupleId) -> Option<u64> { Some(id.row()) }
-        fn key_table(id: TupleId) -> Option<u64> { Some(u64::from(id.table().0)) }
-        fn key_const(_id: TupleId) -> Option<u64> { Some(7) }
-        fn key_none(_id: TupleId) -> Option<u64> { None }
-        let key: ShardKeyFn = match key_kind {
-            0 => key_row,
-            1 => key_table,
-            2 => key_const,
-            _ => key_none,
-        };
-        let mut linear = Certifier::new();
-        let mut sharded = ShardedCertifier::with_key(shards, key);
-        for (i, (site, reads, writes, back, gc_roll)) in stream.iter().enumerate() {
-            let start = linear.last_committed().saturating_sub(*back);
-            let req = CertRequest {
-                site: SiteId(*site), txn: i as u64, start_seq: start,
-                read_set: reads.clone(), write_set: writes.clone(), write_bytes: 0,
-            };
-            let ol = linear.certify(&req).map(|(o, _)| o);
-            let os = sharded.certify(&req).map(|(o, w)| {
-                // The work ledger's internal consistency rides along: the
-                // critical path can never exceed the total, and fan-out
-                // implies probes.
-                assert!(w.critical_probes <= w.probes, "critical > total at {i}");
-                assert!((w.shards_touched == 0) == (w.probes == 0), "fan-out/probe mismatch");
-                o
-            });
-            prop_assert_eq!(ol, os, "request {} diverged ({} shards, key {})",
-                i, shards, key_kind);
-            let (rl, _) = linear.certify_read_only(reads, start);
-            let (rs, _) = sharded.certify_read_only(reads, start);
-            prop_assert_eq!(rl, rs, "read-only validation {} diverged", i);
-            if *gc_roll == 0 {
-                let stable = linear.last_committed().saturating_sub(*back);
-                linear.gc(stable);
-                sharded.gc(stable);
-            }
-        }
-        prop_assert_eq!(linear.last_committed(), sharded.last_committed());
-        prop_assert_eq!(linear.history_len(), sharded.history_len());
-        prop_assert_eq!(linear.low_water(), sharded.low_water());
-    }
-
-    #[test]
     fn pipelined_matches_synchronous_outcome_streams(
         stream in prop::collection::vec(
             (0u16..3, arb_rwset_with_wildcards(8), arb_rwset_with_wildcards(4), 0u64..6,
              0u8..4, 0u8..8),
             1..96),
-        shards in 1usize..13,
     ) {
         // The pipelining tentpole's equivalence property: a certifier fed
         // speculative probes at arbitrary tentative-delivery interleavings
@@ -360,8 +300,8 @@ proptest! {
             }
         }
         let mut linear = Certifier::new();
-        let mut sync = ShardedCertifier::new(shards);
-        let mut pipe = ShardedCertifier::new(shards);
+        let mut sync = IndexedCertifier::new();
+        let mut pipe = IndexedCertifier::new();
         let n = stream.len();
         let mut reqs: Vec<Option<CertRequest>> = vec![None; n];
         let mut speculated = vec![false; n];
@@ -374,8 +314,7 @@ proptest! {
                     reqs[j] = Some(mk(j, &stream[j], linear.last_committed()));
                 }
                 if !speculated[j] {
-                    let probe = pipe.speculate(reqs[j].as_ref().expect("just made"));
-                    prop_assert!(probe.work.critical_probes <= probe.work.probes);
+                    pipe.speculate(reqs[j].as_ref().expect("just made"));
                     speculated[j] = true;
                 }
             }
@@ -384,7 +323,7 @@ proptest! {
             let os = sync.certify(&req).map(|(o, _)| o);
             let mut resolution = None;
             let op = pipe.confirm(&req).map(|(o, _, res)| { resolution = Some(res); o });
-            prop_assert_eq!(&ol, &os, "sync sharded diverged from linear at {}", i);
+            prop_assert_eq!(&ol, &os, "sync indexed diverged from linear at {}", i);
             prop_assert_eq!(&ol, &op, "pipelined diverged from linear at {} (res {:?})",
                 i, resolution);
             if let Some(res) = resolution {
@@ -774,13 +713,4 @@ proptest! {
         prop_assert!(lo >= min && hi <= max);
     }
 
-    #[test]
-    fn ecdf_reaches_one(values in prop::collection::vec(0.0f64..1e6, 1..128), pts in 1usize..32) {
-        let mut s: Samples = values.iter().copied().collect();
-        let e = s.ecdf(pts);
-        prop_assert_eq!(e.len(), pts);
-        let last = e.last().expect("non-empty");
-        prop_assert!((last.1 - 1.0).abs() < 1e-12);
-        prop_assert!(e.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-    }
 }

@@ -68,72 +68,6 @@ fn indexed_backend_is_safe_and_performant_under_load() {
 }
 
 #[test]
-fn sharded_backend_is_safe_and_shrinks_the_critical_path_under_load() {
-    use dbsm_testbed::core::CertBackendKind;
-    // The sharded certifier under real TPC-C load: safety across replicas,
-    // throughput on par with the indexed backend (its decisions are
-    // identical; its pricing is max-over-shards + merge, never worse than
-    // the serial sum by more than the merge term), and a work ledger whose
-    // critical path is genuinely below the serial total — the parallelism
-    // the home-warehouse shard key exists to expose.
-    let sh = run_experiment(
-        ExperimentConfig::replicated(3, 150)
-            .with_target(600)
-            .with_cert_backend(CertBackendKind::Sharded { shards: 8 }),
-    );
-    check_logs(&sh.commit_logs, &[false; 3]).expect("identical sequences (sharded)");
-    assert!(sh.committed() > 450, "committed {}", sh.committed());
-    assert!(sh.cert_work.probes > 0 && sh.cert_work.comparisons == 0);
-    assert!(
-        sh.cert_work.critical_probes < sh.cert_work.probes,
-        "critical path {} must sit below the serial total {}",
-        sh.cert_work.critical_probes,
-        sh.cert_work.probes
-    );
-    assert!(
-        sh.cert_work.parallel_speedup() > 1.2,
-        "home-warehouse sharding should parallelize TPC-C probes (speedup {:.2})",
-        sh.cert_work.parallel_speedup()
-    );
-    let idx = run_experiment(
-        ExperimentConfig::replicated(3, 150)
-            .with_target(600)
-            .with_cert_backend(CertBackendKind::Indexed),
-    );
-    let ratio = sh.tpm() / idx.tpm();
-    assert!(
-        ratio > 0.9,
-        "sharded tpm {} should not trail indexed tpm {} (ratio {ratio:.2})",
-        sh.tpm(),
-        idx.tpm()
-    );
-}
-
-#[test]
-fn sharded_backend_safety_holds_under_faults() {
-    use dbsm_testbed::core::CertBackendKind;
-    // Loss and a mid-run crash exercise retransmission, view change and the
-    // gc/low-water machinery on the sharded path — per-shard eviction must
-    // stay in lockstep with the history under both.
-    let m = run_experiment(
-        ExperimentConfig::replicated(3, 45)
-            .with_target(400)
-            .with_faults(FaultPlan::random_loss(0.05))
-            .with_cert_backend(CertBackendKind::Sharded { shards: 4 }),
-    );
-    check_logs(&m.commit_logs, &[false; 3]).expect("safety under loss (sharded)");
-    assert!(m.committed() > 300);
-    let m = run_experiment(
-        ExperimentConfig::replicated(3, 45)
-            .with_target(600)
-            .with_faults(FaultPlan::crash(2, SimTime::from_secs(15)))
-            .with_cert_backend(CertBackendKind::Sharded { shards: 4 }),
-    );
-    assert_eq!(m.crashed_sites, vec![2]);
-    check_logs(&m.commit_logs, &[false, false, true]).expect("crashed site holds a prefix");
-}
-
-#[test]
 fn indexed_backend_safety_holds_under_faults() {
     use dbsm_testbed::core::CertBackendKind;
     // Loss and a mid-run crash exercise retransmission, view change and the
@@ -161,14 +95,14 @@ fn pipelined_commit_path_is_safe_and_removes_the_delivery_stall() {
     use dbsm_testbed::core::{CertBackendKind, CommitPath};
     // The overlap tentpole end-to-end: speculative certification on
     // tentative delivery must preserve the DBSM safety condition (identical
-    // commit sequences across replicas), move the probe work onto the shard
-    // servers (queue/service/merge ledger), and strip the data-dependent
+    // commit sequences across replicas), move the probe work onto the
+    // speculative FIFO (queue/service/merge ledger), and strip the data-dependent
     // conflict check out of the delivery loop (stall ≈ 0 vs synchronous).
     let mk = |path| {
         run_experiment(
             ExperimentConfig::replicated(3, 150)
                 .with_target(600)
-                .with_cert_backend(CertBackendKind::Sharded { shards: 8 })
+                .with_cert_backend(CertBackendKind::Indexed)
                 .with_commit_path(path),
         )
     };
@@ -179,8 +113,8 @@ fn pipelined_commit_path_is_safe_and_removes_the_delivery_stall() {
     // Every confirmation resolved against a speculation or certified fresh.
     assert!(pipe.cert_work.spec_total() > 0, "speculations confirmed: {:?}", pipe.cert_work);
     assert_eq!(sync.cert_work.spec_total(), 0, "synchronous runs never speculate");
-    // The probe work moved to the shard servers...
-    assert!(pipe.cert_work.service_ns > 0, "shard-server service recorded");
+    // The probe work moved to the speculative FIFO...
+    assert!(pipe.cert_work.service_ns > 0, "speculative service recorded");
     assert_eq!(sync.cert_work.service_ns, 0);
     // ...and the delivery loop stopped paying for it: what remains is the
     // occasional delta revalidation, a small fraction of the full checks.
@@ -210,7 +144,7 @@ fn pipelined_safety_holds_under_faults() {
         ExperimentConfig::replicated(3, 45)
             .with_target(400)
             .with_faults(FaultPlan::random_loss(0.05))
-            .with_cert_backend(CertBackendKind::Sharded { shards: 4 })
+            .with_cert_backend(CertBackendKind::Indexed)
             .with_commit_path(CommitPath::Pipelined),
     );
     check_logs(&m.commit_logs, &[false; 3]).expect("pipelined safety under loss");

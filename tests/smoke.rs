@@ -102,25 +102,6 @@ fn default_backend_is_indexed_and_bit_reproducible() {
 }
 
 #[test]
-fn sharded_backend_is_deterministic_with_a_critical_path_ledger() {
-    // The sharded certifier must be exactly as deterministic as the
-    // single-threaded backends (its shard map is a pure function), all
-    // replicas must commit the identical sequence, and its work ledger must
-    // actually split total from critical-path probes.
-    let a = small_run_with(1234, CertBackendKind::Sharded { shards: 4 });
-    let b = small_run_with(1234, CertBackendKind::Sharded { shards: 4 });
-    assert!(a.committed() > 0, "smoke run commits work");
-    assert_identical(&a, &b);
-    dbsm_testbed::fault::check_logs(&a.commit_logs, &[false; 3]).expect("identical sequences");
-    assert!(a.cert_work.probes > 0, "sharded backend reports probe work");
-    assert!(a.cert_work.critical_probes > 0, "critical path recorded");
-    assert!(a.cert_work.critical_probes <= a.cert_work.probes, "critical <= total");
-    assert!(a.cert_work.shard_touches > 0, "shard fan-out recorded");
-    assert!(a.cert_work.parallel_speedup() >= 1.0);
-    assert_eq!(a.cert_work.comparisons, 0, "sharded backend performs no merge comparisons");
-}
-
-#[test]
 fn both_backends_run_the_workload_safely() {
     // End-to-end cross-backend sanity: the two backends are priced
     // differently (comparisons vs probes), so event timing — and hence the
