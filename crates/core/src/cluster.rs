@@ -22,7 +22,7 @@ use dbsm_sim::{
 };
 use dbsm_tpcc::{TpccConfig, TpccGen, TxnClass};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -84,7 +84,7 @@ struct SiteState {
     spec_free_at: SimTime,
     /// When each speculation's verdict is ready, keyed by
     /// `(origin site, txn)` — consulted at total-order confirmation.
-    spec_ready: HashMap<(u16, u64), SimTime>,
+    spec_ready: BTreeMap<(u16, u64), SimTime>,
     /// Partial replication: delivered updates awaiting a decision, in total
     /// order (empty under full replication, where delivery decides).
     fifo: VecDeque<FifoEntry>,
@@ -94,14 +94,18 @@ struct SiteState {
     /// Wire votes that arrived before their transaction's delivery, keyed
     /// by `(origin site, txn)` — votes travel on their own (piggybacked)
     /// channel and may beat the data frame's total-order slot.
-    vote_stash: HashMap<(u16, u64), Vec<SiteVote>>,
+    vote_stash: BTreeMap<(u16, u64), Vec<SiteVote>>,
     /// Rejoin bookkeeping: keys decided *before* this site's adopted
     /// snapshot was cut. Their deliveries are skipped outright — the
     /// snapshot already contains them — while later deliveries run the
     /// normal FIFO. Empty unless the site rejoined.
-    skip_keys: HashSet<(u16, u64)>,
+    skip_keys: BTreeSet<(u16, u64)>,
     txn_seq: u64,
-    pending: HashMap<u64, PendingCert>,
+    /// This site's multicast requests awaiting their decision, by txn. A
+    /// rejoin aborts the first incarnation's leftovers in key order — each
+    /// abort re-arms a client through the shared workload RNG, so the order
+    /// must come from the seed.
+    pending: BTreeMap<u64, PendingCert>,
     crashed: bool,
     commits_since_gc: u64,
     /// Reference-chain entries this site's own rejoins skipped over: its
@@ -159,7 +163,7 @@ struct PartialState {
     oracle: IndexedCertifier,
     /// Verdicts keyed by `(origin site, txn)` — bounded by the run's
     /// transaction count, never pruned within a run.
-    decided: HashMap<(u16, u64), Decision>,
+    decided: BTreeMap<(u16, u64), Decision>,
     commits_since_gc: u64,
 }
 
@@ -182,7 +186,7 @@ struct TransferPacket {
     fifo: Vec<FifoEntry>,
     /// Keys decided before the snapshot cut: the joiner skips their
     /// deliveries outright, the snapshot already reflects them.
-    decided: HashSet<(u16, u64)>,
+    decided: BTreeSet<(u16, u64)>,
 }
 
 struct Shared {
@@ -193,9 +197,9 @@ struct Shared {
     sites: Vec<SiteState>,
     partial: Option<PartialState>,
     /// Staged state transfers, keyed by the rejoining site.
-    transfers: HashMap<u16, TransferPacket>,
+    transfers: BTreeMap<u16, TransferPacket>,
     /// When each restarting site came back up (for time-to-useful).
-    restart_at: HashMap<u16, SimTime>,
+    restart_at: BTreeMap<u16, SimTime>,
     /// Clients whose site was down when they tried to fire, with their
     /// parking instant — drained when the site finishes rejoining or when a
     /// re-placement completes (the overlay may now route them elsewhere).
@@ -205,12 +209,12 @@ struct Shared {
     /// the static [`PlacementMap`] *plus* this map; adoption is permanent
     /// for the run (a restarted original replica simply re-adds an owner —
     /// [`merge_votes`] over extra covering votes stays exact).
-    rehomed: HashMap<u64, u16>,
+    rehomed: BTreeMap<u64, u16>,
     /// Spans mid-transfer: elected at the view change, serving resumes at
     /// [`Cluster::finish_replacement`]. A later view change that kills the
     /// elected adopter re-elects (the entry is overwritten), and the stale
     /// completion skips the span.
-    replacing: HashMap<u64, u16>,
+    replacing: BTreeMap<u64, u16>,
     /// The highest view id already swept for stranded spans — the
     /// [`Upcall::ViewChange`] fires once per surviving site, and the first
     /// to handle it performs the (deterministic) election for everyone.
@@ -219,7 +223,7 @@ struct Shared {
     /// `(origin, txn)` with a sequence number below the stored threshold
     /// were cast before the voter adopted a span the entry touches, and are
     /// dropped on (late) arrival — the post-adoption re-cast replaces them.
-    stale_votes: HashMap<(u16, u16, u64), u64>,
+    stale_votes: BTreeMap<(u16, u16, u64), u64>,
 }
 
 struct SiteHandles {
@@ -372,13 +376,13 @@ impl Cluster {
                 certifier,
                 span,
                 spec_free_at: SimTime::ZERO,
-                spec_ready: HashMap::new(),
+                spec_ready: BTreeMap::new(),
                 fifo: VecDeque::new(),
                 fifo_popped: 0,
-                vote_stash: HashMap::new(),
-                skip_keys: HashSet::new(),
+                vote_stash: BTreeMap::new(),
+                skip_keys: BTreeSet::new(),
                 txn_seq: 0,
-                pending: HashMap::new(),
+                pending: BTreeMap::new(),
                 crashed: false,
                 commits_since_gc: 0,
                 ref_gap: 0,
@@ -398,16 +402,16 @@ impl Cluster {
             sites: site_states,
             partial: partial_map.map(|_| PartialState {
                 oracle: IndexedCertifier::new(),
-                decided: HashMap::new(),
+                decided: BTreeMap::new(),
                 commits_since_gc: 0,
             }),
-            transfers: HashMap::new(),
-            restart_at: HashMap::new(),
+            transfers: BTreeMap::new(),
+            restart_at: BTreeMap::new(),
             parked_clients: vec![Vec::new(); cfg.sites],
-            rehomed: HashMap::new(),
-            replacing: HashMap::new(),
+            rehomed: BTreeMap::new(),
+            replacing: BTreeMap::new(),
             last_reconfig_view: 0,
-            stale_votes: HashMap::new(),
+            stale_votes: BTreeMap::new(),
         }));
 
         let cluster = Cluster {
@@ -813,7 +817,7 @@ impl Cluster {
                         recollects: e.recollects,
                     })
                     .collect();
-                let decided: HashSet<(u16, u64)> = partial.decided.keys().copied().collect();
+                let decided: BTreeSet<(u16, u64)> = partial.decided.keys().copied().collect();
                 (Some(span), owned, cut, fifo, decided)
             }
             None => {
@@ -822,7 +826,7 @@ impl Cluster {
                 // log, so its length alone would understate where the
                 // chain stands.
                 let cut = sh.metrics.commit_logs[donor].len() + sh.sites[donor].ref_gap;
-                (None, warehouses as u64, cut, Vec::new(), HashSet::new())
+                (None, warehouses as u64, cut, Vec::new(), BTreeSet::new())
             }
         };
         let snapshot_bytes = owned * self.costs.snapshot_bytes_per_warehouse;
@@ -887,7 +891,8 @@ impl Cluster {
             }
             st.spec_ready.clear();
             st.commits_since_gc = 0;
-            let orphans: Vec<TxnId> = st.pending.drain().map(|(_, p)| p.db_txn).collect();
+            let orphans: Vec<TxnId> =
+                std::mem::take(&mut st.pending).into_values().map(|p| p.db_txn).collect();
             sh.metrics.recovery_work.delta_bytes += delta_bytes;
             sh.metrics.recovery_work.replayed_entries += replayed;
             // The chain record goes in *now*: from this instant the site's
@@ -980,7 +985,7 @@ impl Cluster {
                 return;
             }
             let is_live = |s: u16| view.members.contains(NodeId(s));
-            let mut by_adopter: HashMap<usize, Vec<u64>> = HashMap::new();
+            let mut by_adopter: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
             for span in 0..warehouses {
                 if p.replicas(span).iter().any(|&r| is_live(r as u16))
                     || sh.rehomed.get(&span).copied().is_some_and(is_live)
@@ -992,9 +997,7 @@ impl Cluster {
                 sh.replacing.insert(span, owner as u16);
                 by_adopter.entry(owner).or_default().push(span);
             }
-            let mut groups: Vec<(usize, Vec<u64>)> = by_adopter.into_iter().collect();
-            groups.sort_unstable_by_key(|&(a, _)| a);
-            groups
+            by_adopter.into_iter().collect()
         };
         for (adopter, spans) in groups {
             let bytes = spans.len() as u64 * self.costs.snapshot_bytes_per_warehouse;
@@ -1053,7 +1056,7 @@ impl Cluster {
                 owned.extend(spans.iter().copied());
                 let place = SpanPlacement::new(key_of, owned);
                 let new_span = sh.partial.as_ref().expect("partial state").oracle.reproject(place);
-                let adopted: HashSet<u64> = spans.iter().copied().collect();
+                let adopted: BTreeSet<u64> = spans.iter().copied().collect();
                 // Vote re-collection: the adopter's pre-adoption votes never
                 // probed the adopted spans, so for every undecided entry
                 // touching one, strip them (here and, below, everywhere
@@ -1398,7 +1401,7 @@ impl Cluster {
     fn casts_vote(
         &self,
         p: &PlacementMap,
-        rehomed: &HashMap<u64, u16>,
+        rehomed: &BTreeMap<u64, u16>,
         site: usize,
         req: &CertRequest,
     ) -> bool {
@@ -1432,7 +1435,7 @@ impl Cluster {
     fn votes_cover(
         &self,
         p: &PlacementMap,
-        rehomed: &HashMap<u64, u16>,
+        rehomed: &BTreeMap<u64, u16>,
         warehouses: u64,
         entry: &FifoEntry,
     ) -> bool {
@@ -1645,7 +1648,7 @@ impl Cluster {
     /// (the adopter stands in as primary for a re-homed span). Zero means
     /// the transaction is local to the origin's span and commits without a
     /// vote round.
-    fn voters_for(&self, rehomed: &HashMap<u64, u16>, req: &CertRequest) -> u64 {
+    fn voters_for(&self, rehomed: &BTreeMap<u64, u16>, req: &CertRequest) -> u64 {
         let Some(p) = self.partial_map() else { return 0 };
         let origin = req.site.0 as usize;
         let mut voters: Vec<usize> = Vec::new();

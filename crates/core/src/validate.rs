@@ -316,7 +316,7 @@ pub fn real_rig_run(cfg: RigConfig) -> LatencySplit {
 
     struct Rig {
         locks: Mutex<LockTable>,
-        aborted: Mutex<std::collections::HashSet<TxnId>>,
+        aborted: Mutex<std::collections::BTreeSet<TxnId>>,
         lock_cv: Condvar,
         /// Storage channels in use.
         disk: Mutex<usize>,
@@ -387,7 +387,7 @@ pub fn real_rig_run(cfg: RigConfig) -> LatencySplit {
 
     let rig = Arc::new(Rig {
         locks: Mutex::new(LockTable::new(CcPolicy::MultiVersion)),
-        aborted: Mutex::new(std::collections::HashSet::new()),
+        aborted: Mutex::new(std::collections::BTreeSet::new()),
         lock_cv: Condvar::new(),
         disk: Mutex::new(0),
         disk_cv: Condvar::new(),

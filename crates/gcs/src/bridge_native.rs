@@ -12,11 +12,11 @@
 
 use crate::config::GcsConfig;
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
-use crate::stack::{Gcs, Upcall};
-use crate::types::NodeId;
+use crate::stack::Gcs;
+use crate::types::{GcsMetrics, NodeId, Upcall};
 use bytes::Bytes;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -40,7 +40,7 @@ pub struct NativeBridge {
     epoch: Instant,
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
     timer_meta: Vec<Option<TimerKind>>, // indexed by timer id
-    cancelled: HashSet<u64>,
+    cancelled: BTreeSet<u64>,
     next_timer: u64,
     upcalls: Vec<Upcall>,
     buf: Vec<u8>,
@@ -53,7 +53,7 @@ struct NativeRt<'a> {
     epoch: Instant,
     timers: &'a mut BinaryHeap<Reverse<(Instant, u64)>>,
     timer_meta: &'a mut Vec<Option<TimerKind>>,
-    cancelled: &'a mut HashSet<u64>,
+    cancelled: &'a mut BTreeSet<u64>,
     next_timer: &'a mut u64,
 }
 
@@ -114,7 +114,7 @@ impl NativeBridge {
             epoch: Instant::now(),
             timers: BinaryHeap::new(),
             timer_meta: Vec::new(),
-            cancelled: HashSet::new(),
+            cancelled: BTreeSet::new(),
             next_timer: 0,
             upcalls: Vec::new(),
             buf: vec![0u8; 65536],
@@ -129,7 +129,7 @@ impl NativeBridge {
     }
 
     /// Protocol metrics snapshot.
-    pub fn metrics(&self) -> crate::stack::GcsMetrics {
+    pub fn metrics(&self) -> GcsMetrics {
         self.gcs.metrics()
     }
 

@@ -6,14 +6,14 @@
 
 use crate::config::GcsConfig;
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
-use crate::stack::{Gcs, Upcall};
-use crate::types::NodeId;
+use crate::stack::Gcs;
+use crate::types::{GcsMetrics, NodeId, Upcall};
 use bytes::Bytes;
 use dbsm_net::{Addr, Dest, GroupId, Network};
 use dbsm_sim::{CpuBank, EventId, RealContext};
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -23,7 +23,7 @@ pub type UpcallHandler = Box<dyn FnMut(&mut RealContext<'_>, Upcall)>;
 
 struct Maps {
     next_timer: u64,
-    timers: HashMap<u64, EventId>,
+    timers: BTreeMap<u64, EventId>,
     handler: Option<UpcallHandler>,
     /// Set on crash injection: all activity ceases.
     dead: bool,
@@ -47,10 +47,6 @@ struct Shared {
     addr: Addr,
     peers: Vec<Addr>,
     group: GroupId,
-    overhead_send_fixed: Duration,
-    overhead_send_per_byte_ns: f64,
-    overhead_recv_fixed: Duration,
-    overhead_recv_per_byte_ns: f64,
 }
 
 /// The simulation-side implementation of the protocol abstraction layer.
@@ -100,7 +96,7 @@ impl ProtocolRuntime for SimRt<'_, '_> {
     }
 
     fn unicast(&mut self, to: NodeId, payload: Bytes) {
-        self.charge_send(payload.len());
+        self.ctx.charge(self.shared.cfg.overhead.send_cost(payload.len()));
         let from = self.shared.addr;
         let dest = Dest::Unicast(self.shared.peers[to.0 as usize]);
         let net = self.shared.net.clone();
@@ -110,7 +106,7 @@ impl ProtocolRuntime for SimRt<'_, '_> {
     }
 
     fn multicast(&mut self, payload: Bytes) {
-        self.charge_send(payload.len());
+        self.ctx.charge(self.shared.cfg.overhead.send_cost(payload.len()));
         let from = self.shared.addr;
         let dest = Dest::Multicast(self.shared.group, self.shared.addr.port);
         let net = self.shared.net.clone();
@@ -120,14 +116,6 @@ impl ProtocolRuntime for SimRt<'_, '_> {
     fn charge(&mut self, cost: Duration) {
         let drift = self.shared.maps.borrow().drift;
         self.ctx.charge(dbsm_sim::scale_duration(cost, 1.0 / drift));
-    }
-}
-
-impl SimRt<'_, '_> {
-    fn charge_send(&mut self, bytes: usize) {
-        let cost = self.shared.overhead_send_fixed
-            + Duration::from_nanos((self.shared.overhead_send_per_byte_ns * bytes as f64) as u64);
-        self.ctx.charge(cost);
     }
 }
 
@@ -148,13 +136,12 @@ impl SimBridge {
         peers: Vec<Addr>,
         group: GroupId,
     ) -> Self {
-        let overhead = cfg.overhead;
         let shared = Rc::new(Shared {
             gcs: RefCell::new(Gcs::new(me, cfg.clone())),
             cfg,
             maps: RefCell::new(Maps {
                 next_timer: 0,
-                timers: HashMap::new(),
+                timers: BTreeMap::new(),
                 handler: None,
                 dead: false,
                 drift: 1.0,
@@ -166,10 +153,6 @@ impl SimBridge {
             addr,
             peers,
             group,
-            overhead_send_fixed: overhead.send_fixed,
-            overhead_send_per_byte_ns: overhead.send_per_byte_ns,
-            overhead_recv_fixed: overhead.recv_fixed,
-            overhead_recv_per_byte_ns: overhead.recv_per_byte_ns,
         });
         net.join_group(addr.host, group);
         let weak = Rc::downgrade(&shared);
@@ -228,7 +211,7 @@ impl SimBridge {
     }
 
     /// Protocol metrics snapshot.
-    pub fn metrics(&self) -> crate::stack::GcsMetrics {
+    pub fn metrics(&self) -> GcsMetrics {
         self.shared.gcs.borrow().metrics()
     }
 
@@ -309,11 +292,7 @@ impl SimBridge {
         let this = self.clone();
         self.shared.cpu.submit_real(Box::new(move |ctx| {
             // Receive overhead: the CSRT's fixed + per-byte parameters.
-            let cost = this.shared.overhead_recv_fixed
-                + Duration::from_nanos(
-                    (this.shared.overhead_recv_per_byte_ns * payload.len() as f64) as u64,
-                );
-            ctx.charge(cost);
+            ctx.charge(this.shared.cfg.overhead.recv_cost(payload.len()));
             this.with_gcs(ctx, |gcs, rt| gcs.on_packet(rt, payload));
         }));
     }

@@ -1,15 +1,18 @@
 //! # dbsm-gcs — the group-communication prototype (real code)
 //!
 //! The second "real implementation" component of the paper's testbed (§3.4):
-//! an atomic multicast protocol built as two layers —
+//! an atomic multicast protocol whose [`Gcs`] (`stack/mod.rs`) composes
 //!
 //! 1. **view-synchronous reliable multicast**: IP-multicast dissemination
-//!    with unicast fallback, window-based receiver-initiated NAK recovery,
-//!    a scalable stability-detection gossip protocol (S/W/M rounds), and
-//!    flow control combining a rate-based mechanism with per-process buffer
-//!    shares;
+//!    with unicast fallback, fragmentation, window-based receiver-initiated
+//!    NAK recovery and flow control combining a rate-based mechanism with
+//!    per-process buffer shares (`stack/reliable.rs`), a scalable
+//!    stability-detection gossip protocol (`stability.rs`), and flush-based
+//!    membership with rejoin (`stack/membership.rs`);
 //! 2. **total order** via a fixed sequencer chosen (and replaced on failure)
-//!    through view synchrony.
+//!    through view synchrony (`stack/order.rs`);
+//! 3. **certification-vote streams** riding the same packets
+//!    (`stack/votes.rs`).
 //!
 //! The protocol is written against the [`ProtocolRuntime`] abstraction
 //! (§2.3) and, exactly as in the paper, runs unmodified in two worlds: under
@@ -52,8 +55,8 @@ pub use bridge_sim::SimBridge;
 pub use config::{AnnBatchPolicy, GcsConfig, OverheadModel};
 pub use runtime::{ProtocolRuntime, TimerId, TimerKind};
 pub use stability::{Gossip, Stability};
-pub use stack::{Gcs, GcsMetrics, Upcall};
-pub use types::{NodeId, NodeSet, View, MAX_NODES};
+pub use stack::Gcs;
+pub use types::{GcsMetrics, NodeId, NodeSet, Upcall, View, MAX_NODES};
 pub use wire::{
     decode_seq_ann, encode_seq_ann, Envelope, Message, PayloadKind, SeqAssign, WireError, WireVote,
     DATA_OVERHEAD, ENVELOPE_OVERHEAD, SEQ_ASSIGN_WIRE, WIRE_VOTE_WIRE,
@@ -174,13 +177,13 @@ mod tests {
     #[test]
     fn sequencer_crash_fails_over() {
         let mut net = TestNet::new(GcsConfig::lan(3));
-        assert_eq!(net.nodes[0].borrow().sequencer(), Some(NodeId(0)));
+        assert_eq!(net.nodes[0].borrow().sequencer(), NodeId(0));
         net.broadcast(NodeId(1), payload(1));
         net.run_for(Duration::from_millis(50));
         net.crash(NodeId(0)); // the sequencer
         net.run_for(Duration::from_secs(3));
         // Node 1 is the new sequencer.
-        assert_eq!(net.nodes[1].borrow().sequencer(), Some(NodeId(1)));
+        assert_eq!(net.nodes[1].borrow().sequencer(), NodeId(1));
         // Messages broadcast after failover still get totally ordered.
         net.broadcast(NodeId(2), payload(2));
         net.broadcast(NodeId(1), payload(3));
@@ -240,7 +243,7 @@ mod tests {
         let mut cfg = GcsConfig::lan(3);
         cfg.dedicated_sequencer = Some(NodeId(2));
         let mut net = TestNet::new(cfg);
-        assert_eq!(net.nodes[0].borrow().sequencer(), Some(NodeId(2)));
+        assert_eq!(net.nodes[0].borrow().sequencer(), NodeId(2));
         net.broadcast(NodeId(0), payload(1));
         net.run_for(Duration::from_secs(1));
         assert_eq!(net.deliveries(NodeId(1)).len(), 1);
@@ -256,6 +259,70 @@ mod tests {
         assert_eq!(m.delivered, 1);
         assert!(m.frags_sent >= 1);
         assert!(m.gossip_sent > 0);
+    }
+
+    /// FNV-1a of `bytes`, continuing from `h`.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn golden_wire_stream_digest() {
+        // Pins the bytes and the order of every packet the stack emits —
+        // fragmentation, adaptive announcement batching and piggybacking,
+        // standalone and piggybacked votes, NAK repair, and a crash through
+        // flush and install. Any change to what goes on the wire, or when,
+        // moves the digest; a pure refactor must leave it alone.
+        let mut cfg = GcsConfig::lan(4);
+        cfg.ann_policy = AnnBatchPolicy::adaptive_lan();
+        // A slow sender queues its large messages, so votes cast meanwhile
+        // wait for fragment slack instead of flushing standalone.
+        cfg.send_rate_bytes_per_sec = 400_000.0;
+        cfg.rate_burst_bytes = 4_000;
+        let mut net = TestNet::new(cfg);
+        let wire = std::rc::Rc::new(std::cell::Cell::new((0xcbf2_9ce4_8422_2325u64, 0u64)));
+        let tap = wire.clone();
+        net.set_drop_fn(move |from, to, raw| {
+            let (h, packets) = tap.get();
+            let h = fnv(fnv(h, &[from.0 as u8, to.0 as u8]), raw);
+            tap.set((h, packets + 1));
+            h.is_multiple_of(16) // a deterministic ~6 % of packets is lost
+        });
+        for round in 0..6u64 {
+            net.broadcast(NodeId(1), Bytes::from(vec![round as u8; 3_000]));
+            net.cast_vote(NodeId(2), 2, round, None);
+            net.cast_vote(NodeId(1), 1, round, Some(round));
+            net.cast_vote(NodeId(1), 0, round, None);
+            // The sequencer keeps sending while its announcements batch.
+            for k in 0..4u8 {
+                net.broadcast(NodeId(0), Bytes::from(vec![k; 1_200]));
+                net.run_for(Duration::from_micros(500));
+            }
+        }
+        net.run_for(Duration::from_secs(1));
+        net.crash(NodeId(3));
+        net.run_for(Duration::from_secs(3));
+        net.broadcast(NodeId(2), Bytes::from(vec![0xA5; 2_500]));
+        net.cast_vote(NodeId(1), 1, 99, None);
+        net.run_for(Duration::from_secs(2));
+
+        let d0 = net.deliveries(NodeId(0));
+        assert_eq!(d0.len(), 31, "every message delivered");
+        for n in 1..3u16 {
+            assert_eq!(net.deliveries(NodeId(n)), d0, "node {n} agrees");
+            assert_eq!(net.nodes[n as usize].borrow().view().members.len(), 3);
+        }
+        let m1 = net.nodes[1].borrow().metrics();
+        let m2 = net.nodes[2].borrow().metrics();
+        assert!(m1.votes_piggybacked > 0, "queued votes ride fragment slack: {m1:?}");
+        assert!(m2.votes_sent > 0 && m2.votes_piggybacked == 0, "idle votes go standalone");
+        let m0 = net.nodes[0].borrow().metrics();
+        assert!(m0.ann_piggybacked > 0, "batched announcements ride fragment slack: {m0:?}");
+        assert_eq!(wire.get(), (0xc336f69e1c0ba30e, 3266), "golden wire stream");
     }
 
     #[test]

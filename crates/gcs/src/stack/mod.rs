@@ -1,0 +1,691 @@
+//! The group-communication stack (§3.4): view-synchronous reliable multicast
+//! with window-based receiver-initiated recovery, scalable stability
+//! detection, rate+window flow control, membership with flush/consensus view
+//! changes under a primary-component rule, and fixed-sequencer total order.
+//!
+//! [`Gcs`] is a single-threaded state machine driven through
+//! [`ProtocolRuntime`]; it is the *real code* the testbed exists to test.
+//! It composes the `reliable`, `order` and `votes` layers, owns membership
+//! (`membership`), and sends everything through one outbox ([`Out`]).
+//! Design choices called out by the paper are implemented faithfully, in
+//! particular the ones behind its §5.3 findings:
+//!
+//! * each process owns only a *share* of the total buffer space;
+//! * sequencer announcements travel through the same reliable layer and
+//!   therefore consume the sequencer's share;
+//! * stability (and hence garbage collection) advances only over the
+//!   *contiguous* prefix received by *all* operational processes.
+//!
+//! Membership follows the **primary-component** rule: only a strict
+//! majority of the current view may install the next one. A node that loses
+//! contact with a majority (the small side of a partition, an isolated
+//! sequencer) halts via [`Upcall::Excluded`] rather than forming a rump
+//! view — the split-brain alternative would commit divergent histories. In
+//! uniform-delivery mode the delivery gate covers the *order* too: a
+//! message delivers only when both its content and the fragment that
+//! carried its sequence assignment are stable, so no minority can act on an
+//! ordering the primary component may re-make.
+//!
+//! Halting is no longer terminal: a crashed or excluded site may restart as
+//! a fresh [`Gcs::rejoin`] instance, which announces itself with `JoinReq`
+//! until the live primary component's lowest member grants admission at an
+//! order-clean point ([`Upcall::ServeJoin`] at the granter primes the
+//! application-level snapshot + delta-log state transfer) and a member-add
+//! view install readmits it ([`Upcall::Rejoined`] at the joiner).
+
+mod membership;
+mod order;
+mod reliable;
+mod votes;
+
+use crate::config::GcsConfig;
+use crate::runtime::{ProtocolRuntime, TimerKind};
+use crate::stability::Stability;
+use crate::types::{GcsMetrics, NodeId, NodeSet, Upcall, View};
+use crate::wire::{decode_seq_ann, Envelope, Message, PayloadKind, WireVote, SEQ_ASSIGN_WIRE};
+use bytes::Bytes;
+use membership::{Grant, Phase};
+use order::TotalOrder;
+use reliable::{frags_for, Advanced, FragRecord, RecvStream, SendState};
+use std::collections::VecDeque;
+use votes::{VoteLink, VoteState};
+
+/// The stack's one path onto the wire: frames each message as this node's
+/// [`Envelope`] in the current view and hands it to the runtime at once, so
+/// sends keep their order relative to the timer calls around them.
+struct Out<'r> {
+    rt: &'r mut dyn ProtocolRuntime,
+    me: NodeId,
+    view: u64,
+}
+
+impl Out<'_> {
+    fn frame(&self, sender: NodeId, msg: Message) -> Bytes {
+        Envelope { sender, view: self.view, msg }.encode()
+    }
+
+    fn multicast(&mut self, msg: Message) {
+        self.rt.multicast(self.frame(self.me, msg));
+    }
+
+    fn unicast(&mut self, to: NodeId, msg: Message) {
+        self.rt.unicast(to, self.frame(self.me, msg));
+    }
+
+    /// Unicasts `msg`, framed once as `sender`'s, to each of `to`.
+    fn relay(&mut self, sender: NodeId, to: impl IntoIterator<Item = NodeId>, msg: Message) {
+        let raw = self.frame(sender, msg);
+        for n in to {
+            self.rt.unicast(n, raw.clone());
+        }
+    }
+}
+
+/// Everything this node tracks per universe member (its own loopback
+/// stream included), reset as a unit on rejoin.
+#[derive(Debug)]
+struct Peer {
+    recv: RecvStream,
+    votes: VoteLink,
+    last_heard: u64,
+}
+
+impl Peer {
+    fn new(base: u64, now: u64) -> Self {
+        Peer { recv: RecvStream::new(base), votes: VoteLink::default(), last_heard: now }
+    }
+
+    /// Newly added members (rejoiners): unfreeze their streams, reset the
+    /// failure detector so the fresh member is not instantly re-suspected on
+    /// pre-crash silence, and restart its vote stream from seq 1 — zeroing
+    /// its (stale-high) ack of ours so GC cannot run ahead of what the fresh
+    /// instance actually holds.
+    fn readmit(&mut self, now: u64) {
+        self.recv.reopen();
+        self.votes = VoteLink::default();
+        self.last_heard = now;
+    }
+}
+
+/// The group-communication protocol instance of one node.
+///
+/// Drive it with [`Gcs::on_start`], [`Gcs::on_packet`], [`Gcs::on_timer`]
+/// and [`Gcs::broadcast`]; collect [`Upcall`]s with [`Gcs::drain_upcalls`]
+/// after every call. See the crate docs for a complete example.
+#[derive(Debug)]
+pub struct Gcs {
+    me: NodeId,
+    cfg: GcsConfig,
+    view: View,
+    phase: Phase,
+    send: SendState,
+    peers: Vec<Peer>,
+    stab: Stability,
+    to: TotalOrder,
+    votes: VoteState,
+    suspected: NodeSet,
+    upcalls: VecDeque<Upcall>,
+    metrics: GcsMetrics,
+    halted: bool,
+    /// True while this instance is a rejoiner waiting for a `JoinGrant`.
+    joining: bool,
+    /// A joiner latched for admission at the next order-clean point (only
+    /// ever set at the lowest live member).
+    pending_join: Option<NodeId>,
+    /// The last grant issued, kept for loss-healing resends.
+    last_grant: Option<Grant>,
+    /// Reused, so the receive path allocates no buffers per fragment.
+    advanced: Advanced,
+}
+
+impl Gcs {
+    /// Creates a node `me` of an `cfg.n_nodes`-member group. All nodes start
+    /// in view 0 containing everyone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is outside the universe or the universe exceeds 64.
+    pub fn new(me: NodeId, cfg: GcsConfig) -> Self {
+        assert!((me.0 as usize) < cfg.n_nodes, "node id outside universe");
+        let view = View::initial(cfg.n_nodes);
+        Gcs {
+            me,
+            view,
+            phase: Phase::Stable,
+            send: SendState::new(&cfg),
+            peers: (0..cfg.n_nodes).map(|_| Peer::new(0, 0)).collect(),
+            stab: Stability::new(me, cfg.n_nodes, view.members),
+            to: TotalOrder::new(me, &cfg, view.members),
+            votes: VoteState::new(&cfg),
+            suspected: NodeSet::EMPTY,
+            upcalls: VecDeque::new(),
+            metrics: GcsMetrics::default(),
+            cfg,
+            halted: false,
+            joining: false,
+            pending_join: None,
+            last_grant: None,
+            advanced: Advanced::default(),
+        }
+    }
+
+    /// Creates a *rejoining* instance for a node restarting after a crash
+    /// or exclusion. It starts outside any view: [`Gcs::on_start`]
+    /// multicasts a `JoinReq` (retried on a timer) until the live primary
+    /// component's lowest member grants admission at an order-clean point,
+    /// at which point the instance adopts the granted view and baselines,
+    /// emits [`Upcall::ViewChange`] + [`Upcall::Rejoined`], and resumes
+    /// normal operation. Its pre-crash tentative suffix is implicitly
+    /// discarded (fresh state) — safe because halted commits are always a
+    /// prefix of the primary component's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is outside the universe or the universe exceeds 64.
+    pub fn rejoin(me: NodeId, cfg: GcsConfig) -> Self {
+        let mut g = Gcs::new(me, cfg);
+        g.joining = true;
+        g
+    }
+
+    /// The node this instance runs on.
+    pub fn node(&self) -> NodeId {
+        self.me
+    }
+
+    /// The current view.
+    pub fn view(&self) -> View {
+        self.view
+    }
+
+    /// Protocol counters.
+    pub fn metrics(&self) -> GcsMetrics {
+        let mut m = self.metrics;
+        m.pending_peak = m.pending_peak.max(self.send.pending.len());
+        m
+    }
+
+    /// Number of fragments held in the send buffer (unstable).
+    pub fn unstable_frags(&self) -> usize {
+        self.send.buffer.len()
+    }
+
+    /// True once this node has been excluded from the group.
+    pub fn is_halted(&self) -> bool {
+        self.halted
+    }
+
+    /// True while this instance is a rejoiner awaiting its grant.
+    pub fn is_joining(&self) -> bool {
+        self.joining
+    }
+
+    /// The node currently acting as sequencer. Sticky: the role moves only
+    /// when its holder leaves the membership (a rejoined node never
+    /// reclaims it mid-view, even a rejoined dedicated sequencer — two
+    /// concurrently live sequencers would order divergently).
+    pub fn sequencer(&self) -> NodeId {
+        self.to.sequencer
+    }
+
+    /// Removes and returns all queued upcalls. Call after every entry point.
+    pub fn drain_upcalls(&mut self) -> Vec<Upcall> {
+        self.upcalls.drain(..).collect()
+    }
+
+    fn out<'r>(&self, rt: &'r mut dyn ProtocolRuntime) -> Out<'r> {
+        Out { rt, me: self.me, view: self.view.id }
+    }
+
+    /// Starts the protocol: arms the periodic timers and reports the
+    /// initial view. A rejoining instance instead announces itself with a
+    /// `JoinReq` and retries until granted.
+    pub fn on_start(&mut self, rt: &mut dyn ProtocolRuntime) {
+        let now = rt.now_nanos();
+        for p in &mut self.peers {
+            p.last_heard = now;
+        }
+        self.send.last_refill = now;
+        if self.joining {
+            self.out(rt).multicast(Message::JoinReq);
+            rt.set_timer(self.cfg.heartbeat_period, TimerKind::JoinRetry);
+            return;
+        }
+        self.start_timers(rt);
+        self.upcalls.push_back(Upcall::ViewChange(self.view));
+    }
+
+    fn start_timers(&self, rt: &mut dyn ProtocolRuntime) {
+        rt.set_timer(self.cfg.gossip_period, TimerKind::Gossip);
+        rt.set_timer(self.cfg.heartbeat_period, TimerKind::Heartbeat);
+        rt.set_timer(self.cfg.failure_timeout, TimerKind::FailureCheck);
+        rt.set_timer(self.cfg.nak_delay, TimerKind::NakCheck);
+    }
+
+    /// Atomically multicasts `payload` to the group. Delivery (including
+    /// back to the caller) happens through [`Upcall::Deliver`] in total
+    /// order. Never blocks: under flow-control pressure the message queues
+    /// and [`GcsMetrics::blocked_ns`] accumulates. Dropped while halted or
+    /// still joining (the application gates traffic on the rejoin anyway).
+    pub fn broadcast(&mut self, rt: &mut dyn ProtocolRuntime, payload: Bytes) {
+        if self.halted || self.joining {
+            return;
+        }
+        self.metrics.app_sent += 1;
+        self.send.enqueue(PayloadKind::App, payload, &mut self.metrics);
+        self.drain_sends(rt);
+    }
+
+    /// Casts a certification verdict for transaction `(origin, txn)` into
+    /// the group. The vote loops back to this node immediately (as
+    /// [`Upcall::Vote`]) and reaches every peer reliably: it rides the MTU
+    /// slack of outgoing data fragments when application traffic is queued,
+    /// flushes as a standalone [`Message::Vote`] otherwise, and is
+    /// retransmitted by the heartbeat until every view member acked it.
+    /// Dropped while halted or still joining — a crashed voter simply goes
+    /// silent and the survivors' votes cover its spans.
+    pub fn cast_vote(
+        &mut self,
+        rt: &mut dyn ProtocolRuntime,
+        origin: u16,
+        txn: u64,
+        conflict: Option<u64>,
+    ) {
+        if self.halted || self.joining {
+            return;
+        }
+        let peers = self.view.members.len() > 1;
+        let vote = self.votes.cast(origin, txn, conflict, peers);
+        // Loopback: the local application always sees its own verdict.
+        self.upcalls.push_back(Upcall::Vote { voter: self.me, vote });
+        if peers && self.send.pending.is_empty() {
+            // No outgoing fragment to ride: flush standalone now. With
+            // traffic queued the vote waits for the next fragment's slack
+            // (the heartbeat arm is the straggler backstop).
+            self.votes.flush(&mut self.out(rt), &mut self.metrics);
+        }
+    }
+
+    /// The next sequence number this node's vote stream will assign. Every
+    /// vote already cast carries a strictly smaller `seq`, so callers can
+    /// use this value as a staleness threshold: votes below it predate the
+    /// moment the snapshot was taken.
+    pub fn vote_seq(&self) -> u64 {
+        self.votes.next_seq
+    }
+
+    // ----- sending & flow control -------------------------------------
+
+    fn drain_sends(&mut self, rt: &mut dyn ProtocolRuntime) {
+        if self.halted {
+            return;
+        }
+        let now = rt.now_nanos();
+        self.send.refill(now, &self.cfg);
+        loop {
+            let window = matches!(self.phase, Phase::Stable).then(|| {
+                let share = self.cfg.buffer_share(self.to.is_sequencer()) as u64;
+                let stable_self = self.stab.stable()[self.me.0 as usize];
+                share.saturating_sub(self.send.sent().saturating_sub(stable_self))
+            });
+            let Some((kind, payload)) =
+                self.send.admit(rt, now, window, &self.cfg, &mut self.metrics)
+            else {
+                return;
+            };
+            self.transmit(rt, kind, payload);
+        }
+    }
+
+    fn transmit(&mut self, rt: &mut dyn ProtocolRuntime, kind: PayloadKind, payload: Bytes) {
+        let fp = self.cfg.frag_payload();
+        let total = frags_for(&self.cfg, payload.len()) as u16;
+        for idx in 0..total {
+            let lo = idx as usize * fp;
+            let chunk = payload.slice(lo..(lo + fp).min(payload.len()));
+            let (mut ann, mut votes) = (Vec::new(), Vec::new());
+            // The last fragment of an application message usually leaves MTU
+            // slack: fill it with pending announcements, then votes.
+            if idx + 1 == total && kind == PayloadKind::App {
+                let room = fp.saturating_sub(chunk.len());
+                if matches!(self.phase, Phase::Stable) && self.to.is_sequencer() {
+                    ann = self.to.take_piggyback(rt, room, &mut self.metrics);
+                }
+                let room = room.saturating_sub(ann.len() * SEQ_ASSIGN_WIRE);
+                votes = self.votes.take_piggyback(room, &mut self.metrics);
+            }
+            let rec = FragRecord { total, idx, kind, ann, votes, payload: chunk };
+            let seq = self.send.push(rec.clone());
+            self.out(rt).multicast(rec.data(seq, false));
+            self.metrics.frags_sent += 1;
+            // Loopback: count own fragment as received by self.
+            self.on_fragment(rt, self.me, seq, rec);
+        }
+    }
+
+    fn assign(&mut self, rt: &mut dyn ProtocolRuntime, origin: NodeId, msg_seq: u64) {
+        let stable_self = self.stab.stable()[self.me.0 as usize];
+        let in_flight = self.send.sent().saturating_sub(stable_self);
+        if self.to.assign(rt, origin, msg_seq, self.send.pending.len(), in_flight) {
+            self.flush_ann(rt);
+        }
+    }
+
+    fn flush_ann(&mut self, rt: &mut dyn ProtocolRuntime) {
+        self.to.cancel_flush(rt);
+        if self.to.pending_ann.is_empty() || !matches!(self.phase, Phase::Stable) {
+            // Outside `Stable` the batch is retained; `install` then clears
+            // it and its re-assignment pass rebuilds (and re-schedules, via
+            // `assign`) every still-unassigned message — so a flush timer
+            // fired mid-view-change strands nothing.
+            return;
+        }
+        while let Some(batch) = self.to.next_batch(&mut self.metrics) {
+            self.send.enqueue(PayloadKind::SeqAnn, batch, &mut self.metrics);
+        }
+        self.drain_sends(rt);
+    }
+
+    // ----- receive path ------------------------------------------------
+
+    /// Entry point for a raw packet from the network.
+    pub fn on_packet(&mut self, rt: &mut dyn ProtocolRuntime, raw: Bytes) {
+        if self.halted {
+            return;
+        }
+        rt.charge(self.cfg.proc_cost);
+        let Ok(Envelope { sender: from, msg, .. }) = Envelope::decode(raw) else {
+            return; // stray or corrupt packet: drop silently
+        };
+        if from == self.me {
+            return; // our own multicast looped back
+        }
+        let now = rt.now_nanos();
+        let Some(peer) = self.peers.get_mut(from.0 as usize) else {
+            return; // outside the universe
+        };
+        peer.last_heard = now;
+        if self.joining {
+            // A rejoiner is deaf to everything but its grant: it has no
+            // view to interpret the traffic against yet.
+            return self.on_join_grant(rt, msg);
+        }
+        match msg {
+            Message::Data { seq, total_frags, frag_idx, kind, ann, votes, payload, .. } => {
+                let rec =
+                    FragRecord { total: total_frags, idx: frag_idx, kind, ann, votes, payload };
+                self.on_fragment(rt, from, seq, rec);
+                self.try_complete_install(rt);
+            }
+            Message::Nak { target, ranges } => {
+                self.metrics.naks_received += 1;
+                self.answer_nak(rt, from, target, &ranges);
+            }
+            Message::Gossip(g) => {
+                let received = self.received_vec();
+                if self.stab.on_gossip(&g, &received) {
+                    self.on_stability_advance(rt);
+                }
+            }
+            Message::Heartbeat { sent } => {
+                let s = &mut self.peers[from.0 as usize].recv;
+                s.highest_known = s.highest_known.max(sent);
+            }
+            Message::FlushReq { new_view, members } => {
+                self.on_flush_req(rt, from, new_view, members);
+            }
+            Message::FlushAck { new_view, received } => {
+                self.on_flush_ack(rt, from, new_view, received);
+            }
+            Message::ViewInstall { new_view, members, cut } => {
+                self.on_view_install(rt, new_view, members, cut);
+            }
+            Message::JoinReq => self.on_join_req(rt, from),
+            Message::Vote { base, votes } => self.on_vote_frame(rt, from, base, votes),
+            Message::VoteAck { up_to } => {
+                let link = &mut self.peers[from.0 as usize].votes;
+                link.acked = link.acked.max(up_to);
+                self.gc_votes();
+            }
+            Message::JoinGrant { .. } => {
+                // Duplicate grant after adoption (or a stray): ignore.
+            }
+        }
+    }
+
+    fn received_vec(&self) -> Vec<u64> {
+        let mut v: Vec<u64> = self.peers.iter().map(|p| p.recv.contiguous).collect();
+        v[self.me.0 as usize] = self.send.sent();
+        v
+    }
+
+    fn on_fragment(
+        &mut self,
+        rt: &mut dyn ProtocolRuntime,
+        from: NodeId,
+        seq: u64,
+        rec: FragRecord,
+    ) {
+        let own = from == self.me;
+        if self.peers[from.0 as usize].recv.accept(seq, rec, own, &mut self.metrics) {
+            self.advance_stream(rt, from);
+        }
+    }
+
+    /// Advances `from`'s stream, delivering completed messages upward.
+    fn advance_stream(&mut self, rt: &mut dyn ProtocolRuntime, from: NodeId) {
+        // Taken, not borrowed: delivery may re-enter (sequencer loopback).
+        let mut up = std::mem::take(&mut self.advanced);
+        let own = from == self.me;
+        self.peers[from.0 as usize].recv.advance(own, &mut up, || rt.now_nanos());
+        if !up.anns.is_empty() {
+            for (a, carrier_seq) in up.anns.drain(..) {
+                self.to.apply(a, from, carrier_seq);
+            }
+            self.try_deliver();
+        }
+        if !up.votes.is_empty() {
+            self.on_vote_frame(rt, from, 0, up.votes.drain(..));
+        }
+        for (msg_seq, kind, payload) in up.completed.drain(..) {
+            self.on_reliable_msg(rt, from, msg_seq, kind, payload);
+        }
+        self.advanced = up;
+    }
+
+    fn on_reliable_msg(
+        &mut self,
+        rt: &mut dyn ProtocolRuntime,
+        origin: NodeId,
+        msg_seq: u64,
+        kind: PayloadKind,
+        payload: Bytes,
+    ) {
+        // An announcement's own last fragment is the order carrier: uniform
+        // delivery waits for it to be stable as well.
+        let last_frag = msg_seq + frags_for(&self.cfg, payload.len()) - 1;
+        match kind {
+            PayloadKind::App => {
+                if let Some(tentative) = self.to.hold(origin, msg_seq, payload, last_frag) {
+                    self.metrics.tentative_delivered += 1;
+                    self.upcalls.push_back(tentative);
+                }
+                if self.to.is_sequencer()
+                    && matches!(self.phase, Phase::Stable)
+                    && !self.to.assigned.contains(&(origin.0, msg_seq))
+                {
+                    self.assign(rt, origin, msg_seq);
+                }
+                self.try_deliver();
+            }
+            PayloadKind::SeqAnn => {
+                if let Ok(assigns) = decode_seq_ann(payload) {
+                    for a in assigns {
+                        self.to.apply(a, origin, last_frag);
+                    }
+                    self.try_deliver();
+                }
+            }
+        }
+    }
+
+    fn try_deliver(&mut self) {
+        while let Some(up) = self.to.next_delivery(self.stab.stable()) {
+            self.metrics.delivered += 1;
+            self.upcalls.push_back(up);
+        }
+    }
+
+    /// Feeds received votes from `from`'s stream, and cumulatively acks so
+    /// the voter can garbage-collect.
+    fn on_vote_frame(
+        &mut self,
+        rt: &mut dyn ProtocolRuntime,
+        from: NodeId,
+        base: u64,
+        votes: impl IntoIterator<Item = WireVote>,
+    ) {
+        let (metrics, upcalls) = (&mut self.metrics, &mut self.upcalls);
+        let up_to = self.peers[from.0 as usize].votes.receive(base, votes, |vote| {
+            metrics.votes_received += 1;
+            upcalls.push_back(Upcall::Vote { voter: from, vote });
+        });
+        self.out(rt).unicast(from, Message::VoteAck { up_to });
+    }
+
+    /// Garbage-collects the vote outbox up to the minimum cumulative ack
+    /// over the *current* view's peers (re-evaluated after every install: a
+    /// crashed receiver stops gating GC the moment it is excluded).
+    fn gc_votes(&mut self) {
+        let peers = self.view.members.iter().filter(|&m| m != self.me);
+        self.votes.gc(peers.map(|m| self.peers[m.0 as usize].votes.acked).min());
+    }
+
+    // ----- NAK / retransmission ----------------------------------------
+
+    fn answer_nak(
+        &mut self,
+        rt: &mut dyn ProtocolRuntime,
+        requester: NodeId,
+        target: NodeId,
+        ranges: &[(u64, u64)],
+    ) {
+        const MAX_ANSWER: usize = 64;
+        let mut out = self.out(rt);
+        let cached = |seq| {
+            if target == self.me {
+                self.send.buffer.get(&seq)
+            } else {
+                self.peers[target.0 as usize].recv.cached(seq)
+            }
+        };
+        let seqs = ranges.iter().flat_map(|&(from, to)| from..=to);
+        for (seq, rec) in seqs.filter_map(|seq| Some((seq, cached(seq)?))).take(MAX_ANSWER) {
+            out.relay(target, [requester], rec.data(seq, true));
+            self.metrics.retrans_sent += 1;
+        }
+    }
+
+    fn nak_scan(&mut self, rt: &mut dyn ProtocolRuntime) {
+        let now = rt.now_nanos();
+        let delay = self.cfg.nak_delay.as_nanos() as u64;
+        let retry = self.cfg.nak_retry.as_nanos() as u64;
+        for j in 0..self.cfg.n_nodes {
+            let node = NodeId(j as u16);
+            if node == self.me {
+                continue;
+            }
+            let Some(ranges) = self.peers[j].recv.nak_due(now, delay, retry) else { continue };
+            self.metrics.naks_sent += 1;
+            let msg = Message::Nak { target: node, ranges };
+            let mut out = self.out(rt);
+            if self.view.members.contains(node) && !self.suspected.contains(node) {
+                out.unicast(node, msg);
+            } else {
+                // Original sender is gone: ask the survivors.
+                let survivors = self.view.members.iter().filter(|&m| m != self.me && m != node);
+                out.relay(self.me, survivors, msg);
+            }
+        }
+    }
+
+    fn on_stability_advance(&mut self, rt: &mut dyn ProtocolRuntime) {
+        // GC own send buffer and peers' retained caches.
+        let stable = self.stab.stable();
+        self.send.gc(stable[self.me.0 as usize]);
+        for (p, &s) in self.peers.iter_mut().zip(stable) {
+            p.recv.gc(s);
+        }
+        if self.cfg.uniform_delivery {
+            self.try_deliver();
+        }
+        // Freed buffer share may unblock the sender.
+        self.drain_sends(rt);
+    }
+
+    // ----- timers --------------------------------------------------------
+
+    /// Entry point for a fired timer.
+    pub fn on_timer(&mut self, rt: &mut dyn ProtocolRuntime, kind: TimerKind) {
+        if self.halted {
+            return;
+        }
+        rt.charge(self.cfg.proc_cost);
+        if self.joining {
+            // A rejoiner runs nothing but its retry loop.
+            if kind == TimerKind::JoinRetry {
+                self.out(rt).multicast(Message::JoinReq);
+                rt.set_timer(self.cfg.heartbeat_period, TimerKind::JoinRetry);
+            }
+            return;
+        }
+        match kind {
+            TimerKind::Gossip => {
+                let received = self.received_vec();
+                let g = self.stab.make_gossip(&received);
+                self.out(rt).multicast(Message::Gossip(g));
+                self.metrics.gossip_sent += 1;
+                // Completing our own vote may already advance stability.
+                self.on_stability_advance(rt);
+                // A latched joiner admits at the next order-clean beat.
+                self.try_grant_join(rt);
+                rt.set_timer(self.cfg.gossip_period, TimerKind::Gossip);
+            }
+            TimerKind::Heartbeat => {
+                self.out(rt).multicast(Message::Heartbeat { sent: self.send.sent() });
+                // Vote reliability rides the heartbeat: retransmit the
+                // unacked suffix, then flush stragglers that found no
+                // fragment slack to piggyback on.
+                self.votes.resend(&mut self.out(rt), &mut self.metrics);
+                self.votes.flush(&mut self.out(rt), &mut self.metrics);
+                rt.set_timer(self.cfg.heartbeat_period, TimerKind::Heartbeat);
+            }
+            TimerKind::FailureCheck => {
+                self.failure_scan(rt);
+                rt.set_timer(self.cfg.failure_timeout, TimerKind::FailureCheck);
+            }
+            TimerKind::NakCheck => {
+                self.nak_scan(rt);
+                self.try_complete_install(rt);
+                rt.set_timer(self.cfg.nak_delay, TimerKind::NakCheck);
+            }
+            TimerKind::RateRefill => {
+                self.send.rate_timer = None;
+                self.drain_sends(rt);
+            }
+            TimerKind::AnnFlush => {
+                // The fired timer is spent: drop the handle first so
+                // flush_ann does not issue a cancel for it (cancels of
+                // already-fired ids accumulate forever in the native and
+                // testkit runtimes' cancelled sets).
+                self.to.ann_timer = None;
+                self.flush_ann(rt);
+            }
+            TimerKind::FlushResend => self.resend_flush(rt),
+            TimerKind::JoinRetry => self.resend_grant_install(rt),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -8,12 +8,12 @@
 
 use crate::config::GcsConfig;
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
-use crate::stack::{Gcs, Upcall};
-use crate::types::NodeId;
+use crate::stack::Gcs;
+use crate::types::{NodeId, Upcall};
 use bytes::Bytes;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -31,11 +31,11 @@ struct Shared {
     next_timer: u64,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     events: Vec<Option<Event>>,
-    cancelled: HashSet<u64>,
+    cancelled: BTreeSet<u64>,
     /// drop_fn(from, to, bytes) -> drop?
     drop_fn: DropFn,
     latency_ns: u64,
-    crashed: HashSet<u16>,
+    crashed: BTreeSet<u16>,
 }
 
 impl Shared {
@@ -116,10 +116,10 @@ impl TestNet {
             next_timer: 0,
             queue: BinaryHeap::new(),
             events: Vec::new(),
-            cancelled: HashSet::new(),
+            cancelled: BTreeSet::new(),
             drop_fn: Box::new(|_, _, _| false),
             latency_ns: 100_000, // 100us
-            crashed: HashSet::new(),
+            crashed: BTreeSet::new(),
         }));
         let nodes: Vec<Rc<RefCell<Gcs>>> = (0..n)
             .map(|i| Rc::new(RefCell::new(Gcs::new(NodeId(i as u16), cfg.clone()))))

@@ -1,5 +1,8 @@
-//! Basic group-communication types.
+//! Basic group-communication types, and what the stack hands the
+//! application: upcalls and protocol counters.
 
+use crate::wire::WireVote;
+use bytes::Bytes;
 use std::fmt;
 
 /// Identifier of a group member (dense, assigned by configuration).
@@ -151,19 +154,127 @@ impl View {
     pub fn initial(n: usize) -> Self {
         View { id: 0, members: NodeSet::first_n(n) }
     }
-
-    /// The fixed sequencer of this view: its lowest-numbered member
-    /// (§3.4: "view synchrony ensures that a single sequencer site is
-    /// easily chosen and replaced when it fails").
-    pub fn sequencer(&self) -> Option<NodeId> {
-        self.members.min()
-    }
 }
 
 impl fmt::Display for View {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "view{}{}", self.id, self.members)
     }
+}
+
+/// Events the stack hands to the application.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Upcall {
+    /// A message delivered in total order.
+    Deliver {
+        /// Originating node.
+        origin: NodeId,
+        /// Global (total-order) sequence number. Consecutive at every node,
+        /// except for deterministically skipped orphans after a crash.
+        global_seq: u64,
+        /// The application payload.
+        payload: Bytes,
+    },
+    /// A message whose content is reliably received but whose global order
+    /// is not yet known — emitted (when
+    /// [`GcsConfig::tentative_delivery`](crate::GcsConfig) is set) as soon
+    /// as the reliable layer completes the message, before the sequencer's
+    /// assignment arrives. The matching [`Upcall::Deliver`] always follows;
+    /// applications use the head start for work that is safe to perform out
+    /// of order, e.g. speculative certification overlapped with the
+    /// total-order broadcast.
+    Tentative {
+        /// Originating node.
+        origin: NodeId,
+        /// The origin's message sequence number (pairs this tentative
+        /// delivery with its later total-order delivery).
+        msg_seq: u64,
+        /// The application payload.
+        payload: Bytes,
+    },
+    /// A new view was installed.
+    ViewChange(View),
+    /// This node was excluded from the view (e.g. falsely suspected under
+    /// clock drift); it must halt. Survivors stay consistent.
+    Excluded,
+    /// This node (the lowest live member) admitted `joiner` and must serve
+    /// its snapshot + delta-log state transfer. Emitted at the grant's
+    /// order-clean point, *before* the member-add [`Upcall::ViewChange`]:
+    /// the application's committed state at this instant is exactly what
+    /// the joiner must receive — every global sequence number below the
+    /// granted order base has been delivered here, and none above.
+    ServeJoin {
+        /// The rejoining node.
+        joiner: NodeId,
+    },
+    /// Emitted at a rejoining node (built with [`Gcs::rejoin`](crate::Gcs::rejoin)) once a
+    /// grant was adopted: the stack is live in the new view, and the
+    /// application must install the transferred state before acting on
+    /// the deliveries that follow.
+    Rejoined,
+    /// A certification vote from `voter` (possibly this node, via loopback)
+    /// surfaced by the reliable vote stream. Votes from one voter arrive in
+    /// cast order; the application collects a covering quorum per
+    /// transaction and decides by merging.
+    Vote {
+        /// The site that cast the vote.
+        voter: NodeId,
+        /// The verdict.
+        vote: WireVote,
+    },
+}
+
+/// Protocol counters (diagnostics for the fault-injection analysis, §5.3).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GcsMetrics {
+    /// Application messages submitted.
+    pub app_sent: u64,
+    /// Messages delivered in total order.
+    pub delivered: u64,
+    /// Data fragments transmitted (first time).
+    pub frags_sent: u64,
+    /// Data fragments received (non-duplicate).
+    pub frags_received: u64,
+    /// Duplicate fragments discarded.
+    pub duplicates: u64,
+    /// Retransmitted fragments sent.
+    pub retrans_sent: u64,
+    /// NAKs sent.
+    pub naks_sent: u64,
+    /// NAKs received.
+    pub naks_received: u64,
+    /// Gossip messages sent.
+    pub gossip_sent: u64,
+    /// Completed view changes.
+    pub view_changes: u64,
+    /// Cumulative nanoseconds the sender spent blocked by flow control with
+    /// traffic pending — the paper's "whole system blocked temporarily
+    /// waiting for garbage collection".
+    pub blocked_ns: u64,
+    /// Peak pending (flow-control-blocked) queue length.
+    pub pending_peak: usize,
+    /// `SeqAnn` announcement messages submitted to the reliable layer
+    /// (sequencer only).
+    pub ann_sent: u64,
+    /// Assignments carried by those announcement messages.
+    pub ann_assigns: u64,
+    /// Assignments piggybacked on outgoing application fragments instead of
+    /// costing a `SeqAnn` message of their own (sequencer only).
+    pub ann_piggybacked: u64,
+    /// Tentative (pre-total-order) deliveries handed up; 0 unless
+    /// `tentative_delivery` is configured.
+    pub tentative_delivered: u64,
+    /// Certification votes transmitted (first time, standalone or
+    /// piggybacked).
+    pub votes_sent: u64,
+    /// Certification votes received from peers (non-duplicate, surfaced in
+    /// stream order).
+    pub votes_received: u64,
+    /// Votes carried in the MTU slack of outgoing data fragments instead of
+    /// costing a standalone `Vote` message.
+    pub votes_piggybacked: u64,
+    /// Votes retransmitted by the heartbeat-driven reliability arm.
+    pub vote_resends: u64,
 }
 
 #[cfg(test)]
@@ -203,17 +314,6 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn too_many_nodes_rejected() {
         let _ = NodeSet::first_n(65);
-    }
-
-    #[test]
-    fn view_sequencer_is_min_member() {
-        let v = View::initial(3);
-        assert_eq!(v.sequencer(), Some(NodeId(0)));
-        let mut m = v.members;
-        m.remove(NodeId(0));
-        let v2 = View { id: 1, members: m };
-        assert_eq!(v2.sequencer(), Some(NodeId(1)));
-        assert_eq!(View { id: 2, members: NodeSet::EMPTY }.sequencer(), None);
     }
 
     #[test]

@@ -252,6 +252,29 @@ fn get_wire_vote(buf: &mut Bytes) -> WireVote {
     WireVote { seq, origin, txn, conflict: some.then_some(val) }
 }
 
+/// Fails as truncated unless `buf` holds at least `n` more bytes.
+fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
+    if buf.len() < n {
+        return Err(WireError::Truncated);
+    }
+    Ok(())
+}
+
+/// A `u16` count, then that many `u64`s.
+fn put_u64s(b: &mut BytesMut, v: &[u64]) {
+    b.put_u16_le(v.len() as u16);
+    for x in v {
+        b.put_u64_le(*x);
+    }
+}
+
+fn get_u64s(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
+    need(buf, 2)?;
+    let n = buf.get_u16_le() as usize;
+    need(buf, n * 8)?;
+    Ok((0..n).map(|_| buf.get_u64_le()).collect())
+}
+
 impl Envelope {
     /// Encodes to a fresh buffer.
     pub fn encode(&self) -> Bytes {
@@ -305,18 +328,12 @@ impl Envelope {
             }
             Message::FlushAck { new_view, received } => {
                 b.put_u64_le(*new_view);
-                b.put_u16_le(received.len() as u16);
-                for v in received {
-                    b.put_u64_le(*v);
-                }
+                put_u64s(&mut b, received);
             }
             Message::ViewInstall { new_view, members, cut } => {
                 b.put_u64_le(*new_view);
                 b.put_u64_le(members.bits());
-                b.put_u16_le(cut.len() as u16);
-                for v in cut {
-                    b.put_u64_le(*v);
-                }
+                put_u64s(&mut b, cut);
             }
             Message::JoinReq => {}
             Message::Vote { base, votes } => {
@@ -332,15 +349,9 @@ impl Envelope {
             Message::JoinGrant { new_view, members, cut, order_base, skipped, sequencer } => {
                 b.put_u64_le(*new_view);
                 b.put_u64_le(members.bits());
-                b.put_u16_le(cut.len() as u16);
-                for v in cut {
-                    b.put_u64_le(*v);
-                }
+                put_u64s(&mut b, cut);
                 b.put_u64_le(*order_base);
-                b.put_u16_le(skipped.len() as u16);
-                for v in skipped {
-                    b.put_u64_le(*v);
-                }
+                put_u64s(&mut b, skipped);
                 b.put_u16_le(sequencer.0);
             }
         }
@@ -369,9 +380,7 @@ impl Envelope {
     ///
     /// [`WireError`] on short or mis-tagged input.
     pub fn decode(mut buf: Bytes) -> Result<Envelope, WireError> {
-        if buf.len() < ENVELOPE_OVERHEAD {
-            return Err(WireError::Truncated);
-        }
+        need(&buf, ENVELOPE_OVERHEAD)?;
         let magic = buf.get_u8();
         if magic != MAGIC {
             return Err(WireError::BadTag(magic));
@@ -381,9 +390,7 @@ impl Envelope {
         let view = buf.get_u64_le();
         let msg = match kind {
             0 => {
-                if buf.len() < DATA_OVERHEAD {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, DATA_OVERHEAD)?;
                 let seq = buf.get_u64_le();
                 let total_frags = buf.get_u16_le();
                 let frag_idx = buf.get_u16_le();
@@ -392,9 +399,7 @@ impl Envelope {
                 let kind = PayloadKind::from_byte(k).ok_or(WireError::BadTag(k))?;
                 let n_ann = buf.get_u16_le() as usize;
                 let n_votes = buf.get_u16_le() as usize;
-                if buf.len() < n_ann * SEQ_ASSIGN_WIRE + n_votes * WIRE_VOTE_WIRE {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, n_ann * SEQ_ASSIGN_WIRE + n_votes * WIRE_VOTE_WIRE)?;
                 let ann = (0..n_ann).map(|_| get_seq_assign(&mut buf)).collect();
                 let votes = (0..n_votes).map(|_| get_wire_vote(&mut buf)).collect();
                 Message::Data {
@@ -409,108 +414,68 @@ impl Envelope {
                 }
             }
             1 => {
-                if buf.len() < 4 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 4)?;
                 let target = NodeId(buf.get_u16_le());
                 let n = buf.get_u16_le() as usize;
-                if buf.len() < n * 16 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, n * 16)?;
                 let ranges =
                     (0..n).map(|_| (buf.get_u64_le(), buf.get_u64_le())).collect::<Vec<_>>();
                 Message::Nak { target, ranges }
             }
             2 => {
-                if buf.len() < 18 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 18)?;
                 let round = buf.get_u64_le();
                 let w = NodeSet::from_bits(buf.get_u64_le());
                 let n = buf.get_u16_le() as usize;
-                if buf.len() < n * 16 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, n * 16)?;
                 let m = (0..n).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
                 let s = (0..n).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
                 Message::Gossip(Gossip { round, w, m, s })
             }
             3 => {
-                if buf.len() < 8 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 8)?;
                 Message::Heartbeat { sent: buf.get_u64_le() }
             }
             4 => {
-                if buf.len() < 16 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 16)?;
                 Message::FlushReq {
                     new_view: buf.get_u64_le(),
                     members: NodeSet::from_bits(buf.get_u64_le()),
                 }
             }
             5 => {
-                if buf.len() < 10 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 10)?;
                 let new_view = buf.get_u64_le();
-                let n = buf.get_u16_le() as usize;
-                if buf.len() < n * 8 {
-                    return Err(WireError::Truncated);
-                }
-                let received = (0..n).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
-                Message::FlushAck { new_view, received }
+                Message::FlushAck { new_view, received: get_u64s(&mut buf)? }
             }
             6 => {
-                if buf.len() < 18 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 18)?;
                 let new_view = buf.get_u64_le();
                 let members = NodeSet::from_bits(buf.get_u64_le());
-                let n = buf.get_u16_le() as usize;
-                if buf.len() < n * 8 {
-                    return Err(WireError::Truncated);
-                }
-                let cut = (0..n).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
-                Message::ViewInstall { new_view, members, cut }
+                Message::ViewInstall { new_view, members, cut: get_u64s(&mut buf)? }
             }
             7 => Message::JoinReq,
             9 => {
-                if buf.len() < 10 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 10)?;
                 let base = buf.get_u64_le();
                 let n = buf.get_u16_le() as usize;
-                if buf.len() < n * WIRE_VOTE_WIRE {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, n * WIRE_VOTE_WIRE)?;
                 let votes = (0..n).map(|_| get_wire_vote(&mut buf)).collect();
                 Message::Vote { base, votes }
             }
             10 => {
-                if buf.len() < 8 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 8)?;
                 Message::VoteAck { up_to: buf.get_u64_le() }
             }
             8 => {
-                if buf.len() < 18 {
-                    return Err(WireError::Truncated);
-                }
+                need(&buf, 18)?;
                 let new_view = buf.get_u64_le();
                 let members = NodeSet::from_bits(buf.get_u64_le());
-                let n = buf.get_u16_le() as usize;
-                if buf.len() < n * 8 + 10 {
-                    return Err(WireError::Truncated);
-                }
-                let cut = (0..n).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
+                let cut = get_u64s(&mut buf)?;
+                need(&buf, 8)?;
                 let order_base = buf.get_u64_le();
-                let k = buf.get_u16_le() as usize;
-                if buf.len() < k * 8 + 2 {
-                    return Err(WireError::Truncated);
-                }
-                let skipped = (0..k).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
+                let skipped = get_u64s(&mut buf)?;
+                need(&buf, 2)?;
                 let sequencer = NodeId(buf.get_u16_le());
                 Message::JoinGrant { new_view, members, cut, order_base, skipped, sequencer }
             }
@@ -538,13 +503,9 @@ pub fn encode_seq_ann(assigns: &[SeqAssign]) -> Bytes {
 ///
 /// [`WireError::Truncated`] when the declared count exceeds the buffer.
 pub fn decode_seq_ann(mut buf: Bytes) -> Result<Vec<SeqAssign>, WireError> {
-    if buf.len() < 2 {
-        return Err(WireError::Truncated);
-    }
+    need(&buf, 2)?;
     let n = buf.get_u16_le() as usize;
-    if buf.len() < n * SEQ_ASSIGN_WIRE {
-        return Err(WireError::Truncated);
-    }
+    need(&buf, n * SEQ_ASSIGN_WIRE)?;
     Ok((0..n).map(|_| get_seq_assign(&mut buf)).collect())
 }
 

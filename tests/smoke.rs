@@ -6,8 +6,11 @@
 //! through hash-map iteration, uninitialized state or wall-clock leakage.
 
 use dbsm_testbed::core::{
-    run_experiment, AnnBatchPolicy, CertBackendKind, ExperimentConfig, RunMetrics,
+    run_experiment, AnnBatchPolicy, CertBackendKind, Cluster, ExperimentConfig, FaultPlan,
+    RunMetrics,
 };
+use dbsm_testbed::sim::SimTime;
+use std::time::Duration;
 
 fn small_run_with(seed: u64, backend: CertBackendKind) -> RunMetrics {
     run_experiment(
@@ -150,6 +153,29 @@ fn adaptive_ann_batching_is_reproducible_with_a_live_ledger() {
             "seed {seed}: assignment totals reproduce"
         );
     }
+}
+
+#[test]
+fn crash_restart_runs_repeat_exactly() {
+    // A rejoin aborts the first incarnation's in-flight requests, and each
+    // abort re-arms a client through the shared workload RNG: the abort
+    // order — and with it the whole run — must follow from the seed.
+    let run = || {
+        let mut cfg = ExperimentConfig::replicated(3, 2000)
+            .with_target(4_000)
+            .with_seed(42)
+            .with_faults(FaultPlan::crash_restart(2, SimTime::from_secs(3), SimTime::from_secs(4)));
+        cfg.max_sim = Duration::from_secs(60);
+        let cluster = Cluster::build(cfg);
+        let handle = cluster.clone();
+        let m = cluster.run();
+        (handle.sim().events_executed(), m)
+    };
+    let (events_a, a) = run();
+    let (events_b, b) = run();
+    assert_eq!(a.rejoins.len(), 1, "the restarted site rejoined");
+    assert_eq!(events_a, events_b, "events executed");
+    assert_identical(&a, &b);
 }
 
 #[test]
