@@ -28,6 +28,7 @@ mod cluster;
 mod experiment;
 mod metrics;
 mod placement;
+mod replica;
 pub mod report;
 pub mod validate;
 

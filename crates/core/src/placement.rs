@@ -8,6 +8,10 @@
 //! picks a site owning the transaction's home warehouse, each site's
 //! [`SpanCertifier`](dbsm_cert::SpanCertifier) indexes only the warehouses
 //! it owns, and remote write-sets are applied only where they are stored.
+//! The map is static; a span re-homed onto a survivor after its replica
+//! set died is an overlay on it, and
+//! [`Ownership::owns`](crate::replica::Ownership::owns) is the one rule
+//! that combines the two.
 //!
 //! The map is validated like a [`FaultPlan`](dbsm_fault::FaultPlan):
 //! construct freely, [`PlacementMap::validate`] before running.

@@ -1,10 +1,10 @@
 //! Traffic accounting — the data behind Fig. 6(c) (network KB/s) and the
 //! drop diagnostics used when analysing fault-injection runs.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Why a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DropCause {
     /// Receiver-side loss model (random/bursty loss, crash).
     LossModel,
@@ -40,7 +40,7 @@ pub struct HostTraffic {
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     per_host: Vec<HostTraffic>,
-    drops: HashMap<DropCause, u64>,
+    drops: BTreeMap<DropCause, u64>,
     dup_injected: u64,
 }
 
@@ -49,7 +49,7 @@ impl TrafficStats {
     pub fn new(n: usize) -> Self {
         TrafficStats {
             per_host: vec![HostTraffic::default(); n],
-            drops: HashMap::new(),
+            drops: BTreeMap::new(),
             dup_injected: 0,
         }
     }

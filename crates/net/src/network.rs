@@ -25,7 +25,6 @@ use dbsm_sim::{Sim, SimTime, Trace, TraceKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
@@ -112,8 +111,13 @@ struct HostState {
     /// already dropped the packet.
     losses: Vec<Box<dyn LossModel>>,
     dup: Option<DupModel>,
-    sockets: HashMap<Port, Handler>,
-    groups: HashSet<GroupId>,
+    /// Bound sockets and joined groups are only ever looked up by key —
+    /// delivery fans out over the segment's hosts in id order — so hash
+    /// containers are safe here.
+    #[allow(clippy::disallowed_types)]
+    sockets: std::collections::HashMap<Port, Handler>,
+    #[allow(clippy::disallowed_types)]
+    groups: std::collections::HashSet<GroupId>,
     /// Segments this host is attached to, in attachment order.
     segments: Vec<usize>,
 }
@@ -124,7 +128,9 @@ struct NetState {
     stats: TrafficStats,
     /// Active partition: host id → segment group. Hosts absent from the map
     /// (or in different groups) cannot reach each other. `None` = healed.
-    partition: Option<HashMap<u16, u32>>,
+    /// Looked up by host id only, never iterated.
+    #[allow(clippy::disallowed_types)]
+    partition: Option<std::collections::HashMap<u16, u32>>,
 }
 
 /// Error binding a socket.
@@ -169,8 +175,8 @@ impl Network {
                 down: false,
                 losses: Vec::new(),
                 dup: None,
-                sockets: HashMap::new(),
-                groups: HashSet::new(),
+                sockets: Default::default(),
+                groups: Default::default(),
                 segments: Vec::new(),
             })
             .collect();
@@ -280,7 +286,8 @@ impl Network {
     /// new partition boundary are dropped at delivery time, modelling the
     /// switch cutting over. Replaces any earlier partition.
     pub fn set_partition(&self, groups: &[Vec<HostId>]) {
-        let mut map = HashMap::new();
+        #[allow(clippy::disallowed_types)] // keyed-only, see `NetState::partition`
+        let mut map = std::collections::HashMap::new();
         for (gi, group) in groups.iter().enumerate() {
             for h in group {
                 let prev = map.insert(h.0, gi as u32);

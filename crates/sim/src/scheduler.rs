@@ -10,7 +10,7 @@
 use crate::event::{Action, Entry, EventId};
 use crate::time::SimTime;
 use std::cell::RefCell;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -19,7 +19,10 @@ struct Inner {
     queue: BinaryHeap<Entry>,
     now: SimTime,
     next_id: u64,
-    cancelled: HashSet<EventId>,
+    /// Tombstones of cancelled events, only ever probed by id as the run
+    /// loop pops them: never iterated, so a hash set is safe.
+    #[allow(clippy::disallowed_types)]
+    cancelled: std::collections::HashSet<EventId>,
     executed: u64,
     /// When set, the run loop stops before executing any event later than this.
     horizon: Option<SimTime>,

@@ -6,8 +6,8 @@
 //! through hash-map iteration, uninitialized state or wall-clock leakage.
 
 use dbsm_testbed::core::{
-    run_experiment, AnnBatchPolicy, CertBackendKind, Cluster, ExperimentConfig, FaultPlan,
-    RunMetrics,
+    run_experiment, AnnBatchPolicy, CertBackendKind, Cluster, CommitPath, ExperimentConfig,
+    FaultPlan, FaultSpec, RunMetrics,
 };
 use dbsm_testbed::sim::SimTime;
 use std::time::Duration;
@@ -185,4 +185,84 @@ fn different_seeds_diverge() {
     // With different seeds the runs must not be identical — otherwise the
     // seed is not actually wired through the stochastic components.
     assert_ne!(a.commit_logs, b.commit_logs, "seed must steer the workload");
+}
+
+/// FNV-1a over every site's commit log, length-prefixed per site so a
+/// transaction moving between logs changes the digest.
+fn commit_digest(logs: &[Vec<(u16, u64)>]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for log in logs {
+        eat(&(log.len() as u64).to_le_bytes());
+        for &(origin, txn) in log {
+            eat(&origin.to_le_bytes());
+            eat(&txn.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// Runs `cfg` to its cap and returns `(events executed, commit digest,
+/// metrics)`.
+fn fingerprint(cfg: ExperimentConfig) -> (u64, u64, RunMetrics) {
+    let cluster = Cluster::build(cfg);
+    let handle = cluster.clone();
+    let m = cluster.run();
+    (handle.sim().events_executed(), commit_digest(&m.commit_logs), m)
+}
+
+#[test]
+fn golden_cluster_digest() {
+    // Pins the whole cluster's behaviour, not just its repeatability: the
+    // events executed and the commit logs of three small runs, one per
+    // replication mode, must match recorded constants. A refactor leaves
+    // them alone; a deliberate behaviour change re-records them.
+    //
+    // A short history window makes the certifiers' gc cadence trim for
+    // real within the run.
+    let mut central = ExperimentConfig::centralized(1, 200).with_target(1_200).with_seed(42);
+    central.history_window = 256;
+    central.max_sim = Duration::from_secs(60);
+    let (events, digest, m) = fingerprint(central);
+    assert!(m.committed() > 0);
+    assert_eq!((events, digest), (24_436, 0x3f95f3e4631e7084), "1-site centralized");
+
+    let mut full = ExperimentConfig::replicated(3, 200).with_target(1_200).with_seed(42);
+    full.history_window = 256;
+    full.max_sim = Duration::from_secs(60);
+    let (events, digest, m) = fingerprint(full);
+    dbsm_testbed::fault::check_logs(&m.commit_logs, &[false; 3]).expect("full replication");
+    assert_eq!(
+        (events, digest),
+        (223_768, 0x3b0053dd09690fc1),
+        "3-site full replication, synchronous"
+    );
+
+    // Sites 0 and 1 are warehouse 0's whole replica set at rf 2: crashing
+    // both strands it, so a survivor adopts it and re-collects its open
+    // vote rounds.
+    let mut churn = ExperimentConfig::replicated(6, 1200)
+        .with_replication_factor(2)
+        .with_commit_path(CommitPath::Pipelined)
+        .with_target(1_500)
+        .with_seed(42)
+        .with_faults(
+            FaultPlan::crash(0, SimTime::from_secs(3))
+                .with(FaultSpec::Crash { site: 1, at: SimTime::from_secs(5) }),
+        );
+    churn.history_window = 1 << 17;
+    churn.max_sim = Duration::from_secs(30);
+    let (events, digest, m) = fingerprint(churn);
+    assert!(m.replacement_work.rehomed_spans > 0, "a stranded span re-homed");
+    assert!(m.replacement_work.vote_rounds_recollected > 0, "vote rounds re-collected");
+    assert_eq!(
+        (events, digest),
+        (274_340, 0xe3ef86dae12fc838),
+        "6-site rf-2 partial, pipelined, pair crash"
+    );
 }
