@@ -26,13 +26,13 @@
 //! bit-reproducibly.
 
 use crate::certifier::{CertWork, HistoryTruncated, LinearCertifier, Outcome};
+use crate::fxhash::FxHashMap;
 use crate::placement::{
     evict_front, first_above, HistoryCertifier, IndexPlacement, SpecResolution, TableIndex,
 };
 use crate::request::CertRequest;
 use crate::rwset::RwSet;
 use crate::tuple::TableId;
-use std::collections::HashMap;
 
 /// The operations the replication layer needs from a certifier, independent
 /// of how the write history is organized.
@@ -215,8 +215,9 @@ impl CertBackendKind {
 /// total cost is proportional to the *request*, not to the conflict window.
 #[derive(Debug, Clone, Default)]
 pub struct UnifiedPlacement {
-    /// The per-table probe structures.
-    pub(crate) tables: HashMap<TableId, TableIndex>,
+    /// The per-table probe structures, looked up by table and never
+    /// iterated, so hash order cannot leak.
+    pub(crate) tables: FxHashMap<TableId, TableIndex>,
 }
 
 impl UnifiedPlacement {

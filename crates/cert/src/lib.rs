@@ -51,6 +51,7 @@
 
 mod backend;
 mod certifier;
+mod fxhash;
 mod marshal;
 mod placement;
 mod request;
@@ -60,6 +61,7 @@ mod tuple;
 
 pub use backend::{CertBackend, CertBackendKind, IndexedCertifier, UnifiedPlacement};
 pub use certifier::{CertWork, Certifier, HistoryTruncated, LinearCertifier, Outcome};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use marshal::{marshal, marshalled_len, unmarshal, UnmarshalError, HEADER_LEN};
 pub use placement::{HistoryCertifier, IndexPlacement, SpecResolution};
 pub use request::CertRequest;

@@ -39,9 +39,10 @@
 //! any speculation.
 
 use crate::certifier::{CertWork, HistoryTruncated, Outcome};
+use crate::fxhash::FxHashMap;
 use crate::request::CertRequest;
 use crate::rwset::RwSet;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-table slice of the write-history index.
 ///
@@ -53,7 +54,8 @@ use std::collections::{HashMap, VecDeque};
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TableIndex {
     /// Row number → sequence numbers of committed transactions that wrote it.
-    pub(crate) rows: HashMap<u64, RowSeqs>,
+    /// Only looked up by row, never iterated, so hash order cannot leak.
+    pub(crate) rows: FxHashMap<u64, RowSeqs>,
     /// Sequence numbers of table-level (wildcard) writes to this table.
     pub(crate) wildcard: VecDeque<u64>,
     /// Sequence numbers of *any* write touching this table (row or
@@ -214,8 +216,10 @@ pub struct HistoryCertifier<P> {
     next_seq: u64,
     /// All sequence numbers `<= low_water` have been garbage collected.
     low_water: u64,
-    /// Outstanding speculations keyed by `(site, txn)`.
-    specs: HashMap<(u16, u64), Speculation>,
+    /// Outstanding speculations keyed by `(site, txn)`. Looked up by key;
+    /// the one pass over it, gc's `retain`, keeps or drops each entry by its
+    /// own fields, so hash order cannot leak.
+    specs: FxHashMap<(u16, u64), Speculation>,
 }
 
 impl<P: IndexPlacement> HistoryCertifier<P> {
@@ -227,7 +231,7 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
             history: VecDeque::new(),
             next_seq: 1,
             low_water: 0,
-            specs: HashMap::new(),
+            specs: FxHashMap::default(),
         }
     }
 
@@ -248,7 +252,7 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
             history: self.history.clone(),
             next_seq: self.next_seq,
             low_water: self.low_water,
-            specs: HashMap::new(),
+            specs: FxHashMap::default(),
         }
     }
 

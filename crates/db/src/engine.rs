@@ -11,10 +11,9 @@
 
 use crate::lock::{Acquire, CcPolicy, LockTable, OwnerKind, TxnId};
 use crate::storage::{Storage, StorageConfig};
-use dbsm_cert::{RwSet, TupleId};
+use dbsm_cert::{FxHashMap, RwSet, TupleId};
 use dbsm_sim::{CpuBank, Sim, SimTime};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -113,7 +112,8 @@ struct Txn {
 
 struct Inner {
     locks: LockTable,
-    txns: HashMap<TxnId, Txn>,
+    /// Live transactions, only looked up by id and never iterated.
+    txns: FxHashMap<TxnId, Txn>,
     next_txn: u64,
     next_gen: u64,
     metrics: EngineMetrics,
@@ -152,7 +152,7 @@ impl DbEngine {
             storage: Storage::new(sim, storage_config, seed),
             inner: Rc::new(RefCell::new(Inner {
                 locks: LockTable::new(policy),
-                txns: HashMap::new(),
+                txns: FxHashMap::default(),
                 next_txn: 1,
                 next_gen: 1,
                 metrics: EngineMetrics::default(),

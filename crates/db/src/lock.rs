@@ -45,8 +45,8 @@
 //! are reference-counted slices: the table keeps the caller's allocation
 //! from acquisition to release, moving it from waiter to holder on a grant.
 
-use dbsm_cert::TupleId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use dbsm_cert::{FxHashMap, TupleId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Engine-local transaction identifier.
@@ -111,12 +111,14 @@ pub enum Acquire {
 #[derive(Debug, Default)]
 pub struct LockTable {
     policy: CcPolicy,
-    held: HashMap<TupleId, TxnId>,
-    holders: HashMap<TxnId, Request>,
+    /// Holder of every locked tuple. This map, `holders` and `arrivals` are
+    /// only looked up by key, never iterated, so hash order cannot leak.
+    held: FxHashMap<TupleId, TxnId>,
+    holders: FxHashMap<TxnId, Request>,
     /// Queued requests by arrival number: iteration order is FIFO order.
     waiters: BTreeMap<u64, Request>,
     /// Arrival number of every queued transaction, for withdrawal.
-    arrivals: HashMap<TxnId, u64>,
+    arrivals: FxHashMap<TxnId, u64>,
     /// The wait index: one `(tuple, arrival)` pair per queued request and
     /// tuple it wants (see the module docs).
     queued: BTreeSet<(TupleId, u64)>,

@@ -47,8 +47,8 @@ struct Request {
 
 struct Inner {
     config: StorageConfig,
-    /// Outstanding requests by id.
-    requests: std::collections::HashMap<u64, Request>,
+    /// Outstanding requests by id, only looked up by id and never iterated.
+    requests: dbsm_cert::FxHashMap<u64, Request>,
     /// Sectors not yet issued to the device: `(request id, count)` FIFO.
     issue_queue: VecDeque<(u64, u32)>,
     next_req: u64,
@@ -79,7 +79,7 @@ impl Storage {
             sim: sim.clone(),
             inner: Rc::new(RefCell::new(Inner {
                 config,
-                requests: std::collections::HashMap::new(),
+                requests: dbsm_cert::FxHashMap::default(),
                 issue_queue: VecDeque::new(),
                 next_req: 0,
                 in_service: 0,

@@ -7,7 +7,7 @@
 use dbsm_cert::{TableId, TupleId};
 use dbsm_db::{Acquire, CcPolicy, LockTable, OwnerKind, TxnId};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The lock table as it was before the wait index: one FIFO of waiters that
 /// `acquire` scans in full, a committing `release` drains and rebuilds, and
@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 mod reference {
     use dbsm_cert::TupleId;
     use dbsm_db::{Acquire, CcPolicy, OwnerKind, ReleaseEffects, TxnId};
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::{BTreeMap, VecDeque};
 
     struct Holder {
         set: Vec<TupleId>,
@@ -31,8 +31,8 @@ mod reference {
 
     pub struct ScanLockTable {
         policy: CcPolicy,
-        held: HashMap<TupleId, TxnId>,
-        holders: HashMap<TxnId, Holder>,
+        held: BTreeMap<TupleId, TxnId>,
+        holders: BTreeMap<TxnId, Holder>,
         waiters: VecDeque<Waiter>,
     }
 
@@ -40,8 +40,8 @@ mod reference {
         pub fn new(policy: CcPolicy) -> Self {
             ScanLockTable {
                 policy,
-                held: HashMap::new(),
-                holders: HashMap::new(),
+                held: BTreeMap::new(),
+                holders: BTreeMap::new(),
                 waiters: VecDeque::new(),
             }
         }
@@ -200,9 +200,9 @@ proptest! {
         let mut lt = LockTable::new(CcPolicy::MultiVersion);
         let mut next = 1u64;
         // Transactions we believe hold locks, with their sets.
-        let mut holders: HashMap<TxnId, Vec<u8>> = HashMap::new();
+        let mut holders: BTreeMap<TxnId, Vec<u8>> = BTreeMap::new();
         // Transactions queued (waiting).
-        let mut waiting: HashMap<TxnId, Vec<u8>> = HashMap::new();
+        let mut waiting: BTreeMap<TxnId, Vec<u8>> = BTreeMap::new();
         let mut order: Vec<TxnId> = Vec::new();
 
         for op in ops {
@@ -325,7 +325,7 @@ proptest! {
         prop::collection::vec(0u8..6, 1..4), 2..20)
     ) {
         let mut lt = LockTable::new(CcPolicy::Conservative2pl);
-        let mut active: HashSet<TxnId> = HashSet::new();
+        let mut active: BTreeSet<TxnId> = BTreeSet::new();
         for (i, mut keys) in keysets.into_iter().enumerate() {
             keys.sort_unstable();
             keys.dedup();
@@ -339,7 +339,7 @@ proptest! {
             }
         }
         // Release everything as commits: under 2PL nobody aborts.
-        let mut done: HashSet<TxnId> = HashSet::new();
+        let mut done: BTreeSet<TxnId> = BTreeSet::new();
         let mut guard = 0;
         while done.len() < active.len() {
             let holder = active.iter().find(|t| lt.is_holder(**t) && !done.contains(t)).copied();

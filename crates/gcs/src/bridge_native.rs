@@ -16,7 +16,7 @@ use crate::stack::Gcs;
 use crate::types::{GcsMetrics, NodeId, Upcall};
 use bytes::Bytes;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -39,8 +39,9 @@ pub struct NativeBridge {
     peers: Vec<SocketAddr>,
     epoch: Instant,
     timers: BinaryHeap<Reverse<(Instant, u64)>>,
-    timer_meta: Vec<Option<TimerKind>>, // indexed by timer id
-    cancelled: BTreeSet<u64>,
+    /// Timers set and neither fired nor cancelled: a popped timer fires only
+    /// if it is still here.
+    live: BTreeMap<u64, TimerKind>,
     next_timer: u64,
     upcalls: Vec<Upcall>,
     buf: Vec<u8>,
@@ -52,8 +53,7 @@ struct NativeRt<'a> {
     me: NodeId,
     epoch: Instant,
     timers: &'a mut BinaryHeap<Reverse<(Instant, u64)>>,
-    timer_meta: &'a mut Vec<Option<TimerKind>>,
-    cancelled: &'a mut BTreeSet<u64>,
+    live: &'a mut BTreeMap<u64, TimerKind>,
     next_timer: &'a mut u64,
 }
 
@@ -67,15 +67,12 @@ impl ProtocolRuntime for NativeRt<'_> {
         *self.next_timer += 1;
         let at = Instant::now() + delay;
         self.timers.push(Reverse((at, id)));
-        if self.timer_meta.len() <= id as usize {
-            self.timer_meta.resize(id as usize + 1, None);
-        }
-        self.timer_meta[id as usize] = Some(kind);
+        self.live.insert(id, kind);
         TimerId(id)
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        self.cancelled.insert(id.0);
+        self.live.remove(&id.0);
     }
 
     fn unicast(&mut self, to: NodeId, payload: Bytes) {
@@ -113,8 +110,7 @@ impl NativeBridge {
             peers: config.peers,
             epoch: Instant::now(),
             timers: BinaryHeap::new(),
-            timer_meta: Vec::new(),
-            cancelled: BTreeSet::new(),
+            live: BTreeMap::new(),
             next_timer: 0,
             upcalls: Vec::new(),
             buf: vec![0u8; 65536],
@@ -151,8 +147,7 @@ impl NativeBridge {
                 me: self.gcs.node(),
                 epoch: self.epoch,
                 timers: &mut self.timers,
-                timer_meta: &mut self.timer_meta,
-                cancelled: &mut self.cancelled,
+                live: &mut self.live,
                 next_timer: &mut self.next_timer,
             };
             f(&mut self.gcs, &mut rt);
@@ -170,12 +165,7 @@ impl NativeBridge {
             match self.timers.peek() {
                 Some(Reverse((at, _))) if *at <= now => {
                     let Reverse((_, id)) = self.timers.pop().expect("peeked");
-                    if self.cancelled.remove(&id) {
-                        continue;
-                    }
-                    let Some(kind) = self.timer_meta.get(id as usize).copied().flatten() else {
-                        continue;
-                    };
+                    let Some(kind) = self.live.remove(&id) else { continue }; // cancelled
                     self.with_gcs(|g, rt| g.on_timer(rt, kind));
                     activity = true;
                 }
@@ -267,5 +257,9 @@ mod tests {
         }
         assert_eq!(da.len(), 2, "node a delivered");
         assert_eq!(da, db, "same total order on real sockets");
+        for bridge in [&a, &b] {
+            // Bookkeeping covers the timers still queued, not every one set.
+            assert!(bridge.live.len() <= bridge.timers.len());
+        }
     }
 }

@@ -675,9 +675,7 @@ impl Gcs {
             }
             TimerKind::AnnFlush => {
                 // The fired timer is spent: drop the handle first so
-                // flush_ann does not issue a cancel for it (cancels of
-                // already-fired ids accumulate forever in the native and
-                // testkit runtimes' cancelled sets).
+                // flush_ann does not issue a cancel for it.
                 self.to.ann_timer = None;
                 self.flush_ann(rt);
             }

@@ -31,7 +31,9 @@ struct Shared {
     next_timer: u64,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     events: Vec<Option<Event>>,
-    cancelled: BTreeSet<u64>,
+    /// Timers set and neither fired nor cancelled: a popped timer fires only
+    /// if it is still here.
+    live_timers: BTreeSet<u64>,
     /// drop_fn(from, to, bytes) -> drop?
     drop_fn: DropFn,
     latency_ns: u64,
@@ -72,13 +74,14 @@ impl ProtocolRuntime for TestRuntime {
         let mut sh = self.shared.borrow_mut();
         let id = TimerId(sh.next_timer);
         sh.next_timer += 1;
+        sh.live_timers.insert(id.0);
         let at = sh.now + delay.as_nanos() as u64;
         sh.push(at, Event::Timer { node: self.node, kind, id });
         id
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        self.shared.borrow_mut().cancelled.insert(id.0);
+        self.shared.borrow_mut().live_timers.remove(&id.0);
     }
 
     fn unicast(&mut self, to: NodeId, payload: Bytes) {
@@ -116,7 +119,7 @@ impl TestNet {
             next_timer: 0,
             queue: BinaryHeap::new(),
             events: Vec::new(),
-            cancelled: BTreeSet::new(),
+            live_timers: BTreeSet::new(),
             drop_fn: Box::new(|_, _, _| false),
             latency_ns: 100_000, // 100us
             crashed: BTreeSet::new(),
@@ -201,7 +204,7 @@ impl TestNet {
                 Some(Event::Timer { node, kind, id }) => {
                     {
                         let mut sh = self.shared.borrow_mut();
-                        if sh.cancelled.remove(&id.0) || sh.crashed.contains(&node.0) {
+                        if !sh.live_timers.remove(&id.0) || sh.crashed.contains(&node.0) {
                             continue;
                         }
                     }

@@ -111,13 +111,10 @@ struct HostState {
     /// already dropped the packet.
     losses: Vec<Box<dyn LossModel>>,
     dup: Option<DupModel>,
-    /// Bound sockets and joined groups are only ever looked up by key —
-    /// delivery fans out over the segment's hosts in id order — so hash
-    /// containers are safe here.
-    #[allow(clippy::disallowed_types)]
-    sockets: std::collections::HashMap<Port, Handler>,
-    #[allow(clippy::disallowed_types)]
-    groups: std::collections::HashSet<GroupId>,
+    /// Bound sockets and joined groups: a handful per host, so a linear
+    /// search beats hashing.
+    sockets: Vec<(Port, Handler)>,
+    groups: Vec<GroupId>,
     /// Segments this host is attached to, in attachment order.
     segments: Vec<usize>,
 }
@@ -126,11 +123,10 @@ struct NetState {
     segments: Vec<Segment>,
     hosts: Vec<HostState>,
     stats: TrafficStats,
-    /// Active partition: host id → segment group. Hosts absent from the map
-    /// (or in different groups) cannot reach each other. `None` = healed.
-    /// Looked up by host id only, never iterated.
-    #[allow(clippy::disallowed_types)]
-    partition: Option<std::collections::HashMap<u16, u32>>,
+    /// Active partition, indexed by host id: the host's segment group, or
+    /// `None` for a host listed in no group. Hosts in no group (or in
+    /// different groups) cannot reach each other. `None` = healed.
+    partition: Option<Vec<Option<u32>>>,
 }
 
 /// Error binding a socket.
@@ -175,8 +171,8 @@ impl Network {
                 down: false,
                 losses: Vec::new(),
                 dup: None,
-                sockets: Default::default(),
-                groups: Default::default(),
+                sockets: Vec::new(),
+                groups: Vec::new(),
                 segments: Vec::new(),
             })
             .collect();
@@ -223,10 +219,10 @@ impl Network {
         let mut st = self.state.borrow_mut();
         let host =
             st.hosts.get_mut(addr.host.0 as usize).ok_or(BindError::NoSuchHost(addr.host))?;
-        if host.sockets.contains_key(&addr.port) {
+        if host.sockets.iter().any(|(p, _)| *p == addr.port) {
             return Err(BindError::PortInUse(addr.port));
         }
-        host.sockets.insert(addr.port, Rc::new(RefCell::new(handler)));
+        host.sockets.push((addr.port, Rc::new(RefCell::new(handler))));
         Ok(())
     }
 
@@ -234,18 +230,21 @@ impl Network {
     pub fn unbind(&self, addr: Addr) {
         let mut st = self.state.borrow_mut();
         if let Some(h) = st.hosts.get_mut(addr.host.0 as usize) {
-            h.sockets.remove(&addr.port);
+            h.sockets.retain(|(p, _)| *p != addr.port);
         }
     }
 
     /// Joins `host` to a multicast group.
     pub fn join_group(&self, host: HostId, group: GroupId) {
-        self.state.borrow_mut().hosts[host.0 as usize].groups.insert(group);
+        let groups = &mut self.state.borrow_mut().hosts[host.0 as usize].groups;
+        if !groups.contains(&group) {
+            groups.push(group);
+        }
     }
 
     /// Removes `host` from a multicast group.
     pub fn leave_group(&self, host: HostId, group: GroupId) {
-        self.state.borrow_mut().hosts[host.0 as usize].groups.remove(&group);
+        self.state.borrow_mut().hosts[host.0 as usize].groups.retain(|g| *g != group);
     }
 
     /// Installs a receive-side loss model on a host (fault injection),
@@ -286,11 +285,10 @@ impl Network {
     /// new partition boundary are dropped at delivery time, modelling the
     /// switch cutting over. Replaces any earlier partition.
     pub fn set_partition(&self, groups: &[Vec<HostId>]) {
-        #[allow(clippy::disallowed_types)] // keyed-only, see `NetState::partition`
-        let mut map = std::collections::HashMap::new();
+        let mut map = vec![None; self.n_hosts()];
         for (gi, group) in groups.iter().enumerate() {
             for h in group {
-                let prev = map.insert(h.0, gi as u32);
+                let prev = map[usize::from(h.0)].replace(gi as u32);
                 assert!(prev.is_none(), "host {h} listed in two partition groups");
             }
         }
@@ -310,11 +308,14 @@ impl Network {
     fn split(st: &NetState, a: HostId, b: HostId) -> bool {
         match &st.partition {
             None => false,
-            Some(map) => match (map.get(&a.0), map.get(&b.0)) {
-                (Some(ga), Some(gb)) => ga != gb,
-                // An unlisted host sits in no segment: unreachable.
-                _ => true,
-            },
+            Some(map) => {
+                let group = |h: HostId| map[usize::from(h.0)];
+                match (group(a), group(b)) {
+                    (Some(ga), Some(gb)) => ga != gb,
+                    // An unlisted host sits in no segment: unreachable.
+                    _ => true,
+                }
+            }
         }
     }
 
@@ -339,73 +340,72 @@ impl Network {
     pub fn send(&self, from: Addr, dest: Dest, payload: Bytes) {
         let now = self.sim.now();
         let wire = wire_bytes(payload.len());
-        // Phase 1: admission + serialization under the borrow.
-        let deliveries: Vec<(Addr, Option<GroupId>, SimTime)> = {
-            let mut st = self.state.borrow_mut();
-            if st.hosts[from.host.0 as usize].down {
-                st.stats.on_drop(DropCause::HostDown);
-                return;
-            }
-            let seg_idx = match self.route(&st, from.host, &dest) {
-                Some(i) => i,
-                None => {
-                    st.stats.on_drop(DropCause::NoRoute);
-                    self.trace.record_with(now, TraceKind::PacketDropped, || {
-                        format!("{from}->{dest:?}: no route")
-                    });
-                    return;
-                }
-            };
-            let seg = &st.segments[seg_idx];
-            let mtu = seg.config.mtu;
-            let ch = seg.channel_index(from.host);
-            let backlog = seg.busy_until[ch].saturating_duration_since(now);
-            let tx_buffer = seg.config.tx_buffer;
-            let start = seg.busy_until[ch].max(now);
-            let finish = start + seg.config.serialization(wire);
-            let arrive = finish + seg.config.latency;
-            if wire > mtu {
-                st.stats.on_drop(DropCause::Mtu);
+        let mut st = self.state.borrow_mut();
+        if st.hosts[from.host.0 as usize].down {
+            st.stats.on_drop(DropCause::HostDown);
+            return;
+        }
+        let seg_idx = match self.route(&st, from.host, &dest) {
+            Some(i) => i,
+            None => {
+                st.stats.on_drop(DropCause::NoRoute);
                 self.trace.record_with(now, TraceKind::PacketDropped, || {
-                    format!("{from}->{dest:?}: frame {wire}B exceeds MTU {mtu}")
+                    format!("{from}->{dest:?}: no route")
                 });
                 return;
-            }
-            if backlog > tx_buffer {
-                st.stats.on_drop(DropCause::TxOverflow);
-                self.trace.record_with(now, TraceKind::PacketDropped, || {
-                    format!("{from}->{dest:?}: tx overflow ({backlog:?} backlog)")
-                });
-                return;
-            }
-            st.segments[seg_idx].busy_until[ch] = finish;
-            st.stats.on_tx(from.host.0 as usize, wire);
-            self.trace.record_with(now, TraceKind::PacketSent, || {
-                format!("{from}->{dest:?} {wire}B arrive={arrive}")
-            });
-            // Resolve receiver set.
-            match dest {
-                Dest::Unicast(to) => vec![(to, None, arrive)],
-                Dest::Multicast(group, port) => {
-                    let members: Vec<HostId> = match &st.segments[seg_idx].kind {
-                        SegmentKind::Lan { members } => members.clone(),
-                        SegmentKind::P2p { a, b } => vec![*a, *b],
-                    };
-                    members
-                        .into_iter()
-                        .filter(|h| *h != from.host)
-                        .filter(|h| st.hosts[h.0 as usize].groups.contains(&group))
-                        .map(|h| (Addr::new(h, port), Some(group), arrive))
-                        .collect()
-                }
             }
         };
-        // Phase 2: schedule deliveries (outside the borrow).
-        for (to, group, arrive) in deliveries {
+        let seg = &st.segments[seg_idx];
+        let mtu = seg.config.mtu;
+        let ch = seg.channel_index(from.host);
+        let backlog = seg.busy_until[ch].saturating_duration_since(now);
+        let tx_buffer = seg.config.tx_buffer;
+        let start = seg.busy_until[ch].max(now);
+        let finish = start + seg.config.serialization(wire);
+        let arrive = finish + seg.config.latency;
+        if wire > mtu {
+            st.stats.on_drop(DropCause::Mtu);
+            self.trace.record_with(now, TraceKind::PacketDropped, || {
+                format!("{from}->{dest:?}: frame {wire}B exceeds MTU {mtu}")
+            });
+            return;
+        }
+        if backlog > tx_buffer {
+            st.stats.on_drop(DropCause::TxOverflow);
+            self.trace.record_with(now, TraceKind::PacketDropped, || {
+                format!("{from}->{dest:?}: tx overflow ({backlog:?} backlog)")
+            });
+            return;
+        }
+        st.segments[seg_idx].busy_until[ch] = finish;
+        st.stats.on_tx(from.host.0 as usize, wire);
+        self.trace.record_with(now, TraceKind::PacketSent, || {
+            format!("{from}->{dest:?} {wire}B arrive={arrive}")
+        });
+        // Schedule one delivery per receiver, still under the borrow: the
+        // sim's queue is a cell of its own, and nothing runs until later.
+        let schedule = |to: Addr, group: Option<GroupId>, payload: Bytes| {
             let this = self.clone();
-            let payload = payload.clone();
             self.sim
                 .schedule_at(arrive, move || this.deliver(from, to, group, payload, wire, false));
+        };
+        match dest {
+            Dest::Unicast(to) => schedule(to, None, payload),
+            Dest::Multicast(group, port) => {
+                let pair;
+                let members: &[HostId] = match &st.segments[seg_idx].kind {
+                    SegmentKind::Lan { members } => members,
+                    SegmentKind::P2p { a, b } => {
+                        pair = [*a, *b];
+                        &pair
+                    }
+                };
+                for &h in members {
+                    if h != from.host && st.hosts[h.0 as usize].groups.contains(&group) {
+                        schedule(Addr::new(h, port), Some(group), payload.clone());
+                    }
+                }
+            }
         }
     }
 
@@ -476,8 +476,8 @@ impl Network {
                 });
                 (None, copies)
             } else {
-                match host.sockets.get(&to.port) {
-                    Some(h) => {
+                match host.sockets.iter().find(|(p, _)| *p == to.port) {
+                    Some((_, h)) => {
                         let h = h.clone();
                         st.stats.on_rx(to.host.0 as usize, wire);
                         self.trace.record_with(now, TraceKind::PacketDelivered, || {

@@ -3,30 +3,58 @@
 //!
 //! [`Sim`] is a cheaply cloneable handle to a single-threaded event queue.
 //! Components hold a `Sim` and schedule closures; the run loop pops events in
-//! `(time, insertion-order)` order, advances the virtual clock, and executes
-//! them. Executing an action never holds a borrow of the queue, so actions
-//! are free to schedule (or cancel) further events.
+//! `(time, seq)` order — `seq` being the insertion order, so events at one
+//! instant run FIFO — advances the virtual clock, and executes them.
+//! Executing an action never holds a borrow of the queue, so actions are free
+//! to schedule (or cancel) further events.
+//!
+//! Actions sit in a slab of slots recycled through a free list, and the
+//! queue is a monotone radix heap holding only `(key, slot)` pairs. A cancel
+//! drops the action at once and frees its slot; the queue entry left behind
+//! is skipped when it surfaces, because its slot is empty or now belongs to
+//! an event with a different `seq`.
 
-use crate::event::{Action, Entry, EventId};
+use crate::event::{last_key_at, Action, EventId, Queued, RadixQueue, Slot};
 use crate::time::SimTime;
 use std::cell::RefCell;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::time::Duration;
 
 #[derive(Default)]
 struct Inner {
-    queue: BinaryHeap<Entry>,
+    queue: RadixQueue,
+    slots: Vec<Slot>,
+    /// Slots whose event ran or was cancelled, reused last-freed first.
+    free: Vec<u32>,
     now: SimTime,
-    next_id: u64,
-    /// Tombstones of cancelled events, only ever probed by id as the run
-    /// loop pops them: never iterated, so a hash set is safe.
-    #[allow(clippy::disallowed_types)]
-    cancelled: std::collections::HashSet<EventId>,
+    /// Sequence number of the most recently scheduled event (the first is 1).
+    last_seq: u64,
     executed: u64,
     /// When set, the run loop stops before executing any event later than this.
     horizon: Option<SimTime>,
     stop_requested: bool,
+}
+
+impl Inner {
+    /// Events scheduled and neither executed nor cancelled yet.
+    fn pending(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Pops the next live event no later than the horizon, freeing its slot.
+    fn pop_live(&mut self) -> Option<(SimTime, Action)> {
+        let limit = self.horizon.map_or(u128::MAX, last_key_at);
+        loop {
+            let e = self.queue.pop_at_most(limit)?;
+            let slot = &mut self.slots[e.slot as usize];
+            if slot.seq != e.seq {
+                continue; // cancelled, and the slot has a new occupant
+            }
+            let Some(action) = slot.action.take() else { continue }; // cancelled
+            self.free.push(e.slot);
+            return Some((SimTime::from_nanos(e.at), action));
+        }
+    }
 }
 
 /// Handle to the discrete-event simulation kernel.
@@ -70,9 +98,9 @@ impl Sim {
         self.inner.borrow().executed
     }
 
-    /// Number of events currently pending (including cancelled tombstones).
+    /// Number of events scheduled and neither executed nor cancelled yet.
     pub fn pending(&self) -> usize {
-        self.inner.borrow().queue.len()
+        self.inner.borrow().pending()
     }
 
     /// Schedules `action` to run at absolute time `at`.
@@ -89,10 +117,21 @@ impl Sim {
             "event scheduled in the simulation past: at={at} now={}",
             inner.now
         );
-        let id = EventId(inner.next_id);
-        inner.next_id += 1;
-        inner.queue.push(Entry { at, id, action: Box::new(action) as Action });
-        id
+        inner.last_seq += 1;
+        let seq = inner.last_seq;
+        let occupant = Slot { seq, action: Some(Box::new(action) as Action) };
+        let slot = match inner.free.pop() {
+            Some(slot) => {
+                inner.slots[slot as usize] = occupant;
+                slot
+            }
+            None => {
+                inner.slots.push(occupant);
+                u32::try_from(inner.slots.len() - 1).expect("over 2^32 pending events")
+            }
+        };
+        inner.queue.push(Queued::new(at, seq, slot));
+        EventId { seq, slot }
     }
 
     /// Schedules `action` to run after `delay` of simulated time.
@@ -108,13 +147,23 @@ impl Sim {
         self.schedule_at(at, action)
     }
 
-    /// Cancels a pending event. Cancelling an already-executed or unknown
-    /// event is a no-op, which lets callers keep stale [`EventId`]s safely.
+    /// Cancels a pending event, dropping its action at once. Cancelling an
+    /// already-executed, already-cancelled or unknown event is a no-op, which
+    /// lets callers keep stale [`EventId`]s safely.
     pub fn cancel(&self, id: EventId) {
-        if id == EventId::NONE {
-            return;
-        }
-        self.inner.borrow_mut().cancelled.insert(id);
+        let action = {
+            let mut inner = self.inner.borrow_mut();
+            let action = match inner.slots.get_mut(id.slot as usize) {
+                Some(slot) if slot.seq == id.seq => slot.action.take(),
+                _ => None,
+            };
+            if action.is_some() {
+                inner.free.push(id.slot);
+            }
+            action
+        };
+        // Dropped outside the borrow: the captures' destructors may use the sim.
+        drop(action);
     }
 
     /// Requests the run loop to stop after the currently executing event.
@@ -125,32 +174,13 @@ impl Sim {
     /// Executes a single event, if any is pending. Returns `true` if an event
     /// ran, advancing the clock to its timestamp.
     pub fn step(&self) -> bool {
-        let (action, at) = {
+        let action = {
             let mut inner = self.inner.borrow_mut();
-            loop {
-                match inner.queue.pop() {
-                    None => return false,
-                    Some(e) => {
-                        if inner.cancelled.remove(&e.id) {
-                            continue;
-                        }
-                        if let Some(h) = inner.horizon {
-                            if e.at > h {
-                                // Put it back and report exhaustion of the window.
-                                inner.queue.push(e);
-                                return false;
-                            }
-                        }
-                        break (e.action, e.at);
-                    }
-                }
-            }
-        };
-        {
-            let mut inner = self.inner.borrow_mut();
+            let Some((at, action)) = inner.pop_live() else { return false };
             inner.now = at;
             inner.executed += 1;
-        }
+            action
+        };
         action();
         true
     }
@@ -201,7 +231,7 @@ impl std::fmt::Debug for Sim {
         let inner = self.inner.borrow();
         f.debug_struct("Sim")
             .field("now", &inner.now)
-            .field("pending", &inner.queue.len())
+            .field("pending", &inner.pending())
             .field("executed", &inner.executed)
             .finish()
     }
@@ -275,8 +305,50 @@ mod tests {
     fn cancel_unknown_is_noop() {
         let sim = Sim::new();
         sim.cancel(EventId::NONE);
-        sim.cancel(EventId(999));
+        sim.cancel(EventId { seq: 999, slot: 999 });
         sim.run();
+    }
+
+    #[test]
+    fn cancel_of_an_executed_id_spares_its_slots_new_occupant() {
+        let sim = Sim::new();
+        let (log, mk) = recorder();
+        let first = sim.schedule_in(Duration::from_millis(1), mk(1));
+        sim.run();
+        let second = sim.schedule_in(Duration::from_millis(1), mk(2));
+        assert_eq!(second.slot, first.slot, "the freed slot is reused");
+        sim.cancel(first);
+        assert_eq!(sim.pending(), 1);
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 2]);
+    }
+
+    #[test]
+    fn scheduling_at_the_horizon_after_stopping_short_keeps_order() {
+        let sim = Sim::new();
+        let (log, mk) = recorder();
+        sim.schedule_at(SimTime::from_millis(100), mk(100));
+        sim.run_until(SimTime::from_millis(5));
+        assert_eq!(sim.now(), SimTime::from_millis(5));
+        // Below the far event the run loop inspected but did not run.
+        sim.schedule_now(mk(5));
+        sim.schedule_at(SimTime::from_millis(50), mk(50));
+        sim.run();
+        assert_eq!(*log.borrow(), vec![5, 50, 100]);
+    }
+
+    #[test]
+    fn cancel_drops_the_captured_state_at_once() {
+        let sim = Sim::new();
+        let token = Rc::new(());
+        let held = token.clone();
+        let id = sim.schedule_in(Duration::from_millis(1), move || drop(held));
+        assert_eq!(Rc::strong_count(&token), 2);
+        sim.cancel(id);
+        assert_eq!(Rc::strong_count(&token), 1);
+        assert_eq!(sim.pending(), 0);
+        sim.run();
+        assert_eq!(sim.events_executed(), 0);
     }
 
     #[test]

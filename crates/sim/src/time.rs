@@ -138,7 +138,12 @@ pub fn scale_duration(d: Duration, factor: f64) -> Duration {
     if factor.is_nan() || factor <= 0.0 {
         return Duration::ZERO;
     }
-    let ns = duration_to_nanos(d) as f64 * factor;
+    let ns = duration_to_nanos(d);
+    if factor == 1.0 && ns < 1 << 53 {
+        // What the float path computes: an f64 holds every integer below 2^53.
+        return d;
+    }
+    let ns = ns as f64 * factor;
     if ns >= u64::MAX as f64 {
         Duration::from_nanos(u64::MAX)
     } else {
@@ -191,5 +196,9 @@ mod tests {
         assert_eq!(scale_duration(Duration::from_secs(1), 0.5), Duration::from_millis(500));
         assert_eq!(scale_duration(Duration::from_secs(1), -1.0), Duration::ZERO);
         assert_eq!(scale_duration(Duration::from_secs(1), f64::NAN), Duration::ZERO);
+        let odd = Duration::from_nanos((1 << 53) - 1);
+        assert_eq!(scale_duration(odd, 1.0), odd);
+        let past = Duration::from_nanos((1 << 53) + 1);
+        assert_eq!(scale_duration(past, 1.0), Duration::from_nanos(1 << 53));
     }
 }

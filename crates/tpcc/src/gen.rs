@@ -11,11 +11,11 @@ use crate::schema::{
     new_order_row, order_line_row, order_row, stock_row, tuple_size, warehouse_row,
     warehouses_for_clients, CLIENTS_PER_WAREHOUSE, DISTRICTS_PER_WAREHOUSE,
 };
-use dbsm_cert::{RwSet, TupleId};
+use dbsm_cert::{FxHashMap, RwSet, TupleId};
 use dbsm_db::TransactionSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Transaction mix (fractions must sum to 1). The paper's mix gives new
@@ -108,8 +108,9 @@ pub struct TpccGen {
     rng: SmallRng,
     nurand_c: NurandC,
     districts: Vec<DistrictState>,
-    /// `(district index, customer) -> (last order id, ol_cnt)`.
-    last_order: HashMap<(u64, u64), (u64, u64)>,
+    /// `(district index, customer) -> (last order id, ol_cnt)`, only looked
+    /// up by key and never iterated.
+    last_order: FxHashMap<(u64, u64), (u64, u64)>,
     history_counter: u64,
 }
 
@@ -130,7 +131,7 @@ impl TpccGen {
             rng,
             nurand_c,
             districts,
-            last_order: HashMap::new(),
+            last_order: FxHashMap::default(),
             history_counter: 0,
         }
     }
@@ -437,17 +438,17 @@ mod tests {
         // Two by-name payments drawing the same last name must read/write
         // overlapping customer rows (the paper's Table 1 relies on this).
         let mut g = generator(10);
-        let mut seen: HashMap<u64, RwSet> = HashMap::new();
+        let mut seen: Vec<RwSet> = Vec::new();
         let mut collisions = 0;
         for _ in 0..300 {
             let r = g.request_for(0, TxnClass::PaymentLong);
-            for prev in seen.values() {
+            for prev in &seen {
                 if prev.intersects(&r.spec.write_set) {
                     collisions += 1;
                     break;
                 }
             }
-            seen.insert(seen.len() as u64, r.spec.write_set);
+            seen.push(r.spec.write_set);
         }
         assert!(collisions > 0, "by-name payments never collided");
     }

@@ -8,7 +8,11 @@ use dbsm_testbed::cert::{
 };
 use dbsm_testbed::gcs::{testkit::TestNet, AnnBatchPolicy, GcsConfig, NodeId, NodeSet};
 use dbsm_testbed::sim::stats::Samples;
+use dbsm_testbed::sim::{EventId, Sim, SimTime};
 use proptest::prelude::*;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::time::Duration;
 
 fn arb_tuple_id() -> impl Strategy<Value = TupleId> {
@@ -713,4 +717,217 @@ proptest! {
         prop_assert!(lo >= min && hi <= max);
     }
 
+}
+
+/// What a scheduled event does when it runs, besides logging its label.
+#[derive(Debug, Clone, Copy)]
+enum Effect {
+    Log,
+    /// Schedules a child `delay` ns later.
+    Spawn(u64),
+    /// Calls `Sim::stop` from inside the run loop.
+    Stop,
+}
+
+/// One call on the kernel. Delays are in ns; `Cancel` picks among every id
+/// handed out so far (executed, cancelled and pending alike), or `NONE`
+/// when the pick falls past the end.
+#[derive(Debug, Clone, Copy)]
+enum KernelOp {
+    At(u64, Effect),
+    In(u64, Effect),
+    Now(Effect),
+    Cancel(usize),
+    Step,
+    RunUntil(u64),
+    Run,
+    Stop,
+}
+
+fn arb_delay() -> impl Strategy<Value = u64> {
+    // Mostly ties and near events, some far timers in high radix buckets.
+    prop_oneof![0u64..3, 0u64..200, (1u64 << 20)..(1u64 << 40)]
+}
+
+fn arb_effect() -> impl Strategy<Value = Effect> {
+    (0u8..8, arb_delay()).prop_map(|(roll, d)| match roll {
+        0 | 1 => Effect::Spawn(d),
+        2 => Effect::Stop,
+        _ => Effect::Log,
+    })
+}
+
+fn arb_kernel_op() -> impl Strategy<Value = KernelOp> {
+    prop_oneof![
+        (arb_delay(), arb_effect()).prop_map(|(d, e)| KernelOp::At(d, e)),
+        (arb_delay(), arb_effect()).prop_map(|(d, e)| KernelOp::In(d, e)),
+        arb_effect().prop_map(KernelOp::Now),
+        (0usize..64).prop_map(KernelOp::Cancel),
+        (0usize..64).prop_map(KernelOp::Cancel),
+        Just(KernelOp::Step),
+        Just(KernelOp::Step),
+        arb_delay().prop_map(KernelOp::RunUntil),
+        Just(KernelOp::Run),
+        Just(KernelOp::Stop),
+    ]
+}
+
+/// The reference kernel: pending events in a `Vec` sorted by `(at, seq)`,
+/// cancels recorded in a set and skipped when they surface.
+#[derive(Default)]
+struct ModelKernel {
+    now: u64,
+    executed: u64,
+    next_seq: u64,
+    queue: Vec<(u64, u64, u64, Effect)>, // (at, seq, label, effect)
+    cancelled: BTreeSet<u64>,
+    stop: bool,
+    log: Vec<u64>,
+    /// Seqs of every event scheduled, in scheduling order.
+    ids: Vec<u64>,
+}
+
+impl ModelKernel {
+    fn schedule(&mut self, at: u64, label: u64, effect: Effect) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let i = self.queue.partition_point(|e| (e.0, e.1) < (at, seq));
+        self.queue.insert(i, (at, seq, label, effect));
+        self.ids.push(seq);
+    }
+
+    fn step(&mut self, horizon: u64) -> bool {
+        loop {
+            let Some(&(at, seq, label, effect)) = self.queue.first() else { return false };
+            if at > horizon {
+                return false;
+            }
+            self.queue.remove(0);
+            if self.cancelled.contains(&seq) {
+                continue;
+            }
+            self.now = at;
+            self.executed += 1;
+            self.log.push(label);
+            match effect {
+                Effect::Log => {}
+                Effect::Spawn(d) => self.schedule(at + d, label + 1_000_000, Effect::Log),
+                Effect::Stop => self.stop = true,
+            }
+            return true;
+        }
+    }
+
+    fn run(&mut self, horizon: u64) {
+        while !std::mem::take(&mut self.stop) && self.step(horizon) {}
+    }
+
+    fn pending(&self) -> usize {
+        self.queue.iter().filter(|e| !self.cancelled.contains(&e.1)).count()
+    }
+}
+
+/// The kernel under test, with the ids it handed out (children included).
+struct RealKernel {
+    sim: Sim,
+    log: Rc<RefCell<Vec<u64>>>,
+    ids: Rc<RefCell<Vec<EventId>>>,
+}
+
+impl RealKernel {
+    fn action(&self, label: u64, effect: Effect) -> impl FnOnce() + 'static {
+        let (sim, log, ids) = (self.sim.clone(), self.log.clone(), self.ids.clone());
+        move || {
+            log.borrow_mut().push(label);
+            match effect {
+                Effect::Log => {}
+                Effect::Spawn(d) => {
+                    let log = log.clone();
+                    let child = label + 1_000_000;
+                    let id = sim
+                        .schedule_in(Duration::from_nanos(d), move || log.borrow_mut().push(child));
+                    ids.borrow_mut().push(id);
+                }
+                Effect::Stop => sim.stop(),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The slab-and-radix kernel against a sorted-`Vec` reference: random
+    /// schedules (absolute, relative, now), cancels of live, executed,
+    /// already-cancelled, slot-reused and `NONE` ids, steps, windowed and
+    /// unbounded runs and stops, inside and outside actions. Execution
+    /// order, the clock, the executed count and the pending count agree
+    /// after every call.
+    #[test]
+    fn event_kernel_matches_sorted_vec_model(
+        ops in prop::collection::vec(arb_kernel_op(), 1..160),
+    ) {
+        let real = RealKernel {
+            sim: Sim::new(),
+            log: Rc::new(RefCell::new(Vec::new())),
+            ids: Rc::new(RefCell::new(Vec::new())),
+        };
+        let mut model = ModelKernel::default();
+        let label = Cell::new(0u64);
+        let next_label = || {
+            label.set(label.get() + 1);
+            label.get()
+        };
+        for op in ops {
+            match op {
+                KernelOp::At(d, e) => {
+                    let (l, at) = (next_label(), model.now + d);
+                    let id = real.sim.schedule_at(SimTime::from_nanos(at), real.action(l, e));
+                    real.ids.borrow_mut().push(id);
+                    model.schedule(at, l, e);
+                }
+                KernelOp::In(d, e) => {
+                    let l = next_label();
+                    let id = real.sim.schedule_in(Duration::from_nanos(d), real.action(l, e));
+                    real.ids.borrow_mut().push(id);
+                    model.schedule(model.now + d, l, e);
+                }
+                KernelOp::Now(e) => {
+                    let l = next_label();
+                    let id = real.sim.schedule_now(real.action(l, e));
+                    real.ids.borrow_mut().push(id);
+                    model.schedule(model.now, l, e);
+                }
+                KernelOp::Cancel(pick) => {
+                    let id = real.ids.borrow().get(pick).copied();
+                    real.sim.cancel(id.unwrap_or(EventId::NONE));
+                    if let Some(&seq) = model.ids.get(pick) {
+                        model.cancelled.insert(seq);
+                    }
+                }
+                KernelOp::Step => {
+                    prop_assert_eq!(real.sim.step(), model.step(u64::MAX));
+                }
+                KernelOp::RunUntil(d) => {
+                    let until = model.now + d;
+                    real.sim.run_until(SimTime::from_nanos(until));
+                    model.run(until);
+                    model.now = model.now.max(until);
+                }
+                KernelOp::Run => {
+                    real.sim.run();
+                    model.run(u64::MAX);
+                }
+                KernelOp::Stop => {
+                    real.sim.stop();
+                    model.stop = true;
+                }
+            }
+            prop_assert_eq!(real.ids.borrow().len(), model.ids.len());
+            prop_assert_eq!(&*real.log.borrow(), &model.log);
+            prop_assert_eq!(real.sim.now(), SimTime::from_nanos(model.now));
+            prop_assert_eq!(real.sim.events_executed(), model.executed);
+            prop_assert_eq!(real.sim.pending(), model.pending());
+        }
+    }
 }
