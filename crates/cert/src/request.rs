@@ -24,10 +24,3 @@ pub struct CertRequest {
     /// message sizes match a real system's).
     pub write_bytes: u32,
 }
-
-impl CertRequest {
-    /// Globally unique transaction identity `(site, txn)`.
-    pub fn gid(&self) -> (SiteId, u64) {
-        (self.site, self.txn)
-    }
-}

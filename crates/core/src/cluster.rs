@@ -3,19 +3,20 @@
 //! communication prototypes, TPC-C clients, and the simulated network —
 //! all under the centralized simulation runtime.
 //!
-//! This module wires the events: group-communication upcalls, the client
-//! loop, fault injection, rejoin and re-placement, each scheduled on the
-//! simulation or charged to a site's CPU. What a site's certifier holds,
-//! and how a delivery becomes a decision in either replication mode, lives
-//! in [`crate::replica`]. [`Cluster`] is a one-pointer handle that every
-//! scheduled closure captures.
+//! This module only wires things together: group-communication upcalls,
+//! the client loop, fault injection, rejoin and re-placement, each
+//! scheduled on the simulation or charged to a site's CPU. How a delivery,
+//! a wire vote or a read-only validation becomes a decision is the site's
+//! [`Replica`]'s business ([`crate::replica`]); it reaches the simulation
+//! through [`SiteRt`], the [`SiteRuntime`] over a real job's context and
+//! the site's GCS bridge. [`Cluster`] is a one-pointer handle. Scheduled
+//! closures hold it weakly, and dropping the last handle discards whatever
+//! the run left queued, so nothing outlives the cluster.
 
-use crate::experiment::{CertCostModel, CommitPath, ExperimentConfig};
+use crate::experiment::{CertCostModel, ExperimentConfig};
 use crate::metrics::{RejoinRecord, RunMetrics, SiteUsage};
-use crate::replica::{
-    queue_speculation, Partial, PendingCert, Replication, SiteState, Staged, TransferPacket,
-};
-use dbsm_cert::{marshal, unmarshal, CertRequest, Outcome as CertOutcome, SiteId};
+use crate::replica::{Decision, Partial, Replica, Settled, SiteRuntime, TransferPacket};
+use dbsm_cert::{marshal, unmarshal, CertRequest, SiteId};
 use dbsm_db::{DbEngine, Outcome, TransactionSpec, TxnId};
 use dbsm_fault::FaultSpec;
 use dbsm_gcs::{GcsConfig, NodeId, SimBridge, Upcall, View};
@@ -26,42 +27,10 @@ use dbsm_net::{
 use dbsm_sim::{
     derive_seed, derive_seed_indexed, CpuBank, ProfilerMode, RealContext, Sim, SimTime,
 };
-use dbsm_tpcc::{TpccConfig, TpccGen, TxnClass};
-use std::cell::RefCell;
+use dbsm_tpcc::{schema::warehouses_for_clients, TpccConfig, TpccGen, TxnClass};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
-
-struct Shared {
-    metrics: RunMetrics,
-    completed: u64,
-    stopped: bool,
-    sites: Vec<SiteState>,
-    /// The replication mode, with every site's certifier.
-    replication: Replication,
-}
-
-impl Shared {
-    /// [`SiteState::record_decision`] on `site`'s own certifier and log.
-    fn record_decision(
-        &mut self,
-        site: usize,
-        window: u64,
-        req: &CertRequest,
-        outcome: CertOutcome,
-    ) -> Option<PendingCert> {
-        let Shared { metrics, sites, replication, .. } = self;
-        let log = &mut metrics.commit_logs[site];
-        sites[site].record_decision(site, replication.certifier(site), log, window, req, outcome)
-    }
-
-    /// The partial-replication state, if this run partially replicates.
-    fn partial(&mut self) -> Option<&mut Partial> {
-        match &mut self.replication {
-            Replication::Partial(p) => Some(p.as_mut()),
-            Replication::Full(_) => None,
-        }
-    }
-}
 
 struct SiteHandles {
     cpu: CpuBank,
@@ -78,14 +47,20 @@ struct SiteHandles {
 #[derive(Clone)]
 pub struct Cluster(Rc<Inner>);
 
-/// Everything a [`Cluster`] handle points at. Scheduled closures capture
-/// an `Rc` of it, so its event methods take `self: &Rc<Self>`.
+/// Everything a [`Cluster`] handle points at. Its event methods take
+/// `self: &Rc<Self>` to build the weak closures they schedule.
 struct Inner {
     sim: Sim,
     net: Network,
     gen: RefCell<TpccGen>,
     sites: Vec<SiteHandles>,
-    shared: RefCell<Shared>,
+    /// Every site's replica, by site index.
+    replicas: RefCell<Vec<Replica>>,
+    /// What the replicas' vote rounds share, under partial replication.
+    partial: Option<RefCell<Partial>>,
+    metrics: RefCell<RunMetrics>,
+    /// Set when the transaction target is reached: clients stop firing.
+    stopped: Cell<bool>,
     cfg: ExperimentConfig,
     costs: CertCostModel,
 }
@@ -147,21 +122,20 @@ impl Cluster {
         tpcc_cfg.think_mean = cfg.think_mean;
         tpcc_cfg.seed = derive_seed(cfg.seed, "tpcc");
 
-        let shared = Shared {
-            metrics: RunMetrics::new(cfg.sites),
-            completed: 0,
-            stopped: false,
-            sites: (0..cfg.sites).map(|_| SiteState::default()).collect(),
-            replication: Replication::new(&cfg),
-        };
+        let costs = CertCostModel::default();
+        let partial = Partial::for_run(&cfg);
+        let replicas = (0..cfg.sites).map(|i| Replica::new(i, &cfg, costs, partial.as_ref()));
         let inner = Rc::new(Inner {
             sim,
             net,
             gen: RefCell::new(TpccGen::new(tpcc_cfg)),
             sites,
-            shared: RefCell::new(shared),
+            replicas: RefCell::new(replicas.collect()),
+            partial: partial.map(RefCell::new),
+            metrics: RefCell::new(RunMetrics::new(cfg.sites)),
+            stopped: Cell::new(false),
             cfg,
-            costs: CertCostModel::default(),
+            costs,
         });
         inner.wire_bridges();
         inner.apply_faults();
@@ -210,98 +184,152 @@ pub fn run_experiment(cfg: ExperimentConfig) -> RunMetrics {
     Cluster::build(cfg).run()
 }
 
+impl Drop for Inner {
+    /// Actions and jobs still queued hold the simulation, the CPUs, the
+    /// engines and the bridges in cycles: drop them unrun, so that the
+    /// cluster's memory goes with it.
+    fn drop(&mut self) {
+        self.sim.discard_pending();
+        for s in &self.sites {
+            s.cpu.discard_queued();
+        }
+    }
+}
+
+/// The [`SiteRuntime`] of a site's replica inside a real job: the job's
+/// clock and CPU charge, the simulation's event queue, and the site's GCS
+/// bridge.
+struct SiteRt<'a, 'b> {
+    ctx: &'a mut RealContext<'b>,
+    cluster: &'a Rc<Inner>,
+    site: usize,
+    /// Votes cast, multicast once the replica is released: a cast may run
+    /// the vote job at once on an idle CPU, and its loopback vote re-enters
+    /// the replica.
+    casts: Vec<(u16, u64, Option<u64>)>,
+}
+
+impl SiteRuntime for SiteRt<'_, '_> {
+    fn now(&mut self) -> SimTime {
+        self.ctx.now()
+    }
+
+    fn charge(&mut self, cost: Duration) {
+        self.ctx.charge(cost);
+    }
+
+    fn schedule(&mut self, delay: Duration, decision: Decision) {
+        let site = self.site;
+        self.ctx.schedule(delay, self.cluster.action(move |this| this.settle(site, decision)));
+    }
+
+    fn cast_vote(&mut self, origin: u16, txn: u64, conflict: Option<u64>) {
+        self.casts.push((origin, txn, conflict));
+    }
+}
+
 impl Inner {
+    /// `f` on this cluster when the action runs, if the cluster is still
+    /// alive. Every closure the cluster hands to the simulation, a CPU, an
+    /// engine or a bridge holds it this way — weakly — so that no queue
+    /// keeps a dropped cluster alive.
+    fn action(self: &Rc<Self>, f: impl FnOnce(&Rc<Self>) + 'static) -> impl FnOnce() + 'static {
+        let weak = Rc::downgrade(self);
+        move || {
+            if let Some(this) = weak.upgrade() {
+                f(&this);
+            }
+        }
+    }
+
+    /// Queues `f` as real work on `site`'s CPU, holding the cluster like
+    /// [`Inner::action`].
+    fn submit(
+        self: &Rc<Self>,
+        site: usize,
+        f: impl FnOnce(&Rc<Self>, &mut RealContext<'_>) + 'static,
+    ) {
+        let weak = Rc::downgrade(self);
+        self.sites[site].cpu.submit_real(Box::new(move |ctx| {
+            if let Some(this) = weak.upgrade() {
+                f(&this, ctx);
+            }
+        }));
+    }
+
+    /// Runs `f` on `site`'s replica inside a real job, with the shared
+    /// vote-round state and the site's runtime over `ctx`; then multicasts
+    /// the votes it cast.
+    fn with_replica(
+        self: &Rc<Self>,
+        site: usize,
+        ctx: &mut RealContext<'_>,
+        f: impl FnOnce(&mut Replica, Option<&mut Partial>, &mut dyn SiteRuntime),
+    ) {
+        let mut rt = SiteRt { ctx, cluster: self, site, casts: Vec::new() };
+        let mut partial = self.partial.as_ref().map(RefCell::borrow_mut);
+        f(&mut self.replicas.borrow_mut()[site], partial.as_deref_mut(), &mut rt);
+        drop(partial);
+        for (origin, txn, conflict) in rt.casts {
+            let bridge = self.sites[site].bridge.as_ref().expect("replicated site");
+            bridge.cast_vote(origin, txn, conflict);
+        }
+    }
+
     fn wire_bridges(self: &Rc<Self>) {
         for (i, s) in self.sites.iter().enumerate() {
             let Some(bridge) = &s.bridge else { continue };
-            let this = self.clone();
-            bridge.set_handler(Box::new(move |ctx, upcall| match upcall {
-                Upcall::Tentative { payload, .. } => {
-                    // Pipelined commit path: certify speculatively the moment
-                    // the reliable layer completes the message, queueing the
-                    // probe work on the site's speculative FIFO so it
-                    // overlaps the total-order broadcast.
-                    if this.cfg.commit_path != CommitPath::Pipelined {
-                        return;
-                    }
-                    let Ok(req) = unmarshal(payload) else { return };
-                    let mut sh = this.shared.borrow_mut();
-                    let sh = &mut *sh;
-                    // Partial replication speculates on the span certifier,
-                    // and only at sites that will actually vote — the
-                    // speculation is the vote's probe, precomputed so the
-                    // vote round overlaps the ordering round.
-                    if sh.partial().is_some_and(|p| !p.ownership.casts_vote(i, &req)) {
-                        return;
-                    }
-                    // Real code: unmarshal + dispatch of the speculative
-                    // probe — outside the certifier's serial section, so
-                    // cheaper than a synchronous certification entry.
-                    ctx.charge(this.costs.speculate_fixed);
-                    let now = ctx.now();
-                    let work = sh.replication.certifier(i).speculate(&req);
-                    let st = &mut sh.sites[i];
-                    let t = queue_speculation(&mut st.spec_free_at, now, work.probes, &this.costs);
-                    sh.metrics.cert_work.record_spec_probe(work);
-                    sh.metrics.cert_work.record_queueing(t.queued, t.service, t.merge);
-                    st.spec_ready.insert((req.site.0, req.txn), t.ready_at);
-                }
-                Upcall::Deliver { payload, .. } => {
-                    let Ok(req) = unmarshal(payload) else { return };
-                    let mut sh = this.shared.borrow_mut();
-                    let Shared { metrics, replication, .. } = &mut *sh;
-                    if let Replication::Partial(p) = replication {
-                        // Partial replication (either commit path): enqueue
-                        // on the delivery FIFO, then cast/collect wire votes
-                        // until the head decides.
-                        p.enqueue(i, req, ctx.now(), &mut metrics.cert_work);
-                        drop(sh);
-                        this.advance_partial(i, ctx);
-                        return;
-                    }
-                    drop(sh);
-                    match this.cfg.commit_path {
-                        CommitPath::Synchronous => this.certify_in_order(i, req, ctx),
-                        CommitPath::Pipelined => this.confirm_in_order(i, req, ctx),
-                    }
-                }
-                Upcall::Vote { voter, vote } => {
-                    // A wire-level certification vote (possibly our own,
-                    // looped back): file it, then try to advance the FIFO.
-                    let mut sh = this.shared.borrow_mut();
-                    if sh.partial().is_some_and(|p| p.receive_vote(i, voter.0, &vote)) {
-                        drop(sh);
-                        this.advance_partial(i, ctx);
-                    }
-                }
-                Upcall::ViewChange(view) => {
-                    // Re-placement trigger: if the installed view removed a
-                    // span's last live owner, elect a survivor to adopt it.
-                    if this.shared.borrow_mut().partial().is_some() {
-                        let this2 = this.clone();
-                        ctx.schedule(Duration::ZERO, move || this2.rehome_stranded(view));
-                    }
-                }
-                Upcall::Excluded => {
-                    let this2 = this.clone();
-                    ctx.schedule(Duration::ZERO, move || this2.crash_site(i));
-                }
-                Upcall::ServeJoin { joiner } => {
-                    // Donor half of the rejoin: clone the committed state at
-                    // this order-clean instant — the exact point the granted
-                    // order base names — and charge the marshalling of the
-                    // snapshot onto this site's CPU.
-                    let bytes = this.stage_transfer(i, joiner.0);
-                    ctx.charge(this.costs.marshal(bytes as usize));
-                }
-                Upcall::Rejoined => {
-                    // Receiving half: the stack is live in the new view;
-                    // install the staged state before acting on deliveries.
-                    let this2 = this.clone();
-                    ctx.schedule(Duration::ZERO, move || this2.adopt_transfer(i));
+            let weak = Rc::downgrade(self);
+            bridge.set_handler(Box::new(move |ctx, upcall| {
+                if let Some(this) = weak.upgrade() {
+                    this.upcall(i, ctx, upcall);
                 }
             }));
             bridge.start();
+        }
+    }
+
+    /// Dispatches one of `site`'s GCS upcalls, inside the protocol's real
+    /// job: deliveries and votes go to the site's replica, membership
+    /// events to rejoin and re-placement.
+    fn upcall(self: &Rc<Self>, site: usize, ctx: &mut RealContext<'_>, upcall: Upcall) {
+        match upcall {
+            Upcall::Tentative { payload, .. } => {
+                let Ok(req) = unmarshal(payload) else { return };
+                self.with_replica(site, ctx, |r, p, rt| r.tentative(&req, p.as_deref(), rt));
+            }
+            Upcall::Deliver { payload, .. } => {
+                let Ok(req) = unmarshal(payload) else { return };
+                self.with_replica(site, ctx, |r, p, rt| r.deliver(req, p, rt));
+            }
+            Upcall::Vote { voter, vote } => {
+                // A wire-level certification vote (possibly our own, looped
+                // back): file it, then try to advance the FIFO.
+                self.with_replica(site, ctx, |r, p, rt| r.receive_vote(p, voter.0, &vote, rt));
+            }
+            Upcall::ViewChange(view) => {
+                // Re-placement trigger: if the installed view removed a
+                // span's last live owner, elect a survivor to adopt it.
+                if self.partial.is_some() {
+                    ctx.schedule(Duration::ZERO, self.action(move |this| this.rehome(view)));
+                }
+            }
+            Upcall::Excluded => {
+                ctx.schedule(Duration::ZERO, self.action(move |this| this.crash_site(site)));
+            }
+            Upcall::ServeJoin { joiner } => {
+                // Donor half of the rejoin: clone the committed state at
+                // this order-clean instant — the exact point the granted
+                // order base names — and charge the marshalling of the
+                // snapshot onto this site's CPU.
+                let bytes = self.stage_transfer(site, joiner.0 as usize);
+                ctx.charge(self.costs.marshal(bytes as usize));
+            }
+            Upcall::Rejoined => {
+                // Receiving half: the stack is live in the new view;
+                // install the staged state before acting on deliveries.
+                ctx.schedule(Duration::ZERO, self.action(move |this| this.adopt_transfer(site)));
+            }
         }
     }
 
@@ -348,15 +376,12 @@ impl Inner {
                         }
                     }
                 }
-                FaultSpec::Crash { site, at } => {
-                    let this = self.clone();
-                    let site = *site as usize;
-                    self.sim.schedule_at(*at, move || this.crash_site(site));
+                &FaultSpec::Crash { site, at } => {
+                    self.sim.schedule_at(at, self.action(move |this| this.crash_site(site.into())));
                 }
-                FaultSpec::Restart { site, at } => {
-                    let this = self.clone();
-                    let site = *site as usize;
-                    self.sim.schedule_at(*at, move || this.restart_site(site));
+                &FaultSpec::Restart { site, at } => {
+                    self.sim
+                        .schedule_at(at, self.action(move |this| this.restart_site(site.into())));
                 }
                 FaultSpec::Partition { groups, at, heal_at } => {
                     // Split and heal ride the simulation scheduler so the
@@ -391,16 +416,14 @@ impl Inner {
     }
 
     fn crash_site(&self, site: usize) {
-        {
-            let mut sh = self.shared.borrow_mut();
-            if sh.sites[site].crashed {
-                return;
-            }
-            sh.sites[site].crashed = true;
-            if !sh.metrics.crashed_sites.contains(&(site as u16)) {
-                sh.metrics.crashed_sites.push(site as u16);
-            }
+        if std::mem::replace(&mut self.replicas.borrow_mut()[site].st.crashed, true) {
+            return;
         }
+        let mut m = self.metrics.borrow_mut();
+        if !m.crashed_sites.contains(&(site as u16)) {
+            m.crashed_sites.push(site as u16);
+        }
+        drop(m);
         if let Some(b) = &self.sites[site].bridge {
             b.kill();
         } else {
@@ -415,21 +438,22 @@ impl Inner {
     /// takes it from there — grant, state transfer, view install. A no-op
     /// if the site is not down.
     fn restart_site(self: &Rc<Self>, site: usize) {
-        {
-            let mut sh = self.shared.borrow_mut();
-            if !sh.sites[site].crashed {
-                return;
-            }
-            sh.sites[site].restarted_at = Some(self.sim.now());
+        let mut reps = self.replicas.borrow_mut();
+        if !reps[site].st.crashed {
+            return;
         }
+        reps[site].st.restarted_at = Some(self.sim.now());
+        let kept = reps[site].committed();
+        drop(reps);
         if let Some(b) = &self.sites[site].bridge {
             b.revive();
         } else {
             // A single-site run has no group to rejoin: its committed state
             // survived locally, so coming back up is immediate.
             self.net.set_host_down(self.sites[site].host, false);
-            let kept = self.shared.borrow().metrics.commit_logs[site].len();
-            self.finish_rejoin(site, kept, kept);
+            let record = RejoinRecord { site: site as u16, kept, cut: kept, ttu: SimTime::ZERO };
+            self.metrics.borrow_mut().rejoins.push(record);
+            self.finish_rejoin(site);
         }
     }
 
@@ -439,28 +463,17 @@ impl Inner {
     /// partial placement the packet instead carries the joiner's span
     /// replica rebuilt from the oracle history — only its spans' rows.
     /// Returns the bytes staged (for the donor's marshalling charge).
-    fn stage_transfer(&self, donor: usize, joiner: u16) -> u64 {
-        let mut sh = self.shared.borrow_mut();
-        let sh = &mut *sh;
-        let (state, owned, cut) = match &sh.replication {
-            Replication::Partial(p) => {
-                let (replica, owned, cut) = p.stage(donor, joiner as usize);
-                (Staged::Partial(Box::new(replica)), owned, cut)
-            }
-            Replication::Full(certs) => {
-                // The cut is a *reference-chain* position: a donor that
-                // itself rejoined earlier has a transfer gap in its local
-                // log, so its length alone would understate where the
-                // chain stands.
-                let cut = sh.metrics.commit_logs[donor].len() + sh.sites[donor].ref_gap;
-                let warehouses = dbsm_tpcc::schema::warehouses_for_clients(self.cfg.clients);
-                (Staged::Full(certs[donor].clone_box()), warehouses, cut)
-            }
+    fn stage_transfer(&self, donor: usize, joiner: usize) -> u64 {
+        let mut reps = self.replicas.borrow_mut();
+        let (state, owned, cut) = match &self.partial {
+            Some(p) => p.borrow().stage(&reps[donor], joiner),
+            None => reps[donor].snapshot(warehouses_for_clients(self.cfg.clients)),
         };
         let snapshot_bytes = owned * self.costs.snapshot_bytes_per_warehouse;
-        sh.metrics.recovery_work.snapshots_served += 1;
-        sh.metrics.recovery_work.snapshot_bytes += snapshot_bytes;
-        sh.sites[joiner as usize].incoming = Some(TransferPacket { state, cut, snapshot_bytes });
+        let mut m = self.metrics.borrow_mut();
+        m.recovery_work.snapshots_served += 1;
+        m.recovery_work.snapshot_bytes += snapshot_bytes;
+        reps[joiner].st.incoming = Some(TransferPacket { state, cut, snapshot_bytes });
         snapshot_bytes
     }
 
@@ -472,73 +485,50 @@ impl Inner {
     /// certify against the adopted state — the delta log plays in real
     /// time; only client service waits for the transfer to finish.
     fn adopt_transfer(self: &Rc<Self>, site: usize) {
-        let (kept, cut, total_bytes, orphans) = {
-            let mut sh = self.shared.borrow_mut();
-            let sh = &mut *sh;
-            let Some(packet) = sh.sites[site].incoming.take() else { return };
-            let kept = sh.metrics.commit_logs[site].len();
-            sh.replication.install(site, packet.state);
-            let st = &mut sh.sites[site];
-            // The delta log spans from this site's pre-crash reference
-            // position (local length plus any earlier transfer gap) to the
-            // cut; the new gap replaces the old one, since the cut already
-            // accounts for everything skipped so far.
-            let replayed = packet.cut.saturating_sub(kept + st.ref_gap) as u64;
-            let delta_bytes = replayed * self.costs.delta_bytes_per_entry;
-            st.ref_gap = packet.cut.saturating_sub(kept);
-            st.spec_free_at = SimTime::ZERO;
-            st.spec_ready.clear();
-            st.commits_since_gc = 0;
-            let orphans: Vec<TxnId> =
-                std::mem::take(&mut st.pending).into_values().map(|p| p.db_txn).collect();
-            sh.metrics.recovery_work.delta_bytes += delta_bytes;
-            sh.metrics.recovery_work.replayed_entries += replayed;
+        let Some(packet) = self.replicas.borrow_mut()[site].st.incoming.take() else { return };
+        let (cut, snapshot_bytes) = (packet.cut, packet.snapshot_bytes);
+        let (kept, replayed, orphans) = self.replicas.borrow_mut()[site].install(packet);
+        let delta_bytes = replayed * self.costs.delta_bytes_per_entry;
+        {
+            let mut m = self.metrics.borrow_mut();
+            m.recovery_work.delta_bytes += delta_bytes;
+            m.recovery_work.replayed_entries += replayed;
             // The chain record goes in *now*: from this instant the site's
             // log continues the reference from `cut`, even if the run stops
             // before the streaming transfer finishes (`ttu` stays zero
             // until [`Inner::finish_rejoin`] fills it in).
-            sh.metrics.rejoins.push(RejoinRecord {
-                site: site as u16,
-                kept,
-                cut: packet.cut,
-                ttu: SimTime::ZERO,
-            });
-            (kept, packet.cut, packet.snapshot_bytes + delta_bytes, orphans)
-        };
+            m.rejoins.push(RejoinRecord { site: site as u16, kept, cut, ttu: SimTime::ZERO });
+        }
         // Requests multicast by the first incarnation whose decision never
         // came back: abort them so their clients resume.
         for db_txn in orphans {
             self.sites[site].engine.resolve(db_txn, false);
         }
-        let this = self.clone();
-        self.sim.schedule_in(self.costs.transfer_delay(total_bytes), move || {
-            this.finish_rejoin(site, kept, cut);
-        });
+        let delay = self.costs.transfer_delay(snapshot_bytes + delta_bytes);
+        self.sim.schedule_in(delay, self.action(move |this| this.finish_rejoin(site)));
     }
 
     /// The rejoined site becomes useful: cleared from the crashed set,
     /// time-to-useful recorded, parked clients released.
-    fn finish_rejoin(self: &Rc<Self>, site: usize, kept: usize, cut: usize) {
+    fn finish_rejoin(self: &Rc<Self>, site: usize) {
+        let now = self.sim.now();
         let parked = {
-            let mut sh = self.shared.borrow_mut();
-            let sh = &mut *sh;
-            sh.sites[site].crashed = false;
-            sh.metrics.crashed_sites.retain(|&s| s != site as u16);
-            let ttu = sh.sites[site]
-                .restarted_at
-                .take()
-                .map_or(Duration::ZERO, |t| self.sim.now().saturating_duration_since(t));
-            sh.metrics.recovery_work.rejoins += 1;
-            sh.metrics.recovery_work.ttu_ns_total += ttu.as_nanos() as u64;
+            let mut reps = self.replicas.borrow_mut();
+            let st = &mut reps[site].st;
+            st.crashed = false;
+            let ttu =
+                st.restarted_at.take().map_or(Duration::ZERO, |t| now.saturating_duration_since(t));
+            let m = &mut *self.metrics.borrow_mut();
+            m.crashed_sites.retain(|&s| s != site as u16);
+            m.recovery_work.rejoins += 1;
+            m.recovery_work.ttu_ns_total += ttu.as_nanos() as u64;
             let ttu = SimTime::from_nanos(ttu.as_nanos() as u64);
-            // Fill in the record pushed at adoption; the bridge-less
-            // single-site path skips adoption and records here.
-            match sh.metrics.rejoins.iter_mut().rev().find(|r| r.site == site as u16) {
-                Some(r) => r.ttu = ttu,
-                None => sh.metrics.rejoins.push(RejoinRecord { site: site as u16, kept, cut, ttu }),
-            }
-            let parked = std::mem::take(&mut sh.sites[site].parked);
-            record_parked(&mut sh.metrics, &parked, self.sim.now());
+            // Fill in the record pushed at adoption (or at a bridge-less
+            // single-site restart, which has no adoption).
+            let record = m.rejoins.iter_mut().rev().find(|r| r.site == site as u16);
+            record.expect("a rejoin is recorded before it finishes").ttu = ttu;
+            let parked = std::mem::take(&mut st.parked);
+            record_parked(m, &parked, now);
             parked
         };
         for (client, _) in parked {
@@ -546,9 +536,10 @@ impl Inner {
         }
         // A rejoined voter resumes voting *now*, not at the next delivery:
         // the seeded FIFO may already hold entries waiting on its vote.
-        if self.shared.borrow_mut().partial().is_some() {
-            let this = self.clone();
-            self.sites[site].cpu.submit_real(Box::new(move |ctx| this.advance_partial(site, ctx)));
+        if self.partial.is_some() {
+            self.submit(site, move |this, ctx| {
+                this.with_replica(site, ctx, |r, p, rt| r.advance(p, rt))
+            });
         }
     }
 
@@ -559,16 +550,15 @@ impl Inner {
     /// like a rejoin snapshot of the adopted warehouses and completes at
     /// [`Inner::finish_replacement`]; until then the span is unservable and
     /// its clients park.
-    fn rehome_stranded(self: &Rc<Self>, view: View) {
-        let mut sh = self.shared.borrow_mut();
-        let groups = sh.partial().map_or_else(Vec::new, |p| p.elect_adopters(&view));
-        drop(sh);
+    fn rehome(self: &Rc<Self>, view: View) {
+        let Some(p) = &self.partial else { return };
+        let groups = p.borrow_mut().elect_adopters(&view);
         for (adopter, spans) in groups {
             let bytes = spans.len() as u64 * self.costs.snapshot_bytes_per_warehouse;
             let delay = self.costs.marshal(bytes as usize) + self.costs.transfer_delay(bytes);
             let started = self.sim.now();
-            let this = self.clone();
-            self.sim.schedule_in(delay, move || this.finish_replacement(adopter, spans, started));
+            let done = self.action(move |this| this.finish_replacement(adopter, spans, started));
+            self.sim.schedule_in(delay, done);
         }
     }
 
@@ -577,45 +567,36 @@ impl Inner {
     /// re-collected votes, and every client parked at a dead site is
     /// released to re-route through the overlay.
     fn finish_replacement(self: &Rc<Self>, adopter: usize, spans: Vec<u64>, started: SimTime) {
-        let this = self.clone();
-        self.sites[adopter].cpu.submit_real(Box::new(move |ctx| {
-            {
-                let mut sh = this.shared.borrow_mut();
-                if sh.sites[adopter].crashed
-                    || !sh.partial().is_some_and(|p| p.adopting(adopter, &spans))
-                {
-                    return;
-                }
+        self.submit(adopter, move |this, ctx| {
+            let Some(p) = &this.partial else { return };
+            if this.replicas.borrow()[adopter].st.crashed || !p.borrow().adopting(adopter, &spans) {
+                return;
             }
             // Quiesce first: pop every globally decided entry off the
             // adopter's FIFO, so the rebuilt certifier lands exactly at the
             // adopter's position.
-            this.advance_partial(adopter, ctx);
+            this.with_replica(adopter, ctx, |r, p, rt| r.advance(p, rt));
             let now = ctx.now();
             let vote_seq = this.sites[adopter].bridge.as_ref().expect("replicated site").vote_seq();
             let parked = {
-                let mut sh = this.shared.borrow_mut();
-                let Some((adopted, recollected)) =
-                    sh.partial().map(|p| p.adopt(adopter, &spans, vote_seq))
-                else {
-                    return;
-                };
-                let repl = &mut sh.metrics.replacement_work;
+                let mut reps = this.replicas.borrow_mut();
+                let (adopted, recollected) =
+                    p.borrow_mut().adopt(&mut reps, adopter, &spans, vote_seq);
+                let m = &mut *this.metrics.borrow_mut();
+                let repl = &mut m.replacement_work;
                 repl.replacements += 1;
                 repl.rehomed_spans += adopted;
                 repl.transfer_bytes += adopted * this.costs.snapshot_bytes_per_warehouse;
                 repl.time_to_serving_ns_total +=
                     now.saturating_duration_since(started).as_nanos() as u64 * adopted;
                 repl.vote_rounds_recollected += recollected;
-                let sh = &mut *sh;
                 // Release everyone parked at a dead site: the overlay now
                 // serves the adopted spans, so their clients re-route here
                 // (others re-park, their wait still on the ledger).
-                let mut parked: Vec<(usize, SimTime)> = Vec::new();
-                for st in sh.sites.iter_mut().filter(|st| st.crashed) {
-                    parked.append(&mut st.parked);
-                }
-                record_parked(&mut sh.metrics, &parked, now);
+                let crashed = reps.iter_mut().filter(|r| r.st.crashed);
+                let parked: Vec<_> =
+                    crashed.flat_map(|r| std::mem::take(&mut r.st.parked)).collect();
+                record_parked(m, &parked, now);
                 parked
             };
             for (client, _) in parked {
@@ -623,8 +604,8 @@ impl Inner {
             }
             // Re-cast the re-collected votes (and any deferred ones the new
             // coverage unblocks) right away.
-            this.advance_partial(adopter, ctx);
-        }));
+            this.with_replica(adopter, ctx, |r, p, rt| r.advance(p, rt));
+        });
     }
 
     /// Closes the measured interval at `at`: records its length and every
@@ -646,22 +627,26 @@ impl Inner {
         metrics.network_tx_bytes = self.net.stats().total_tx_bytes();
     }
 
+    /// The run's metrics: the cluster's ledger, every replica's ledger
+    /// moved or summed in, and the stacks' and the network's counters.
     fn collect(&self) -> RunMetrics {
-        let (mut metrics, stopped) = {
-            let mut sh = self.shared.borrow_mut();
-            (std::mem::replace(&mut sh.metrics, RunMetrics::new(0)), sh.stopped)
-        };
-        if !stopped {
+        let mut metrics = std::mem::take(&mut *self.metrics.borrow_mut());
+        if !self.stopped.get() {
             // The time cap hit before the target: the interval is the run.
             self.record_usage(&mut metrics, self.sim.now());
         }
-        for s in self.sites.iter() {
-            if let Some(b) = &s.bridge {
-                let m = b.metrics();
-                metrics.ann_work.record_site(&m);
-                metrics.fault_work.record_site(&m);
-                metrics.vote_wire.record_site(&m);
-            }
+        for (i, r) in self.replicas.borrow_mut().iter_mut().enumerate() {
+            let ledger = r.take_ledger();
+            metrics.commit_logs[i] = ledger.log;
+            metrics.cert_work.absorb(&ledger.work);
+            metrics.vote_wire.decided += ledger.vote_decided;
+            metrics.vote_wire.wait_ns += ledger.vote_wait_ns;
+        }
+        for b in self.sites.iter().filter_map(|s| s.bridge.as_ref()) {
+            let m = b.metrics();
+            metrics.ann_work.record_site(&m);
+            metrics.fault_work.record_site(&m);
+            metrics.vote_wire.record_site(&m);
         }
         let net_stats = self.net.stats();
         metrics.fault_work.dup_injected = net_stats.duplicates_injected();
@@ -681,50 +666,51 @@ impl Inner {
     /// round-robin. Recomputed at every fire, so the overlay re-routes
     /// parked clients automatically.
     fn site_of(&self, client: usize) -> usize {
-        let sh = self.shared.borrow();
-        let Replication::Partial(p) = &sh.replication else { return client % self.cfg.sites };
+        let Some(p) = &self.partial else { return client % self.cfg.sites };
         // TPC-C home warehouses are 1-based; placement spans 0-based.
-        let owners = p.ownership.owners(self.gen.borrow().home_warehouse(client) - 1);
-        let live: Vec<usize> = owners.iter().copied().filter(|&s| !sh.sites[s].crashed).collect();
+        let owners = p.borrow().ownership.owners(self.gen.borrow().home_warehouse(client) - 1);
+        let reps = self.replicas.borrow();
+        let live: Vec<usize> = owners.iter().copied().filter(|&s| !reps[s].st.crashed).collect();
         let pool = if live.is_empty() { &owners } else { &live };
         pool[client % pool.len()]
     }
 
     fn schedule_client(self: &Rc<Self>, client: usize) {
         let think = self.gen.borrow_mut().think_time();
-        let this = self.clone();
-        self.sim.schedule_in(think, move || this.client_fire(client));
+        self.sim.schedule_in(think, self.action(move |this| this.client_fire(client)));
     }
 
     fn client_fire(self: &Rc<Self>, client: usize) {
         let site = self.site_of(client);
-        {
-            let mut sh = self.shared.borrow_mut();
-            if sh.stopped {
-                return;
-            }
-            if sh.sites[site].crashed {
-                // Park until the site rejoins or a re-placement re-routes
-                // the span; a permanently crashed site with no adopter
-                // keeps its clients parked for the rest of the run.
-                sh.sites[site].parked.push((client, self.sim.now()));
-                return;
-            }
+        if self.stopped.get() {
+            return;
         }
+        let mut reps = self.replicas.borrow_mut();
+        if reps[site].st.crashed {
+            // Park until the site rejoins or a re-placement re-routes the
+            // span; a permanently crashed site with no adopter keeps its
+            // clients parked for the rest of the run.
+            reps[site].st.parked.push((client, self.sim.now()));
+            return;
+        }
+        drop(reps);
         let req = self.gen.borrow_mut().next_request(client);
         let class = req.class;
-        self.shared.borrow_mut().metrics.class_mut(class).submitted += 1;
-        let start_seq = self.shared.borrow_mut().replication.certifier(site).last_committed();
+        self.metrics.borrow_mut().class_mut(class).submitted += 1;
+        let start_seq = self.replicas.borrow_mut()[site].last_committed();
         let submit_at = self.sim.now();
-        let this_cr = self.clone();
-        let this_done = self.clone();
+        let (this_cr, this_done) = (Rc::downgrade(self), Rc::downgrade(self));
         self.sites[site].engine.begin_local(
             req.spec,
             move |db_txn, spec| {
-                this_cr.commit_request(site, db_txn, spec.clone(), start_seq);
+                if let Some(this) = this_cr.upgrade() {
+                    this.commit_request(site, db_txn, spec.clone(), start_seq);
+                }
             },
             move |_db_txn, outcome| {
-                this_done.client_done(client, class, submit_at, outcome);
+                if let Some(this) = this_done.upgrade() {
+                    this.client_done(client, class, submit_at, outcome);
+                }
             },
         );
     }
@@ -738,8 +724,8 @@ impl Inner {
     ) {
         let now = self.sim.now();
         {
-            let mut sh = self.shared.borrow_mut();
-            let stats = sh.metrics.class_mut(class);
+            let mut m = self.metrics.borrow_mut();
+            let stats = m.class_mut(class);
             match outcome {
                 Outcome::Committed => {
                     stats.committed += 1;
@@ -749,12 +735,11 @@ impl Inner {
                 }
                 Outcome::Aborted(reason) => stats.record_abort(reason),
             }
-            sh.completed += 1;
-            if sh.completed >= self.cfg.target_txns && !sh.stopped {
-                sh.stopped = true;
-                self.record_usage(&mut sh.metrics, now);
+            if m.committed() + m.aborted() >= self.cfg.target_txns && !self.stopped.get() {
+                self.stopped.set(true);
+                self.record_usage(&mut m, now);
             }
-            if sh.stopped {
+            if self.stopped.get() {
                 return;
             }
         }
@@ -770,48 +755,23 @@ impl Inner {
         spec: TransactionSpec,
         start_seq: u64,
     ) {
-        let engine = self.sites[site].engine.clone();
         if spec.relaxed || (spec.read_only && !self.cfg.certify_read_only) {
-            engine.resolve(db_txn, true);
+            self.sites[site].engine.resolve(db_txn, true);
             return;
         }
         if spec.read_only {
             // Local validation of the read-set against concurrent commits,
-            // as real code on the site's CPU; a cross-span read under
-            // partial replication also pays the vote round trip.
-            let this = self.clone();
-            self.sites[site].cpu.submit_real(Box::new(move |ctx| {
-                let (ok, work, crossed) = {
-                    let mut sh = this.shared.borrow_mut();
-                    let Shared { metrics, replication, .. } = &mut *sh;
-                    let work_ledger = &mut metrics.cert_work;
-                    match replication {
-                        Replication::Full(certs) => {
-                            let (ok, work) =
-                                certs[site].certify_read_only(&spec.read_set, start_seq);
-                            work_ledger.record(work);
-                            (ok, work, false)
-                        }
-                        Replication::Partial(p) => {
-                            p.certify_read_only(site, &spec.read_set, start_seq, work_ledger)
-                        }
-                    }
-                };
-                ctx.charge(this.costs.certify(work));
-                let vote_delay = if crossed { this.costs.vote_rtt } else { Duration::ZERO };
-                let engine = engine.clone();
-                ctx.schedule(vote_delay, move || engine.resolve(db_txn, ok));
-            }));
+            // as real code on the site's CPU.
+            self.submit(site, move |this, ctx| {
+                this.with_replica(site, ctx, |r, p, rt| {
+                    r.validate_read_only(db_txn, &spec.read_set, start_seq, p.as_deref(), rt);
+                });
+            });
             return;
         }
         // Update transaction: gather, marshal and atomically multicast.
-        let (seq, mut read_set) = {
-            let mut sh = self.shared.borrow_mut();
-            let st = &mut sh.sites[site];
-            st.txn_seq += 1;
-            st.pending.insert(st.txn_seq, PendingCert { db_txn, sent_at: self.sim.now() });
-            (st.txn_seq, spec.read_set.clone())
-        };
+        let seq = self.replicas.borrow_mut()[site].open(db_txn, self.sim.now());
+        let mut read_set = spec.read_set.clone();
         read_set.upgrade_large_tables(self.cfg.table_lock_threshold);
         let req = CertRequest {
             site: SiteId(site as u16),
@@ -821,8 +781,7 @@ impl Inner {
             write_set: spec.write_set.clone(),
             write_bytes: spec.write_bytes,
         };
-        let this = self.clone();
-        self.sites[site].cpu.submit_real(Box::new(move |ctx| {
+        self.submit(site, move |this, ctx| {
             let wire = marshal(&req);
             ctx.charge(this.costs.marshal(wire.len()));
             match &this.sites[site].bridge {
@@ -831,138 +790,29 @@ impl Inner {
                 // trivially local total order.
                 None => {
                     let req = unmarshal(wire).expect("own marshalling is sound");
-                    this.certify_in_order(site, req, ctx);
+                    this.with_replica(site, ctx, |r, _, rt| r.certify_in_order(req, rt));
                 }
             }
-        }));
+        });
     }
 
-    /// Certifies `req` on a full replica in delivery order — the
-    /// synchronous commit path and the centralized one. Real code: the
-    /// full conflict check stalls the delivery loop, charging its CPU
-    /// cost, and the decision re-enters the simulated domain at start + Δ
-    /// (Fig. 1b).
-    fn certify_in_order(self: &Rc<Self>, site: usize, req: CertRequest, ctx: &mut RealContext<'_>) {
-        let (outcome, work) = {
-            let mut sh = self.shared.borrow_mut();
-            let res =
-                sh.replication.certifier(site).certify(&req).expect("history window exceeded");
-            sh.metrics.cert_work.record(res.1);
-            sh.metrics.cert_work.stall_ns += self.costs.certify_data(res.1).as_nanos() as u64;
-            res
-        };
-        ctx.charge(self.costs.certify(work));
-        let this = self.clone();
-        ctx.schedule(Duration::ZERO, move || this.deliver_decision(site, req, outcome));
-    }
-
-    /// Confirms `req` on a full replica at total-order delivery against
-    /// its speculation (pipelined commit path). The certifier mutation,
-    /// commit log and gc cadence happen here, in the global sequence —
-    /// tentative order differs per site — while the engine-side decision
-    /// waits for the speculative FIFO to finish the probe work.
-    fn confirm_in_order(self: &Rc<Self>, site: usize, req: CertRequest, ctx: &mut RealContext<'_>) {
-        let (outcome, work, pending, ready_at) = {
-            let mut sh = self.shared.borrow_mut();
-            let (outcome, work, res) =
-                sh.replication.certifier(site).confirm(&req).expect("history window exceeded");
-            let ready_at = sh.sites[site].spec_ready.remove(&(req.site.0, req.txn));
-            sh.metrics.cert_work.record(work);
-            sh.metrics.cert_work.record_spec(res);
-            sh.metrics.cert_work.stall_ns += self.costs.certify_data(work).as_nanos() as u64;
-            let pending = sh.record_decision(site, self.cfg.history_window, &req, outcome);
-            (outcome, work, pending, ready_at)
-        };
-        ctx.charge(self.costs.confirm(work));
-        let delay = ready_at.map_or(Duration::ZERO, |t| t.saturating_duration_since(ctx.now()));
-        let this = self.clone();
-        ctx.schedule(delay, move || this.apply_decision(site, req, outcome, pending));
-    }
-
-    /// Advances `site`'s partial-replication FIFO as far as it will go:
-    /// first decides and pops entries off the head, then casts this site's
-    /// wire votes for entries whose turn has come — popping may unblock
-    /// deferred votes, and freshly cast votes return as loopback
-    /// [`Upcall::Vote`]s which re-enter here. A no-op under full
-    /// replication.
-    fn advance_partial(self: &Rc<Self>, site: usize, ctx: &mut RealContext<'_>) {
-        let now = ctx.now();
-        let (popped, casts, charge) = {
-            let mut sh = self.shared.borrow_mut();
-            let Shared { metrics, sites, replication: Replication::Partial(p), .. } = &mut *sh
-            else {
-                return;
-            };
-            let st = &mut sites[site];
-            let popped = p.pop_decided(site, st, metrics, self.cfg.history_window, now);
-            // A crashed site decides what others published but casts nothing.
-            let (casts, charge) = if st.crashed {
-                Default::default()
-            } else {
-                p.cast_votes(site, self.cfg.commit_path, &self.costs, &mut metrics.cert_work)
-            };
-            (popped, casts, charge)
-        };
-        for (req, outcome, pending, ready_at) in popped {
-            // Pipelined deliveries wait out the speculative probe's FIFO;
-            // synchronous ones have no speculation and apply now.
-            let delay = ready_at.map_or(Duration::ZERO, |t| t.saturating_duration_since(now));
-            let this = self.clone();
-            ctx.schedule(delay, move || this.apply_decision(site, req, outcome, pending));
-        }
-        if charge > Duration::ZERO {
-            ctx.charge(charge);
-        }
-        for (origin, txn, conflict) in casts {
-            self.sites[site]
-                .bridge
-                .as_ref()
-                .expect("replicated site")
-                .cast_vote(origin, txn, conflict);
-        }
-    }
-
-    /// Applies a certification decision at `site` (already totally ordered).
-    fn deliver_decision(&self, site: usize, req: CertRequest, outcome: CertOutcome) {
-        let pending =
-            self.shared.borrow_mut().record_decision(site, self.cfg.history_window, &req, outcome);
-        self.apply_decision(site, req, outcome, pending);
-    }
-
-    /// The engine-side half of a delivery: resolve the origin's transaction
-    /// or apply the remote write-set. Order-insensitive — the certifier and
-    /// commit log already recorded the decision.
-    fn apply_decision(
-        &self,
-        site: usize,
-        req: CertRequest,
-        outcome: CertOutcome,
-        pending: Option<PendingCert>,
-    ) {
-        let origin = req.site.0 as usize == site;
+    /// Settles a fired [`Decision`] at `site` ([`Replica::settle`]) and
+    /// carries it out on the engine: resolve a local transaction, recording
+    /// its certification latency, or apply a committed remote write-set.
+    fn settle(&self, site: usize, decision: Decision) {
+        let Some(settled) = self.replicas.borrow_mut()[site].settle(decision) else { return };
         let engine = &self.sites[site].engine;
-        match (origin, outcome.is_commit()) {
-            (true, commit) => {
-                if let Some(p) = pending {
-                    let lat = self.sim.now().saturating_duration_since(p.sent_at);
-                    self.shared
-                        .borrow_mut()
-                        .metrics
-                        .cert_latencies_ms
-                        .record(lat.as_secs_f64() * 1e3);
-                    engine.resolve(p.db_txn, commit);
+        match settled {
+            Settled::Resolve(db_txn, commit, sent_at) => {
+                if let Some(sent_at) = sent_at {
+                    let lat = self.sim.now().saturating_duration_since(sent_at);
+                    self.metrics.borrow_mut().cert_latencies_ms.record(lat.as_secs_f64() * 1e3);
                 }
+                engine.resolve(db_txn, commit);
             }
-            (false, true) => {
-                let stored = match self.shared.borrow_mut().partial() {
-                    Some(p) => p.stored_writes(site, &req),
-                    None => Some((req.write_set.clone(), req.write_bytes)),
-                };
-                if let Some((ws, bytes)) = stored {
-                    engine.apply_remote(ws, bytes, || {});
-                }
+            Settled::Apply(ws, bytes) => {
+                engine.apply_remote(ws, bytes, || {});
             }
-            (false, false) => {}
         }
     }
 }

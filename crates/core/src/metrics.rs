@@ -113,9 +113,27 @@ pub struct CertWorkTotals {
 impl CertWorkTotals {
     pub(crate) fn record(&mut self, work: CertWork) {
         self.certifications += 1;
-        self.history_scanned += work.history_scanned as u64;
-        self.comparisons += work.comparisons as u64;
-        self.probes += work.probes as u64;
+        self.record_spec_probe(work);
+    }
+
+    /// Adds `other`'s counts to this ledger.
+    pub(crate) fn absorb(&mut self, other: &CertWorkTotals) {
+        self.certifications += other.certifications;
+        self.history_scanned += other.history_scanned;
+        self.comparisons += other.comparisons;
+        self.probes += other.probes;
+        self.queue_ns += other.queue_ns;
+        self.service_ns += other.service_ns;
+        self.merge_ns += other.merge_ns;
+        self.stall_ns += other.stall_ns;
+        self.spec_hits += other.spec_hits;
+        self.spec_revalidated += other.spec_revalidated;
+        self.spec_rollbacks += other.spec_rollbacks;
+        self.spec_misses += other.spec_misses;
+        self.span_covered += other.span_covered;
+        self.span_total += other.span_total;
+        self.vote_rounds += other.vote_rounds;
+        self.cross_span_txns += other.cross_span_txns;
     }
 
     /// Accumulates one partial-replication certification's span coverage:
@@ -571,11 +589,7 @@ impl RunMetrics {
     /// Mean latency over all committed transactions, in milliseconds
     /// (Fig. 5b).
     pub fn mean_latency_ms(&self) -> f64 {
-        let mut all = Samples::new();
-        for c in &self.per_class {
-            all.merge(&c.latencies_ms);
-        }
-        all.mean()
+        self.pooled_latencies_ms().mean()
     }
 
     /// All committed-transaction latencies pooled (Fig. 7a ECDFs).

@@ -1,21 +1,27 @@
-//! The certifier side of a site (§3, Fig. 2), and the replication mode
-//! that decides what it holds.
+//! A site's certifier side (§3, Fig. 2): one [`Replica`] per site, and
+//! the vote-round state partial replication shares between them.
 //!
 //! A site is a database engine plus a certifier plus a GCS stack. The
-//! engine and the stack are wired together in [`crate::cluster`]; this
-//! module holds the certifier state between deliveries and turns
-//! deliveries into decisions. The mode is encoded once, as
-//! [`Replication`]:
+//! engine and the stack are wired together in [`crate::cluster`]; the
+//! [`Replica`] between them holds the certifier, the speculative FIFO, the
+//! site's commit log and its certification ledger. Its `&mut self`
+//! methods turn deliveries, wire votes and read-only validations into
+//! decisions, and reach the outside only through a four-call
+//! [`SiteRuntime`]: the clock, the CPU, the event queue and the vote
+//! channel. The cluster implements it over the simulation; a test can
+//! implement it over a list.
 //!
-//! - **Full**: every site runs a complete [`CertBackend`], and total-order
-//!   delivery decides.
-//! - **Partial**: genuine partial replication (Sutra & Shapiro). Each
-//!   site's [`SpanReplica`] certifies only the warehouses it owns and
-//!   casts wire votes ([`dbsm_gcs::Gcs::cast_vote`]); its delivery FIFO
-//!   decides an entry once the collected votes cover the read-set.
-//!   [`Partial`] also holds what the vote rounds share: the
-//!   cross-checking oracle, the published verdicts and the re-homing
-//!   overlay.
+//! A replica certifies in the run's replication mode:
+//!
+//! - **Full**: a complete [`CertBackend`]; total-order delivery decides.
+//! - **Partial**: genuine partial replication (Sutra & Shapiro). A
+//!   [`SpanReplica`] certifies only the warehouses its site owns and casts
+//!   wire votes ([`dbsm_gcs::Gcs::cast_vote`]); its delivery FIFO decides
+//!   an entry once the collected votes cover the read-set. [`Partial`]
+//!   holds what the vote rounds share — the re-homing overlay, the
+//!   cross-checking oracle and the published verdicts — and is passed in
+//!   explicitly. [`Partial::stage`] and [`Partial::adopt`] are the two
+//!   shortcuts that reach across replicas.
 //!
 //! Ownership is one rule, [`Ownership::owns`]: a site owns a span when the
 //! static [`PlacementMap`] places it there or when it is the span's
@@ -23,11 +29,11 @@
 //! accounting, client routing and the stranded-span sweep all ask it.
 
 use crate::experiment::{CertCostModel, CommitPath, ExperimentConfig};
-use crate::metrics::{CertWorkTotals, RunMetrics};
+use crate::metrics::CertWorkTotals;
 use crate::placement::PlacementMap;
 use dbsm_cert::{
-    merge_votes, CertBackend, CertRequest, CertWork, IndexedCertifier, Outcome as CertOutcome,
-    RwSet, SpanCertifier, SpanPlacement,
+    merge_votes, CertBackend, CertRequest, IndexedCertifier, Outcome as CertOutcome, RwSet,
+    SpanCertifier, SpanPlacement,
 };
 use dbsm_db::TxnId;
 use dbsm_gcs::{NodeId, View, WireVote};
@@ -43,33 +49,119 @@ pub(crate) type Key = (u16, u64);
 /// if that voter's span saw a conflict)`.
 pub(crate) type SiteVote = (u16, Option<u64>);
 
-/// A multicast request awaiting its decision at its origin site.
-pub(crate) struct PendingCert {
-    pub(crate) db_txn: TxnId,
-    pub(crate) sent_at: SimTime,
+/// What a [`Replica`] acts on. Every call takes effect at once, in call
+/// order, so a replica's charges, schedules and votes keep their order.
+pub(crate) trait SiteRuntime {
+    /// The current instant, CPU time charged so far included.
+    fn now(&mut self) -> SimTime;
+    /// Charges `cost` of real certification work to the site's CPU.
+    fn charge(&mut self, cost: Duration);
+    /// Settles `decision` ([`Replica::settle`]) `delay` after [`now`](Self::now).
+    fn schedule(&mut self, delay: Duration, decision: Decision);
+    /// Multicasts this site's wire vote on `(origin, txn)`.
+    fn cast_vote(&mut self, origin: u16, txn: u64, conflict: Option<u64>);
 }
 
-/// What every site holds next to its certifier, in either mode.
+/// A decision on its way to the engine, scheduled through
+/// [`SiteRuntime::schedule`].
+pub(crate) enum Decision {
+    /// A full replica's verdict, recorded when it fires: the synchronous
+    /// and centralized paths re-enter the simulated domain at start + Δ
+    /// (Fig. 1b).
+    Certified(CertRequest, CertOutcome),
+    /// A verdict already recorded in the global sequence, with the
+    /// origin's pending entry.
+    Recorded(CertRequest, CertOutcome, Option<PendingCert>),
+    /// A local read-only validation's verdict on a transaction.
+    ReadOnly(TxnId, bool),
+}
+
+/// What the engine does with a settled [`Decision`].
+pub(crate) enum Settled {
+    /// Resolves a local transaction; `Some(sent_at)` when it was
+    /// multicast, for its certification latency.
+    Resolve(TxnId, bool, Option<SimTime>),
+    /// Applies the rows of a committed remote write-set this site stores,
+    /// with their byte size.
+    Apply(RwSet, u32),
+}
+
+/// A multicast request awaiting its decision at its origin site.
+pub(crate) struct PendingCert {
+    db_txn: TxnId,
+    sent_at: SimTime,
+}
+
+/// A staged rejoin state transfer: the donor's committed state cloned at
+/// the grant's order-clean point, held until the joiner's stack reports it
+/// rejoined and adopts it. `cut` is the reference-log position the
+/// snapshot + delta log catches the joiner up to.
+pub(crate) struct TransferPacket {
+    pub(crate) state: Certifier,
+    pub(crate) cut: usize,
+    pub(crate) snapshot_bytes: u64,
+}
+
+/// A replica's certifier, in the run's replication mode. A rejoin
+/// transfers one.
+pub(crate) enum Certifier {
+    /// A full backend.
+    Full(Box<dyn CertBackend>),
+    /// A span replica; see [`Partial`].
+    Span(Box<SpanReplica>),
+}
+
+impl Certifier {
+    fn backend(&mut self) -> &mut dyn CertBackend {
+        match self {
+            Certifier::Full(cert) => cert.as_mut(),
+            Certifier::Span(r) => &mut r.cert,
+        }
+    }
+
+    fn span(&mut self) -> &mut SpanReplica {
+        match self {
+            Certifier::Span(r) => r,
+            Certifier::Full(_) => unreachable!("vote rounds run on span replicas"),
+        }
+    }
+}
+
+/// What a replica records for the run's metrics: moved or summed into
+/// [`RunMetrics`](crate::RunMetrics) when the run is collected.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Committed transactions, in commit order.
+    pub(crate) log: Vec<Key>,
+    pub(crate) work: CertWorkTotals,
+    /// Own update transactions decided by a wire-vote quorum, and the
+    /// nanoseconds they waited for it after total-order delivery.
+    pub(crate) vote_decided: u64,
+    pub(crate) vote_wait_ns: u64,
+}
+
+/// What a site holds next to its certifier, zero when the run starts.
+/// The cluster keeps the site's client bookkeeping in the public fields.
 #[derive(Default)]
 pub(crate) struct SiteState {
     /// When this site's speculative-certification FIFO drains (pipelined
     /// commit path): see [`queue_speculation`].
-    pub(crate) spec_free_at: SimTime,
+    spec_free_at: SimTime,
     /// When each speculation's verdict is ready, keyed by
     /// `(origin site, txn)` — consulted at total-order confirmation.
-    pub(crate) spec_ready: BTreeMap<Key, SimTime>,
-    pub(crate) txn_seq: u64,
+    spec_ready: BTreeMap<Key, SimTime>,
+    txn_seq: u64,
     /// This site's multicast requests awaiting their decision, by txn. A
     /// rejoin aborts the first incarnation's leftovers in key order — each
     /// abort re-arms a client through the shared workload RNG, so the order
     /// must come from the seed.
-    pub(crate) pending: BTreeMap<u64, PendingCert>,
-    pub(crate) crashed: bool,
-    pub(crate) commits_since_gc: u64,
+    pending: BTreeMap<u64, PendingCert>,
+    commits_since_gc: u64,
     /// Reference-chain entries this site's own rejoins skipped over: its
     /// commit log's position on the group's reference chain is
-    /// `commit_logs.len() + ref_gap`. Zero until the site rejoins.
-    pub(crate) ref_gap: usize,
+    /// `log.len() + ref_gap`. Zero until the site rejoins.
+    ref_gap: usize,
+    pub(crate) crashed: bool,
     /// When this site last came back up (for time-to-useful).
     pub(crate) restarted_at: Option<SimTime>,
     /// The state transfer staged for this site's rejoin, until it adopts it.
@@ -80,40 +172,425 @@ pub(crate) struct SiteState {
     pub(crate) parked: Vec<(usize, SimTime)>,
 }
 
-/// A staged rejoin state transfer: the donor's committed state cloned at
-/// the grant's order-clean point, held until the joiner's stack reports it
-/// rejoined and adopts it. `cut` is the reference-log position the
-/// snapshot + delta log catches the joiner up to.
-pub(crate) struct TransferPacket {
-    pub(crate) state: Staged,
-    pub(crate) cut: usize,
-    pub(crate) snapshot_bytes: u64,
+/// One site's certifier side: its certifier, its [`SiteState`] and its
+/// ledger. Only its own methods change them, apart from the site's client
+/// bookkeeping in `st`.
+pub(crate) struct Replica {
+    site: usize,
+    cert: Certifier,
+    pub(crate) st: SiteState,
+    ledger: Ledger,
+    costs: CertCostModel,
+    window: u64,
+    path: CommitPath,
 }
 
-impl SiteState {
-    /// The order-sensitive half of a delivery at `site`: gc cadence of its
-    /// certifier `cert`, pending lookup and its commit log `log`. Must run
-    /// in the global sequence — the pipelined path calls it at total-order
-    /// confirmation even though the engine-side decision may still be
-    /// waiting on the speculative FIFO.
-    pub(crate) fn record_decision(
-        &mut self,
+impl Replica {
+    /// `site`'s replica for a run of `cfg`: a span replica of the spans
+    /// `partial` places there, or a full backend.
+    pub(crate) fn new(
         site: usize,
-        cert: &mut dyn CertBackend,
-        log: &mut Vec<Key>,
-        window: u64,
-        req: &CertRequest,
-        outcome: CertOutcome,
-    ) -> Option<PendingCert> {
-        if outcome.is_commit() {
-            gc_tick(&mut self.commits_since_gc, cert, window);
-            log.push((req.site.0, req.txn));
+        cfg: &ExperimentConfig,
+        costs: CertCostModel,
+        partial: Option<&Partial>,
+    ) -> Self {
+        let cert = match partial {
+            Some(p) => {
+                let spans = p.ownership.map.spans_of(site, p.ownership.warehouses);
+                let cert = SpanCertifier::with_span(span_of, spans);
+                Certifier::Span(Box::new(SpanReplica::new(cert, VecDeque::new(), BTreeSet::new())))
+            }
+            None => Certifier::Full(cfg.cert_backend.new_backend()),
+        };
+        Replica {
+            site,
+            cert,
+            st: SiteState::default(),
+            ledger: Ledger::default(),
+            costs,
+            window: cfg.history_window,
+            path: cfg.commit_path,
         }
-        if req.site.0 as usize == site {
-            self.pending.remove(&req.txn)
+    }
+
+    /// The certifier's last commit: a local transaction's snapshot.
+    pub(crate) fn last_committed(&mut self) -> u64 {
+        self.cert.backend().last_committed()
+    }
+
+    /// Transactions committed in this incarnation's log.
+    pub(crate) fn committed(&self) -> usize {
+        self.ledger.log.len()
+    }
+
+    /// Hands the ledger over for the run's metrics.
+    pub(crate) fn take_ledger(&mut self) -> Ledger {
+        std::mem::take(&mut self.ledger)
+    }
+
+    /// Opens local transaction `db_txn`'s multicast request, sent at
+    /// `sent_at`, and returns its per-site sequence number.
+    pub(crate) fn open(&mut self, db_txn: TxnId, sent_at: SimTime) -> u64 {
+        self.st.txn_seq += 1;
+        self.st.pending.insert(self.st.txn_seq, PendingCert { db_txn, sent_at });
+        self.st.txn_seq
+    }
+
+    /// Speculates on a tentatively delivered `req` (pipelined commit path):
+    /// certifies it the moment the reliable layer completes the message,
+    /// queueing the probe work on the speculative FIFO so it overlaps the
+    /// total-order broadcast. Partial replication speculates on the span
+    /// certifier, and only at sites that will vote — the speculation is the
+    /// vote's probe, precomputed so the vote round overlaps the ordering
+    /// round.
+    pub(crate) fn tentative(
+        &mut self,
+        req: &CertRequest,
+        partial: Option<&Partial>,
+        rt: &mut dyn SiteRuntime,
+    ) {
+        if self.path != CommitPath::Pipelined
+            || partial.is_some_and(|p| !p.ownership.casts_vote(self.site, req))
+        {
+            return;
+        }
+        // Real code: unmarshal + dispatch of the speculative probe — outside
+        // the certifier's serial section, so cheaper than a synchronous
+        // certification entry.
+        rt.charge(self.costs.speculate_fixed);
+        let now = rt.now();
+        let work = self.cert.backend().speculate(req);
+        let t = queue_speculation(&mut self.st.spec_free_at, now, work.probes, &self.costs);
+        self.ledger.work.record_spec_probe(work);
+        self.ledger.work.record_queueing(t.queued, t.service, t.merge);
+        self.st.spec_ready.insert((req.site.0, req.txn), t.ready_at);
+    }
+
+    /// Takes `req`'s total-order delivery. Under partial replication
+    /// (either commit path) it joins the delivery FIFO, whose head decides
+    /// once wire votes cover it; a full replica certifies or confirms it.
+    pub(crate) fn deliver(
+        &mut self,
+        req: CertRequest,
+        partial: Option<&mut Partial>,
+        rt: &mut dyn SiteRuntime,
+    ) {
+        match partial {
+            Some(p) => {
+                self.enqueue(req, rt.now());
+                self.advance(Some(p), rt);
+            }
+            None if self.path == CommitPath::Pipelined => self.confirm_in_order(req, rt),
+            None => self.certify_in_order(req, rt),
+        }
+    }
+
+    /// Certifies `req` on a full replica in delivery order — the
+    /// synchronous commit path and the centralized one. Real code: the
+    /// full conflict check stalls the delivery loop, charging its CPU
+    /// cost, and the decision is recorded when it re-enters the simulated
+    /// domain at start + Δ (Fig. 1b).
+    pub(crate) fn certify_in_order(&mut self, req: CertRequest, rt: &mut dyn SiteRuntime) {
+        let (outcome, work) = self.cert.backend().certify(&req).expect("history window exceeded");
+        self.ledger.work.record(work);
+        self.ledger.work.stall_ns += self.costs.certify_data(work).as_nanos() as u64;
+        rt.charge(self.costs.certify(work));
+        rt.schedule(Duration::ZERO, Decision::Certified(req, outcome));
+    }
+
+    /// Confirms `req` on a full replica at total-order delivery against
+    /// its speculation (pipelined commit path). The certifier mutation,
+    /// commit log and gc cadence happen here, in the global sequence —
+    /// tentative order differs per site — while the engine-side decision
+    /// waits for the speculative FIFO to finish the probe work.
+    fn confirm_in_order(&mut self, req: CertRequest, rt: &mut dyn SiteRuntime) {
+        let (outcome, work, res) =
+            self.cert.backend().confirm(&req).expect("history window exceeded");
+        let ready_at = self.st.spec_ready.remove(&(req.site.0, req.txn));
+        self.ledger.work.record(work);
+        self.ledger.work.record_spec(res);
+        self.ledger.work.stall_ns += self.costs.certify_data(work).as_nanos() as u64;
+        let pending = self.record(&req, outcome);
+        rt.charge(self.costs.confirm(work));
+        let delay = ready_at.map_or(Duration::ZERO, |t| t.saturating_duration_since(rt.now()));
+        rt.schedule(delay, Decision::Recorded(req, outcome, pending));
+    }
+
+    /// The order-sensitive half of a decision: the certifier's gc cadence
+    /// (its history trimmed to the window every 512 commits), the commit
+    /// log and the origin's pending entry. Runs in the global sequence.
+    fn record(&mut self, req: &CertRequest, outcome: CertOutcome) -> Option<PendingCert> {
+        if outcome.is_commit() {
+            gc_tick(&mut self.st.commits_since_gc, self.cert.backend(), self.window);
+            self.ledger.log.push((req.site.0, req.txn));
+        }
+        if req.site.0 as usize == self.site {
+            self.st.pending.remove(&req.txn)
         } else {
             None
         }
+    }
+
+    /// Settles a fired `decision`: records it if it was not recorded in
+    /// sequence yet, and says what the engine does with it — resolve the
+    /// origin's transaction, or store the committed rows of a remote one.
+    /// Order-insensitive past the record.
+    pub(crate) fn settle(&mut self, decision: Decision) -> Option<Settled> {
+        let (pending, req, outcome) = match decision {
+            Decision::ReadOnly(db_txn, ok) => return Some(Settled::Resolve(db_txn, ok, None)),
+            Decision::Certified(req, outcome) => (self.record(&req, outcome), req, outcome),
+            Decision::Recorded(req, outcome, pending) => (pending, req, outcome),
+        };
+        if req.site.0 as usize == self.site {
+            pending.map(|p| Settled::Resolve(p.db_txn, outcome.is_commit(), Some(p.sent_at)))
+        } else if !outcome.is_commit() {
+            None
+        } else if let Certifier::Span(r) = &self.cert {
+            // A site stores (and pays for) only the write-set rows in its
+            // own span, pro-rated by size.
+            let ws = r.cert.local_subset(&req.write_set);
+            let bytes =
+                u64::from(req.write_bytes) * ws.len() as u64 / req.write_set.len().max(1) as u64;
+            (!ws.is_empty()).then(|| Settled::Apply(ws, (bytes as u32).max(1)))
+        } else {
+            Some(Settled::Apply(req.write_set, req.write_bytes))
+        }
+    }
+
+    /// Validates local read-only transaction `db_txn`'s read-set against
+    /// commits since its snapshot, as real code on the site's CPU. Under
+    /// partial replication a span-local read resolves from the span
+    /// certifier; a cross-span read also merges the remote owners' verdicts
+    /// (the oracle answers for them) and waits out one vote round trip.
+    pub(crate) fn validate_read_only(
+        &mut self,
+        db_txn: TxnId,
+        reads: &RwSet,
+        start_seq: u64,
+        partial: Option<&Partial>,
+        rt: &mut dyn SiteRuntime,
+    ) {
+        let (mut ok, work) = self.cert.backend().certify_read_only(reads, start_seq);
+        self.ledger.work.record(work);
+        let mut vote_delay = Duration::ZERO;
+        if let (Some(p), Certifier::Span(r)) = (partial, &self.cert) {
+            let (covered, total) = r.cert.coverage(reads);
+            self.ledger.work.record_span(covered as u64, total as u64);
+            if covered < total {
+                ok &= p.oracle.certify_read_only(reads, start_seq).0;
+                self.ledger.work.vote_rounds += 1;
+                self.ledger.work.cross_span_txns += 1;
+                vote_delay = self.costs.vote_rtt;
+            }
+        }
+        rt.charge(self.costs.certify(work));
+        rt.schedule(vote_delay, Decision::ReadOnly(db_txn, ok));
+    }
+
+    /// Enqueues a delivered update transaction on the span replica's FIFO,
+    /// folding in any wire votes that arrived ahead of the delivery. Skips
+    /// transactions an adopted rejoin snapshot already covers.
+    fn enqueue(&mut self, req: CertRequest, now: SimTime) {
+        let r = self.cert.span();
+        let key = (req.site.0, req.txn);
+        if r.skip_keys.contains(&key) {
+            return;
+        }
+        let (rc, rt) = r.cert.coverage(&req.read_set);
+        let (wc, wt) = r.cert.coverage(&req.write_set);
+        self.ledger.work.record_span((rc + wc) as u64, (rt + wt) as u64);
+        let local_writes = r.cert.local_subset(&req.write_set);
+        let votes = r.vote_stash.remove(&key).unwrap_or_default();
+        r.fifo.push_back(FifoEntry {
+            req,
+            delivered_at: now,
+            votes,
+            cast: false,
+            local_writes,
+            blocked_by: None,
+            recollects: 0,
+        });
+    }
+
+    /// Files `voter`'s wire vote (possibly this site's own, looped back)
+    /// under partial replication with the FIFO entry it belongs to — stashed if it beat the delivery,
+    /// dropped if the transaction is already decided — and advances the
+    /// FIFO. A stale vote, cast before its voter adopted a span the entry
+    /// touches, never probed that span and is dropped: the post-adoption
+    /// re-cast (a higher sequence number on the voter's stream) replaces it.
+    pub(crate) fn receive_vote(
+        &mut self,
+        partial: Option<&mut Partial>,
+        voter: u16,
+        vote: &WireVote,
+        rt: &mut dyn SiteRuntime,
+    ) {
+        let Some(p) = partial else { return };
+        if p.stale_votes.get(&(voter, vote.origin, vote.txn)).is_some_and(|&min| vote.seq < min) {
+            return;
+        }
+        let key = (vote.origin, vote.txn);
+        let r = self.cert.span();
+        if let Some(entry) = r.entry_mut(key) {
+            add_vote(&mut entry.votes, (voter, vote.conflict));
+        } else if !r.skip_keys.contains(&key) && !p.decided.contains_key(&key) {
+            add_vote(r.vote_stash.entry(key).or_default(), (voter, vote.conflict));
+        }
+        self.advance(Some(p), rt);
+    }
+
+    /// Advances the partial-replication FIFO as far as it will go. First it
+    /// decides and pops the head for as long as it decides: a head decides
+    /// when its votes cover the read-set, or when another site's published
+    /// verdict is available. Each popped decision is recorded here, in
+    /// sequence, and applied by the engine once the speculative probe's
+    /// FIFO has finished with it (synchronous deliveries have no
+    /// speculation and apply now). Then it casts this site's wire votes for
+    /// entries whose turn has come — popping may unblock deferred votes,
+    /// and freshly cast votes return as loopback votes which re-enter here.
+    /// A crashed site decides what others published but casts nothing. A
+    /// no-op under full replication.
+    pub(crate) fn advance(&mut self, partial: Option<&mut Partial>, rt: &mut dyn SiteRuntime) {
+        let Some(p) = partial else { return };
+        let now = rt.now();
+        loop {
+            let r = self.cert.span();
+            let Some(head) = r.fifo.front() else { break };
+            let key = head.key();
+            let published = p.decided.get(&key).copied();
+            let outcome = match published {
+                Some(outcome) => outcome,
+                None if p.ownership.votes_cover(&head.req.read_set, &head.votes) => {
+                    match merge_votes(head.votes.iter().map(|&(_, c)| c)) {
+                        Some(conflict_seq) => CertOutcome::Abort { conflict_seq },
+                        None => CertOutcome::Commit(r.cert.last_committed() + 1),
+                    }
+                }
+                None => break,
+            };
+            let Some(entry) = r.fifo.pop_front() else { break };
+            r.fifo_popped += 1;
+            if published.is_none() {
+                let voters = p.publish(&entry.req, outcome, self.window);
+                self.ledger.work.vote_rounds += voters;
+                self.ledger.work.cross_span_txns += u64::from(voters > 0);
+            }
+            let pending = self.record(&entry.req, outcome);
+            self.cert.span().cert.apply(&entry.req, outcome);
+            if entry.req.site.0 as usize == self.site {
+                self.ledger.vote_decided += 1;
+                self.ledger.vote_wait_ns +=
+                    now.saturating_duration_since(entry.delivered_at).as_nanos() as u64;
+            }
+            let ready_at = self.st.spec_ready.remove(&key);
+            let delay = ready_at.map_or(Duration::ZERO, |t| t.saturating_duration_since(now));
+            rt.schedule(delay, Decision::Recorded(entry.req, outcome, pending));
+        }
+        if !self.st.crashed {
+            self.cast_votes(p, rt);
+        }
+    }
+
+    /// Runs the span probe for every FIFO entry whose turn to vote has
+    /// come: an entry votes once no earlier undecided entry's local writes
+    /// can still change its probe; a blocked entry does not block later
+    /// ones. Charges the probes' CPU time, then casts the votes.
+    fn cast_votes(&mut self, p: &Partial, rt: &mut dyn SiteRuntime) {
+        let SpanReplica { cert, fifo, fifo_popped, .. } = self.cert.span();
+        let mut casts = Vec::new();
+        let mut charge = Duration::ZERO;
+        for k in 0..fifo.len() {
+            if fifo[k].cast {
+                continue;
+            }
+            if !p.ownership.casts_vote(self.site, &fifo[k].req) {
+                fifo[k].cast = true;
+                continue;
+            }
+            if fifo[k].blocked_by.is_some_and(|b| b >= *fifo_popped) {
+                continue;
+            }
+            let blocker = (0..k).find(|&j| fifo[j].local_writes.intersects(&fifo[k].req.read_set));
+            fifo[k].blocked_by = blocker.map(|j| *fifo_popped + j as u64);
+            if blocker.is_some() {
+                continue;
+            }
+            // Real code: the span-restricted conflict probe over only the
+            // locally indexed warehouses — this is where partial
+            // replication shrinks per-site certification work to ~k/N.
+            let req = &fifo[k].req;
+            let (conflict, w) = match self.path {
+                CommitPath::Pipelined => {
+                    let (conflict, w, res) =
+                        cert.confirm_vote(req).expect("history window exceeded");
+                    self.ledger.work.record_spec(res);
+                    charge += self.costs.confirm(w);
+                    (conflict, w)
+                }
+                CommitPath::Synchronous => {
+                    let (conflict, w) = cert.vote(req).expect("history window exceeded");
+                    charge += self.costs.certify(w);
+                    (conflict, w)
+                }
+            };
+            self.ledger.work.record(w);
+            self.ledger.work.stall_ns += self.costs.certify_data(w).as_nanos() as u64;
+            casts.push((req.site.0, req.txn, conflict));
+            fifo[k].cast = true;
+        }
+        rt.charge(charge);
+        for (origin, txn, conflict) in casts {
+            rt.cast_vote(origin, txn, conflict);
+        }
+    }
+
+    /// A full replica's rejoin snapshot: its backend cloned at the transfer
+    /// cut, the `warehouses` it replicates, and the cut. The cut is a
+    /// *reference-chain* position: a donor that itself rejoined earlier
+    /// has a transfer gap in its local log, so its length alone would
+    /// understate where the chain stands. A span replica is staged by
+    /// [`Partial::stage`] instead.
+    pub(crate) fn snapshot(&mut self, warehouses: u64) -> (Certifier, u64, usize) {
+        let cert = Certifier::Full(self.cert.backend().clone_box());
+        (cert, warehouses, self.ledger.log.len() + self.st.ref_gap)
+    }
+
+    /// Installs rejoin transfer `packet`, replacing the first incarnation's
+    /// certifier state: a span replica's open vote rounds continue from
+    /// the snapshot, and wire votes that raced ahead of the adoption
+    /// survive in the old stash — merged into the seeded entries, dropped
+    /// if the snapshot already decided them, kept for future deliveries
+    /// otherwise. Resets the speculative FIFO and the gc cadence. Returns
+    /// `(commits kept, delta-log entries replayed, orphans)`: the first
+    /// incarnation's in-flight requests, whose decisions never came back.
+    pub(crate) fn install(&mut self, packet: TransferPacket) -> (usize, u64, Vec<TxnId>) {
+        let old = std::mem::replace(&mut self.cert, packet.state);
+        if let (Certifier::Span(old), Certifier::Span(r)) = (old, &mut self.cert) {
+            for (key, votes) in old.vote_stash {
+                if r.skip_keys.contains(&key) {
+                    continue;
+                }
+                match r.entry_mut(key) {
+                    Some(entry) => votes.into_iter().for_each(|v| add_vote(&mut entry.votes, v)),
+                    None => {
+                        r.vote_stash.insert(key, votes);
+                    }
+                }
+            }
+        }
+        // The delta log spans from this site's pre-crash reference position
+        // (local length plus any earlier transfer gap) to the cut; the new
+        // gap replaces the old one, since the cut already accounts for
+        // everything skipped so far.
+        let kept = self.ledger.log.len();
+        let replayed = packet.cut.saturating_sub(kept + self.st.ref_gap) as u64;
+        self.st.ref_gap = packet.cut.saturating_sub(kept);
+        self.st.spec_free_at = SimTime::ZERO;
+        self.st.spec_ready.clear();
+        self.st.commits_since_gc = 0;
+        let orphans =
+            std::mem::take(&mut self.st.pending).into_values().map(|p| p.db_txn).collect();
+        (kept, replayed, orphans)
     }
 }
 
@@ -124,54 +601,6 @@ fn gc_tick(since_gc: &mut u64, cert: &mut dyn CertBackend, window: u64) {
     if *since_gc >= 512 {
         *since_gc = 0;
         cert.gc(cert.last_committed().saturating_sub(window));
-    }
-}
-
-/// The run's replication mode, with every site's certifier.
-pub(crate) enum Replication {
-    /// Every site certifies everything with its own backend.
-    Full(Vec<Box<dyn CertBackend>>),
-    /// Each site certifies its own spans and votes; see [`Partial`].
-    Partial(Box<Partial>),
-}
-
-/// A rejoin snapshot, in the run's replication mode: see
-/// [`Replication::install`].
-pub(crate) enum Staged {
-    /// The donor's certifier, cloned at the transfer cut.
-    Full(Box<dyn CertBackend>),
-    /// The joiner's span replica, staged by [`Partial::stage`].
-    Partial(Box<SpanReplica>),
-}
-
-impl Replication {
-    /// The mode `cfg` runs: partial when a non-degenerate placement map is
-    /// configured on a multi-site run, full otherwise.
-    pub(crate) fn new(cfg: &ExperimentConfig) -> Self {
-        let warehouses = dbsm_tpcc::schema::warehouses_for_clients(cfg.clients);
-        match cfg.placement.filter(|p| !p.is_full() && cfg.sites > 1) {
-            Some(map) => Replication::Partial(Box::new(Partial::new(map, warehouses))),
-            None => {
-                Replication::Full((0..cfg.sites).map(|_| cfg.cert_backend.new_backend()).collect())
-            }
-        }
-    }
-
-    /// `site`'s certifier: its full backend, or its span certifier.
-    pub(crate) fn certifier(&mut self, site: usize) -> &mut dyn CertBackend {
-        match self {
-            Replication::Full(certs) => certs[site].as_mut(),
-            Replication::Partial(p) => &mut p.replicas[site].cert,
-        }
-    }
-
-    /// Installs a rejoin snapshot at `site`.
-    pub(crate) fn install(&mut self, site: usize, staged: Staged) {
-        match (self, staged) {
-            (Replication::Full(certs), Staged::Full(cert)) => certs[site] = cert,
-            (Replication::Partial(p), Staged::Partial(replica)) => p.install(site, *replica),
-            _ => unreachable!("a snapshot is staged in the run's own replication mode"),
-        }
     }
 }
 
@@ -410,25 +839,20 @@ impl SpanReplica {
     }
 }
 
-/// A decision popped off a span replica's FIFO: the request, its outcome,
-/// the origin's pending entry and the speculation's ready time, if any.
-pub(crate) type Popped = (CertRequest, CertOutcome, Option<PendingCert>, Option<SimTime>);
-
-/// The partial-replication state of a run. Decisions are made by the sites
-/// themselves: each covering span owner certifies its slice and multicasts
-/// a wire-level vote; whichever site first collects a covering vote set
-/// decides by [`merge_votes`] and publishes the verdict here. The `oracle`
-/// is a full-replication certifier driven once per message at that first
-/// decision (first decisions follow the total order, so the oracle
-/// certifies in sequence): it cross-checks — `assert` — that the merged
-/// wire verdict equals the global one, and provides the full history
-/// rejoining sites and adopters rebuild their span certifiers from. The
-/// `decided` map stands in for the origin's decision dissemination: later
-/// sites popping the same entry read the published verdict instead of
-/// waiting out a redundant vote collection.
+/// The vote-round state the span replicas of a partially replicating run
+/// share. Decisions are made by the sites themselves: each covering span
+/// owner certifies its slice and multicasts a wire-level vote; whichever
+/// site first collects a covering vote set decides by [`merge_votes`] and
+/// publishes the verdict here. The `oracle` is a full-replication certifier
+/// driven once per message at that first decision (first decisions follow
+/// the total order, so the oracle certifies in sequence): it cross-checks —
+/// `assert` — that the merged wire verdict equals the global one, and
+/// provides the full history rejoining sites and adopters rebuild their
+/// span certifiers from. The `decided` map stands in for the origin's
+/// decision dissemination: later sites popping the same entry read the
+/// published verdict instead of waiting out a redundant vote collection.
 pub(crate) struct Partial {
     pub(crate) ownership: Ownership,
-    replicas: Vec<SpanReplica>,
     oracle: IndexedCertifier,
     oracle_since_gc: u64,
     /// Verdicts keyed by `(origin site, txn)` — bounded by the run's
@@ -451,238 +875,40 @@ pub(crate) struct Partial {
 }
 
 impl Partial {
-    /// Each site's span certifier indexes only the warehouses `map` assigns
+    /// The partial-replication state of a run of `cfg`, if it partially
+    /// replicates: a non-degenerate placement map on a multi-site run. Each
+    /// site's span certifier indexes only the warehouses the map assigns
     /// it — the span key is the TPC-C home warehouse, with warehouse-less
     /// tuples (the shared item catalogue, history) global to every site.
-    pub(crate) fn new(map: PlacementMap, warehouses: u64) -> Self {
-        let replicas = (0..map.sites)
-            .map(|i| {
-                let cert = SpanCertifier::with_span(span_of, map.spans_of(i, warehouses));
-                SpanReplica::new(cert, VecDeque::new(), BTreeSet::new())
-            })
-            .collect();
-        Partial {
+    pub(crate) fn for_run(cfg: &ExperimentConfig) -> Option<Self> {
+        let map = cfg.placement.filter(|p| !p.is_full() && cfg.sites > 1)?;
+        let warehouses = dbsm_tpcc::schema::warehouses_for_clients(cfg.clients);
+        Some(Partial {
             ownership: Ownership { map, warehouses, rehomed: BTreeMap::new() },
-            replicas,
             oracle: IndexedCertifier::new(),
             oracle_since_gc: 0,
             decided: BTreeMap::new(),
             replacing: BTreeMap::new(),
             stale_votes: BTreeMap::new(),
             last_reconfig_view: 0,
-        }
+        })
     }
 
-    /// Enqueues a delivered update transaction on `site`'s FIFO (both
-    /// commit paths), folding in any wire votes that arrived ahead of the
-    /// delivery. Skips transactions the site's adopted rejoin snapshot
-    /// already covers.
-    pub(crate) fn enqueue(
-        &mut self,
-        site: usize,
-        req: CertRequest,
-        now: SimTime,
-        work: &mut CertWorkTotals,
-    ) {
-        let r = &mut self.replicas[site];
-        let key = (req.site.0, req.txn);
-        if r.skip_keys.contains(&key) {
-            return;
+    /// Publishes the first cluster-wide decision on `req`: cross-checks the
+    /// merged wire verdict against the oracle and files it for the other
+    /// sites' pops. Returns how many remote span owners had to vote on it.
+    fn publish(&mut self, req: &CertRequest, outcome: CertOutcome, window: u64) -> u64 {
+        let (oracle_outcome, _) = self.oracle.certify(req).expect("history window exceeded");
+        assert_eq!(
+            oracle_outcome, outcome,
+            "merged wire votes diverged from the certification oracle"
+        );
+        if outcome.is_commit() {
+            gc_tick(&mut self.oracle_since_gc, &mut self.oracle, window);
         }
-        let (rc, rt) = r.cert.coverage(&req.read_set);
-        let (wc, wt) = r.cert.coverage(&req.write_set);
-        work.record_span((rc + wc) as u64, (rt + wt) as u64);
-        let local_writes = r.cert.local_subset(&req.write_set);
-        let votes = r.vote_stash.remove(&key).unwrap_or_default();
-        r.fifo.push_back(FifoEntry {
-            req,
-            delivered_at: now,
-            votes,
-            cast: false,
-            local_writes,
-            blocked_by: None,
-            recollects: 0,
-        });
-    }
-
-    /// Routes `voter`'s wire vote (possibly `site`'s own, looped back) to
-    /// the FIFO entry it belongs to, stashes it if it beat the delivery, and
-    /// drops it if the transaction is already decided. Returns false when
-    /// the vote is stale: cast before its voter adopted a span the entry
-    /// touches, so it never probed that span — the post-adoption re-cast (a
-    /// higher sequence number on the voter's stream) replaces it.
-    pub(crate) fn receive_vote(&mut self, site: usize, voter: u16, vote: &WireVote) -> bool {
-        if self.stale_votes.get(&(voter, vote.origin, vote.txn)).is_some_and(|&min| vote.seq < min)
-        {
-            return false;
-        }
-        let key = (vote.origin, vote.txn);
-        let decided = self.decided.contains_key(&key);
-        let r = &mut self.replicas[site];
-        if let Some(entry) = r.entry_mut(key) {
-            add_vote(&mut entry.votes, (voter, vote.conflict));
-        } else if !r.skip_keys.contains(&key) && !decided {
-            add_vote(r.vote_stash.entry(key).or_default(), (voter, vote.conflict));
-        }
-        true
-    }
-
-    /// Decides and pops `site`'s FIFO head for as long as it decides: a
-    /// head decides when its votes cover the read-set, or when another
-    /// site's published verdict is available. `st` and `metrics` take the
-    /// order-sensitive bookkeeping ([`SiteState::record_decision`]).
-    pub(crate) fn pop_decided(
-        &mut self,
-        site: usize,
-        st: &mut SiteState,
-        metrics: &mut RunMetrics,
-        window: u64,
-        now: SimTime,
-    ) -> Vec<Popped> {
-        let mut popped = Vec::new();
-        while let Some(head) = self.replicas[site].fifo.front() {
-            let key = head.key();
-            let published = self.decided.get(&key).copied();
-            let outcome = match published {
-                Some(outcome) => outcome,
-                None if self.ownership.votes_cover(&head.req.read_set, &head.votes) => {
-                    match merge_votes(head.votes.iter().map(|&(_, c)| c)) {
-                        Some(conflict_seq) => CertOutcome::Abort { conflict_seq },
-                        None => CertOutcome::Commit(self.replicas[site].cert.last_committed() + 1),
-                    }
-                }
-                None => break,
-            };
-            let r = &mut self.replicas[site];
-            let Some(entry) = r.fifo.pop_front() else { break };
-            r.fifo_popped += 1;
-            if published.is_none() {
-                // First decision cluster-wide: cross-check the merged wire
-                // verdict against the full-replication oracle and publish
-                // it for the other sites' pops.
-                let (oracle_outcome, _) =
-                    self.oracle.certify(&entry.req).expect("history window exceeded");
-                assert_eq!(
-                    oracle_outcome, outcome,
-                    "merged wire votes diverged from the certification oracle"
-                );
-                if outcome.is_commit() {
-                    gc_tick(&mut self.oracle_since_gc, &mut self.oracle, window);
-                }
-                let voters = self.ownership.voters_for(&entry.req);
-                metrics.cert_work.vote_rounds += voters;
-                metrics.cert_work.cross_span_txns += u64::from(voters > 0);
-                self.decided.insert(key, outcome);
-            }
-            let cert = &mut self.replicas[site].cert;
-            let log = &mut metrics.commit_logs[site];
-            let pending = st.record_decision(site, cert, log, window, &entry.req, outcome);
-            cert.apply(&entry.req, outcome);
-            if entry.req.site.0 as usize == site {
-                metrics.vote_wire.decided += 1;
-                metrics.vote_wire.wait_ns +=
-                    now.saturating_duration_since(entry.delivered_at).as_nanos() as u64;
-            }
-            popped.push((entry.req, outcome, pending, st.spec_ready.remove(&key)));
-        }
-        popped
-    }
-
-    /// Runs `site`'s span probe for every FIFO entry whose turn to vote has
-    /// come: an entry votes once no earlier undecided entry's local writes
-    /// can still change its probe; a blocked entry does not block later
-    /// ones. Returns the `(origin, txn, conflict)` votes to multicast and
-    /// the CPU time their probes cost.
-    pub(crate) fn cast_votes(
-        &mut self,
-        site: usize,
-        path: CommitPath,
-        costs: &CertCostModel,
-        work: &mut CertWorkTotals,
-    ) -> (Vec<(u16, u64, Option<u64>)>, Duration) {
-        let Partial { ownership, replicas, .. } = self;
-        let SpanReplica { cert, fifo, fifo_popped, .. } = &mut replicas[site];
-        let mut casts = Vec::new();
-        let mut charge = Duration::ZERO;
-        for k in 0..fifo.len() {
-            if fifo[k].cast {
-                continue;
-            }
-            if !ownership.casts_vote(site, &fifo[k].req) {
-                fifo[k].cast = true;
-                continue;
-            }
-            if fifo[k].blocked_by.is_some_and(|b| b >= *fifo_popped) {
-                continue;
-            }
-            let blocker = (0..k).find(|&j| fifo[j].local_writes.intersects(&fifo[k].req.read_set));
-            fifo[k].blocked_by = blocker.map(|j| *fifo_popped + j as u64);
-            if blocker.is_some() {
-                continue;
-            }
-            // Real code: the span-restricted conflict probe over only the
-            // locally indexed warehouses — this is where partial
-            // replication shrinks per-site certification work to ~k/N.
-            let req = &fifo[k].req;
-            let (conflict, w) = match path {
-                CommitPath::Pipelined => {
-                    let (conflict, w, res) =
-                        cert.confirm_vote(req).expect("history window exceeded");
-                    work.record_spec(res);
-                    charge += costs.confirm(w);
-                    (conflict, w)
-                }
-                CommitPath::Synchronous => {
-                    let (conflict, w) = cert.vote(req).expect("history window exceeded");
-                    charge += costs.certify(w);
-                    (conflict, w)
-                }
-            };
-            work.record(w);
-            work.stall_ns += costs.certify_data(w).as_nanos() as u64;
-            casts.push((req.site.0, req.txn, conflict));
-            fifo[k].cast = true;
-        }
-        (casts, charge)
-    }
-
-    /// Validates a local read-only transaction at `site`: a fully
-    /// span-local read-set resolves from the site's own span certifier; a
-    /// cross-span read also merges the remote owners' verdicts (the oracle
-    /// answers for them) and pays one vote round. Returns `(ok, work,
-    /// crossed spans)`.
-    pub(crate) fn certify_read_only(
-        &self,
-        site: usize,
-        reads: &RwSet,
-        start_seq: u64,
-        work: &mut CertWorkTotals,
-    ) -> (bool, CertWork, bool) {
-        let cert = &self.replicas[site].cert;
-        let (local_ok, w) = cert.certify_read_only(reads, start_seq);
-        let (covered, total) = cert.coverage(reads);
-        work.record(w);
-        work.record_span(covered as u64, total as u64);
-        if covered == total {
-            return (local_ok, w, false);
-        }
-        let (remote_ok, _) = self.oracle.certify_read_only(reads, start_seq);
-        work.vote_rounds += 1;
-        work.cross_span_txns += 1;
-        (local_ok && remote_ok, w, true)
-    }
-
-    /// The rows of committed remote `req` that `site` stores, with their
-    /// pro-rated byte size; `None` when it stores none of them — a site
-    /// stores (and pays for) only the write-set rows in its own span.
-    pub(crate) fn stored_writes(&self, site: usize, req: &CertRequest) -> Option<(RwSet, u32)> {
-        let ws = self.replicas[site].cert.local_subset(&req.write_set);
-        if ws.is_empty() {
-            return None;
-        }
-        let bytes =
-            u64::from(req.write_bytes) * ws.len() as u64 / req.write_set.len().max(1) as u64;
-        Some((ws, (bytes as u32).max(1)))
+        let voters = self.ownership.voters_for(req);
+        self.decided.insert((req.site.0, req.txn), outcome);
+        voters
     }
 
     /// Stages `joiner`'s rejoin snapshot from `donor`: the joiner's span
@@ -693,11 +919,12 @@ impl Partial {
     /// itself. Returns the replica, the spans it owns, and the cut: the
     /// oracle's commit count, i.e. the decided prefix of the total order,
     /// which may run ahead of the donor's own popped prefix.
-    pub(crate) fn stage(&self, donor: usize, joiner: usize) -> (SpanReplica, u64, usize) {
+    pub(crate) fn stage(&self, donor: &Replica, joiner: usize) -> (Certifier, u64, usize) {
+        let Certifier::Span(donor) = &donor.cert else { unreachable!("a span replica donates") };
         let spans = self.ownership.map.spans_of(joiner, self.ownership.warehouses);
         let owned = spans.len() as u64;
         let cert = self.oracle.reproject(SpanPlacement::new(span_of, spans));
-        let fifo = self.replicas[donor]
+        let fifo = donor
             .fifo
             .iter()
             .filter(|e| !self.decided.contains_key(&e.key()))
@@ -712,28 +939,7 @@ impl Partial {
         // outright, the snapshot already reflects them.
         let skip_keys = self.decided.keys().copied().collect();
         let cut = self.oracle.last_committed() as usize;
-        (SpanReplica::new(cert, fifo, skip_keys), owned, cut)
-    }
-
-    /// Installs `staged` at `site`, replacing the first incarnation's
-    /// replica: the donor's open vote rounds continue from the snapshot.
-    /// Wire votes that raced ahead of the adoption survive in the old
-    /// stash — merged into the seeded entries, dropped if the snapshot
-    /// already decided them, kept for future deliveries otherwise.
-    fn install(&mut self, site: usize, staged: SpanReplica) {
-        let old = std::mem::replace(&mut self.replicas[site], staged);
-        let r = &mut self.replicas[site];
-        for (key, votes) in old.vote_stash {
-            if r.skip_keys.contains(&key) {
-                continue;
-            }
-            match r.entry_mut(key) {
-                Some(entry) => votes.into_iter().for_each(|v| add_vote(&mut entry.votes, v)),
-                None => {
-                    r.vote_stash.insert(key, votes);
-                }
-            }
-        }
+        (Certifier::Span(Box::new(SpanReplica::new(cert, fifo, skip_keys))), owned, cut)
     }
 
     /// Sweeps the installed `view` for stranded spans — warehouses whose
@@ -781,14 +987,21 @@ impl Partial {
     /// shared oracle stands in for decision dissemination). Vote
     /// re-collection: its pre-adoption votes never probed the adopted
     /// spans, so for every undecided entry touching one they are stripped,
-    /// here and at every other site, and the cast flag is reset — the next
-    /// advance re-votes with the rebuilt certifier, and late pre-adoption
-    /// votes below `vote_seq` (the adopter's next stream sequence) are
-    /// dropped as stale. The caller must first pop every globally decided
-    /// entry off the adopter's FIFO: the rebuilt certifier reflects the
-    /// oracle's decided frontier, and re-applying a decided entry would
-    /// corrupt it. Returns `(spans adopted, vote rounds re-collected)`.
-    pub(crate) fn adopt(&mut self, adopter: usize, spans: &[u64], vote_seq: u64) -> (u64, u64) {
+    /// here and at every other replica, and the cast flag is reset — the
+    /// next advance re-votes with the rebuilt certifier, and late
+    /// pre-adoption votes below `vote_seq` (the adopter's next stream
+    /// sequence) are dropped as stale. The caller must first pop every
+    /// globally decided entry off the adopter's FIFO: the rebuilt certifier
+    /// reflects the oracle's decided frontier, and re-applying a decided
+    /// entry would corrupt it. Returns `(spans adopted, vote rounds
+    /// re-collected)`.
+    pub(crate) fn adopt(
+        &mut self,
+        replicas: &mut [Replica],
+        adopter: usize,
+        spans: &[u64],
+        vote_seq: u64,
+    ) -> (u64, u64) {
         let a = adopter as u16;
         let spans: BTreeSet<u64> =
             spans.iter().copied().filter(|s| self.replacing.get(s) == Some(&a)).collect();
@@ -796,7 +1009,7 @@ impl Partial {
             self.replacing.remove(&s);
             self.ownership.rehomed.insert(s, a);
         }
-        let r = &mut self.replicas[adopter];
+        let r = replicas[adopter].cert.span();
         let place = SpanPlacement::new(span_of, r.cert.owned_spans().iter().chain(&spans).copied());
         r.cert = self.oracle.reproject(place);
         let hit = |id| span_of(id).is_some_and(|s| spans.contains(&s));
@@ -824,7 +1037,7 @@ impl Partial {
         }
         // The adopter's own rounds were stripped above; it stashes no vote
         // for a key its FIFO holds.
-        for r in self.replicas.iter_mut() {
+        for r in replicas.iter_mut().map(|r| r.cert.span()) {
             for e in r.fifo.iter_mut().filter(|e| rekey.contains(&e.key())) {
                 e.votes.retain(|&(v, _)| v != a);
             }
@@ -971,5 +1184,137 @@ mod tests {
         let d = queue_speculation(&mut free_at, at(1_001), 0, &costs);
         assert_eq!(d, SpecTiming { ready_at: at(1_001), ..SpecTiming::default() });
         assert_eq!(free_at, before);
+    }
+
+    /// A [`SiteRuntime`] over lists: it records charges, scheduled
+    /// decisions and cast votes, and its clock only moves by what is
+    /// charged.
+    #[derive(Default)]
+    struct Recorder {
+        charged: Duration,
+        decisions: Vec<Decision>,
+        casts: Vec<(u16, u64, Option<u64>)>,
+    }
+
+    impl SiteRuntime for Recorder {
+        fn now(&mut self) -> SimTime {
+            SimTime::ZERO + self.charged
+        }
+
+        fn charge(&mut self, cost: Duration) {
+            self.charged += cost;
+        }
+
+        fn schedule(&mut self, _delay: Duration, decision: Decision) {
+            self.decisions.push(decision);
+        }
+
+        fn cast_vote(&mut self, origin: u16, txn: u64, conflict: Option<u64>) {
+            self.casts.push((origin, txn, conflict));
+        }
+    }
+
+    /// Twelve updates from three origins over warehouses 1–3, each reading
+    /// its home row, a row of the next warehouse and a span-less item, and
+    /// writing its home row from a snapshot that lags the commits: some
+    /// commit, some abort.
+    fn stream() -> Vec<CertRequest> {
+        (0..12u64)
+            .map(|k| {
+                let (home, next) = (k % 3 + 1, (k + 1) % 3 + 1);
+                let row = stock_row(home, 1 + k % 2);
+                let reads = vec![row, stock_row(next, 1), item_row(k % 5 + 1)];
+                CertRequest {
+                    site: SiteId((k % 3) as u16),
+                    txn: k / 3 + 1,
+                    start_seq: k / 4,
+                    read_set: RwSet::from_unsorted(reads),
+                    write_set: RwSet::from_unsorted(vec![row]),
+                    write_bytes: 64,
+                }
+            })
+            .collect()
+    }
+
+    /// The commit log a full-replication certifier produces for `reqs` in
+    /// order.
+    fn replay(reqs: &[CertRequest]) -> Vec<Key> {
+        let mut cert = IndexedCertifier::new();
+        let committed = reqs.iter().filter(|r| cert.certify(r).expect("no gc").0.is_commit());
+        let log: Vec<Key> = committed.map(|r| (r.site.0, r.txn)).collect();
+        assert!(!log.is_empty() && log.len() < reqs.len(), "the stream commits and aborts");
+        log
+    }
+
+    #[test]
+    fn full_replicas_commit_the_total_order_through_a_mock_runtime() {
+        let reqs = stream();
+        let expected = replay(&reqs);
+        for path in [CommitPath::Synchronous, CommitPath::Pipelined] {
+            let cfg = ExperimentConfig::replicated(3, 30).with_commit_path(path);
+            for site in 0..3 {
+                let mut r = Replica::new(site, &cfg, CertCostModel::default(), None);
+                let mut rt = Recorder::default();
+                // Every speculation runs before the first confirmation, so
+                // the pipelined confirmations revalidate and roll back.
+                reqs.iter().for_each(|req| r.tentative(req, None, &mut rt));
+                reqs.iter().for_each(|req| r.deliver(req.clone(), None, &mut rt));
+                assert!(rt.casts.is_empty(), "a full replica casts no votes");
+                assert!(rt.charged > Duration::ZERO, "certification is charged");
+                assert_eq!(rt.decisions.len(), reqs.len(), "one decision per delivery");
+                for decision in rt.decisions {
+                    r.settle(decision);
+                }
+                assert_eq!(r.take_ledger().log, expected, "site {site}, {path:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn span_replicas_decide_a_vote_round_through_a_mock_runtime() {
+        let reqs = stream();
+        let expected = replay(&reqs);
+        // Three warehouses at rf 2 over three sites: no site owns every span
+        // a request reads, so every decision needs another site's vote.
+        let cfg = ExperimentConfig::replicated(3, 30).with_replication_factor(2);
+        let mut partial = Partial::for_run(&cfg).expect("rf 2 of 3 replicates partially");
+        let mut replicas: Vec<Replica> = (0..3)
+            .map(|site| Replica::new(site, &cfg, CertCostModel::default(), Some(&partial)))
+            .collect();
+        let mut rts: Vec<Recorder> = (0..3).map(|_| Recorder::default()).collect();
+        for req in &reqs {
+            for (r, rt) in replicas.iter_mut().zip(&mut rts) {
+                r.deliver(req.clone(), Some(&mut partial), rt);
+            }
+        }
+        // Multicast every cast back to every site, the voter included, until
+        // no site casts any more.
+        let mut vote_seq = [0u64; 3];
+        loop {
+            let mut votes = Vec::new();
+            for (voter, rt) in rts.iter_mut().enumerate() {
+                for (origin, txn, conflict) in rt.casts.drain(..) {
+                    vote_seq[voter] += 1;
+                    votes.push((
+                        voter as u16,
+                        WireVote { seq: vote_seq[voter], origin, txn, conflict },
+                    ));
+                }
+            }
+            if votes.is_empty() {
+                break;
+            }
+            for (voter, vote) in &votes {
+                for (r, rt) in replicas.iter_mut().zip(&mut rts) {
+                    r.receive_vote(Some(&mut partial), *voter, vote, rt);
+                }
+            }
+        }
+        assert!(vote_seq.iter().all(|&n| n > 0), "every site voted");
+        for (site, (r, rt)) in replicas.iter_mut().zip(rts).enumerate() {
+            assert_eq!(rt.decisions.len(), reqs.len(), "site {site} decided every delivery");
+            assert!(rt.charged > Duration::ZERO, "site {site}'s probes are charged");
+            assert_eq!(r.take_ledger().log, expected, "site {site}");
+        }
     }
 }

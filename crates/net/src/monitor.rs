@@ -89,11 +89,6 @@ impl TrafficStats {
         self.per_host.iter().map(|h| h.tx_bytes).sum()
     }
 
-    /// Total bytes delivered to sockets.
-    pub fn total_rx_bytes(&self) -> u64 {
-        self.per_host.iter().map(|h| h.rx_bytes).sum()
-    }
-
     /// Packets dropped for a given cause.
     pub fn drops(&self, cause: DropCause) -> u64 {
         self.drops.get(&cause).copied().unwrap_or(0)

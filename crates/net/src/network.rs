@@ -242,11 +242,6 @@ impl Network {
         }
     }
 
-    /// Removes `host` from a multicast group.
-    pub fn leave_group(&self, host: HostId, group: GroupId) {
-        self.state.borrow_mut().hosts[host.0 as usize].groups.retain(|g| *g != group);
-    }
-
     /// Installs a receive-side loss model on a host (fault injection),
     /// replacing any previously installed models. Use
     /// [`Network::add_loss`] to stack models instead.

@@ -188,7 +188,6 @@ struct Bank {
     qlen_last_change: SimTime,
     qlen_integral: u128,
     qlen_peak: usize,
-    generation: u64,
 }
 
 impl Bank {
@@ -248,14 +247,8 @@ impl CpuBank {
             qlen_last_change: sim.now(),
             qlen_integral: 0,
             qlen_peak: 0,
-            generation: 0,
         };
         CpuBank { sim: sim.clone(), state: Rc::new(RefCell::new(state)) }
-    }
-
-    /// Number of CPUs in the bank.
-    pub fn n_cpus(&self) -> usize {
-        self.state.borrow().n
     }
 
     /// Submits a real (protocol-code) job. Real jobs run at the next point a
@@ -339,6 +332,23 @@ impl CpuBank {
         self.state.borrow().slots.iter().filter(|s| s.running.is_none()).count()
     }
 
+    /// Drops every queued job, and the continuation of every running
+    /// simulated job, without running them; running jobs still complete,
+    /// as no-ops. For tearing a model down with [`Sim::discard_pending`]:
+    /// queued work often holds handles on the components that own this
+    /// bank, a cycle that would otherwise keep them all alive.
+    pub fn discard_queued(&self) {
+        let discarded = {
+            let mut b = self.state.borrow_mut();
+            let running = b.slots.iter_mut().filter_map(|s| s.running.as_mut()?.sim_job.as_mut());
+            let noop = |job: &mut SimJob| std::mem::replace(&mut job.on_complete, Box::new(|| {}));
+            let continuations: Vec<_> = running.map(noop).collect();
+            (std::mem::take(&mut b.ready_real), std::mem::take(&mut b.ready_sim), continuations)
+        };
+        // Dropped outside the borrow: the jobs' destructors may use the bank.
+        drop(discarded);
+    }
+
     /// Assigns ready jobs to CPUs: fills idle slots, then preempts simulated
     /// jobs if real jobs are still waiting.
     fn poke(&self) {
@@ -418,12 +428,7 @@ impl CpuBank {
         let now = self.sim.now();
         let finish_at = now + job.remaining;
         let this = self.clone();
-        let gen = {
-            let mut b = self.state.borrow_mut();
-            b.generation += 1;
-            b.generation
-        };
-        let completion = self.sim.schedule_at(finish_at, move || this.finish(idx, gen));
+        let completion = self.sim.schedule_at(finish_at, move || this.finish(idx));
         let mut b = self.state.borrow_mut();
         b.slots[idx].running = Some(RunningJob {
             real: false,
@@ -436,9 +441,8 @@ impl CpuBank {
 
     fn start_real(&self, idx: usize, job: RealJob) {
         let now = self.sim.now();
-        let (mode, gen) = {
+        let mode = {
             let mut b = self.state.borrow_mut();
-            b.generation += 1;
             // Reserve the slot before running the thunk so re-entrant submits
             // from inside the job cannot double-assign this CPU.
             b.slots[idx].running = Some(RunningJob {
@@ -448,21 +452,21 @@ impl CpuBank {
                 completion: EventId::NONE,
                 sim_job: None,
             });
-            (b.mode, b.generation)
+            b.mode
         };
         let mut ctx = RealContext::new(&self.sim, mode);
         job(&mut ctx);
         let delta = ctx.finish();
         let finish_at = now + delta;
         let this = self.clone();
-        let completion = self.sim.schedule_at(finish_at, move || this.finish(idx, gen));
+        let completion = self.sim.schedule_at(finish_at, move || this.finish(idx));
         let mut b = self.state.borrow_mut();
         let r = b.slots[idx].running.as_mut().expect("slot reserved above");
         r.finish_at = finish_at;
         r.completion = completion;
     }
 
-    fn finish(&self, idx: usize, _gen: u64) {
+    fn finish(&self, idx: usize) {
         let (on_complete, served_real, served_sim) = {
             let mut b = self.state.borrow_mut();
             let slot = &mut b.slots[idx];
@@ -719,5 +723,28 @@ mod tests {
     fn zero_cpus_rejected() {
         let sim = Sim::new();
         let _ = CpuBank::new(&sim, 0, ProfilerMode::synthetic());
+    }
+
+    #[test]
+    fn discarded_jobs_are_dropped_unrun() {
+        let sim = Sim::new();
+        let held = Rc::new(());
+        let (a, b, c) = (held.clone(), held.clone(), held.clone());
+        // A running real job keeps one bank's CPU busy while a real and a
+        // simulated job wait; the other bank is running a simulated job.
+        // Discarding needs no discard of the simulation here.
+        let busy = CpuBank::new(&sim, 1, ProfilerMode::synthetic());
+        busy.submit_real(Box::new(|ctx| ctx.charge(ms(10))));
+        busy.submit_real(Box::new(move |_| drop(a)));
+        busy.submit_sim(ms(10), move || drop(b));
+        let running = CpuBank::new(&sim, 1, ProfilerMode::synthetic());
+        running.submit_sim(ms(10), move || drop(c));
+        busy.discard_queued();
+        running.discard_queued();
+        assert_eq!(Rc::strong_count(&held), 1, "every job's captures are dropped");
+        // The running jobs still complete, and nothing runs after them.
+        sim.run();
+        assert_eq!((busy.idle_cpus(), running.idle_cpus()), (1, 1));
+        assert_eq!(busy.usage().busy_sim + running.usage().busy_sim, ms(10));
     }
 }

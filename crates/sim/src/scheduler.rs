@@ -166,6 +166,21 @@ impl Sim {
         drop(action);
     }
 
+    /// Drops every pending event without running it, for tearing a model
+    /// down: queued actions often hold handles on the components that own
+    /// the simulation, a cycle that would otherwise keep them all alive.
+    /// Stale [`EventId`]s stay safe to cancel.
+    pub fn discard_pending(&self) {
+        let slots = {
+            let mut inner = self.inner.borrow_mut();
+            inner.queue = RadixQueue::default();
+            inner.free.clear();
+            std::mem::take(&mut inner.slots)
+        };
+        // Dropped outside the borrow: the captures' destructors may use the sim.
+        drop(slots);
+    }
+
     /// Requests the run loop to stop after the currently executing event.
     pub fn stop(&self) {
         self.inner.borrow_mut().stop_requested = true;
@@ -394,5 +409,24 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.events_executed(), 5);
+    }
+
+    #[test]
+    fn discarded_events_are_dropped_unrun() {
+        let sim = Sim::new();
+        let (log, mk) = recorder();
+        let held = Rc::new(());
+        let h = held.clone();
+        sim.schedule_in(Duration::from_millis(1), mk(1));
+        let stale = sim.schedule_in(Duration::from_millis(2), move || drop(h));
+        sim.discard_pending();
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(Rc::strong_count(&held), 1, "the discarded action's captures are dropped");
+        sim.cancel(stale);
+        // The simulation stays usable after a discard.
+        sim.schedule_in(Duration::from_millis(3), mk(3));
+        sim.run();
+        assert_eq!(*log.borrow(), vec![3]);
+        assert_eq!(sim.events_executed(), 1);
     }
 }

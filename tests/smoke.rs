@@ -219,9 +219,10 @@ fn fingerprint(cfg: ExperimentConfig) -> (u64, u64, RunMetrics) {
 #[test]
 fn golden_cluster_digest() {
     // Pins the whole cluster's behaviour, not just its repeatability: the
-    // events executed and the commit logs of three small runs, one per
-    // replication mode, must match recorded constants. A refactor leaves
-    // them alone; a deliberate behaviour change re-records them.
+    // events executed and the commit logs of five small runs — each
+    // replication mode, both commit paths under churn and a partial
+    // rejoin — must match recorded constants. A refactor leaves them
+    // alone; a deliberate behaviour change re-records them.
     //
     // A short history window makes the certifiers' gc cadence trim for
     // real within the run.
@@ -257,12 +258,42 @@ fn golden_cluster_digest() {
         );
     churn.history_window = 1 << 17;
     churn.max_sim = Duration::from_secs(30);
-    let (events, digest, m) = fingerprint(churn);
+    let (events, digest, m) = fingerprint(churn.clone());
     assert!(m.replacement_work.rehomed_spans > 0, "a stranded span re-homed");
     assert!(m.replacement_work.vote_rounds_recollected > 0, "vote rounds re-collected");
     assert_eq!(
         (events, digest),
         (274_340, 0xe3ef86dae12fc838),
         "6-site rf-2 partial, pipelined, pair crash"
+    );
+
+    // The same churn on the synchronous commit path: span votes certify
+    // at delivery instead of confirming a speculation.
+    let sync_churn = churn.with_commit_path(CommitPath::Synchronous);
+    let (events, digest, m) = fingerprint(sync_churn);
+    assert!(m.replacement_work.rehomed_spans > 0, "a stranded span re-homed");
+    assert!(m.replacement_work.vote_rounds_recollected > 0, "vote rounds re-collected");
+    assert_eq!(
+        (events, digest),
+        (275_028, 0xf44826024f889fb0),
+        "6-site rf-2 partial, synchronous, pair crash"
+    );
+
+    // A partial replica's rejoin: the donor stages the joiner's span
+    // replica, the joiner installs it and skips the keys it already holds.
+    let mut rejoin = ExperimentConfig::replicated(6, 1200)
+        .with_replication_factor(2)
+        .with_target(1_500)
+        .with_seed(42)
+        .with_faults(FaultPlan::crash_restart(2, SimTime::from_secs(3), SimTime::from_secs(6)));
+    rejoin.history_window = 1 << 17;
+    rejoin.max_sim = Duration::from_secs(30);
+    let (events, digest, m) = fingerprint(rejoin);
+    assert_eq!(m.rejoins.len(), 1, "the restarted site rejoined");
+    assert!(m.recovery_work.replayed_entries > 0, "the delta log replayed entries");
+    assert_eq!(
+        (events, digest),
+        (368_706, 0xea5ecf609fc2fa36),
+        "6-site rf-2 partial, synchronous, rejoin"
     );
 }
