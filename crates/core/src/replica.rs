@@ -396,10 +396,10 @@ impl Replica {
         if r.skip_keys.contains(&key) {
             return;
         }
-        let (rc, rt) = r.cert.coverage(&req.read_set);
-        let (wc, wt) = r.cert.coverage(&req.write_set);
-        self.ledger.work.record_span((rc + wc) as u64, (rt + wt) as u64);
         let local_writes = r.cert.local_subset(&req.write_set);
+        let (rc, rt) = r.cert.coverage(&req.read_set);
+        let (wc, wt) = (local_writes.len(), req.write_set.len());
+        self.ledger.work.record_span((rc + wc) as u64, (rt + wt) as u64);
         let votes = r.vote_stash.remove(&key).unwrap_or_default();
         r.fifo.push_back(FifoEntry {
             req,

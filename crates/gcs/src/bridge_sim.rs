@@ -6,6 +6,7 @@
 
 use crate::config::GcsConfig;
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
+use crate::seq_ring::SeqRing;
 use crate::stack::Gcs;
 use crate::types::{GcsMetrics, NodeId, Upcall};
 use bytes::Bytes;
@@ -13,7 +14,7 @@ use dbsm_net::{Addr, Dest, GroupId, Network};
 use dbsm_sim::{CpuBank, EventId, RealContext};
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -23,8 +24,12 @@ pub type UpcallHandler = Box<dyn FnMut(&mut RealContext<'_>, Upcall)>;
 
 struct Maps {
     next_timer: u64,
-    timers: BTreeMap<u64, EventId>,
+    /// Armed timers by id; ids count up, so a ring indexes them.
+    timers: SeqRing<EventId>,
     handler: Option<UpcallHandler>,
+    /// Empty buffer swapped with the stack's upcall queue on every entry
+    /// point, so handing upcalls over allocates nothing.
+    upcalls: VecDeque<Upcall>,
     /// Set on crash injection: all activity ceases.
     dead: bool,
     /// Clock-drift fault (§5.3): scheduled events are postponed by this
@@ -90,7 +95,7 @@ impl ProtocolRuntime for SimRt<'_, '_> {
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        if let Some(ev) = self.shared.maps.borrow_mut().timers.remove(&id.0) {
+        if let Some(ev) = self.shared.maps.borrow_mut().timers.remove(id.0) {
             self.ctx.cancel(ev);
         }
     }
@@ -141,8 +146,9 @@ impl SimBridge {
             cfg,
             maps: RefCell::new(Maps {
                 next_timer: 0,
-                timers: BTreeMap::new(),
+                timers: SeqRing::default(),
                 handler: None,
+                upcalls: VecDeque::new(),
                 dead: false,
                 drift: 1.0,
                 sched_latency: None,
@@ -303,7 +309,7 @@ impl SimBridge {
         }
         // A missing id means the timer belongs to a pre-restart incarnation
         // (orphaned by `revive`) — drop it.
-        if self.shared.maps.borrow_mut().timers.remove(&id).is_none() {
+        if self.shared.maps.borrow_mut().timers.remove(id).is_none() {
             return;
         }
         let this = self.clone();
@@ -320,27 +326,29 @@ impl SimBridge {
         if self.shared.maps.borrow().dead {
             return;
         }
-        let upcalls = {
+        let mut upcalls = std::mem::take(&mut self.shared.maps.borrow_mut().upcalls);
+        {
             let mut gcs = self.shared.gcs.borrow_mut();
             let mut rt = SimRt { ctx, shared: &self.shared };
             f(&mut gcs, &mut rt);
-            gcs.drain_upcalls()
-        };
-        if upcalls.is_empty() {
-            return;
+            gcs.swap_upcalls(&mut upcalls);
         }
-        // Dispatch with the handler temporarily taken out, so handlers can
-        // re-enter the bridge (e.g. broadcast from a delivery).
-        let mut handler = self.shared.maps.borrow_mut().handler.take();
-        if let Some(h) = handler.as_mut() {
-            for u in upcalls {
-                h(ctx, u);
+        if !upcalls.is_empty() {
+            // Dispatch with the handler temporarily taken out, so handlers
+            // can re-enter the bridge (e.g. broadcast from a delivery).
+            let mut handler = self.shared.maps.borrow_mut().handler.take();
+            if let Some(h) = handler.as_mut() {
+                for u in upcalls.drain(..) {
+                    h(ctx, u);
+                }
+            }
+            upcalls.clear(); // no handler: nobody to hand them to
+            let mut maps = self.shared.maps.borrow_mut();
+            if maps.handler.is_none() {
+                maps.handler = handler;
             }
         }
-        let mut maps = self.shared.maps.borrow_mut();
-        if maps.handler.is_none() {
-            maps.handler = handler;
-        }
+        self.shared.maps.borrow_mut().upcalls = upcalls;
     }
 }
 

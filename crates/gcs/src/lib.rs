@@ -44,6 +44,7 @@ mod bridge_native;
 mod bridge_sim;
 mod config;
 mod runtime;
+mod seq_ring;
 mod stability;
 mod stack;
 pub mod testkit;

@@ -233,6 +233,14 @@ impl Gcs {
         self.upcalls.drain(..).collect()
     }
 
+    /// Hands the queued upcalls over by swapping them with `buf`, which
+    /// must be empty: the stack keeps `buf`'s allocation for the next entry
+    /// point, so a caller that passes the same buffer back allocates nothing.
+    pub(crate) fn swap_upcalls(&mut self, buf: &mut VecDeque<Upcall>) {
+        debug_assert!(buf.is_empty(), "upcalls handed over twice");
+        std::mem::swap(&mut self.upcalls, buf);
+    }
+
     fn out<'r>(&self, rt: &'r mut dyn ProtocolRuntime) -> Out<'r> {
         Out { rt, me: self.me, view: self.view.id }
     }
@@ -574,7 +582,7 @@ impl Gcs {
         let mut out = self.out(rt);
         let cached = |seq| {
             if target == self.me {
-                self.send.buffer.get(&seq)
+                self.send.buffer.get(seq)
             } else {
                 self.peers[target.0 as usize].recv.cached(seq)
             }

@@ -1,12 +1,19 @@
 //! Reliable-multicast layer: fragmentation and reassembly, rate + window
 //! flow control, and the per-stream state behind NAK repair.
+//!
+//! Every fragment buffer here — a receive stream's out-of-order and
+//! retained fragments, the sender's unstable fragments — is keyed by the
+//! stream's fragment sequence number and is a [`SeqRing`]: fragments are
+//! consumed from its front, and stability garbage-collects a prefix by
+//! popping the front rather than rebuilding a tree.
 
 use super::GcsMetrics;
 use crate::config::GcsConfig;
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
+use crate::seq_ring::SeqRing;
 use crate::wire::{Message, PayloadKind, SeqAssign, WireVote};
 use bytes::{Bytes, BytesMut};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 pub(super) fn frags_for(cfg: &GcsConfig, len: usize) -> u64 {
     len.div_ceil(cfg.frag_payload()).max(1) as u64
@@ -96,10 +103,10 @@ pub(super) struct RecvStream {
     /// All fragments `1..=contiguous` received and processed.
     pub contiguous: u64,
     /// Out-of-order fragments beyond the contiguous prefix.
-    ooo: BTreeMap<u64, FragRecord>,
+    ooo: SeqRing<FragRecord>,
     /// Contiguously received but not-yet-stable fragments, kept so peers can
     /// be served retransmissions when the original sender is gone.
-    retained: BTreeMap<u64, FragRecord>,
+    retained: SeqRing<FragRecord>,
     /// Highest fragment known to exist in this stream (from data/heartbeats).
     pub highest_known: u64,
     /// When the current head gap was first noticed (ns); None = no gap.
@@ -128,7 +135,7 @@ impl RecvStream {
     /// Buffers fragment `seq`; false if it is a duplicate.
     pub fn accept(&mut self, seq: u64, rec: FragRecord, own: bool, m: &mut GcsMetrics) -> bool {
         self.highest_known = self.highest_known.max(seq);
-        if seq <= self.contiguous || self.ooo.contains_key(&seq) {
+        if seq <= self.contiguous || self.ooo.contains_key(seq) {
             m.duplicates += 1;
             return false;
         }
@@ -145,7 +152,7 @@ impl RecvStream {
     pub fn advance(&mut self, own: bool, up: &mut Advanced, now: impl FnOnce() -> u64) {
         while self.contiguous < self.delivery_limit() {
             let next = self.contiguous + 1;
-            let Some(rec) = self.ooo.remove(&next) else { break };
+            let Some(rec) = self.ooo.remove(next) else { break };
             self.contiguous = next;
             // Piggybacked assignments apply only once their carrier fragment
             // is consumed into the contiguous prefix: that is the same
@@ -174,7 +181,7 @@ impl RecvStream {
     }
 
     pub fn cached(&self, seq: u64) -> Option<&FragRecord> {
-        self.retained.get(&seq).or_else(|| self.ooo.get(&seq))
+        self.retained.get(seq).or_else(|| self.ooo.get(seq))
     }
 
     /// The missing ranges to NAK now, if any.
@@ -195,7 +202,7 @@ impl RecvStream {
         }
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let mut next = self.contiguous + 1;
-        for (&have, _) in self.ooo.range(next..=limit) {
+        for (have, _) in self.ooo.range(next..=limit) {
             if have > next {
                 ranges.push((next, have - 1));
                 if ranges.len() >= MAX_RANGES {
@@ -215,7 +222,7 @@ impl RecvStream {
     }
 
     pub fn gc(&mut self, stable: u64) {
-        self.retained = self.retained.split_off(&(stable + 1));
+        self.retained.drop_through(stable);
     }
 
     /// Drop undeliverable fragments beyond the cut for a dead stream. A
@@ -245,7 +252,7 @@ pub(super) struct SendState {
     /// Next fragment sequence number to assign (1-based).
     pub next_frag: u64,
     /// Own unstable fragments (for retransmission).
-    pub buffer: BTreeMap<u64, FragRecord>,
+    pub buffer: SeqRing<FragRecord>,
     /// Messages admitted by the application but not yet transmitted
     /// (window/rate/flush blocked).
     pub pending: VecDeque<(PayloadKind, Bytes)>,
@@ -341,7 +348,7 @@ impl SendState {
     }
 
     pub fn gc(&mut self, stable: u64) {
-        self.buffer = self.buffer.split_off(&(stable + 1));
+        self.buffer.drop_through(stable);
     }
 }
 

@@ -4,8 +4,8 @@
 
 use super::{GcsMetrics, Out};
 use crate::config::GcsConfig;
+use crate::seq_ring::SeqRing;
 use crate::wire::{Message, WireVote, ENVELOPE_OVERHEAD, WIRE_VOTE_WIRE};
-use std::collections::BTreeMap;
 
 /// Sender side: votes get a monotone per-voter sequence number, sit in
 /// `pending` until they either ride the MTU slack of an outgoing data
@@ -20,7 +20,7 @@ pub(super) struct VoteState {
     /// Cast but not yet transmitted votes.
     pub pending: Vec<WireVote>,
     /// Transmitted votes not yet acked by every view member, keyed by seq.
-    pub outbox: BTreeMap<u64, WireVote>,
+    pub outbox: SeqRing<WireVote>,
     /// Most votes that fit one standalone `Vote` frame: envelope plus the
     /// base/count header, then [`WIRE_VOTE_WIRE`] per vote, all within
     /// `max_packet`. The network drops datagrams over the MTU, so a frame
@@ -38,7 +38,7 @@ pub(super) struct VoteLink {
     /// Highest contiguously received vote sequence number.
     up_to: u64,
     /// Out-of-order votes beyond the contiguous prefix.
-    ooo: BTreeMap<u64, WireVote>,
+    ooo: SeqRing<WireVote>,
 }
 
 impl VoteState {
@@ -68,7 +68,7 @@ impl VoteState {
     /// rejoiner legitimately skips to it (pre-rejoin outcomes arrive with
     /// the state transfer).
     fn base(&self) -> u64 {
-        self.outbox.keys().next().copied().unwrap_or(self.next_seq)
+        self.outbox.first_key().unwrap_or(self.next_seq)
     }
 
     /// MTU-sized frames: an oversized one would itself be dropped, pinning
@@ -119,7 +119,7 @@ impl VoteState {
     pub fn gc(&mut self, min_ack: Option<u64>) {
         match min_ack {
             None => self.outbox.clear(),
-            Some(min) => self.outbox = self.outbox.split_off(&(min + 1)),
+            Some(min) => self.outbox.drop_through(min),
         }
     }
 }
@@ -136,14 +136,14 @@ impl VoteLink {
         let jump = base.saturating_sub(1);
         if jump > self.up_to {
             self.up_to = jump;
-            self.ooo = self.ooo.split_off(&(jump + 1));
+            self.ooo.drop_through(jump);
         }
         for v in votes {
-            if v.seq > self.up_to {
-                self.ooo.entry(v.seq).or_insert(v);
+            if v.seq > self.up_to && !self.ooo.contains_key(v.seq) {
+                self.ooo.insert(v.seq, v);
             }
         }
-        while let Some(v) = self.ooo.remove(&(self.up_to + 1)) {
+        while let Some(v) = self.ooo.remove(self.up_to + 1) {
             self.up_to += 1;
             surface(v);
         }
@@ -181,7 +181,7 @@ mod tests {
         assert_eq!(vs.take_piggyback(2 * WIRE_VOTE_WIRE + 1, &mut m).len(), 2);
         assert_eq!((vs.pending.len(), m.votes_piggybacked), (1, 2));
         vs.gc(Some(1));
-        assert_eq!(vs.outbox.keys().copied().collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(vs.outbox.keys().collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(vs.base(), 2);
         vs.gc(None);
         assert!(vs.outbox.is_empty() && vs.base() == vs.next_seq);

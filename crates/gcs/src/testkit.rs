@@ -22,6 +22,34 @@ enum Event {
     Timer { node: NodeId, kind: TimerKind, id: TimerId },
 }
 
+/// A queued event, ordered by `(at, ord)` alone: the event rides in the
+/// heap entry, so its storage goes when it is popped.
+struct Queued {
+    at: u64,
+    ord: u64,
+    ev: Event,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.ord) == (other.at, other.ord)
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.at, self.ord).cmp(&(other.at, other.ord))
+    }
+}
+
 /// Per-link loss decision: `drop_fn(from, to, bytes) -> drop?`.
 type DropFn = Box<dyn FnMut(NodeId, NodeId, &Bytes) -> bool>;
 
@@ -29,8 +57,7 @@ struct Shared {
     now: u64,
     next_ord: u64,
     next_timer: u64,
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    events: Vec<Option<Event>>,
+    queue: BinaryHeap<Reverse<Queued>>,
     /// Timers set and neither fired nor cancelled: a popped timer fires only
     /// if it is still here.
     live_timers: BTreeSet<u64>,
@@ -44,9 +71,7 @@ impl Shared {
     fn push(&mut self, at: u64, ev: Event) {
         let ord = self.next_ord;
         self.next_ord += 1;
-        let idx = self.events.len();
-        self.events.push(Some(ev));
-        self.queue.push(Reverse((at, ord, idx)));
+        self.queue.push(Reverse(Queued { at, ord, ev }));
     }
 }
 
@@ -118,7 +143,6 @@ impl TestNet {
             next_ord: 0,
             next_timer: 0,
             queue: BinaryHeap::new(),
-            events: Vec::new(),
             live_timers: BTreeSet::new(),
             drop_fn: Box::new(|_, _, _| false),
             latency_ns: 100_000, // 100us
@@ -179,29 +203,26 @@ impl TestNet {
         loop {
             let next = {
                 let mut sh = self.shared.borrow_mut();
-                match sh.queue.pop() {
+                let at = match sh.queue.peek() {
                     None => return,
-                    Some(Reverse((at, _ord, idx))) => {
-                        if at > until_ns {
-                            sh.now = until_ns;
-                            // Keep the event for later windows.
-                            sh.queue.push(Reverse((at, _ord, idx)));
-                            return;
-                        }
-                        sh.now = at;
-                        sh.events[idx].take()
-                    }
+                    Some(Reverse(q)) => q.at,
+                };
+                if at > until_ns {
+                    // The event stays queued for later windows.
+                    sh.now = until_ns;
+                    return;
                 }
+                sh.now = at;
+                sh.queue.pop().expect("peeked").0.ev
             };
             match next {
-                None => continue,
-                Some(Event::Packet { to, raw }) => {
+                Event::Packet { to, raw } => {
                     if self.shared.borrow().crashed.contains(&to.0) {
                         continue;
                     }
                     self.with_node(to, |g, rt| g.on_packet(rt, raw));
                 }
-                Some(Event::Timer { node, kind, id }) => {
+                Event::Timer { node, kind, id } => {
                     {
                         let mut sh = self.shared.borrow_mut();
                         if !sh.live_timers.remove(&id.0) || sh.crashed.contains(&node.0) {
@@ -243,5 +264,25 @@ impl TestNet {
 impl std::fmt::Debug for TestNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TestNet").field("nodes", &self.nodes.len()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn processed_events_free_their_storage() {
+        let mut net = TestNet::new(GcsConfig::lan(3));
+        for i in 0..200u64 {
+            net.broadcast(NodeId((i % 3) as u16), Bytes::from(i.to_le_bytes().to_vec()));
+            net.run_for(Duration::from_millis(5));
+        }
+        net.run_for(Duration::from_millis(200));
+        assert_eq!(net.deliveries(NodeId(0)).len(), 200);
+        let sh = net.shared.borrow();
+        assert!(sh.next_ord > 2_000, "packets and timers queued: {}", sh.next_ord);
+        // Only the armed timers and in-flight packets remain stored.
+        assert!(sh.queue.len() < 64, "{} events still stored", sh.queue.len());
     }
 }

@@ -11,7 +11,14 @@
 //! `busy_until` watermark), and delivery happens one propagation latency
 //! after serialization completes. If the backlog behind the watermark
 //! exceeds the configured buffer (expressed in time), the packet is dropped —
-//! drop-tail queueing. Frames above the MTU are dropped and counted: the
+//! drop-tail queueing. A unicast arrival is one event; so is a multicast
+//! arrival, which delivers to every receiver in segment-member order, with
+//! the receivers chosen at send time. That is the instant and order
+//! separate per-receiver events would run in, as their sequence numbers
+//! would be consecutive: whatever a receiver schedules for the arrival
+//! instant runs after the last receiver. Loss and duplication draw per
+//! receiver, and each duplicate copy is an event of its own.
+//! Frames above the MTU are dropped and counted: the
 //! paper found SSFNet did *not* enforce the Ethernet MTU for UDP and had to
 //! restrict packet sizes; we enforce it so misconfigured protocols fail
 //! loudly in the same way the real system would.
@@ -377,15 +384,15 @@ impl Network {
         self.trace.record_with(now, TraceKind::PacketSent, || {
             format!("{from}->{dest:?} {wire}B arrive={arrive}")
         });
-        // Schedule one delivery per receiver, still under the borrow: the
-        // sim's queue is a cell of its own, and nothing runs until later.
-        let schedule = |to: Addr, group: Option<GroupId>, payload: Bytes| {
-            let this = self.clone();
-            self.sim
-                .schedule_at(arrive, move || this.deliver(from, to, group, payload, wire, false));
-        };
+        // Schedule the arrival still under the borrow: the sim's queue is a
+        // cell of its own, and nothing runs until later.
+        let this = self.clone();
         match dest {
-            Dest::Unicast(to) => schedule(to, None, payload),
+            Dest::Unicast(to) => {
+                self.sim.schedule_at(arrive, move || {
+                    this.deliver(from, to, None, payload, wire, false)
+                });
+            }
             Dest::Multicast(group, port) => {
                 let pair;
                 let members: &[HostId] = match &st.segments[seg_idx].kind {
@@ -395,10 +402,29 @@ impl Network {
                         &pair
                     }
                 };
-                for &h in members {
-                    if h != from.host && st.hosts[h.0 as usize].groups.contains(&group) {
-                        schedule(Addr::new(h, port), Some(group), payload.clone());
-                    }
+                // Receivers are chosen now, at send time, in member order.
+                let mut receivers: Vec<HostId> = members
+                    .iter()
+                    .copied()
+                    .filter(|&h| h != from.host && st.hosts[h.0 as usize].groups.contains(&group))
+                    .collect();
+                if let Some(last) = receivers.pop() {
+                    self.sim.schedule_at(arrive, move || {
+                        let deliver = |h: HostId, payload: Bytes| {
+                            this.deliver(
+                                from,
+                                Addr::new(h, port),
+                                Some(group),
+                                payload,
+                                wire,
+                                false,
+                            )
+                        };
+                        for h in receivers {
+                            deliver(h, payload.clone());
+                        }
+                        deliver(last, payload);
+                    });
                 }
             }
         }

@@ -13,7 +13,7 @@
 //! profiling mode the measuring clock is stopped while inside runtime calls
 //! so that runtime overhead never leaks into the measured Δ.
 
-use crate::event::EventId;
+use crate::event::{Action, EventId};
 use crate::profiler::ProfilerMode;
 use crate::scheduler::Sim;
 use crate::time::{scale_duration, SimTime};
@@ -174,7 +174,7 @@ impl CpuUsage {
     }
 }
 
-struct Bank {
+pub(crate) struct Bank {
     n: usize,
     slots: Vec<Slot>,
     ready_real: VecDeque<RealJob>,
@@ -427,8 +427,7 @@ impl CpuBank {
     fn start_sim(&self, idx: usize, job: SimJob) {
         let now = self.sim.now();
         let finish_at = now + job.remaining;
-        let this = self.clone();
-        let completion = self.sim.schedule_at(finish_at, move || this.finish(idx));
+        let completion = self.schedule_completion(finish_at, idx);
         let mut b = self.state.borrow_mut();
         b.slots[idx].running = Some(RunningJob {
             real: false,
@@ -458,12 +457,18 @@ impl CpuBank {
         job(&mut ctx);
         let delta = ctx.finish();
         let finish_at = now + delta;
-        let this = self.clone();
-        let completion = self.sim.schedule_at(finish_at, move || this.finish(idx));
+        let completion = self.schedule_completion(finish_at, idx);
         let mut b = self.state.borrow_mut();
         let r = b.slots[idx].running.as_mut().expect("slot reserved above");
         r.finish_at = finish_at;
         r.completion = completion;
+    }
+
+    /// Schedules CPU `idx`'s completion: an unboxed kernel action that the
+    /// run loop hands to [`complete`].
+    fn schedule_completion(&self, at: SimTime, idx: usize) -> EventId {
+        let cpu = u32::try_from(idx).expect("over 2^32 CPUs");
+        self.sim.schedule_action(at, Action::CpuDone(self.state.clone(), cpu))
     }
 
     fn finish(&self, idx: usize) {
@@ -489,6 +494,12 @@ impl CpuBank {
         }
         self.poke();
     }
+}
+
+/// Runs CPU `cpu`'s completion, scheduled by
+/// [`CpuBank::schedule_completion`], on the bank whose state is `state`.
+pub(crate) fn complete(sim: &Sim, state: Rc<RefCell<Bank>>, cpu: u32) {
+    CpuBank { sim: sim.clone(), state }.finish(cpu as usize);
 }
 
 impl std::fmt::Debug for CpuBank {

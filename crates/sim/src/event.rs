@@ -4,9 +4,14 @@
 //! list; the queue holds only each event's `(time, seq)` key and slot index.
 //! An [`EventId`] names both the slot and the sequence number of the event
 //! that occupied it, so a cancel of an executed or already-cancelled event
-//! is inert even after the slot has been handed to a newer event.
+//! is inert even after the slot has been handed to a newer event. A slot
+//! holds either a boxed closure or, for a CPU job's completion, an unboxed
+//! kernel action (see [`Action`]).
 
+use crate::cpu::Bank;
 use crate::time::SimTime;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Handle to a scheduled event, usable to [cancel](crate::Sim::cancel) it.
 ///
@@ -27,10 +32,15 @@ impl EventId {
 
 /// The action executed when an event fires.
 ///
-/// Actions are `FnOnce` closures; they typically capture `Rc` handles to the
-/// components they operate on. The kernel is single-threaded so no `Send`
-/// bound is required.
-pub(crate) type Action = Box<dyn FnOnce()>;
+/// Most actions are boxed `FnOnce` closures; they typically capture `Rc`
+/// handles to the components they operate on. The kernel is single-threaded
+/// so no `Send` bound is required. The most frequent event of all, a CPU
+/// job's completion, is a kernel action of its own: the bank's state and the
+/// CPU's index, run without a closure allocation.
+pub(crate) enum Action {
+    Boxed(Box<dyn FnOnce()>),
+    CpuDone(Rc<RefCell<Bank>>, u32),
+}
 
 /// One slab entry: the sequence number of the event that last occupied it
 /// and, while that event is pending, its action.

@@ -9,7 +9,10 @@
 //! to schedule (or cancel) further events.
 //!
 //! Actions sit in a slab of slots recycled through a free list, and the
-//! queue is a monotone radix heap holding only `(key, slot)` pairs. A cancel
+//! queue is a monotone radix heap holding only `(key, slot)` pairs. A slot's
+//! action is a boxed closure, or the one kernel action the run loop
+//! dispatches itself: a CPU job's completion, carrying the bank's state and
+//! the CPU index instead of a closure allocation per job. A cancel
 //! drops the action at once and frees its slot; the queue entry left behind
 //! is skipped when it surfaces, because its slot is empty or now belongs to
 //! an event with a different `seq`.
@@ -111,6 +114,12 @@ impl Sim {
     /// into the past is precisely the bug class the paper's runtime guards
     /// against (§2.2), so it is rejected loudly rather than silently reordered.
     pub fn schedule_at(&self, at: SimTime, action: impl FnOnce() + 'static) -> EventId {
+        self.schedule_action(at, Action::Boxed(Box::new(action)))
+    }
+
+    /// Schedules a kernel action at absolute time `at` (see
+    /// [`schedule_at`](Sim::schedule_at) for the ordering and the panic).
+    pub(crate) fn schedule_action(&self, at: SimTime, action: Action) -> EventId {
         let mut inner = self.inner.borrow_mut();
         assert!(
             at >= inner.now,
@@ -119,7 +128,7 @@ impl Sim {
         );
         inner.last_seq += 1;
         let seq = inner.last_seq;
-        let occupant = Slot { seq, action: Some(Box::new(action) as Action) };
+        let occupant = Slot { seq, action: Some(action) };
         let slot = match inner.free.pop() {
             Some(slot) => {
                 inner.slots[slot as usize] = occupant;
@@ -196,7 +205,10 @@ impl Sim {
             inner.executed += 1;
             action
         };
-        action();
+        match action {
+            Action::Boxed(f) => f(),
+            Action::CpuDone(bank, cpu) => crate::cpu::complete(self, bank, cpu),
+        }
         true
     }
 
