@@ -16,15 +16,19 @@
 //! A [`Conservative2pl`](CcPolicy::Conservative2pl) variant (waiters survive
 //! commits) is provided for the locking-policy ablation the paper mentions.
 //!
-//! # The wait index
+//! # The wait queues
 //!
-//! Every queued request gets an *arrival number*, and each of its tuples
-//! contributes one `(tuple, arrival)` pair to a single ordered set. The
-//! pairs of one tuple are contiguous and sorted by arrival, so they *are*
-//! that tuple's FIFO wait queue, and its head is one range lookup. With
-//! `Q` pairs in the index (waiters × their set sizes), a lookup, insertion
-//! or removal costs `O(log Q)` and nothing ever walks the waiters that do
-//! not share a tuple with the request at hand:
+//! Every queued request gets an *arrival number*, and each tuple it wants
+//! gets that number pushed to the back of the tuple's own FIFO wait queue,
+//! kept in a map looked up by tuple only. Arrivals are handed out in
+//! increasing order, so every queue is sorted. Most queues hold a single
+//! waiter, which the map stores inline; a second waiter spills the queue
+//! into a slot of an overflow slab, and the queue moves back inline when it
+//! is down to one and leaves the map with its last waiter. Reading a
+//! queue's head is one hash lookup, enqueueing a push to the back, and a
+//! withdrawal a binary search and a removal within that tuple's queue.
+//! Nothing ever walks the waiters that do not share a tuple with the
+//! request at hand:
 //!
 //! * `acquire` is blocked by the queue iff one of its tuples has a
 //!   non-empty queue — `|set|` lookups, none at all while nobody waits;
@@ -40,13 +44,15 @@
 //!   was queued for held, so it makes no second waiter grantable: one pass
 //!   over the heads, in arrival order, is complete.
 //!
-//! A release therefore costs `O((|set| + Σ |set of each waiter it aborts or
-//! grants|) · log Q)`, whatever the number of unrelated waiters. Lock sets
+//! A release therefore costs `O(|set| + Σ |set of each waiter it aborts or
+//! grants|)` expected hash lookups, plus `O(log q)` per removal from a queue
+//! of `q` waiters, whatever the number of unrelated waiters. Lock sets
 //! are reference-counted slices: the table keeps the caller's allocation
 //! from acquisition to release, moving it from waiter to holder on a grant.
 
 use dbsm_cert::{FxHashMap, TupleId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Engine-local transaction identifier.
@@ -107,6 +113,10 @@ pub enum Acquire {
     Preempt(Vec<TxnId>),
 }
 
+/// Tag of a `queues` word naming a slot of `spilled` (arrival numbers never
+/// reach it).
+const SPILLED: u64 = 1 << 63;
+
 /// The site-wide lock table.
 #[derive(Debug, Default)]
 pub struct LockTable {
@@ -119,11 +129,16 @@ pub struct LockTable {
     waiters: BTreeMap<u64, Request>,
     /// Arrival number of every queued transaction, for withdrawal.
     arrivals: FxHashMap<TxnId, u64>,
-    /// The wait index: one `(tuple, arrival)` pair per queued request and
-    /// tuple it wants (see the module docs).
-    queued: BTreeSet<(TupleId, u64)>,
+    /// The wait queue of every tuple some request waits for (see the module
+    /// docs), as one word: the arrival number of its only waiter, or
+    /// `SPILLED | slot`. Only looked up by key, never iterated.
+    queues: FxHashMap<TupleId, u64>,
+    /// Slots of the queues holding two waiters or more, oldest first; a
+    /// slot on `free` is empty and kept for reuse.
+    spilled: Vec<VecDeque<u64>>,
+    free: Vec<usize>,
     next_arrival: u64,
-    /// Index pairs looked up, walked, inserted or removed so far.
+    /// Queue entries looked up, walked, inserted or removed so far.
     #[cfg(test)]
     visits: std::cell::Cell<u64>,
 }
@@ -170,13 +185,20 @@ impl LockTable {
         let set: Arc<[TupleId]> = set.into();
         assert!(!self.holders.contains_key(&txn), "{txn:?} already holds locks");
         assert!(!self.arrivals.contains_key(&txn), "{txn:?} already waits");
-        debug_assert!(set.iter().all(|t| !t.is_table_level()), "row-level writes only");
-        let conflicts: Vec<TxnId> = self.conflicting_holders(&set);
+        let mut conflicts: Vec<TxnId> = Vec::new();
+        for t in set.iter() {
+            assert!(!t.is_table_level(), "row-level writes only: {t:?}");
+            if let Some(h) = self.held.get(t) {
+                if !conflicts.contains(h) {
+                    conflicts.push(*h);
+                }
+            }
+        }
         // FIFO fairness: a new request also waits behind queued waiters
         // that want any of the same locks.
-        let blocked_by_queue =
-            !self.queued.is_empty() && set.iter().any(|t| self.queue_head(*t).is_some());
-        if conflicts.is_empty() && !blocked_by_queue {
+        let free = conflicts.is_empty()
+            && (self.queues.is_empty() || set.iter().all(|t| self.queue_head(*t).is_none()));
+        if free {
             self.grant(Request { txn, set, kind });
             return Acquire::Granted;
         }
@@ -192,24 +214,11 @@ impl LockTable {
         let arrival = self.next_arrival;
         self.next_arrival += 1;
         for t in set.iter() {
-            self.visit();
-            self.queued.insert((*t, arrival));
+            self.enqueue(*t, arrival);
         }
         self.arrivals.insert(txn, arrival);
         self.waiters.insert(arrival, Request { txn, set, kind });
         Acquire::Queued
-    }
-
-    fn conflicting_holders(&self, set: &[TupleId]) -> Vec<TxnId> {
-        let mut out = Vec::new();
-        for t in set {
-            if let Some(h) = self.held.get(t) {
-                if !out.contains(h) {
-                    out.push(*h);
-                }
-            }
-        }
-        out
     }
 
     fn grant(&mut self, req: Request) {
@@ -241,7 +250,7 @@ impl LockTable {
             for t in holder.set.iter() {
                 self.held.remove(t);
             }
-            if self.queued.is_empty() {
+            if self.queues.is_empty() {
                 return effects;
             }
             // Multi-version rule: waiters wanting the committed locks abort —
@@ -288,15 +297,48 @@ impl LockTable {
         effects
     }
 
+    /// Pushes `arrival`, the newest request, to the back of `t`'s queue.
+    fn enqueue(&mut self, t: TupleId, arrival: u64) {
+        self.visit();
+        match self.queues.entry(t) {
+            Entry::Vacant(e) => {
+                e.insert(arrival);
+            }
+            Entry::Occupied(mut e) => {
+                let word = *e.get();
+                if word & SPILLED != 0 {
+                    self.spilled[(word & !SPILLED) as usize].push_back(arrival);
+                    return;
+                }
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.spilled.push(VecDeque::new());
+                    self.spilled.len() - 1
+                });
+                self.spilled[slot].extend([word, arrival]);
+                e.insert(SPILLED | slot as u64);
+            }
+        }
+    }
+
     /// The wait queue of `t`: arrival numbers, oldest first.
     fn queue(&self, t: TupleId) -> impl Iterator<Item = u64> + '_ {
-        self.queued.range((t, 0)..=(t, u64::MAX)).map(|&(_, arrival)| arrival)
+        let (front, back) = match self.queues.get(&t) {
+            None => (&[][..], &[][..]),
+            Some(word) if word & SPILLED == 0 => (std::slice::from_ref(word), &[][..]),
+            Some(word) => self.spilled[(word & !SPILLED) as usize].as_slices(),
+        };
+        front.iter().chain(back).copied()
     }
 
     /// Arrival number of the oldest request queued for `t`.
     fn queue_head(&self, t: TupleId) -> Option<u64> {
         self.visit();
-        self.queue(t).next()
+        let word = *self.queues.get(&t)?;
+        if word & SPILLED == 0 {
+            return Some(word);
+        }
+        // A spilled queue holds two waiters or more.
+        Some(self.spilled[(word & !SPILLED) as usize][0])
     }
 
     /// Removes the request that arrived as `arrival` from the waiters and
@@ -306,7 +348,23 @@ impl LockTable {
         self.arrivals.remove(&w.txn);
         for t in w.set.iter() {
             self.visit();
-            self.queued.remove(&(*t, arrival));
+            let Entry::Occupied(mut e) = self.queues.entry(*t) else {
+                unreachable!("{t:?} has no wait queue");
+            };
+            let word = *e.get();
+            if word & SPILLED == 0 {
+                debug_assert_eq!(word, arrival, "only waiter of {t:?}");
+                e.remove();
+                continue;
+            }
+            let slot = (word & !SPILLED) as usize;
+            let q = &mut self.spilled[slot];
+            let at = q.binary_search(&arrival).expect("queued for its tuples");
+            q.remove(at);
+            if q.len() == 1 {
+                e.insert(q.pop_front().expect("one waiter left"));
+                self.free.push(slot);
+            }
         }
         w
     }
@@ -480,6 +538,43 @@ mod tests {
         out
     }
 
+    /// Drives `lt` through a contended pseudo-random stream of 4 000
+    /// acquisitions and releases over 10 tuples, calling `check` with the
+    /// step number and the transactions holding or queued after every
+    /// step. Returns those still live and the numbers of grants and aborts.
+    fn contended_stream(
+        lt: &mut LockTable,
+        mut check: impl FnMut(&LockTable, u64, &[TxnId]),
+    ) -> (Vec<TxnId>, usize, usize) {
+        let mut live: Vec<TxnId> = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        let (mut grants, mut aborts) = (0, 0);
+        for k in 1..=4000u64 {
+            if live.is_empty() || (live.len() < 16 && rand(2) == 0) {
+                let mut set: Vec<TupleId> = (0..1 + rand(4)).map(|_| id(1 + rand(10))).collect();
+                set.sort_unstable();
+                set.dedup();
+                let kind = if rand(4) == 0 { OwnerKind::Remote } else { OwnerKind::LocalAbortable };
+                match lt.acquire(TxnId(k), set, kind) {
+                    Acquire::Granted | Acquire::Queued => live.push(TxnId(k)),
+                    Acquire::Preempt(_) => {}
+                }
+            } else {
+                let txn = live.swap_remove(rand(live.len() as u64) as usize);
+                let fx = lt.release(txn, rand(2) == 0);
+                grants += fx.granted.len();
+                aborts += fx.aborted.len();
+                live.retain(|t| !fx.aborted.contains(t));
+            }
+            check(lt, k, &live);
+        }
+        (live, grants, aborts)
+    }
+
     #[test]
     fn one_regrant_pass_is_complete() {
         // The argument `release` rests on: after any operation no queued
@@ -488,41 +583,44 @@ mod tests {
         // after every step of a contended pseudo-random stream.
         for policy in [CcPolicy::MultiVersion, CcPolicy::Conservative2pl] {
             let mut lt = LockTable::new(policy);
-            let mut live: Vec<TxnId> = Vec::new();
-            let mut x = 0x9e37_79b9_7f4a_7c15u64;
-            let mut rand = move |n: u64| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 33) % n
-            };
-            let (mut grants, mut aborts) = (0, 0);
-            for k in 1..=4000u64 {
-                if live.is_empty() || (live.len() < 16 && rand(2) == 0) {
-                    let mut set: Vec<TupleId> =
-                        (0..1 + rand(4)).map(|_| id(1 + rand(10))).collect();
-                    set.sort_unstable();
-                    set.dedup();
-                    let kind =
-                        if rand(4) == 0 { OwnerKind::Remote } else { OwnerKind::LocalAbortable };
-                    match lt.acquire(TxnId(k), set, kind) {
-                        Acquire::Granted | Acquire::Queued => live.push(TxnId(k)),
-                        Acquire::Preempt(_) => {}
-                    }
-                } else {
-                    let txn = live.swap_remove(rand(live.len() as u64) as usize);
-                    let fx = lt.release(txn, rand(2) == 0);
-                    grants += fx.granted.len();
-                    aborts += fx.aborted.len();
-                    live.retain(|t| !fx.aborted.contains(t));
-                }
-                assert_eq!(grantable_waiters(&lt), vec![], "step {k}");
+            let (_, grants, aborts) = contended_stream(&mut lt, |lt, k, live| {
+                assert_eq!(grantable_waiters(lt), vec![], "step {k}");
                 assert_eq!(lt.holder_count() + lt.waiter_count(), live.len());
-            }
+            });
             assert!(grants > 100, "the stream exercises re-granting: {grants}");
             assert_eq!(aborts > 100, policy == CcPolicy::MultiVersion);
         }
     }
 
-    /// Index pairs visited by four operations next to `unrelated` queued
+    #[test]
+    fn no_queue_storage_outlives_its_waiters() {
+        for policy in [CcPolicy::MultiVersion, CcPolicy::Conservative2pl] {
+            let mut lt = LockTable::new(policy);
+            let mut most_spilled = 0;
+            let (mut live, _, _) = contended_stream(&mut lt, |lt, _, _| {
+                most_spilled = most_spilled.max(lt.spilled.len() - lt.free.len());
+            });
+            assert!(most_spilled > 1, "the stream spills queues: {most_spilled}");
+            while let Some(txn) = live.pop() {
+                let fx = lt.release(txn, true);
+                live.retain(|t| !fx.aborted.contains(t));
+            }
+            assert_eq!((lt.holder_count(), lt.waiter_count()), (0, 0));
+            assert!(lt.queues.is_empty(), "a wait queue outlived its waiters");
+            assert_eq!(lt.free.len(), lt.spilled.len(), "a spilled slot is still live");
+            assert!(lt.spilled.iter().all(VecDeque::is_empty));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row-level writes only")]
+    fn table_level_write_panics() {
+        let mut lt = table();
+        let set = vec![id(1), TupleId::table_level(TableId(1))];
+        lt.acquire(TxnId(1), set, OwnerKind::LocalAbortable);
+    }
+
+    /// Queue entries visited by four operations next to `unrelated` queued
     /// requests on other tuples: an acquire/commit pair on a disjoint set of
     /// 8, the withdrawal of a waiter of 3 tuples, the commit of a holder of
     /// 2 tuples that aborts 3 waiters (7 tuples between them) and lets a

@@ -1,18 +1,18 @@
 //! Property tests of the lock table: under arbitrary interleavings of
 //! acquisitions and releases, the core invariants of the multi-version
 //! policy hold — exclusivity, atomicity, no lost waiters, no deadlock — and
-//! the indexed table answers every call exactly like the scan-based one it
-//! replaced ([`reference::ScanLockTable`]).
+//! the table, with its per-tuple wait queues, answers every call exactly
+//! like the scan-based one it replaced ([`reference::ScanLockTable`]).
 
 use dbsm_cert::{TableId, TupleId};
 use dbsm_db::{Acquire, CcPolicy, LockTable, OwnerKind, TxnId};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The lock table as it was before the wait index: one FIFO of waiters that
-/// `acquire` scans in full, a committing `release` drains and rebuilds, and
-/// `regrant` re-walks until nothing moves. Quadratic in queue depth and
-/// obviously right — the model the indexed table is held to.
+/// The lock table as it was before per-tuple wait queues: one FIFO of
+/// waiters that `acquire` scans in full, a committing `release` drains and
+/// rebuilds, and `regrant` re-walks until nothing moves. Quadratic in queue
+/// depth and obviously right — the model the table is held to.
 mod reference {
     use dbsm_cert::TupleId;
     use dbsm_db::{Acquire, CcPolicy, OwnerKind, ReleaseEffects, TxnId};
@@ -166,11 +166,17 @@ enum Op {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (prop::collection::vec(0u8..12, 1..5), any::<bool>())
-            .prop_map(|(keys, remote)| Op::Acquire { keys, remote }),
-        (any::<u8>(), any::<bool>()).prop_map(|(idx, commit)| Op::Release { idx, commit }),
-    ]
+    prop_oneof![arb_acquire(12, 5), arb_release()]
+}
+
+/// An acquisition of 1 to `max_set - 1` keys below `keys`.
+fn arb_acquire(keys: u8, max_set: usize) -> impl Strategy<Value = Op> {
+    (prop::collection::vec(0..keys, 1..max_set), any::<bool>())
+        .prop_map(|(keys, remote)| Op::Acquire { keys, remote })
+}
+
+fn arb_release() -> impl Strategy<Value = Op> {
+    (any::<u8>(), any::<bool>()).prop_map(|(idx, commit)| Op::Release { idx, commit })
 }
 
 /// The model test's stream: [`Op`]s (its releases pick among holders *and*
@@ -185,11 +191,91 @@ fn arb_model_op() -> impl Strategy<Value = ModelOp> {
     // One pin for every three acquisitions or releases (the vendored
     // `prop_oneof!` has no weights).
     let op = || arb_op().prop_map(ModelOp::Op);
-    prop_oneof![op(), op(), op(), any::<u8>().prop_map(|idx| ModelOp::Pin { idx })]
+    prop_oneof![op(), op(), op(), arb_pin()]
+}
+
+fn arb_pin() -> impl Strategy<Value = ModelOp> {
+    any::<u8>().prop_map(|idx| ModelOp::Pin { idx })
+}
+
+/// The hot-key stream: three acquisitions of 1–3 of only 3 keys for every
+/// release and every pin, so a few queues grow deep and drain again.
+fn arb_hot_key_op() -> impl Strategy<Value = ModelOp> {
+    let acquire = || arb_acquire(3, 4).prop_map(ModelOp::Op);
+    prop_oneof![acquire(), acquire(), acquire(), arb_release().prop_map(ModelOp::Op), arb_pin()]
 }
 
 fn tid(k: u8) -> TupleId {
     TupleId::new(TableId(1), u64::from(k) + 1)
+}
+
+/// Drives the table and [`reference::ScanLockTable`] under `policy` with
+/// one stream of `ops`, asserting after every call that both answer alike.
+/// Releases pick among holders *and* waiters, and a preempting remote
+/// acquisition runs the engine's abort-the-victims-and-retry loop.
+fn check_against_reference(ops: Vec<ModelOp>, policy: CcPolicy) {
+    let mut lt = LockTable::new(policy);
+    let mut model = reference::ScanLockTable::new(policy);
+    // Every transaction holding or queued, oldest first.
+    let mut live: Vec<TxnId> = Vec::new();
+    let mut next = 1u64;
+    for op in ops {
+        match op {
+            ModelOp::Op(Op::Acquire { mut keys, remote }) => {
+                keys.sort_unstable();
+                keys.dedup();
+                let txn = TxnId(next);
+                next += 1;
+                let set: Vec<TupleId> = keys.iter().map(|k| tid(*k)).collect();
+                let kind = if remote { OwnerKind::Remote } else { OwnerKind::LocalAbortable };
+                loop {
+                    let got = lt.acquire(txn, set.clone(), kind);
+                    assert_eq!(&got, &model.acquire(txn, set.clone(), kind));
+                    let Acquire::Preempt(victims) = got else {
+                        live.push(txn);
+                        break;
+                    };
+                    assert!(!victims.is_empty(), "a preemption names its victims");
+                    for v in victims {
+                        let fx = lt.release(v, false);
+                        assert_eq!(&fx, &model.release(v, false));
+                        live.retain(|t| *t != v && !fx.aborted.contains(t));
+                    }
+                }
+            }
+            ModelOp::Op(Op::Release { idx, commit }) => {
+                if live.is_empty() {
+                    continue;
+                }
+                let txn = live.remove(idx as usize % live.len());
+                let fx = lt.release(txn, commit);
+                assert_eq!(&fx, &model.release(txn, commit));
+                for g in &fx.granted {
+                    assert!(lt.is_holder(*g) && model.is_holder(*g));
+                }
+                live.retain(|t| !fx.aborted.contains(t));
+            }
+            ModelOp::Pin { idx } => {
+                if live.is_empty() {
+                    continue;
+                }
+                let txn = live[idx as usize % live.len()];
+                lt.pin(txn);
+                model.pin(txn);
+            }
+        }
+        assert_eq!(lt.holder_count(), model.holder_count());
+        assert_eq!(lt.waiter_count(), model.waiter_count());
+        assert_eq!(lt.holder_count() + lt.waiter_count(), live.len());
+    }
+    // Drain in arrival order: every grant along the way must agree too.
+    while !live.is_empty() {
+        let txn = live.remove(0);
+        let fx = lt.release(txn, true);
+        assert_eq!(&fx, &model.release(txn, true));
+        live.retain(|t| !fx.aborted.contains(t));
+    }
+    assert_eq!((lt.holder_count(), lt.waiter_count()), (0, 0));
 }
 
 proptest! {
@@ -351,80 +437,33 @@ proptest! {
             prop_assert!(guard < 1000);
         }
     }
-    /// Model-based equivalence: the indexed table and the scan-based
-    /// reference, driven by one random stream — local and remote
-    /// acquisitions over 12 keys (so queues form), pins, commit/abort
-    /// releases of holders, withdrawals of queued transactions, and the
-    /// engine's preempt → abort victims → re-acquire loop — give identical
-    /// `Acquire` results, identical `ReleaseEffects` including their order,
-    /// and equal holder/waiter counts after every call, under both policies.
+    /// Model-based equivalence: the table and the scan-based reference,
+    /// driven by one random stream — local and remote acquisitions over 12
+    /// keys (so queues form), pins, commit/abort releases of holders,
+    /// withdrawals of queued transactions, and the engine's preempt → abort
+    /// victims → re-acquire loop — give identical `Acquire` results,
+    /// identical `ReleaseEffects` including their order, and equal
+    /// holder/waiter counts after every call, under both policies.
     #[test]
     fn indexed_table_matches_scan_reference(
         ops in prop::collection::vec(arb_model_op(), 1..120),
         two_pl in any::<bool>(),
     ) {
         let policy = if two_pl { CcPolicy::Conservative2pl } else { CcPolicy::MultiVersion };
-        let mut lt = LockTable::new(policy);
-        let mut model = reference::ScanLockTable::new(policy);
-        // Every transaction holding or queued, oldest first.
-        let mut live: Vec<TxnId> = Vec::new();
-        let mut next = 1u64;
-        for op in ops {
-            match op {
-                ModelOp::Op(Op::Acquire { mut keys, remote }) => {
-                    keys.sort_unstable();
-                    keys.dedup();
-                    let txn = TxnId(next);
-                    next += 1;
-                    let set: Vec<TupleId> = keys.iter().map(|k| tid(*k)).collect();
-                    let kind = if remote { OwnerKind::Remote } else { OwnerKind::LocalAbortable };
-                    loop {
-                        let got = lt.acquire(txn, set.clone(), kind);
-                        prop_assert_eq!(&got, &model.acquire(txn, set.clone(), kind));
-                        let Acquire::Preempt(victims) = got else {
-                            live.push(txn);
-                            break;
-                        };
-                        prop_assert!(!victims.is_empty(), "a preemption names its victims");
-                        for v in victims {
-                            let fx = lt.release(v, false);
-                            prop_assert_eq!(&fx, &model.release(v, false));
-                            live.retain(|t| *t != v && !fx.aborted.contains(t));
-                        }
-                    }
-                }
-                ModelOp::Op(Op::Release { idx, commit }) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let txn = live.remove(idx as usize % live.len());
-                    let fx = lt.release(txn, commit);
-                    prop_assert_eq!(&fx, &model.release(txn, commit));
-                    for g in &fx.granted {
-                        prop_assert!(lt.is_holder(*g) && model.is_holder(*g));
-                    }
-                    live.retain(|t| !fx.aborted.contains(t));
-                }
-                ModelOp::Pin { idx } => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let txn = live[idx as usize % live.len()];
-                    lt.pin(txn);
-                    model.pin(txn);
-                }
-            }
-            prop_assert_eq!(lt.holder_count(), model.holder_count());
-            prop_assert_eq!(lt.waiter_count(), model.waiter_count());
-            prop_assert_eq!(lt.holder_count() + lt.waiter_count(), live.len());
+        check_against_reference(ops, policy);
+    }
+
+    /// The same equivalence over only 3 keys, weighted toward acquisitions:
+    /// queues grow past 8 waiters and shrink back to one, so a queue moves
+    /// between one inline waiter and a spilled queue many times, waiters
+    /// withdraw from the middle of a queue, and commits abort a queue's
+    /// local waiters while its remote ones stay queued.
+    #[test]
+    fn hot_key_queues_match_scan_reference(
+        ops in prop::collection::vec(arb_hot_key_op(), 1..200),
+    ) {
+        for policy in [CcPolicy::MultiVersion, CcPolicy::Conservative2pl] {
+            check_against_reference(ops.clone(), policy);
         }
-        // Drain in arrival order: every grant along the way must agree too.
-        while !live.is_empty() {
-            let txn = live.remove(0);
-            let fx = lt.release(txn, true);
-            prop_assert_eq!(&fx, &model.release(txn, true));
-            live.retain(|t| !fx.aborted.contains(t));
-        }
-        prop_assert_eq!((lt.holder_count(), lt.waiter_count()), (0, 0));
     }
 }
