@@ -15,24 +15,17 @@
 //!   own keys. Cost is O(request) `probes`, independent of the window. This
 //!   is the default.
 //!
-//! The indexed backend is the generic
-//! [`HistoryCertifier`](crate::HistoryCertifier) at the
-//! [`UnifiedPlacement`], which it shares — history window, gc semantics and
-//! the speculative certify/confirm pipeline — with the span-restricted
-//! certifier of partial replication; a property test
+//! The indexed backend is also partial replication's span-restricted
+//! certifier ([`IndexedCertifier::with_span`]). A property test
 //! (`tests/properties.rs`) and this module's equivalence tests hold both
 //! backends to identical outcome streams on the same totally ordered input,
 //! and the smoke test runs each backend's 3-replica experiment
 //! bit-reproducibly.
 
 use crate::certifier::{CertWork, HistoryTruncated, LinearCertifier, Outcome};
-use crate::fxhash::FxHashMap;
-use crate::placement::{
-    evict_front, first_above, HistoryCertifier, IndexPlacement, SpecResolution, TableIndex,
-};
+use crate::placement::{IndexedCertifier, SpecResolution};
 use crate::request::CertRequest;
 use crate::rwset::RwSet;
-use crate::tuple::TableId;
 
 /// The operations the replication layer needs from a certifier, independent
 /// of how the write history is organized.
@@ -78,18 +71,16 @@ pub trait CertBackend {
     fn clone_box(&self) -> Box<dyn CertBackend>;
 
     /// Speculatively certifies a tentatively delivered request (pipelined
-    /// commit path); see
-    /// [`HistoryCertifier::speculate`](crate::HistoryCertifier::speculate).
-    /// The default performs no speculation, so
-    /// [`CertBackend::confirm`] degenerates to a full synchronous certify.
+    /// commit path); see [`IndexedCertifier::speculate`]. The default
+    /// performs no speculation, so [`CertBackend::confirm`] degenerates to a
+    /// full synchronous certify.
     fn speculate(&mut self, _req: &CertRequest) -> CertWork {
         CertWork::default()
     }
 
     /// Resolves a request at total-order delivery time against its
     /// speculation, with the bit-identical outcome of a synchronous
-    /// [`CertBackend::certify`]; see
-    /// [`HistoryCertifier::confirm`](crate::HistoryCertifier::confirm).
+    /// [`CertBackend::certify`]; see [`IndexedCertifier::confirm`].
     ///
     /// # Errors
     ///
@@ -134,40 +125,40 @@ impl CertBackend for LinearCertifier {
     }
 }
 
-impl<P: IndexPlacement + Clone + 'static> CertBackend for HistoryCertifier<P> {
+impl CertBackend for IndexedCertifier {
     fn certify(&mut self, req: &CertRequest) -> Result<(Outcome, CertWork), HistoryTruncated> {
-        HistoryCertifier::certify(self, req)
+        IndexedCertifier::certify(self, req)
     }
 
     fn certify_read_only(&self, read_set: &RwSet, start_seq: u64) -> (bool, CertWork) {
-        HistoryCertifier::certify_read_only(self, read_set, start_seq)
+        IndexedCertifier::certify_read_only(self, read_set, start_seq)
     }
 
     fn gc(&mut self, stable_seq: u64) {
-        HistoryCertifier::gc(self, stable_seq)
+        IndexedCertifier::gc(self, stable_seq)
     }
 
     fn last_committed(&self) -> u64 {
-        HistoryCertifier::last_committed(self)
+        IndexedCertifier::last_committed(self)
     }
 
     fn history_len(&self) -> usize {
-        HistoryCertifier::history_len(self)
+        IndexedCertifier::history_len(self)
     }
 
     fn low_water(&self) -> u64 {
-        HistoryCertifier::low_water(self)
+        IndexedCertifier::low_water(self)
     }
 
     fn speculate(&mut self, req: &CertRequest) -> CertWork {
-        HistoryCertifier::speculate(self, req)
+        IndexedCertifier::speculate(self, req)
     }
 
     fn confirm(
         &mut self,
         req: &CertRequest,
     ) -> Result<(Outcome, CertWork, SpecResolution), HistoryTruncated> {
-        HistoryCertifier::confirm(self, req)
+        IndexedCertifier::confirm(self, req)
     }
 
     fn clone_box(&self) -> Box<dyn CertBackend> {
@@ -204,180 +195,10 @@ impl CertBackendKind {
     }
 }
 
-/// The unified (single-server) index placement: one per-table probe
-/// structure holding every committed write, exactly the layout
-/// [`IndexedCertifier`] has always used.
-///
-/// For every read-set entry the probe is: the row's writer list (was this
-/// tuple overwritten concurrently?), the table's wildcard list (did a
-/// table-level write cover it?), and — for wildcard reads — the table's
-/// any-writer list. Each is a hash lookup plus one binary search, so the
-/// total cost is proportional to the *request*, not to the conflict window.
-#[derive(Debug, Clone, Default)]
-pub struct UnifiedPlacement {
-    /// The per-table probe structures, looked up by table and never
-    /// iterated, so hash order cannot leak.
-    pub(crate) tables: FxHashMap<TableId, TableIndex>,
-}
-
-impl UnifiedPlacement {
-    /// The probe loop with an id filter: entries rejected by `local` are
-    /// skipped without counting a probe — a partially replicating site
-    /// ([`SpanPlacement`](crate::SpanPlacement)) performs *no* work for
-    /// tuples outside its span. The unfiltered placement passes `|_| true`.
-    pub(crate) fn probe_where(
-        &self,
-        read_set: &RwSet,
-        start_seq: u64,
-        mut local: impl FnMut(crate::TupleId) -> bool,
-    ) -> (Option<u64>, usize) {
-        let mut earliest: Option<u64> = None;
-        let mut note = |seq: Option<u64>| {
-            if let Some(s) = seq {
-                earliest = Some(earliest.map_or(s, |e| e.min(s)));
-            }
-        };
-        let mut probes = 0;
-        for id in read_set.ids() {
-            if !local(*id) {
-                continue;
-            }
-            // The table lookup itself is one probe.
-            probes += 1;
-            let Some(table) = self.tables.get(&id.table()) else { continue };
-            if id.is_table_level() {
-                // A wildcard read conflicts with any concurrent write to the
-                // table.
-                probes += 1;
-                note(first_above(&table.any_writer, start_seq));
-            } else {
-                // A row read conflicts with concurrent writes to that row or
-                // with a concurrent table-level write.
-                probes += 2;
-                note(first_above(&table.wildcard, start_seq));
-                if let Some(rows) = table.rows.get(&id.row()) {
-                    note(rows.first_above(start_seq));
-                }
-            }
-        }
-        (earliest, probes)
-    }
-
-    /// [`IndexPlacement::index_writes`] with an id filter: only entries
-    /// accepted by `local` land in the index.
-    pub(crate) fn index_writes_where(
-        &mut self,
-        seq: u64,
-        writes: &RwSet,
-        mut local: impl FnMut(crate::TupleId) -> bool,
-    ) {
-        for id in writes.ids() {
-            if !local(*id) {
-                continue;
-            }
-            let table = self.tables.entry(id.table()).or_default();
-            if id.is_table_level() {
-                table.wildcard.push_back(seq);
-            } else {
-                table.rows.entry(id.row()).or_default().push_back(seq);
-            }
-            // One entry per (table, seq) pair: ids of the same table are
-            // adjacent in the sorted write-set, so dedup against the back.
-            if table.any_writer.back() != Some(&seq) {
-                table.any_writer.push_back(seq);
-            }
-        }
-    }
-
-    /// [`IndexPlacement::unindex_writes`] with an id filter. The any-writer
-    /// eviction runs only for tables that contributed at least one accepted
-    /// id — mirroring what `index_writes_where` inserted, so a filtering
-    /// placement stays internally consistent across gc.
-    pub(crate) fn unindex_writes_where(
-        &mut self,
-        seq: u64,
-        writes: &RwSet,
-        mut local: impl FnMut(crate::TupleId) -> bool,
-    ) {
-        // Ids of the same table are adjacent in the sorted set; track per
-        // table-run whether any id passed the filter.
-        let mut run: Option<(TableId, bool)> = None;
-        for id in writes.ids() {
-            let t = id.table();
-            if run.map(|(rt, _)| rt) != Some(t) {
-                if let Some((prev, true)) = run {
-                    self.evict_any_writer(prev, seq);
-                }
-                run = Some((t, false));
-            }
-            if !local(*id) {
-                continue;
-            }
-            run = Some((t, true));
-            let Some(table) = self.tables.get_mut(&t) else { continue };
-            if id.is_table_level() {
-                evict_front(&mut table.wildcard, seq);
-            } else if let Some(rows) = table.rows.get_mut(&id.row()) {
-                rows.evict_front(seq);
-                if rows.is_empty() {
-                    table.rows.remove(&id.row());
-                }
-            }
-        }
-        if let Some((prev, true)) = run {
-            self.evict_any_writer(prev, seq);
-        }
-    }
-
-    fn evict_any_writer(&mut self, t: TableId, seq: u64) {
-        if let Some(table) = self.tables.get_mut(&t) {
-            evict_front(&mut table.any_writer, seq);
-            if table.is_empty() {
-                self.tables.remove(&t);
-            }
-        }
-    }
-}
-
-impl IndexPlacement for UnifiedPlacement {
-    fn probe(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, usize) {
-        self.probe_where(read_set, start_seq, |_| true)
-    }
-
-    fn index_writes(&mut self, seq: u64, writes: &RwSet) {
-        self.index_writes_where(seq, writes, |_| true);
-    }
-
-    fn unindex_writes(&mut self, seq: u64, writes: &RwSet) {
-        self.unindex_writes_where(seq, writes, |_| true);
-    }
-}
-
-/// A certifier that answers the DBSM conflict check from a per-table index
-/// of the write history instead of scanning it: the generic
-/// [`HistoryCertifier`] at the [`UnifiedPlacement`]. The index is
-/// maintained incrementally: commits append, gc evicts exactly the entries
-/// of the history rows it retires.
-pub type IndexedCertifier = HistoryCertifier<UnifiedPlacement>;
-
-impl IndexedCertifier {
-    /// Creates an indexed certifier with an empty history; the first
-    /// committed transaction receives sequence number 1.
-    pub fn new() -> Self {
-        HistoryCertifier::from_placement(UnifiedPlacement::default())
-    }
-}
-
-impl Default for IndexedCertifier {
-    fn default() -> Self {
-        IndexedCertifier::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::TupleId;
+    use crate::tuple::{TableId, TupleId};
     use crate::SiteId;
 
     fn id(t: u16, r: u64) -> TupleId {
@@ -517,16 +338,16 @@ mod tests {
             c.certify(&req(0, i, i, &[], &[id(1, i % 4 + 1), wild(2)])).expect("fill");
         }
         assert_eq!(c.history_len(), 32);
-        assert_eq!(c.place.tables.len(), 2);
+        assert_eq!(c.tables.len(), 2);
         c.gc(30);
         assert_eq!(c.history_len(), 2);
-        let t1 = c.place.tables.get(&TableId(1)).expect("table 1 live");
+        let t1 = c.tables.get(&TableId(1)).expect("table 1 live");
         let total_row_seqs: usize = t1.rows.values().map(|v| v.len()).sum();
         assert_eq!(total_row_seqs, 2, "only uncollected writers remain indexed");
-        assert_eq!(c.place.tables.get(&TableId(2)).expect("table 2 live").wildcard.len(), 2);
+        assert_eq!(c.tables.get(&TableId(2)).expect("table 2 live").wildcard.len(), 2);
         // Full collection drops the tables entirely.
         c.gc(32);
-        assert!(c.place.tables.is_empty());
+        assert!(c.tables.is_empty());
         assert_eq!(c.history_len(), 0);
         // The emptied certifier still certifies fresh snapshots.
         let (o, _) = c.certify(&req(1, 99, 32, &[id(1, 1)], &[])).expect("fresh");

@@ -15,14 +15,13 @@
 //! index in O(request) probes. Both produce bit-identical decisions; select
 //! one with [`CertBackendKind`].
 //!
-//! The indexed backend and partial replication's span-restricted
-//! [`SpanCertifier`] are one generic [`HistoryCertifier`] instantiated at
-//! two [`IndexPlacement`] strategies ([`UnifiedPlacement`] /
-//! [`SpanPlacement`], whose spans a [`ShardKeyFn`] assigns), which also
-//! hosts the speculative certify/confirm pipeline
-//! ([`HistoryCertifier::speculate`] / [`HistoryCertifier::confirm`]) used by
-//! the pipelined commit path to overlap certification with the total-order
-//! broadcast.
+//! Partial replication's span-restricted certifier is the same
+//! [`IndexedCertifier`], built with [`IndexedCertifier::with_span`] to index
+//! only the spans a [`ShardKeyFn`] assigns it; per-site verdicts combine
+//! with [`merge_votes`]. It also hosts the speculative certify/confirm
+//! pipeline ([`IndexedCertifier::speculate`] / [`IndexedCertifier::confirm`])
+//! used by the pipelined commit path to overlap certification with the
+//! total-order broadcast.
 //!
 //! This crate is deliberately free of any simulation dependency: it is the
 //! code "under test", driven identically by the simulation bridge and by
@@ -59,14 +58,14 @@ mod rwset;
 mod span;
 mod tuple;
 
-pub use backend::{CertBackend, CertBackendKind, IndexedCertifier, UnifiedPlacement};
+pub use backend::{CertBackend, CertBackendKind};
 pub use certifier::{CertWork, Certifier, HistoryTruncated, LinearCertifier, Outcome};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use marshal::{marshal, marshalled_len, unmarshal, UnmarshalError, HEADER_LEN};
-pub use placement::{HistoryCertifier, IndexPlacement, SpecResolution};
+pub use placement::{IndexedCertifier, SpecResolution};
 pub use request::CertRequest;
 pub use rwset::RwSet;
-pub use span::{merge_votes, ShardKeyFn, SpanCertifier, SpanPlacement};
+pub use span::{merge_votes, ShardKeyFn};
 pub use tuple::{TableId, TupleId, ROW_BITS, ROW_MASK};
 
 /// Identifier of a database site (replica).

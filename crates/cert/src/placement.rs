@@ -1,23 +1,24 @@
-//! The index-placement abstraction behind the indexed and span-restricted
-//! certifiers, and the generic history certifier written once over it.
+//! The indexed certifier: the DBSM conflict check (§3.3) answered from a
+//! per-table index of the write history, optionally restricted to the spans
+//! a partially replicating site stores.
 //!
-//! [`IndexedCertifier`](crate::IndexedCertifier) and
-//! [`SpanCertifier`](crate::SpanCertifier) differ only in *which* committed
-//! writes land in the probe index and *which* read-set entries are probed —
-//! the history window, sequence numbering, garbage collection and the
-//! speculative certify/confirm pipeline are identical. [`IndexPlacement`]
-//! captures exactly the varying part; [`HistoryCertifier`] supplies the
-//! invariant scaffolding once, so the optimistic pipeline below lands in a
-//! single place instead of being duplicated per backend.
+//! Unrestricted, [`IndexedCertifier`] indexes every committed write and
+//! reaches the linear scan's decisions at O(request) probe cost. Under
+//! partial replication ([`IndexedCertifier::with_span`]) it indexes, and
+//! probes, only the tuples whose [`ShardKeyFn`] span it owns; everything
+//! else costs nothing here, and its verdicts are combined across sites
+//! with [`merge_votes`](crate::merge_votes). The history window, sequence
+//! numbering, garbage collection and the speculative pipeline are the same
+//! either way.
 //!
 //! # Speculative certification
 //!
 //! The pipelined commit path overlaps certification with the total-order
 //! broadcast: when a request is *tentatively* delivered (content received,
-//! global sequence not yet known), [`HistoryCertifier::speculate`] probes the
+//! global sequence not yet known), [`IndexedCertifier::speculate`] probes the
 //! index against the history seen so far and remembers the answer together
 //! with its `basis` — the last committed sequence number covered by the
-//! probe. When the global sequence arrives, [`HistoryCertifier::confirm`]
+//! probe. When the global sequence arrives, [`IndexedCertifier::confirm`]
 //! turns the speculation into the *bit-identical* synchronous outcome:
 //!
 //! * a speculative **conflict** is final — later commits only append higher
@@ -35,13 +36,15 @@
 //! Soundness leans on two invariants: commits append strictly increasing
 //! sequence numbers (so nothing below the basis appears later), and garbage
 //! collection only evicts history at or below the low-water mark, which
-//! [`HistoryCertifier::confirm`] checks against `start_seq` before trusting
+//! [`IndexedCertifier::confirm`] checks against `start_seq` before trusting
 //! any speculation.
 
 use crate::certifier::{CertWork, HistoryTruncated, Outcome};
 use crate::fxhash::FxHashMap;
 use crate::request::CertRequest;
 use crate::rwset::RwSet;
+use crate::span::ShardKeyFn;
+use crate::tuple::{TableId, TupleId};
 use std::collections::VecDeque;
 
 /// Per-table slice of the write-history index.
@@ -64,13 +67,13 @@ pub(crate) struct TableIndex {
 }
 
 impl TableIndex {
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rows.is_empty() && self.wildcard.is_empty() && self.any_writer.is_empty()
     }
 }
 
 /// Smallest sequence number in `seqs` strictly above `start_seq`.
-pub(crate) fn first_above(seqs: &VecDeque<u64>, start_seq: u64) -> Option<u64> {
+fn first_above(seqs: &VecDeque<u64>, start_seq: u64) -> Option<u64> {
     let i = seqs.partition_point(|s| *s <= start_seq);
     seqs.get(i).copied()
 }
@@ -78,8 +81,13 @@ pub(crate) fn first_above(seqs: &VecDeque<u64>, start_seq: u64) -> Option<u64> {
 /// Pops the front of `seqs` when it equals the sequence number being
 /// garbage-collected; eviction follows history order, so the retired
 /// sequence number is always the oldest one present.
-pub(crate) fn evict_front(seqs: &mut VecDeque<u64>, seq: u64) {
-    debug_assert!(seqs.front().is_none_or(|s| *s >= seq), "eviction out of order");
+///
+/// # Panics
+///
+/// Panics with "eviction out of order" if `seqs` holds a sequence number
+/// below `seq`, i.e. an older entry was never evicted.
+fn evict_front(seqs: &mut VecDeque<u64>, seq: u64) {
+    assert!(seqs.front().is_none_or(|s| *s >= seq), "eviction out of order");
     if seqs.front() == Some(&seq) {
         seqs.pop_front();
     }
@@ -103,7 +111,7 @@ impl Default for RowSeqs {
 
 impl RowSeqs {
     /// Appends `seq`, which is above every sequence number present.
-    pub(crate) fn push_back(&mut self, seq: u64) {
+    fn push_back(&mut self, seq: u64) {
         match self {
             RowSeqs::One(first) => *self = RowSeqs::Many(VecDeque::from([*first, seq])),
             RowSeqs::Many(seqs) if seqs.is_empty() => *self = RowSeqs::One(seq),
@@ -112,7 +120,7 @@ impl RowSeqs {
     }
 
     /// [`first_above`] over this row's writers.
-    pub(crate) fn first_above(&self, start_seq: u64) -> Option<u64> {
+    fn first_above(&self, start_seq: u64) -> Option<u64> {
         match self {
             RowSeqs::One(seq) => (*seq > start_seq).then_some(*seq),
             RowSeqs::Many(seqs) => first_above(seqs, start_seq),
@@ -120,10 +128,14 @@ impl RowSeqs {
     }
 
     /// [`evict_front`] over this row's writers.
-    pub(crate) fn evict_front(&mut self, seq: u64) {
+    ///
+    /// # Panics
+    ///
+    /// Panics with "eviction out of order", as [`evict_front`] does.
+    fn evict_front(&mut self, seq: u64) {
         match self {
             RowSeqs::One(first) => {
-                debug_assert!(*first >= seq, "eviction out of order");
+                assert!(*first >= seq, "eviction out of order");
                 if *first == seq {
                     *self = RowSeqs::default();
                 }
@@ -132,7 +144,7 @@ impl RowSeqs {
         }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -144,27 +156,12 @@ impl RowSeqs {
     }
 }
 
-/// Which committed writes are indexed and which read-set entries are
-/// probed — the only part that differs between the indexed and
-/// span-restricted certifiers. [`HistoryCertifier`] supplies everything
-/// else.
-///
-/// Implementations must be deterministic, and over the tuples they index
-/// the conflict answer returned by [`IndexPlacement::probe`] must equal the
-/// linear scan's first hit.
-pub trait IndexPlacement {
-    /// Probes for the lowest sequence number strictly above `start_seq`
-    /// whose indexed write-set intersects `read_set`, returning it together
-    /// with the number of index probes performed.
-    fn probe(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, usize);
-
-    /// Indexes a committed write-set under `seq` (sequence numbers arrive
-    /// strictly increasing).
-    fn index_writes(&mut self, seq: u64, writes: &RwSet);
-
-    /// Removes one retired history entry's contributions from the index
-    /// (entries retire oldest-first).
-    fn unindex_writes(&mut self, seq: u64, writes: &RwSet);
+/// The spans a partially replicating site stores.
+#[derive(Debug, Clone)]
+struct Span {
+    span_of: ShardKeyFn,
+    /// Owned span ids, sorted for binary-search membership.
+    owned: Vec<u64>,
 }
 
 /// A speculative certification answer produced at tentative-delivery time.
@@ -179,7 +176,7 @@ struct Speculation {
     conflict: Option<u64>,
 }
 
-/// How [`HistoryCertifier::confirm`] resolved a request against its
+/// How [`IndexedCertifier::confirm`] resolved a request against its
 /// speculation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecResolution {
@@ -197,18 +194,29 @@ pub enum SpecResolution {
     Miss,
 }
 
-/// The certification scaffolding shared by every indexed backend: the
-/// committed-history window, total-order sequence numbering, garbage
-/// collection, and the speculative certify/confirm pipeline — generic over
-/// the [`IndexPlacement`] that decides where writes are indexed.
+/// A certifier that answers the DBSM conflict check from a per-table index
+/// of the write history instead of scanning it.
 ///
-/// Use through its concrete aliases
-/// [`IndexedCertifier`](crate::IndexedCertifier) and
-/// [`SpanCertifier`](crate::SpanCertifier).
+/// For every read-set entry the probe is: the row's writer list (was this
+/// tuple overwritten concurrently?), the table's wildcard list (did a
+/// table-level write cover it?), and — for wildcard reads — the table's
+/// any-writer list. Each is a hash lookup plus one binary search, so the
+/// total cost is proportional to the *request*, not to the conflict window.
+/// The index is maintained incrementally: commits append, gc evicts exactly
+/// the entries of the history rows it retires.
+///
+/// A certifier built with [`IndexedCertifier::with_span`] indexes and
+/// probes only the tuples it [stores](IndexedCertifier::is_local). Drive it
+/// with [`IndexedCertifier::vote`] / [`merge_votes`](crate::merge_votes) /
+/// [`IndexedCertifier::apply`]; its `certify` decides from the local spans
+/// alone, which is only correct when they cover every span.
 #[derive(Debug, Clone)]
-pub struct HistoryCertifier<P> {
-    /// The probe index — the part that varies per backend.
-    pub(crate) place: P,
+pub struct IndexedCertifier {
+    /// The per-table probe structures, looked up by table and never
+    /// iterated, so hash order cannot leak.
+    pub(crate) tables: FxHashMap<TableId, TableIndex>,
+    /// The stored spans; `None` stores every tuple.
+    span: Option<Span>,
     /// Committed `(seq, write_set)` pairs, oldest first — retained only to
     /// drive incremental index eviction on gc.
     history: VecDeque<(u64, RwSet)>,
@@ -222,12 +230,19 @@ pub struct HistoryCertifier<P> {
     specs: FxHashMap<(u16, u64), Speculation>,
 }
 
-impl<P: IndexPlacement> HistoryCertifier<P> {
-    /// Wraps a placement in the shared certification scaffolding; the first
+impl Default for IndexedCertifier {
+    fn default() -> Self {
+        IndexedCertifier::new()
+    }
+}
+
+impl IndexedCertifier {
+    /// Creates an unrestricted certifier with an empty history; the first
     /// committed transaction receives sequence number 1.
-    pub fn from_placement(place: P) -> Self {
-        HistoryCertifier {
-            place,
+    pub fn new() -> Self {
+        IndexedCertifier {
+            tables: FxHashMap::default(),
+            span: None,
             history: VecDeque::new(),
             next_seq: 1,
             low_water: 0,
@@ -235,25 +250,63 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
         }
     }
 
-    /// Rebuilds the retained history on top of a *different* placement.
+    /// Creates a certifier storing only the `owned` spans under the
+    /// `span_of` key (tuples it maps to `None` are stored everywhere), with
+    /// an empty history.
+    pub fn with_span(span_of: ShardKeyFn, owned: impl IntoIterator<Item = u64>) -> Self {
+        let mut owned: Vec<u64> = owned.into_iter().collect();
+        owned.sort_unstable();
+        owned.dedup();
+        IndexedCertifier { span: Some(Span { span_of, owned }), ..IndexedCertifier::new() }
+    }
+
+    /// A copy of this certifier's retained history, sequence counter and
+    /// low-water mark, storing only the `owned` spans under `span_of`.
     ///
     /// This is the receiving half of rejoin state transfer under partial
     /// placement: the donor holds the full history, and the rejoiner only
     /// wants the rows its spans own, so the transfer re-indexes every
-    /// retained write-set through `place` instead of shipping the donor's
-    /// index verbatim. Speculations are not carried over — they are bound to
-    /// requests in flight at the donor, which the rejoiner never saw.
-    pub fn reproject<Q: IndexPlacement>(&self, mut place: Q) -> HistoryCertifier<Q> {
-        for (seq, writes) in &self.history {
-            place.index_writes(*seq, writes);
-        }
-        HistoryCertifier {
-            place,
+    /// retained write-set instead of shipping the donor's index verbatim.
+    /// Speculations are not carried over — they are bound to requests in
+    /// flight at the donor, which the rejoiner never saw.
+    pub fn restricted_to(&self, span_of: ShardKeyFn, owned: impl IntoIterator<Item = u64>) -> Self {
+        let mut c = IndexedCertifier {
             history: self.history.clone(),
             next_seq: self.next_seq,
             low_water: self.low_water,
-            specs: FxHashMap::default(),
+            ..IndexedCertifier::with_span(span_of, owned)
+        };
+        for (seq, writes) in &self.history {
+            c.index(*seq, writes);
         }
+        c
+    }
+
+    /// True when this certifier stores `id`: it is unrestricted, the span of
+    /// `id` is owned, or the key maps `id` to no span.
+    pub fn is_local(&self, id: TupleId) -> bool {
+        self.span
+            .as_ref()
+            .is_none_or(|s| (s.span_of)(id).is_none_or(|span| s.owned.binary_search(&span).is_ok()))
+    }
+
+    /// The owned span ids, sorted ascending (empty when unrestricted).
+    pub fn owned_spans(&self) -> &[u64] {
+        self.span.as_ref().map_or(&[], |s| &s.owned)
+    }
+
+    /// `(local, total)` id counts of `set` — the numerator/denominator of
+    /// the `span_fraction` metric.
+    pub fn coverage(&self, set: &RwSet) -> (usize, usize) {
+        let local = set.ids().iter().filter(|&&id| self.is_local(id)).count();
+        (local, set.len())
+    }
+
+    /// The subset of `set` stored here (what a remote write-set application
+    /// touches).
+    pub fn local_subset(&self, set: &RwSet) -> RwSet {
+        // Filtering a sorted set preserves order.
+        RwSet::from_sorted(set.ids().iter().copied().filter(|&id| self.is_local(id)).collect())
     }
 
     /// Sequence number of the last committed transaction (0 if none).
@@ -277,10 +330,84 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
         self.specs.len()
     }
 
-    /// Probes the placement, reporting the probe count as [`CertWork`].
-    fn probe_conflicts(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, CertWork) {
-        let (conflict, probes) = self.place.probe(read_set, start_seq);
-        (conflict, CertWork { probes, ..CertWork::default() })
+    /// The lowest sequence number strictly above `start_seq` whose stored
+    /// writes intersect `read_set`. Ids stored elsewhere are skipped without
+    /// counting a probe: a site performs *no* work for tuples outside its
+    /// spans.
+    fn probe(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, CertWork) {
+        let mut earliest: Option<u64> = None;
+        let mut note = |seq: Option<u64>| {
+            if let Some(s) = seq {
+                earliest = Some(earliest.map_or(s, |e| e.min(s)));
+            }
+        };
+        let mut probes = 0;
+        for &id in read_set.ids() {
+            if !self.is_local(id) {
+                continue;
+            }
+            // The table lookup itself is one probe.
+            probes += 1;
+            let Some(table) = self.tables.get(&id.table()) else { continue };
+            if id.is_table_level() {
+                // A wildcard read conflicts with any concurrent write to the
+                // table.
+                probes += 1;
+                note(first_above(&table.any_writer, start_seq));
+            } else {
+                // A row read conflicts with concurrent writes to that row or
+                // with a concurrent table-level write.
+                probes += 2;
+                note(first_above(&table.wildcard, start_seq));
+                if let Some(rows) = table.rows.get(&id.row()) {
+                    note(rows.first_above(start_seq));
+                }
+            }
+        }
+        (earliest, CertWork { probes, ..CertWork::default() })
+    }
+
+    /// Indexes the stored part of a write-set committed under `seq`
+    /// (sequence numbers arrive strictly increasing).
+    fn index(&mut self, seq: u64, writes: &RwSet) {
+        for &id in writes.ids() {
+            if !self.is_local(id) {
+                continue;
+            }
+            let table = self.tables.entry(id.table()).or_default();
+            if id.is_table_level() {
+                table.wildcard.push_back(seq);
+            } else {
+                table.rows.entry(id.row()).or_default().push_back(seq);
+            }
+            // One entry per (table, seq) pair: ids of the same table are
+            // adjacent in the sorted write-set, so dedup against the back.
+            if table.any_writer.back() != Some(&seq) {
+                table.any_writer.push_back(seq);
+            }
+        }
+    }
+
+    /// Removes one retired history entry's contributions from the index
+    /// (entries retire oldest-first). Needs no span check: a list holds
+    /// `seq` only if [`IndexedCertifier::index`] stored it there, and
+    /// `seq` is the oldest entry of every list that does.
+    fn unindex(&mut self, seq: u64, writes: &RwSet) {
+        for &id in writes.ids() {
+            let Some(table) = self.tables.get_mut(&id.table()) else { continue };
+            if id.is_table_level() {
+                evict_front(&mut table.wildcard, seq);
+            } else if let Some(rows) = table.rows.get_mut(&id.row()) {
+                rows.evict_front(seq);
+                if rows.is_empty() {
+                    table.rows.remove(&id.row());
+                }
+            }
+            evict_front(&mut table.any_writer, seq);
+            if table.is_empty() {
+                self.tables.remove(&id.table());
+            }
+        }
     }
 
     /// Appends a commit: assigns the next sequence number and indexes the
@@ -289,83 +416,94 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
         let seq = self.next_seq;
         self.next_seq += 1;
         if !req.write_set.is_empty() {
-            self.place.index_writes(seq, &req.write_set);
+            self.index(seq, &req.write_set);
             self.history.push_back((seq, req.write_set.clone()));
         }
         seq
     }
 
+    /// Turns a conflict answer into the outcome, committing a pass.
+    fn decide(&mut self, req: &CertRequest, conflict: Option<u64>) -> Outcome {
+        match conflict {
+            Some(conflict_seq) => Outcome::Abort { conflict_seq },
+            None => Outcome::Commit(self.commit(req)),
+        }
+    }
+
+    /// Rejects a snapshot that predates the garbage collection low-water
+    /// mark.
+    fn check_window(&self, start_seq: u64) -> Result<(), HistoryTruncated> {
+        if start_seq < self.low_water {
+            return Err(HistoryTruncated { start_seq, low_water: self.low_water });
+        }
+        Ok(())
+    }
+
     /// Certifies a request delivered in total order; same contract and same
     /// decisions as [`LinearCertifier::certify`](crate::LinearCertifier::certify),
-    /// at O(request) probe cost.
+    /// at O(request) probe cost: [`IndexedCertifier::vote`] plus a commit.
     ///
     /// # Errors
     ///
     /// Returns [`HistoryTruncated`] if `req.start_seq` predates the garbage
     /// collection low-water mark.
     pub fn certify(&mut self, req: &CertRequest) -> Result<(Outcome, CertWork), HistoryTruncated> {
-        if req.start_seq < self.low_water {
-            return Err(HistoryTruncated { start_seq: req.start_seq, low_water: self.low_water });
-        }
-        let (conflict, work) = self.probe_conflicts(&req.read_set, req.start_seq);
-        if let Some(conflict_seq) = conflict {
-            return Ok((Outcome::Abort { conflict_seq }, work));
-        }
-        let seq = self.commit(req);
-        Ok((Outcome::Commit(seq), work))
+        let (conflict, work) = self.vote(req)?;
+        Ok((self.decide(req, conflict), work))
     }
 
     /// Local read-only validation; same contract as
     /// [`LinearCertifier::certify_read_only`](crate::LinearCertifier::certify_read_only).
     pub fn certify_read_only(&self, read_set: &RwSet, start_seq: u64) -> (bool, CertWork) {
-        let (conflict, work) = self.probe_conflicts(read_set, start_seq);
+        let (conflict, work) = self.probe(read_set, start_seq);
         (conflict.is_none(), work)
     }
 
-    /// The probe half of [`HistoryCertifier::certify`], with no state
+    /// The probe half of [`IndexedCertifier::certify`], with no state
     /// change: this site's *verdict* on the request — the lowest conflicting
-    /// sequence number among the tuples this placement indexes, or `None`.
+    /// sequence number among the tuples it stores, or `None`.
     ///
-    /// Under partial replication ([`SpanCertifier`](crate::SpanCertifier))
-    /// each replica votes only on its local span; combining a covering set
-    /// of votes with [`merge_votes`](crate::merge_votes) reproduces the
-    /// full-replication conflict answer bit for bit, because the global
-    /// earliest conflict is the minimum of the per-span earliest conflicts.
-    /// The decision is applied separately via [`HistoryCertifier::apply`].
+    /// Under partial replication each replica votes only on its local spans;
+    /// combining a covering set of votes with
+    /// [`merge_votes`](crate::merge_votes) reproduces the full-replication
+    /// conflict answer bit for bit, because the global earliest conflict is
+    /// the minimum of the per-span earliest conflicts. The decision is
+    /// applied separately via [`IndexedCertifier::apply`].
     ///
     /// # Errors
     ///
     /// Returns [`HistoryTruncated`] if `req.start_seq` predates the garbage
     /// collection low-water mark.
     pub fn vote(&self, req: &CertRequest) -> Result<(Option<u64>, CertWork), HistoryTruncated> {
-        if req.start_seq < self.low_water {
-            return Err(HistoryTruncated { start_seq: req.start_seq, low_water: self.low_water });
-        }
-        Ok(self.probe_conflicts(&req.read_set, req.start_seq))
+        self.check_window(req.start_seq)?;
+        Ok(self.probe(&req.read_set, req.start_seq))
     }
 
-    /// The state-change half of [`HistoryCertifier::certify`]: applies an
+    /// The state-change half of [`IndexedCertifier::certify`]: applies an
     /// externally merged decision. A commit must carry the next sequence
     /// number in total order — every replica applies the same decision
     /// stream, so the counters stay in lockstep; aborts consume nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "decision applied out of order" if a commit does not
+    /// carry the next sequence number.
     pub fn apply(&mut self, req: &CertRequest, outcome: Outcome) {
         if let Outcome::Commit(seq) = outcome {
-            debug_assert_eq!(seq, self.next_seq, "decision applied out of order");
-            let assigned = self.commit(req);
-            debug_assert_eq!(assigned, seq);
-            let _ = assigned;
+            assert_eq!(seq, self.next_seq, "decision applied out of order");
+            self.commit(req);
         }
     }
 
     /// Speculatively certifies a *tentatively* delivered request (content
     /// received, global order unknown) against the history seen so far,
-    /// recording the answer for [`HistoryCertifier::confirm`]. Never
+    /// recording the answer for [`IndexedCertifier::confirm`]. Never
     /// mutates the index, so it is safe at any interleaving; requests whose
     /// snapshot already fell below the low-water mark are probed but not
     /// recorded (their confirm re-checks and reports truncation). Returns
     /// the work of the speculative probe.
     pub fn speculate(&mut self, req: &CertRequest) -> CertWork {
-        let (conflict, work) = self.probe_conflicts(&req.read_set, req.start_seq);
+        let (conflict, work) = self.probe(&req.read_set, req.start_seq);
         if req.start_seq >= self.low_water {
             self.specs.insert(
                 (req.site.0, req.txn),
@@ -377,112 +515,87 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
 
     /// Resolves a request at total-order delivery time against its
     /// speculation, producing the *bit-identical* outcome a synchronous
-    /// [`HistoryCertifier::certify`] would have — see the module
-    /// documentation for the case analysis. The returned [`CertWork`] is
-    /// only the delta work performed *here*, on the delivery critical path;
-    /// the speculative probe was already accounted by
-    /// [`HistoryCertifier::speculate`].
+    /// [`IndexedCertifier::certify`] would have — see the module
+    /// documentation for the case analysis: [`IndexedCertifier::confirm_vote`]
+    /// plus a commit. The returned [`CertWork`] is only the delta work
+    /// performed *here*, on the delivery critical path; the speculative
+    /// probe was already accounted by [`IndexedCertifier::speculate`].
     ///
     /// # Errors
     ///
     /// Returns [`HistoryTruncated`] if `req.start_seq` predates the garbage
     /// collection low-water mark.
+    ///
+    /// # Panics
+    ///
+    /// As [`IndexedCertifier::confirm_vote`].
     pub fn confirm(
         &mut self,
         req: &CertRequest,
     ) -> Result<(Outcome, CertWork, SpecResolution), HistoryTruncated> {
-        if req.start_seq < self.low_water {
-            return Err(HistoryTruncated { start_seq: req.start_seq, low_water: self.low_water });
-        }
-        let Some(spec) = self.specs.remove(&(req.site.0, req.txn)) else {
-            let (outcome, work) = self.certify(req)?;
-            return Ok((outcome, work, SpecResolution::Miss));
-        };
-        debug_assert_eq!(spec.start_seq, req.start_seq, "speculation for a different snapshot");
-        if let Some(conflict_seq) = spec.conflict {
-            // Commits after the speculative probe all carry sequence numbers
-            // above its basis, hence above this conflict: the speculative
-            // hit is still the linear scan's first (lowest) hit.
-            return Ok((Outcome::Abort { conflict_seq }, CertWork::default(), SpecResolution::Hit));
-        }
-        if spec.basis == self.last_committed() {
-            // Nothing committed since the speculative pass covered the full
-            // window: commit with zero delta work.
-            let seq = self.commit(req);
-            return Ok((Outcome::Commit(seq), CertWork::default(), SpecResolution::Hit));
-        }
-        // Re-probe only the delta window (basis, last_committed]; the
-        // speculative pass already cleared (start_seq, basis].
-        let delta_start = spec.basis.max(req.start_seq);
-        let (conflict, work) = self.probe_conflicts(&req.read_set, delta_start);
-        match conflict {
-            Some(conflict_seq) => {
-                Ok((Outcome::Abort { conflict_seq }, work, SpecResolution::Rollback))
-            }
-            None => {
-                let seq = self.commit(req);
-                Ok((Outcome::Commit(seq), work, SpecResolution::Revalidated))
-            }
-        }
+        let (conflict, work, res) = self.confirm_vote(req)?;
+        Ok((self.decide(req, conflict), work, res))
     }
 
     /// Resolves a request at total-order delivery time against its
     /// speculation into this site's *vote* — the probe half of
-    /// [`HistoryCertifier::confirm`], with no commit. The conflict answer is
-    /// bit-identical to what [`HistoryCertifier::vote`] would return at the
+    /// [`IndexedCertifier::confirm`], with no commit. The conflict answer is
+    /// bit-identical to what [`IndexedCertifier::vote`] would return at the
     /// same point, but a speculative hit or a quiet basis costs zero delta
     /// probes on the delivery critical path: the pipelined partial-
     /// replication path overlaps the span probe with the ordering round and
     /// only pays here for the delta window. The merged decision is applied
-    /// separately via [`HistoryCertifier::apply`].
+    /// separately via [`IndexedCertifier::apply`].
     ///
     /// # Errors
     ///
     /// Returns [`HistoryTruncated`] if `req.start_seq` predates the garbage
     /// collection low-water mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "speculation for a different snapshot" if the
+    /// speculation on file for `req`'s `(site, txn)` ran against another
+    /// `start_seq`.
     pub fn confirm_vote(
         &mut self,
         req: &CertRequest,
     ) -> Result<(Option<u64>, CertWork, SpecResolution), HistoryTruncated> {
-        if req.start_seq < self.low_water {
-            return Err(HistoryTruncated { start_seq: req.start_seq, low_water: self.low_water });
-        }
+        self.check_window(req.start_seq)?;
         let Some(spec) = self.specs.remove(&(req.site.0, req.txn)) else {
-            let (conflict, work) = self.vote(req)?;
+            let (conflict, work) = self.probe(&req.read_set, req.start_seq);
             return Ok((conflict, work, SpecResolution::Miss));
         };
-        debug_assert_eq!(spec.start_seq, req.start_seq, "speculation for a different snapshot");
-        if let Some(conflict_seq) = spec.conflict {
-            // Later commits only append higher sequence numbers: the
-            // speculative hit is still the lowest one.
-            return Ok((Some(conflict_seq), CertWork::default(), SpecResolution::Hit));
+        assert_eq!(spec.start_seq, req.start_seq, "speculation for a different snapshot");
+        if spec.conflict.is_some() || spec.basis == self.last_committed() {
+            // Commits after the speculative probe all carry sequence numbers
+            // above its basis, hence above any conflict it found: that hit is
+            // still the linear scan's first (lowest) one. A pass with nothing
+            // committed since covered the full window.
+            return Ok((spec.conflict, CertWork::default(), SpecResolution::Hit));
         }
-        if spec.basis == self.last_committed() {
-            // Nothing committed since the speculative pass covered the full
-            // window: a clean vote with zero delta work.
-            return Ok((None, CertWork::default(), SpecResolution::Hit));
-        }
-        // Re-probe only the delta window (basis, last_committed].
-        let delta_start = spec.basis.max(req.start_seq);
-        let (conflict, work) = self.probe_conflicts(&req.read_set, delta_start);
+        // Re-probe only the delta window (basis, last_committed]; the
+        // speculative pass already cleared (start_seq, basis].
+        let (conflict, work) = self.probe(&req.read_set, spec.basis.max(req.start_seq));
         let res =
             if conflict.is_some() { SpecResolution::Rollback } else { SpecResolution::Revalidated };
         Ok((conflict, work, res))
     }
 
     /// Discards history at or below `stable_seq` (clamped to
-    /// [`HistoryCertifier::last_committed`]), incrementally evicting the
-    /// retired entries from the placement and pruning speculations whose
+    /// [`IndexedCertifier::last_committed`]), incrementally evicting the
+    /// retired entries from the index and pruning speculations whose
     /// snapshot fell below the new low-water mark (their confirm would
     /// report truncation anyway).
+    ///
+    /// # Panics
+    ///
+    /// Panics with "eviction out of order" if the index holds a sequence
+    /// number the history already retired.
     pub fn gc(&mut self, stable_seq: u64) {
         let stable_seq = stable_seq.min(self.last_committed());
-        while let Some((seq, _)) = self.history.front() {
-            if *seq > stable_seq {
-                break;
-            }
-            let (seq, writes) = self.history.pop_front().expect("front just checked");
-            self.place.unindex_writes(seq, &writes);
+        while let Some((seq, writes)) = self.history.pop_front_if(|(seq, _)| *seq <= stable_seq) {
+            self.unindex(seq, &writes);
         }
         self.low_water = self.low_water.max(stable_seq);
         let low_water = self.low_water;
@@ -550,7 +663,7 @@ mod tests {
         let mut oracle = IndexedCertifier::new();
         oracle.certify(&req(0, 1, 0, &[], &[id(1, 2)])).expect("even row"); // seq 1, span 0
         oracle.certify(&req(0, 2, 1, &[], &[id(1, 3)])).expect("odd row"); // seq 2, span 1
-        let mut local = oracle.reproject(crate::span::SpanPlacement::new(span_of, [0]));
+        let mut local = oracle.restricted_to(span_of, [0]);
         assert_eq!(local.last_committed(), oracle.last_committed());
         assert_eq!(local.history_len(), oracle.history_len());
         assert_eq!(local.low_water(), oracle.low_water());

@@ -2,26 +2,24 @@
 //!
 //! Under *genuine partial replication* (Sutra & Shapiro) each replica
 //! stores — and therefore can certify — only the rows of the warehouses it
-//! replicates, its **span**. [`SpanPlacement`] is an [`IndexPlacement`]
-//! whose probe index holds exactly that slice of the committed write
-//! history: a [`ShardKeyFn`] maps every tuple to a span (tuples it maps to
-//! `None` — the shared item catalogue, table-level wildcards — are treated
-//! as replicated everywhere), and ids outside the owned span set are
-//! skipped *without performing any probe work*, which is where the k/N
-//! certification saving comes from.
+//! replicates, its **span**. A [`ShardKeyFn`] maps every tuple to a span
+//! (tuples it maps to `None` — the shared item catalogue, table-level
+//! wildcards — are replicated everywhere), and
+//! [`IndexedCertifier::with_span`](crate::IndexedCertifier::with_span)
+//! builds a certifier whose probe index holds exactly its spans' slice of
+//! the committed write history: ids outside the owned span set are skipped
+//! *without performing any probe work*, which is where the k/N
+//! certification saving comes from. It is driven through the vote/apply
+//! split instead of the one-shot `certify`:
 //!
-//! [`SpanCertifier`] is the [`HistoryCertifier`] instantiated at this
-//! placement, driven through the vote/apply split instead of the one-shot
-//! `certify`:
-//!
-//! * [`HistoryCertifier::vote`] probes the local span and returns the
-//!   site's *verdict* — the lowest conflicting sequence number among the
-//!   tuples it indexes, or `None`;
+//! * [`vote`](crate::IndexedCertifier::vote) probes the local spans and
+//!   returns the site's *verdict* — the lowest conflicting sequence number
+//!   among the tuples it indexes, or `None`;
 //! * [`merge_votes`] combines a covering set of per-span verdicts by the
 //!   same earliest-conflict rule the full certifier uses;
-//! * [`HistoryCertifier::apply`] applies the merged decision, advancing the
-//!   shared sequence counter in lockstep on every replica while indexing
-//!   only the local slice of the write-set.
+//! * [`apply`](crate::IndexedCertifier::apply) applies the merged decision,
+//!   advancing the shared sequence counter in lockstep on every replica
+//!   while indexing only the local slice of the write-set.
 //!
 //! # Why the merge is exact
 //!
@@ -32,12 +30,9 @@
 //! one voting replica, the minimum of the per-span minima *is* the global
 //! minimum — the merged outcome is bit-identical to full replication. The
 //! property test `partial_matches_full_replication_outcome_streams`
-//! (`tests/properties.rs`) checks this against [`IndexedCertifier`] over
-//! random streams, placements and gc interleavings.
+//! (`tests/properties.rs`) checks this against an unrestricted certifier
+//! over random streams, placements and gc interleavings.
 
-use crate::backend::UnifiedPlacement;
-use crate::placement::{HistoryCertifier, IndexPlacement};
-use crate::rwset::RwSet;
 use crate::tuple::TupleId;
 
 /// Maps a tuple to the span (partition of the tuple space) that stores it,
@@ -48,109 +43,6 @@ use crate::tuple::TupleId;
 /// is the 0-based home warehouse
 /// (`dbsm_tpcc::schema::home_warehouse_shard_key`).
 pub type ShardKeyFn = fn(TupleId) -> Option<u64>;
-
-/// An [`IndexPlacement`] restricted to a set of owned spans: committed
-/// writes are indexed — and read-sets probed — only for tuples whose
-/// [`ShardKeyFn`] span this replica owns (or whose span is `None`,
-/// meaning replicated everywhere). Everything else costs nothing here.
-#[derive(Debug, Clone)]
-pub struct SpanPlacement {
-    inner: UnifiedPlacement,
-    span_of: ShardKeyFn,
-    /// Owned span ids, sorted for binary-search membership.
-    owned: Vec<u64>,
-}
-
-impl SpanPlacement {
-    /// Creates a placement owning `owned` spans under the `span_of` key.
-    pub fn new(span_of: ShardKeyFn, owned: impl IntoIterator<Item = u64>) -> Self {
-        let mut owned: Vec<u64> = owned.into_iter().collect();
-        owned.sort_unstable();
-        owned.dedup();
-        SpanPlacement { inner: UnifiedPlacement::default(), span_of, owned }
-    }
-
-    /// True when this replica stores `id`: its span is owned, or the key
-    /// maps it to no span (replicated everywhere).
-    pub fn is_local(&self, id: TupleId) -> bool {
-        (self.span_of)(id).is_none_or(|s| self.owned.binary_search(&s).is_ok())
-    }
-
-    /// The owned span ids, sorted ascending.
-    pub fn owned_spans(&self) -> &[u64] {
-        &self.owned
-    }
-
-    /// `(local, total)` id counts of `set` — the numerator/denominator of
-    /// the `span_fraction` metric.
-    pub fn coverage(&self, set: &RwSet) -> (usize, usize) {
-        let local = set.ids().iter().filter(|&&id| self.is_local(id)).count();
-        (local, set.len())
-    }
-
-    /// The subset of `set` stored by this replica (what a remote write-set
-    /// application touches here).
-    pub fn local_subset(&self, set: &RwSet) -> RwSet {
-        // Filtering a sorted set preserves order.
-        RwSet::from_sorted(set.ids().iter().copied().filter(|&id| self.is_local(id)).collect())
-    }
-}
-
-impl IndexPlacement for SpanPlacement {
-    fn probe(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, usize) {
-        self.inner.probe_where(read_set, start_seq, |id| self.is_local(id))
-    }
-
-    fn index_writes(&mut self, seq: u64, writes: &RwSet) {
-        let SpanPlacement { inner, span_of, owned } = self;
-        inner.index_writes_where(seq, writes, |id| {
-            (span_of)(id).is_none_or(|s| owned.binary_search(&s).is_ok())
-        });
-    }
-
-    fn unindex_writes(&mut self, seq: u64, writes: &RwSet) {
-        let SpanPlacement { inner, span_of, owned } = self;
-        inner.unindex_writes_where(seq, writes, |id| {
-            (span_of)(id).is_none_or(|s| owned.binary_search(&s).is_ok())
-        });
-    }
-}
-
-/// A partially replicating site's certifier: the generic
-/// [`HistoryCertifier`] over a [`SpanPlacement`]. Drive it with
-/// [`HistoryCertifier::vote`] / [`merge_votes`] /
-/// [`HistoryCertifier::apply`]; its `certify` would decide from the local
-/// span alone, which is only correct when the placement covers every span.
-pub type SpanCertifier = HistoryCertifier<SpanPlacement>;
-
-impl SpanCertifier {
-    /// Creates a certifier owning `owned` spans under the `span_of` key,
-    /// with an empty history; the first committed transaction receives
-    /// sequence number 1.
-    pub fn with_span(span_of: ShardKeyFn, owned: impl IntoIterator<Item = u64>) -> Self {
-        HistoryCertifier::from_placement(SpanPlacement::new(span_of, owned))
-    }
-
-    /// True when this replica stores `id` (owned span or `None`-span).
-    pub fn is_local(&self, id: TupleId) -> bool {
-        self.place.is_local(id)
-    }
-
-    /// The owned span ids, sorted ascending.
-    pub fn owned_spans(&self) -> &[u64] {
-        self.place.owned_spans()
-    }
-
-    /// `(local, total)` id counts of `set` on this replica.
-    pub fn coverage(&self, set: &RwSet) -> (usize, usize) {
-        self.place.coverage(set)
-    }
-
-    /// The subset of `set` stored by this replica.
-    pub fn local_subset(&self, set: &RwSet) -> RwSet {
-        self.place.local_subset(set)
-    }
-}
 
 /// Combines per-span verdicts by the earliest-conflict rule: the merged
 /// conflict is the lowest sequence number any voter reported, `None` when
@@ -165,6 +57,7 @@ mod tests {
     use super::*;
     use crate::certifier::Outcome;
     use crate::request::CertRequest;
+    use crate::rwset::RwSet;
     use crate::tuple::TableId;
     use crate::{IndexedCertifier, SiteId};
 
@@ -194,7 +87,7 @@ mod tests {
 
     #[test]
     fn locality_honours_owned_spans_and_globals() {
-        let c = SpanCertifier::with_span(span4, [1, 3]);
+        let c = IndexedCertifier::with_span(span4, [1, 3]);
         assert!(c.is_local(id(1, 5)), "row 5 -> span 1, owned");
         assert!(!c.is_local(id(1, 4)), "row 4 -> span 0, foreign");
         assert!(c.is_local(id(0, 4)), "table 0 is global");
@@ -204,7 +97,7 @@ mod tests {
 
     #[test]
     fn foreign_tuples_cost_no_probe_work() {
-        let mut c = SpanCertifier::with_span(span4, [1]);
+        let mut c = IndexedCertifier::with_span(span4, [1]);
         c.apply(&req(0, 1, 0, &[], &[id(1, 1), id(1, 2)]), Outcome::Commit(1));
         // Only the foreign tuple: zero probes, no verdict.
         let (conflict, work) = c.vote(&req(1, 2, 0, &[id(1, 2)], &[])).expect("vote");
@@ -218,7 +111,7 @@ mod tests {
 
     #[test]
     fn apply_keeps_sequence_lockstep_without_indexing_foreign_writes() {
-        let mut c = SpanCertifier::with_span(span4, [0]);
+        let mut c = IndexedCertifier::with_span(span4, [0]);
         // A commit writing only foreign tuples still consumes the sequence
         // number (every replica applies the same decision stream).
         c.apply(&req(0, 1, 0, &[], &[id(1, 1)]), Outcome::Commit(1));
@@ -233,11 +126,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "decision applied out of order")]
+    fn applying_a_commit_out_of_order_panics() {
+        // A fresh certifier expects Commit(1): applying Commit(5) would
+        // desync its sequence counter from every other replica's.
+        let mut c = IndexedCertifier::with_span(span4, [0]);
+        c.apply(&req(0, 1, 0, &[], &[id(1, 4)]), Outcome::Commit(5));
+    }
+
+    #[test]
     fn covering_votes_merge_to_the_full_verdict() {
         // Two replicas covering spans {0,1} and {2,3}; a full certifier is
         // the ground truth.
-        let mut a = SpanCertifier::with_span(span4, [0, 1]);
-        let mut b = SpanCertifier::with_span(span4, [2, 3]);
+        let mut a = IndexedCertifier::with_span(span4, [0, 1]);
+        let mut b = IndexedCertifier::with_span(span4, [2, 3]);
         let mut full = IndexedCertifier::new();
         let stream = [
             req(0, 1, 0, &[], &[id(1, 4), id(1, 6)]), // spans 0 and 2
@@ -268,11 +170,11 @@ mod tests {
         // The integration shape: a transaction reading spans owned by
         // different sites conflicts only on the remote span; the merged
         // abort is applied identically everywhere.
-        let mut members: Vec<SpanCertifier> = vec![
-            SpanCertifier::with_span(span4, [0, 1]),
-            SpanCertifier::with_span(span4, [1, 2]),
-            SpanCertifier::with_span(span4, [2, 3]),
-            SpanCertifier::with_span(span4, [3, 0]),
+        let mut members: Vec<IndexedCertifier> = vec![
+            IndexedCertifier::with_span(span4, [0, 1]),
+            IndexedCertifier::with_span(span4, [1, 2]),
+            IndexedCertifier::with_span(span4, [2, 3]),
+            IndexedCertifier::with_span(span4, [3, 0]),
         ];
         let mut full = IndexedCertifier::new();
         let writer = req(0, 1, 0, &[], &[id(1, 6)]); // span 2
@@ -301,7 +203,7 @@ mod tests {
 
     #[test]
     fn gc_keeps_filtered_history_consistent() {
-        let mut c = SpanCertifier::with_span(span4, [1]);
+        let mut c = IndexedCertifier::with_span(span4, [1]);
         for i in 0..40u64 {
             // Mixed local/foreign/global writes.
             let w = [id(1, i % 8 + 1), id(0, 3)];
@@ -320,7 +222,7 @@ mod tests {
 
     #[test]
     fn local_subset_and_coverage() {
-        let c = SpanCertifier::with_span(span4, [0]);
+        let c = IndexedCertifier::with_span(span4, [0]);
         let set: RwSet = [id(1, 4), id(1, 5), id(0, 1)].into_iter().collect();
         assert_eq!(c.coverage(&set), (2, 3));
         let local = c.local_subset(&set);

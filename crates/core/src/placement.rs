@@ -6,10 +6,10 @@
 //! `replication_factor` of the `sites` replicas; [`PlacementMap`] is the
 //! deterministic assignment every component consults — client routing
 //! picks a site owning the transaction's home warehouse, each site's
-//! [`SpanCertifier`](dbsm_cert::SpanCertifier) indexes only the warehouses
-//! it owns, and remote write-sets are applied only where they are stored.
-//! The map is static; a span re-homed onto a survivor after its replica
-//! set died is an overlay on it, and
+//! span-restricted [`IndexedCertifier`](dbsm_cert::IndexedCertifier)
+//! indexes only the warehouses it owns, and remote write-sets are applied
+//! only where they are stored. The map is static; a span re-homed onto a
+//! survivor after its replica set died is an overlay on it, and
 //! [`Ownership::owns`](crate::replica::Ownership::owns) is the one rule
 //! that combines the two.
 //!
@@ -114,7 +114,8 @@ impl PlacementMap {
     }
 
     /// The warehouses out of `0..spans` that `site` replicates — what its
-    /// [`SpanCertifier`](dbsm_cert::SpanCertifier) indexes.
+    /// span-restricted [`IndexedCertifier`](dbsm_cert::IndexedCertifier)
+    /// indexes.
     pub fn spans_of(&self, site: usize, spans: u64) -> Vec<u64> {
         (0..spans).filter(|&s| self.owns(site, s)).collect()
     }

@@ -33,7 +33,6 @@ use crate::metrics::CertWorkTotals;
 use crate::placement::PlacementMap;
 use dbsm_cert::{
     merge_votes, CertBackend, CertRequest, IndexedCertifier, Outcome as CertOutcome, RwSet,
-    SpanCertifier, SpanPlacement,
 };
 use dbsm_db::TxnId;
 use dbsm_gcs::{NodeId, View, WireVote};
@@ -197,7 +196,7 @@ impl Replica {
         let cert = match partial {
             Some(p) => {
                 let spans = p.ownership.map.spans_of(site, p.ownership.warehouses);
-                let cert = SpanCertifier::with_span(span_of, spans);
+                let cert = IndexedCertifier::with_span(span_of, spans);
                 Certifier::Span(Box::new(SpanReplica::new(cert, VecDeque::new(), BTreeSet::new())))
             }
             None => Certifier::Full(cfg.cert_backend.new_backend()),
@@ -812,7 +811,7 @@ const RECOLLECT_CAP: u8 = 8;
 pub(crate) struct SpanReplica {
     /// The span-restricted certifier that does this site's real
     /// conflict-check work — it indexes only the warehouses the site owns.
-    cert: SpanCertifier,
+    cert: IndexedCertifier,
     /// Delivered updates awaiting a decision, in total order.
     fifo: VecDeque<FifoEntry>,
     /// Entries popped off `fifo` so far: the entry at index `i` has serial
@@ -830,7 +829,7 @@ pub(crate) struct SpanReplica {
 }
 
 impl SpanReplica {
-    fn new(cert: SpanCertifier, fifo: VecDeque<FifoEntry>, skip_keys: BTreeSet<Key>) -> Self {
+    fn new(cert: IndexedCertifier, fifo: VecDeque<FifoEntry>, skip_keys: BTreeSet<Key>) -> Self {
         SpanReplica { cert, fifo, fifo_popped: 0, vote_stash: BTreeMap::new(), skip_keys }
     }
 
@@ -923,7 +922,7 @@ impl Partial {
         let Certifier::Span(donor) = &donor.cert else { unreachable!("a span replica donates") };
         let spans = self.ownership.map.spans_of(joiner, self.ownership.warehouses);
         let owned = spans.len() as u64;
-        let cert = self.oracle.reproject(SpanPlacement::new(span_of, spans));
+        let cert = self.oracle.restricted_to(span_of, spans);
         let fifo = donor
             .fifo
             .iter()
@@ -1010,8 +1009,8 @@ impl Partial {
             self.ownership.rehomed.insert(s, a);
         }
         let r = replicas[adopter].cert.span();
-        let place = SpanPlacement::new(span_of, r.cert.owned_spans().iter().chain(&spans).copied());
-        r.cert = self.oracle.reproject(place);
+        let owned = r.cert.owned_spans().iter().chain(&spans).copied();
+        r.cert = self.oracle.restricted_to(span_of, owned);
         let hit = |id| span_of(id).is_some_and(|s| spans.contains(&s));
         let touches = |req: &CertRequest| {
             req.read_set.ids().iter().any(|&id| id.is_table_level() || hit(id))

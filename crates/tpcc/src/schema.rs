@@ -182,7 +182,7 @@ pub fn home_warehouse(id: TupleId) -> Option<u64> {
 /// The partial-replication span key: the 0-based home warehouse, or `None`
 /// for tuples without one, which every replica stores. Matches the
 /// [`dbsm_cert::ShardKeyFn`] signature, so it plugs straight into
-/// [`dbsm_cert::SpanCertifier::with_span`] and the placement map's span
+/// [`dbsm_cert::IndexedCertifier::with_span`] and the placement map's span
 /// lookups.
 pub fn home_warehouse_shard_key(id: TupleId) -> Option<u64> {
     home_warehouse(id).map(|w| w - 1)

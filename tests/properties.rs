@@ -39,6 +39,17 @@ fn arb_rwset_with_wildcards(max: usize) -> impl Strategy<Value = RwSet> {
     prop::collection::vec(arb_tuple_id_or_wildcard(), 0..max).prop_map(RwSet::from_unsorted)
 }
 
+/// The span key of the partial-replication properties: table 0 rows and
+/// wildcards have no span (global, replicated everywhere); other rows span
+/// by `row % 8`.
+fn span8(id: TupleId) -> Option<u64> {
+    if id.table().0 == 0 || id.is_table_level() {
+        None
+    } else {
+        Some(id.row() % 8)
+    }
+}
+
 fn fnv(h: u64, b: u64) -> u64 {
     (h ^ b).wrapping_mul(0x100_0000_01b3)
 }
@@ -247,9 +258,13 @@ proptest! {
         // garbage collections interleaved at arbitrary points, emit
         // bit-identical outcome streams — same commit sequence numbers, same
         // abort decisions, same conflict_seq on every abort, and the same
-        // HistoryTruncated rejections.
+        // HistoryTruncated rejections. A span-restricted certifier that owns
+        // every span is exactly the unrestricted one: same outcomes, same
+        // read-only verdicts and the same CertWork, whose probe counts are
+        // charged as simulated CPU.
         let mut linear = Certifier::new();
         let mut indexed = IndexedCertifier::new();
+        let mut all_spans = IndexedCertifier::with_span(span8, 0..8);
         for (i, (site, reads, writes, back, gc_roll)) in stream.iter().enumerate() {
             let start = linear.last_committed().saturating_sub(*back);
             let req = CertRequest {
@@ -257,12 +272,14 @@ proptest! {
                 read_set: reads.clone(), write_set: writes.clone(), write_bytes: 0,
             };
             let ol = linear.certify(&req).map(|(o, _)| o);
-            let oi = indexed.certify(&req).map(|(o, _)| o);
-            prop_assert_eq!(ol, oi, "request {} diverged", i);
+            let ri = indexed.certify(&req);
+            prop_assert_eq!(ol, ri.map(|(o, _)| o), "request {} diverged", i);
+            prop_assert_eq!(ri, all_spans.certify(&req), "span filter changed request {}", i);
             // Read-only validation must agree at the same snapshot too.
             let (rl, _) = linear.certify_read_only(reads, start);
-            let (ri, _) = indexed.certify_read_only(reads, start);
-            prop_assert_eq!(rl, ri, "read-only validation {} diverged", i);
+            let ro = indexed.certify_read_only(reads, start);
+            prop_assert_eq!(rl, ro.0, "read-only validation {} diverged", i);
+            prop_assert_eq!(ro, all_spans.certify_read_only(reads, start));
             // Random gc interleaving driven by the stream itself: collect up
             // to the whole history (gc_roll spreads the stable point from
             // aggressive to no-op).
@@ -270,11 +287,15 @@ proptest! {
                 let stable = linear.last_committed().saturating_sub(*back);
                 linear.gc(stable);
                 indexed.gc(stable);
+                all_spans.gc(stable);
             }
         }
         prop_assert_eq!(linear.last_committed(), indexed.last_committed());
         prop_assert_eq!(linear.history_len(), indexed.history_len());
         prop_assert_eq!(linear.low_water(), indexed.low_water());
+        prop_assert_eq!(indexed.last_committed(), all_spans.last_committed());
+        prop_assert_eq!(indexed.history_len(), all_spans.history_len());
+        prop_assert_eq!(indexed.low_water(), all_spans.low_water());
     }
 
     #[test]
@@ -373,20 +394,13 @@ proptest! {
         // conflict_seq on every abort, same HistoryTruncated rejections.
         // Table 0 rows and wildcards have no span (global, replicated
         // everywhere); other rows span by `row % 8`.
-        use dbsm_testbed::cert::{merge_votes, SpanCertifier};
+        use dbsm_testbed::cert::merge_votes;
         use dbsm_testbed::core::PlacementMap;
-        fn span8(id: TupleId) -> Option<u64> {
-            if id.table().0 == 0 || id.is_table_level() {
-                None
-            } else {
-                Some(id.row() % 8)
-            }
-        }
         let k = factor.min(sites);
         let p = PlacementMap::new(sites, k);
         let mut full = IndexedCertifier::new();
-        let mut spans: Vec<SpanCertifier> = (0..sites)
-            .map(|s| SpanCertifier::with_span(span8, p.spans_of(s, 8)))
+        let mut spans: Vec<IndexedCertifier> = (0..sites)
+            .map(|s| IndexedCertifier::with_span(span8, p.spans_of(s, 8)))
             .collect();
         for (i, (site, reads, writes, back, gc_roll)) in stream.iter().enumerate() {
             let start = full.last_committed().saturating_sub(*back);
@@ -471,21 +485,14 @@ proptest! {
         // on every abort. The pipelined path pre-computes each vote from a
         // speculative probe (`speculate` + `confirm_vote`); the synchronous
         // path votes inline (`vote`); both must emit the same verdicts.
-        use dbsm_testbed::cert::{merge_votes, Outcome, SpanCertifier};
+        use dbsm_testbed::cert::{merge_votes, Outcome};
         use dbsm_testbed::core::PlacementMap;
         use dbsm_testbed::gcs::Upcall;
-        fn span8(id: TupleId) -> Option<u64> {
-            if id.table().0 == 0 || id.is_table_level() {
-                None
-            } else {
-                Some(id.row() % 8)
-            }
-        }
         let k = factor.min(sites);
         let p = PlacementMap::new(sites, k);
         let mut full = IndexedCertifier::new();
-        let mut spans: Vec<SpanCertifier> = (0..sites)
-            .map(|s| SpanCertifier::with_span(span8, p.spans_of(s, 8)))
+        let mut spans: Vec<IndexedCertifier> = (0..sites)
+            .map(|s| IndexedCertifier::with_span(span8, p.spans_of(s, 8)))
             .collect();
         // A real GCS group carries the votes, with deterministic
         // content-keyed loss (resends of a lost vote meet a fresh fate).
