@@ -337,8 +337,7 @@ impl CertBenchRow {
     pub fn from_metrics(backend: &str, cfg: &ExperimentConfig, m: &RunMetrics) -> Self {
         let costs = CertCostModel::default();
         let commit_path = cfg.commit_path.name().to_string();
-        let replication_factor =
-            cfg.placement.map_or(cfg.sites, |p| p.effective_factor().min(cfg.sites));
+        let replication_factor = cfg.replication_factor.map_or(cfg.sites, |k| k.min(cfg.sites));
         let config_hash = config_hash(
             &[backend, &commit_path],
             &[

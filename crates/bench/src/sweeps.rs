@@ -273,7 +273,7 @@ pub fn catalogue() -> Vec<Point> {
     // per-site critical-path certification work should shrink ∝ k/N while
     // aggregate throughput grows with the site count.
     for sites in [3usize, 6, 9, 12] {
-        // `factor >= sites` materializes no placement: that point is the
+        // `factor >= sites` builds no placement: that point is the
         // full-replication baseline the partial rows compare to (rf 3 at 3
         // sites IS full replication, hence the dedup).
         let mut factors = vec![2, 3, sites];

@@ -1,6 +1,5 @@
 //! Experiment configuration: every knob the paper's §5 varies.
 
-use crate::placement::{PlacementError, PlacementMap};
 use dbsm_cert::{CertBackendKind, CertWork};
 use dbsm_db::{CcPolicy, StorageConfig};
 use dbsm_fault::{FaultPlan, PlanError};
@@ -86,12 +85,14 @@ pub struct ExperimentConfig {
     /// Overrides the segment's one-way latency (wide-area what-if runs);
     /// `None` keeps the 50 µs LAN default.
     pub wan_latency: Option<Duration>,
-    /// Partial-replication placement: which sites replicate each warehouse.
-    /// `None` — or a map whose [`PlacementMap::is_full`] — runs classic
-    /// full replication; a genuine k-of-N map routes clients to owner
-    /// sites, restricts each site's certification to its span, and commits
+    /// Partial replication: how many of the `sites` replicas store each
+    /// warehouse, placed round-robin by
+    /// [`PlacementMap`](crate::PlacementMap) over the configured site count.
+    /// `None` — or a factor of at least `sites` — runs classic full
+    /// replication; a genuine k-of-N factor routes clients to owner sites,
+    /// restricts each site's certification to its span, and commits
     /// cross-span transactions through a vote round.
-    pub placement: Option<PlacementMap>,
+    pub replication_factor: Option<usize>,
 }
 
 impl ExperimentConfig {
@@ -116,7 +117,7 @@ impl ExperimentConfig {
             commit_path: CommitPath::Synchronous,
             cpu_speed: 1.0,
             wan_latency: None,
-            placement: None,
+            replication_factor: None,
         }
     }
 
@@ -156,32 +157,33 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the partial-replication placement map.
-    pub fn with_placement(mut self, placement: PlacementMap) -> Self {
-        self.placement = Some(placement);
+    /// Replicates each warehouse on `k` of the sites, round-robin. A `k`
+    /// of at least the site count is full replication, which runs the
+    /// classic unrestricted path.
+    pub fn with_replication_factor(mut self, k: usize) -> Self {
+        self.replication_factor = Some(k);
         self
     }
 
-    /// Convenience: replicates each warehouse on `k` of the configured
-    /// sites, round-robin. `k >= sites` clears the map —
-    /// that is full replication, which runs the classic unrestricted path
-    /// (set after [`ExperimentConfig::replicated`] fixes the site count).
-    pub fn with_replication_factor(mut self, k: usize) -> Self {
-        self.placement =
-            if k >= self.sites { None } else { Some(PlacementMap::new(self.sites, k)) };
-        self
+    /// The factor of a run that genuinely replicates partially: set,
+    /// nonzero, and below the site count.
+    pub(crate) fn partial_factor(&self) -> Option<usize> {
+        self.replication_factor.filter(|&k| k > 0 && k < self.sites)
     }
 
     /// Selects the sequencer announcement batching policy, materializing the
-    /// default GCS configuration if none was set explicitly.
+    /// default GCS configuration if none was set explicitly. Only the policy
+    /// is stored: the flags [`ExperimentConfig::gcs_config`] derives from
+    /// the faults and the commit path stay derived, whatever the call order.
     pub fn with_ann_policy(mut self, policy: AnnBatchPolicy) -> Self {
-        let mut gcs = self.gcs_config();
+        let mut gcs = self.gcs.take().unwrap_or_else(|| GcsConfig::lan(self.sites));
         gcs.ann_policy = policy;
         self.gcs = Some(gcs);
         self
     }
 
-    /// The effective GCS configuration.
+    /// The effective GCS configuration: `gcs`, or [`GcsConfig::lan`], with
+    /// the group size set to the site count.
     ///
     /// Plans containing a [`dbsm_fault::FaultSpec::Partition`] always run
     /// with **uniform (safe) delivery**, overriding
@@ -200,6 +202,7 @@ impl ExperimentConfig {
     /// ordering the primary component later re-made.
     pub fn gcs_config(&self) -> GcsConfig {
         let mut gcs = self.gcs.clone().unwrap_or_else(|| GcsConfig::lan(self.sites));
+        gcs.n_nodes = self.sites;
         if self.faults.has_partition() || self.faults.has_restart() {
             gcs.uniform_delivery = true;
         }
@@ -213,30 +216,26 @@ impl ExperimentConfig {
     }
 
     /// Checks the configuration: the fault plan against the site count,
-    /// the placement map (when set) against the site count, and the fault
-    /// plan against the placement via [`FaultPlan::validate_coverage`] —
-    /// only fault schedules leaving some instant with *zero live sites
-    /// cluster-wide* are rejected, since a span stranded by the loss of its
-    /// whole replica set now re-homes to an elected survivor instead of
-    /// becoming unroutable. Both commit paths combine with partial
-    /// replication: the pipelined path precomputes each site's wire vote at
-    /// tentative delivery so the vote round overlaps the ordering round.
+    /// the replication factor, and — under partial replication — the fault
+    /// plan via [`FaultPlan::validate_coverage`]: only fault schedules
+    /// leaving some instant with *zero live sites cluster-wide* are
+    /// rejected, since a span stranded by the loss of its whole replica set
+    /// re-homes to an elected survivor instead of becoming unroutable. Both
+    /// commit paths combine with partial replication: the pipelined path
+    /// precomputes each site's wire vote at tentative delivery so the vote
+    /// round overlaps the ordering round.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.faults.validate(self.sites)?;
-        let Some(placement) = &self.placement else { return Ok(()) };
-        placement.validate(self.sites)?;
-        if placement.is_full() {
-            return Ok(());
+        if self.replication_factor == Some(0) {
+            return Err(ConfigError::ZeroReplication);
         }
-        let warehouses = dbsm_tpcc::schema::warehouses_for_clients(self.clients);
-        let replica_sets: Vec<Vec<u16>> = (0..warehouses as u64)
-            .map(|w| placement.replicas(w).iter().map(|&s| s as u16).collect())
-            .collect();
-        self.faults.validate_coverage(self.sites, &replica_sets)?;
+        if self.partial_factor().is_some() {
+            self.faults.validate_coverage(self.sites)?;
+        }
         Ok(())
     }
 }
@@ -245,18 +244,20 @@ impl ExperimentConfig {
 /// [`ExperimentConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// The fault plan is malformed, or strands a placement span
-    /// ([`FaultPlan::validate_coverage`]).
+    /// The fault plan is malformed, or downs every site of a partially
+    /// replicated run at once ([`FaultPlan::validate_coverage`]).
     Fault(PlanError),
-    /// The placement map is malformed.
-    Placement(PlacementError),
+    /// The replication factor is zero: no site would store anything.
+    ZeroReplication,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::Fault(e) => write!(f, "{e}"),
-            ConfigError::Placement(e) => write!(f, "{e}"),
+            ConfigError::ZeroReplication => {
+                write!(f, "partial replication needs a replication factor of at least 1")
+            }
         }
     }
 }
@@ -266,12 +267,6 @@ impl std::error::Error for ConfigError {}
 impl From<PlanError> for ConfigError {
     fn from(e: PlanError) -> Self {
         ConfigError::Fault(e)
-    }
-}
-
-impl From<PlacementError> for ConfigError {
-    fn from(e: PlacementError) -> Self {
-        ConfigError::Placement(e)
     }
 }
 
@@ -424,6 +419,10 @@ mod tests {
         assert_eq!(r.sites, 6);
         assert_eq!(r.cpus_per_site, 1);
         assert_eq!(r.gcs_config().n_nodes, 6);
+        // A user-set GCS config sized for another site count is resized.
+        let mut r = r;
+        r.gcs = Some(GcsConfig::lan(3));
+        assert_eq!(r.gcs_config().n_nodes, 6);
     }
 
     #[test]
@@ -446,6 +445,39 @@ mod tests {
         let c = c.with_ann_policy(AnnBatchPolicy::adaptive_lan());
         assert_eq!(c.gcs_config().ann_policy, AnnBatchPolicy::adaptive_lan());
         assert_eq!(c.gcs_config().n_nodes, 3, "materialized config keeps the site count");
+    }
+
+    #[test]
+    fn ann_policy_leaves_the_derived_flags_derived_in_either_order() {
+        use dbsm_sim::SimTime;
+        let split = || {
+            FaultPlan::partition(
+                vec![vec![0, 1], vec![2]],
+                SimTime::from_secs(5),
+                SimTime::from_secs(6),
+            )
+        };
+        let policy = AnnBatchPolicy::adaptive_lan();
+        let base = || ExperimentConfig::replicated(3, 30);
+        // Uniform delivery follows the faults in force, not those at the call.
+        let before = base().with_faults(split()).with_ann_policy(policy);
+        let after = base().with_ann_policy(policy).with_faults(split());
+        for c in [&before, &after] {
+            assert!(c.gcs_config().uniform_delivery);
+            assert_eq!(c.gcs_config().ann_policy, policy);
+        }
+        let healed = before.with_faults(FaultPlan::none());
+        assert!(!healed.gcs_config().uniform_delivery, "dropping the partition drops uniform");
+        assert!(!after.with_faults(FaultPlan::none()).gcs_config().uniform_delivery);
+        // Tentative delivery follows the commit path the same way.
+        let before = base().with_commit_path(CommitPath::Pipelined).with_ann_policy(policy);
+        let after = base().with_ann_policy(policy).with_commit_path(CommitPath::Pipelined);
+        for c in [&before, &after] {
+            assert!(c.gcs_config().tentative_delivery);
+        }
+        let sync = before.with_commit_path(CommitPath::Synchronous);
+        assert!(!sync.gcs_config().tentative_delivery, "the synchronous path needs none");
+        assert!(!after.with_commit_path(CommitPath::Synchronous).gcs_config().tentative_delivery);
     }
 
     #[test]
@@ -507,14 +539,25 @@ mod tests {
 
     #[test]
     fn replication_factor_builder_materializes_a_placement() {
+        use crate::replica::Partial;
         let c = ExperimentConfig::replicated(6, 60).with_replication_factor(2);
-        let p = c.placement.expect("partial placement set");
-        assert_eq!((p.sites, p.replication_factor), (6, 2));
-        assert!(!p.is_full());
+        assert_eq!((c.replication_factor, c.partial_factor()), (Some(2), Some(2)));
+        assert!(Partial::for_run(&c).is_some(), "a k-of-N run builds its ring");
         assert!(c.validate().is_ok());
         // k >= sites degenerates to the classic full-replication path.
-        assert!(ExperimentConfig::replicated(6, 60).with_replication_factor(6).placement.is_none());
-        assert!(ExperimentConfig::replicated(6, 60).with_replication_factor(9).placement.is_none());
+        for k in [6, 9] {
+            let full = ExperimentConfig::replicated(6, 60).with_replication_factor(k);
+            assert_eq!(full.partial_factor(), None);
+            assert!(Partial::for_run(&full).is_none() && full.validate().is_ok());
+        }
+        // The ring spans the run's own site count, whenever that is set.
+        let mut grown = ExperimentConfig::replicated(3, 60).with_replication_factor(2);
+        grown.sites = 6;
+        assert!(grown.validate().is_ok());
+        assert!(Partial::for_run(&grown).is_some());
+        let mut shrunk = ExperimentConfig::replicated(6, 60).with_replication_factor(2);
+        shrunk.sites = 2;
+        assert!(Partial::for_run(&shrunk).is_none(), "rf 2 of 2 sites is full replication");
     }
 
     #[test]
@@ -527,7 +570,7 @@ mod tests {
         assert!(c.validate().is_ok());
         // A full map on the pipelined path stays legal too.
         let full = ExperimentConfig::replicated(6, 60)
-            .with_placement(PlacementMap::new(6, 6))
+            .with_replication_factor(6)
             .with_commit_path(CommitPath::Pipelined);
         assert!(full.validate().is_ok());
     }
@@ -558,12 +601,10 @@ mod tests {
         assert!(err.to_string().contains("zero live replicas"), "{err}");
         // Full replication shrugs off the stranding partition.
         assert!(ExperimentConfig::replicated(6, 60).with_faults(plan).validate().is_ok());
-        // And a mismatched map is caught before the fault cross-check.
-        let c = ExperimentConfig::replicated(6, 60).with_placement(PlacementMap::new(3, 2));
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::Placement(PlacementError::MismatchedSites { .. }))
-        ));
+        // And a zero factor is caught, with or without faults.
+        let zero = ExperimentConfig::replicated(6, 60).with_replication_factor(0);
+        assert_eq!(zero.validate(), Err(ConfigError::ZeroReplication));
+        assert!(ConfigError::ZeroReplication.to_string().contains("at least 1"));
     }
 
     #[test]

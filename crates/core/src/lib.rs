@@ -41,4 +41,4 @@ pub use metrics::{
     AnnWorkTotals, CertWorkTotals, ClassStats, FaultWorkTotals, ReplacementWorkTotals, RunMetrics,
     SiteUsage, VoteWireTotals,
 };
-pub use placement::{PlacementError, PlacementMap};
+pub use placement::PlacementMap;

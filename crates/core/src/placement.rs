@@ -12,43 +12,6 @@
 //! survivor after its replica set died is an overlay on it, and
 //! [`Ownership::owns`](crate::replica::Ownership::owns) is the one rule
 //! that combines the two.
-//!
-//! The map is validated like a [`FaultPlan`](dbsm_fault::FaultPlan):
-//! construct freely, [`PlacementMap::validate`] before running.
-
-use std::fmt;
-
-/// Why a [`PlacementMap`] was rejected by [`PlacementMap::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementError {
-    /// The map was built for zero sites.
-    NoSites,
-    /// The replication factor is zero: no site would store anything.
-    ZeroReplication,
-    /// The map's site count differs from the experiment's.
-    MismatchedSites {
-        /// Sites the map was built for.
-        map: usize,
-        /// Sites the experiment runs.
-        experiment: usize,
-    },
-}
-
-impl fmt::Display for PlacementError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlacementError::NoSites => write!(f, "placement needs at least one site"),
-            PlacementError::ZeroReplication => {
-                write!(f, "placement needs a replication factor of at least 1")
-            }
-            PlacementError::MismatchedSites { map, experiment } => {
-                write!(f, "placement built for {map} sites but the experiment runs {experiment}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlacementError {}
 
 /// Deterministic warehouse → replica-set assignment: each warehouse
 /// (0-based span key, as produced by
@@ -136,24 +99,6 @@ impl PlacementMap {
             .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
             .map(|(_, site)| site)
     }
-
-    /// Checks the map against an experiment with `sites` replicas.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`PlacementError`] found.
-    pub fn validate(&self, sites: usize) -> Result<(), PlacementError> {
-        if self.sites == 0 {
-            return Err(PlacementError::NoSites);
-        }
-        if self.replication_factor == 0 {
-            return Err(PlacementError::ZeroReplication);
-        }
-        if self.sites != sites {
-            return Err(PlacementError::MismatchedSites { map: self.sites, experiment: sites });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -196,20 +141,6 @@ mod tests {
         assert!(!PlacementMap::new(3, 2).is_full());
         assert_eq!(PlacementMap::new(3, 9).replicas(5).len(), 3);
         assert_eq!(PlacementMap::new(1, 1).replicas(7), vec![0]);
-    }
-
-    #[test]
-    fn validate_rejects_malformed_maps() {
-        assert_eq!(PlacementMap::new(0, 1).validate(0), Err(PlacementError::NoSites));
-        assert_eq!(PlacementMap::new(3, 0).validate(3), Err(PlacementError::ZeroReplication));
-        assert_eq!(
-            PlacementMap::new(3, 2).validate(6),
-            Err(PlacementError::MismatchedSites { map: 3, experiment: 6 })
-        );
-        assert_eq!(PlacementMap::new(3, 2).validate(3), Ok(()));
-        assert!(PlacementError::MismatchedSites { map: 3, experiment: 6 }
-            .to_string()
-            .contains("3 sites"));
     }
 
     #[test]

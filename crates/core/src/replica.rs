@@ -875,12 +875,13 @@ pub(crate) struct Partial {
 
 impl Partial {
     /// The partial-replication state of a run of `cfg`, if it partially
-    /// replicates: a non-degenerate placement map on a multi-site run. Each
-    /// site's span certifier indexes only the warehouses the map assigns
-    /// it — the span key is the TPC-C home warehouse, with warehouse-less
-    /// tuples (the shared item catalogue, history) global to every site.
+    /// replicates: a replication factor below the site count, placed on the
+    /// ring of `cfg.sites` replicas. Each site's span certifier indexes only
+    /// the warehouses the map assigns it — the span key is the TPC-C home
+    /// warehouse, with warehouse-less tuples (the shared item catalogue,
+    /// history) global to every site.
     pub(crate) fn for_run(cfg: &ExperimentConfig) -> Option<Self> {
-        let map = cfg.placement.filter(|p| !p.is_full() && cfg.sites > 1)?;
+        let map = PlacementMap::new(cfg.sites, cfg.partial_factor()?);
         let warehouses = dbsm_tpcc::schema::warehouses_for_clients(cfg.clients);
         Some(Partial {
             ownership: Ownership { map, warehouses, rehomed: BTreeMap::new() },

@@ -501,9 +501,6 @@ pub fn sim_rig_run(cfg: RigConfig) -> LatencySplit {
     // scales simulated processing, so speed = 1/scale shrinks demands.
     xc.think_mean = Duration::from_secs_f64(xc.think_mean.as_secs_f64() * cfg.think_scale);
     xc.storage.latency = Duration::from_secs_f64(1650e-6 * cfg.cpu_scale.max(0.01));
-    let mut gcs = dbsm_gcs::GcsConfig::lan(1);
-    gcs.n_nodes = 1;
-    xc.gcs = Some(gcs);
     // The rig has no certification; switch read validation off for parity.
     xc.certify_read_only = false;
     // Scale per-transaction CPU by running the CPUs faster.

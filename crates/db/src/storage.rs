@@ -57,7 +57,6 @@ struct Inner {
     busy_ns: u64,
     completed_sectors: u64,
     rng: SmallRng,
-    queue_peak: usize,
 }
 
 /// A simulated storage device attached to one site.
@@ -86,7 +85,6 @@ impl Storage {
                 busy_ns: 0,
                 completed_sectors: 0,
                 rng: SmallRng::seed_from_u64(seed),
-                queue_peak: 0,
             })),
         }
     }
@@ -125,8 +123,6 @@ impl Storage {
             inner.next_req += 1;
             inner.requests.insert(id, Request { remaining: sectors, on_done });
             inner.issue_queue.push_back((id, sectors));
-            let ql = inner.requests.len();
-            inner.queue_peak = inner.queue_peak.max(ql);
         }
         self.pump();
     }
@@ -190,11 +186,6 @@ impl Storage {
     /// Total sectors served by the device.
     pub fn completed_sectors(&self) -> u64 {
         self.inner.borrow().completed_sectors
-    }
-
-    /// Deepest request queue observed.
-    pub fn queue_peak(&self) -> usize {
-        self.inner.borrow().queue_peak
     }
 
     /// The configuration in force.

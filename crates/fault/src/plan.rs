@@ -200,11 +200,11 @@ pub enum PlanError {
     },
     /// `DuplicateDelivery::max_copies` is zero.
     ZeroCopies,
-    /// Under a partial-replication placement, the plan has every site down
-    /// at once, so no survivor can adopt the named span (warehouse).
-    CrashUncoveredSpan {
-        /// The stranded span (warehouse index).
-        span: u64,
+    /// Under partial replication, the plan has every site down at once, so
+    /// no survivor is left to adopt a stranded span.
+    AllSitesDown {
+        /// The crash instant that takes down the last live site.
+        at: SimTime,
     },
     /// A restart of a site the plan never crashes or halts: there is
     /// nothing to recover.
@@ -249,8 +249,8 @@ impl fmt::Display for PlanError {
             }
             PlanError::NotPositive { what } => write!(f, "{what} must be positive"),
             PlanError::ZeroCopies => write!(f, "duplicate delivery needs max_copies >= 1"),
-            PlanError::CrashUncoveredSpan { span } => {
-                write!(f, "crashes leave warehouse span {span} with zero live replicas")
+            PlanError::AllSitesDown { at } => {
+                write!(f, "crashes leave zero live replicas at {at}")
             }
             PlanError::RestartWithoutCrash { site } => {
                 write!(f, "restart of site {site} which the plan never crashes or halts")
@@ -679,19 +679,18 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Checks the plan against a partial-replication placement:
-    /// `replica_sets[span]` lists the sites replicating warehouse `span`.
-    /// Rejects only plans whose faults would leave some span with zero
-    /// *surviving sites cluster-wide* — truly unservable, because there is
-    /// nobody left to re-home the span to. A plan that merely strands a
-    /// span's own replica set is legal: the surviving sites detect the
-    /// stranding at the view change and re-place the span onto an elected
-    /// survivor (rendezvous hash + state transfer), so every transaction
-    /// homed there becomes routable again after the transfer.
+    /// Checks the plan for a partially replicated run of `sites` replicas:
+    /// rejects only plans that leave *zero surviving sites cluster-wide* —
+    /// truly unservable, because there is nobody left to re-home a span to.
+    /// A plan that merely strands a span's own replica set is legal: the
+    /// surviving sites detect the stranding at the view change and re-place
+    /// the span onto an elected survivor (rendezvous hash + state
+    /// transfer), so every transaction homed there becomes routable again
+    /// after the transfer.
     ///
     /// * Crashes that take down *every* site at some instant are rejected
-    ///   ([`PlanError::CrashUncoveredSpan`] naming the first replicated
-    ///   span) — no survivor exists to adopt anything.
+    ///   ([`PlanError::AllSitesDown`] naming that instant) — no survivor
+    ///   exists to adopt anything.
     /// * Partitions never reject here: a primary component can always adopt
     ///   stranded spans, and plans with no majority group halt the whole
     ///   system — a legitimate total-outage scenario.
@@ -701,22 +700,16 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`PlanError::CrashUncoveredSpan`] when some crash instant
-    /// leaves zero live sites while spans are replicated.
-    pub fn validate_coverage(
-        &self,
-        sites: usize,
-        replica_sets: &[Vec<u16>],
-    ) -> Result<(), PlanError> {
+    /// Returns [`PlanError::AllSitesDown`] for the first crash instant (in
+    /// plan order) that leaves zero live sites.
+    pub fn validate_coverage(&self, sites: usize) -> Result<(), PlanError> {
         let crash_instants = self.specs.iter().filter_map(|s| match s {
             FaultSpec::Crash { at, .. } => Some(*at),
             _ => None,
         });
-        for t in crash_instants {
-            if sites > 0 && (0..sites as u16).all(|s| self.down_at(s, t)) {
-                if let Some(span) = replica_sets.iter().position(|r| !r.is_empty()) {
-                    return Err(PlanError::CrashUncoveredSpan { span: span as u64 });
-                }
+        for at in crash_instants {
+            if sites > 0 && (0..sites as u16).all(|s| self.down_at(s, at)) {
+                return Err(PlanError::AllSitesDown { at });
             }
         }
         Ok(())
@@ -1040,17 +1033,16 @@ mod tests {
 
     #[test]
     fn coverage_accepts_crashes_healed_by_restarts() {
-        // Both replicas of span 1 crash, but never simultaneously: site 0
-        // is restarted before site 2 goes down.
+        // Sites 0 and 2 both crash, but never simultaneously: site 0 is
+        // restarted before site 2 goes down.
         let plan = FaultPlan::crash_restart(0, SimTime::from_secs(1), SimTime::from_secs(5))
             .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(10) });
-        let replicas = vec![vec![0, 1], vec![0, 2]];
-        assert_eq!(plan.validate_coverage(3, &replicas), Ok(()));
+        assert_eq!(plan.validate_coverage(3), Ok(()));
         // Restarted too late: both are down together at t=10 — but site 1
-        // survives to adopt the span, so the plan is still accepted.
+        // survives to adopt their spans, so the plan is still accepted.
         let late = FaultPlan::crash_restart(0, SimTime::from_secs(1), SimTime::from_secs(20))
             .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(10) });
-        assert_eq!(late.validate_coverage(3, &replicas), Ok(()));
+        assert_eq!(late.validate_coverage(3), Ok(()));
         // The rolling kill-and-replace plan keeps every span covered.
         let rolling = FaultPlan::kill_and_replace(
             3,
@@ -1058,23 +1050,22 @@ mod tests {
             Duration::from_secs(30),
             Duration::from_secs(5),
         );
-        assert_eq!(rolling.validate_coverage(3, &replicas), Ok(()));
+        assert_eq!(rolling.validate_coverage(3), Ok(()));
     }
 
     #[test]
     fn relaxed_coverage_rejects_only_total_outages() {
-        let replicas = vec![vec![0, 1], vec![0, 2]];
         // Every site down at t=3: nobody left to re-home anything.
         let outage = FaultPlan::crash(0, SimTime::from_secs(1))
             .with(FaultSpec::Crash { site: 1, at: SimTime::from_secs(2) })
             .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(3) });
         assert_eq!(
-            outage.validate_coverage(3, &replicas),
-            Err(PlanError::CrashUncoveredSpan { span: 0 })
+            outage.validate_coverage(3),
+            Err(PlanError::AllSitesDown { at: SimTime::from_secs(3) })
         );
         // A restart breaking the simultaneity makes it legal again.
         let healed = outage.clone().with(FaultSpec::Restart { site: 0, at: SimTime::from_secs(2) });
-        assert_eq!(healed.validate_coverage(3, &replicas), Ok(()));
+        assert_eq!(healed.validate_coverage(3), Ok(()));
         // Stranding partitions are always legal relaxed: the primary
         // component adopts the span.
         let strand = FaultPlan::partition(
@@ -1082,10 +1073,9 @@ mod tests {
             SimTime::from_secs(5),
             SimTime::from_secs(8),
         );
-        let minority_only = vec![vec![0, 1], vec![3, 4]];
-        assert_eq!(strand.validate_coverage(5, &minority_only), Ok(()));
-        // An empty placement never strands even under total outage.
-        assert_eq!(outage.validate_coverage(3, &[]), Ok(()));
+        assert_eq!(strand.validate_coverage(5), Ok(()));
+        // Sites the plan never crashes keep the run alive.
+        assert_eq!(outage.validate_coverage(4), Ok(()));
     }
 
     #[test]
@@ -1107,8 +1097,8 @@ mod tests {
         assert!(e.to_string().contains("site 3"));
         let e = PlanError::BadProbability { what: "duplicate delivery", p: 2.0 };
         assert!(e.to_string().contains("duplicate delivery"));
-        let e = PlanError::CrashUncoveredSpan { span: 2 };
-        assert!(e.to_string().contains("span 2"));
+        let e = PlanError::AllSitesDown { at: SimTime::from_secs(3) };
+        assert!(e.to_string().contains(&SimTime::from_secs(3).to_string()));
         let e = PlanError::RestartWithoutCrash { site: 4 };
         assert!(e.to_string().contains("site 4"));
         let e = PlanError::RestartNotAfterCrash { site: 1, at: SimTime::from_secs(3) };
@@ -1117,14 +1107,13 @@ mod tests {
 
     #[test]
     fn coverage_accepts_placements_alive_in_the_primary_component() {
-        // 5 sites, warehouses replicated on pairs; the majority group
-        // {0,1,2} holds a replica of every span.
+        // 5 sites split 3/2: the majority group {0,1,2} lives on, so a
+        // primary component can adopt every span.
         let plan = FaultPlan::partition(
             vec![vec![0, 1, 2], vec![3, 4]],
             SimTime::from_secs(5),
             SimTime::from_secs(8),
         );
-        let replicas = vec![vec![0, 3], vec![1, 4], vec![2, 3]];
-        assert_eq!(plan.validate_coverage(5, &replicas), Ok(()));
+        assert_eq!(plan.validate_coverage(5), Ok(()));
     }
 }

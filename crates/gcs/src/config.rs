@@ -1,6 +1,5 @@
 //! Configuration of the group-communication stack.
 
-use crate::types::NodeId;
 use std::time::Duration;
 
 /// The four CSRT calibration parameters (§4.1): "fixed and variable CPU
@@ -130,10 +129,10 @@ pub struct GcsConfig {
     pub total_buffer_frags: usize,
     /// Extra buffer share multiplier for the sequencer — the paper's
     /// "allocating a dedicated sequencer process" mitigation is modelled by
-    /// granting the sequencer role a larger share. 1.0 = fair share.
+    /// granting the sequencer role a larger share. 1.0 = fair share. The
+    /// role itself goes to the initial view's lowest-id member and stays
+    /// with its holder until that holder leaves the view.
     pub sequencer_share_boost: f64,
-    /// Fixed sequencer override; `None` picks the view's lowest-id member.
-    pub dedicated_sequencer: Option<NodeId>,
     /// Rate-based flow control during dissemination: bytes per second.
     pub send_rate_bytes_per_sec: f64,
     /// Token-bucket burst, in bytes.
@@ -169,7 +168,6 @@ impl GcsConfig {
             nak_retry: Duration::from_millis(30),
             total_buffer_frags: 1536,
             sequencer_share_boost: 1.0,
-            dedicated_sequencer: None,
             send_rate_bytes_per_sec: 8_000_000.0, // ~64 Mbit/s of goodput
             rate_burst_bytes: 64 * 1024,
             ann_policy: AnnBatchPolicy::Immediate,

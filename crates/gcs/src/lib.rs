@@ -240,17 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn dedicated_sequencer_is_honoured() {
-        let mut cfg = GcsConfig::lan(3);
-        cfg.dedicated_sequencer = Some(NodeId(2));
-        let mut net = TestNet::new(cfg);
-        assert_eq!(net.nodes[0].borrow().sequencer(), NodeId(2));
-        net.broadcast(NodeId(0), payload(1));
-        net.run_for(Duration::from_secs(1));
-        assert_eq!(net.deliveries(NodeId(1)).len(), 1);
-    }
-
-    #[test]
     fn metrics_count_traffic() {
         let mut net = TestNet::new(GcsConfig::lan(2));
         net.broadcast(NodeId(0), payload(1));

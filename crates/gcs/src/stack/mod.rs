@@ -220,9 +220,10 @@ impl Gcs {
         self.joining
     }
 
-    /// The node currently acting as sequencer. Sticky: the role moves only
+    /// The node currently acting as sequencer: the initial view's lowest
+    /// member, then sticky — the role moves, to the lowest survivor, only
     /// when its holder leaves the membership (a rejoined node never
-    /// reclaims it mid-view, even a rejoined dedicated sequencer — two
+    /// reclaims it mid-view, even the lowest-numbered one — two
     /// concurrently live sequencers would order divergently).
     pub fn sequencer(&self) -> NodeId {
         self.to.sequencer

@@ -33,18 +33,14 @@ pub(super) struct StoredMsg {
     last_frag: u64,
 }
 
-fn pick_sequencer(dedicated: Option<NodeId>, members: NodeSet) -> NodeId {
-    match dedicated {
-        Some(s) if members.contains(s) => s,
-        _ => members.min().expect("nonempty membership"),
-    }
+fn pick_sequencer(members: NodeSet) -> NodeId {
+    members.min().expect("nonempty membership")
 }
 
 #[derive(Debug)]
 pub(super) struct TotalOrder {
     me: NodeId,
     policy: AnnBatchPolicy,
-    dedicated: Option<NodeId>,
     uniform: bool,
     tentative: bool,
     /// Sticky sequencer: the role moves only when its holder leaves the
@@ -78,10 +74,9 @@ impl TotalOrder {
         TotalOrder {
             me,
             policy: cfg.ann_policy,
-            dedicated: cfg.dedicated_sequencer,
             uniform: cfg.uniform_delivery,
             tentative: cfg.tentative_delivery,
-            sequencer: pick_sequencer(cfg.dedicated_sequencer, members),
+            sequencer: pick_sequencer(members),
             by_gseq: BTreeMap::new(),
             assigned: BTreeSet::new(),
             store: BTreeMap::new(),
@@ -245,10 +240,10 @@ impl TotalOrder {
     /// global sequence numbers (identically at every survivor).
     /// Announcements never sent can be re-assigned from scratch (with a
     /// fresh flush timer: the old one belongs to the dropped batch). Sticky
-    /// sequencer: fail over only when the holder left. A still-member
-    /// dedicated sequencer is preferred on failover; a *rejoined* one does
-    /// not reclaim the role (it would race the incumbent across the
-    /// unsynchronized install instants).
+    /// sequencer: fail over, to the lowest member, only when the holder
+    /// left. A *rejoined* lower-numbered node does not reclaim the role (it
+    /// would race the incumbent across the unsynchronized install
+    /// instants).
     pub fn on_install(&mut self, rt: &mut dyn ProtocolRuntime, members: NodeSet, cut: &[u64]) {
         let (me, assigned, skipped) = (self.me, &mut self.assigned, &mut self.skipped);
         self.by_gseq.retain(|&g, aa| {
@@ -266,7 +261,7 @@ impl TotalOrder {
         self.cancel_flush(rt);
         self.assign_counter = self.max_applied + 1;
         if !members.contains(self.sequencer) {
-            self.sequencer = pick_sequencer(self.dedicated, members);
+            self.sequencer = pick_sequencer(members);
         }
     }
 
@@ -289,7 +284,8 @@ impl TotalOrder {
         self.max_applied = base.saturating_sub(1);
         self.assign_counter = base;
         self.skipped = skipped.into_iter().collect();
-        self.sequencer = pick_sequencer(Some(sequencer), members);
+        self.sequencer =
+            if members.contains(sequencer) { sequencer } else { pick_sequencer(members) };
     }
 }
 

@@ -68,12 +68,16 @@ fn vote_upcalls(ups: &[Upcall]) -> Vec<(NodeId, WireVote)> {
 /// Drives `g` (node 0 of 3) through a view change that removes node 2:
 /// suspect it via the failure detector, then complete the flush with
 /// node 1's ack.
-fn remove_node_2(rt: &mut MockRt, g: &mut Gcs) {
+/// Drops `gone` from `g`'s 3-node view: the third member stays heard, `g`
+/// suspects `gone`, coordinates the flush and installs the 2-node view.
+fn remove_node(rt: &mut MockRt, g: &mut Gcs, gone: NodeId) {
+    let other = (0..3).map(NodeId).find(|&n| n != g.me && n != gone).expect("3-node view");
     rt.now += 10 * g.cfg.failure_timeout.as_nanos() as u64;
-    g.peers[1].last_heard = rt.now;
+    g.peers[usize::from(other.0)].last_heard = rt.now;
     g.on_timer(rt, TimerKind::FailureCheck);
     assert!(matches!(g.phase, Phase::Flushing { .. }), "flush started");
-    g.on_packet(rt, pkt(1, Message::FlushAck { new_view: 1, received: g.received_vec() }));
+    let ack = Message::FlushAck { new_view: 1, received: g.received_vec() };
+    g.on_packet(rt, pkt(other.0, ack));
     assert!(matches!(g.phase, Phase::Stable), "view installed");
     assert_eq!(g.view().members.len(), 2);
 }
@@ -345,7 +349,7 @@ fn join_req_is_granted_at_an_order_clean_point() {
     let mut rt = MockRt::default();
     let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::from_millis(5)));
     g.on_start(&mut rt);
-    remove_node_2(&mut rt, &mut g);
+    remove_node(&mut rt, &mut g, NodeId(2));
     g.drain_upcalls();
 
     // Node 2 restarts and asks to rejoin; the group is idle, so the
@@ -380,7 +384,7 @@ fn grant_waits_until_the_order_is_clean() {
     let mut rt = MockRt::default();
     let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::from_millis(600)));
     g.on_start(&mut rt);
-    remove_node_2(&mut rt, &mut g);
+    remove_node(&mut rt, &mut g, NodeId(2));
     g.on_packet(&mut rt, app_fragment(NodeId(1), 1, b"txn"));
     assert!(!g.to.store.is_empty(), "undelivered message in the store");
 
@@ -407,7 +411,7 @@ fn repeated_join_req_resends_the_stored_grant() {
     let mut rt = MockRt::default();
     let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::from_millis(5)));
     g.on_start(&mut rt);
-    remove_node_2(&mut rt, &mut g);
+    remove_node(&mut rt, &mut g, NodeId(2));
     g.on_packet(&mut rt, pkt(2, Message::JoinReq));
     assert_eq!(g.view().id, 2);
     let grants = |rt: &MockRt| {
@@ -480,18 +484,16 @@ fn joiner_adopts_the_granted_baselines() {
 }
 
 #[test]
-fn rejoined_dedicated_sequencer_does_not_reclaim_the_role() {
-    let mut cfg = fixed_cfg(3, Duration::from_millis(5));
-    cfg.dedicated_sequencer = Some(NodeId(2));
+fn rejoined_lowest_member_does_not_reclaim_the_sequencer_role() {
     let mut rt = MockRt::default();
-    let mut g = Gcs::new(NodeId(0), cfg);
+    let mut g = Gcs::new(NodeId(1), fixed_cfg(3, Duration::from_millis(5)));
     g.on_start(&mut rt);
-    assert_eq!(g.sequencer(), NodeId(2), "dedicated sequencer honoured");
-    remove_node_2(&mut rt, &mut g);
-    assert_eq!(g.sequencer(), NodeId(0), "failover to the lowest member");
-    g.on_packet(&mut rt, pkt(2, Message::JoinReq));
+    assert_eq!(g.sequencer(), NodeId(0), "the lowest member starts as sequencer");
+    remove_node(&mut rt, &mut g, NodeId(0));
+    assert_eq!(g.sequencer(), NodeId(1), "failover to the lowest survivor");
+    g.on_packet(&mut rt, pkt(0, Message::JoinReq));
     assert_eq!(g.view().members.len(), 3);
-    assert_eq!(g.sequencer(), NodeId(0), "rejoiner does not reclaim mid-view");
+    assert_eq!(g.sequencer(), NodeId(1), "the rejoiner does not reclaim the role");
 }
 
 #[test]
@@ -653,7 +655,7 @@ fn view_change_drops_the_dead_receiver_from_vote_gc() {
     // Node 1 acks; node 2 crashes without acking.
     g.on_packet(&mut rt, pkt(1, Message::VoteAck { up_to: 1 }));
     assert_eq!(g.votes.outbox.len(), 1, "dead receiver still gates GC");
-    remove_node_2(&mut rt, &mut g);
+    remove_node(&mut rt, &mut g, NodeId(2));
     assert!(g.votes.outbox.is_empty(), "install re-evaluates GC against the new view");
 }
 

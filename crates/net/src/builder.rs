@@ -4,8 +4,8 @@ use crate::addr::HostId;
 use crate::network::{Network, SegmentConfig};
 use dbsm_sim::{Sim, Trace};
 
-/// Builds a [`Network`] topology: hosts attached to LAN segments and/or
-/// point-to-point WAN links.
+/// Builds a [`Network`] topology: LAN segments, each host attached to
+/// exactly one of them.
 ///
 /// # Examples
 ///
@@ -25,7 +25,7 @@ use dbsm_sim::{Sim, Trace};
 #[derive(Debug)]
 pub struct NetworkBuilder {
     sim: Sim,
-    segments: Vec<(SegmentConfig, Vec<HostId>, bool)>,
+    segments: Vec<(SegmentConfig, Vec<HostId>)>,
     n_hosts: usize,
     trace: Trace,
 }
@@ -53,7 +53,7 @@ impl NetworkBuilder {
 
     /// Adds a LAN segment.
     pub fn lan(&mut self, config: SegmentConfig) -> SegmentHandle {
-        self.segments.push((config, Vec::new(), false));
+        self.segments.push((config, Vec::new()));
         SegmentHandle(self.segments.len() - 1)
     }
 
@@ -63,27 +63,6 @@ impl NetworkBuilder {
         self.n_hosts += 1;
         self.segments[segment.0].1.push(id);
         id
-    }
-
-    /// Adds a host with no initial attachment (attach later with
-    /// [`attach`](NetworkBuilder::attach) or via [`p2p`](NetworkBuilder::p2p)).
-    pub fn isolated_host(&mut self) -> HostId {
-        let id = HostId(u16::try_from(self.n_hosts).expect("too many hosts"));
-        self.n_hosts += 1;
-        id
-    }
-
-    /// Attaches an existing host to an additional segment (multihoming).
-    pub fn attach(&mut self, host: HostId, segment: SegmentHandle) -> &mut Self {
-        self.segments[segment.0].1.push(host);
-        self
-    }
-
-    /// Adds a full-duplex point-to-point link between two existing hosts
-    /// (wide-area scenarios).
-    pub fn p2p(&mut self, a: HostId, b: HostId, config: SegmentConfig) -> SegmentHandle {
-        self.segments.push((config, vec![a, b], true));
-        SegmentHandle(self.segments.len() - 1)
     }
 
     /// Finalizes the topology.
@@ -102,11 +81,9 @@ mod tests {
         let mut b = NetworkBuilder::new(&sim);
         let lan1 = b.lan(SegmentConfig::fast_ethernet());
         let lan2 = b.lan(SegmentConfig::fast_ethernet());
-        let h0 = b.host(lan1);
-        let h1 = b.host(lan2);
-        let router = b.host(lan1);
-        b.attach(router, lan2);
-        b.p2p(h0, h1, SegmentConfig::wan(10_000_000.0, std::time::Duration::from_millis(20)));
+        assert_ne!(lan1, lan2);
+        let hosts = [b.host(lan1), b.host(lan2), b.host(lan1)];
+        assert_eq!(hosts.map(|h| h.0), [0, 1, 2], "host ids count across segments");
         let net = b.build();
         assert_eq!(net.n_hosts(), 3);
     }

@@ -16,7 +16,8 @@ pub enum DropCause {
     HostDown,
     /// Destination port has no bound socket.
     NoSocket,
-    /// No common segment between the two hosts.
+    /// The destination host does not exist, or sits on a segment other
+    /// than the sender's.
     NoRoute,
     /// Sender and receiver are in different partition segments (the
     /// partition fault splits the network until it heals).

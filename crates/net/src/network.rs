@@ -5,8 +5,8 @@
 //!
 //! ## Transmission model
 //!
-//! Each segment is a shared channel (classic Ethernet bus or a full-duplex
-//! point-to-point pair). A transmission occupies the channel for
+//! Each segment is one shared LAN channel, and each host sits on exactly
+//! one segment. A transmission occupies the channel for
 //! `wire_bytes × 8 / bandwidth`, transmissions queue FIFO (modelled by a
 //! `busy_until` watermark), and delivery happens one propagation latency
 //! after serialization completes. If the backlog behind the watermark
@@ -17,7 +17,9 @@
 //! separate per-receiver events would run in, as their sequence numbers
 //! would be consecutive: whatever a receiver schedules for the arrival
 //! instant runs after the last receiver. Loss and duplication draw per
-//! receiver, and each duplicate copy is an event of its own.
+//! receiver, and each duplicate copy is an event of its own. Multicast
+//! never leaves the sender's segment, and a unicast to a host on another
+//! segment is dropped as [`DropCause::NoRoute`].
 //! Frames above the MTU are dropped and counted: the
 //! paper found SSFNet did *not* enforce the Ethernet MTU for UDP and had to
 //! restrict packet sizes; we enforce it so misconfigured protocols fail
@@ -63,41 +65,17 @@ impl SegmentConfig {
         }
     }
 
-    /// A wide-area point-to-point link: configurable rate and delay, larger
-    /// buffer (routers buffer more than NICs).
-    pub fn wan(bandwidth_bps: f64, latency: Duration) -> Self {
-        SegmentConfig { bandwidth_bps, latency, mtu: 1500, tx_buffer: Duration::from_millis(100) }
-    }
-
     fn serialization(&self, bytes: usize) -> Duration {
         Duration::from_secs_f64(bytes as f64 * 8.0 / self.bandwidth_bps)
     }
 }
 
-/// Kind of segment: a shared multicast-capable LAN or a point-to-point link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum SegmentKind {
-    /// Shared bus: one channel, multicast delivers to all attached hosts.
-    Lan { members: Vec<HostId> },
-    /// Full-duplex pair: one channel per direction, no multicast.
-    P2p { a: HostId, b: HostId },
-}
-
+/// A shared LAN: one channel, and multicast delivers to the attached hosts.
 struct Segment {
     config: SegmentConfig,
-    kind: SegmentKind,
-    /// Channel watermark(s): LAN uses `busy[0]`; P2P uses one per direction
-    /// (index 0 = a→b, 1 = b→a).
-    busy_until: [SimTime; 2],
-}
-
-impl Segment {
-    fn channel_index(&self, from: HostId) -> usize {
-        match &self.kind {
-            SegmentKind::Lan { .. } => 0,
-            SegmentKind::P2p { a, .. } => usize::from(from != *a),
-        }
-    }
+    members: Vec<HostId>,
+    /// Channel watermark: transmissions queue FIFO behind it.
+    busy_until: SimTime,
 }
 
 type Handler = Rc<RefCell<dyn FnMut(Datagram)>>;
@@ -122,8 +100,8 @@ struct HostState {
     /// search beats hashing.
     sockets: Vec<(Port, Handler)>,
     groups: Vec<GroupId>,
-    /// Segments this host is attached to, in attachment order.
-    segments: Vec<usize>,
+    /// The one segment this host is attached to.
+    segment: usize,
 }
 
 struct NetState {
@@ -169,7 +147,7 @@ pub struct Network {
 impl Network {
     pub(crate) fn from_parts(
         sim: Sim,
-        segments: Vec<(SegmentConfig, Vec<HostId>, bool)>,
+        segments: Vec<(SegmentConfig, Vec<HostId>)>,
         n_hosts: usize,
         trace: Trace,
     ) -> Self {
@@ -180,21 +158,15 @@ impl Network {
                 dup: None,
                 sockets: Vec::new(),
                 groups: Vec::new(),
-                segments: Vec::new(),
+                segment: 0,
             })
             .collect();
         let mut segs = Vec::new();
-        for (idx, (config, members, p2p)) in segments.into_iter().enumerate() {
+        for (idx, (config, members)) in segments.into_iter().enumerate() {
             for h in &members {
-                hosts[h.0 as usize].segments.push(idx);
+                hosts[h.0 as usize].segment = idx;
             }
-            let kind = if p2p {
-                assert_eq!(members.len(), 2, "point-to-point link needs exactly two hosts");
-                SegmentKind::P2p { a: members[0], b: members[1] }
-            } else {
-                SegmentKind::Lan { members }
-            };
-            segs.push(Segment { config, kind, busy_until: [SimTime::ZERO; 2] });
+            segs.push(Segment { config, members, busy_until: SimTime::ZERO });
         }
         let state =
             NetState { segments: segs, hosts, stats: TrafficStats::new(n_hosts), partition: None };
@@ -347,22 +319,21 @@ impl Network {
             st.stats.on_drop(DropCause::HostDown);
             return;
         }
-        let seg_idx = match self.route(&st, from.host, &dest) {
-            Some(i) => i,
-            None => {
+        let seg_idx = st.hosts[from.host.0 as usize].segment;
+        if let Dest::Unicast(to) = dest {
+            if st.hosts.get(to.host.0 as usize).map(|h| h.segment) != Some(seg_idx) {
                 st.stats.on_drop(DropCause::NoRoute);
                 self.trace.record_with(now, TraceKind::PacketDropped, || {
                     format!("{from}->{dest:?}: no route")
                 });
                 return;
             }
-        };
+        }
         let seg = &st.segments[seg_idx];
         let mtu = seg.config.mtu;
-        let ch = seg.channel_index(from.host);
-        let backlog = seg.busy_until[ch].saturating_duration_since(now);
+        let backlog = seg.busy_until.saturating_duration_since(now);
         let tx_buffer = seg.config.tx_buffer;
-        let start = seg.busy_until[ch].max(now);
+        let start = seg.busy_until.max(now);
         let finish = start + seg.config.serialization(wire);
         let arrive = finish + seg.config.latency;
         if wire > mtu {
@@ -379,7 +350,7 @@ impl Network {
             });
             return;
         }
-        st.segments[seg_idx].busy_until[ch] = finish;
+        st.segments[seg_idx].busy_until = finish;
         st.stats.on_tx(from.host.0 as usize, wire);
         self.trace.record_with(now, TraceKind::PacketSent, || {
             format!("{from}->{dest:?} {wire}B arrive={arrive}")
@@ -394,16 +365,9 @@ impl Network {
                 });
             }
             Dest::Multicast(group, port) => {
-                let pair;
-                let members: &[HostId] = match &st.segments[seg_idx].kind {
-                    SegmentKind::Lan { members } => members,
-                    SegmentKind::P2p { a, b } => {
-                        pair = [*a, *b];
-                        &pair
-                    }
-                };
                 // Receivers are chosen now, at send time, in member order.
-                let mut receivers: Vec<HostId> = members
+                let mut receivers: Vec<HostId> = st.segments[seg_idx]
+                    .members
                     .iter()
                     .copied()
                     .filter(|&h| h != from.host && st.hosts[h.0 as usize].groups.contains(&group))
@@ -427,22 +391,6 @@ impl Network {
                     });
                 }
             }
-        }
-    }
-
-    /// Picks the segment shared by `from` and the destination.
-    fn route(&self, st: &NetState, from: HostId, dest: &Dest) -> Option<usize> {
-        let from_segs = &st.hosts[from.0 as usize].segments;
-        match dest {
-            Dest::Unicast(to) => {
-                let to_segs = &st.hosts.get(to.host.0 as usize)?.segments;
-                from_segs.iter().find(|s| to_segs.contains(s)).copied()
-            }
-            // Multicast goes out on the first LAN the sender is attached to.
-            Dest::Multicast(..) => from_segs
-                .iter()
-                .find(|s| matches!(st.segments[**s].kind, SegmentKind::Lan { .. }))
-                .copied(),
         }
     }
 

@@ -183,24 +183,6 @@ pub(crate) struct Bank {
     /// Completed-portion accounting (updated when work finishes or is preempted).
     busy_real_ns: u64,
     busy_sim_ns: u64,
-    /// Queue-length integral for average-queue-length reporting (§3.1 logs
-    /// "usage and length of queues for each resource").
-    qlen_last_change: SimTime,
-    qlen_integral: u128,
-    qlen_peak: usize,
-}
-
-impl Bank {
-    fn queue_len(&self) -> usize {
-        self.ready_real.len() + self.ready_sim.len()
-    }
-
-    fn note_queue_change(&mut self, now: SimTime, before: usize) {
-        let dt = now.saturating_duration_since(self.qlen_last_change);
-        self.qlen_integral += dt.as_nanos() * before as u128;
-        self.qlen_last_change = now;
-        self.qlen_peak = self.qlen_peak.max(self.queue_len());
-    }
 }
 
 /// A bank of `n` identical simulated CPUs with a shared two-level ready
@@ -244,9 +226,6 @@ impl CpuBank {
             mode,
             busy_real_ns: 0,
             busy_sim_ns: 0,
-            qlen_last_change: sim.now(),
-            qlen_integral: 0,
-            qlen_peak: 0,
         };
         CpuBank { sim: sim.clone(), state: Rc::new(RefCell::new(state)) }
     }
@@ -254,13 +233,7 @@ impl CpuBank {
     /// Submits a real (protocol-code) job. Real jobs run at the next point a
     /// CPU is available, preempting a simulated job if necessary.
     pub fn submit_real(&self, job: RealJob) {
-        {
-            let mut b = self.state.borrow_mut();
-            let before = b.queue_len();
-            b.ready_real.push_back(job);
-            let now = self.sim.now();
-            b.note_queue_change(now, before);
-        }
+        self.state.borrow_mut().ready_real.push_back(job);
         self.poke();
     }
 
@@ -277,10 +250,7 @@ impl CpuBank {
                 ProfilerMode::WallClock { scale } => 1.0 / scale,
             };
             let remaining = crate::time::scale_duration(duration, 1.0 / speed);
-            let before = b.queue_len();
             b.ready_sim.push_back(SimJob { remaining, on_complete: Box::new(on_complete) });
-            let now = self.sim.now();
-            b.note_queue_change(now, before);
         }
         self.poke();
     }
@@ -306,25 +276,6 @@ impl CpuBank {
             }
         }
         CpuUsage { busy_real: Duration::from_nanos(real), busy_sim: Duration::from_nanos(sim) }
-    }
-
-    /// Average ready-queue length since creation, time-weighted.
-    pub fn avg_queue_len(&self) -> f64 {
-        let b = self.state.borrow();
-        let now = self.sim.now();
-        let dt = now.saturating_duration_since(b.qlen_last_change);
-        let integral = b.qlen_integral + dt.as_nanos() * b.queue_len() as u128;
-        let total = now.as_nanos();
-        if total == 0 {
-            0.0
-        } else {
-            integral as f64 / total as f64
-        }
-    }
-
-    /// Peak ready-queue length observed.
-    pub fn peak_queue_len(&self) -> usize {
-        self.state.borrow().qlen_peak
     }
 
     /// Number of CPUs currently idle.
@@ -364,17 +315,9 @@ impl CpuBank {
                 let mut b = self.state.borrow_mut();
                 let idle = b.slots.iter().position(|s| s.running.is_none());
                 if let Some(i) = idle {
-                    if !b.ready_real.is_empty() {
-                        let now = self.sim.now();
-                        let before = b.queue_len();
-                        let j = b.ready_real.pop_front().expect("checked non-empty");
-                        b.note_queue_change(now, before);
+                    if let Some(j) = b.ready_real.pop_front() {
                         Step::StartReal(i, j)
-                    } else if !b.ready_sim.is_empty() {
-                        let now = self.sim.now();
-                        let before = b.queue_len();
-                        let j = b.ready_sim.pop_front().expect("checked non-empty");
-                        b.note_queue_change(now, before);
+                    } else if let Some(j) = b.ready_sim.pop_front() {
                         Step::StartSim(i, j)
                     } else {
                         Step::Done
@@ -418,9 +361,7 @@ impl CpuBank {
         let served = now.saturating_duration_since(running.started_at);
         job.remaining = job.remaining.saturating_sub(served);
         b.busy_sim_ns += served.as_nanos() as u64;
-        let before = b.queue_len();
         b.ready_sim.push_front(job);
-        b.note_queue_change(now, before);
         // poke() loop continues and will start the waiting real job here.
     }
 
@@ -700,19 +641,6 @@ mod tests {
         assert_eq!(cpu.usage().busy_sim, ms(4));
         sim.run();
         assert_eq!(cpu.usage().busy_sim, ms(10));
-    }
-
-    #[test]
-    fn queue_stats_track_waiting_jobs() {
-        let sim = Sim::new();
-        let cpu = CpuBank::new(&sim, 1, ProfilerMode::synthetic());
-        for _ in 0..3 {
-            cpu.submit_sim(ms(10), || {});
-        }
-        assert_eq!(cpu.peak_queue_len(), 2); // one runs, two wait
-        sim.run();
-        assert!(cpu.avg_queue_len() > 0.0);
-        assert_eq!(cpu.idle_cpus(), 1);
     }
 
     #[test]

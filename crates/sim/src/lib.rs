@@ -13,8 +13,8 @@
 //!   rules for scheduling events and reading the clock from inside real code;
 //! * profiling modes ([`ProfilerMode`]): deterministic synthetic costs or
 //!   wall-clock measurement with the paper's clock-stop semantics;
-//! * deterministic seed derivation ([`derive_seed`]), summary
-//!   statistics/quantile/Q-Q utilities ([`stats`]), and a bounded [`Trace`].
+//! * deterministic seed derivation ([`derive_seed`]), sample
+//!   mean/quantile/Q-Q utilities ([`stats`]), and a bounded [`Trace`].
 //!
 //! # Examples
 //!

@@ -1,103 +1,6 @@
-//! Small statistics toolkit used by the experiment harness: summary
-//! statistics, percentiles (Fig. 7 records its CDFs as fixed quantiles),
+//! Small statistics toolkit used by the experiment harness: a sample set
+//! with its mean, percentiles (Fig. 7 records its CDFs as fixed quantiles),
 //! and quantile-quantile pairs (Fig. 4).
-
-/// Running summary statistics (count, mean, variance via Welford, min/max).
-///
-/// # Examples
-///
-/// ```
-/// use dbsm_sim::stats::Summary;
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, v: f64) {
-        self.n += 1;
-        let delta = v - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A collection of samples supporting percentiles, CDF and Q-Q extraction.
 #[derive(Debug, Clone, Default)]
@@ -224,47 +127,6 @@ impl Extend<f64> for Samples {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_mean_and_variance() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.std_dev(), 2.0);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn summary_merge_matches_pooled() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut pooled = Summary::new();
-        for (i, v) in [1.0, 5.0, 2.0, 8.0, 3.0, 9.0].iter().enumerate() {
-            if i % 2 == 0 {
-                a.record(*v);
-            } else {
-                b.record(*v);
-            }
-            pooled.record(*v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), pooled.count());
-        assert!((a.mean() - pooled.mean()).abs() < 1e-12);
-        assert!((a.variance() - pooled.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_summary_is_sane() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
 
     #[test]
     fn quantiles_interpolate() {

@@ -707,3 +707,20 @@ fn partial_placement_rejoin_transfers_only_the_sites_spans() {
         f.recovery_work.snapshot_bytes
     );
 }
+
+#[test]
+fn a_gcs_config_sized_for_another_site_count_still_runs() {
+    // `cfg.gcs` carries its own group size; the run sizes the group to its
+    // sites. A 3-member config on 6 sites must not put node ids outside the
+    // group, and a 6-member config on 3 sites must not wait on three
+    // phantom members until every site halts for want of a majority.
+    use dbsm_testbed::gcs::GcsConfig;
+    for (sites, lan) in [(6usize, 3usize), (3, 6)] {
+        let mut cfg = ExperimentConfig::replicated(sites, 20 * sites).with_target(120);
+        cfg.gcs = Some(GcsConfig::lan(lan));
+        let m = run_experiment(cfg);
+        assert!(m.committed() > 80, "{sites} sites on lan({lan}): committed {}", m.committed());
+        assert!(m.crashed_sites.is_empty(), "no site halts");
+        check_logs(&m.commit_logs, &vec![false; sites]).expect("identical sequences");
+    }
+}
