@@ -9,11 +9,10 @@
 //! * [`LinearCertifier`] — the paper-faithful ordered-merge scan of every
 //!   concurrent write-set. Cost grows with the conflict window
 //!   (`history_scanned` × merge `comparisons`).
-//! * [`IndexedCertifier`] — a per-table hash index from row number to the
-//!   sequence numbers that wrote it, plus table-level wildcard and
-//!   any-writer interval lists, so certification probes only the request's
-//!   own keys. Cost is O(request) `probes`, independent of the window. This
-//!   is the default.
+//! * [`IndexedCertifier`] — a hash index from tuple id to the sequence
+//!   numbers that wrote it, plus per-table wildcard and any-writer interval
+//!   lists, so certification probes only the request's own keys. Cost is
+//!   O(request) `probes`, independent of the window. This is the default.
 //!
 //! The indexed backend is also partial replication's span-restricted
 //! certifier ([`IndexedCertifier::with_span`]). A property test
@@ -171,7 +170,7 @@ impl CertBackend for IndexedCertifier {
 pub enum CertBackendKind {
     /// The paper-faithful ordered-merge scan ([`LinearCertifier`]).
     Linear,
-    /// The per-table write-history index ([`IndexedCertifier`]) — the
+    /// The write-history index ([`IndexedCertifier`]) — the
     /// default: same decisions as the linear scan at O(request) cost.
     #[default]
     Indexed,
@@ -341,8 +340,8 @@ mod tests {
         assert_eq!(c.tables.len(), 2);
         c.gc(30);
         assert_eq!(c.history_len(), 2);
-        let t1 = c.tables.get(&TableId(1)).expect("table 1 live");
-        let total_row_seqs: usize = t1.rows.values().map(|v| v.len()).sum();
+        assert!(c.tables.contains_key(&TableId(1)), "table 1 live");
+        let total_row_seqs: usize = (1..=4).map(|r| c.rows.writers(id(1, r)).len()).sum();
         assert_eq!(total_row_seqs, 2, "only uncollected writers remain indexed");
         assert_eq!(c.tables.get(&TableId(2)).expect("table 2 live").wildcard.len(), 2);
         // Full collection drops the tables entirely.

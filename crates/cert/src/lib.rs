@@ -11,8 +11,8 @@
 //! Certification is pluggable behind the [`CertBackend`] trait:
 //! [`LinearCertifier`] is the paper-faithful ordered-merge scan (re-exported
 //! as [`Certifier`], its historical name), [`IndexedCertifier`] — the
-//! default — answers the same conflict check from a per-table write-history
-//! index in O(request) probes. Both produce bit-identical decisions; select
+//! default — answers the same conflict check from a write-history index in
+//! O(request) probes. Both produce bit-identical decisions; select
 //! one with [`CertBackendKind`].
 //!
 //! Partial replication's span-restricted certifier is the same

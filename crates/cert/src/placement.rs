@@ -1,6 +1,6 @@
-//! The indexed certifier: the DBSM conflict check (§3.3) answered from a
-//! per-table index of the write history, optionally restricted to the spans
-//! a partially replicating site stores.
+//! The indexed certifier: the DBSM conflict check (§3.3) answered from an
+//! index of the write history, optionally restricted to the spans a
+//! partially replicating site stores.
 //!
 //! Unrestricted, [`IndexedCertifier`] indexes every committed write and
 //! reaches the linear scan's decisions at O(request) probe cost. Under
@@ -10,6 +10,28 @@
 //! with [`merge_votes`](crate::merge_votes). The history window, sequence
 //! numbering, garbage collection and the speculative pipeline are the same
 //! either way.
+//!
+//! # Index layout
+//!
+//! Every list below holds *ascending* sequence numbers: commits arrive in
+//! total order, so insertion is a push to the back, and garbage collection
+//! — which retires the globally oldest history entry first — is a pop from
+//! the front. A conflict probe is then one `partition_point` for the first
+//! sequence number above the request's snapshot.
+//!
+//! * Row writers live in one keyed-only map from the raw [`TupleId`] to a
+//!   `u64`. Most rows inside the conflict window were written once, and
+//!   that lone writer's sequence number is the value itself; a second
+//!   concurrent writer moves the row into a slab list, and the value
+//!   becomes the tagged slot `1 << 63 | slot`. Drained lists go back to a
+//!   free list for the next multi-writer row.
+//! * Each table keeps its table-level (wildcard) writers and its any-writer
+//!   list, which a wildcard *read* probes.
+//! * The gc history is a flat `(seq, count)` deque over one deque of the
+//!   ids each commit filed here. A span-restricted certifier files only the
+//!   ids it indexes — all eviction needs — yet keeps one entry per commit,
+//!   so sequence numbers and history lengths stay in lockstep across sites.
+//!   No write-set is cloned or allocated per commit.
 //!
 //! # Speculative certification
 //!
@@ -45,20 +67,13 @@ use crate::request::CertRequest;
 use crate::rwset::RwSet;
 use crate::span::ShardKeyFn;
 use crate::tuple::{TableId, TupleId};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-/// Per-table slice of the write-history index.
-///
-/// All three containers hold *ascending* sequence numbers: commits arrive in
-/// total order, so insertion is a push to the back, and garbage collection —
-/// which retires the globally oldest history entry first — is a pop from the
-/// front. A conflict probe is then a single `partition_point` for the first
-/// sequence number above the request's snapshot.
+/// Per-table slice of the write-history index: its wildcard and
+/// any-writer lists. Row writers live in the certifier's [`RowIndex`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TableIndex {
-    /// Row number → sequence numbers of committed transactions that wrote it.
-    /// Only looked up by row, never iterated, so hash order cannot leak.
-    pub(crate) rows: FxHashMap<u64, RowSeqs>,
     /// Sequence numbers of table-level (wildcard) writes to this table.
     pub(crate) wildcard: VecDeque<u64>,
     /// Sequence numbers of *any* write touching this table (row or
@@ -67,8 +82,11 @@ pub(crate) struct TableIndex {
 }
 
 impl TableIndex {
+    /// True once every write to the table is evicted. The any-writer list
+    /// holds every sequence number a row or wildcard list of the table
+    /// holds, so the table's rows are gone too.
     fn is_empty(&self) -> bool {
-        self.rows.is_empty() && self.wildcard.is_empty() && self.any_writer.is_empty()
+        self.wildcard.is_empty() && self.any_writer.is_empty()
     }
 }
 
@@ -93,65 +111,96 @@ fn evict_front(seqs: &mut VecDeque<u64>, seq: u64) {
     }
 }
 
-/// The writers of one row, ascending. Most rows inside the conflict window
-/// were written once, and that one sequence number is stored inline; the
-/// deque is allocated only for a second concurrent writer.
-#[derive(Debug, Clone)]
-pub(crate) enum RowSeqs {
-    One(u64),
-    Many(VecDeque<u64>),
+/// Tag bit of a [`RowIndex`] value: set, the low bits name a slab list;
+/// clear, the value is the row's lone writer. Sequence numbers never reach
+/// it.
+const LIST: u64 = 1 << 63;
+
+/// The writers of every indexed row, ascending per row.
+///
+/// A row's value is its lone writer's sequence number, or `LIST | slot`
+/// once a second concurrent writer arrives; `lists[slot]` then holds the
+/// writers. A drained list keeps its buffer and waits on `free` for the
+/// next multi-writer row.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowIndex {
+    /// Raw tuple id → lone writer or tagged slot. Only looked up by key,
+    /// never iterated, so hash order cannot leak.
+    writers: FxHashMap<u64, u64>,
+    lists: Vec<VecDeque<u64>>,
+    free: Vec<usize>,
 }
 
-impl Default for RowSeqs {
-    /// The empty list (allocates nothing).
-    fn default() -> Self {
-        RowSeqs::Many(VecDeque::new())
-    }
-}
-
-impl RowSeqs {
-    /// Appends `seq`, which is above every sequence number present.
-    fn push_back(&mut self, seq: u64) {
-        match self {
-            RowSeqs::One(first) => *self = RowSeqs::Many(VecDeque::from([*first, seq])),
-            RowSeqs::Many(seqs) if seqs.is_empty() => *self = RowSeqs::One(seq),
-            RowSeqs::Many(seqs) => seqs.push_back(seq),
+impl RowIndex {
+    /// Appends `seq`, which is above every writer of `row` present.
+    fn push_back(&mut self, row: TupleId, seq: u64) {
+        debug_assert!(seq < LIST, "sequence number reaches the tag bit");
+        match self.writers.entry(row.as_raw()) {
+            Entry::Vacant(e) => {
+                e.insert(seq);
+            }
+            Entry::Occupied(e) if *e.get() & LIST != 0 => {
+                self.lists[(*e.get() & !LIST) as usize].push_back(seq);
+            }
+            Entry::Occupied(mut e) => {
+                let lone = *e.get();
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.lists[slot].extend([lone, seq]);
+                        slot
+                    }
+                    None => {
+                        self.lists.push(VecDeque::from([lone, seq]));
+                        self.lists.len() - 1
+                    }
+                };
+                e.insert(LIST | slot as u64);
+            }
         }
     }
 
-    /// [`first_above`] over this row's writers.
-    fn first_above(&self, start_seq: u64) -> Option<u64> {
-        match self {
-            RowSeqs::One(seq) => (*seq > start_seq).then_some(*seq),
-            RowSeqs::Many(seqs) => first_above(seqs, start_seq),
+    /// [`first_above`] over the writers of `row`.
+    fn first_above(&self, row: TupleId, start_seq: u64) -> Option<u64> {
+        let value = *self.writers.get(&row.as_raw())?;
+        if value & LIST == 0 {
+            (value > start_seq).then_some(value)
+        } else {
+            first_above(&self.lists[(value & !LIST) as usize], start_seq)
         }
     }
 
-    /// [`evict_front`] over this row's writers.
+    /// [`evict_front`] over the writers of `row`; a row left with none
+    /// leaves the map, and its list, if any, goes back to the free list.
     ///
     /// # Panics
     ///
     /// Panics with "eviction out of order", as [`evict_front`] does.
-    fn evict_front(&mut self, seq: u64) {
-        match self {
-            RowSeqs::One(first) => {
-                assert!(*first >= seq, "eviction out of order");
-                if *first == seq {
-                    *self = RowSeqs::default();
-                }
+    fn evict_front(&mut self, row: TupleId, seq: u64) {
+        let Some(&value) = self.writers.get(&row.as_raw()) else { return };
+        let drained = if value & LIST == 0 {
+            assert!(value >= seq, "eviction out of order");
+            value == seq
+        } else {
+            let slot = (value & !LIST) as usize;
+            evict_front(&mut self.lists[slot], seq);
+            let drained = self.lists[slot].is_empty();
+            if drained {
+                self.free.push(slot);
             }
-            RowSeqs::Many(seqs) => evict_front(seqs, seq),
+            drained
+        };
+        if drained {
+            self.writers.remove(&row.as_raw());
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            RowSeqs::One(_) => 1,
-            RowSeqs::Many(seqs) => seqs.len(),
+    /// The writers of `row`, ascending.
+    #[cfg(test)]
+    pub(crate) fn writers(&self, row: TupleId) -> Vec<u64> {
+        match self.writers.get(&row.as_raw()) {
+            None => Vec::new(),
+            Some(&value) if value & LIST == 0 => vec![value],
+            Some(&value) => self.lists[(value & !LIST) as usize].iter().copied().collect(),
         }
     }
 }
@@ -194,16 +243,17 @@ pub enum SpecResolution {
     Miss,
 }
 
-/// A certifier that answers the DBSM conflict check from a per-table index
-/// of the write history instead of scanning it.
+/// A certifier that answers the DBSM conflict check from an index of the
+/// write history instead of scanning it.
 ///
-/// For every read-set entry the probe is: the row's writer list (was this
+/// For every read-set entry the probe is: the row's writers (was this
 /// tuple overwritten concurrently?), the table's wildcard list (did a
 /// table-level write cover it?), and — for wildcard reads — the table's
-/// any-writer list. Each is a hash lookup plus one binary search, so the
-/// total cost is proportional to the *request*, not to the conflict window.
-/// The index is maintained incrementally: commits append, gc evicts exactly
-/// the entries of the history rows it retires.
+/// any-writer list. Each is a hash lookup plus at most one binary search,
+/// so the total cost is proportional to the *request*, not to the conflict
+/// window. The index is maintained incrementally: commits append, gc evicts
+/// exactly the ids the retired history entries filed. The module
+/// documentation describes the layout.
 ///
 /// A certifier built with [`IndexedCertifier::with_span`] indexes and
 /// probes only the tuples it [stores](IndexedCertifier::is_local). Drive it
@@ -212,14 +262,20 @@ pub enum SpecResolution {
 /// alone, which is only correct when they cover every span.
 #[derive(Debug, Clone)]
 pub struct IndexedCertifier {
-    /// The per-table probe structures, looked up by table and never
-    /// iterated, so hash order cannot leak.
+    /// The per-table wildcard and any-writer lists, looked up by table and
+    /// never iterated, so hash order cannot leak.
     pub(crate) tables: FxHashMap<TableId, TableIndex>,
+    /// The writers of every indexed row.
+    pub(crate) rows: RowIndex,
     /// The stored spans; `None` stores every tuple.
     span: Option<Span>,
-    /// Committed `(seq, write_set)` pairs, oldest first — retained only to
-    /// drive incremental index eviction on gc.
-    history: VecDeque<(u64, RwSet)>,
+    /// One `(seq, count)` entry per committed write-set, oldest first:
+    /// the commit under `seq` filed `count` ids. Retained only to drive
+    /// incremental index eviction on gc.
+    history: VecDeque<(u64, u32)>,
+    /// The ids the history entries filed — those they indexed here — in
+    /// history order.
+    filed: VecDeque<TupleId>,
     /// Next global sequence number to assign.
     next_seq: u64,
     /// All sequence numbers `<= low_water` have been garbage collected.
@@ -242,8 +298,10 @@ impl IndexedCertifier {
     pub fn new() -> Self {
         IndexedCertifier {
             tables: FxHashMap::default(),
+            rows: RowIndex::default(),
             span: None,
             history: VecDeque::new(),
+            filed: VecDeque::new(),
             next_seq: 1,
             low_water: 0,
             specs: FxHashMap::default(),
@@ -263,21 +321,28 @@ impl IndexedCertifier {
     /// A copy of this certifier's retained history, sequence counter and
     /// low-water mark, storing only the `owned` spans under `span_of`.
     ///
-    /// This is the receiving half of rejoin state transfer under partial
-    /// placement: the donor holds the full history, and the rejoiner only
-    /// wants the rows its spans own, so the transfer re-indexes every
-    /// retained write-set instead of shipping the donor's index verbatim.
-    /// Speculations are not carried over — they are bound to requests in
-    /// flight at the donor, which the rejoiner never saw.
+    /// This is the receiving half of rejoin state transfer and re-homing
+    /// under partial placement: the unrestricted donor holds the full
+    /// history, and the new replica only wants the rows its spans own, so
+    /// the transfer re-projects every retained history entry onto them
+    /// instead of shipping the donor's index verbatim. Speculations are not
+    /// carried over — they are bound to requests in flight at the donor,
+    /// which the new replica never saw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this certifier is itself span-restricted: it filed only
+    /// its own ids, so it cannot project onto other spans.
     pub fn restricted_to(&self, span_of: ShardKeyFn, owned: impl IntoIterator<Item = u64>) -> Self {
+        assert!(self.span.is_none(), "only an unrestricted certifier can be re-projected");
         let mut c = IndexedCertifier {
-            history: self.history.clone(),
             next_seq: self.next_seq,
             low_water: self.low_water,
             ..IndexedCertifier::with_span(span_of, owned)
         };
-        for (seq, writes) in &self.history {
-            c.index(*seq, writes);
+        let mut filed = self.filed.iter().copied();
+        for &(seq, count) in &self.history {
+            c.index(seq, filed.by_ref().take(count as usize));
         }
         c
     }
@@ -314,7 +379,8 @@ impl IndexedCertifier {
         self.next_seq - 1
     }
 
-    /// Number of write-sets retained.
+    /// Number of write-sets retained: one per commit with a non-empty
+    /// write-set above the low-water mark, whatever spans it touched.
     pub fn history_len(&self) -> usize {
         self.history.len()
     }
@@ -359,18 +425,19 @@ impl IndexedCertifier {
                 // with a concurrent table-level write.
                 probes += 2;
                 note(first_above(&table.wildcard, start_seq));
-                if let Some(rows) = table.rows.get(&id.row()) {
-                    note(rows.first_above(start_seq));
-                }
+                note(self.rows.first_above(id, start_seq));
             }
         }
         (earliest, CertWork { probes, ..CertWork::default() })
     }
 
-    /// Indexes the stored part of a write-set committed under `seq`
-    /// (sequence numbers arrive strictly increasing).
-    fn index(&mut self, seq: u64, writes: &RwSet) {
-        for &id in writes.ids() {
+    /// Indexes and files the stored part of a write-set committed under
+    /// `seq` (sequence numbers arrive strictly increasing, and `writes` in
+    /// sorted order), and appends its history entry — also when it filed
+    /// nothing here.
+    fn index(&mut self, seq: u64, writes: impl IntoIterator<Item = TupleId>) {
+        let mut count = 0;
+        for id in writes {
             if !self.is_local(id) {
                 continue;
             }
@@ -378,35 +445,35 @@ impl IndexedCertifier {
             if id.is_table_level() {
                 table.wildcard.push_back(seq);
             } else {
-                table.rows.entry(id.row()).or_default().push_back(seq);
+                self.rows.push_back(id, seq);
             }
             // One entry per (table, seq) pair: ids of the same table are
             // adjacent in the sorted write-set, so dedup against the back.
             if table.any_writer.back() != Some(&seq) {
                 table.any_writer.push_back(seq);
             }
+            self.filed.push_back(id);
+            count += 1;
         }
+        self.history.push_back((seq, count));
     }
 
-    /// Removes one retired history entry's contributions from the index
-    /// (entries retire oldest-first). Needs no span check: a list holds
-    /// `seq` only if [`IndexedCertifier::index`] stored it there, and
-    /// `seq` is the oldest entry of every list that does.
-    fn unindex(&mut self, seq: u64, writes: &RwSet) {
-        for &id in writes.ids() {
-            let Some(table) = self.tables.get_mut(&id.table()) else { continue };
-            if id.is_table_level() {
-                evict_front(&mut table.wildcard, seq);
-            } else if let Some(rows) = table.rows.get_mut(&id.row()) {
-                rows.evict_front(seq);
-                if rows.is_empty() {
-                    table.rows.remove(&id.row());
-                }
-            }
-            evict_front(&mut table.any_writer, seq);
-            if table.is_empty() {
-                self.tables.remove(&id.table());
-            }
+    /// Removes one filed id of a retired history entry from the index
+    /// (entries retire oldest-first, so `seq` is the oldest sequence number
+    /// of every list holding it). A row is evicted before its table is
+    /// looked up: an earlier id of the same entry may already have emptied
+    /// and dropped the table.
+    fn unindex(&mut self, seq: u64, id: TupleId) {
+        if !id.is_table_level() {
+            self.rows.evict_front(id, seq);
+        }
+        let Some(table) = self.tables.get_mut(&id.table()) else { return };
+        if id.is_table_level() {
+            evict_front(&mut table.wildcard, seq);
+        }
+        evict_front(&mut table.any_writer, seq);
+        if table.is_empty() {
+            self.tables.remove(&id.table());
         }
     }
 
@@ -416,8 +483,7 @@ impl IndexedCertifier {
         let seq = self.next_seq;
         self.next_seq += 1;
         if !req.write_set.is_empty() {
-            self.index(seq, &req.write_set);
-            self.history.push_back((seq, req.write_set.clone()));
+            self.index(seq, req.write_set.ids().iter().copied());
         }
         seq
     }
@@ -594,8 +660,11 @@ impl IndexedCertifier {
     /// number the history already retired.
     pub fn gc(&mut self, stable_seq: u64) {
         let stable_seq = stable_seq.min(self.last_committed());
-        while let Some((seq, writes)) = self.history.pop_front_if(|(seq, _)| *seq <= stable_seq) {
-            self.unindex(seq, &writes);
+        while let Some((seq, count)) = self.history.pop_front_if(|(seq, _)| *seq <= stable_seq) {
+            for _ in 0..count {
+                let id = self.filed.pop_front().expect("a history entry outlived its filed ids");
+                self.unindex(seq, id);
+            }
         }
         self.low_water = self.low_water.max(stable_seq);
         let low_water = self.low_water;
@@ -626,33 +695,95 @@ mod tests {
     }
 
     #[test]
-    fn row_seqs_match_a_plain_deque() {
-        // Grow through empty -> One -> Many and shrink back, probing every
-        // snapshot at every step against the list it replaces.
-        let mut rows = RowSeqs::default();
+    fn row_index_matches_a_plain_deque() {
+        // Walk one row lone -> list slot -> drained -> slot reused, probing
+        // every snapshot at every step against the list it replaces.
+        let (row, other) = (id(1, 7), id(2, 7));
+        let mut rows = RowIndex::default();
         let mut plain: VecDeque<u64> = VecDeque::new();
-        let check = |rows: &RowSeqs, plain: &VecDeque<u64>| {
-            assert_eq!(rows.len(), plain.len());
-            assert_eq!(rows.is_empty(), plain.is_empty());
-            for start in 0..12 {
-                assert_eq!(rows.first_above(start), first_above(plain, start), "start {start}");
+        let check = |rows: &RowIndex, plain: &VecDeque<u64>| {
+            assert_eq!(rows.writers(row), Vec::from(plain.clone()));
+            for start in 0..16 {
+                assert_eq!(rows.first_above(row, start), first_above(plain, start), "{start}");
             }
+            assert_eq!(rows.first_above(id(1, 8), 0), None, "an unwritten row has no writers");
         };
         check(&rows, &plain);
-        for seq in [3, 5, 9] {
-            rows.push_back(seq);
+        rows.push_back(row, 3);
+        plain.push_back(3);
+        check(&rows, &plain);
+        assert_eq!(rows.writers.get(&row.as_raw()), Some(&3), "a lone writer is stored inline");
+        assert!(rows.lists.is_empty(), "a lone writer allocates no list");
+        for seq in [5, 9] {
+            rows.push_back(row, seq);
             plain.push_back(seq);
             check(&rows, &plain);
         }
+        assert_eq!(rows.writers.get(&row.as_raw()), Some(&LIST), "second writer: slot 0");
         // gc walks the history oldest-first; a seq that never wrote the row
         // (4) evicts nothing.
         for seq in [3, 4, 5, 9] {
-            rows.evict_front(seq);
+            rows.evict_front(row, seq);
             evict_front(&mut plain, seq);
             check(&rows, &plain);
         }
-        rows.push_back(11);
-        assert!(matches!(rows, RowSeqs::One(11)), "a lone writer is stored inline");
+        assert!(rows.writers.is_empty(), "a drained row leaves the map");
+        assert_eq!(rows.free, [0], "its list waits on the free list");
+        // The next multi-writer row, of another table, reuses the slot.
+        rows.push_back(other, 11);
+        rows.push_back(other, 12);
+        assert_eq!(rows.writers.get(&other.as_raw()), Some(&LIST));
+        assert_eq!((rows.lists.len(), rows.free.len()), (1, 0));
+        assert_eq!(rows.writers(other), [11, 12]);
+        assert_eq!(rows.first_above(other, 11), Some(12));
+        assert_eq!(rows.first_above(row, 0), None, "the reused slot is not the old row's");
+    }
+
+    #[test]
+    #[should_panic(expected = "eviction out of order")]
+    fn row_index_rejects_out_of_order_eviction() {
+        let mut rows = RowIndex::default();
+        rows.push_back(id(1, 7), 3);
+        rows.evict_front(id(1, 7), 4);
+    }
+
+    #[test]
+    fn gc_evicts_every_row_of_a_table_its_entry_empties() {
+        // Seq 1 is table 1's only writer: evicting its first row empties
+        // and drops the table, and its second row must still be evicted.
+        let mut c = IndexedCertifier::new();
+        c.certify(&req(0, 1, 0, &[], &[id(1, 1), id(1, 2)])).expect("two rows"); // seq 1
+        c.gc(1);
+        assert!(c.tables.is_empty() && c.rows.writers.is_empty(), "nothing of seq 1 is left");
+        c.certify(&req(0, 2, 1, &[], &[id(1, 2)])).expect("rewrite"); // seq 2
+        c.gc(2);
+        assert!(c.rows.writers.is_empty());
+    }
+
+    #[test]
+    fn a_span_certifier_files_only_the_ids_it_owns() {
+        fn span_of(t: TupleId) -> Option<u64> {
+            (t.table().0 != 0).then_some(t.row() % 2)
+        }
+        let mut c = IndexedCertifier::with_span(span_of, [0]);
+        // Seq 1 writes an owned row, a foreign row and a span-less row;
+        // seq 2 writes only a foreign row.
+        c.certify(&req(0, 1, 0, &[], &[id(1, 2), id(1, 3), id(0, 5)])).expect("mixed");
+        c.certify(&req(0, 2, 1, &[], &[id(1, 5)])).expect("foreign");
+        assert_eq!(c.history, [(1, 2), (2, 0)], "one entry per commit, counting filed ids");
+        assert_eq!(c.filed, [id(0, 5), id(1, 2)], "only owned and span-less ids are filed");
+        assert_eq!(c.history_len(), 2);
+        c.gc(2);
+        assert!(c.filed.is_empty() && c.tables.is_empty() && c.rows.writers.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "only an unrestricted certifier")]
+    fn a_span_certifier_cannot_be_reprojected() {
+        fn span_of(t: TupleId) -> Option<u64> {
+            Some(t.row() % 2)
+        }
+        let _ = IndexedCertifier::with_span(span_of, [0]).restricted_to(span_of, [1]);
     }
 
     #[test]

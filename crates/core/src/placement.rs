@@ -20,8 +20,8 @@
 /// warehouse `w` starts at site `w % sites` and takes the next
 /// `replication_factor` sites on the ring — perfectly balanced for the
 /// uniform TPC-C warehouse population. A map with
-/// `replication_factor >= sites` degenerates to full replication
-/// ([`PlacementMap::is_full`]).
+/// `replication_factor >= sites` degenerates to full replication: every
+/// site owns every warehouse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementMap {
     /// Number of replicas in the experiment.
@@ -46,15 +46,8 @@ impl PlacementMap {
         PlacementMap { sites, replication_factor }
     }
 
-    /// True when every site stores every warehouse — the classic
-    /// full-replication configuration, which the cluster runs on the
-    /// unrestricted certification path.
-    pub fn is_full(&self) -> bool {
-        self.replication_factor >= self.sites
-    }
-
     /// The effective number of replicas per warehouse.
-    pub fn effective_factor(&self) -> usize {
+    fn effective_factor(&self) -> usize {
         self.replication_factor.min(self.sites)
     }
 
@@ -136,11 +129,20 @@ mod tests {
 
     #[test]
     fn full_replication_degenerates() {
-        assert!(PlacementMap::new(3, 3).is_full());
-        assert!(PlacementMap::new(3, 9).is_full());
-        assert!(!PlacementMap::new(3, 2).is_full());
-        assert_eq!(PlacementMap::new(3, 9).replicas(5).len(), 3);
-        assert_eq!(PlacementMap::new(1, 1).replicas(7), vec![0]);
+        // k >= N: every site owns every warehouse, and each replica run is
+        // the whole ring from the warehouse's primary.
+        for (sites, k) in [(3, 3), (3, 9), (1, 1)] {
+            let p = PlacementMap::new(sites, k);
+            for w in 0..12u64 {
+                assert!((0..sites).all(|s| p.owns(s, w)), "{sites} sites, k {k}, warehouse {w}");
+                let start = w as usize % sites;
+                let ring: Vec<usize> = (0..sites).map(|j| (start + j) % sites).collect();
+                assert_eq!(p.replicas(w), ring, "{sites} sites, k {k}, warehouse {w}");
+            }
+        }
+        // k < N is not full: some site misses each warehouse.
+        let p = PlacementMap::new(3, 2);
+        assert!((0..12u64).all(|w| (0..3).any(|s| !p.owns(s, w)) && p.replicas(w).len() == 2));
     }
 
     #[test]

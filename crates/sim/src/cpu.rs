@@ -278,11 +278,6 @@ impl CpuBank {
         CpuUsage { busy_real: Duration::from_nanos(real), busy_sim: Duration::from_nanos(sim) }
     }
 
-    /// Number of CPUs currently idle.
-    pub fn idle_cpus(&self) -> usize {
-        self.state.borrow().slots.iter().filter(|s| s.running.is_none()).count()
-    }
-
     /// Drops every queued job, and the continuation of every running
     /// simulated job, without running them; running jobs still complete,
     /// as no-ops. For tearing a model down with [`Sim::discard_pending`]:
@@ -681,9 +676,13 @@ mod tests {
         busy.discard_queued();
         running.discard_queued();
         assert_eq!(Rc::strong_count(&held), 1, "every job's captures are dropped");
-        // The running jobs still complete, and nothing runs after them.
+        // The running jobs still complete, and nothing runs after them: no
+        // completion is left pending, and each bank's one CPU was busy for
+        // exactly its running job.
         sim.run();
-        assert_eq!((busy.idle_cpus(), running.idle_cpus()), (1, 1));
-        assert_eq!(busy.usage().busy_sim + running.usage().busy_sim, ms(10));
+        assert_eq!(sim.pending(), 0, "no job is left to complete");
+        let (busy, running) = (busy.usage(), running.usage());
+        assert_eq!((busy.busy_real, busy.busy_sim), (ms(10), Duration::ZERO));
+        assert_eq!((running.busy_real, running.busy_sim), (Duration::ZERO, ms(10)));
     }
 }

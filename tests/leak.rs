@@ -1,11 +1,13 @@
-//! Leak regression: a dropped cluster frees its memory.
+//! Leak and footprint regression: a dropped cluster frees its memory, and
+//! a partial-replication run stays within its recorded heap peak.
 //!
-//! A counting global allocator tracks live heap bytes. Building, running
-//! and dropping a cluster must return the live total to within
-//! [`SLACK`] of where it stood before the build — nothing the run
-//! scheduled, queued or captured may outlive the last `Cluster` handle.
-//! The file holds a single test so that no concurrent test moves the
-//! count.
+//! A counting global allocator tracks live heap bytes and their high-water
+//! mark. Building, running and dropping a cluster must return the live
+//! total to within [`SLACK`] of where it stood before the build — nothing
+//! the run scheduled, queued or captured may outlive the last `Cluster`
+//! handle. The 6-site rf-2 partial run must also never hold more than
+//! [`PARTIAL_PEAK_BOUND`] live bytes above that starting point. The file
+//! holds a single test so that no concurrent test moves the count.
 
 use dbsm_testbed::core::{Cluster, CommitPath, ExperimentConfig, FaultPlan};
 use dbsm_testbed::sim::SimTime;
@@ -17,6 +19,13 @@ use std::time::Duration;
 struct Counting;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Adds `delta` to the live bytes and raises the high-water mark to match.
+fn grow(delta: isize) {
+    let live = LIVE.fetch_add(delta, Relaxed) + delta;
+    PEAK.fetch_max(live, Relaxed);
+}
 
 // SAFETY: every method forwards to `System` with its caller's arguments and
 // returns `System`'s result; the counter is bookkeeping only.
@@ -25,7 +34,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Relaxed);
+            grow(layout.size() as isize);
         }
         p
     }
@@ -34,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Relaxed);
+            grow(layout.size() as isize);
         }
         p
     }
@@ -51,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
         // upholds `realloc`'s contract for `new_size`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            LIVE.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+            grow(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -64,11 +73,18 @@ static GLOBAL: Counting = Counting;
 /// initialised runtime state, not the cluster's own.
 const SLACK: isize = 64 * 1024;
 
-/// Runs `body` and returns the live bytes it left behind.
-fn retained(body: impl FnOnce()) -> isize {
+/// Most live bytes the 6-site rf-2 partial run below may hold at once: its
+/// measured peak of 1 960 393 bytes plus 10 %. A change that keeps more
+/// state per commit or per site fails here.
+const PARTIAL_PEAK_BOUND: isize = 2_156_432;
+
+/// Runs `body` and returns the live bytes it left behind and the most it
+/// held at once, both counted from where the live total stood before.
+fn retained(body: impl FnOnce()) -> (isize, isize) {
     let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
     body();
-    LIVE.load(Relaxed) - before
+    (LIVE.load(Relaxed) - before, PEAK.load(Relaxed) - before)
 }
 
 #[test]
@@ -85,12 +101,14 @@ fn a_dropped_cluster_frees_its_memory() {
     partial.history_window = 1 << 17;
     partial.max_sim = Duration::from_secs(30);
 
-    let left = retained(|| assert!(Cluster::build(full).run().committed() > 0));
+    let (left, _) = retained(|| assert!(Cluster::build(full).run().committed() > 0));
     assert!(left <= SLACK, "3-site full replication: {left} bytes outlived the cluster");
 
-    let left = retained(|| assert_eq!(Cluster::build(partial).run().rejoins.len(), 1));
+    let (left, peak) = retained(|| assert_eq!(Cluster::build(partial).run().rejoins.len(), 1));
     assert!(left <= SLACK, "6-site rf-2 partial with a rejoin: {left} bytes outlived the cluster");
+    println!("leak check: 6-site rf-2 partial peak {peak} live bytes (bound {PARTIAL_PEAK_BOUND})");
+    assert!(peak <= PARTIAL_PEAK_BOUND, "6-site rf-2 partial: peak {peak} live bytes");
 
-    let left = retained(|| drop(Cluster::build(ExperimentConfig::replicated(3, 200))));
+    let (left, _) = retained(|| drop(Cluster::build(ExperimentConfig::replicated(3, 200))));
     assert!(left <= SLACK, "a cluster never run: {left} bytes outlived it");
 }

@@ -39,6 +39,19 @@ fn arb_rwset_with_wildcards(max: usize) -> impl Strategy<Value = RwSet> {
     prop::collection::vec(arb_tuple_id_or_wildcard(), 0..max).prop_map(RwSet::from_unsorted)
 }
 
+/// Like [`arb_rwset_with_wildcards`] over 4 tables of 24 rows, so that
+/// concurrent writers of one row are common.
+fn arb_dense_rwset(max: usize) -> impl Strategy<Value = RwSet> {
+    let id = (0u16..4, 1u64..25, 0u8..8).prop_map(|(t, r, roll)| {
+        if roll == 0 {
+            TupleId::table_level(TableId(t))
+        } else {
+            TupleId::new(TableId(t), r)
+        }
+    });
+    prop::collection::vec(id, 0..max).prop_map(RwSet::from_unsorted)
+}
+
 /// The span key of the partial-replication properties: table 0 rows and
 /// wildcards have no span (global, replicated everywhere); other rows span
 /// by `row % 8`.
@@ -453,6 +466,58 @@ proptest! {
             prop_assert_eq!(span.last_committed(), full.last_committed(),
                 "site {} sequence counter diverged", s);
         }
+    }
+
+    #[test]
+    fn reprojected_span_certifier_matches_one_that_followed_the_stream(
+        stream in prop::collection::vec(
+            (0u16..3, arb_dense_rwset(6), arb_dense_rwset(4), 0u64..6, 0u8..6),
+            1..96),
+        owned in prop::collection::btree_set(0u64..8, 1..4),
+        cut in 0usize..96,
+    ) {
+        // The rejoin and re-homing path: a span certifier rebuilt from the
+        // unrestricted certifier's history with `restricted_to` at any cut
+        // of a commit and gc stream is indistinguishable from one that
+        // followed the stream from the start — the same vote on every later
+        // request, and the same history length, low-water mark and sequence
+        // counter. Dense ids make rows collect several concurrent writers.
+        let mut full = IndexedCertifier::new();
+        let mut follower = IndexedCertifier::with_span(span8, owned.iter().copied());
+        let mut rebuilt: Option<IndexedCertifier> = None;
+        for (i, (site, reads, writes, back, gc_roll)) in stream.iter().enumerate() {
+            if i == cut {
+                rebuilt = Some(full.restricted_to(span8, owned.iter().copied()));
+            }
+            let start = full.last_committed().saturating_sub(*back);
+            let req = CertRequest {
+                site: SiteId(*site), txn: i as u64, start_seq: start,
+                read_set: reads.clone(), write_set: writes.clone(), write_bytes: 0,
+            };
+            let vote = follower.vote(&req).map(|(v, _)| v);
+            if let Some(r) = &rebuilt {
+                prop_assert_eq!(r.vote(&req).map(|(v, _)| v), vote, "vote diverged at {}", i);
+            }
+            if let Ok((outcome, _)) = full.certify(&req) {
+                follower.apply(&req, outcome);
+                if let Some(r) = rebuilt.as_mut() {
+                    r.apply(&req, outcome);
+                }
+            }
+            if *gc_roll == 0 {
+                let stable = full.last_committed().saturating_sub(*back);
+                full.gc(stable);
+                follower.gc(stable);
+                if let Some(r) = rebuilt.as_mut() {
+                    r.gc(stable);
+                }
+            }
+        }
+        let rebuilt = rebuilt.unwrap_or_else(|| full.restricted_to(span8, owned.iter().copied()));
+        prop_assert_eq!(rebuilt.history_len(), follower.history_len());
+        prop_assert_eq!(rebuilt.history_len(), full.history_len());
+        prop_assert_eq!(rebuilt.low_water(), follower.low_water());
+        prop_assert_eq!(rebuilt.last_committed(), follower.last_committed());
     }
 
 }
