@@ -14,7 +14,7 @@ fn main() -> ExitCode {
         .map_err(|e| e.to_string())
         .and_then(|text| parse_document::<PaperRow>(&text))
     {
-        Ok(doc) => doc.rows,
+        Ok(rows) => rows,
         Err(e) => {
             eprintln!("paper_report: {}: {e}", path.display());
             return ExitCode::FAILURE;

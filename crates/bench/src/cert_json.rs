@@ -6,17 +6,24 @@
 //! trajectory (throughput and the work ledger per backend, commit path and
 //! client count, [`CertBenchRow`]) and the paper's own evaluation grid
 //! (Fig. 5–7, Tables 1–2, [`PaperRow`]). The workspace is offline (no
-//! serde), so this module hand-writes the small, stable schema and ships a
-//! minimal validating parser that CI and the unit tests use to guarantee
-//! the artifacts stay well-formed JSON.
+//! serde), so this module hand-writes the small, stable schema.
 //!
-//! A document is one object, `{"group": "ablation_cert_backend",
+//! A document is one JSON object, `{"group": "ablation_cert_backend",
 //! "rows": [...]}`, with one row object per line. A row's keys are the
 //! fields of its row type, declared once in a `cert_bench_row!` table
 //! below: the struct, the writer, the typed reader, the merge key and
-//! [`Row::KEYS`] are all generated from it, in document order, and the
-//! reader requires every key. Everything else — rendering, parsing, merging,
-//! the path — is written once over [`Row`].
+//! [`Row::KEYS`] are all generated from it, in document order. Everything
+//! else — rendering, parsing, merging, the path — is written once over
+//! [`Row`].
+//!
+//! The writer is the grammar. [`parse_document`] is no general JSON parser:
+//! it reads exactly the layout [`rows_to_json`] writes — the fixed header
+//! and footer, one row per line, every key in table order, strings with no
+//! `"`, `\` or control character, 3-decimal floats, plain integers — and
+//! then requires that re-rendering what it read reproduces the input byte
+//! for byte, so any non-canonical byte is an error. Whatever the reader
+//! accepts is therefore well-formed JSON, and [`merge_and_write`] reads
+//! back the exact document it is about to write.
 //!
 //! Each table names its merge key (`keyed by`); rows sort by it. The
 //! `config_hash` fingerprints everything else a row's numbers depend on
@@ -36,33 +43,39 @@ use std::path::PathBuf;
 pub const SCHEMA_VERSION: u32 = 5;
 
 /// A column type of an artifact: how a row field of this type is written
-/// into, and read back out of, a JSON row object.
+/// into, and read back out of, a row line.
 trait Column: Sized {
     fn render(&self, out: &mut String);
-    fn read(row: &Json, key: &str) -> Result<Self, String>;
+    /// Reads a value as [`Column::render`] writes it; the caller's
+    /// re-render check rejects any other spelling the standard parsers
+    /// accept (`+1`, `1.5`, `inf`).
+    fn parse(text: &str) -> Result<Self, String>;
 }
 
 impl Column for String {
+    /// Quoted as is: the labels are identifiers, and one the reader cannot
+    /// take back fails [`merge_and_write`]'s self-check.
     fn render(&self, out: &mut String) {
-        out.push_str(&json_str(self));
+        let _ = write!(out, "\"{self}\"");
     }
-    fn read(row: &Json, key: &str) -> Result<Self, String> {
-        match row.field(key)? {
-            Json::Str(s) => Ok(s.clone()),
-            other => Err(format!("key \"{key}\" must be a string, got {other:?}")),
-        }
+    fn parse(text: &str) -> Result<Self, String> {
+        text.strip_prefix('"')
+            .and_then(|t| t.strip_suffix('"'))
+            .filter(|t| !t.contains(|c: char| c == '"' || c == '\\' || c.is_control()))
+            .map(str::to_string)
+            .ok_or_else(|| format!("must be a string without '\"', '\\' or controls, got {text}"))
     }
 }
 
 impl Column for f64 {
+    /// Three decimals, enough to round-trip the metrics; a non-finite
+    /// value (which JSON cannot carry) degrades to `0.000`.
     fn render(&self, out: &mut String) {
-        out.push_str(&json_num(*self));
+        let v = if self.is_finite() { *self } else { 0.0 };
+        let _ = write!(out, "{v:.3}");
     }
-    fn read(row: &Json, key: &str) -> Result<Self, String> {
-        match row.field(key)? {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!("key \"{key}\" must be a number, got {other:?}")),
-        }
+    fn parse(text: &str) -> Result<Self, String> {
+        text.parse().map_err(|_| format!("must be a number, got {text}"))
     }
 }
 
@@ -70,12 +83,8 @@ impl Column for u64 {
     fn render(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
-    fn read(row: &Json, key: &str) -> Result<Self, String> {
-        let n = f64::read(row, key)?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(format!("key \"{key}\" must be a non-negative integer, got {n}"));
-        }
-        Ok(n as u64)
+    fn parse(text: &str) -> Result<Self, String> {
+        text.parse().map_err(|_| format!("must be a non-negative integer, got {text}"))
     }
 }
 
@@ -83,8 +92,8 @@ impl Column for usize {
     fn render(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
-    fn read(row: &Json, key: &str) -> Result<Self, String> {
-        u64::read(row, key).map(|n| n as usize)
+    fn parse(text: &str) -> Result<Self, String> {
+        text.parse().map_err(|_| format!("must be a non-negative integer, got {text}"))
     }
 }
 
@@ -93,6 +102,8 @@ impl Column for usize {
 pub trait Row: Clone {
     /// The artifact's file name at the workspace root.
     const FILE: &'static str;
+    /// The document's `group` label.
+    const GROUP: &'static str;
     /// Every row key, in document order.
     const KEYS: &'static [&'static str];
     /// The merge key: one artifact row exists per key, and the document
@@ -106,22 +117,25 @@ pub trait Row: Clone {
     fn fingerprint(&self) -> &str;
     /// Appends the row as one JSON object, keys in table order.
     fn render(&self, out: &mut String);
-    /// Reads a row back; every key of the table is required.
+    /// Reads a row back from the text between its braces; every key of the
+    /// table is required, in table order. Text after the last key is left
+    /// to [`parse_document`]'s re-render check.
     ///
     /// # Errors
     ///
-    /// Names the first missing or mistyped key.
-    fn from_json(v: &Json) -> Result<Self, String>;
+    /// Names the first missing, misplaced or mistyped key.
+    fn parse(body: &str) -> Result<Self, String>;
 }
 
 /// A field table: each `/// doc` + `name: type` line is a struct field, a
 /// document key (same name, same position), a writer column and a required
-/// reader column; `keyed by` lists the fields that make up the merge key.
-/// Every table ends in a `config_hash: String` field.
+/// reader column; `as` names the document's group label and `keyed by`
+/// lists the fields that make up the merge key. Every table ends in a
+/// `config_hash: String` field.
 macro_rules! cert_bench_row {
     (
         $(#[$row_doc:meta])*
-        $Row:ident in $file:literal, keyed by ($($key:ident: $key_ty:ty),+);
+        $Row:ident in $file:literal as $group:literal, keyed by ($($key:ident: $key_ty:ty),+);
         $($(#[$doc:meta])* $name:ident: $ty:ty,)+
     ) => {
         $(#[$row_doc])*
@@ -132,6 +146,7 @@ macro_rules! cert_bench_row {
 
         impl Row for $Row {
             const FILE: &'static str = $file;
+            const GROUP: &'static str = $group;
             const KEYS: &'static [&'static str] = &[$(stringify!($name)),+];
             type Key = ($($key_ty,)+);
 
@@ -158,8 +173,8 @@ macro_rules! cert_bench_row {
                 out.push('}');
             }
 
-            fn from_json(v: &Json) -> Result<Self, String> {
-                Ok($Row { $($name: Column::read(v, stringify!($name))?,)+ })
+            fn parse(mut body: &str) -> Result<Self, String> {
+                Ok($Row { $($name: entry(&mut body, stringify!($name))?,)+ })
             }
         }
     };
@@ -169,7 +184,7 @@ cert_bench_row! {
     /// One row of the certification sweeps: a backend at a client count
     /// (and sites × replication factor), with the throughput and the work
     /// ledger the sweeps exist to track.
-    CertBenchRow in "BENCH_cert.json", keyed by (
+    CertBenchRow in "BENCH_cert.json" as "ablation_cert_backend", keyed by (
         clients: usize, backend: String, commit_path: String,
         sites: usize, replication_factor: usize
     );
@@ -250,7 +265,7 @@ cert_bench_row! {
     /// One point of the paper's evaluation grid (§5): a configuration of
     /// Fig. 5/6 at a client count, or the 3-site system under a loss plan
     /// (Fig. 7, Table 2), with every number those figures and tables plot.
-    PaperRow in "BENCH_paper.json", keyed by (
+    PaperRow in "BENCH_paper.json" as "paper", keyed by (
         sites: usize, cpus_per_site: usize, clients: usize, faults: String
     );
     /// Replica sites (1 = the centralised server).
@@ -451,45 +466,23 @@ impl PaperRow {
     }
 }
 
-/// A JSON number from an `f64`: finite values print with enough precision
-/// to round-trip the metrics; non-finite values (which JSON cannot carry)
-/// degrade to 0 rather than corrupting the document.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0".to_string()
-    }
+/// The first lines of `R`'s artifact, up to its first row.
+fn header<R: Row>() -> String {
+    format!("{{\n  \"group\": \"{}\",\n  \"rows\": [\n", R::GROUP)
 }
 
-/// A JSON string literal with the escapes the schema can produce (backend
-/// names are ASCII identifiers, but stay safe anyway).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// The lines after the last row.
+const FOOTER: &str = "  ]\n}\n";
 
 /// Renders the rows as an artifact document, one row per line.
-pub fn rows_to_json<R: Row>(group: &str, rows: &[R]) -> String {
-    let mut out = format!("{{\n  \"group\": {},\n  \"rows\": [\n", json_str(group));
+pub fn rows_to_json<R: Row>(rows: &[R]) -> String {
+    let mut out = header::<R>();
     for (i, r) in rows.iter().enumerate() {
         out.push_str("    ");
         r.render(&mut out);
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
-    out.push_str("  ]\n}\n");
+    out.push_str(FOOTER);
     out
 }
 
@@ -533,271 +526,55 @@ pub fn output_path<R: Row>() -> PathBuf {
     )
 }
 
-// ---- minimal JSON parser ----------------------------------------------
-//
-// Full RFC 8259 value grammar without a JSON dependency (the workspace is
-// offline): enough for CI and the tests to assert "this artifact parses",
-// and for the partial-sweep merge to read rows back out of the committed
-// document.
+// ---- reading an artifact back and partial-sweep merge ----------------
 
-/// A parsed JSON value — just enough structure to read an artifact back.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` or `false`.
-    Bool(bool),
-    /// A number.
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, entries in document order.
-    Obj(Vec<(String, Json)>),
+/// Splits the next `"key": value` entry off the front of a row's body and
+/// reads its value. No value holds a `"` but a string's own two quotes, so
+/// the first `, "` after the key ends the value.
+fn entry<T: Column>(body: &mut &str, key: &str) -> Result<T, String> {
+    let text = body
+        .strip_prefix('"')
+        .and_then(|b| b.strip_prefix(key))
+        .and_then(|b| b.strip_prefix("\": "))
+        .ok_or_else(|| format!("missing required key \"{key}\" (keys are read in table order)"))?;
+    let (value, rest) = text.find(", \"").map_or((text, ""), |at| (&text[..at], &text[at + 2..]));
+    *body = rest;
+    T::parse(value).map_err(|e| format!("key \"{key}\" {e}"))
 }
 
-/// Checks that `s` is one well-formed JSON value (with surrounding
-/// whitespace). Returns a byte offset + message on the first error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    parse_json(s).map(|_| ())
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    let v = value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", c as char, *pos))
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos).map(Json::Str),
-        Some(b't') => literal(b, pos, b"true").map(|_| Json::Bool(true)),
-        Some(b'f') => literal(b, pos, b"false").map(|_| Json::Bool(false)),
-        Some(b'n') => literal(b, pos, b"null").map(|_| Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        _ => Err(format!("expected a value at byte {}", *pos)),
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    skip_ws(b, pos);
-    let mut entries = Vec::new();
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(entries));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        skip_ws(b, pos);
-        let val = value(b, pos)?;
-        entries.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(entries));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    skip_ws(b, pos);
-    let mut items = Vec::new();
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        skip_ws(b, pos);
-        items.push(value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut cp = 0u32;
-                        for _ in 0..4 {
-                            *pos += 1;
-                            let Some(d) = b.get(*pos).and_then(|c| (*c as char).to_digit(16))
-                            else {
-                                return Err(format!("bad \\u escape at byte {}", *pos));
-                            };
-                            cp = cp * 16 + d;
-                        }
-                        // Surrogates only arise from escaped non-BMP text,
-                        // which the writer never emits; degrade, don't fail.
-                        out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            0x00..=0x1f => return Err(format!("raw control character at byte {}", *pos)),
-            _ => {
-                // Copy the raw UTF-8 byte run for this char.
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&b[start..*pos])
-                        .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?,
-                );
-            }
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| -> Result<(), String> {
-        if !b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            return Err(format!("expected a digit at byte {}", *pos));
-        }
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        Ok(())
-    };
-    // Integer part: a lone 0 or a nonzero-led run.
-    if b.get(*pos) == Some(&b'0') {
-        *pos += 1;
-    } else {
-        digits(b, pos)?;
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        digits(b, pos)?;
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        digits(b, pos)?;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).expect("ascii number");
-    text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number at byte {start}: {e}"))
-}
-
-// ---- typed document reading and partial-sweep merge -------------------
-
-impl Json {
-    fn field(&self, key: &str) -> Result<&Json, String> {
-        match self {
-            Json::Obj(entries) => entries
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing required key \"{key}\"")),
-            _ => Err(format!("expected an object looking up \"{key}\"")),
-        }
-    }
-}
-
-/// A parsed artifact: the sweep group label plus its rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Document<R> {
-    /// Sweep group label, e.g. `ablation_cert_backend`.
-    pub group: String,
-    /// All rows present in the document.
-    pub rows: Vec<R>,
-}
-
-/// Parses an artifact document and enforces the schema contract: every row
-/// must carry every key of `R`'s field table with the right type. This is
-/// what the CI schema gate runs — a well-formed-but-wrong-shape artifact
-/// fails here, not three PRs later when a consumer chokes on it.
+/// Reads `R`'s artifact back: the header and footer [`rows_to_json`]
+/// writes, between them one row per line, then the check that re-rendering
+/// the rows reproduces `s` byte for byte. This is what the CI schema gate
+/// runs — a wrong-shape artifact fails here, not three PRs later when a
+/// consumer chokes on it.
 ///
 /// # Errors
 ///
-/// The first JSON syntax error, or the first row key missing or mistyped.
-pub fn parse_document<R: Row>(s: &str) -> Result<Document<R>, String> {
-    let root = parse_json(s)?;
-    let group = String::read(&root, "group")?;
-    let rows_json = match root.field("rows")? {
-        Json::Arr(items) => items,
-        other => Err(format!("key \"rows\" must be an array, got {other:?}"))?,
-    };
-    let mut rows = Vec::with_capacity(rows_json.len());
-    for (i, item) in rows_json.iter().enumerate() {
-        rows.push(R::from_json(item).map_err(|e| format!("row {i}: {e}"))?);
+/// The first row key missing, out of order or mistyped, or the first line
+/// that differs from what the writer renders.
+pub fn parse_document<R: Row>(s: &str) -> Result<Vec<R>, String> {
+    let body = s
+        .strip_prefix(&header::<R>())
+        .and_then(|b| b.strip_suffix(FOOTER))
+        .ok_or_else(|| format!("not the header and footer of a \"{}\" document", R::GROUP))?;
+    let rows = body
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            line.strip_prefix("    {")
+                .map(|l| l.strip_suffix(',').unwrap_or(l))
+                .and_then(|l| l.strip_suffix('}'))
+                .ok_or_else(|| "not one {...} object on one line".to_string())
+                .and_then(R::parse)
+                .map_err(|e| format!("row {i}: {e}"))
+        })
+        .collect::<Result<Vec<R>, String>>()?;
+    let canonical = rows_to_json(&rows);
+    if canonical != s {
+        let same = canonical.lines().zip(s.lines()).take_while(|(a, b)| a == b).count();
+        return Err(format!("line {}: not as the writer renders it", same + 1));
     }
-    Ok(Document { group, rows })
+    Ok(rows)
 }
 
 /// Merges a partial sweep into an existing artifact. Rows the fresh sweep
@@ -830,8 +607,8 @@ pub fn merge_rows<R: Row>(existing: &[R], fresh: &[R]) -> Result<Vec<R>, String>
     Ok(merged)
 }
 
-/// Merges `fresh` into `R`'s artifact on disk (if any), validates the
-/// rendered document and writes it, returning the path written. An
+/// Merges `fresh` into `R`'s artifact on disk (if any), reads the rendered
+/// document back and writes it, returning the path written. An
 /// unreadable or unparsable existing artifact is replaced with a warning —
 /// the bench must not be bricked by a corrupt file — but a config-hash
 /// mismatch against a *valid* artifact is a hard error (see [`merge_rows`]).
@@ -839,14 +616,15 @@ pub fn merge_rows<R: Row>(existing: &[R], fresh: &[R]) -> Result<Vec<R>, String>
 /// # Errors
 ///
 /// Returns any filesystem error, or `InvalidData` on a hash mismatch or if
-/// the rendered document fails the self-check parse — a formatting bug
-/// must fail the bench run loudly, not poison the artifact.
-pub fn merge_and_write<R: Row>(group: &str, fresh: &[R]) -> std::io::Result<PathBuf> {
+/// the rendered document fails to read back — a formatting bug or a label
+/// the reader cannot take back (one holding a `"`, say) must fail the
+/// bench run loudly, not poison the artifact.
+pub fn merge_and_write<R: Row>(fresh: &[R]) -> std::io::Result<PathBuf> {
     let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let path = output_path::<R>();
     let existing = match std::fs::read_to_string(&path) {
         Ok(text) => match parse_document::<R>(&text) {
-            Ok(doc) => doc.rows,
+            Ok(rows) => rows,
             Err(e) => {
                 eprintln!(
                     "warning: existing {} does not match the schema ({e}); starting fresh",
@@ -857,8 +635,8 @@ pub fn merge_and_write<R: Row>(group: &str, fresh: &[R]) -> std::io::Result<Path
         },
         Err(_) => Vec::new(),
     };
-    let doc = rows_to_json(group, &merge_rows(&existing, fresh).map_err(invalid)?);
-    validate_json(&doc).map_err(invalid)?;
+    let doc = rows_to_json(&merge_rows(&existing, fresh).map_err(invalid)?);
+    parse_document::<R>(&doc).map_err(invalid)?;
     std::fs::write(&path, doc)?;
     Ok(path)
 }
@@ -910,8 +688,9 @@ mod tests {
 
     #[test]
     fn rendered_document_passes_the_validator() {
-        let doc = rows_to_json("ablation_cert_backend", &[sample_row(), sample_row()]);
-        validate_json(&doc).expect("well-formed");
+        let rows = [sample_row(), sample_row()];
+        let doc = rows_to_json(&rows);
+        assert_eq!(parse_document::<CertBenchRow>(&doc).expect("reads back"), rows);
         // Every schema field appears.
         for key in ["group", "rows"].iter().chain(CertBenchRow::KEYS) {
             assert!(doc.contains(&format!("\"{key}\"")), "missing {key}:\n{doc}");
@@ -920,8 +699,8 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_still_valid_json() {
-        let doc = rows_to_json::<CertBenchRow>("ablation_cert_backend", &[]);
-        validate_json(&doc).expect("well-formed");
+        let doc = rows_to_json::<CertBenchRow>(&[]);
+        assert_eq!(parse_document::<CertBenchRow>(&doc), Ok(vec![]));
         assert!(doc.contains("\"rows\": [\n  ]"));
     }
 
@@ -930,53 +709,88 @@ mod tests {
         let mut row = sample_row();
         row.tpm = f64::NAN;
         row.vote_piggyback_rate = f64::INFINITY;
-        let doc = rows_to_json("g", &[row]);
-        validate_json(&doc).expect("NaN/inf must not leak into the artifact");
-        assert!(doc.contains("\"tpm\": 0,"));
+        let doc = rows_to_json(&[row]);
+        assert!(doc.contains("\"tpm\": 0.000,"), "{doc}");
+        assert!(doc.contains("\"vote_piggyback_rate\": 0.000,"), "{doc}");
+        // The degraded value is one the reader takes back.
+        let back = parse_document::<CertBenchRow>(&doc).expect("NaN/inf must not leak");
+        assert_eq!((back[0].tpm, back[0].vote_piggyback_rate), (0.0, 0.0));
+        assert_eq!(rows_to_json(&back), doc);
     }
 
     #[test]
-    fn strings_are_escaped() {
-        let mut row = sample_row();
-        row.backend = "we\"ird\\name\n".to_string();
-        let doc = rows_to_json("g", &[row]);
-        validate_json(&doc).expect("escaped");
-    }
-
-    #[test]
-    fn validator_accepts_json_shapes() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "true",
-            "-0.5e+10",
-            "0",
-            r#"{"a": [1, 2.5, "x", {"b": null}], "c": false}"#,
-            "  { \"k\" : \"v\\u00e9\" }  ",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+    fn a_label_the_reader_cannot_take_back_fails_the_writes_self_check() {
+        // `merge_and_write` reads back the document it is about to write.
+        let self_check = |row| parse_document::<CertBenchRow>(&rows_to_json(&[row]));
+        assert!(self_check(sample_row()).is_ok());
+        for label in ["we\"ird", "back\\slash", "new\nline", "tab\there"] {
+            let mut row = sample_row();
+            row.backend = label.to_string();
+            assert!(self_check(row).is_err(), "wrote {label:?}");
         }
     }
 
     #[test]
     fn validator_rejects_malformed_documents() {
+        let doc = rows_to_json(&[sample_row()]);
         for bad in [
             "",
             "{",
-            "{\"a\":}",
+            "{}",
             "{\"a\":1,}",
-            "[1,]",
-            "{'a': 1}",
-            "{\"a\": 01}",
-            "{\"a\": 1} extra",
-            "\"unterminated",
-            "{\"a\": nul}",
-            "[1 2]",
-            "{\"a\" 1}",
+            "{\"group\": \"ablation_cert_backend\", \"rows\": []}",
+            &doc[..doc.len() - 1],
+            &doc[..doc.len() / 2],
+            &doc[1..],
+            &format!("{doc} "),
+            &format!("{doc}{doc}"),
         ] {
-            assert!(validate_json(bad).is_err(), "accepted malformed: {bad}");
+            assert!(parse_document::<CertBenchRow>(bad).is_err(), "accepted malformed: {bad}");
         }
+    }
+
+    /// `doc` with its first `from` replaced by `to`.
+    fn mutate(doc: &str, from: &str, to: &str) -> String {
+        assert!(doc.contains(from), "{from} not in {doc}");
+        doc.replacen(from, to, 1)
+    }
+
+    #[test]
+    fn reader_rejects_every_spelling_but_the_writers() {
+        let mut row = sample_row();
+        row.mean_vote_wait_ms = 1.5;
+        let doc = rows_to_json(&[row.clone(), row]);
+        parse_document::<CertBenchRow>(&doc).expect("canonical");
+        let backend = "\"backend\": \"indexed\"";
+        let clients = "\"clients\": 10000";
+        for (what, bad) in [
+            (
+                "reordered keys",
+                mutate(&doc, &format!("{backend}, {clients}"), &format!("{clients}, {backend}")),
+            ),
+            ("a missing key", mutate(&doc, "\"comparisons\": 0, ", "")),
+            ("an extra key", mutate(&doc, "\"}\n", "\", \"extra\": 1}\n")),
+            (
+                "1.50 for 1.500",
+                mutate(&doc, "\"mean_vote_wait_ms\": 1.500", "\"mean_vote_wait_ms\": 1.50"),
+            ),
+            ("a space after a colon", mutate(&doc, clients, "\"clients\":  10000")),
+            ("a space before a comma", mutate(&doc, clients, "\"clients\": 10000 ")),
+            ("a space inside the braces", mutate(&doc, "{\"backend\"", "{ \"backend\"")),
+            ("a trailing comma after a row", mutate(&doc, "}\n  ]", "},\n  ]")),
+            ("a trailing comma inside a row", mutate(&doc, "\"}\n", "\", }\n")),
+            ("an escaped quote in a label", mutate(&doc, "\"indexed\"", "\"in\\\"dexed\"")),
+            ("an escaped backslash in a label", mutate(&doc, "\"indexed\"", "\"in\\\\dexed\"")),
+            ("another table's group", mutate(&doc, "ablation_cert_backend", "paper")),
+            ("a row split across two lines", mutate(&doc, ", \"probes\"", ",\n\"probes\"")),
+            ("an integer through a float", mutate(&doc, clients, "\"clients\": 10000.0")),
+            ("a signed integer", mutate(&doc, clients, "\"clients\": +10000")),
+            ("CRLF line ends", doc.replace('\n', "\r\n")),
+        ] {
+            assert!(parse_document::<CertBenchRow>(&bad).is_err(), "accepted {what}:\n{bad}");
+        }
+        // Each table reads only its own group.
+        assert!(parse_document::<PaperRow>(&doc).is_err());
     }
 
     #[test]
@@ -994,8 +808,8 @@ mod tests {
         assert!(row.stall_ns > 0 && row.stall_ns as f64 <= row.total_work_ns);
         assert_eq!(row.commit_path, "sync");
         assert_eq!(row.config_hash.len(), 16);
-        let doc = rows_to_json("ablation_cert_backend", &[row]);
-        validate_json(&doc).expect("well-formed from live metrics");
+        let doc = rows_to_json(&[row]);
+        parse_document::<CertBenchRow>(&doc).expect("well-formed from live metrics");
     }
 
     #[test]
@@ -1004,29 +818,32 @@ mod tests {
         other.clients = 20000;
         other.commit_path = "sync".to_string();
         let rows = vec![sample_row(), other];
-        let doc = rows_to_json("ablation_cert_backend", &rows);
+        let doc = rows_to_json(&rows);
         let parsed = parse_document::<CertBenchRow>(&doc).expect("typed parse");
-        assert_eq!(parsed.group, "ablation_cert_backend");
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].key(), rows[0].key());
-        assert_eq!(parsed.rows[0].config_hash, rows[0].config_hash);
-        assert_eq!(parsed.rows[1].spec_hits, 870);
+        assert!(doc.starts_with("{\n  \"group\": \"ablation_cert_backend\",\n"), "{doc}");
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].key(), rows[0].key());
+        assert_eq!(parsed[0].config_hash, rows[0].config_hash);
+        assert_eq!(parsed[1].spec_hits, 870);
         // Float fields survive the writer's 3-decimal precision.
-        assert!((parsed.rows[0].tpm - rows[0].tpm).abs() < 1e-3);
+        assert!((parsed[0].tpm - rows[0].tpm).abs() < 1e-3);
     }
 
     #[test]
     fn typed_parser_rejects_rows_missing_required_keys() {
-        let doc = r#"{"group": "g", "rows": [{"backend": "linear", "clients": 1}]}"#;
-        let err = parse_document::<CertBenchRow>(doc).unwrap_err();
-        assert!(err.contains("missing required key"), "{err}");
+        let doc = rows_to_json(&[sample_row()]);
+        let bad = mutate(&doc, ", \"clients\": 10000", "");
+        let err = parse_document::<CertBenchRow>(&bad).unwrap_err();
+        assert!(err.contains("missing required key \"clients\""), "{err}");
         // Wrong type is also an error, not a silent coercion.
-        let doc = r#"{"group": "g", "rows": [{"backend": 7}]}"#;
-        assert!(parse_document::<CertBenchRow>(doc).unwrap_err().contains("must be a string"));
+        let bad = mutate(&doc, "\"indexed\"", "7");
+        assert!(parse_document::<CertBenchRow>(&bad).unwrap_err().contains("must be a string"));
         // Negative or fractional counters are rejected.
-        let full = rows_to_json("g", &[sample_row()]).replace("\"sites\": 3", "\"sites\": 3.5");
-        let err = parse_document::<CertBenchRow>(&full).unwrap_err();
-        assert!(err.contains("non-negative integer"), "{err}");
+        for sites in ["3.5", "-3"] {
+            let bad = mutate(&doc, "\"sites\": 3", &format!("\"sites\": {sites}"));
+            let err = parse_document::<CertBenchRow>(&bad).unwrap_err();
+            assert!(err.contains("non-negative integer"), "{err}");
+        }
     }
 
     #[test]
@@ -1081,9 +898,9 @@ mod tests {
     /// layout: the strict reader accepts the committed file, and writing
     /// what it read reproduces the file exactly.
     fn rerenders_byte_for_byte<R: Row>(artifact: &str, rows: usize) {
-        let doc = parse_document::<R>(artifact).expect("committed artifact parses");
-        assert_eq!(doc.rows.len(), rows, "{}", R::FILE);
-        assert!(rows_to_json(&doc.group, &doc.rows) == artifact, "re-rendered {}", R::FILE);
+        let parsed = parse_document::<R>(artifact).expect("committed artifact parses");
+        assert_eq!(parsed.len(), rows, "{}", R::FILE);
+        assert!(rows_to_json(&parsed) == artifact, "re-rendered {}", R::FILE);
     }
 
     #[test]
@@ -1101,7 +918,7 @@ mod tests {
             assert!(entries[i].starts_with(&format!("\"{key}\": ")), "{key} out of order: {row}");
             let mut kept = entries.clone();
             kept.remove(i);
-            let doc = format!("{{\"group\": \"g\", \"rows\": [{{{}}}]}}", kept.join(", "));
+            let doc = format!("{}    {{{}}}\n{FOOTER}", header::<R>(), kept.join(", "));
             let err = parse_document::<R>(&doc).map(|_| ()).unwrap_err();
             assert!(err.contains(&format!("missing required key \"{key}\"")), "{key}: {err}");
         }
@@ -1111,7 +928,7 @@ mod tests {
     fn every_key_of_the_table_is_required_in_document_order() {
         every_key_is_required_in_document_order(&sample_row());
         let paper = parse_document::<PaperRow>(PAPER).expect("committed artifact parses");
-        every_key_is_required_in_document_order(&paper.rows[0]);
+        every_key_is_required_in_document_order(&paper[0]);
     }
 
     #[test]

@@ -169,7 +169,7 @@ mod tests {
     use crate::cert_json::{parse_document, Row};
 
     fn committed() -> Vec<PaperRow> {
-        parse_document(include_str!("../../../BENCH_paper.json")).expect("artifact").rows
+        parse_document(include_str!("../../../BENCH_paper.json")).expect("artifact")
     }
 
     /// One fault-free series, in client order.

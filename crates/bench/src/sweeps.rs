@@ -344,9 +344,9 @@ fn keep_latest<R: Row>(rows: &mut Vec<R>, row: R) {
 /// are preserved, and a config-hash mismatch (schema bump, changed
 /// seed/sites/target) fails loudly instead of mixing incomparable sweeps.
 /// An invocation that ran no row point of `R` does not touch its file.
-fn merge<R: Row>(group: &str, rows: &[R]) -> std::io::Result<()> {
+fn merge<R: Row>(rows: &[R]) -> std::io::Result<()> {
     if !rows.is_empty() {
-        let path = merge_and_write(group, rows)?;
+        let path = merge_and_write(rows)?;
         println!("merged {} fresh rows into {}", rows.len(), path.display());
     }
     Ok(())
@@ -392,8 +392,8 @@ pub fn run(filters: &[String]) -> std::io::Result<()> {
             keep_latest(&mut paper_rows, row);
         }
     }
-    merge("ablation_cert_backend", &cert_rows)?;
-    merge("paper", &paper_rows)
+    merge(&cert_rows)?;
+    merge(&paper_rows)
 }
 
 #[cfg(test)]
@@ -427,7 +427,7 @@ mod tests {
     ) {
         let identity = |r: &R| (r.key(), r.fingerprint().to_string());
         let committed = parse_document::<R>(artifact).expect("artifact");
-        let committed: BTreeSet<_> = committed.rows.iter().map(identity).collect();
+        let committed: BTreeSet<_> = committed.iter().map(identity).collect();
         let unrun = RunMetrics::new(0);
         let row_points: Vec<R> = catalogue().iter().filter_map(|p| row_of(p, &unrun)).collect();
         assert_eq!((row_points.len(), committed.len()), (points, rows), "{}", R::FILE);

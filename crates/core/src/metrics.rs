@@ -623,13 +623,13 @@ impl RunMetrics {
         )
     }
 
-    /// Per-site rejoin cuts in the shape [`check_logs_rejoined_multi`]
+    /// Per-site rejoin cuts in the shape [`check_logs_rejoined`]
     /// expects, sized to `commit_logs`. A site that never rejoined maps to
     /// an empty list; a site a plan restarted several times keeps **every**
     /// completed rejoin's cut, in completion order — the chain checker
     /// re-bases each log segment on the cut that preceded it.
     ///
-    /// [`check_logs_rejoined_multi`]: dbsm_fault::check_logs_rejoined_multi
+    /// [`check_logs_rejoined`]: dbsm_fault::check_logs_rejoined
     pub fn rejoin_cuts(&self) -> Vec<Vec<dbsm_fault::RejoinCut>> {
         let mut cuts = vec![Vec::new(); self.commit_logs.len()];
         for r in &self.rejoins {

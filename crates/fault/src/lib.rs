@@ -12,8 +12,8 @@
 //! consistency checker asserting the DBSM safety condition: all operational
 //! sites commit exactly the same sequence of transactions (crashed or
 //! halted sites hold a prefix); [`check_logs_rejoined`] extends it to
-//! rejoined sites, whose logs must *chain through* their transfer cut
-//! ([`RejoinCut`]).
+//! rejoined sites, whose logs must *chain through* every transfer cut
+//! ([`RejoinCut`]) they took.
 //!
 //! Plans are *applied* by the experiment runner in `dbsm-core`: loss models
 //! install on the simulated network's receive path, drift and scheduling
@@ -67,6 +67,4 @@ mod plan;
 mod safety;
 
 pub use plan::{FaultPlan, FaultSpec, PlanError, Target};
-pub use safety::{
-    check_logs, check_logs_rejoined, check_logs_rejoined_multi, CommitLog, Divergence, RejoinCut,
-};
+pub use safety::{check_logs, check_logs_rejoined, CommitLog, Divergence, RejoinCut};

@@ -342,8 +342,8 @@ impl FaultPlan {
     /// A flapping crash: the same site dies and rejoins `count` times. Flap
     /// `i` crashes at `at + i·2·period` and restarts one `period` later, so
     /// the site alternates `period`-long dead and recovering phases. With
-    /// `count >= 2` this is the plan the multi-rejoin chain checker
-    /// (`check_logs_rejoined_multi`) was built for — one site accumulating
+    /// `count >= 2` this is the plan the chain checker's multi-cut case
+    /// (`check_logs_rejoined`) was built for — one site accumulating
     /// several rejoin cuts in a single run — which no stock plan exercised
     /// before.
     ///

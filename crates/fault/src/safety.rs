@@ -116,8 +116,7 @@ impl std::error::Error for Divergence {}
 /// # Ok::<(), dbsm_fault::Divergence>(())
 /// ```
 pub fn check_logs(logs: &[CommitLog], crashed: &[bool]) -> Result<(), Divergence> {
-    let rejoins = vec![None; logs.len()];
-    check_logs_rejoined(logs, crashed, &rejoins)
+    check_logs_rejoined(logs, crashed, &vec![Vec::new(); logs.len()])
 }
 
 /// Where a rejoined site's log chains through its state transfer: the site
@@ -135,18 +134,32 @@ pub struct RejoinCut {
     pub cut: usize,
 }
 
-/// [`check_logs`] extended with rejoin cuts: `rejoins[site]` set means the
-/// site crashed/halted and re-entered the view via state transfer, and its
-/// log must *chain through the cut* instead of matching the reference
-/// exactly — `log[..kept]` is its pre-crash prefix of the reference, the
-/// gap `[kept, cut)` was filled by the transferred snapshot + delta log
-/// (legal, not recorded as fresh commits), and `log[kept..]` must continue
-/// the reference from `cut` (a divergent suffix is still split-brain). A
-/// rejoined site may trail the reference — it commits from `cut` onward at
-/// its own pace — but may never contradict it.
-///
-/// This is the single-rejoin convenience form; a site that rejoined more
-/// than once has several cuts and needs [`check_logs_rejoined_multi`].
+/// Reference-chain position of `pos` in a log that rejoined through
+/// `cuts` (sorted by `kept`): positions before the first cut's `kept`
+/// align one-to-one with the reference; a later position continues from
+/// the **most recent** transfer cut whose `kept` it reached — each rejoin
+/// re-bases the suffix that follows it.
+fn ref_position(pos: usize, cuts: &[RejoinCut]) -> usize {
+    match cuts.iter().rev().find(|c| c.kept <= pos) {
+        Some(c) => c.cut + (pos - c.kept),
+        None => pos,
+    }
+}
+
+/// [`check_logs`] extended with rejoin cuts: `rejoins[site]` lists every
+/// completed rejoin of the site, in completion order (`kept` is
+/// non-decreasing — a site's log only grows between rejoins), and is what
+/// `RunMetrics::rejoin_cuts()` returns. A site with cuts crashed/halted
+/// and re-entered the view via state transfer, and its log must *chain
+/// through each cut* instead of matching the reference exactly:
+/// `log[..kept]` is its pre-crash prefix of the reference, the gap
+/// `[kept, cut)` was filled by the transferred snapshot + delta log (legal,
+/// not recorded as fresh commits), and the log segment that follows must
+/// continue the reference from `cut` up to the next cut's `kept`; the final
+/// segment continues from the last cut (a divergent segment is still
+/// split-brain). A rejoined site may trail the reference — it commits from
+/// its last cut onward at its own pace — but may never contradict it. With
+/// an empty list the site follows the plain equality/prefix rules.
 ///
 /// # Errors
 ///
@@ -161,71 +174,21 @@ pub struct RejoinCut {
 /// ```
 /// use dbsm_fault::{check_logs_rejoined, RejoinCut};
 ///
-/// let reference = vec![(0u16, 1u64), (1, 1), (0, 2), (1, 2)];
-/// // Crashed holding 1 commit, transferred up to 3, committed (1, 2) after.
-/// let rejoined = vec![(0u16, 1u64), (1, 2)];
+/// let reference = vec![(0u16, 1u64), (1, 1), (0, 2), (1, 2), (0, 3)];
+/// // Crashed holding 1 commit, transferred up to 2, committed (0, 2) after.
+/// let once = vec![(0u16, 1u64), (0, 2)];
+/// // The same, then crashed again at 2 commits, caught up to 4 and
+/// // committed (0, 3).
+/// let twice = vec![(0u16, 1u64), (0, 2), (0, 3)];
+/// let (first, second) = (RejoinCut { kept: 1, cut: 2 }, RejoinCut { kept: 2, cut: 4 });
 /// check_logs_rejoined(
-///     &[reference.clone(), reference, rejoined],
+///     &[reference, once, twice],
 ///     &[false, false, false],
-///     &[None, None, Some(RejoinCut { kept: 1, cut: 3 })],
+///     &[vec![], vec![first], vec![first, second]],
 /// )?;
 /// # Ok::<(), dbsm_fault::Divergence>(())
 /// ```
 pub fn check_logs_rejoined(
-    logs: &[CommitLog],
-    crashed: &[bool],
-    rejoins: &[Option<RejoinCut>],
-) -> Result<(), Divergence> {
-    let multi: Vec<Vec<RejoinCut>> = rejoins.iter().map(|r| r.iter().copied().collect()).collect();
-    check_logs_rejoined_multi(logs, crashed, &multi)
-}
-
-/// Reference-chain position of `pos` in a log that rejoined through
-/// `cuts` (sorted by `kept`): positions before the first cut's `kept`
-/// align one-to-one with the reference; a later position continues from
-/// the **most recent** transfer cut whose `kept` it reached — each rejoin
-/// re-bases the suffix that follows it.
-fn ref_position(pos: usize, cuts: &[RejoinCut]) -> usize {
-    match cuts.iter().rev().find(|c| c.kept <= pos) {
-        Some(c) => c.cut + (pos - c.kept),
-        None => pos,
-    }
-}
-
-/// [`check_logs_rejoined`] for sites that may have rejoined **more than
-/// once**: `rejoins[site]` lists every completed rejoin's cut, in
-/// completion order (`kept` is non-decreasing — a site's log only grows
-/// between rejoins). Each log segment between consecutive cuts must align
-/// with the reference from the preceding cut's position; the final segment
-/// continues from the last cut. With exactly one cut per site this is
-/// [`check_logs_rejoined`]; with an empty list the site follows the plain
-/// equality/prefix rules.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found.
-///
-/// # Panics
-///
-/// Panics if `logs`, `crashed` and `rejoins` have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// use dbsm_fault::{check_logs_rejoined_multi, RejoinCut};
-///
-/// let reference = vec![(0u16, 1u64), (1, 1), (0, 2), (1, 2), (0, 3)];
-/// // Crashed at 1 commit, caught up to 2, committed (0, 2); crashed again
-/// // at 2 commits, caught up to 4, committed (0, 3).
-/// let twice = vec![(0u16, 1u64), (0, 2), (0, 3)];
-/// check_logs_rejoined_multi(
-///     &[reference.clone(), reference, twice],
-///     &[false, false, false],
-///     &[vec![], vec![], vec![RejoinCut { kept: 1, cut: 2 }, RejoinCut { kept: 2, cut: 4 }]],
-/// )?;
-/// # Ok::<(), dbsm_fault::Divergence>(())
-/// ```
-pub fn check_logs_rejoined_multi(
     logs: &[CommitLog],
     crashed: &[bool],
     rejoins: &[Vec<RejoinCut>],
@@ -320,7 +283,7 @@ pub fn check_logs_rejoined_multi(
     Ok(())
 }
 
-/// The no-complete-reference case of [`check_logs_rejoined_multi`]: every
+/// The no-complete-reference case of [`check_logs_rejoined`]: every
 /// site crashed or rejoined, so the reference chain is reconstructed by
 /// merging the positions each log covers — its pre-crash prefix plus one
 /// re-based segment per cut for a rejoined log, `[0, len)` for a
@@ -428,12 +391,12 @@ mod tests {
         // Halted holding 2 commits, transfer caught it up to position 4,
         // then it committed (0, 3) itself.
         let rejoined = log(&[(0, 1), (1, 1), (0, 3)]);
-        let cut = Some(RejoinCut { kept: 2, cut: 4 });
+        let cut = vec![RejoinCut { kept: 2, cut: 4 }];
         assert_eq!(
             check_logs_rejoined(
                 &[reference.clone(), reference.clone(), rejoined.clone()],
                 &[false, false, false],
-                &[None, None, cut],
+                &[vec![], vec![], cut.clone()],
             ),
             Ok(()),
         );
@@ -443,7 +406,7 @@ mod tests {
             check_logs_rejoined(
                 &[reference.clone(), reference.clone(), trailing],
                 &[false, false, false],
-                &[None, None, cut],
+                &[vec![], vec![], cut.clone()],
             ),
             Ok(()),
         );
@@ -457,14 +420,14 @@ mod tests {
     #[test]
     fn rejoined_divergence_is_still_split_brain() {
         let reference = log(&[(0, 1), (1, 1), (0, 2), (1, 2)]);
-        let cut = Some(RejoinCut { kept: 1, cut: 3 });
+        let cut = vec![RejoinCut { kept: 1, cut: 3 }];
         // Divergent post-rejoin suffix: committed (9, 9) instead of (1, 2).
         let rogue_suffix = log(&[(0, 1), (9, 9)]);
         assert_eq!(
             check_logs_rejoined(
                 &[reference.clone(), reference.clone(), rogue_suffix],
                 &[false, false, false],
-                &[None, None, cut],
+                &[vec![], vec![], cut.clone()],
             ),
             Err(Divergence::RejoinedNotChained { site: 2, position: 1 }),
         );
@@ -474,7 +437,7 @@ mod tests {
             check_logs_rejoined(
                 &[reference.clone(), reference.clone(), rogue_prefix],
                 &[false, false, false],
-                &[None, None, cut],
+                &[vec![], vec![], cut.clone()],
             ),
             Err(Divergence::RejoinedNotChained { site: 2, position: 0 }),
         );
@@ -484,7 +447,7 @@ mod tests {
             check_logs_rejoined(
                 &[reference.clone(), reference, overrun],
                 &[false, false, false],
-                &[None, None, cut],
+                &[vec![], vec![], cut.clone()],
             ),
             Err(Divergence::RejoinedNotChained { site: 2, position: 2 }),
         );
@@ -493,7 +456,7 @@ mod tests {
     #[test]
     fn rejoined_then_crashed_again_still_chains() {
         let reference = log(&[(0, 1), (1, 1), (0, 2), (1, 2)]);
-        let cut = Some(RejoinCut { kept: 1, cut: 2 });
+        let cut = vec![RejoinCut { kept: 1, cut: 2 }];
         // Crashed again after one post-rejoin commit: chain rule applies,
         // not the plain prefix rule (which would reject the gap).
         let twice = log(&[(0, 1), (0, 2)]);
@@ -501,7 +464,7 @@ mod tests {
             check_logs_rejoined(
                 &[reference.clone(), reference.clone(), twice],
                 &[false, false, true],
-                &[None, None, cut],
+                &[vec![], vec![], cut.clone()],
             ),
             Ok(()),
         );
@@ -510,7 +473,7 @@ mod tests {
             check_logs_rejoined(
                 &[reference.clone(), reference, rogue],
                 &[false, false, true],
-                &[None, None, cut],
+                &[vec![], vec![], cut.clone()],
             ),
             Err(Divergence::RejoinedNotChained { site: 2, position: 1 }),
         );
@@ -525,7 +488,7 @@ mod tests {
         let twice = log(&[(0, 1), (0, 2), (2, 1), (2, 2)]);
         let cuts = vec![RejoinCut { kept: 1, cut: 2 }, RejoinCut { kept: 2, cut: 4 }];
         assert_eq!(
-            check_logs_rejoined_multi(
+            check_logs_rejoined(
                 &[reference.clone(), reference.clone(), twice.clone()],
                 &[false, false, false],
                 &[vec![], vec![], cuts.clone()],
@@ -539,14 +502,14 @@ mod tests {
             check_logs_rejoined(
                 &[reference.clone(), reference.clone(), twice.clone()],
                 &[false, false, false],
-                &[None, None, Some(cuts[1])],
+                &[vec![], vec![], vec![cuts[1]]],
             ),
             Err(Divergence::RejoinedNotChained { site: 2, position: 1 }),
         );
         // A divergent entry in any segment is still split-brain.
         let rogue = log(&[(0, 1), (0, 2), (9, 9), (2, 2)]);
         assert_eq!(
-            check_logs_rejoined_multi(
+            check_logs_rejoined(
                 &[reference.clone(), reference, rogue],
                 &[false, false, false],
                 &[vec![], vec![], cuts],
@@ -570,7 +533,7 @@ mod tests {
     #[test]
     fn check_logs_delegates_to_the_rejoin_checker() {
         let l = log(&[(0, 1), (1, 1)]);
-        let rejoins = [None, None];
+        let rejoins = [vec![], vec![]];
         assert_eq!(
             check_logs(&[l.clone(), l.clone()], &[false, false]),
             check_logs_rejoined(&[l.clone(), l], &[false, false], &rejoins),
@@ -599,9 +562,9 @@ mod tests {
         let b = log(&[(0, 1), (1, 1), (1, 2), (2, 2)]); // kept 2, cut 4
         let c = log(&[(0, 1), (1, 1), (2, 1), (2, 2)]); // kept 3, cut 5
         let rejoins = [
-            Some(RejoinCut { kept: 1, cut: 3 }),
-            Some(RejoinCut { kept: 2, cut: 4 }),
-            Some(RejoinCut { kept: 3, cut: 5 }),
+            vec![RejoinCut { kept: 1, cut: 3 }],
+            vec![RejoinCut { kept: 2, cut: 4 }],
+            vec![RejoinCut { kept: 3, cut: 5 }],
         ];
         check_logs_rejoined(&[a, b, c], &[false; 3], &rejoins).expect("one merged chain");
     }
@@ -612,7 +575,7 @@ mod tests {
         // position 2: split-brain survives no matter who rejoined.
         let a = log(&[(0, 1), (7, 7)]); // kept 1, cut 1 -> claims pos 2 = (7,7)
         let b = log(&[(0, 1), (1, 1), (9, 9)]); // kept 3 (no gap) -> pos 2 = (9,9)
-        let rejoins = [Some(RejoinCut { kept: 1, cut: 2 }), Some(RejoinCut { kept: 3, cut: 3 })];
+        let rejoins = [vec![RejoinCut { kept: 1, cut: 2 }], vec![RejoinCut { kept: 3, cut: 3 }]];
         let err =
             check_logs_rejoined(&[a, b], &[false; 2], &rejoins).expect_err("divergent chains");
         assert!(matches!(err, Divergence::Mismatch { position: 2, .. }), "{err}");

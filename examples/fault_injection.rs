@@ -16,7 +16,7 @@
 //! ```
 
 use dbsm_testbed::core::{report, run_experiment, ExperimentConfig, RunMetrics};
-use dbsm_testbed::fault::{check_logs_rejoined_multi, FaultPlan, FaultSpec};
+use dbsm_testbed::fault::{check_logs_rejoined, FaultPlan, FaultSpec};
 use dbsm_testbed::sim::SimTime;
 use std::time::Duration;
 
@@ -24,7 +24,7 @@ fn run(label: &str, faults: FaultPlan) -> RunMetrics {
     let cfg = ExperimentConfig::replicated(3, 120).with_target(1200).with_faults(faults);
     let metrics = run_experiment(cfg);
     let crashed: Vec<bool> = (0..3u16).map(|s| metrics.crashed_sites.contains(&s)).collect();
-    check_logs_rejoined_multi(&metrics.commit_logs, &crashed, &metrics.rejoin_cuts())
+    check_logs_rejoined(&metrics.commit_logs, &crashed, &metrics.rejoin_cuts())
         .expect("safety violated");
     println!("{}  (safety ok)", report::summary_line(&format!("{label:<22}"), &metrics));
     metrics
@@ -127,7 +127,7 @@ fn main() {
             );
         let metrics = run_experiment(cfg);
         let crashed: Vec<bool> = (0..6u16).map(|s| metrics.crashed_sites.contains(&s)).collect();
-        check_logs_rejoined_multi(&metrics.commit_logs, &crashed, &metrics.rejoin_cuts())
+        check_logs_rejoined(&metrics.commit_logs, &crashed, &metrics.rejoin_cuts())
             .expect("safety violated");
         let label = format!("{:<22}", "re-home rf2 pair crash");
         println!("{}  (safety ok)", report::summary_line(&label, &metrics));

@@ -149,7 +149,7 @@ proptest! {
         plan in arb_restart_plan(),
         seed in any::<u64>(),
     ) {
-        use dbsm_testbed::fault::check_logs_rejoined_multi;
+        use dbsm_testbed::fault::check_logs_rejoined;
         plan.validate(SITES).expect("generated plans are well-formed");
         let cfg = || {
             let mut cfg = ExperimentConfig::replicated(SITES, 24)
@@ -165,7 +165,7 @@ proptest! {
         // one chain, with rejoined sites chaining through their cuts.
         let crashed: Vec<bool> =
             (0..SITES as u16).map(|s| m.crashed_sites.contains(&s)).collect();
-        if let Err(d) = check_logs_rejoined_multi(&m.commit_logs, &crashed, &m.rejoin_cuts()) {
+        if let Err(d) = check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts()) {
             panic!("divergence under plan {plan:?} seed {seed}: {d}");
         }
         // Determinism: the same seed reproduces the run bit for bit,

@@ -679,7 +679,7 @@ proptest! {
         // cross-check, armed in debug builds — every quorum decision
         // matches the full-replication oracle.
         use dbsm_testbed::core::{run_experiment, ExperimentConfig};
-        use dbsm_testbed::fault::{check_logs_rejoined_multi, FaultPlan, FaultSpec};
+        use dbsm_testbed::fault::{check_logs_rejoined, FaultPlan, FaultSpec};
         use dbsm_testbed::sim::SimTime;
         let crashes: Vec<u16> = crash_sites.iter().copied().collect();
         let mut plan = FaultPlan::none();
@@ -716,7 +716,7 @@ proptest! {
         prop_assert_eq!(a.replacement_work, b.replacement_work);
         prop_assert_eq!(a.committed(), b.committed());
         let crashed: Vec<bool> = (0..6u16).map(|s| a.crashed_sites.contains(&s)).collect();
-        let chain = check_logs_rejoined_multi(&a.commit_logs, &crashed, &a.rejoin_cuts());
+        let chain = check_logs_rejoined(&a.commit_logs, &crashed, &a.rejoin_cuts());
         prop_assert!(chain.is_ok(), "chain check: {:?}", chain);
         prop_assert!(a.committed() > 300, "run made progress: {}", a.committed());
         // rf 1 leaves every crashed site's span with zero replicas: the

@@ -506,7 +506,7 @@ fn protocol_cpu_stays_in_the_papers_band() {
 
 #[test]
 fn crashed_then_restarted_site_rejoins_and_commits() {
-    use dbsm_testbed::fault::check_logs_rejoined_multi;
+    use dbsm_testbed::fault::check_logs_rejoined;
     // Site 2 crashes at 15 s and restarts at 30 s: its fresh incarnation
     // must announce itself, catch up via snapshot + delta-log state
     // transfer, re-enter the view and resume committing.
@@ -543,7 +543,7 @@ fn crashed_then_restarted_site_rejoins_and_commits() {
     // And the full chain rule holds: pre-crash prefix, transferred gap,
     // post-rejoin continuation from the cut.
     let crashed = crashed_flags(&m, 3);
-    check_logs_rejoined_multi(&m.commit_logs, &crashed, &m.rejoin_cuts())
+    check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts())
         .expect("rejoined log chains through the cut");
     // CI's recovery smoke step greps this line into the step summary.
     println!(
@@ -557,7 +557,7 @@ fn crashed_then_restarted_site_rejoins_and_commits() {
 
 #[test]
 fn kill_and_replace_completes_with_chain_checked_logs() {
-    use dbsm_testbed::fault::check_logs_rejoined_multi;
+    use dbsm_testbed::fault::check_logs_rejoined;
     // Rolling kill-and-replace: each of the three sites is killed in turn
     // and restarts after a short downtime, staggered so a majority always
     // survives. Every site must come back through the rejoin path.
@@ -579,13 +579,13 @@ fn kill_and_replace_completes_with_chain_checked_logs() {
     assert_eq!(m.recovery_work.snapshots_served, 3);
     assert!(m.crashed_sites.is_empty(), "no site left behind: {:?}", m.crashed_sites);
     let crashed = crashed_flags(&m, 3);
-    check_logs_rejoined_multi(&m.commit_logs, &crashed, &m.rejoin_cuts())
+    check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts())
         .expect("every replaced site chains through its cut");
 }
 
 #[test]
 fn voter_crash_mid_vote_round_is_safe_and_survivors_recollect() {
-    use dbsm_testbed::fault::check_logs_rejoined_multi;
+    use dbsm_testbed::fault::check_logs_rejoined;
     // A span owner dies with vote rounds in flight: the in-flight
     // transactions it voted on (or should have) must still decide at the
     // survivors — every span it owned has a second replica under rf 2, so
@@ -607,7 +607,7 @@ fn voter_crash_mid_vote_round_is_safe_and_survivors_recollect() {
     assert!(m.vote_wire.sent > 0, "wire votes cast: {:?}", m.vote_wire);
     assert!(m.vote_wire.decided > 0, "origins collected covering quorums");
     let crashed = crashed_flags(&m, 6);
-    check_logs_rejoined_multi(&m.commit_logs, &crashed, &m.rejoin_cuts())
+    check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts())
         .expect("crashed voter holds a prefix, survivors agree");
 }
 
@@ -640,7 +640,7 @@ fn partition_heal_during_vote_rounds_recovers_the_lost_votes() {
 
 #[test]
 fn rejoined_voter_resumes_voting_past_its_cut() {
-    use dbsm_testbed::fault::check_logs_rejoined_multi;
+    use dbsm_testbed::fault::check_logs_rejoined;
     // Crash-restart a span owner under rf 2: while it is down the
     // survivors decide vote rounds without it; after snapshot + delta-log
     // transfer and `finish_rejoin` the fresh incarnation must resume
@@ -672,13 +672,13 @@ fn rejoined_voter_resumes_voting_past_its_cut() {
         m.vote_wire.per_site_sent
     );
     let crashed = crashed_flags(&m, 6);
-    check_logs_rejoined_multi(&m.commit_logs, &crashed, &m.rejoin_cuts())
+    check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts())
         .expect("rejoined voter chains through its cut");
 }
 
 #[test]
 fn partial_placement_rejoin_transfers_only_the_sites_spans() {
-    use dbsm_testbed::fault::check_logs_rejoined_multi;
+    use dbsm_testbed::fault::check_logs_rejoined;
     // Under a 2-of-6 placement the rejoiner re-requests only its spans'
     // rows: the snapshot is priced per owned warehouse, a fraction of the
     // full-replication transfer.
@@ -692,7 +692,7 @@ fn partial_placement_rejoin_transfers_only_the_sites_spans() {
     let m = run_experiment(cfg);
     assert_eq!(m.recovery_work.rejoins, 1, "rejoins {:?}", m.rejoins);
     let crashed = crashed_flags(&m, 6);
-    check_logs_rejoined_multi(&m.commit_logs, &crashed, &m.rejoin_cuts())
+    check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts())
         .expect("partial-placement rejoin chains through the cut");
     // Full replication ships all warehouses; the 2-of-6 span ships ~1/3.
     let mut full = ExperimentConfig::replicated(6, 60).with_target(1500).with_faults(restart);
