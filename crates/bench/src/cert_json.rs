@@ -35,7 +35,7 @@
 use dbsm_core::{CertCostModel, ExperimentConfig, RunMetrics};
 use std::ffi::OsString;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Bumped whenever a schema or pricing change makes old rows incomparable
 /// with fresh ones; feeds [`config_hash`], so a bump forces a full re-sweep
@@ -607,38 +607,39 @@ pub fn merge_rows<R: Row>(existing: &[R], fresh: &[R]) -> Result<Vec<R>, String>
     Ok(merged)
 }
 
-/// Merges `fresh` into `R`'s artifact on disk (if any), reads the rendered
-/// document back and writes it, returning the path written. An
-/// unreadable or unparsable existing artifact is replaced with a warning —
-/// the bench must not be bricked by a corrupt file — but a config-hash
-/// mismatch against a *valid* artifact is a hard error (see [`merge_rows`]).
+/// Merges `fresh` into `R`'s artifact on disk, reads the rendered document
+/// back and writes it, returning the path written. Only a missing artifact
+/// starts an empty document; one that does not read back is left as it is
+/// and fails the run, since starting afresh would silently drop every row
+/// the sweep did not re-run.
 ///
 /// # Errors
 ///
-/// Returns any filesystem error, or `InvalidData` on a hash mismatch or if
-/// the rendered document fails to read back — a formatting bug or a label
-/// the reader cannot take back (one holding a `"`, say) must fail the
-/// bench run loudly, not poison the artifact.
+/// Returns `InvalidData` if the existing artifact does not read back
+/// (a CRLF or hand-edited copy, say), on a config-hash mismatch against it
+/// (see [`merge_rows`]), or if the rendered document fails to read back — a
+/// formatting bug or a label the reader cannot take back (one holding a
+/// `"`, say) must fail the bench run loudly, not poison the artifact. Any
+/// other filesystem error is returned as it is.
 pub fn merge_and_write<R: Row>(fresh: &[R]) -> std::io::Result<PathBuf> {
-    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let path = output_path::<R>();
-    let existing = match std::fs::read_to_string(&path) {
-        Ok(text) => match parse_document::<R>(&text) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!(
-                    "warning: existing {} does not match the schema ({e}); starting fresh",
-                    path.display()
-                );
-                Vec::new()
-            }
-        },
-        Err(_) => Vec::new(),
+    merge_into(&path, fresh)?;
+    Ok(path)
+}
+
+/// [`merge_and_write`] into the artifact at `path`.
+fn merge_into<R: Row>(path: &Path, fresh: &[R]) -> std::io::Result<()> {
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    let existing = match std::fs::read_to_string(path) {
+        Ok(text) => parse_document::<R>(&text).map_err(|e| {
+            invalid(format!("existing {} does not read back ({e}); left as it is", path.display()))
+        })?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
     };
     let doc = rows_to_json(&merge_rows(&existing, fresh).map_err(invalid)?);
     parse_document::<R>(&doc).map_err(invalid)?;
-    std::fs::write(&path, doc)?;
-    Ok(path)
+    std::fs::write(path, doc)
 }
 
 #[cfg(test)]
@@ -860,6 +861,33 @@ mod tests {
         assert!(merged.contains(&kept), "non-rerun row must survive");
         let updated = merged.iter().find(|r| r.clients == 20000).unwrap();
         assert_eq!(updated.tpm, 99.0, "re-run row must be replaced");
+    }
+
+    #[test]
+    fn an_existing_artifact_that_does_not_read_back_fails_the_merge_untouched() {
+        let dir = std::env::temp_dir().join(format!("dbsm-cert-json-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("BENCH_cert.json");
+        let mut fresh = sample_row();
+        fresh.mean_vote_wait_ms = 1.5;
+        let canonical = rows_to_json(std::slice::from_ref(&fresh));
+        let crlf = canonical.replace('\n', "\r\n");
+        let short =
+            canonical.replace("\"mean_vote_wait_ms\": 1.500", "\"mean_vote_wait_ms\": 1.50");
+        assert_ne!(short, canonical);
+        for (what, text) in [("a CRLF copy", crlf), ("1.50 for 1.500", short)] {
+            std::fs::write(&path, &text).expect("write the copy");
+            let err = merge_into(&path, &[sample_row()]).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("does not read back"), "{what}: {err}");
+            let after = std::fs::read(&path).expect("still there");
+            assert!(after == text.as_bytes(), "{what}: the file on disk changed");
+        }
+        // A missing artifact starts an empty document.
+        std::fs::remove_file(&path).expect("remove the copy");
+        merge_into(&path, &[fresh]).expect("a fresh artifact");
+        assert!(std::fs::read_to_string(&path).expect("written") == canonical);
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

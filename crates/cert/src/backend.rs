@@ -332,20 +332,35 @@ mod tests {
 
     #[test]
     fn gc_evicts_index_entries_incrementally() {
+        // Commits 1..=32 each write one of four rows of table 1 and the
+        // wildcard of table 2; every row collects eight writers in a list.
         let mut c = IndexedCertifier::new();
         for i in 0..32 {
             c.certify(&req(0, i, i, &[], &[id(1, i % 4 + 1), wild(2)])).expect("fill");
         }
         assert_eq!(c.history_len(), 32);
         assert_eq!(c.tables.len(), 2);
+        // One sweep at 30 keeps exactly the writers above it, 31 and 32.
         c.gc(30);
+        c.check_index();
         assert_eq!(c.history_len(), 2);
         assert!(c.tables.contains_key(&TableId(1)), "table 1 live");
-        let total_row_seqs: usize = (1..=4).map(|r| c.rows.writers(id(1, r)).len()).sum();
-        assert_eq!(total_row_seqs, 2, "only uncollected writers remain indexed");
-        assert_eq!(c.tables.get(&TableId(2)).expect("table 2 live").wildcard.len(), 2);
+        let writers: Vec<Vec<u64>> = (1..=4).map(|r| c.rows.writers(id(1, r))).collect();
+        assert_eq!(
+            writers,
+            [vec![], vec![], vec![31], vec![32]],
+            "only uncollected writers remain"
+        );
+        let table2 = c.tables.get(&TableId(2)).expect("table 2 live");
+        assert_eq!(table2.wildcard, [31, 32]);
+        assert_eq!(c.tables.get(&TableId(1)).expect("table 1").any_writer, [31, 32]);
+        // A gc that retires no history leaves the index as it was.
+        c.gc(30);
+        c.check_index();
+        assert_eq!(c.history_len(), 2);
         // Full collection drops the tables entirely.
         c.gc(32);
+        c.check_index();
         assert!(c.tables.is_empty());
         assert_eq!(c.history_len(), 0);
         // The emptied certifier still certifies fresh snapshots.

@@ -15,23 +15,28 @@
 //!
 //! Every list below holds *ascending* sequence numbers: commits arrive in
 //! total order, so insertion is a push to the back, and garbage collection
-//! — which retires the globally oldest history entry first — is a pop from
-//! the front. A conflict probe is then one `partition_point` for the first
-//! sequence number above the request's snapshot.
+//! — which retires every sequence number at or below the stable point — is
+//! a trim of the front. A conflict probe is then one `partition_point` for
+//! the first sequence number above the request's snapshot.
 //!
-//! * Row writers live in one keyed-only map from the raw [`TupleId`] to a
-//!   `u64`. Most rows inside the conflict window were written once, and
-//!   that lone writer's sequence number is the value itself; a second
-//!   concurrent writer moves the row into a slab list, and the value
-//!   becomes the tagged slot `1 << 63 | slot`. Drained lists go back to a
-//!   free list for the next multi-writer row.
+//! * Row writers live in one map from the raw [`TupleId`] to a `u64`. Most
+//!   rows inside the conflict window were written once, and that lone
+//!   writer's sequence number is the value itself; a second concurrent
+//!   writer moves the row into a slab list, and the value becomes the
+//!   tagged slot `1 << 63 | slot`. Drained lists go back to a free list for
+//!   the next multi-writer row.
 //! * Each table keeps its table-level (wildcard) writers and its any-writer
 //!   list, which a wildcard *read* probes.
-//! * The gc history is a flat `(seq, count)` deque over one deque of the
-//!   ids each commit filed here. A span-restricted certifier files only the
-//!   ids it indexes — all eviction needs — yet keeps one entry per commit,
-//!   so sequence numbers and history lengths stay in lockstep across sites.
-//!   No write-set is cloned or allocated per commit.
+//! * The history is a deque of run-length `(first, last)` ranges of
+//!   consecutive commits with a non-empty write-set. A span-restricted
+//!   certifier counts every such commit, whatever spans it touched, so
+//!   sequence numbers and history lengths stay in lockstep across sites.
+//!
+//! Nothing records which ids a commit indexed. When gc retires history it
+//! sweeps the index once instead: lone writers at or below the stable point
+//! leave the map, list fronts are trimmed and drained lists freed, and each
+//! table trims its two lists and is dropped once both are empty. No
+//! write-set is cloned or allocated per commit.
 //!
 //! # Speculative certification
 //!
@@ -68,7 +73,7 @@ use crate::rwset::RwSet;
 use crate::span::ShardKeyFn;
 use crate::tuple::{TableId, TupleId};
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Per-table slice of the write-history index: its wildcard and
 /// any-writer lists. Row writers live in the certifier's [`RowIndex`].
@@ -96,19 +101,11 @@ fn first_above(seqs: &VecDeque<u64>, start_seq: u64) -> Option<u64> {
     seqs.get(i).copied()
 }
 
-/// Pops the front of `seqs` when it equals the sequence number being
-/// garbage-collected; eviction follows history order, so the retired
-/// sequence number is always the oldest one present.
-///
-/// # Panics
-///
-/// Panics with "eviction out of order" if `seqs` holds a sequence number
-/// below `seq`, i.e. an older entry was never evicted.
-fn evict_front(seqs: &mut VecDeque<u64>, seq: u64) {
-    assert!(seqs.front().is_none_or(|s| *s >= seq), "eviction out of order");
-    if seqs.front() == Some(&seq) {
-        seqs.pop_front();
-    }
+/// Drops every sequence number at or below `stable_seq` from the front of
+/// the ascending `seqs`.
+fn trim_front(seqs: &mut VecDeque<u64>, stable_seq: u64) {
+    let retired = seqs.partition_point(|s| *s <= stable_seq);
+    seqs.drain(..retired);
 }
 
 /// Tag bit of a [`RowIndex`] value: set, the low bits name a slab list;
@@ -124,8 +121,10 @@ const LIST: u64 = 1 << 63;
 /// next multi-writer row.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RowIndex {
-    /// Raw tuple id → lone writer or tagged slot. Only looked up by key,
-    /// never iterated, so hash order cannot leak.
+    /// Raw tuple id → lone writer or tagged slot. Iterated only by the gc
+    /// sweep, which keeps or drops each entry by its own value, and by
+    /// [`IndexedCertifier::restricted_to`], whose copy orders each row's
+    /// writers and each table's lists itself: hash order cannot leak.
     writers: FxHashMap<u64, u64>,
     lists: Vec<VecDeque<u64>>,
     free: Vec<usize>,
@@ -169,39 +168,52 @@ impl RowIndex {
         }
     }
 
-    /// [`evict_front`] over the writers of `row`; a row left with none
-    /// leaves the map, and its list, if any, goes back to the free list.
-    ///
-    /// # Panics
-    ///
-    /// Panics with "eviction out of order", as [`evict_front`] does.
-    fn evict_front(&mut self, row: TupleId, seq: u64) {
-        let Some(&value) = self.writers.get(&row.as_raw()) else { return };
-        let drained = if value & LIST == 0 {
-            assert!(value >= seq, "eviction out of order");
-            value == seq
-        } else {
-            let slot = (value & !LIST) as usize;
-            evict_front(&mut self.lists[slot], seq);
-            let drained = self.lists[slot].is_empty();
-            if drained {
-                self.free.push(slot);
+    /// Drops every writer at or below `stable_seq`: lone writers leave
+    /// the map, lists lose their fronts, and a drained list's row leaves
+    /// the map while its slot goes back to the free list.
+    fn sweep(&mut self, stable_seq: u64) {
+        // Slot order, not hash order, decides the free list.
+        for (slot, list) in self.lists.iter_mut().enumerate() {
+            if !list.is_empty() {
+                trim_front(list, stable_seq);
+                if list.is_empty() {
+                    self.free.push(slot);
+                }
             }
-            drained
-        };
-        if drained {
-            self.writers.remove(&row.as_raw());
         }
+        let lists = &self.lists;
+        self.writers.retain(|_, value| {
+            if *value & LIST == 0 {
+                *value > stable_seq
+            } else {
+                !lists[(*value & !LIST) as usize].is_empty()
+            }
+        });
+    }
+
+    /// The writers behind the map value `value`, ascending, as the two
+    /// halves of a deque.
+    fn seqs<'a>(&'a self, value: &'a u64) -> (&'a [u64], &'a [u64]) {
+        if value & LIST == 0 {
+            (std::slice::from_ref(value), &[])
+        } else {
+            self.lists[(value & !LIST) as usize].as_slices()
+        }
+    }
+
+    /// Every indexed row with its writers, as [`RowIndex::seqs`] gives
+    /// them, in hash order.
+    fn iter(&self) -> impl Iterator<Item = (TupleId, (&[u64], &[u64]))> {
+        self.writers.iter().map(|(&raw, value)| (TupleId::from_raw(raw), self.seqs(value)))
     }
 
     /// The writers of `row`, ascending.
     #[cfg(test)]
     pub(crate) fn writers(&self, row: TupleId) -> Vec<u64> {
-        match self.writers.get(&row.as_raw()) {
-            None => Vec::new(),
-            Some(&value) if value & LIST == 0 => vec![value],
-            Some(&value) => self.lists[(value & !LIST) as usize].iter().copied().collect(),
-        }
+        self.writers.get(&row.as_raw()).map_or_else(Vec::new, |value| {
+            let (front, back) = self.seqs(value);
+            [front, back].concat()
+        })
     }
 }
 
@@ -251,8 +263,8 @@ pub enum SpecResolution {
 /// table-level write cover it?), and — for wildcard reads — the table's
 /// any-writer list. Each is a hash lookup plus at most one binary search,
 /// so the total cost is proportional to the *request*, not to the conflict
-/// window. The index is maintained incrementally: commits append, gc evicts
-/// exactly the ids the retired history entries filed. The module
+/// window. The index is maintained incrementally: commits append, and gc
+/// sweeps out every writer at or below the stable point. The module
 /// documentation describes the layout.
 ///
 /// A certifier built with [`IndexedCertifier::with_span`] indexes and
@@ -262,20 +274,20 @@ pub enum SpecResolution {
 /// alone, which is only correct when they cover every span.
 #[derive(Debug, Clone)]
 pub struct IndexedCertifier {
-    /// The per-table wildcard and any-writer lists, looked up by table and
-    /// never iterated, so hash order cannot leak.
+    /// The per-table wildcard and any-writer lists. Iterated only by the gc
+    /// sweep, which keeps or drops each table by its own lists, and by
+    /// [`IndexedCertifier::restricted_to`], which copies them whole: hash
+    /// order cannot leak.
     pub(crate) tables: FxHashMap<TableId, TableIndex>,
     /// The writers of every indexed row.
     pub(crate) rows: RowIndex,
     /// The stored spans; `None` stores every tuple.
     span: Option<Span>,
-    /// One `(seq, count)` entry per committed write-set, oldest first:
-    /// the commit under `seq` filed `count` ids. Retained only to drive
-    /// incremental index eviction on gc.
-    history: VecDeque<(u64, u32)>,
-    /// The ids the history entries filed — those they indexed here — in
-    /// history order.
-    filed: VecDeque<TupleId>,
+    /// Run-length `(first, last)` ranges of the retained commits with a
+    /// non-empty write-set, oldest first: every sequence number in
+    /// `first..=last` is one, and a commit with an empty write-set ends a
+    /// range.
+    history: VecDeque<(u64, u64)>,
     /// Next global sequence number to assign.
     next_seq: u64,
     /// All sequence numbers `<= low_water` have been garbage collected.
@@ -301,7 +313,6 @@ impl IndexedCertifier {
             rows: RowIndex::default(),
             span: None,
             history: VecDeque::new(),
-            filed: VecDeque::new(),
             next_seq: 1,
             low_water: 0,
             specs: FxHashMap::default(),
@@ -323,26 +334,47 @@ impl IndexedCertifier {
     ///
     /// This is the receiving half of rejoin state transfer and re-homing
     /// under partial placement: the unrestricted donor holds the full
-    /// history, and the new replica only wants the rows its spans own, so
-    /// the transfer re-projects every retained history entry onto them
-    /// instead of shipping the donor's index verbatim. Speculations are not
-    /// carried over — they are bound to requests in flight at the donor,
-    /// which the new replica never saw.
+    /// index, and the new replica only wants the rows its spans own, so the
+    /// transfer rebuilds the index from the donor's instead of shipping it
+    /// verbatim. Each local row keeps its writers and each local table its
+    /// wildcard list; a table's any-writer list becomes the sorted union of
+    /// those, and the history ranges are copied as they are. Speculations
+    /// are not carried over — they are bound to requests in flight at the
+    /// donor, which the new replica never saw.
     ///
     /// # Panics
     ///
-    /// Panics if this certifier is itself span-restricted: it filed only
+    /// Panics if this certifier is itself span-restricted: it indexed only
     /// its own ids, so it cannot project onto other spans.
     pub fn restricted_to(&self, span_of: ShardKeyFn, owned: impl IntoIterator<Item = u64>) -> Self {
         assert!(self.span.is_none(), "only an unrestricted certifier can be re-projected");
         let mut c = IndexedCertifier {
+            history: self.history.clone(),
             next_seq: self.next_seq,
             low_water: self.low_water,
             ..IndexedCertifier::with_span(span_of, owned)
         };
-        let mut filed = self.filed.iter().copied();
-        for &(seq, count) in &self.history {
-            c.index(seq, filed.by_ref().take(count as usize));
+        // Each local table's writers, gathered in hash order and sorted
+        // below; each entry fills only its own table, so order cannot leak.
+        let mut any: FxHashMap<TableId, Vec<u64>> = FxHashMap::default();
+        for (row, (front, back)) in self.rows.iter() {
+            if c.is_local(row) {
+                for &seq in front.iter().chain(back) {
+                    c.rows.push_back(row, seq);
+                }
+                any.entry(row.table()).or_default().extend(front.iter().chain(back));
+            }
+        }
+        for (&table, index) in &self.tables {
+            if !index.wildcard.is_empty() && c.is_local(TupleId::table_level(table)) {
+                c.tables.entry(table).or_default().wildcard = index.wildcard.clone();
+                any.entry(table).or_default().extend(&index.wildcard);
+            }
+        }
+        for (table, mut seqs) in any {
+            seqs.sort_unstable();
+            seqs.dedup();
+            c.tables.entry(table).or_default().any_writer = seqs.into();
         }
         c
     }
@@ -382,7 +414,7 @@ impl IndexedCertifier {
     /// Number of write-sets retained: one per commit with a non-empty
     /// write-set above the low-water mark, whatever spans it touched.
     pub fn history_len(&self) -> usize {
-        self.history.len()
+        self.history.iter().map(|&(first, last)| (last - first + 1) as usize).sum()
     }
 
     /// Oldest garbage-collected sequence number.
@@ -431,13 +463,17 @@ impl IndexedCertifier {
         (earliest, CertWork { probes, ..CertWork::default() })
     }
 
-    /// Indexes and files the stored part of a write-set committed under
-    /// `seq` (sequence numbers arrive strictly increasing, and `writes` in
-    /// sorted order), and appends its history entry — also when it filed
-    /// nothing here.
-    fn index(&mut self, seq: u64, writes: impl IntoIterator<Item = TupleId>) {
-        let mut count = 0;
-        for id in writes {
+    /// Appends a commit: assigns the next sequence number and indexes the
+    /// stored part of the write-set (sorted, so ids of one table are
+    /// adjacent). A non-empty write-set extends the history — also when
+    /// none of it is stored here; an empty one leaves none.
+    fn commit(&mut self, req: &CertRequest) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if req.write_set.is_empty() {
+            return seq;
+        }
+        for &id in req.write_set.ids() {
             if !self.is_local(id) {
                 continue;
             }
@@ -447,43 +483,14 @@ impl IndexedCertifier {
             } else {
                 self.rows.push_back(id, seq);
             }
-            // One entry per (table, seq) pair: ids of the same table are
-            // adjacent in the sorted write-set, so dedup against the back.
+            // One entry per (table, seq) pair: dedup against the back.
             if table.any_writer.back() != Some(&seq) {
                 table.any_writer.push_back(seq);
             }
-            self.filed.push_back(id);
-            count += 1;
         }
-        self.history.push_back((seq, count));
-    }
-
-    /// Removes one filed id of a retired history entry from the index
-    /// (entries retire oldest-first, so `seq` is the oldest sequence number
-    /// of every list holding it). A row is evicted before its table is
-    /// looked up: an earlier id of the same entry may already have emptied
-    /// and dropped the table.
-    fn unindex(&mut self, seq: u64, id: TupleId) {
-        if !id.is_table_level() {
-            self.rows.evict_front(id, seq);
-        }
-        let Some(table) = self.tables.get_mut(&id.table()) else { return };
-        if id.is_table_level() {
-            evict_front(&mut table.wildcard, seq);
-        }
-        evict_front(&mut table.any_writer, seq);
-        if table.is_empty() {
-            self.tables.remove(&id.table());
-        }
-    }
-
-    /// Appends a commit: assigns the next sequence number and indexes the
-    /// write-set (empty write-sets leave no history).
-    fn commit(&mut self, req: &CertRequest) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if !req.write_set.is_empty() {
-            self.index(seq, req.write_set.ids().iter().copied());
+        match self.history.back_mut() {
+            Some((_, last)) if *last + 1 == seq => *last = seq,
+            _ => self.history.push_back((seq, seq)),
         }
         seq
     }
@@ -649,26 +656,92 @@ impl IndexedCertifier {
     }
 
     /// Discards history at or below `stable_seq` (clamped to
-    /// [`IndexedCertifier::last_committed`]), incrementally evicting the
-    /// retired entries from the index and pruning speculations whose
+    /// [`IndexedCertifier::last_committed`]) and prunes speculations whose
     /// snapshot fell below the new low-water mark (their confirm would
-    /// report truncation anyway).
-    ///
-    /// # Panics
-    ///
-    /// Panics with "eviction out of order" if the index holds a sequence
-    /// number the history already retired.
+    /// report truncation anyway). When any history retires, one sweep of
+    /// the index drops every writer at or below `stable_seq`.
     pub fn gc(&mut self, stable_seq: u64) {
         let stable_seq = stable_seq.min(self.last_committed());
-        while let Some((seq, count)) = self.history.pop_front_if(|(seq, _)| *seq <= stable_seq) {
-            for _ in 0..count {
-                let id = self.filed.pop_front().expect("a history entry outlived its filed ids");
-                self.unindex(seq, id);
+        if self.history.front().is_some_and(|&(first, _)| first <= stable_seq) {
+            while let Some(range) = self.history.front_mut() {
+                if range.1 > stable_seq {
+                    range.0 = range.0.max(stable_seq + 1);
+                    break;
+                }
+                self.history.pop_front();
             }
+            self.rows.sweep(stable_seq);
+            self.tables.retain(|_, table| {
+                trim_front(&mut table.wildcard, stable_seq);
+                trim_front(&mut table.any_writer, stable_seq);
+                !table.is_empty()
+            });
         }
         self.low_water = self.low_water.max(stable_seq);
         let low_water = self.low_water;
         self.specs.retain(|_, s| s.start_seq >= low_water);
+    }
+
+    /// Panics unless the index agrees with the history and the low-water
+    /// mark: every history range is non-empty, above `low_water` and
+    /// separated from the next; every retained writer lies in a range and
+    /// above `low_water`; every row's and list's writers are strictly
+    /// ascending; each table's any-writer list is exactly the union of its
+    /// rows' and wildcard writers, and no table is empty; the free list
+    /// holds only drained slots; and [`IndexedCertifier::history_len`] is
+    /// the number of sequence numbers the ranges cover. A test aid: it
+    /// walks the whole index.
+    #[doc(hidden)]
+    pub fn check_index(&self) {
+        let lw = self.low_water;
+        let mut above = lw;
+        for &(first, last) in &self.history {
+            assert!(above < first && first <= last, "history range {first}..={last} after {above}");
+            above = last + 1;
+        }
+        let covered = self.history.iter().flat_map(|&(first, last)| first..=last).count();
+        assert_eq!(self.history_len(), covered, "history_len is not the range sum");
+        let check = |what: &dyn std::fmt::Debug, seqs: Vec<u64>| {
+            assert!(
+                seqs.is_sorted_by(|a, b| a < b),
+                "{what:?}: writers {seqs:?} not strictly ascending"
+            );
+            for &seq in &seqs {
+                assert!(seq > lw, "{what:?}: writer {seq} retained at or below low water {lw}");
+                let i = self.history.partition_point(|&(_, last)| last < seq);
+                assert!(
+                    self.history.get(i).is_some_and(|&(first, _)| first <= seq),
+                    "{what:?}: writer {seq} outside the history"
+                );
+            }
+            seqs
+        };
+        let mut union: BTreeMap<TableId, BTreeSet<u64>> = BTreeMap::new();
+        for (row, (front, back)) in self.rows.iter() {
+            let seqs = check(&row, [front, back].concat());
+            union.entry(row.table()).or_default().extend(seqs);
+        }
+        for (table, index) in &self.tables {
+            assert!(!index.is_empty(), "{table:?}: empty table kept");
+            check(table, index.any_writer.iter().copied().collect());
+            let wildcard = check(table, index.wildcard.iter().copied().collect());
+            union.entry(*table).or_default().extend(wildcard);
+        }
+        assert_eq!(union.len(), self.tables.len(), "a table with rows has no entry");
+        for (table, seqs) in &union {
+            let any_writer = &self.tables.get(table).expect("checked above").any_writer;
+            assert!(
+                any_writer.iter().eq(seqs),
+                "{table:?}: any-writer {any_writer:?}, union {seqs:?}"
+            );
+        }
+        let rows = &self.rows;
+        assert!(
+            rows.free.iter().all(|&slot| rows.lists[slot].is_empty()),
+            "a free slot holds writers"
+        );
+        let listed = rows.writers.values().filter(|&&value| value & LIST != 0).count();
+        assert_eq!(listed + rows.free.len(), rows.lists.len(), "a slot is neither listed nor free");
     }
 }
 
@@ -696,8 +769,8 @@ mod tests {
 
     #[test]
     fn row_index_matches_a_plain_deque() {
-        // Walk one row lone -> list slot -> drained -> slot reused, probing
-        // every snapshot at every step against the list it replaces.
+        // Walk one row lone -> list slot -> swept -> drained -> slot reused,
+        // probing every snapshot at every step against the list it replaces.
         let (row, other) = (id(1, 7), id(2, 7));
         let mut rows = RowIndex::default();
         let mut plain: VecDeque<u64> = VecDeque::new();
@@ -720,11 +793,11 @@ mod tests {
             check(&rows, &plain);
         }
         assert_eq!(rows.writers.get(&row.as_raw()), Some(&LIST), "second writer: slot 0");
-        // gc walks the history oldest-first; a seq that never wrote the row
-        // (4) evicts nothing.
-        for seq in [3, 4, 5, 9] {
-            rows.evict_front(row, seq);
-            evict_front(&mut plain, seq);
+        // Each sweep trims the writers at or below its stable point; one
+        // that passes no writer (4 after 3) leaves the row alone.
+        for stable in [3, 4, 7, 9] {
+            rows.sweep(stable);
+            trim_front(&mut plain, stable);
             check(&rows, &plain);
         }
         assert!(rows.writers.is_empty(), "a drained row leaves the map");
@@ -740,20 +813,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "eviction out of order")]
-    fn row_index_rejects_out_of_order_eviction() {
+    fn row_index_sweep_drops_writers_at_or_below_the_stable_point() {
+        // A lone writer and a list front equal to the stable point both
+        // go; writers above it stay, whatever order the rows were written.
+        let (lone, listed, late) = (id(1, 7), id(1, 8), id(2, 1));
         let mut rows = RowIndex::default();
-        rows.push_back(id(1, 7), 3);
-        rows.evict_front(id(1, 7), 4);
+        rows.push_back(listed, 2);
+        rows.push_back(lone, 3);
+        rows.push_back(listed, 3);
+        rows.push_back(listed, 4);
+        rows.push_back(late, 6);
+        rows.sweep(3);
+        assert_eq!(rows.writers(lone), [] as [u64; 0], "a lone writer at the stable point goes");
+        assert_eq!(rows.writers(listed), [4], "list fronts at or below it go");
+        assert_eq!(rows.writers(late), [6]);
+        assert!(rows.free.is_empty(), "a list with writers left is not freed");
+        rows.sweep(4);
+        assert_eq!(rows.writers(listed), [] as [u64; 0]);
+        assert_eq!(rows.free, [0], "the drained list's slot is free");
+        assert_eq!(rows.writers.len(), 1, "only the late row is left");
+        rows.sweep(4);
+        assert_eq!(rows.free, [0], "a slot already free is not freed twice");
     }
 
     #[test]
     fn gc_evicts_every_row_of_a_table_its_entry_empties() {
-        // Seq 1 is table 1's only writer: evicting its first row empties
-        // and drops the table, and its second row must still be evicted.
+        // Seq 1 is table 1's only writer: the sweep drops both its rows and
+        // the emptied table, and a later writer of one row starts afresh.
         let mut c = IndexedCertifier::new();
         c.certify(&req(0, 1, 0, &[], &[id(1, 1), id(1, 2)])).expect("two rows"); // seq 1
         c.gc(1);
+        c.check_index();
         assert!(c.tables.is_empty() && c.rows.writers.is_empty(), "nothing of seq 1 is left");
         c.certify(&req(0, 2, 1, &[], &[id(1, 2)])).expect("rewrite"); // seq 2
         c.gc(2);
@@ -770,11 +860,94 @@ mod tests {
         // seq 2 writes only a foreign row.
         c.certify(&req(0, 1, 0, &[], &[id(1, 2), id(1, 3), id(0, 5)])).expect("mixed");
         c.certify(&req(0, 2, 1, &[], &[id(1, 5)])).expect("foreign");
-        assert_eq!(c.history, [(1, 2), (2, 0)], "one entry per commit, counting filed ids");
-        assert_eq!(c.filed, [id(0, 5), id(1, 2)], "only owned and span-less ids are filed");
+        assert_eq!(c.history, [(1, 2)], "both commits count, the foreign one too");
         assert_eq!(c.history_len(), 2);
+        assert_eq!(c.rows.writers(id(1, 2)), [1], "an owned row is indexed");
+        assert_eq!(c.rows.writers(id(0, 5)), [1], "a span-less row is indexed");
+        assert_eq!(c.rows.writers.len(), 2, "foreign rows are not");
+        assert_eq!(c.tables[&TableId(1)].any_writer, [1], "seq 2 wrote nothing here");
+        c.check_index();
         c.gc(2);
-        assert!(c.filed.is_empty() && c.tables.is_empty() && c.rows.writers.is_empty());
+        c.check_index();
+        assert!(c.history.is_empty() && c.tables.is_empty() && c.rows.writers.is_empty());
+    }
+
+    #[test]
+    fn gc_cuts_a_history_range_at_the_stable_point() {
+        let mut c = IndexedCertifier::new();
+        for i in 1..=6u64 {
+            c.certify(&req(0, i, i - 1, &[], &[id(1, i % 2 + 1), id(2, i)])).expect("fill");
+        }
+        assert_eq!(c.history, [(1, 6)], "consecutive commits share one range");
+        c.gc(4);
+        c.check_index();
+        assert_eq!(c.history, [(5, 6)], "the range keeps only what lies above the cut");
+        assert_eq!(c.history_len(), 2);
+        assert_eq!(c.rows.writers(id(1, 1)), [6]);
+        assert_eq!(c.rows.writers(id(1, 2)), [5]);
+        assert_eq!(c.rows.writers(id(2, 4)), [] as [u64; 0], "the writer at the cut goes");
+        assert_eq!(c.tables[&TableId(2)].any_writer, [5, 6]);
+        let (o, _) = c.certify(&req(1, 9, 4, &[id(1, 2)], &[])).expect("above the cut");
+        assert_eq!(o, Outcome::Abort { conflict_seq: 5 });
+    }
+
+    #[test]
+    fn an_empty_write_set_splits_a_history_range() {
+        let mut c = IndexedCertifier::new();
+        c.certify(&req(0, 1, 0, &[], &[id(1, 1)])).expect("seq 1");
+        c.certify(&req(0, 2, 1, &[], &[id(1, 2)])).expect("seq 2");
+        c.certify(&req(0, 3, 2, &[id(1, 9)], &[])).expect("seq 3, no writes");
+        c.certify(&req(0, 4, 3, &[], &[id(1, 3)])).expect("seq 4");
+        assert_eq!(c.history, [(1, 2), (4, 4)]);
+        assert_eq!(c.history_len(), 3, "the empty write-set leaves no history");
+        c.gc(3);
+        c.check_index();
+        assert_eq!(c.history, [(4, 4)], "a range wholly at or below the cut goes");
+        assert_eq!(c.tables[&TableId(1)].any_writer, [4]);
+        c.gc(4);
+        c.check_index();
+        assert!(c.history.is_empty() && c.tables.is_empty());
+        assert_eq!(c.low_water(), 4);
+    }
+
+    #[test]
+    fn restricted_to_after_a_mid_range_gc_matches_a_follower() {
+        fn span_of(t: TupleId) -> Option<u64> {
+            (t.table().0 != 0).then_some(t.row() % 2)
+        }
+        // Rows 1..=4 of table 1 (two spans), a span-less row and wildcard
+        // writes to table 0, and a wildcard write to table 3, whose
+        // table-level id falls in span 0.
+        let writes = |i: u64| match i % 4 {
+            0 => vec![id(1, i % 4 + 1), TupleId::table_level(TableId(0))],
+            1 => vec![id(1, i % 4 + 1), id(0, 7)],
+            2 => vec![id(1, i % 4 + 1), TupleId::table_level(TableId(3))],
+            _ => vec![id(1, i % 4 + 1), id(1, (i + 1) % 4 + 1)],
+        };
+        let mut full = IndexedCertifier::new();
+        let mut follower = IndexedCertifier::with_span(span_of, [0]);
+        for i in 1..=12u64 {
+            let r = req(0, i, i - 1, &[], &writes(i));
+            let (o, _) = full.certify(&r).expect("fill");
+            follower.apply(&r, o);
+        }
+        full.gc(7);
+        follower.gc(7);
+        let rebuilt = full.restricted_to(span_of, [0]);
+        rebuilt.check_index();
+        assert_eq!(rebuilt.history, [(8, 12)], "ranges are copied as they are");
+        assert_eq!(rebuilt.history, follower.history);
+        assert_eq!(rebuilt.low_water(), 7);
+        for row in 1..=4 {
+            assert_eq!(rebuilt.rows.writers(id(1, row)), follower.rows.writers(id(1, row)));
+        }
+        assert_eq!(rebuilt.rows.writers(id(0, 7)), [9]);
+        assert_eq!(rebuilt.rows.writers.len(), follower.rows.writers.len());
+        for t in [0, 1, 3] {
+            let (a, b) = (&rebuilt.tables[&TableId(t)], &follower.tables[&TableId(t)]);
+            assert_eq!((&a.wildcard, &a.any_writer), (&b.wildcard, &b.any_writer), "table {t}");
+        }
+        assert_eq!(rebuilt.tables.len(), follower.tables.len());
     }
 
     #[test]

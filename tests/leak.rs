@@ -5,9 +5,11 @@
 //! mark. Building, running and dropping a cluster must return the live
 //! total to within [`SLACK`] of where it stood before the build — nothing
 //! the run scheduled, queued or captured may outlive the last `Cluster`
-//! handle. The 6-site rf-2 partial run must also never hold more than
-//! [`PARTIAL_PEAK_BOUND`] live bytes above that starting point. The file
-//! holds a single test so that no concurrent test moves the count.
+//! handle. The two runs must also never hold more live bytes above that
+//! starting point than their recorded peaks allow: [`FULL_PEAK_BOUND`] for
+//! the 3-site full-replication run, [`PARTIAL_PEAK_BOUND`] for the 6-site
+//! rf-2 partial one. The file holds a single test so that no concurrent
+//! test moves the count.
 
 use dbsm_testbed::core::{Cluster, CommitPath, ExperimentConfig, FaultPlan};
 use dbsm_testbed::sim::SimTime;
@@ -73,10 +75,15 @@ static GLOBAL: Counting = Counting;
 /// initialised runtime state, not the cluster's own.
 const SLACK: isize = 64 * 1024;
 
+/// Most live bytes the 3-site full-replication run below may hold at once:
+/// its measured peak of 1 093 243 bytes plus 10 %. A change that keeps more
+/// state per commit fails here.
+const FULL_PEAK_BOUND: isize = 1_202_567;
+
 /// Most live bytes the 6-site rf-2 partial run below may hold at once: its
-/// measured peak of 1 960 393 bytes plus 10 %. A change that keeps more
+/// measured peak of 1 590 377 bytes plus 10 %. A change that keeps more
 /// state per commit or per site fails here.
-const PARTIAL_PEAK_BOUND: isize = 2_156_432;
+const PARTIAL_PEAK_BOUND: isize = 1_749_414;
 
 /// Runs `body` and returns the live bytes it left behind and the most it
 /// held at once, both counted from where the live total stood before.
@@ -101,8 +108,10 @@ fn a_dropped_cluster_frees_its_memory() {
     partial.history_window = 1 << 17;
     partial.max_sim = Duration::from_secs(30);
 
-    let (left, _) = retained(|| assert!(Cluster::build(full).run().committed() > 0));
+    let (left, peak) = retained(|| assert!(Cluster::build(full).run().committed() > 0));
     assert!(left <= SLACK, "3-site full replication: {left} bytes outlived the cluster");
+    println!("leak check: 3-site full peak {peak} live bytes (bound {FULL_PEAK_BOUND})");
+    assert!(peak <= FULL_PEAK_BOUND, "3-site full replication: peak {peak} live bytes");
 
     let (left, peak) = retained(|| assert_eq!(Cluster::build(partial).run().rejoins.len(), 1));
     assert!(left <= SLACK, "6-site rf-2 partial with a rejoin: {left} bytes outlived the cluster");

@@ -301,6 +301,8 @@ proptest! {
                 linear.gc(stable);
                 indexed.gc(stable);
                 all_spans.gc(stable);
+                indexed.check_index();
+                all_spans.check_index();
             }
         }
         prop_assert_eq!(linear.last_committed(), indexed.last_committed());
@@ -487,7 +489,9 @@ proptest! {
         let mut rebuilt: Option<IndexedCertifier> = None;
         for (i, (site, reads, writes, back, gc_roll)) in stream.iter().enumerate() {
             if i == cut {
-                rebuilt = Some(full.restricted_to(span8, owned.iter().copied()));
+                let r = full.restricted_to(span8, owned.iter().copied());
+                r.check_index();
+                rebuilt = Some(r);
             }
             let start = full.last_committed().saturating_sub(*back);
             let req = CertRequest {
@@ -508,12 +512,16 @@ proptest! {
                 let stable = full.last_committed().saturating_sub(*back);
                 full.gc(stable);
                 follower.gc(stable);
+                full.check_index();
+                follower.check_index();
                 if let Some(r) = rebuilt.as_mut() {
                     r.gc(stable);
+                    r.check_index();
                 }
             }
         }
         let rebuilt = rebuilt.unwrap_or_else(|| full.restricted_to(span8, owned.iter().copied()));
+        rebuilt.check_index();
         prop_assert_eq!(rebuilt.history_len(), follower.history_len());
         prop_assert_eq!(rebuilt.history_len(), full.history_len());
         prop_assert_eq!(rebuilt.low_water(), follower.low_water());
