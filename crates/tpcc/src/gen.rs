@@ -390,6 +390,40 @@ mod tests {
         TpccGen::new(TpccConfig::new(clients))
     }
 
+    /// FNV-1a digest of the first 20 000 requests at 100 clients and seed
+    /// 42, each followed by a think-time draw: class, read and write ids,
+    /// CPU, write bytes and the three flags. Pins the generator's output
+    /// stream (and so every workload's request sequence) across refactors.
+    #[test]
+    fn golden_request_stream_digest() {
+        const GOLDEN: u64 = 0x499e_0597_4171_7bc0;
+        let mut g = generator(100);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for k in 0..20_000 {
+            let r = g.next_request(k % 100);
+            let s = &r.spec;
+            eat(u64::from(r.class.index()));
+            assert_eq!(s.class, r.class.index());
+            for set in [&s.read_set, &s.write_set] {
+                eat(set.len() as u64);
+                for t in set.ids() {
+                    eat(t.as_raw());
+                }
+            }
+            eat(s.cpu.as_nanos() as u64);
+            eat(u64::from(s.write_bytes));
+            eat(u64::from(s.user_abort) | u64::from(s.read_only) << 1 | u64::from(s.relaxed) << 2);
+            eat(g.think_time().as_nanos() as u64);
+        }
+        assert_eq!(h, GOLDEN, "request stream digest moved: {h:#018x}");
+    }
+
     #[test]
     fn mix_fractions_are_respected() {
         let mut g = generator(100);
