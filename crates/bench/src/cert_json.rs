@@ -389,10 +389,10 @@ impl CertBenchRow {
             span_fraction: m.cert_work.span_fraction(),
             vote_rounds: m.cert_work.vote_rounds,
             cross_span_txns: m.cert_work.cross_span_txns,
-            votes_sent: m.vote_wire.sent,
-            votes_received: m.vote_wire.received,
-            vote_piggyback_rate: m.vote_wire.piggyback_rate(),
-            vote_resends: m.vote_wire.resends,
+            votes_sent: m.gcs_sum(|g| g.votes_sent),
+            votes_received: m.gcs_sum(|g| g.votes_received),
+            vote_piggyback_rate: m.vote_piggyback_rate(),
+            vote_resends: m.gcs_sum(|g| g.vote_resends),
             mean_vote_wait_ms: m.vote_wire.mean_wait_ms(),
             replacements: m.replacement_work.replacements,
             rehomed_spans: m.replacement_work.rehomed_spans,

@@ -158,7 +158,7 @@ pub fn catalogue() -> Vec<Point> {
     // the sequencer's send queue up, which is exactly when per-message
     // announcements amplify the collapse — and when the adaptive policy
     // widens its window and piggybacks. The comparison is tpm, latency and
-    // the announcements-vs-piggybacks `ann_work` ledger.
+    // the summary line's announcements-vs-piggybacks `ann=` section.
     for (name, policy) in [
         ("immediate", AnnBatchPolicy::Immediate),
         ("batched_2ms", AnnBatchPolicy::Fixed(Duration::from_millis(2))),

@@ -405,8 +405,7 @@ mod tests {
     #[test]
     fn backend_kind_constructs_and_names() {
         // The default flipped to Indexed once the paper-scale figures were
-        // re-validated under it; the linear scan stays selectable (and stays
-        // exported as `Certifier`).
+        // re-validated under it; the linear scan stays selectable.
         assert_eq!(CertBackendKind::default(), CertBackendKind::Indexed);
         assert_eq!(CertBackendKind::Linear.name(), "linear");
         assert_eq!(CertBackendKind::Indexed.name(), "indexed");

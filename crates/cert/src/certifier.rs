@@ -94,10 +94,6 @@ pub struct LinearCertifier {
     low_water: u64,
 }
 
-/// The historical name of the linear backend, kept for source compatibility:
-/// `Certifier` has always been the paper-faithful ordered-merge scan.
-pub type Certifier = LinearCertifier;
-
 impl Default for LinearCertifier {
     fn default() -> Self {
         LinearCertifier::new()
@@ -226,7 +222,7 @@ mod tests {
 
     #[test]
     fn first_transaction_commits_with_seq_one() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         let (out, _) = c.certify(&req(0, 1, 0, &[id(1, 1)], &[id(1, 1)])).expect("certify");
         assert_eq!(out, Outcome::Commit(1));
         assert_eq!(c.last_committed(), 1);
@@ -234,7 +230,7 @@ mod tests {
 
     #[test]
     fn concurrent_read_write_conflict_aborts() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         // T1 writes (1,5); T2 was concurrent (start_seq=0) and read (1,5).
         let (o1, _) = c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("t1");
         assert_eq!(o1, Outcome::Commit(1));
@@ -247,7 +243,7 @@ mod tests {
 
     #[test]
     fn non_concurrent_transactions_do_not_conflict() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("t1");
         // T2 started after T1 committed (start_seq = 1): no conflict.
         let (o2, _) = c.certify(&req(1, 1, 1, &[id(1, 5)], &[id(1, 5)])).expect("t2");
@@ -256,7 +252,7 @@ mod tests {
 
     #[test]
     fn disjoint_concurrent_transactions_commit() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         c.certify(&req(0, 1, 0, &[id(1, 1)], &[id(1, 1)])).expect("t1");
         let (o2, _) = c.certify(&req(1, 1, 0, &[id(1, 2)], &[id(1, 2)])).expect("t2");
         assert_eq!(o2, Outcome::Commit(2));
@@ -264,7 +260,7 @@ mod tests {
 
     #[test]
     fn empty_read_set_commits_unconditionally() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         c.certify(&req(0, 1, 0, &[], &[id(1, 1)])).expect("t1");
         let (o2, _) = c.certify(&req(1, 1, 0, &[], &[id(1, 1)])).expect("blind write");
         assert_eq!(o2, Outcome::Commit(2));
@@ -283,8 +279,8 @@ mod tests {
                 )
             })
             .collect();
-        let mut a = Certifier::new();
-        let mut b = Certifier::new();
+        let mut a = LinearCertifier::new();
+        let mut b = LinearCertifier::new();
         for r in &reqs {
             let (oa, _) = a.certify(r).expect("a");
             let (ob, _) = b.certify(r).expect("b");
@@ -295,7 +291,7 @@ mod tests {
 
     #[test]
     fn table_level_entries_conflict_with_rows() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         c.certify(&req(0, 1, 0, &[], &[id(3, 42)])).expect("t1");
         let mut reads = RwSet::new();
         reads.extend([TupleId::table_level(TableId(3))]);
@@ -313,7 +309,7 @@ mod tests {
 
     #[test]
     fn gc_trims_history_and_sets_low_water() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         for i in 0..10 {
             c.certify(&req(0, i, i, &[], &[id(1, i + 1)])).expect("fill");
         }
@@ -336,7 +332,7 @@ mod tests {
         // history) must not push low_water past the assigned sequence
         // numbers — otherwise the very next request at the current snapshot
         // would be spuriously rejected as HistoryTruncated.
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         c.gc(100);
         assert_eq!(c.low_water(), 0, "nothing committed, nothing collectable");
         let (o, _) = c.certify(&req(0, 1, 0, &[id(1, 1)], &[id(1, 1)])).expect("fresh");
@@ -356,7 +352,7 @@ mod tests {
 
     #[test]
     fn read_only_local_certification() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("t1");
         let reads: RwSet = [id(1, 5)].into_iter().collect();
         let (ok_old, _) = c.certify_read_only(&reads, 0);
@@ -369,7 +365,7 @@ mod tests {
 
     #[test]
     fn work_scales_with_concurrent_history_only() {
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         for i in 0..50 {
             c.certify(&req(0, i, i, &[], &[id(1, i + 1)])).expect("fill");
         }
@@ -385,7 +381,7 @@ mod tests {
     fn read_only_and_update_certification_share_the_conflict_check() {
         // The same read-set/snapshot pair must reach the same verdict through
         // both entry points (one shared scan, satellite of the refactor).
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         for i in 0..20 {
             c.certify(&req(0, i, i, &[], &[id(1, i + 1)])).expect("fill");
         }

@@ -9,8 +9,8 @@
 //! request stream.
 //!
 //! Certification is pluggable behind the [`CertBackend`] trait:
-//! [`LinearCertifier`] is the paper-faithful ordered-merge scan (re-exported
-//! as [`Certifier`], its historical name), [`IndexedCertifier`] — the
+//! [`LinearCertifier`] is the paper-faithful ordered-merge scan,
+//! [`IndexedCertifier`] — the
 //! default — answers the same conflict check from a write-history index in
 //! O(request) probes. Both produce bit-identical decisions; select
 //! one with [`CertBackendKind`].
@@ -30,9 +30,9 @@
 //! # Examples
 //!
 //! ```
-//! use dbsm_cert::{CertRequest, Certifier, Outcome, RwSet, SiteId, TableId, TupleId};
+//! use dbsm_cert::{CertRequest, LinearCertifier, Outcome, RwSet, SiteId, TableId, TupleId};
 //!
-//! let mut certifier = Certifier::new();
+//! let mut certifier = LinearCertifier::new();
 //! let t1 = CertRequest {
 //!     site: SiteId(0),
 //!     txn: 1,
@@ -59,7 +59,7 @@ mod span;
 mod tuple;
 
 pub use backend::{CertBackend, CertBackendKind};
-pub use certifier::{CertWork, Certifier, HistoryTruncated, LinearCertifier, Outcome};
+pub use certifier::{CertWork, HistoryTruncated, LinearCertifier, Outcome};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use marshal::{marshal, marshalled_len, unmarshal, UnmarshalError, HEADER_LEN};
 pub use placement::{IndexedCertifier, SpecResolution};

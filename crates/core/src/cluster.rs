@@ -642,12 +642,9 @@ impl Inner {
             metrics.vote_wire.decided += ledger.vote_decided;
             metrics.vote_wire.wait_ns += ledger.vote_wait_ns;
         }
-        for b in self.sites.iter().filter_map(|s| s.bridge.as_ref()) {
-            let m = b.metrics();
-            metrics.ann_work.record_site(&m);
-            metrics.fault_work.record_site(&m);
-            metrics.vote_wire.record_site(&m);
-        }
+        metrics.gcs =
+            self.sites.iter().filter_map(|s| s.bridge.as_ref()).map(|b| b.metrics()).collect();
+        metrics.fault_work.view_installs = metrics.gcs_sum(|g| g.view_changes);
         let net_stats = self.net.stats();
         metrics.fault_work.dup_injected = net_stats.duplicates_injected();
         metrics.fault_work.partition_drops = net_stats.drops(dbsm_net::DropCause::Partition);

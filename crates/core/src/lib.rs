@@ -38,7 +38,7 @@ pub use dbsm_fault::{FaultPlan, FaultSpec, PlanError};
 pub use dbsm_gcs::AnnBatchPolicy;
 pub use experiment::{CertCostModel, CommitPath, ConfigError, ExperimentConfig};
 pub use metrics::{
-    AnnWorkTotals, CertWorkTotals, ClassStats, FaultWorkTotals, ReplacementWorkTotals, RunMetrics,
-    SiteUsage, VoteWireTotals,
+    CertWorkTotals, ClassStats, FaultWorkTotals, ReplacementWorkTotals, RunMetrics, SiteUsage,
+    VoteWireTotals,
 };
 pub use placement::PlacementMap;

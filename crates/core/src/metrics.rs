@@ -253,58 +253,16 @@ impl CertWorkTotals {
     }
 }
 
-/// Total-order announcement work across all sites in one run — the
-/// observable for the announcement-batching ablation (§5.3): how many
-/// `SeqAnn` messages the sequencer actually spent, how many assignments
-/// each carried, and how many assignments rode application fragments for
-/// free. Delivery order is identical under every batching policy; this is
-/// the cost ledger.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnnWorkTotals {
-    /// `SeqAnn` announcement messages sent through the reliable layer.
-    pub announcements: u64,
-    /// Assignments carried by those announcement messages.
-    pub assigns_carried: u64,
-    /// Assignments piggybacked on application fragments (zero extra
-    /// messages).
-    pub piggybacked: u64,
-}
-
-impl AnnWorkTotals {
-    pub(crate) fn record_site(&mut self, m: &GcsMetrics) {
-        self.announcements += m.ann_sent;
-        self.assigns_carried += m.ann_assigns;
-        self.piggybacked += m.ann_piggybacked;
-    }
-
-    /// Mean assignments per announcement message (batch size).
-    pub fn mean_batch(&self) -> f64 {
-        if self.announcements == 0 {
-            0.0
-        } else {
-            self.assigns_carried as f64 / self.announcements as f64
-        }
-    }
-
-    /// All assignments announced, by message or by piggyback.
-    pub fn assigns_total(&self) -> u64 {
-        self.assigns_carried + self.piggybacked
-    }
-}
-
 /// Fault-machinery work across one run — the observable that prices each
 /// fault scenario family (§5.3 and the partition/duplicate/burst families
-/// beyond it): how many duplicate packets the network injected and how many
-/// the GCS dedup path absorbed, how much traffic died at partition
-/// boundaries, and how many view installs the membership machinery
-/// performed.
+/// beyond it): how many duplicate packets the network injected, how much
+/// traffic died at partition boundaries, and how many view installs the
+/// membership machinery performed. The duplicates the GCS dedup path
+/// absorbed are each site's [`GcsMetrics::duplicates`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultWorkTotals {
     /// Duplicate packet copies injected by the duplicate-delivery fault.
     pub dup_injected: u64,
-    /// Duplicate fragments discarded by the GCS dedup path (includes
-    /// retransmission overlap, which rides the same counter).
-    pub dup_discarded: u64,
     /// Packets dropped at a partition boundary.
     pub partition_drops: u64,
     /// View installs performed, summed across all sites (a single
@@ -312,51 +270,23 @@ pub struct FaultWorkTotals {
     pub view_installs: u64,
 }
 
-impl FaultWorkTotals {
-    pub(crate) fn record_site(&mut self, m: &GcsMetrics) {
-        self.dup_discarded += m.duplicates;
-        self.view_installs += m.view_changes;
-    }
-}
-
-/// Wire-level certification-vote work across one run — the observable for
-/// the decentralized vote round (partial replication): how many `Vote`
-/// records the stacks put on the wire, how many rode outgoing data frames
-/// for free, how many needed resending, and how long origin sites waited
-/// from a transaction's total-order delivery to its quorum decision. All
-/// zeros under full replication (no votes are cast).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Origin-side decisions of the decentralized vote round (partial
+/// replication): how many transactions were decided by a wire-vote quorum
+/// and how long origin sites waited from a transaction's total-order
+/// delivery to its quorum decision. All zeros under full replication (no
+/// votes are cast). The vote traffic itself is each site's
+/// [`GcsMetrics`] `votes_*` and `vote_resends` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VoteWireTotals {
-    /// Vote records sent through the reliable layer, summed over sites.
-    pub sent: u64,
-    /// Vote records received (loopback self-delivery included).
-    pub received: u64,
-    /// Vote records that rode outgoing data frames' MTU slack instead of
-    /// costing a dedicated message.
-    pub piggybacked: u64,
-    /// Vote records retransmitted by the heartbeat resend path.
-    pub resends: u64,
     /// Update transactions decided at their origin site via the wire-vote
     /// quorum (one per update transaction under partial replication).
     pub decided: u64,
     /// Total nanoseconds origin sites spent between a transaction's
     /// total-order delivery and its covering-quorum decision.
     pub wait_ns: u64,
-    /// Vote records sent per site — distinguishes a site that rejoined and
-    /// resumed voting (nonzero in its latest incarnation) from one that
-    /// stayed quiet.
-    pub per_site_sent: Vec<u64>,
 }
 
 impl VoteWireTotals {
-    pub(crate) fn record_site(&mut self, m: &GcsMetrics) {
-        self.sent += m.votes_sent;
-        self.received += m.votes_received;
-        self.piggybacked += m.votes_piggybacked;
-        self.resends += m.vote_resends;
-        self.per_site_sent.push(m.votes_sent);
-    }
-
     /// Mean milliseconds an origin site waited from total-order delivery
     /// to the quorum decision.
     pub fn mean_wait_ms(&self) -> f64 {
@@ -364,15 +294,6 @@ impl VoteWireTotals {
             0.0
         } else {
             self.wait_ns as f64 / 1e6 / self.decided as f64
-        }
-    }
-
-    /// Fraction of sent votes that piggybacked on data frames.
-    pub fn piggyback_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.piggybacked as f64 / self.sent as f64
         }
     }
 }
@@ -497,13 +418,15 @@ pub struct RunMetrics {
     pub cert_latencies_ms: Samples,
     /// Certification work totals across all sites (scans vs probes).
     pub cert_work: CertWorkTotals,
-    /// Announcement work totals across all sites (messages vs piggybacks).
-    pub ann_work: AnnWorkTotals,
-    /// Fault-machinery work: duplicates injected/absorbed, partition drops,
-    /// view installs.
+    /// Each site's group-communication counters, indexed by site: messages,
+    /// announcements, duplicates, view changes and wire votes. Empty for a
+    /// centralized run, which runs no stack.
+    pub gcs: Vec<GcsMetrics>,
+    /// Fault-machinery work: duplicates injected, partition drops, view
+    /// installs.
     pub fault_work: FaultWorkTotals,
-    /// Wire-level certification-vote work: votes sent/piggybacked/resent
-    /// and origin-side quorum wait (partial replication; zero otherwise).
+    /// Origin-side wire-vote decisions and their quorum wait (partial
+    /// replication; zero otherwise).
     pub vote_wire: VoteWireTotals,
     /// Committed transactions per site, in commit order (safety check).
     pub commit_logs: Vec<Vec<(u16, u64)>>,
@@ -611,6 +534,32 @@ impl RunMetrics {
         }
     }
 
+    /// One counter of every site's [`GcsMetrics`], summed over the sites.
+    pub fn gcs_sum(&self, counter: impl Fn(&GcsMetrics) -> u64) -> u64 {
+        self.gcs.iter().map(counter).sum()
+    }
+
+    /// Mean sequencer assignments per `SeqAnn` announcement message (the
+    /// batch size of the announcement-batching ablation, §5.3).
+    pub fn ann_mean_batch(&self) -> f64 {
+        let sent = self.gcs_sum(|g| g.ann_sent);
+        if sent == 0 {
+            0.0
+        } else {
+            self.gcs_sum(|g| g.ann_assigns) as f64 / sent as f64
+        }
+    }
+
+    /// Fraction of sent wire votes that rode data frames' MTU slack.
+    pub fn vote_piggyback_rate(&self) -> f64 {
+        let sent = self.gcs_sum(|g| g.votes_sent);
+        if sent == 0 {
+            0.0
+        } else {
+            self.gcs_sum(|g| g.votes_piggybacked) as f64 / sent as f64
+        }
+    }
+
     /// Mean CPU usage across sites (total / real jobs), as fractions.
     pub fn mean_cpu_usage(&self) -> (f64, f64) {
         if self.site_usage.is_empty() {
@@ -697,32 +646,25 @@ mod tests {
     }
 
     #[test]
-    fn ann_work_totals_accumulate_and_average() {
-        let mut t = AnnWorkTotals::default();
-        let site = GcsMetrics {
-            ann_sent: 4,
-            ann_assigns: 12,
-            ann_piggybacked: 5,
-            ..GcsMetrics::default()
-        };
-        t.record_site(&site);
-        t.record_site(&GcsMetrics::default()); // non-sequencer site: all zero
-        assert_eq!(t.announcements, 4);
-        assert_eq!(t.assigns_carried, 12);
-        assert_eq!(t.piggybacked, 5);
-        assert_eq!(t.assigns_total(), 17);
-        assert!((t.mean_batch() - 3.0).abs() < 1e-12);
-        assert_eq!(AnnWorkTotals::default().mean_batch(), 0.0);
-    }
-
-    #[test]
-    fn fault_work_totals_accumulate_across_sites() {
-        let mut t = FaultWorkTotals::default();
-        t.record_site(&GcsMetrics { duplicates: 7, view_changes: 1, ..GcsMetrics::default() });
-        t.record_site(&GcsMetrics { duplicates: 3, view_changes: 1, ..GcsMetrics::default() });
-        assert_eq!(t.dup_discarded, 10);
-        assert_eq!(t.view_installs, 2);
-        assert_eq!(t.dup_injected, 0, "network-side counters are filled by the runner");
+    fn gcs_counters_sum_across_sites() {
+        let mut m = RunMetrics::new(2);
+        assert_eq!((m.ann_mean_batch(), m.vote_piggyback_rate()), (0.0, 0.0));
+        m.gcs = vec![
+            GcsMetrics {
+                ann_sent: 4,
+                ann_assigns: 12,
+                ann_piggybacked: 5,
+                duplicates: 7,
+                votes_sent: 10,
+                votes_piggybacked: 6,
+                ..GcsMetrics::default()
+            },
+            GcsMetrics { duplicates: 3, votes_received: 10, ..GcsMetrics::default() },
+        ];
+        assert_eq!(m.gcs_sum(|g| g.duplicates), 10);
+        assert_eq!(m.gcs_sum(|g| g.ann_assigns + g.ann_piggybacked), 17);
+        assert!((m.ann_mean_batch() - 3.0).abs() < 1e-12);
+        assert!((m.vote_piggyback_rate() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -842,21 +784,9 @@ mod tests {
     #[test]
     fn vote_wire_totals_accumulate_and_average() {
         let mut t = VoteWireTotals::default();
-        t.record_site(&GcsMetrics {
-            votes_sent: 10,
-            votes_received: 30,
-            votes_piggybacked: 6,
-            vote_resends: 2,
-            ..GcsMetrics::default()
-        });
-        t.record_site(&GcsMetrics { votes_received: 10, ..GcsMetrics::default() });
-        assert_eq!((t.sent, t.received, t.piggybacked, t.resends), (10, 40, 6, 2));
-        assert_eq!(t.per_site_sent, vec![10, 0]);
-        assert!((t.piggyback_rate() - 0.6).abs() < 1e-12);
         assert_eq!(t.mean_wait_ms(), 0.0, "no decisions recorded yet");
         t.decided = 4;
         t.wait_ns = 2_000_000;
         assert!((t.mean_wait_ms() - 0.5).abs() < 1e-12);
-        assert_eq!(VoteWireTotals::default().piggyback_rate(), 0.0);
     }
 }

@@ -89,19 +89,19 @@ pub fn summary_line(label: &str, m: &RunMetrics) -> String {
         m.cert_work.spec_revalidated,
         m.cert_work.spec_rollbacks,
         m.cert_work.spec_misses,
-        m.ann_work.announcements,
-        m.ann_work.mean_batch(),
-        m.ann_work.piggybacked,
+        m.gcs_sum(|g| g.ann_sent),
+        m.ann_mean_batch(),
+        m.gcs_sum(|g| g.ann_piggybacked),
         m.fault_work.view_installs,
         m.fault_work.dup_injected,
-        m.fault_work.dup_discarded,
+        m.gcs_sum(|g| g.duplicates),
         m.cert_work.span_fraction(),
         m.cert_work.vote_rounds,
         m.cert_work.cross_span_txns,
-        m.vote_wire.sent,
-        m.vote_wire.received,
-        m.vote_wire.piggybacked,
-        m.vote_wire.resends,
+        m.gcs_sum(|g| g.votes_sent),
+        m.gcs_sum(|g| g.votes_received),
+        m.gcs_sum(|g| g.votes_piggybacked),
+        m.gcs_sum(|g| g.vote_resends),
         m.vote_wire.mean_wait_ms(),
         m.recovery_work.rejoins,
         m.recovery_work.snapshots_served,
@@ -121,6 +121,7 @@ pub fn summary_line(label: &str, m: &RunMetrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbsm_gcs::GcsMetrics;
 
     #[test]
     fn abort_table_has_all_classes_and_total() {
@@ -148,9 +149,12 @@ mod tests {
     #[test]
     fn summary_line_reports_announcement_work() {
         let mut m = RunMetrics::new(1);
-        m.ann_work.announcements = 5;
-        m.ann_work.assigns_carried = 20;
-        m.ann_work.piggybacked = 3;
+        m.gcs = vec![GcsMetrics {
+            ann_sent: 5,
+            ann_assigns: 20,
+            ann_piggybacked: 3,
+            ..GcsMetrics::default()
+        }];
         assert!(summary_line("x", &m).contains("ann=5x4.0+3pb"));
     }
 
@@ -188,7 +192,7 @@ mod tests {
         let mut m = RunMetrics::new(1);
         m.fault_work.view_installs = 2;
         m.fault_work.dup_injected = 40;
-        m.fault_work.dup_discarded = 38;
+        m.gcs = vec![GcsMetrics { duplicates: 38, ..GcsMetrics::default() }];
         assert!(summary_line("x", &m).contains("vc=2 dup=40/38"));
     }
 
@@ -238,10 +242,13 @@ mod tests {
         let mut m = RunMetrics::new(1);
         // Full replication: no wire votes flow.
         assert!(summary_line("x", &m).contains("wire=s0/r0/p0/x0 wait=0.0ms"));
-        m.vote_wire.sent = 12;
-        m.vote_wire.received = 24;
-        m.vote_wire.piggybacked = 9;
-        m.vote_wire.resends = 2;
+        m.gcs = vec![GcsMetrics {
+            votes_sent: 12,
+            votes_received: 24,
+            votes_piggybacked: 9,
+            vote_resends: 2,
+            ..GcsMetrics::default()
+        }];
         m.vote_wire.decided = 4;
         m.vote_wire.wait_ns = 6_000_000;
         let line = summary_line("x", &m);

@@ -483,7 +483,7 @@ mod tests {
     #[test]
     fn delivery_under_receive_loss() {
         let (sim, bridges, delivered, net) = build(3, GcsConfig::lan(3));
-        net.set_loss(dbsm_net::HostId(1), Box::new(dbsm_net::RandomLoss::new(0.05, 42)));
+        net.add_loss(dbsm_net::HostId(1), Box::new(dbsm_net::RandomLoss::new(0.05, 42)));
         for i in 0..30u64 {
             let b = bridges[(i % 3) as usize].clone();
             sim.schedule_at(dbsm_sim::SimTime::from_millis(i * 5), move || {

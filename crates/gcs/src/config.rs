@@ -1,6 +1,23 @@
 //! Configuration of the group-communication stack.
 
+use crate::wire::{DATA_OVERHEAD, ENVELOPE_OVERHEAD};
 use std::time::Duration;
+
+/// Maximum packet size on the wire, including protocol headers. The paper
+/// restricts packets to "a safe value" below the problematic 1000-byte
+/// boundary it found in SSFNet (§4.1); the stack uses exactly 1000 bytes.
+pub(crate) const MAX_PACKET: usize = 1000;
+
+/// Maximum fragment payload bytes: [`MAX_PACKET`] less the envelope and
+/// data headers.
+pub(crate) const FRAG_PAYLOAD: usize = MAX_PACKET - ENVELOPE_OVERHEAD - DATA_OVERHEAD;
+
+/// Heartbeat emission period; also the retransmission period of the
+/// unacked vote suffix and of view-change flush and join requests.
+pub(crate) const HEARTBEAT_PERIOD: Duration = Duration::from_millis(100);
+
+/// Spacing between repeated NAKs for the same gap.
+pub(crate) const NAK_RETRY: Duration = Duration::from_millis(30);
 
 /// The four CSRT calibration parameters (§4.1): "fixed and variable CPU
 /// overhead when a message is sent and received", determined in the paper by
@@ -103,25 +120,19 @@ impl AnnBatchPolicy {
     }
 }
 
-/// Tunables of the group-communication prototype (§3.4).
+/// Tunables of the group-communication prototype (§3.4). The packet size
+/// (1000 bytes), the heartbeat period (100 ms) and the NAK retry spacing
+/// (30 ms) are constants of the stack, not tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcsConfig {
     /// Number of nodes in the universe (initial view = all of them).
     pub n_nodes: usize,
-    /// Maximum packet size on the wire, including protocol headers. The
-    /// paper restricts packets to "a safe value" below the problematic
-    /// 1000-byte boundary it found in SSFNet; we default to 1000 bytes.
-    pub max_packet: usize,
     /// Stability gossip period.
     pub gossip_period: Duration,
-    /// Heartbeat emission period.
-    pub heartbeat_period: Duration,
     /// Failure-detector timeout: a silent member is suspected after this.
     pub failure_timeout: Duration,
     /// Gap age before the first NAK is sent.
     pub nak_delay: Duration,
-    /// Spacing between repeated NAKs for the same gap.
-    pub nak_retry: Duration,
     /// Total buffering available to the group, in fragments. Flow control
     /// grants each member an equal share ("the group protocol enforces
     /// fairness by ensuring that each process can only own a share of total
@@ -160,12 +171,9 @@ impl GcsConfig {
     pub fn lan(n_nodes: usize) -> Self {
         GcsConfig {
             n_nodes,
-            max_packet: 1000,
             gossip_period: Duration::from_millis(25),
-            heartbeat_period: Duration::from_millis(100),
             failure_timeout: Duration::from_millis(500),
             nak_delay: Duration::from_millis(5),
-            nak_retry: Duration::from_millis(30),
             total_buffer_frags: 1536,
             sequencer_share_boost: 1.0,
             send_rate_bytes_per_sec: 8_000_000.0, // ~64 Mbit/s of goodput
@@ -186,14 +194,6 @@ impl GcsConfig {
         } else {
             base
         }
-    }
-
-    /// Maximum fragment payload bytes.
-    pub fn frag_payload(&self) -> usize {
-        use crate::wire::{DATA_OVERHEAD, ENVELOPE_OVERHEAD};
-        self.max_packet
-            .checked_sub(ENVELOPE_OVERHEAD + DATA_OVERHEAD)
-            .expect("max_packet smaller than protocol headers")
     }
 }
 
@@ -220,8 +220,7 @@ mod tests {
 
     #[test]
     fn frag_payload_subtracts_headers() {
-        let c = GcsConfig::lan(3);
-        assert_eq!(c.frag_payload(), 1000 - 12 - 18);
+        assert_eq!(FRAG_PAYLOAD, 1000 - 12 - 18);
     }
 
     #[test]
@@ -239,13 +238,5 @@ mod tests {
         assert_eq!(a.window(5), Some(Duration::from_micros(500)));
         // ...up to the hard ceiling.
         assert_eq!(a.window(1_000_000), Some(d));
-    }
-
-    #[test]
-    #[should_panic(expected = "smaller than protocol headers")]
-    fn tiny_max_packet_rejected() {
-        let mut c = GcsConfig::lan(3);
-        c.max_packet = 4;
-        let _ = c.frag_payload();
     }
 }

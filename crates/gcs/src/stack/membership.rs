@@ -1,6 +1,7 @@
 //! Membership: failure detection, flush/install view changes, and rejoin.
 
 use super::{Gcs, Peer, Upcall, VoteState};
+use crate::config::HEARTBEAT_PERIOD;
 use crate::runtime::{ProtocolRuntime, TimerKind};
 use crate::stability::Stability;
 use crate::types::{NodeId, NodeSet, View};
@@ -127,7 +128,7 @@ impl Gcs {
         let acks = BTreeMap::from([(self.me.0, self.received_vec())]);
         self.phase = Phase::flushing(new_view, proposed, acks, None);
         self.out(rt).multicast(Message::FlushReq { new_view, members: proposed });
-        rt.set_timer(self.cfg.heartbeat_period, TimerKind::FlushResend);
+        rt.set_timer(HEARTBEAT_PERIOD, TimerKind::FlushResend);
         self.check_flush_complete(rt);
     }
 
@@ -214,7 +215,7 @@ impl Gcs {
         if let Some(msg) = sent_install.clone().or(self.leads().then_some(req)) {
             self.out(rt).multicast(msg);
         }
-        rt.set_timer(self.cfg.heartbeat_period, TimerKind::FlushResend);
+        rt.set_timer(HEARTBEAT_PERIOD, TimerKind::FlushResend);
     }
 
     pub(super) fn on_view_install(
@@ -345,7 +346,7 @@ impl Gcs {
         g.resends -= 1;
         if g.view == self.view.id {
             self.send_grant(rt, false);
-            rt.set_timer(self.cfg.heartbeat_period, TimerKind::JoinRetry);
+            rt.set_timer(HEARTBEAT_PERIOD, TimerKind::JoinRetry);
         }
     }
 
@@ -398,7 +399,7 @@ impl Gcs {
             install: Message::ViewInstall { new_view, members, cut: cut.clone() },
             resends: 2,
         });
-        rt.set_timer(self.cfg.heartbeat_period, TimerKind::JoinRetry);
+        rt.set_timer(HEARTBEAT_PERIOD, TimerKind::JoinRetry);
         self.send_grant(rt, true);
         // A member-add install needs no flush (no stream is being cut off):
         // adopt it locally through the normal install path.
@@ -430,7 +431,7 @@ impl Gcs {
         self.send.next_frag = cut[self.me.0 as usize] + 1;
         self.send.last_refill = now;
         self.stab = Stability::new(self.me, self.cfg.n_nodes, members);
-        self.votes = VoteState::new(&self.cfg);
+        self.votes = VoteState::new();
         self.start_timers(rt);
         self.metrics.view_changes += 1;
         self.upcalls.push_back(Upcall::ViewChange(self.view));

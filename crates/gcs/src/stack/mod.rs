@@ -38,7 +38,7 @@ mod order;
 mod reliable;
 mod votes;
 
-use crate::config::GcsConfig;
+use crate::config::{GcsConfig, FRAG_PAYLOAD, HEARTBEAT_PERIOD, NAK_RETRY};
 use crate::runtime::{ProtocolRuntime, TimerKind};
 use crate::stability::Stability;
 use crate::types::{GcsMetrics, NodeId, NodeSet, Upcall, View};
@@ -156,7 +156,7 @@ impl Gcs {
             peers: (0..cfg.n_nodes).map(|_| Peer::new(0, 0)).collect(),
             stab: Stability::new(me, cfg.n_nodes, view.members),
             to: TotalOrder::new(me, &cfg, view.members),
-            votes: VoteState::new(&cfg),
+            votes: VoteState::new(),
             suspected: NodeSet::EMPTY,
             upcalls: VecDeque::new(),
             metrics: GcsMetrics::default(),
@@ -257,7 +257,7 @@ impl Gcs {
         self.send.last_refill = now;
         if self.joining {
             self.out(rt).multicast(Message::JoinReq);
-            rt.set_timer(self.cfg.heartbeat_period, TimerKind::JoinRetry);
+            rt.set_timer(HEARTBEAT_PERIOD, TimerKind::JoinRetry);
             return;
         }
         self.start_timers(rt);
@@ -266,7 +266,7 @@ impl Gcs {
 
     fn start_timers(&self, rt: &mut dyn ProtocolRuntime) {
         rt.set_timer(self.cfg.gossip_period, TimerKind::Gossip);
-        rt.set_timer(self.cfg.heartbeat_period, TimerKind::Heartbeat);
+        rt.set_timer(HEARTBEAT_PERIOD, TimerKind::Heartbeat);
         rt.set_timer(self.cfg.failure_timeout, TimerKind::FailureCheck);
         rt.set_timer(self.cfg.nak_delay, TimerKind::NakCheck);
     }
@@ -347,16 +347,15 @@ impl Gcs {
     }
 
     fn transmit(&mut self, rt: &mut dyn ProtocolRuntime, kind: PayloadKind, payload: Bytes) {
-        let fp = self.cfg.frag_payload();
-        let total = frags_for(&self.cfg, payload.len()) as u16;
+        let total = frags_for(payload.len()) as u16;
         for idx in 0..total {
-            let lo = idx as usize * fp;
-            let chunk = payload.slice(lo..(lo + fp).min(payload.len()));
+            let lo = idx as usize * FRAG_PAYLOAD;
+            let chunk = payload.slice(lo..(lo + FRAG_PAYLOAD).min(payload.len()));
             let (mut ann, mut votes) = (Vec::new(), Vec::new());
             // The last fragment of an application message usually leaves MTU
             // slack: fill it with pending announcements, then votes.
             if idx + 1 == total && kind == PayloadKind::App {
-                let room = fp.saturating_sub(chunk.len());
+                let room = FRAG_PAYLOAD.saturating_sub(chunk.len());
                 if matches!(self.phase, Phase::Stable) && self.to.is_sequencer() {
                     ann = self.to.take_piggyback(rt, room, &mut self.metrics);
                 }
@@ -512,7 +511,7 @@ impl Gcs {
     ) {
         // An announcement's own last fragment is the order carrier: uniform
         // delivery waits for it to be stable as well.
-        let last_frag = msg_seq + frags_for(&self.cfg, payload.len()) - 1;
+        let last_frag = msg_seq + frags_for(payload.len()) - 1;
         match kind {
             PayloadKind::App => {
                 if let Some(tentative) = self.to.hold(origin, msg_seq, payload, last_frag) {
@@ -598,7 +597,7 @@ impl Gcs {
     fn nak_scan(&mut self, rt: &mut dyn ProtocolRuntime) {
         let now = rt.now_nanos();
         let delay = self.cfg.nak_delay.as_nanos() as u64;
-        let retry = self.cfg.nak_retry.as_nanos() as u64;
+        let retry = NAK_RETRY.as_nanos() as u64;
         for j in 0..self.cfg.n_nodes {
             let node = NodeId(j as u16);
             if node == self.me {
@@ -644,7 +643,7 @@ impl Gcs {
             // A rejoiner runs nothing but its retry loop.
             if kind == TimerKind::JoinRetry {
                 self.out(rt).multicast(Message::JoinReq);
-                rt.set_timer(self.cfg.heartbeat_period, TimerKind::JoinRetry);
+                rt.set_timer(HEARTBEAT_PERIOD, TimerKind::JoinRetry);
             }
             return;
         }
@@ -667,7 +666,7 @@ impl Gcs {
                 // fragment slack to piggyback on.
                 self.votes.resend(&mut self.out(rt), &mut self.metrics);
                 self.votes.flush(&mut self.out(rt), &mut self.metrics);
-                rt.set_timer(self.cfg.heartbeat_period, TimerKind::Heartbeat);
+                rt.set_timer(HEARTBEAT_PERIOD, TimerKind::Heartbeat);
             }
             TimerKind::FailureCheck => {
                 self.failure_scan(rt);

@@ -8,15 +8,15 @@
 //! popping the front rather than rebuilding a tree.
 
 use super::GcsMetrics;
-use crate::config::GcsConfig;
+use crate::config::{GcsConfig, FRAG_PAYLOAD};
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
 use crate::seq_ring::SeqRing;
 use crate::wire::{Message, PayloadKind, SeqAssign, WireVote};
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
 
-pub(super) fn frags_for(cfg: &GcsConfig, len: usize) -> u64 {
-    len.div_ceil(cfg.frag_payload()).max(1) as u64
+pub(super) fn frags_for(len: usize) -> u64 {
+    len.div_ceil(FRAG_PAYLOAD).max(1) as u64
 }
 
 #[derive(Debug, Clone)]
@@ -300,7 +300,7 @@ impl SendState {
             return None;
         };
         // Window full: wait for stability to advance (§5.3 blocking).
-        if window.is_none_or(|free| frags_for(cfg, payload.len()) > free) {
+        if window.is_none_or(|free| frags_for(payload.len()) > free) {
             self.note_blocked(now, m);
             return None;
         }

@@ -2,7 +2,7 @@
 //! sequences by [`MockRt`].
 
 use super::*;
-use crate::config::AnnBatchPolicy;
+use crate::config::{AnnBatchPolicy, MAX_PACKET};
 use crate::runtime::mock::MockRt;
 use crate::wire::SeqAssign;
 use std::time::Duration;
@@ -274,11 +274,10 @@ fn piggyback_respects_mtu_slack() {
     }
     // A payload one byte under the fragment limit leaves room for no
     // assignment at all; a tiny one carries as many as fit.
-    let fp = g.cfg.frag_payload();
-    g.broadcast(&mut rt, Bytes::from(vec![0u8; fp - 1]));
+    g.broadcast(&mut rt, Bytes::from(vec![0u8; FRAG_PAYLOAD - 1]));
     assert_eq!(g.metrics().ann_piggybacked, 0, "no slack, no piggyback");
     g.broadcast(&mut rt, Bytes::from_static(b"x"));
-    let max_fit = ((fp - 1) / SEQ_ASSIGN_WIRE) as u64;
+    let max_fit = ((FRAG_PAYLOAD - 1) / SEQ_ASSIGN_WIRE) as u64;
     assert_eq!(g.metrics().ann_piggybacked, max_fit, "slack filled to the MTU");
     // Each broadcast's own message joins the batch at loopback: 200
     // seeded assignments + 2 own, minus what the second fragment carried.
@@ -581,8 +580,7 @@ fn votes_piggyback_on_outgoing_fragment_slack() {
     assert!(g.votes.pending.is_empty());
     // No slack, no piggyback: a full fragment defers to the heartbeat.
     seed_votes(&mut g, 4..=4);
-    let fp = g.cfg.frag_payload();
-    g.broadcast(&mut rt, Bytes::from(vec![0u8; fp]));
+    g.broadcast(&mut rt, Bytes::from(vec![0u8; FRAG_PAYLOAD]));
     assert_eq!(g.metrics().votes_piggybacked, 3, "no room on a full fragment");
     assert_eq!(g.votes.pending.len(), 1);
     g.on_timer(&mut rt, TimerKind::Heartbeat);
@@ -613,7 +611,7 @@ fn unacked_votes_resend_until_acked_then_gc() {
 fn vote_frames_respect_the_packet_size_cap() {
     // A burst of votes cast while application traffic was queued
     // flushes at the next heartbeat; both that flush and the later
-    // retransmissions must split into frames within `max_packet`. The
+    // retransmissions must split into frames within `MAX_PACKET`. The
     // network drops oversized datagrams, so an oversized flush loses
     // the whole burst — and an oversized *retransmission* is dropped
     // on every heartbeat, pinning the receivers' stream gap open
@@ -634,7 +632,7 @@ fn vote_frames_respect_the_packet_size_cap() {
         .sum();
     assert_eq!(flushed, 300, "every vote of the burst went out");
     for raw in &rt.sent {
-        assert!(raw.len() <= g.cfg.max_packet, "{} > max_packet", raw.len());
+        assert!(raw.len() <= MAX_PACKET, "{} > MAX_PACKET", raw.len());
     }
     // Still unacked: the next heartbeat retransmits a bounded suffix,
     // again in frames the network will actually deliver.
@@ -642,7 +640,7 @@ fn vote_frames_respect_the_packet_size_cap() {
     g.on_timer(&mut rt, TimerKind::Heartbeat);
     assert_eq!(g.metrics().vote_resends, 256, "resend budget per beat");
     for raw in &rt.sent {
-        assert!(raw.len() <= g.cfg.max_packet, "{} > max_packet", raw.len());
+        assert!(raw.len() <= MAX_PACKET, "{} > MAX_PACKET", raw.len());
     }
 }
 

@@ -3,7 +3,7 @@
 //! for the buffer share.
 
 use super::{GcsMetrics, Out};
-use crate::config::GcsConfig;
+use crate::config::MAX_PACKET;
 use crate::seq_ring::SeqRing;
 use crate::wire::{Message, WireVote, ENVELOPE_OVERHEAD, WIRE_VOTE_WIRE};
 
@@ -21,13 +21,14 @@ pub(super) struct VoteState {
     pub pending: Vec<WireVote>,
     /// Transmitted votes not yet acked by every view member, keyed by seq.
     pub outbox: SeqRing<WireVote>,
-    /// Most votes that fit one standalone `Vote` frame: envelope plus the
-    /// base/count header, then [`WIRE_VOTE_WIRE`] per vote, all within
-    /// `max_packet`. The network drops datagrams over the MTU, so a frame
-    /// that overflows it is lost on every transmission — including the
-    /// heartbeat retransmissions that are supposed to repair the loss.
-    per_frame: usize,
 }
+
+/// Most votes that fit one standalone `Vote` frame: envelope plus the
+/// base/count header, then [`WIRE_VOTE_WIRE`] per vote, all within
+/// [`MAX_PACKET`]. The network drops datagrams over the MTU, so a frame
+/// that overflows it is lost on every transmission — including the
+/// heartbeat retransmissions that are supposed to repair the loss.
+const VOTES_PER_FRAME: usize = (MAX_PACKET - (ENVELOPE_OVERHEAD + 8 + 2)) / WIRE_VOTE_WIRE;
 
 /// Receiver side, per voter: contiguity tracking surfaces votes in cast
 /// order exactly once.
@@ -42,14 +43,8 @@ pub(super) struct VoteLink {
 }
 
 impl VoteState {
-    pub fn new(cfg: &GcsConfig) -> Self {
-        const VOTE_HEADER: usize = ENVELOPE_OVERHEAD + 8 + 2;
-        let per_frame = cfg.max_packet.saturating_sub(VOTE_HEADER) / WIRE_VOTE_WIRE;
-        VoteState {
-            next_seq: 1,
-            per_frame: per_frame.clamp(1, u16::MAX as usize),
-            ..Default::default()
-        }
+    pub fn new() -> Self {
+        VoteState { next_seq: 1, ..Default::default() }
     }
 
     pub fn cast(&mut self, origin: u16, txn: u64, conflict: Option<u64>, peers: bool) -> WireVote {
@@ -77,7 +72,7 @@ impl VoteState {
     /// from there.
     fn send_frames(&self, out: &mut Out<'_>, votes: &[WireVote]) {
         let base = self.base();
-        for chunk in votes.chunks(self.per_frame) {
+        for chunk in votes.chunks(VOTES_PER_FRAME) {
             out.multicast(Message::Vote { base, votes: chunk.to_vec() });
         }
     }
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn piggyback_takes_what_fits_and_gc_follows_the_slowest_ack() {
         let mut m = GcsMetrics::default();
-        let mut vs = VoteState::new(&GcsConfig::lan(3));
+        let mut vs = VoteState::new();
         for txn in 0..3 {
             vs.cast(0, txn, None, true);
         }

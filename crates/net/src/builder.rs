@@ -4,8 +4,7 @@ use crate::addr::HostId;
 use crate::network::{Network, SegmentConfig};
 use dbsm_sim::{Sim, Trace};
 
-/// Builds a [`Network`] topology: LAN segments, each host attached to
-/// exactly one of them.
+/// Builds a [`Network`]: one LAN, and the hosts attached to it.
 ///
 /// # Examples
 ///
@@ -25,24 +24,19 @@ use dbsm_sim::{Sim, Trace};
 #[derive(Debug)]
 pub struct NetworkBuilder {
     sim: Sim,
-    segments: Vec<(SegmentConfig, Vec<HostId>)>,
+    lan: Option<SegmentConfig>,
     n_hosts: usize,
     trace: Trace,
 }
 
-/// Identifier of a segment under construction.
+/// Proof that the builder's LAN exists; [`NetworkBuilder::host`] takes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentHandle(usize);
+pub struct SegmentHandle(());
 
 impl NetworkBuilder {
     /// Starts building a topology on the given simulation.
     pub fn new(sim: &Sim) -> Self {
-        NetworkBuilder {
-            sim: sim.clone(),
-            segments: Vec::new(),
-            n_hosts: 0,
-            trace: Trace::disabled(),
-        }
+        NetworkBuilder { sim: sim.clone(), lan: None, n_hosts: 0, trace: Trace::disabled() }
     }
 
     /// Enables packet tracing with the given buffer capacity.
@@ -51,23 +45,31 @@ impl NetworkBuilder {
         self
     }
 
-    /// Adds a LAN segment.
+    /// Declares the network's LAN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LAN is already declared: a network is one LAN.
     pub fn lan(&mut self, config: SegmentConfig) -> SegmentHandle {
-        self.segments.push((config, Vec::new()));
-        SegmentHandle(self.segments.len() - 1)
+        assert!(self.lan.replace(config).is_none(), "a network has exactly one LAN");
+        SegmentHandle(())
     }
 
-    /// Adds a host attached to `segment`.
-    pub fn host(&mut self, segment: SegmentHandle) -> HostId {
+    /// Adds a host attached to the LAN.
+    pub fn host(&mut self, _lan: SegmentHandle) -> HostId {
         let id = HostId(u16::try_from(self.n_hosts).expect("too many hosts"));
         self.n_hosts += 1;
-        self.segments[segment.0].1.push(id);
         id
     }
 
     /// Finalizes the topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no LAN was declared.
     pub fn build(self) -> Network {
-        Network::from_parts(self.sim, self.segments, self.n_hosts, self.trace)
+        let lan = self.lan.expect("a network needs its LAN: call NetworkBuilder::lan first");
+        Network::from_parts(self.sim, lan, self.n_hosts, self.trace)
     }
 }
 
@@ -76,15 +78,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builds_multi_segment_topologies() {
+    #[should_panic(expected = "exactly one LAN")]
+    fn a_second_lan_is_rejected() {
         let sim = Sim::new();
         let mut b = NetworkBuilder::new(&sim);
-        let lan1 = b.lan(SegmentConfig::fast_ethernet());
-        let lan2 = b.lan(SegmentConfig::fast_ethernet());
-        assert_ne!(lan1, lan2);
-        let hosts = [b.host(lan1), b.host(lan2), b.host(lan1)];
-        assert_eq!(hosts.map(|h| h.0), [0, 1, 2], "host ids count across segments");
-        let net = b.build();
-        assert_eq!(net.n_hosts(), 3);
+        let lan = b.lan(SegmentConfig::fast_ethernet());
+        assert_eq!([b.host(lan), b.host(lan)].map(|h| h.0), [0, 1]);
+        b.lan(SegmentConfig::fast_ethernet());
     }
 }

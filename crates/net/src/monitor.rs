@@ -10,16 +10,13 @@ pub enum DropCause {
     LossModel,
     /// Transmit backlog exceeded the NIC/channel buffer.
     TxOverflow,
-    /// Frame larger than the segment MTU (we enforce the MTU SSFNet did not).
+    /// Frame larger than the LAN's MTU (we enforce the MTU SSFNet did not).
     Mtu,
     /// Destination host is down.
     HostDown,
     /// Destination port has no bound socket.
     NoSocket,
-    /// The destination host does not exist, or sits on a segment other
-    /// than the sender's.
-    NoRoute,
-    /// Sender and receiver are in different partition segments (the
+    /// Sender and receiver are in different partition groups (the
     /// partition fault splits the network until it heals).
     Partition,
 }

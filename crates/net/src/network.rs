@@ -1,29 +1,27 @@
-//! The network state machine: segments, hosts, sockets, transmission and
+//! The network state machine: the LAN, hosts, sockets, transmission and
 //! delivery. This plays the role SSFNet plays in the paper (§2.1): a
 //! configurable model of NICs, links and protocol endpoints, with event
 //! logging.
 //!
 //! ## Transmission model
 //!
-//! Each segment is one shared LAN channel, and each host sits on exactly
-//! one segment. A transmission occupies the channel for
-//! `wire_bytes × 8 / bandwidth`, transmissions queue FIFO (modelled by a
-//! `busy_until` watermark), and delivery happens one propagation latency
-//! after serialization completes. If the backlog behind the watermark
-//! exceeds the configured buffer (expressed in time), the packet is dropped —
-//! drop-tail queueing. A unicast arrival is one event; so is a multicast
-//! arrival, which delivers to every receiver in segment-member order, with
-//! the receivers chosen at send time. That is the instant and order
-//! separate per-receiver events would run in, as their sequence numbers
-//! would be consecutive: whatever a receiver schedules for the arrival
-//! instant runs after the last receiver. Loss and duplication draw per
-//! receiver, and each duplicate copy is an event of its own. Multicast
-//! never leaves the sender's segment, and a unicast to a host on another
-//! segment is dropped as [`DropCause::NoRoute`].
-//! Frames above the MTU are dropped and counted: the
-//! paper found SSFNet did *not* enforce the Ethernet MTU for UDP and had to
-//! restrict packet sizes; we enforce it so misconfigured protocols fail
-//! loudly in the same way the real system would.
+//! The network is one shared LAN channel with every host attached to it, as
+//! the paper's testbed was one switched LAN (§4.1). A transmission occupies
+//! the channel for `wire_bytes × 8 / bandwidth`, transmissions queue FIFO
+//! (modelled by a `busy_until` watermark), and delivery happens one
+//! propagation latency after serialization completes. If the backlog behind
+//! the watermark exceeds the configured buffer (expressed in time), the
+//! packet is dropped — drop-tail queueing. A unicast arrival is one event;
+//! so is a multicast arrival, which delivers to every group member in
+//! host-id order, with the receivers chosen at send time. That is the
+//! instant and order separate per-receiver events would run in, as their
+//! sequence numbers would be consecutive: whatever a receiver schedules for
+//! the arrival instant runs after the last receiver. Loss and duplication
+//! draw per receiver, and each duplicate copy is an event of its own.
+//! Frames above the MTU are dropped and counted: the paper found SSFNet did
+//! *not* enforce the Ethernet MTU for UDP and had to restrict packet sizes;
+//! we enforce it so misconfigured protocols fail loudly in the same way the
+//! real system would.
 
 use crate::addr::{Addr, GroupId, HostId, Port};
 use crate::loss::LossModel;
@@ -38,7 +36,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Configuration of one network segment.
+/// Configuration of the LAN.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentConfig {
     /// Link bandwidth in bits per second (e.g. `100_000_000` for Fast
@@ -70,14 +68,6 @@ impl SegmentConfig {
     }
 }
 
-/// A shared LAN: one channel, and multicast delivers to the attached hosts.
-struct Segment {
-    config: SegmentConfig,
-    members: Vec<HostId>,
-    /// Channel watermark: transmissions queue FIFO behind it.
-    busy_until: SimTime,
-}
-
 type Handler = Rc<RefCell<dyn FnMut(Datagram)>>;
 
 /// Receive-side duplicate-delivery fault: each arriving packet is
@@ -100,15 +90,15 @@ struct HostState {
     /// search beats hashing.
     sockets: Vec<(Port, Handler)>,
     groups: Vec<GroupId>,
-    /// The one segment this host is attached to.
-    segment: usize,
 }
 
 struct NetState {
-    segments: Vec<Segment>,
+    lan: SegmentConfig,
+    /// Channel watermark: transmissions queue FIFO behind it.
+    busy_until: SimTime,
     hosts: Vec<HostState>,
     stats: TrafficStats,
-    /// Active partition, indexed by host id: the host's segment group, or
+    /// Active partition, indexed by host id: the host's partition group, or
     /// `None` for a host listed in no group. Hosts in no group (or in
     /// different groups) cannot reach each other. `None` = healed.
     partition: Option<Vec<Option<u32>>>,
@@ -145,31 +135,23 @@ pub struct Network {
 }
 
 impl Network {
-    pub(crate) fn from_parts(
-        sim: Sim,
-        segments: Vec<(SegmentConfig, Vec<HostId>)>,
-        n_hosts: usize,
-        trace: Trace,
-    ) -> Self {
-        let mut hosts: Vec<HostState> = (0..n_hosts)
+    pub(crate) fn from_parts(sim: Sim, lan: SegmentConfig, n_hosts: usize, trace: Trace) -> Self {
+        let hosts = (0..n_hosts)
             .map(|_| HostState {
                 down: false,
                 losses: Vec::new(),
                 dup: None,
                 sockets: Vec::new(),
                 groups: Vec::new(),
-                segment: 0,
             })
             .collect();
-        let mut segs = Vec::new();
-        for (idx, (config, members)) in segments.into_iter().enumerate() {
-            for h in &members {
-                hosts[h.0 as usize].segment = idx;
-            }
-            segs.push(Segment { config, members, busy_until: SimTime::ZERO });
-        }
-        let state =
-            NetState { segments: segs, hosts, stats: TrafficStats::new(n_hosts), partition: None };
+        let state = NetState {
+            lan,
+            busy_until: SimTime::ZERO,
+            hosts,
+            stats: TrafficStats::new(n_hosts),
+            partition: None,
+        };
         Network { sim, state: Rc::new(RefCell::new(state)), trace }
     }
 
@@ -205,14 +187,6 @@ impl Network {
         Ok(())
     }
 
-    /// Removes the socket at `addr`, if any.
-    pub fn unbind(&self, addr: Addr) {
-        let mut st = self.state.borrow_mut();
-        if let Some(h) = st.hosts.get_mut(addr.host.0 as usize) {
-            h.sockets.retain(|(p, _)| *p != addr.port);
-        }
-    }
-
     /// Joins `host` to a multicast group.
     pub fn join_group(&self, host: HostId, group: GroupId) {
         let groups = &mut self.state.borrow_mut().hosts[host.0 as usize].groups;
@@ -222,17 +196,11 @@ impl Network {
     }
 
     /// Installs a receive-side loss model on a host (fault injection),
-    /// replacing any previously installed models. Use
-    /// [`Network::add_loss`] to stack models instead.
-    pub fn set_loss(&self, host: HostId, model: Box<dyn LossModel>) {
-        self.state.borrow_mut().hosts[host.0 as usize].losses = vec![model];
-    }
-
-    /// Stacks an additional receive-side loss model on a host: a packet is
-    /// dropped if *any* installed model drops it, and every model observes
-    /// every arrival (stateful burst schedules advance regardless of the
-    /// other models' verdicts). This is how composed fault plans — e.g.
-    /// random loss on top of a correlated burst — coexist on one site.
+    /// stacked on any installed before: a packet is dropped if *any*
+    /// installed model drops it, and every model observes every arrival
+    /// (stateful burst schedules advance regardless of the other models'
+    /// verdicts). This is how composed fault plans — e.g. random loss on top
+    /// of a correlated burst — coexist on one site.
     pub fn add_loss(&self, host: HostId, model: Box<dyn LossModel>) {
         self.state.borrow_mut().hosts[host.0 as usize].losses.push(model);
     }
@@ -253,7 +221,7 @@ impl Network {
             Some(DupModel { p, max_copies, rng: SmallRng::seed_from_u64(seed) });
     }
 
-    /// Splits the network into isolated partition segments: two hosts can
+    /// Splits the network into isolated partition groups: two hosts can
     /// exchange packets only if they are in the same group. Hosts listed in
     /// no group are isolated from everyone. Packets still in flight across a
     /// new partition boundary are dropped at delivery time, modelling the
@@ -286,7 +254,7 @@ impl Network {
                 let group = |h: HostId| map[usize::from(h.0)];
                 match (group(a), group(b)) {
                     (Some(ga), Some(gb)) => ga != gb,
-                    // An unlisted host sits in no segment: unreachable.
+                    // An unlisted host sits in no group: unreachable.
                     _ => true,
                 }
             }
@@ -311,46 +279,41 @@ impl Network {
     /// Sends `payload` from `from` to `dest`. Losses, MTU violations and
     /// queue overflows are recorded in [`stats`](Network::stats) rather than
     /// reported to the caller — exactly the feedback a UDP sender gets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either end names a host the builder did not create.
     pub fn send(&self, from: Addr, dest: Dest, payload: Bytes) {
         let now = self.sim.now();
         let wire = wire_bytes(payload.len());
         let mut st = self.state.borrow_mut();
+        if let Dest::Unicast(to) = dest {
+            assert!(usize::from(to.host.0) < st.hosts.len(), "unicast to unknown host {}", to.host);
+        }
         if st.hosts[from.host.0 as usize].down {
             st.stats.on_drop(DropCause::HostDown);
             return;
         }
-        let seg_idx = st.hosts[from.host.0 as usize].segment;
-        if let Dest::Unicast(to) = dest {
-            if st.hosts.get(to.host.0 as usize).map(|h| h.segment) != Some(seg_idx) {
-                st.stats.on_drop(DropCause::NoRoute);
-                self.trace.record_with(now, TraceKind::PacketDropped, || {
-                    format!("{from}->{dest:?}: no route")
-                });
-                return;
-            }
-        }
-        let seg = &st.segments[seg_idx];
-        let mtu = seg.config.mtu;
-        let backlog = seg.busy_until.saturating_duration_since(now);
-        let tx_buffer = seg.config.tx_buffer;
-        let start = seg.busy_until.max(now);
-        let finish = start + seg.config.serialization(wire);
-        let arrive = finish + seg.config.latency;
-        if wire > mtu {
+        let lan = st.lan;
+        let backlog = st.busy_until.saturating_duration_since(now);
+        let start = st.busy_until.max(now);
+        let finish = start + lan.serialization(wire);
+        let arrive = finish + lan.latency;
+        if wire > lan.mtu {
             st.stats.on_drop(DropCause::Mtu);
             self.trace.record_with(now, TraceKind::PacketDropped, || {
-                format!("{from}->{dest:?}: frame {wire}B exceeds MTU {mtu}")
+                format!("{from}->{dest:?}: frame {wire}B exceeds MTU {}", lan.mtu)
             });
             return;
         }
-        if backlog > tx_buffer {
+        if backlog > lan.tx_buffer {
             st.stats.on_drop(DropCause::TxOverflow);
             self.trace.record_with(now, TraceKind::PacketDropped, || {
                 format!("{from}->{dest:?}: tx overflow ({backlog:?} backlog)")
             });
             return;
         }
-        st.segments[seg_idx].busy_until = finish;
+        st.busy_until = finish;
         st.stats.on_tx(from.host.0 as usize, wire);
         self.trace.record_with(now, TraceKind::PacketSent, || {
             format!("{from}->{dest:?} {wire}B arrive={arrive}")
@@ -365,11 +328,9 @@ impl Network {
                 });
             }
             Dest::Multicast(group, port) => {
-                // Receivers are chosen now, at send time, in member order.
-                let mut receivers: Vec<HostId> = st.segments[seg_idx]
-                    .members
-                    .iter()
-                    .copied()
+                // Receivers are chosen now, at send time, in host-id order.
+                let mut receivers: Vec<HostId> = (0..st.hosts.len() as u16)
+                    .map(HostId)
                     .filter(|&h| h != from.host && st.hosts[h.0 as usize].groups.contains(&group))
                     .collect();
                 if let Some(last) = receivers.pop() {
@@ -478,9 +439,6 @@ impl Network {
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.state.borrow();
-        f.debug_struct("Network")
-            .field("hosts", &st.hosts.len())
-            .field("segments", &st.segments.len())
-            .finish()
+        f.debug_struct("Network").field("hosts", &st.hosts.len()).field("lan", &st.lan).finish()
     }
 }

@@ -1,5 +1,5 @@
 //! The multicast fan-out contract: every receiver of a multicast runs its
-//! handler at the arrival instant, in segment-member order, before anything
+//! handler at the arrival instant, in host-id order, before anything
 //! a handler schedules for that instant; per-host loss and duplication draw
 //! exactly as if each receiver had its own arrival event.
 
@@ -42,7 +42,7 @@ fn run() -> (Vec<Entry>, Network, Vec<HostId>) {
         })
         .expect("fresh host");
     }
-    net.set_loss(hosts[2], Box::new(RandomLoss::new(0.3, 11)));
+    net.add_loss(hosts[2], Box::new(RandomLoss::new(0.3, 11)));
     net.set_duplication(hosts[4], 0.5, 2, 13);
     for tag in 0..SENDS {
         let net = net.clone();

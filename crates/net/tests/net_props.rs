@@ -24,7 +24,7 @@ proptest! {
         let h0 = b.host(lan);
         let h1 = b.host(lan);
         let net = b.build();
-        net.set_loss(h1, Box::new(dbsm_net::RandomLoss::new(f64::from(loss_pct) / 100.0, 7)));
+        net.add_loss(h1, Box::new(dbsm_net::RandomLoss::new(f64::from(loss_pct) / 100.0, 7)));
         let delivered: Rc<RefCell<u64>> = Rc::default();
         let d = delivered.clone();
         net.bind(Addr::new(h1, Port(9)), move |_| *d.borrow_mut() += 1).expect("bind");

@@ -18,29 +18,30 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Transaction mix (fractions must sum to 1). The paper's mix gives new
-/// order and payment 44 % each.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mix {
-    /// Fraction of new-order transactions.
-    pub neworder: f64,
-    /// Fraction of payment transactions.
-    pub payment: f64,
-    /// Fraction of order-status transactions.
-    pub orderstatus: f64,
-    /// Fraction of delivery transactions.
-    pub delivery: f64,
-    /// Fraction of stock-level transactions.
-    pub stocklevel: f64,
-}
+/// The paper's transaction mix (§3.2), which meets the TPC-C spec's minimum
+/// shares (clause 5.2.3): new order and payment 44 % each, order status and
+/// delivery 4 % each, and stock level the remaining 4 %. A request rolls one
+/// uniform draw against the running sums in this order.
+const NEWORDER_SHARE: f64 = 0.44;
+const PAYMENT_SHARE: f64 = 0.44;
+const ORDERSTATUS_SHARE: f64 = 0.04;
+const DELIVERY_SHARE: f64 = 0.04;
+/// Share of payments selecting the customer by last name (clause 2.5.1.2).
+const PAYMENT_BY_NAME: f64 = 0.60;
+/// Share of order-status selecting the customer by last name (clause 2.6.1.2).
+const ORDERSTATUS_BY_NAME: f64 = 0.60;
+/// Share of payments whose customer belongs to a remote warehouse
+/// (clause 2.5.1.2).
+const REMOTE_PAYMENT: f64 = 0.15;
+/// Share of order lines supplied by a remote warehouse (clause 2.4.1.5).
+const REMOTE_ITEM: f64 = 0.01;
+/// Share of new orders rolled back by the user (clause 2.4.1.4).
+const NEWORDER_ROLLBACK: f64 = 0.01;
 
-impl Default for Mix {
-    fn default() -> Self {
-        Mix { neworder: 0.44, payment: 0.44, orderstatus: 0.04, delivery: 0.04, stocklevel: 0.04 }
-    }
-}
-
-/// Generator configuration.
+/// Generator configuration: the client population, its think time and the
+/// seed. Everything else is fixed at the TPC-C values: the 44/44/4/4/4 mix,
+/// 60 % of payments and order-status by last name, 15 % remote payments,
+/// 1 % remote order lines and 1 % new-order rollbacks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TpccConfig {
     /// Emulated clients; the database is sized at one warehouse per ten
@@ -48,18 +49,6 @@ pub struct TpccConfig {
     pub clients: usize,
     /// Mean of the exponential think time between transactions.
     pub think_mean: Duration,
-    /// Transaction mix.
-    pub mix: Mix,
-    /// Fraction of payments selecting the customer by last name (spec: 60 %).
-    pub payment_by_name: f64,
-    /// Fraction of order-status by last name (spec: 60 %).
-    pub orderstatus_by_name: f64,
-    /// Fraction of payments hitting a remote warehouse's customer (15 %).
-    pub remote_payment: f64,
-    /// Fraction of order lines supplied by a remote warehouse (1 %).
-    pub remote_item: f64,
-    /// Fraction of new orders rolled back by the user (1 %).
-    pub neworder_rollback: f64,
     /// Master seed.
     pub seed: u64,
 }
@@ -67,17 +56,7 @@ pub struct TpccConfig {
 impl TpccConfig {
     /// Standard configuration for `clients` emulated clients.
     pub fn new(clients: usize) -> Self {
-        TpccConfig {
-            clients,
-            think_mean: Duration::from_secs(10),
-            mix: Mix::default(),
-            payment_by_name: 0.60,
-            orderstatus_by_name: 0.60,
-            remote_payment: 0.15,
-            remote_item: 0.01,
-            neworder_rollback: 0.01,
-            seed: 42,
-        }
+        TpccConfig { clients, think_mean: Duration::from_secs(10), seed: 42 }
     }
 }
 
@@ -103,7 +82,7 @@ struct DistrictState {
 /// undelivered queues) plus a deterministic RNG.
 #[derive(Debug)]
 pub struct TpccGen {
-    cfg: TpccConfig,
+    think_mean: Duration,
     warehouses: u64,
     rng: SmallRng,
     nurand_c: NurandC,
@@ -126,7 +105,7 @@ impl TpccGen {
             districts.push(DistrictState { next_o_id: 3001, ..DistrictState::default() });
         }
         TpccGen {
-            cfg,
+            think_mean: cfg.think_mean,
             warehouses,
             rng,
             nurand_c,
@@ -141,11 +120,6 @@ impl TpccGen {
         self.warehouses
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &TpccConfig {
-        &self.cfg
-    }
-
     /// The client's home warehouse (1-based).
     pub fn home_warehouse(&self, client: usize) -> u64 {
         (client / CLIENTS_PER_WAREHOUSE) as u64 % self.warehouses + 1
@@ -154,28 +128,27 @@ impl TpccGen {
     /// Draws the think time before a client's next request.
     pub fn think_time(&mut self) -> Duration {
         let u: f64 = self.rng.gen_range(0.0..1.0);
-        Duration::from_secs_f64(-self.cfg.think_mean.as_secs_f64() * (1.0 - u).ln())
+        Duration::from_secs_f64(-self.think_mean.as_secs_f64() * (1.0 - u).ln())
     }
 
     /// Generates the next request for `client`, rolling the mix.
     pub fn next_request(&mut self, client: usize) -> ClientRequest {
-        let m = self.cfg.mix;
         let roll: f64 = self.rng.gen_range(0.0..1.0);
-        let class = if roll < m.neworder {
+        let class = if roll < NEWORDER_SHARE {
             TxnClass::NewOrder
-        } else if roll < m.neworder + m.payment {
-            if self.rng.gen_bool(self.cfg.payment_by_name) {
+        } else if roll < NEWORDER_SHARE + PAYMENT_SHARE {
+            if self.rng.gen_bool(PAYMENT_BY_NAME) {
                 TxnClass::PaymentLong
             } else {
                 TxnClass::PaymentShort
             }
-        } else if roll < m.neworder + m.payment + m.orderstatus {
-            if self.rng.gen_bool(self.cfg.orderstatus_by_name) {
+        } else if roll < NEWORDER_SHARE + PAYMENT_SHARE + ORDERSTATUS_SHARE {
+            if self.rng.gen_bool(ORDERSTATUS_BY_NAME) {
                 TxnClass::OrderStatusLong
             } else {
                 TxnClass::OrderStatusShort
             }
-        } else if roll < m.neworder + m.payment + m.orderstatus + m.delivery {
+        } else if roll < NEWORDER_SHARE + PAYMENT_SHARE + ORDERSTATUS_SHARE + DELIVERY_SHARE {
             TxnClass::Delivery
         } else {
             TxnClass::StockLevel
@@ -253,17 +226,14 @@ impl TpccGen {
         writes.push(new_order_row(didx, o_id));
         for l in 1..=ol_cnt {
             let i = item_id(&mut self.rng, &self.nurand_c);
-            let supply_w = if self.rng.gen_bool(self.cfg.remote_item) {
-                self.rand_remote_warehouse(w)
-            } else {
-                w
-            };
+            let supply_w =
+                if self.rng.gen_bool(REMOTE_ITEM) { self.rand_remote_warehouse(w) } else { w };
             reads.push(item_row(i));
             reads.push(stock_row(supply_w, i));
             writes.push(stock_row(supply_w, i));
             writes.push(order_line_row(didx, o_id, l));
         }
-        let user_abort = self.rng.gen_bool(self.cfg.neworder_rollback);
+        let user_abort = self.rng.gen_bool(NEWORDER_ROLLBACK);
         if !user_abort {
             let ds = &mut self.districts[didx as usize];
             ds.undelivered.push_back((o_id, c, ol_cnt));
@@ -279,7 +249,7 @@ impl TpccGen {
     fn gen_payment(&mut self, w: u64, by_name: bool) -> TransactionSpec {
         let d = self.rand_district();
         // Customer resides at home 85 % of the time, remote 15 %.
-        let (cw, cd) = if self.rng.gen_bool(self.cfg.remote_payment) {
+        let (cw, cd) = if self.rng.gen_bool(REMOTE_PAYMENT) {
             (self.rand_remote_warehouse(w), self.rand_district())
         } else {
             (w, d)
@@ -574,24 +544,21 @@ mod tests {
 
     #[test]
     fn remote_items_touch_other_warehouses() {
-        let mut cfg = TpccConfig::new(100);
-        cfg.remote_item = 0.5; // exaggerate for the test
-        let mut g = TpccGen::new(cfg);
-        let mut cross = false;
-        for _ in 0..50 {
-            let r = g.request_for(0, TxnClass::NewOrder);
-            let home_lo = stock_row(1, 1);
-            let home_hi = stock_row(1, schema::STOCK_PER_WAREHOUSE);
-            if r.spec
-                .write_set
-                .ids()
-                .iter()
-                .any(|t| t.table() == schema::STOCK && (*t < home_lo || *t > home_hi))
-            {
-                cross = true;
-                break;
-            }
-        }
-        assert!(cross, "no remote stock touched at 50% remote rate");
+        // At the spec's 1 % per order line (about 10 % of new orders), 500
+        // new orders all but surely supply some line from another warehouse.
+        let mut g = generator(100);
+        let home_lo = stock_row(1, 1);
+        let home_hi = stock_row(1, schema::STOCK_PER_WAREHOUSE);
+        let remote = (0..500)
+            .filter(|_| {
+                let r = g.request_for(0, TxnClass::NewOrder);
+                r.spec
+                    .write_set
+                    .ids()
+                    .iter()
+                    .any(|t| t.table() == schema::STOCK && (*t < home_lo || *t > home_hi))
+            })
+            .count();
+        assert!(remote > 0, "no remote stock touched in 500 new orders");
     }
 }

@@ -163,7 +163,8 @@ fn main() {
     );
     println!(
         "duplicate delivery: {} copies injected, {} absorbed by the dedup path, logs identical",
-        dup.fault_work.dup_injected, dup.fault_work.dup_discarded
+        dup.fault_work.dup_injected,
+        dup.gcs_sum(|g| g.duplicates)
     );
     let r = rejoin.rejoins[0];
     println!(

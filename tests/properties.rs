@@ -3,8 +3,8 @@
 
 use bytes::Bytes;
 use dbsm_testbed::cert::{
-    marshal, unmarshal, CertRequest, Certifier, IndexedCertifier, RwSet, SiteId, SpecResolution,
-    TableId, TupleId,
+    marshal, unmarshal, CertRequest, IndexedCertifier, LinearCertifier, RwSet, SiteId,
+    SpecResolution, TableId, TupleId,
 };
 use dbsm_testbed::gcs::{testkit::TestNet, AnnBatchPolicy, GcsConfig, NodeId, NodeSet};
 use dbsm_testbed::sim::stats::Samples;
@@ -245,8 +245,8 @@ proptest! {
     ) {
         // Two replicas fed the same totally ordered stream reach identical
         // decisions and identical last-committed counters.
-        let mut a = Certifier::new();
-        let mut b = Certifier::new();
+        let mut a = LinearCertifier::new();
+        let mut b = LinearCertifier::new();
         for (i, (site, reads, writes, back)) in stream.iter().enumerate() {
             let start = a.last_committed().saturating_sub(*back);
             let req = CertRequest {
@@ -275,7 +275,7 @@ proptest! {
         // every span is exactly the unrestricted one: same outcomes, same
         // read-only verdicts and the same CertWork, whose probe counts are
         // charged as simulated CPU.
-        let mut linear = Certifier::new();
+        let mut linear = LinearCertifier::new();
         let mut indexed = IndexedCertifier::new();
         let mut all_spans = IndexedCertifier::with_span(span8, 0..8);
         for (i, (site, reads, writes, back, gc_roll)) in stream.iter().enumerate() {
@@ -339,7 +339,7 @@ proptest! {
                 read_set: reads.clone(), write_set: writes.clone(), write_bytes: 0,
             }
         }
-        let mut linear = Certifier::new();
+        let mut linear = LinearCertifier::new();
         let mut sync = IndexedCertifier::new();
         let mut pipe = IndexedCertifier::new();
         let n = stream.len();
@@ -746,7 +746,7 @@ proptest! {
         writes in arb_rwset(8), reads in arb_rwset(8)
     ) {
         // A request whose snapshot includes every commit always commits.
-        let mut c = Certifier::new();
+        let mut c = LinearCertifier::new();
         let w = CertRequest {
             site: SiteId(0), txn: 0, start_seq: 0,
             read_set: RwSet::new(), write_set: writes, write_bytes: 0,

@@ -392,7 +392,7 @@ fn duplicate_delivery_is_absorbed_without_burning_sequence_numbers() {
             .with_faults(FaultPlan::duplicate_delivery(0.25, 3)),
     );
     assert!(m.fault_work.dup_injected > 0, "the fault actually fired: {:?}", m.fault_work);
-    assert!(m.fault_work.dup_discarded > 0, "the GCS dedup path absorbed copies");
+    assert!(m.gcs_sum(|g| g.duplicates) > 0, "the GCS dedup path absorbed copies");
     // Identical logs at every site prove no duplicate stole a global
     // sequence number or delivered twice.
     check_logs(&m.commit_logs, &[false; 3]).expect("safety under duplicate delivery");
@@ -604,7 +604,7 @@ fn voter_crash_mid_vote_round_is_safe_and_survivors_recollect() {
         "survivors decided vote rounds past the dead voter"
     );
     // Wire votes actually flowed, before and after the crash.
-    assert!(m.vote_wire.sent > 0, "wire votes cast: {:?}", m.vote_wire);
+    assert!(m.gcs_sum(|g| g.votes_sent) > 0, "wire votes cast: {:?}", m.gcs);
     assert!(m.vote_wire.decided > 0, "origins collected covering quorums");
     let crashed = crashed_flags(&m, 6);
     check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts())
@@ -633,7 +633,7 @@ fn partition_heal_during_vote_rounds_recovers_the_lost_votes() {
     assert!(m.crashed_sites.is_empty(), "nobody halted: {:?}", m.crashed_sites);
     assert_eq!(m.fault_work.view_installs, 0, "heal happened below the membership radar");
     assert!(m.fault_work.partition_drops > 0, "traffic (votes included) died at the boundary");
-    assert!(m.vote_wire.sent > 0 && m.vote_wire.decided > 0, "{:?}", m.vote_wire);
+    assert!(m.gcs_sum(|g| g.votes_sent) > 0 && m.vote_wire.decided > 0, "{:?}", m.vote_wire);
     check_logs(&m.commit_logs, &[false; 6]).expect("identical sequences across the heal");
     assert!(m.committed() > 400, "committed {}", m.committed());
 }
@@ -665,12 +665,8 @@ fn rejoined_voter_resumes_voting_past_its_cut() {
         r.kept
     );
     // The fresh incarnation's own vote counter: votes cast after rejoin.
-    assert_eq!(m.vote_wire.per_site_sent.len(), 6, "all six bridges reported");
-    assert!(
-        m.vote_wire.per_site_sent[5] > 0,
-        "rejoined voter cast wire votes past its cut: {:?}",
-        m.vote_wire.per_site_sent
-    );
+    assert_eq!(m.gcs.len(), 6, "all six bridges reported");
+    assert!(m.gcs[5].votes_sent > 0, "rejoined voter cast wire votes past its cut: {:?}", m.gcs[5]);
     let crashed = crashed_flags(&m, 6);
     check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts())
         .expect("rejoined voter chains through its cut");

@@ -55,7 +55,7 @@ fn assert_identical(a: &RunMetrics, b: &RunMetrics) {
         "certification latency samples, in recording order"
     );
     assert_eq!(a.cert_work, b.cert_work, "certification work ledger");
-    assert_eq!(a.ann_work, b.ann_work, "announcement work ledger");
+    assert_eq!(a.gcs, b.gcs, "per-site group-communication counters");
     // Same-seed runs must be exactly deterministic: compare bit patterns,
     // not within a tolerance — a tolerance would let tiny nondeterminism
     // (e.g. float summation order) slip through.
@@ -146,12 +146,9 @@ fn adaptive_ann_batching_is_reproducible_with_a_live_ledger() {
         assert!(a.committed() > 0, "seed {seed}: smoke run commits work");
         assert_identical(&a, &b);
         dbsm_testbed::fault::check_logs(&a.commit_logs, &[false; 3]).expect("identical sequences");
-        assert!(a.ann_work.announcements > 0, "seed {seed}: ledger records announcements");
-        assert_eq!(
-            a.ann_work.assigns_total(),
-            b.ann_work.assigns_total(),
-            "seed {seed}: assignment totals reproduce"
-        );
+        assert!(a.gcs_sum(|g| g.ann_sent) > 0, "seed {seed}: stacks record announcements");
+        let assigns = |m: &RunMetrics| m.gcs_sum(|g| g.ann_assigns + g.ann_piggybacked);
+        assert_eq!(assigns(&a), assigns(&b), "seed {seed}: assignment totals reproduce");
     }
 }
 
