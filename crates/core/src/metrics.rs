@@ -646,25 +646,35 @@ mod tests {
     }
 
     #[test]
-    fn gcs_counters_sum_across_sites() {
+    fn ann_work_totals_accumulate_and_average() {
         let mut m = RunMetrics::new(2);
-        assert_eq!((m.ann_mean_batch(), m.vote_piggyback_rate()), (0.0, 0.0));
+        assert_eq!(m.ann_mean_batch(), 0.0);
         m.gcs = vec![
             GcsMetrics {
                 ann_sent: 4,
                 ann_assigns: 12,
                 ann_piggybacked: 5,
-                duplicates: 7,
-                votes_sent: 10,
-                votes_piggybacked: 6,
                 ..GcsMetrics::default()
             },
-            GcsMetrics { duplicates: 3, votes_received: 10, ..GcsMetrics::default() },
+            GcsMetrics::default(), // non-sequencer site: all zero
         ];
-        assert_eq!(m.gcs_sum(|g| g.duplicates), 10);
+        assert_eq!(m.gcs_sum(|g| g.ann_sent), 4);
+        assert_eq!(m.gcs_sum(|g| g.ann_assigns), 12);
+        assert_eq!(m.gcs_sum(|g| g.ann_piggybacked), 5);
         assert_eq!(m.gcs_sum(|g| g.ann_assigns + g.ann_piggybacked), 17);
         assert!((m.ann_mean_batch() - 3.0).abs() < 1e-12);
-        assert!((m.vote_piggyback_rate() - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fault_work_totals_accumulate_across_sites() {
+        let mut m = RunMetrics::new(2);
+        m.gcs = vec![
+            GcsMetrics { duplicates: 7, view_changes: 1, ..GcsMetrics::default() },
+            GcsMetrics { duplicates: 3, view_changes: 1, ..GcsMetrics::default() },
+        ];
+        assert_eq!(m.gcs_sum(|g| g.duplicates), 10);
+        assert_eq!(m.gcs_sum(|g| g.view_changes), 2);
+        assert_eq!(m.fault_work.dup_injected, 0, "network-side counters are filled by the runner");
     }
 
     #[test]
@@ -783,6 +793,27 @@ mod tests {
 
     #[test]
     fn vote_wire_totals_accumulate_and_average() {
+        let mut m = RunMetrics::new(2);
+        assert_eq!(m.vote_piggyback_rate(), 0.0);
+        m.gcs = vec![
+            GcsMetrics {
+                votes_sent: 10,
+                votes_received: 30,
+                votes_piggybacked: 6,
+                vote_resends: 2,
+                ..GcsMetrics::default()
+            },
+            GcsMetrics { votes_received: 10, ..GcsMetrics::default() },
+        ];
+        let sums = (
+            m.gcs_sum(|g| g.votes_sent),
+            m.gcs_sum(|g| g.votes_received),
+            m.gcs_sum(|g| g.votes_piggybacked),
+            m.gcs_sum(|g| g.vote_resends),
+        );
+        assert_eq!(sums, (10, 40, 6, 2));
+        assert_eq!(m.gcs.iter().map(|g| g.votes_sent).collect::<Vec<_>>(), vec![10, 0]);
+        assert!((m.vote_piggyback_rate() - 0.6).abs() < 1e-12);
         let mut t = VoteWireTotals::default();
         assert_eq!(t.mean_wait_ms(), 0.0, "no decisions recorded yet");
         t.decided = 4;
