@@ -3,12 +3,10 @@
 //! round-trip time (3c), Real (native loopback) vs CSRT (simulation).
 
 use dbsm_core::validate::{flood_native, flood_sim, rtt_native, rtt_sim};
-use dbsm_gcs::OverheadModel;
 use std::time::Duration;
 
 fn main() {
     let sizes = [64usize, 256, 512, 1000, 2000, 4000];
-    let overhead = OverheadModel::pentium3_1ghz();
     let sim_window = Duration::from_millis(200);
     let native_window = Duration::from_millis(120);
 
@@ -18,7 +16,7 @@ fn main() {
         "size", "written(real)", "written(CSRT)", "recv(real)", "recv(CSRT)"
     );
     for &size in &sizes {
-        let sim = flood_sim(size, sim_window, overhead);
+        let sim = flood_sim(size, sim_window);
         let real = flood_native(size, native_window, Some(100.0))
             .unwrap_or(dbsm_core::validate::FloodResult { written_mbit: 0.0, received_mbit: 0.0 });
         println!(
@@ -30,7 +28,7 @@ fn main() {
     println!("\n# Fig 3c: average round trip (us)");
     println!("{:>8} {:>12} {:>12}", "size", "real", "CSRT");
     for &size in &sizes {
-        let sim_rtt = rtt_sim(size, 50, overhead);
+        let sim_rtt = rtt_sim(size, 50);
         let real_rtt = rtt_native(size, 200).unwrap_or(Duration::ZERO);
         println!(
             "{size:>8} {:>12.0} {:>12.0}",

@@ -18,10 +18,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[allow(clippy::disallowed_types)] // the alias every keyed-only map uses
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A hash set keyed with [`FxHasher`].
-#[allow(clippy::disallowed_types)] // the alias every keyed-only set uses
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
-
 /// rustc's `FxHasher`: `hash = (hash.rotl(5) ^ word) * K` per word.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {

@@ -60,7 +60,7 @@ mod tuple;
 
 pub use backend::{CertBackend, CertBackendKind};
 pub use certifier::{CertWork, HistoryTruncated, LinearCertifier, Outcome};
-pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxHashMap, FxHasher};
 pub use marshal::{marshal, marshalled_len, unmarshal, UnmarshalError, HEADER_LEN};
 pub use placement::{IndexedCertifier, SpecResolution};
 pub use request::CertRequest;

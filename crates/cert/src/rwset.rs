@@ -5,7 +5,7 @@
 //! (§3.3). The intersection test below is that single traversal, extended to
 //! understand table-level (wildcard) entries.
 
-use crate::tuple::{TableId, TupleId};
+use crate::tuple::TupleId;
 
 /// A sorted, duplicate-free set of tuple identifiers.
 ///
@@ -158,20 +158,6 @@ impl RwSet {
         false
     }
 
-    /// Iterates over the distinct tables present in the set.
-    pub fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
-        let mut last: Option<TableId> = None;
-        self.ids.iter().filter_map(move |id| {
-            let t = id.table();
-            if last == Some(t) {
-                None
-            } else {
-                last = Some(t);
-                Some(t)
-            }
-        })
-    }
-
     /// Merges `other` into this set.
     pub fn union_with(&mut self, other: &RwSet) {
         if other.is_empty() {
@@ -219,6 +205,7 @@ impl Extend<TupleId> for RwSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::TableId;
 
     fn id(t: u16, r: u64) -> TupleId {
         TupleId::new(TableId(t), r)
@@ -327,13 +314,6 @@ mod tests {
         let mut a = RwSet::from_iter([id(1, 1), id(1, 5)]);
         a.union_with(&RwSet::from_iter([id(1, 3), id(1, 5)]));
         assert_eq!(a.ids(), &[id(1, 1), id(1, 3), id(1, 5)]);
-    }
-
-    #[test]
-    fn tables_lists_distinct_tables() {
-        let s = RwSet::from_iter([id(1, 1), id(1, 2), id(3, 1)]);
-        let tables: Vec<TableId> = s.tables().collect();
-        assert_eq!(tables, vec![TableId(1), TableId(3)]);
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! and round-trips run the native bridge's transport on the loopback
 //! interface, and the Fig. 4 reference is a multi-threaded in-memory engine
 //! executing the same TPC-C workload in wall-clock time with real locks.
+//! The simulated sides charge [`dbsm_gcs::OVERHEAD`], the CSRT send and
+//! receive costs the simulation bridge charges in every run, so Fig. 3
+//! validates exactly the calibration the experiments use.
 //! What §4.2 validates is that the model's queueing (transport overheads,
 //! CPU contention, lock waits) reproduces the shape of a real execution;
 //! the substitutes keep real sockets, real threads and real locks on the
@@ -15,7 +18,7 @@
 use crate::cluster::run_experiment;
 use crate::experiment::ExperimentConfig;
 use bytes::Bytes;
-use dbsm_gcs::OverheadModel;
+use dbsm_gcs::OVERHEAD;
 use dbsm_net::{Addr, Dest, NetworkBuilder, Port, SegmentConfig};
 use dbsm_sim::stats::Samples;
 use dbsm_sim::{CpuBank, ProfilerMode, Sim, SimTime};
@@ -32,9 +35,9 @@ pub struct FloodResult {
 }
 
 /// Simulated flooding benchmark: one sender saturates a UDP socket on a
-/// 100 Mbps LAN for `duration` of virtual time, with the CSRT charging the
-/// overhead model per message.
-pub fn flood_sim(msg_size: usize, duration: Duration, overhead: OverheadModel) -> FloodResult {
+/// 100 Mbps LAN for `duration` of virtual time, with the CSRT charging
+/// [`OVERHEAD`] per message.
+pub fn flood_sim(msg_size: usize, duration: Duration) -> FloodResult {
     let sim = Sim::new();
     let mut nb = NetworkBuilder::new(&sim);
     let mut lan_cfg = SegmentConfig::fast_ethernet();
@@ -62,13 +65,12 @@ pub fn flood_sim(msg_size: usize, duration: Duration, overhead: OverheadModel) -
         rx: Addr,
         payload: Bytes,
         sent: std::rc::Rc<std::cell::Cell<u64>>,
-        overhead: OverheadModel,
         until: SimTime,
     }
     fn pump_once(p: std::rc::Rc<Pump>) {
         let p2 = p.clone();
         p.cpu.submit_real(Box::new(move |ctx| {
-            ctx.charge(p2.overhead.send_cost(p2.payload.len()));
+            ctx.charge(OVERHEAD.send_cost(p2.payload.len()));
             let net = p2.net.clone();
             let (tx, rx, payload) = (p2.tx, p2.rx, p2.payload.clone());
             ctx.schedule(Duration::ZERO, move || {
@@ -88,7 +90,6 @@ pub fn flood_sim(msg_size: usize, duration: Duration, overhead: OverheadModel) -
         rx: Addr::new(rx, Port(9)),
         payload: Bytes::from(vec![0u8; msg_size]),
         sent: sent.clone(),
-        overhead,
         until: SimTime::ZERO + duration,
     });
     pump_once(pump);
@@ -147,8 +148,8 @@ pub fn flood_native(
 }
 
 /// Simulated round-trip time for `n` ping-pongs of `msg_size` bytes
-/// (Fig. 3c): two hosts on the LAN, CSRT overheads charged on both ends.
-pub fn rtt_sim(msg_size: usize, n: u32, overhead: OverheadModel) -> Duration {
+/// (Fig. 3c): two hosts on the LAN, [`OVERHEAD`] charged on both ends.
+pub fn rtt_sim(msg_size: usize, n: u32) -> Duration {
     let sim = Sim::new();
     let mut nb = NetworkBuilder::new(&sim);
     let mut lan_cfg = SegmentConfig::fast_ethernet();
@@ -174,8 +175,8 @@ pub fn rtt_sim(msg_size: usize, n: u32, overhead: OverheadModel) -> Duration {
             let payload = dg.payload.clone();
             let from = dg.from;
             cpu_b2.submit_real(Box::new(move |ctx| {
-                ctx.charge(overhead.recv_cost(payload.len()));
-                ctx.charge(overhead.send_cost(payload.len()));
+                ctx.charge(OVERHEAD.recv_cost(payload.len()));
+                ctx.charge(OVERHEAD.send_cost(payload.len()));
                 let net4 = net3.clone();
                 ctx.schedule(Duration::ZERO, move || {
                     net4.send(addr_b, Dest::Unicast(from), payload);
@@ -193,7 +194,7 @@ pub fn rtt_sim(msg_size: usize, n: u32, overhead: OverheadModel) -> Duration {
         let send_ping = std::rc::Rc::new(move |payload: Bytes| {
             let net3 = net2.clone();
             cpu_a2.submit_real(Box::new(move |ctx| {
-                ctx.charge(overhead.send_cost(payload.len()));
+                ctx.charge(OVERHEAD.send_cost(payload.len()));
                 let net4 = net3.clone();
                 ctx.schedule(Duration::ZERO, move || {
                     net4.send(addr_a, Dest::Unicast(addr_b), payload);
@@ -208,7 +209,7 @@ pub fn rtt_sim(msg_size: usize, n: u32, overhead: OverheadModel) -> Duration {
             let done3 = done2.clone();
             let payload = dg.payload.clone();
             cpu_a3.submit_real(Box::new(move |ctx| {
-                ctx.charge(overhead.recv_cost(payload.len()));
+                ctx.charge(OVERHEAD.recv_cost(payload.len()));
                 let left = remaining3.get() - 1;
                 remaining3.set(left);
                 if left == 0 {

@@ -12,7 +12,7 @@
 use crate::lock::{Acquire, CcPolicy, LockTable, OwnerKind, TxnId};
 use crate::storage::{Storage, StorageConfig};
 use dbsm_cert::{FxHashMap, RwSet, TupleId};
-use dbsm_sim::{CpuBank, Sim, SimTime};
+use dbsm_sim::{CpuBank, Sim};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -65,21 +65,6 @@ pub enum Outcome {
     Aborted(AbortReason),
 }
 
-/// Aggregate engine counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EngineMetrics {
-    /// Local transactions started.
-    pub started: u64,
-    /// Local transactions committed.
-    pub committed: u64,
-    /// Local transactions aborted (any reason).
-    pub aborted: u64,
-    /// Remote write-sets applied.
-    pub remote_applied: u64,
-    /// Total time local transactions spent waiting for locks (ns).
-    pub lock_wait_ns: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     WaitLocks,
@@ -104,7 +89,6 @@ struct Txn {
     writes: Arc<[TupleId]>,
     phase: Phase,
     gen: u64,
-    enqueued_at: SimTime,
     on_commit_request: Option<CommitRequestHook>,
     on_done: Option<DoneHook>,
     on_applied: Option<AppliedHook>,
@@ -116,13 +100,11 @@ struct Inner {
     txns: FxHashMap<TxnId, Txn>,
     next_txn: u64,
     next_gen: u64,
-    metrics: EngineMetrics,
 }
 
 /// One site's database engine.
 #[derive(Clone)]
 pub struct DbEngine {
-    sim: Sim,
     cpu: CpuBank,
     storage: Storage,
     inner: Rc<RefCell<Inner>>,
@@ -147,7 +129,6 @@ impl DbEngine {
         seed: u64,
     ) -> Self {
         DbEngine {
-            sim: sim.clone(),
             cpu: cpu.clone(),
             storage: Storage::new(sim, storage_config, seed),
             inner: Rc::new(RefCell::new(Inner {
@@ -155,7 +136,6 @@ impl DbEngine {
                 txns: FxHashMap::default(),
                 next_txn: 1,
                 next_gen: 1,
-                metrics: EngineMetrics::default(),
             })),
         }
     }
@@ -168,11 +148,6 @@ impl DbEngine {
     /// The engine's CPU bank.
     pub fn cpu(&self) -> &CpuBank {
         &self.cpu
-    }
-
-    /// Counter snapshot.
-    pub fn metrics(&self) -> EngineMetrics {
-        self.inner.borrow().metrics
     }
 
     /// Transactions currently inside the engine.
@@ -191,7 +166,6 @@ impl DbEngine {
     ) -> TxnId {
         let (id, acquire) = {
             let mut inner = self.inner.borrow_mut();
-            inner.metrics.started += 1;
             let id = TxnId(inner.next_txn);
             inner.next_txn += 1;
             let gen = inner.next_gen;
@@ -205,7 +179,6 @@ impl DbEngine {
                     writes,
                     phase: Phase::WaitLocks,
                     gen,
-                    enqueued_at: self.sim.now(),
                     on_commit_request: Some(Box::new(on_commit_request)),
                     on_done: Some(Box::new(on_done)),
                     on_applied: None,
@@ -253,7 +226,6 @@ impl DbEngine {
                     writes: write_set.ids().into(),
                     phase: Phase::RemoteWait,
                     gen,
-                    enqueued_at: self.sim.now(),
                     on_commit_request: None,
                     on_done: None,
                     on_applied: Some(Box::new(on_applied)),
@@ -325,16 +297,12 @@ impl DbEngine {
     // ----- internal pipeline --------------------------------------------
 
     fn start_fetch(&self, id: TxnId) {
-        let (sectors, gen, wait_ns) = {
+        let (sectors, gen) = {
             let mut inner = self.inner.borrow_mut();
             let Some(t) = inner.txns.get_mut(&id) else { return };
             t.phase = Phase::Fetch;
-            let wait = self.sim.now().saturating_duration_since(t.enqueued_at);
-            let sectors = t.spec.read_set.len() as u32;
-            let gen = t.gen;
-            (sectors, gen, wait.as_nanos() as u64)
+            (t.spec.read_set.len() as u32, t.gen)
         };
-        self.inner.borrow_mut().metrics.lock_wait_ns += wait_ns;
         let this = self.clone();
         self.storage.read(sectors, move || this.fetch_done(id, gen));
     }
@@ -478,15 +446,6 @@ impl DbEngine {
             let Some(mut t) = inner.txns.remove(&id) else { return };
             // Invalidate in-flight resource callbacks.
             t.gen = 0;
-            let is_remote = t.on_applied.is_some();
-            if is_remote {
-                inner.metrics.remote_applied += 1;
-            } else {
-                match outcome {
-                    Outcome::Committed => inner.metrics.committed += 1,
-                    Outcome::Aborted(_) => inner.metrics.aborted += 1,
-                }
-            }
             (t.on_done.take(), t.on_applied.take())
         };
         if let Some(h) = done {
@@ -501,10 +460,7 @@ impl DbEngine {
 impl std::fmt::Debug for DbEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.borrow();
-        f.debug_struct("DbEngine")
-            .field("active", &inner.txns.len())
-            .field("metrics", &inner.metrics)
-            .finish()
+        f.debug_struct("DbEngine").field("active", &inner.txns.len()).finish()
     }
 }
 
@@ -512,7 +468,7 @@ impl std::fmt::Debug for DbEngine {
 mod tests {
     use super::*;
     use dbsm_cert::TableId;
-    use dbsm_sim::ProfilerMode;
+    use dbsm_sim::{ProfilerMode, SimTime};
 
     fn id(r: u64) -> TupleId {
         TupleId::new(TableId(1), r)
@@ -561,7 +517,6 @@ mod tests {
         assert_eq!(*out.borrow(), Some(Outcome::Committed));
         // 5ms CPU + 1 write sector (1ms); reads free (100% cache).
         assert_eq!(sim.now(), SimTime::from_millis(6));
-        assert_eq!(eng.metrics().committed, 1);
         assert_eq!(eng.active_txns(), 0);
     }
 
@@ -682,7 +637,7 @@ mod tests {
         assert_eq!(*outs.borrow(), vec![Outcome::Aborted(AbortReason::RemotePreempt)]);
         // Remote applied promptly (5ms + 1ms write), not after 50ms.
         assert_eq!(*applied.borrow(), Some(SimTime::from_millis(6)));
-        assert_eq!(eng.metrics().remote_applied, 1);
+        assert_eq!(eng.active_txns(), 0);
     }
 
     #[test]
@@ -735,20 +690,6 @@ mod tests {
         );
         sim.run();
         assert_eq!(*out.borrow(), Some(Outcome::Aborted(AbortReason::Certification)));
-    }
-
-    #[test]
-    fn lock_wait_time_is_accounted() {
-        let (sim, eng) = engine();
-        eng.begin_local(spec(&[], &[7], 10), autocommit(&eng), |_, _| {});
-        // Second conflicting txn waits ~11ms then aborts (ww).
-        eng.begin_local(spec(&[], &[7], 10), autocommit(&eng), |_, _| {});
-        // Third, disjoint, never waits.
-        eng.begin_local(spec(&[], &[8], 10), autocommit(&eng), |_, _| {});
-        sim.run();
-        let m = eng.metrics();
-        assert_eq!(m.started, 3);
-        assert!(m.lock_wait_ns == 0, "aborted waiter never reached fetch: {m:?}");
     }
 
     #[test]

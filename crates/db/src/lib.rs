@@ -48,6 +48,6 @@ mod engine;
 mod lock;
 mod storage;
 
-pub use engine::{AbortReason, DbEngine, EngineMetrics, Outcome, TransactionSpec};
+pub use engine::{AbortReason, DbEngine, Outcome, TransactionSpec};
 pub use lock::{Acquire, CcPolicy, LockTable, OwnerKind, ReleaseEffects, TxnId};
 pub use storage::{Storage, StorageConfig};

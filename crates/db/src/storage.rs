@@ -33,11 +33,6 @@ impl StorageConfig {
     pub fn raid5_fibre() -> Self {
         StorageConfig { latency: Duration::from_micros(1650), concurrency: 4, cache_hit: 1.0 }
     }
-
-    /// Sustainable sector throughput (sectors per second).
-    pub fn max_sectors_per_sec(&self) -> f64 {
-        self.concurrency as f64 / self.latency.as_secs_f64()
-    }
 }
 
 struct Request {
@@ -55,7 +50,6 @@ struct Inner {
     in_service: usize,
     /// Sector-service time integral for utilisation accounting (Fig. 6b).
     busy_ns: u64,
-    completed_sectors: u64,
     rng: SmallRng,
 }
 
@@ -83,7 +77,6 @@ impl Storage {
                 next_req: 0,
                 in_service: 0,
                 busy_ns: 0,
-                completed_sectors: 0,
                 rng: SmallRng::seed_from_u64(seed),
             })),
         }
@@ -156,7 +149,6 @@ impl Storage {
             let mut inner = self.inner.borrow_mut();
             inner.in_service -= 1;
             inner.busy_ns += inner.config.latency.as_nanos() as u64;
-            inner.completed_sectors += 1;
             let req = inner.requests.get_mut(&id).expect("completion without request");
             req.remaining -= 1;
             if req.remaining == 0 {
@@ -182,16 +174,6 @@ impl Storage {
             inner.busy_ns as f64 / avail
         }
     }
-
-    /// Total sectors served by the device.
-    pub fn completed_sectors(&self) -> u64 {
-        self.inner.borrow().completed_sectors
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> StorageConfig {
-        self.inner.borrow().config
-    }
 }
 
 impl std::fmt::Debug for Storage {
@@ -213,6 +195,13 @@ mod tests {
         StorageConfig { latency: Duration::from_millis(1), concurrency: 2, cache_hit: 0.0 }
     }
 
+    /// Sectors the device served by `now`, recovered from its utilisation:
+    /// each costs one `latency` of one of `concurrency` channels.
+    fn served(st: &Storage, cfg: StorageConfig, now: SimTime) -> u64 {
+        let busy_ns = st.utilization(now) * now.as_nanos() as f64 * cfg.concurrency as f64;
+        (busy_ns / cfg.latency.as_nanos() as f64).round() as u64
+    }
+
     #[test]
     fn write_batch_completes_after_service() {
         let sim = Sim::new();
@@ -224,7 +213,7 @@ mod tests {
         sim.run();
         // 4 sectors, 2 channels, 1ms each -> 2ms.
         assert_eq!(done.get(), SimTime::from_millis(2));
-        assert_eq!(st.completed_sectors(), 4);
+        assert_eq!(served(&st, no_cache(), sim.now()), 4);
     }
 
     #[test]
@@ -251,7 +240,7 @@ mod tests {
         sim.run();
         assert!(done.get());
         assert_eq!(sim.now(), SimTime::ZERO);
-        assert_eq!(st.completed_sectors(), 0);
+        assert_eq!(served(&st, cfg, sim.now()), 0);
     }
 
     #[test]
@@ -261,7 +250,7 @@ mod tests {
         let st = Storage::new(&sim, cfg, 42);
         st.read(1000, || {});
         sim.run();
-        let served = st.completed_sectors();
+        let served = served(&st, cfg, sim.now());
         assert!(served > 350 && served < 650, "served {served}");
     }
 
@@ -292,7 +281,7 @@ mod tests {
     #[test]
     fn paper_config_matches_measured_bandwidth() {
         let cfg = StorageConfig::raid5_fibre();
-        let sectors_per_sec = cfg.max_sectors_per_sec();
+        let sectors_per_sec = cfg.concurrency as f64 / cfg.latency.as_secs_f64();
         let mbps = sectors_per_sec * 4096.0 / 1e6;
         // 9.486 MB/s measured by IOzone in the paper.
         assert!((mbps - 9.9).abs() < 0.5, "got {mbps} MB/s");

@@ -192,8 +192,8 @@ pub enum PlanError {
         /// The doubly listed site.
         site: u16,
     },
-    /// A parameter that must be strictly positive is zero (or, for the
-    /// bursty-loss fraction, outside the open interval `(0, 1)`).
+    /// A parameter that must be strictly positive is zero (a clock drift
+    /// rate must also be finite: zero, negative, infinite and NaN fail).
     NotPositive {
         /// Which parameter.
         what: &'static str,
@@ -330,8 +330,8 @@ impl FaultPlan {
     /// let plan = FaultPlan::crash_restart(1, SimTime::from_secs(5), SimTime::from_secs(20));
     /// plan.validate(3).expect("restart follows the crash");
     /// assert!(plan.has_restart());
-    /// assert_eq!(plan.crashed_by(SimTime::from_secs(10)), vec![1]);
-    /// assert!(plan.crashed_by(SimTime::from_secs(20)).is_empty(), "restarted by then");
+    /// assert!(plan.down_at(1, SimTime::from_secs(10)));
+    /// assert!(!plan.down_at(1, SimTime::from_secs(20)), "restarted by then");
     /// ```
     pub fn crash_restart(site: u16, at: SimTime, restart_at: SimTime) -> Self {
         FaultPlan::none()
@@ -356,10 +356,10 @@ impl FaultPlan {
     /// plan.validate(3).expect("each restart follows its crash");
     /// assert!(plan.has_restart());
     /// // Down during each flap, back up in between.
-    /// assert_eq!(plan.crashed_by(SimTime::from_secs(10)), vec![1]);
-    /// assert!(plan.crashed_by(SimTime::from_secs(20)).is_empty());
-    /// assert_eq!(plan.crashed_by(SimTime::from_secs(30)), vec![1]);
-    /// assert!(plan.crashed_by(SimTime::from_secs(40)).is_empty());
+    /// assert!(plan.down_at(1, SimTime::from_secs(10)));
+    /// assert!(!plan.down_at(1, SimTime::from_secs(20)));
+    /// assert!(plan.down_at(1, SimTime::from_secs(30)));
+    /// assert!(!plan.down_at(1, SimTime::from_secs(40)));
     /// ```
     pub fn flapping_crash(site: u16, at: SimTime, period: Duration, count: u32) -> Self {
         let mut plan = FaultPlan::none();
@@ -464,10 +464,9 @@ impl FaultPlan {
         FaultPlan::none().with(FaultSpec::CorrelatedBurst { sites, window, p })
     }
 
-    /// Sites down at `t` according to this plan's crash/restart schedule (a
-    /// crash scheduled *exactly* at `t` counts; so does a restart), sorted
-    /// and deduplicated — a site crashed twice is still one crashed site,
-    /// and a site restarted after its latest crash is no longer down.
+    /// True when `site` is down at `t`: its latest crash at or before `t`
+    /// is not followed by a restart at or before `t`. A crash scheduled
+    /// *exactly* at `t` counts; so does a restart.
     ///
     /// ```
     /// use dbsm_fault::{FaultPlan, FaultSpec};
@@ -475,27 +474,11 @@ impl FaultPlan {
     ///
     /// let plan = FaultPlan::crash(2, SimTime::from_secs(5))
     ///     .with(FaultSpec::Crash { site: 1, at: SimTime::from_secs(9) });
-    /// assert!(plan.crashed_by(SimTime::from_secs(4)).is_empty());
-    /// assert_eq!(plan.crashed_by(SimTime::from_secs(5)), vec![2], "boundary is inclusive");
-    /// assert_eq!(plan.crashed_by(SimTime::from_secs(9)), vec![1, 2], "sorted by site");
+    /// assert!(!plan.down_at(2, SimTime::from_secs(4)));
+    /// assert!(plan.down_at(2, SimTime::from_secs(5)), "boundary is inclusive");
+    /// assert!(!plan.down_at(1, SimTime::from_secs(5)));
+    /// assert!(plan.down_at(1, SimTime::from_secs(9)) && plan.down_at(2, SimTime::from_secs(9)));
     /// ```
-    pub fn crashed_by(&self, t: SimTime) -> Vec<u16> {
-        let mut sites: Vec<u16> = self
-            .specs
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::Crash { site, at } if *at <= t => Some(*site),
-                _ => None,
-            })
-            .filter(|&site| self.down_at(site, t))
-            .collect();
-        sites.sort_unstable();
-        sites.dedup();
-        sites
-    }
-
-    /// True when `site` is down at `t`: its latest crash at or before `t`
-    /// is not followed by a restart at or before `t`.
     pub fn down_at(&self, site: u16, t: SimTime) -> bool {
         let latest = |want_restart: bool| {
             self.specs
@@ -669,7 +652,18 @@ impl FaultPlan {
                         return Err(PlanError::RestartWithoutCrash { site: *site });
                     }
                 }
-                FaultSpec::ClockDrift { target, .. } | FaultSpec::SchedLatency { target, .. } => {
+                FaultSpec::ClockDrift { target, rate } => {
+                    // SimBridge::set_clock_drift panics unless the rate is
+                    // positive, and an infinite one postpones every timer
+                    // of the site past the end of the run.
+                    if !(rate.is_finite() && *rate > 0.0) {
+                        return Err(PlanError::NotPositive { what: "clock drift rate" });
+                    }
+                    if let Target::Site(site) = target {
+                        known("drift/latency target", *site)?;
+                    }
+                }
+                FaultSpec::SchedLatency { target, .. } => {
                     if let Target::Site(site) = target {
                         known("drift/latency target", *site)?;
                     }
@@ -740,16 +734,17 @@ mod tests {
     fn crashed_by_filters_on_time() {
         let plan = FaultPlan::crash(1, SimTime::from_secs(5))
             .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(50) });
-        assert_eq!(plan.crashed_by(SimTime::from_secs(10)), vec![1]);
-        assert_eq!(plan.crashed_by(SimTime::from_secs(60)), vec![1, 2]);
-        assert!(plan.crashed_by(SimTime::ZERO).is_empty());
+        assert!(plan.down_at(1, SimTime::from_secs(10)));
+        assert!(!plan.down_at(2, SimTime::from_secs(10)));
+        assert!(plan.down_at(1, SimTime::from_secs(60)) && plan.down_at(2, SimTime::from_secs(60)));
+        assert!((0..3).all(|s| !plan.down_at(s, SimTime::ZERO)));
     }
 
     #[test]
     fn crash_exactly_at_t_counts_as_crashed() {
         let plan = FaultPlan::crash(0, SimTime::from_secs(7));
-        assert!(plan.crashed_by(SimTime::from_nanos(7_000_000_000 - 1)).is_empty());
-        assert_eq!(plan.crashed_by(SimTime::from_secs(7)), vec![0], "boundary inclusive");
+        assert!(!plan.down_at(0, SimTime::from_nanos(7_000_000_000 - 1)));
+        assert!(plan.down_at(0, SimTime::from_secs(7)), "boundary inclusive");
     }
 
     #[test]
@@ -757,9 +752,12 @@ mod tests {
         let plan = FaultPlan::crash(2, SimTime::from_secs(3))
             .with(FaultSpec::Crash { site: 0, at: SimTime::from_secs(4) })
             .with(FaultSpec::Crash { site: 2, at: SimTime::from_secs(5) });
-        assert_eq!(plan.crashed_by(SimTime::from_secs(3)), vec![2]);
-        assert_eq!(plan.crashed_by(SimTime::from_secs(4)), vec![0, 2], "sorted by site id");
-        assert_eq!(plan.crashed_by(SimTime::from_secs(99)), vec![0, 2], "site 2 listed once");
+        let down = |t| -> Vec<u16> {
+            (0..3).filter(|&s| plan.down_at(s, SimTime::from_secs(t))).collect()
+        };
+        assert_eq!(down(3), vec![2]);
+        assert_eq!(down(4), vec![0, 2]);
+        assert_eq!(down(99), vec![0, 2], "a second crash keeps site 2 down");
     }
 
     #[test]
@@ -889,6 +887,13 @@ mod tests {
             FaultPlan::clock_drift(4, 1.05).validate(3),
             Err(PlanError::UnknownSite { what: "drift/latency target", site: 4 })
         );
+        for rate in [0.0, -1.05, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                FaultPlan::clock_drift(2, rate).validate(3),
+                Err(PlanError::NotPositive { what: "clock drift rate" }),
+                "rate {rate}"
+            );
+        }
     }
 
     #[test]
@@ -965,12 +970,12 @@ mod tests {
             .with(FaultSpec::Crash { site: 1, at: SimTime::from_secs(30) });
         assert!(!plan.down_at(1, SimTime::from_secs(4)));
         assert!(plan.down_at(1, SimTime::from_secs(5)), "crash boundary inclusive");
-        assert_eq!(plan.crashed_by(SimTime::from_secs(10)), vec![1]);
+        assert!(plan.down_at(1, SimTime::from_secs(10)));
         assert!(!plan.down_at(1, SimTime::from_secs(20)), "restart boundary inclusive");
-        assert!(plan.crashed_by(SimTime::from_secs(25)).is_empty());
+        assert!(!plan.down_at(1, SimTime::from_secs(25)));
         // The second crash downs the site again, for good this time.
         assert!(plan.down_at(1, SimTime::from_secs(30)));
-        assert_eq!(plan.crashed_by(SimTime::from_secs(99)), vec![1]);
+        assert!(plan.down_at(1, SimTime::from_secs(99)));
         // Other sites are unaffected.
         assert!(!plan.down_at(0, SimTime::from_secs(10)));
     }
@@ -1027,7 +1032,7 @@ mod tests {
         }
         // At most one site is down at every crash instant (stagger > downtime).
         for t in [10u64, 40, 70] {
-            assert_eq!(plan.crashed_by(SimTime::from_secs(t)).len(), 1);
+            assert_eq!((0..3).filter(|&s| plan.down_at(s, SimTime::from_secs(t))).count(), 1);
         }
     }
 

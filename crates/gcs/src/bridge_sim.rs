@@ -4,7 +4,7 @@
 //! simulation events, and every send/receive charges the four CSRT overhead
 //! parameters (§4.1).
 
-use crate::config::GcsConfig;
+use crate::config::{GcsConfig, OVERHEAD};
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
 use crate::seq_ring::SeqRing;
 use crate::stack::Gcs;
@@ -101,7 +101,7 @@ impl ProtocolRuntime for SimRt<'_, '_> {
     }
 
     fn unicast(&mut self, to: NodeId, payload: Bytes) {
-        self.ctx.charge(self.shared.cfg.overhead.send_cost(payload.len()));
+        self.ctx.charge(OVERHEAD.send_cost(payload.len()));
         let from = self.shared.addr;
         let dest = Dest::Unicast(self.shared.peers[to.0 as usize]);
         let net = self.shared.net.clone();
@@ -111,7 +111,7 @@ impl ProtocolRuntime for SimRt<'_, '_> {
     }
 
     fn multicast(&mut self, payload: Bytes) {
-        self.ctx.charge(self.shared.cfg.overhead.send_cost(payload.len()));
+        self.ctx.charge(OVERHEAD.send_cost(payload.len()));
         let from = self.shared.addr;
         let dest = Dest::Multicast(self.shared.group, self.shared.addr.port);
         let net = self.shared.net.clone();
@@ -259,12 +259,6 @@ impl SimBridge {
         self.shared.net.set_host_down(self.shared.addr.host, true);
     }
 
-    /// True if [`kill`](SimBridge::kill) was invoked (and the node has not
-    /// been [revived](SimBridge::revive) since).
-    pub fn is_dead(&self) -> bool {
-        self.shared.maps.borrow().dead
-    }
-
     /// Restart injection: brings a [killed](SimBridge::kill) node back as a
     /// *fresh* protocol incarnation that rejoins the group via
     /// [`Gcs::rejoin`] — announces itself, receives a grant, and resumes in
@@ -298,7 +292,7 @@ impl SimBridge {
         let this = self.clone();
         self.shared.cpu.submit_real(Box::new(move |ctx| {
             // Receive overhead: the CSRT's fixed + per-byte parameters.
-            ctx.charge(this.shared.cfg.overhead.recv_cost(payload.len()));
+            ctx.charge(OVERHEAD.recv_cost(payload.len()));
             this.with_gcs(ctx, |gcs, rt| gcs.on_packet(rt, payload));
         }));
     }
@@ -460,7 +454,6 @@ mod tests {
         bridges[2].revive();
         sim.run_until(dbsm_sim::SimTime::from_secs(6));
         for b in &bridges {
-            assert!(!b.is_dead());
             assert_eq!(b.view().members.len(), 3, "node {:?}: {:?}", b.node(), b.view());
         }
         assert_eq!(bridges[0].view(), bridges[2].view(), "rejoiner adopted the granted view");

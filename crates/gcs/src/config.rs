@@ -19,10 +19,27 @@ pub(crate) const HEARTBEAT_PERIOD: Duration = Duration::from_millis(100);
 /// Spacing between repeated NAKs for the same gap.
 pub(crate) const NAK_RETRY: Duration = Duration::from_millis(30);
 
+/// CPU cost charged per protocol event handled (synthetic profiling): each
+/// packet taken in and each timer fired.
+pub(crate) const PROC_COST: Duration = Duration::from_micros(2);
+
+/// The CSRT overhead the simulation bridge charges per packet sent and
+/// received, calibrated against the paper's test system (1 GHz PIII): a
+/// single process saturates around 500–600 Mbit/s of 4 KB UDP writes
+/// (Fig. 3a), which decomposes to ≈18 µs fixed + ≈9 ns/byte on send and
+/// slightly more on receive. The Fig. 3 rig (`validate::{flood_sim,
+/// rtt_sim}` in `dbsm-core`) charges the same values.
+pub const OVERHEAD: OverheadModel = OverheadModel {
+    send_fixed: Duration::from_micros(18),
+    send_per_byte_ns: 9.0,
+    recv_fixed: Duration::from_micros(20),
+    recv_per_byte_ns: 10.0,
+};
+
 /// The four CSRT calibration parameters (§4.1): "fixed and variable CPU
 /// overhead when a message is sent and received", determined in the paper by
-/// a network flooding benchmark. Charged by the simulation bridge; unused by
-/// the native bridge (real cycles are spent there).
+/// a network flooding benchmark. [`OVERHEAD`] holds the calibrated values;
+/// the native bridge charges nothing (real cycles are spent there).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadModel {
     /// Fixed CPU cost per send.
@@ -36,19 +53,6 @@ pub struct OverheadModel {
 }
 
 impl OverheadModel {
-    /// Values calibrated against the paper's test system (1 GHz PIII): a
-    /// single process saturates around 500–600 Mbit/s of 4 KB UDP writes
-    /// (Fig. 3a), which decomposes to ≈18 µs fixed + ≈9 ns/byte on send and
-    /// slightly more on receive.
-    pub fn pentium3_1ghz() -> Self {
-        OverheadModel {
-            send_fixed: Duration::from_micros(18),
-            send_per_byte_ns: 9.0,
-            recv_fixed: Duration::from_micros(20),
-            recv_per_byte_ns: 10.0,
-        }
-    }
-
     /// Cost of sending a packet of `bytes`.
     pub fn send_cost(&self, bytes: usize) -> Duration {
         self.send_fixed + Duration::from_nanos((self.send_per_byte_ns * bytes as f64) as u64)
@@ -57,12 +61,6 @@ impl OverheadModel {
     /// Cost of receiving a packet of `bytes`.
     pub fn recv_cost(&self, bytes: usize) -> Duration {
         self.recv_fixed + Duration::from_nanos((self.recv_per_byte_ns * bytes as f64) as u64)
-    }
-}
-
-impl Default for OverheadModel {
-    fn default() -> Self {
-        OverheadModel::pentium3_1ghz()
     }
 }
 
@@ -120,9 +118,11 @@ impl AnnBatchPolicy {
     }
 }
 
-/// Tunables of the group-communication prototype (§3.4). The packet size
-/// (1000 bytes), the heartbeat period (100 ms) and the NAK retry spacing
-/// (30 ms) are constants of the stack, not tunables.
+/// Tunables of the group-communication prototype (§3.4). These are
+/// constants of the stack, not tunables: the packet size (1000 bytes), the
+/// heartbeat period (100 ms), the NAK retry spacing (30 ms), the CPU cost
+/// per protocol event (2 µs, `PROC_COST`) and the CSRT send/receive
+/// overhead ([`OVERHEAD`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcsConfig {
     /// Number of nodes in the universe (initial view = all of them).
@@ -159,10 +159,6 @@ pub struct GcsConfig {
     /// work (e.g. speculative certification) with the total-order broadcast;
     /// off by default.
     pub tentative_delivery: bool,
-    /// CPU cost charged per protocol event handled (synthetic profiling).
-    pub proc_cost: Duration,
-    /// CSRT send/receive overhead parameters (used by the simulation bridge).
-    pub overhead: OverheadModel,
 }
 
 impl GcsConfig {
@@ -181,8 +177,6 @@ impl GcsConfig {
             ann_policy: AnnBatchPolicy::Immediate,
             uniform_delivery: false,
             tentative_delivery: false,
-            proc_cost: Duration::from_micros(2),
-            overhead: OverheadModel::pentium3_1ghz(),
         }
     }
 
@@ -203,7 +197,7 @@ mod tests {
 
     #[test]
     fn overhead_costs_compose() {
-        let o = OverheadModel::pentium3_1ghz();
+        let o = OVERHEAD;
         assert_eq!(o.send_cost(0), Duration::from_micros(18));
         assert_eq!(o.send_cost(1000), Duration::from_micros(27));
         assert!(o.recv_cost(100) > o.send_cost(100));

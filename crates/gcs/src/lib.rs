@@ -53,7 +53,7 @@ mod wire;
 
 pub use bridge_native::{NativeBridge, NativeConfig};
 pub use bridge_sim::SimBridge;
-pub use config::{AnnBatchPolicy, GcsConfig, OverheadModel};
+pub use config::{AnnBatchPolicy, GcsConfig, OverheadModel, OVERHEAD};
 pub use runtime::{ProtocolRuntime, TimerId, TimerKind};
 pub use stability::{Gossip, Stability};
 pub use stack::Gcs;

@@ -38,7 +38,7 @@ mod order;
 mod reliable;
 mod votes;
 
-use crate::config::{GcsConfig, FRAG_PAYLOAD, HEARTBEAT_PERIOD, NAK_RETRY};
+use crate::config::{GcsConfig, FRAG_PAYLOAD, HEARTBEAT_PERIOD, NAK_RETRY, PROC_COST};
 use crate::runtime::{ProtocolRuntime, TimerKind};
 use crate::stability::Stability;
 use crate::types::{GcsMetrics, NodeId, NodeSet, Upcall, View};
@@ -401,7 +401,7 @@ impl Gcs {
         if self.halted {
             return;
         }
-        rt.charge(self.cfg.proc_cost);
+        rt.charge(PROC_COST);
         let Ok(Envelope { sender: from, msg, .. }) = Envelope::decode(raw) else {
             return; // stray or corrupt packet: drop silently
         };
@@ -426,7 +426,6 @@ impl Gcs {
                 self.try_complete_install(rt);
             }
             Message::Nak { target, ranges } => {
-                self.metrics.naks_received += 1;
                 self.answer_nak(rt, from, target, &ranges);
             }
             Message::Gossip(g) => {
@@ -474,8 +473,7 @@ impl Gcs {
         seq: u64,
         rec: FragRecord,
     ) {
-        let own = from == self.me;
-        if self.peers[from.0 as usize].recv.accept(seq, rec, own, &mut self.metrics) {
+        if self.peers[from.0 as usize].recv.accept(seq, rec, &mut self.metrics) {
             self.advance_stream(rt, from);
         }
     }
@@ -515,7 +513,6 @@ impl Gcs {
         match kind {
             PayloadKind::App => {
                 if let Some(tentative) = self.to.hold(origin, msg_seq, payload, last_frag) {
-                    self.metrics.tentative_delivered += 1;
                     self.upcalls.push_back(tentative);
                 }
                 if self.to.is_sequencer()
@@ -638,7 +635,7 @@ impl Gcs {
         if self.halted {
             return;
         }
-        rt.charge(self.cfg.proc_cost);
+        rt.charge(PROC_COST);
         if self.joining {
             // A rejoiner runs nothing but its retry loop.
             if kind == TimerKind::JoinRetry {

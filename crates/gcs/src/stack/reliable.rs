@@ -133,14 +133,11 @@ impl RecvStream {
     }
 
     /// Buffers fragment `seq`; false if it is a duplicate.
-    pub fn accept(&mut self, seq: u64, rec: FragRecord, own: bool, m: &mut GcsMetrics) -> bool {
+    pub fn accept(&mut self, seq: u64, rec: FragRecord, m: &mut GcsMetrics) -> bool {
         self.highest_known = self.highest_known.max(seq);
         if seq <= self.contiguous || self.ooo.contains_key(seq) {
             m.duplicates += 1;
             return false;
-        }
-        if !own {
-            m.frags_received += 1;
         }
         self.ooo.insert(seq, rec);
         true
@@ -373,20 +370,20 @@ mod tests {
         let mut s = RecvStream::new(0);
         let mut up = Advanced::default();
         // Fragment 2 arrives first: buffered, and the head gap opens.
-        assert!(s.accept(2, frag(1, 2, 0xB), false, &mut m));
+        assert!(s.accept(2, frag(1, 2, 0xB), &mut m));
         s.advance(false, &mut up, || 7);
         assert!(up.completed.is_empty());
         assert_eq!(s.nak_due(7, 0, 0), Some(vec![(1, 1)]), "the missing head is NAKed");
         // Fragment 1 closes the gap: one message, both fragments cached.
-        assert!(s.accept(1, frag(0, 2, 0xA), false, &mut m));
-        assert!(!s.accept(1, frag(0, 2, 0xA), false, &mut m), "duplicate");
+        assert!(s.accept(1, frag(0, 2, 0xA), &mut m));
+        assert!(!s.accept(1, frag(0, 2, 0xA), &mut m), "duplicate");
         s.advance(false, &mut up, || unreachable!("no gap left"));
         assert_eq!(
             up.completed,
             vec![(1, PayloadKind::App, Bytes::from(vec![0xA, 0xA, 0xB, 0xB]))]
         );
         assert!(s.cached(1).is_some() && s.cached(2).is_some());
-        assert_eq!((m.frags_received, m.duplicates), (2, 1));
+        assert_eq!(m.duplicates, 1);
         s.gc(1);
         assert!(s.cached(1).is_none() && s.cached(2).is_some(), "stable prefix dropped");
     }
@@ -397,7 +394,7 @@ mod tests {
         let mut s = RecvStream::new(0);
         s.freeze_at = Some(1);
         for seq in 1..=2 {
-            s.accept(seq, frag(0, 1, seq as u8), false, &mut m);
+            s.accept(seq, frag(0, 1, seq as u8), &mut m);
         }
         let mut up = Advanced::default();
         s.advance(false, &mut up, || 0);

@@ -233,16 +233,12 @@ pub struct GcsMetrics {
     pub delivered: u64,
     /// Data fragments transmitted (first time).
     pub frags_sent: u64,
-    /// Data fragments received (non-duplicate).
-    pub frags_received: u64,
     /// Duplicate fragments discarded.
     pub duplicates: u64,
     /// Retransmitted fragments sent.
     pub retrans_sent: u64,
     /// NAKs sent.
     pub naks_sent: u64,
-    /// NAKs received.
-    pub naks_received: u64,
     /// Gossip messages sent.
     pub gossip_sent: u64,
     /// Completed view changes.
@@ -261,9 +257,6 @@ pub struct GcsMetrics {
     /// Assignments piggybacked on outgoing application fragments instead of
     /// costing a `SeqAnn` message of their own (sequencer only).
     pub ann_piggybacked: u64,
-    /// Tentative (pre-total-order) deliveries handed up; 0 unless
-    /// `tentative_delivery` is configured.
-    pub tentative_delivered: u64,
     /// Certification votes transmitted (first time, standalone or
     /// piggybacked).
     pub votes_sent: u64,

@@ -18,16 +18,6 @@ pub trait LossModel {
     fn should_drop(&mut self, now: SimTime, wire_bytes: usize) -> bool;
 }
 
-/// Never drops (the default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoLoss;
-
-impl LossModel for NoLoss {
-    fn should_drop(&mut self, _now: SimTime, _wire_bytes: usize) -> bool {
-        false
-    }
-}
-
 /// Drops each packet independently with probability `p` — the paper's
 /// *Random loss* fault, modelling transmission errors.
 #[derive(Debug, Clone)]
@@ -184,49 +174,22 @@ impl LossModel for WindowedBurst {
     }
 }
 
-/// Drops everything after a given instant — building block for crash faults
-/// (a crashed node stops interacting entirely; the fault crate also halts
-/// its outgoing traffic and timers).
-#[derive(Debug, Clone, Copy)]
-pub struct DropAfter {
-    at: SimTime,
-}
-
-impl DropAfter {
-    /// Creates a model dropping all packets arriving at or after `at`.
-    pub fn new(at: SimTime) -> Self {
-        DropAfter { at }
-    }
-}
-
-impl LossModel for DropAfter {
-    fn should_drop(&mut self, now: SimTime, _wire_bytes: usize) -> bool {
-        now >= self.at
-    }
-}
-
-/// Helper: expected long-run loss fraction of a model, estimated by driving
-/// it with `n` synthetic arrivals spaced `gap` apart. Used by tests and by
-/// fault-plan validation.
-pub fn measure_loss_rate(model: &mut dyn LossModel, n: u32, gap: Duration) -> f64 {
-    let mut now = SimTime::ZERO;
-    let mut dropped = 0u32;
-    for _ in 0..n {
-        if model.should_drop(now, 1000) {
-            dropped += 1;
-        }
-        now += gap;
-    }
-    f64::from(dropped) / f64::from(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn no_loss_never_drops() {
-        assert_eq!(measure_loss_rate(&mut NoLoss, 1000, Duration::from_micros(1)), 0.0);
+    /// The long-run loss fraction of a model, estimated by driving it with
+    /// `n` synthetic arrivals spaced `gap` apart.
+    fn measure_loss_rate(model: &mut dyn LossModel, n: u32, gap: Duration) -> f64 {
+        let mut now = SimTime::ZERO;
+        let mut dropped = 0u32;
+        for _ in 0..n {
+            if model.should_drop(now, 1000) {
+                dropped += 1;
+            }
+            now += gap;
+        }
+        f64::from(dropped) / f64::from(n)
     }
 
     #[test]
@@ -331,14 +294,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn windowed_burst_rejects_bad_probability() {
         let _ = WindowedBurst::new(Duration::from_millis(1), 1.1, 0);
-    }
-
-    #[test]
-    fn drop_after_cuts_off() {
-        let mut m = DropAfter::new(SimTime::from_secs(1));
-        assert!(!m.should_drop(SimTime::from_millis(999), 100));
-        assert!(m.should_drop(SimTime::from_secs(1), 100));
-        assert!(m.should_drop(SimTime::from_secs(2), 100));
     }
 
     #[test]

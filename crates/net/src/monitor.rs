@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DropCause {
-    /// Receiver-side loss model (random/bursty loss, crash).
+    /// Receiver-side loss model (random, bursty or windowed-burst loss; a
+    /// crashed host counts as [`DropCause::HostDown`] instead).
     LossModel,
     /// Transmit backlog exceeded the NIC/channel buffer.
     TxOverflow,
@@ -28,10 +29,6 @@ pub struct HostTraffic {
     pub tx_bytes: u64,
     /// Packets transmitted.
     pub tx_packets: u64,
-    /// Bytes delivered to sockets on this host.
-    pub rx_bytes: u64,
-    /// Packets delivered.
-    pub rx_packets: u64,
 }
 
 /// Aggregated network statistics.
@@ -56,12 +53,6 @@ impl TrafficStats {
         let h = &mut self.per_host[host];
         h.tx_bytes += wire_bytes as u64;
         h.tx_packets += 1;
-    }
-
-    pub(crate) fn on_rx(&mut self, host: usize, wire_bytes: usize) {
-        let h = &mut self.per_host[host];
-        h.rx_bytes += wire_bytes as u64;
-        h.rx_packets += 1;
     }
 
     pub(crate) fn on_drop(&mut self, cause: DropCause) {
@@ -107,12 +98,11 @@ mod tests {
         let mut s = TrafficStats::new(2);
         s.on_tx(0, 100);
         s.on_tx(0, 50);
-        s.on_rx(1, 100);
         s.on_drop(DropCause::Mtu);
         s.on_drop(DropCause::Mtu);
         assert_eq!(s.host(0).tx_bytes, 150);
         assert_eq!(s.host(0).tx_packets, 2);
-        assert_eq!(s.host(1).rx_packets, 1);
+        assert_eq!(s.host(1), HostTraffic::default(), "only the sender counts");
         assert_eq!(s.drops(DropCause::Mtu), 2);
         assert_eq!(s.drops(DropCause::LossModel), 0);
         assert_eq!(s.total_tx_bytes(), 150);

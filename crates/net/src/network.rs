@@ -243,10 +243,6 @@ impl Network {
     }
 
     /// True if an active partition separates `a` from `b`.
-    pub fn is_partitioned(&self, a: HostId, b: HostId) -> bool {
-        Self::split(&self.state.borrow(), a, b)
-    }
-
     fn split(st: &NetState, a: HostId, b: HostId) -> bool {
         match &st.partition {
             None => false,
@@ -264,11 +260,6 @@ impl Network {
     /// Marks a host up or down. A down host neither sends nor receives.
     pub fn set_host_down(&self, host: HostId, down: bool) {
         self.state.borrow_mut().hosts[host.0 as usize].down = down;
-    }
-
-    /// True if the host is marked down.
-    pub fn is_host_down(&self, host: HostId) -> bool {
-        self.state.borrow().hosts[host.0 as usize].down
     }
 
     /// Snapshot of the traffic counters.
@@ -409,7 +400,6 @@ impl Network {
                 match host.sockets.iter().find(|(p, _)| *p == to.port) {
                     Some((_, h)) => {
                         let h = h.clone();
-                        st.stats.on_rx(to.host.0 as usize, wire);
                         self.trace.record_with(now, TraceKind::PacketDelivered, || {
                             format!("{from}->{to} {wire}B{}", if dup { " (dup)" } else { "" })
                         });

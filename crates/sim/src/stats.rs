@@ -71,16 +71,6 @@ impl Samples {
         self.quantile(p / 100.0)
     }
 
-    /// Fraction of samples ≤ `x`.
-    pub fn cdf_at(&mut self, x: f64) -> f64 {
-        self.ensure_sorted();
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let cnt = self.values.partition_point(|v| *v <= x);
-        cnt as f64 / self.values.len() as f64
-    }
-
     /// Q-Q pairs against `other`: matching quantiles of the two sample sets
     /// (paper Fig. 4 plots simulation quantiles against real-system
     /// quantiles; a well-calibrated model hugs the diagonal).
@@ -135,14 +125,6 @@ mod tests {
         assert_eq!(s.quantile(1.0), Some(4.0));
         assert_eq!(s.quantile(0.5), Some(2.5));
         assert_eq!(s.percentile(25.0), Some(1.75));
-    }
-
-    #[test]
-    fn cdf_at_counts_fraction() {
-        let mut s: Samples = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-        assert_eq!(s.cdf_at(0.5), 0.0);
-        assert_eq!(s.cdf_at(2.0), 0.5);
-        assert_eq!(s.cdf_at(10.0), 1.0);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl SimTime {
     pub fn saturating_duration_since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked duration since `earlier`; `None` if `earlier > self`.
-    pub fn checked_duration_since(self, earlier: SimTime) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration::from_nanos)
-    }
 }
 
 impl Add<Duration> for SimTime {
@@ -180,7 +175,7 @@ mod tests {
         let b = SimTime::from_millis(3);
         assert_eq!(b - a, Duration::from_millis(2));
         assert_eq!(a - b, Duration::ZERO);
-        assert_eq!(a.checked_duration_since(b), None);
+        assert_eq!(a.saturating_duration_since(b), Duration::ZERO);
     }
 
     #[test]

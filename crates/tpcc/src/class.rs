@@ -47,11 +47,6 @@ impl TxnClass {
         }
     }
 
-    /// Reverse of [`index`](TxnClass::index).
-    pub fn from_index(i: u8) -> Option<TxnClass> {
-        TxnClass::ALL.get(i as usize).copied()
-    }
-
     /// The paper's row label.
     pub fn name(self) -> &'static str {
         match self {
@@ -87,9 +82,8 @@ mod tests {
     #[test]
     fn index_roundtrips() {
         for c in TxnClass::ALL {
-            assert_eq!(TxnClass::from_index(c.index()), Some(c));
+            assert_eq!(TxnClass::ALL[c.index() as usize], c);
         }
-        assert_eq!(TxnClass::from_index(7), None);
     }
 
     #[test]

@@ -178,3 +178,19 @@ proptest! {
         prop_assert_eq!(m.crashed_sites, m2.crashed_sites);
     }
 }
+
+#[test]
+fn experiment_validation_rejects_a_non_positive_clock_drift() {
+    use dbsm_testbed::core::{ConfigError, PlanError};
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let cfg =
+            ExperimentConfig::replicated(SITES, 24).with_faults(FaultPlan::clock_drift(1, rate));
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Fault(PlanError::NotPositive { what: "clock drift rate" })),
+            "rate {rate}"
+        );
+    }
+    let ok = ExperimentConfig::replicated(SITES, 24).with_faults(FaultPlan::clock_drift(1, 1.05));
+    assert_eq!(ok.validate(), Ok(()));
+}

@@ -3,13 +3,11 @@
 //! RealRig comparison must produce comparable distributions.
 
 use dbsm_testbed::core::validate::{flood_sim, real_rig_run, rtt_sim, sim_rig_run, RigConfig};
-use dbsm_testbed::gcs::OverheadModel;
 use std::time::Duration;
 
 #[test]
 fn flood_sim_write_rate_is_cpu_bound() {
-    let overhead = OverheadModel::pentium3_1ghz();
-    let r = flood_sim(4000, Duration::from_millis(100), overhead);
+    let r = flood_sim(4000, Duration::from_millis(100));
     // Analytic: one message costs 18us + 9ns/B * 4000 = 54us -> ~18.5k msg/s
     // -> ~593 Mbit/s written.
     assert!((r.written_mbit - 590.0).abs() < 60.0, "written {:.0} Mbit/s", r.written_mbit);
@@ -20,17 +18,15 @@ fn flood_sim_write_rate_is_cpu_bound() {
 
 #[test]
 fn flood_sim_bandwidth_grows_with_message_size() {
-    let overhead = OverheadModel::pentium3_1ghz();
-    let small = flood_sim(256, Duration::from_millis(50), overhead);
-    let large = flood_sim(4000, Duration::from_millis(50), overhead);
+    let small = flood_sim(256, Duration::from_millis(50));
+    let large = flood_sim(4000, Duration::from_millis(50));
     // Fig. 3a's shape: amortizing the fixed overhead raises bandwidth.
     assert!(large.written_mbit > small.written_mbit * 2.0);
 }
 
 #[test]
 fn rtt_sim_matches_analytic_model() {
-    let overhead = OverheadModel::pentium3_1ghz();
-    let rtt = rtt_sim(1000, 20, overhead);
+    let rtt = rtt_sim(1000, 20);
     // Two sends (27us), two receives (30us), two serializations of
     // 1042B (83us) and two propagations (50us) ~= 380us.
     let us = rtt.as_secs_f64() * 1e6;
@@ -39,9 +35,8 @@ fn rtt_sim_matches_analytic_model() {
 
 #[test]
 fn rtt_sim_grows_with_size() {
-    let overhead = OverheadModel::pentium3_1ghz();
-    let small = rtt_sim(64, 10, overhead);
-    let large = rtt_sim(4000, 10, overhead);
+    let small = rtt_sim(64, 10);
+    let large = rtt_sim(4000, 10);
     assert!(large > small);
 }
 
