@@ -32,7 +32,8 @@
 //! but refuses to mix rows whose hashes disagree for the same key — a
 //! silent half-updated artifact would be worse than no artifact.
 
-use dbsm_core::{CertCostModel, ExperimentConfig, RunMetrics};
+use dbsm_core::{ExperimentConfig, RunMetrics, CERT_COSTS};
+use dbsm_sim::splitmix64;
 use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -322,13 +323,6 @@ cert_bench_row! {
     config_hash: String,
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Fingerprints a row's configuration — its key and everything else its
 /// numbers depend on: a SplitMix64 fold over the schema version, the
 /// `labels` (0-byte separated) and the `nums`, in the order given. Two rows
@@ -347,10 +341,9 @@ pub fn config_hash(labels: &[&str], nums: &[u64]) -> String {
 
 impl CertBenchRow {
     /// Builds a row from one experiment's metrics, pricing the work ledger
-    /// with the default cost model (the one the simulation charged) and
+    /// with [`CERT_COSTS`] (the table the simulation charged) and
     /// fingerprinting the configuration that produced it.
     pub fn from_metrics(backend: &str, cfg: &ExperimentConfig, m: &RunMetrics) -> Self {
-        let costs = CertCostModel::default();
         let commit_path = cfg.commit_path.name().to_string();
         let replication_factor = cfg.replication_factor.map_or(cfg.sites, |k| k.min(cfg.sites));
         let config_hash = config_hash(
@@ -377,7 +370,7 @@ impl CertBenchRow {
             certifications: m.cert_work.certifications,
             comparisons: m.cert_work.comparisons,
             probes: m.cert_work.probes,
-            total_work_ns: costs.total_work_ns(&m.cert_work),
+            total_work_ns: CERT_COSTS.total_work_ns(&m.cert_work),
             queue_ns: m.cert_work.queue_ns,
             service_ns: m.cert_work.service_ns,
             merge_ns: m.cert_work.merge_ns,
@@ -407,7 +400,7 @@ impl PaperRow {
     /// fault load of `cfg` (part of the key and of the fingerprint).
     pub fn from_metrics(faults: &str, cfg: &ExperimentConfig, m: &RunMetrics) -> Self {
         let (mut latency, mut cert) = (m.pooled_latencies_ms(), m.cert_latencies_ms.clone());
-        let pct = |s: &mut dbsm_sim::stats::Samples, p| s.percentile(p).unwrap_or(0.0);
+        let q = |s: &mut dbsm_sim::stats::Samples, q| s.quantile(q).unwrap_or(0.0);
         let [delivery, neworder, pay_long, pay_short, os_long, os_short, stocklevel, all] =
             m.abort_rates();
         let (cpu_total, cpu_real) = m.mean_cpu_usage();
@@ -418,12 +411,12 @@ impl PaperRow {
             faults: faults.to_string(),
             tpm: m.tpm(),
             mean_latency_ms: m.mean_latency_ms(),
-            latency_p50_ms: pct(&mut latency, 50.0),
-            latency_p90_ms: pct(&mut latency, 90.0),
-            latency_p99_ms: pct(&mut latency, 99.0),
-            cert_latency_p50_ms: pct(&mut cert, 50.0),
-            cert_latency_p90_ms: pct(&mut cert, 90.0),
-            cert_latency_p99_ms: pct(&mut cert, 99.0),
+            latency_p50_ms: q(&mut latency, 0.5),
+            latency_p90_ms: q(&mut latency, 0.9),
+            latency_p99_ms: q(&mut latency, 0.99),
+            cert_latency_p50_ms: q(&mut cert, 0.5),
+            cert_latency_p90_ms: q(&mut cert, 0.9),
+            cert_latency_p99_ms: q(&mut cert, 0.99),
             abort_pct: all,
             abort_pct_delivery: delivery,
             abort_pct_neworder: neworder,

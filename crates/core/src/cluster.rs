@@ -13,7 +13,7 @@
 //! closures hold it weakly, and dropping the last handle discards whatever
 //! the run left queued, so nothing outlives the cluster.
 
-use crate::experiment::{CertCostModel, ExperimentConfig};
+use crate::experiment::{ExperimentConfig, CERT_COSTS};
 use crate::metrics::{RejoinRecord, RunMetrics, SiteUsage};
 use crate::replica::{Decision, Partial, Replica, Settled, SiteRuntime, TransferPacket};
 use dbsm_cert::{marshal, unmarshal, CertRequest, SiteId};
@@ -62,7 +62,6 @@ struct Inner {
     /// Set when the transaction target is reached: clients stop firing.
     stopped: Cell<bool>,
     cfg: ExperimentConfig,
-    costs: CertCostModel,
 }
 
 impl Cluster {
@@ -122,9 +121,8 @@ impl Cluster {
         tpcc_cfg.think_mean = cfg.think_mean;
         tpcc_cfg.seed = derive_seed(cfg.seed, "tpcc");
 
-        let costs = CertCostModel::default();
         let partial = Partial::for_run(&cfg);
-        let replicas = (0..cfg.sites).map(|i| Replica::new(i, &cfg, costs, partial.as_ref()));
+        let replicas = (0..cfg.sites).map(|i| Replica::new(i, &cfg, partial.as_ref()));
         let inner = Rc::new(Inner {
             sim,
             net,
@@ -135,7 +133,6 @@ impl Cluster {
             metrics: RefCell::new(RunMetrics::new(cfg.sites)),
             stopped: Cell::new(false),
             cfg,
-            costs,
         });
         inner.wire_bridges();
         inner.apply_faults();
@@ -323,7 +320,7 @@ impl Inner {
                 // order base names — and charge the marshalling of the
                 // snapshot onto this site's CPU.
                 let bytes = self.stage_transfer(site, joiner.0 as usize);
-                ctx.charge(self.costs.marshal(bytes as usize));
+                ctx.charge(CERT_COSTS.marshal(bytes as usize));
             }
             Upcall::Rejoined => {
                 // Receiving half: the stack is live in the new view;
@@ -419,11 +416,6 @@ impl Inner {
         if std::mem::replace(&mut self.replicas.borrow_mut()[site].st.crashed, true) {
             return;
         }
-        let mut m = self.metrics.borrow_mut();
-        if !m.crashed_sites.contains(&(site as u16)) {
-            m.crashed_sites.push(site as u16);
-        }
-        drop(m);
         if let Some(b) = &self.sites[site].bridge {
             b.kill();
         } else {
@@ -469,7 +461,7 @@ impl Inner {
             Some(p) => p.borrow().stage(&reps[donor], joiner),
             None => reps[donor].snapshot(warehouses_for_clients(self.cfg.clients)),
         };
-        let snapshot_bytes = owned * self.costs.snapshot_bytes_per_warehouse;
+        let snapshot_bytes = owned * CERT_COSTS.snapshot_bytes_per_warehouse;
         let mut m = self.metrics.borrow_mut();
         m.recovery_work.snapshots_served += 1;
         m.recovery_work.snapshot_bytes += snapshot_bytes;
@@ -488,7 +480,7 @@ impl Inner {
         let Some(packet) = self.replicas.borrow_mut()[site].st.incoming.take() else { return };
         let (cut, snapshot_bytes) = (packet.cut, packet.snapshot_bytes);
         let (kept, replayed, orphans) = self.replicas.borrow_mut()[site].install(packet);
-        let delta_bytes = replayed * self.costs.delta_bytes_per_entry;
+        let delta_bytes = replayed * CERT_COSTS.delta_bytes_per_entry;
         {
             let mut m = self.metrics.borrow_mut();
             m.recovery_work.delta_bytes += delta_bytes;
@@ -504,11 +496,11 @@ impl Inner {
         for db_txn in orphans {
             self.sites[site].engine.resolve(db_txn, false);
         }
-        let delay = self.costs.transfer_delay(snapshot_bytes + delta_bytes);
+        let delay = CERT_COSTS.transfer_delay(snapshot_bytes + delta_bytes);
         self.sim.schedule_in(delay, self.action(move |this| this.finish_rejoin(site)));
     }
 
-    /// The rejoined site becomes useful: cleared from the crashed set,
+    /// The rejoined site becomes useful: marked live again,
     /// time-to-useful recorded, parked clients released.
     fn finish_rejoin(self: &Rc<Self>, site: usize) {
         let now = self.sim.now();
@@ -519,7 +511,6 @@ impl Inner {
             let ttu =
                 st.restarted_at.take().map_or(Duration::ZERO, |t| now.saturating_duration_since(t));
             let m = &mut *self.metrics.borrow_mut();
-            m.crashed_sites.retain(|&s| s != site as u16);
             m.recovery_work.rejoins += 1;
             m.recovery_work.ttu_ns_total += ttu.as_nanos() as u64;
             let ttu = SimTime::from_nanos(ttu.as_nanos() as u64);
@@ -554,8 +545,8 @@ impl Inner {
         let Some(p) = &self.partial else { return };
         let groups = p.borrow_mut().elect_adopters(&view);
         for (adopter, spans) in groups {
-            let bytes = spans.len() as u64 * self.costs.snapshot_bytes_per_warehouse;
-            let delay = self.costs.marshal(bytes as usize) + self.costs.transfer_delay(bytes);
+            let bytes = spans.len() as u64 * CERT_COSTS.snapshot_bytes_per_warehouse;
+            let delay = CERT_COSTS.marshal(bytes as usize) + CERT_COSTS.transfer_delay(bytes);
             let started = self.sim.now();
             let done = self.action(move |this| this.finish_replacement(adopter, spans, started));
             self.sim.schedule_in(delay, done);
@@ -586,7 +577,7 @@ impl Inner {
                 let repl = &mut m.replacement_work;
                 repl.replacements += 1;
                 repl.rehomed_spans += adopted;
-                repl.transfer_bytes += adopted * this.costs.snapshot_bytes_per_warehouse;
+                repl.transfer_bytes += adopted * CERT_COSTS.snapshot_bytes_per_warehouse;
                 repl.time_to_serving_ns_total +=
                     now.saturating_duration_since(started).as_nanos() as u64 * adopted;
                 repl.vote_rounds_recollected += recollected;
@@ -636,11 +627,14 @@ impl Inner {
             self.record_usage(&mut metrics, self.sim.now());
         }
         for (i, r) in self.replicas.borrow_mut().iter_mut().enumerate() {
+            if r.st.crashed {
+                metrics.crashed_sites.push(i as u16);
+            }
             let ledger = r.take_ledger();
             metrics.commit_logs[i] = ledger.log;
             metrics.cert_work.absorb(&ledger.work);
-            metrics.vote_wire.decided += ledger.vote_decided;
-            metrics.vote_wire.wait_ns += ledger.vote_wait_ns;
+            metrics.vote_wire.decided += ledger.votes.decided;
+            metrics.vote_wire.wait_ns += ledger.votes.wait_ns;
         }
         metrics.gcs =
             self.sites.iter().filter_map(|s| s.bridge.as_ref()).map(|b| b.metrics()).collect();
@@ -780,7 +774,7 @@ impl Inner {
         };
         self.submit(site, move |this, ctx| {
             let wire = marshal(&req);
-            ctx.charge(this.costs.marshal(wire.len()));
+            ctx.charge(CERT_COSTS.marshal(wire.len()));
             match &this.sites[site].bridge {
                 Some(bridge) => bridge.broadcast_in(ctx, wire),
                 // Centralized termination: the same real code path, with

@@ -80,7 +80,8 @@ pub struct ExperimentConfig {
     /// with the total-order broadcast (see [`CommitPath`]).
     pub commit_path: CommitPath,
     /// Relative CPU speed (the CSRT's processor-speed scaling, §2.3);
-    /// both simulated processing and real-code costs scale by it.
+    /// both simulated processing and real-code costs scale by it. Must be
+    /// finite and positive.
     pub cpu_speed: f64,
     /// Overrides the segment's one-way latency (wide-area what-if runs);
     /// `None` keeps the 50 µs LAN default.
@@ -215,12 +216,12 @@ impl ExperimentConfig {
         gcs
     }
 
-    /// Checks the configuration: the fault plan against the site count,
-    /// the replication factor, and — under partial replication — the fault
-    /// plan via [`FaultPlan::validate_coverage`]: only fault schedules
-    /// leaving some instant with *zero live sites cluster-wide* are
-    /// rejected, since a span stranded by the loss of its whole replica set
-    /// re-homes to an elected survivor instead of becoming unroutable. Both
+    /// Checks the configuration: the CPU speed, the fault plan against the
+    /// site count, the replication factor, and — under partial replication
+    /// — the fault plan via [`FaultPlan::validate_coverage`]: only fault
+    /// schedules leaving some instant with *zero live sites cluster-wide*
+    /// are rejected, since a span stranded by the loss of its whole replica
+    /// set re-homes to an elected survivor instead of becoming unroutable. Both
     /// commit paths combine with partial replication: the pipelined path
     /// precomputes each site's wire vote at tentative delivery so the vote
     /// round overlaps the ordering round.
@@ -229,6 +230,9 @@ impl ExperimentConfig {
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(self.cpu_speed.is_finite() && self.cpu_speed > 0.0) {
+            return Err(ConfigError::CpuSpeed(self.cpu_speed));
+        }
         self.faults.validate(self.sites)?;
         if self.replication_factor == Some(0) {
             return Err(ConfigError::ZeroReplication);
@@ -249,6 +253,9 @@ pub enum ConfigError {
     Fault(PlanError),
     /// The replication factor is zero: no site would store anything.
     ZeroReplication,
+    /// `cpu_speed` is zero, negative, NaN or infinite: every charged cost
+    /// would saturate or vanish.
+    CpuSpeed(f64),
 }
 
 impl fmt::Display for ConfigError {
@@ -258,6 +265,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroReplication => {
                 write!(f, "partial replication needs a replication factor of at least 1")
             }
+            ConfigError::CpuSpeed(s) => write!(f, "cpu_speed must be finite and positive, not {s}"),
         }
     }
 }
@@ -270,9 +278,26 @@ impl From<PlanError> for ConfigError {
     }
 }
 
-/// CPU cost constants for the certification real code under synthetic
-/// profiling (the wall-clock mode measures instead). Calibrated so protocol
-/// CPU lands in the paper's ≈1–2 % band (Fig. 7c).
+/// The certification real code's cost table under synthetic profiling (the
+/// wall-clock mode measures instead). Calibrated so protocol CPU lands in the
+/// paper's ≈1–2 % band (Fig. 7c). Every run charges these values.
+pub const CERT_COSTS: CertCostModel = CertCostModel {
+    marshal_fixed: Duration::from_micros(15),
+    marshal_per_byte_ns: 2.0,
+    certify_fixed: Duration::from_micros(20),
+    per_comparison_ns: 60.0,
+    per_probe_ns: 90.0,
+    merge_ns: 25.0,
+    confirm_fixed: Duration::from_micros(2),
+    speculate_fixed: Duration::from_micros(10),
+    vote_rtt: Duration::from_micros(120),
+    snapshot_bytes_per_warehouse: 2 << 20,
+    delta_bytes_per_entry: 768,
+    transfer_bytes_per_sec: 12.5e6,
+};
+
+/// CPU cost parameters for the certification real code; [`CERT_COSTS`]
+/// holds the calibrated values.
 ///
 /// Every backend is priced from the same [`CertWork`] record: the linear
 /// scan reports merge `comparisons`, the indexed backend reports index
@@ -328,25 +353,6 @@ pub struct CertCostModel {
     /// streams the snapshot and delta log alongside regular traffic, so this
     /// sits below raw link speed.
     pub transfer_bytes_per_sec: f64,
-}
-
-impl Default for CertCostModel {
-    fn default() -> Self {
-        CertCostModel {
-            marshal_fixed: Duration::from_micros(15),
-            marshal_per_byte_ns: 2.0,
-            certify_fixed: Duration::from_micros(20),
-            per_comparison_ns: 60.0,
-            per_probe_ns: 90.0,
-            merge_ns: 25.0,
-            confirm_fixed: Duration::from_micros(2),
-            speculate_fixed: Duration::from_micros(10),
-            vote_rtt: Duration::from_micros(120),
-            snapshot_bytes_per_warehouse: 2 << 20,
-            delta_bytes_per_entry: 768,
-            transfer_bytes_per_sec: 12.5e6,
-        }
-    }
 }
 
 impl CertCostModel {
@@ -427,7 +433,7 @@ mod tests {
 
     #[test]
     fn cost_model_scales() {
-        let m = CertCostModel::default();
+        let m = CERT_COSTS;
         assert!(m.marshal(1000) > m.marshal(10));
         let comparisons = |n| CertWork { comparisons: n, ..CertWork::default() };
         let probes = |n| CertWork { probes: n, ..CertWork::default() };
@@ -516,7 +522,7 @@ mod tests {
 
     #[test]
     fn transfer_delay_prices_bytes_at_the_configured_bandwidth() {
-        let m = CertCostModel::default();
+        let m = CERT_COSTS;
         // 12.5 MB at 12.5 MB/s = 1 s.
         assert_eq!(m.transfer_delay(12_500_000), Duration::from_secs(1));
         assert_eq!(m.transfer_delay(0), Duration::ZERO);
@@ -535,6 +541,19 @@ mod tests {
             SimTime::from_secs(2),
         );
         assert!(ExperimentConfig::replicated(3, 30).with_faults(bad).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_non_positive_cpu_speed() {
+        let with_speed =
+            |s| ExperimentConfig { cpu_speed: s, ..ExperimentConfig::replicated(3, 60) };
+        for s in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(with_speed(s).validate(), Err(ConfigError::CpuSpeed(_))),
+                "cpu_speed {s} accepted"
+            );
+        }
+        assert_eq!(with_speed(2.0).validate(), Ok(()));
     }
 
     #[test]
@@ -624,7 +643,7 @@ mod tests {
 
     #[test]
     fn confirm_prices_only_the_delta_window() {
-        let m = CertCostModel::default();
+        let m = CERT_COSTS;
         // A speculation hit confirms for the fixed lookup alone.
         assert_eq!(m.confirm(CertWork::default()), m.confirm_fixed);
         assert!(m.confirm(CertWork::default()) < m.certify(CertWork::default()));

@@ -436,7 +436,8 @@ pub struct RunMetrics {
     pub network_tx_bytes: u64,
     /// Simulated duration of the measured portion.
     pub elapsed: SimTime,
-    /// Sites crashed by fault injection (and not yet rejoined).
+    /// Sites down when the run ended (crashed or halted by fault injection
+    /// and not rejoined), in site order.
     pub crashed_sites: Vec<u16>,
     /// Recovery-machinery work: snapshots served, transfer bytes, replayed
     /// entries, time-to-useful.

@@ -13,6 +13,8 @@
 //! [`Ownership::owns`](crate::replica::Ownership::owns) is the one rule
 //! that combines the two.
 
+use dbsm_sim::splitmix64;
+
 /// Deterministic warehouse → replica-set assignment: each warehouse
 /// (0-based span key, as produced by
 /// [`home_warehouse_shard_key`](dbsm_tpcc::schema::home_warehouse_shard_key))
@@ -28,15 +30,6 @@ pub struct PlacementMap {
     pub sites: usize,
     /// Replicas holding each warehouse (k of N).
     pub replication_factor: usize,
-}
-
-/// SplitMix64 finalizer — the same mixer the bench artifact hashing uses,
-/// local so the placement stays dependency-free.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl PlacementMap {
@@ -88,7 +81,7 @@ impl PlacementMap {
     pub fn rendezvous_owner(span: u64, live: &[usize]) -> Option<usize> {
         live.iter()
             .copied()
-            .map(|site| (mix64(span ^ mix64(site as u64 + 1)), site))
+            .map(|site| (splitmix64(span ^ splitmix64(site as u64 + 1)), site))
             .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
             .map(|(_, site)| site)
     }

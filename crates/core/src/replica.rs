@@ -28,8 +28,8 @@
 //! current adopter after a re-homing. Voting, deciding, vote-round
 //! accounting, client routing and the stranded-span sweep all ask it.
 
-use crate::experiment::{CertCostModel, CommitPath, ExperimentConfig};
-use crate::metrics::CertWorkTotals;
+use crate::experiment::{CommitPath, ExperimentConfig, CERT_COSTS};
+use crate::metrics::{CertWorkTotals, VoteWireTotals};
 use crate::placement::PlacementMap;
 use dbsm_cert::{
     merge_votes, CertBackend, CertRequest, IndexedCertifier, Outcome as CertOutcome, RwSet,
@@ -135,8 +135,7 @@ pub(crate) struct Ledger {
     pub(crate) work: CertWorkTotals,
     /// Own update transactions decided by a wire-vote quorum, and the
     /// nanoseconds they waited for it after total-order delivery.
-    pub(crate) vote_decided: u64,
-    pub(crate) vote_wait_ns: u64,
+    pub(crate) votes: VoteWireTotals,
 }
 
 /// What a site holds next to its certifier, zero when the run starts.
@@ -179,7 +178,6 @@ pub(crate) struct Replica {
     cert: Certifier,
     pub(crate) st: SiteState,
     ledger: Ledger,
-    costs: CertCostModel,
     window: u64,
     path: CommitPath,
 }
@@ -187,12 +185,7 @@ pub(crate) struct Replica {
 impl Replica {
     /// `site`'s replica for a run of `cfg`: a span replica of the spans
     /// `partial` places there, or a full backend.
-    pub(crate) fn new(
-        site: usize,
-        cfg: &ExperimentConfig,
-        costs: CertCostModel,
-        partial: Option<&Partial>,
-    ) -> Self {
+    pub(crate) fn new(site: usize, cfg: &ExperimentConfig, partial: Option<&Partial>) -> Self {
         let cert = match partial {
             Some(p) => {
                 let spans = p.ownership.map.spans_of(site, p.ownership.warehouses);
@@ -206,7 +199,6 @@ impl Replica {
             cert,
             st: SiteState::default(),
             ledger: Ledger::default(),
-            costs,
             window: cfg.history_window,
             path: cfg.commit_path,
         }
@@ -256,10 +248,10 @@ impl Replica {
         // Real code: unmarshal + dispatch of the speculative probe — outside
         // the certifier's serial section, so cheaper than a synchronous
         // certification entry.
-        rt.charge(self.costs.speculate_fixed);
+        rt.charge(CERT_COSTS.speculate_fixed);
         let now = rt.now();
         let work = self.cert.backend().speculate(req);
-        let t = queue_speculation(&mut self.st.spec_free_at, now, work.probes, &self.costs);
+        let t = queue_speculation(&mut self.st.spec_free_at, now, work.probes);
         self.ledger.work.record_spec_probe(work);
         self.ledger.work.record_queueing(t.queued, t.service, t.merge);
         self.st.spec_ready.insert((req.site.0, req.txn), t.ready_at);
@@ -292,8 +284,8 @@ impl Replica {
     pub(crate) fn certify_in_order(&mut self, req: CertRequest, rt: &mut dyn SiteRuntime) {
         let (outcome, work) = self.cert.backend().certify(&req).expect("history window exceeded");
         self.ledger.work.record(work);
-        self.ledger.work.stall_ns += self.costs.certify_data(work).as_nanos() as u64;
-        rt.charge(self.costs.certify(work));
+        self.ledger.work.stall_ns += CERT_COSTS.certify_data(work).as_nanos() as u64;
+        rt.charge(CERT_COSTS.certify(work));
         rt.schedule(Duration::ZERO, Decision::Certified(req, outcome));
     }
 
@@ -308,9 +300,9 @@ impl Replica {
         let ready_at = self.st.spec_ready.remove(&(req.site.0, req.txn));
         self.ledger.work.record(work);
         self.ledger.work.record_spec(res);
-        self.ledger.work.stall_ns += self.costs.certify_data(work).as_nanos() as u64;
+        self.ledger.work.stall_ns += CERT_COSTS.certify_data(work).as_nanos() as u64;
         let pending = self.record(&req, outcome);
-        rt.charge(self.costs.confirm(work));
+        rt.charge(CERT_COSTS.confirm(work));
         let delay = ready_at.map_or(Duration::ZERO, |t| t.saturating_duration_since(rt.now()));
         rt.schedule(delay, Decision::Recorded(req, outcome, pending));
     }
@@ -379,10 +371,10 @@ impl Replica {
                 ok &= p.oracle.certify_read_only(reads, start_seq).0;
                 self.ledger.work.vote_rounds += 1;
                 self.ledger.work.cross_span_txns += 1;
-                vote_delay = self.costs.vote_rtt;
+                vote_delay = CERT_COSTS.vote_rtt;
             }
         }
-        rt.charge(self.costs.certify(work));
+        rt.charge(CERT_COSTS.certify(work));
         rt.schedule(vote_delay, Decision::ReadOnly(db_txn, ok));
     }
 
@@ -477,8 +469,8 @@ impl Replica {
             let pending = self.record(&entry.req, outcome);
             self.cert.span().cert.apply(&entry.req, outcome);
             if entry.req.site.0 as usize == self.site {
-                self.ledger.vote_decided += 1;
-                self.ledger.vote_wait_ns +=
+                self.ledger.votes.decided += 1;
+                self.ledger.votes.wait_ns +=
                     now.saturating_duration_since(entry.delivered_at).as_nanos() as u64;
             }
             let ready_at = self.st.spec_ready.remove(&key);
@@ -523,17 +515,17 @@ impl Replica {
                     let (conflict, w, res) =
                         cert.confirm_vote(req).expect("history window exceeded");
                     self.ledger.work.record_spec(res);
-                    charge += self.costs.confirm(w);
+                    charge += CERT_COSTS.confirm(w);
                     (conflict, w)
                 }
                 CommitPath::Synchronous => {
                     let (conflict, w) = cert.vote(req).expect("history window exceeded");
-                    charge += self.costs.certify(w);
+                    charge += CERT_COSTS.certify(w);
                     (conflict, w)
                 }
             };
             self.ledger.work.record(w);
-            self.ledger.work.stall_ns += self.costs.certify_data(w).as_nanos() as u64;
+            self.ledger.work.stall_ns += CERT_COSTS.certify_data(w).as_nanos() as u64;
             casts.push((req.site.0, req.txn, conflict));
             fifo[k].cast = true;
         }
@@ -623,19 +615,14 @@ pub(crate) struct SpecTiming {
 /// `max(now, free_at)`, occupies the FIFO for its service time, and its
 /// verdict is ready one merge later. A speculation that probed nothing
 /// never enters the FIFO and is ready at once.
-pub(crate) fn queue_speculation(
-    free_at: &mut SimTime,
-    now: SimTime,
-    probes: usize,
-    costs: &CertCostModel,
-) -> SpecTiming {
+pub(crate) fn queue_speculation(free_at: &mut SimTime, now: SimTime, probes: usize) -> SpecTiming {
     if probes == 0 {
         return SpecTiming { ready_at: now, ..SpecTiming::default() };
     }
     let start = (*free_at).max(now);
-    let service = costs.probe_service(probes);
+    let service = CERT_COSTS.probe_service(probes);
     *free_at = start + service;
-    let merge = costs.merge();
+    let merge = CERT_COSTS.merge();
     SpecTiming {
         ready_at: *free_at + merge,
         queued: start.saturating_duration_since(now),
@@ -1162,26 +1149,25 @@ mod tests {
 
     #[test]
     fn speculations_queue_first_in_first_out() {
-        let costs = CertCostModel::default();
         let at = SimTime::from_micros;
-        let (service, merge) = (costs.probe_service(100), costs.merge());
+        let (service, merge) = (CERT_COSTS.probe_service(100), CERT_COSTS.merge());
         let mut free_at = SimTime::ZERO;
         // The first speculation finds the FIFO idle: no wait.
-        let a = queue_speculation(&mut free_at, at(100), 100, &costs);
+        let a = queue_speculation(&mut free_at, at(100), 100);
         let ready_at = at(100) + service + merge;
         assert_eq!(a, SpecTiming { ready_at, queued: Duration::ZERO, service, merge });
         // A second one submitted during the first one's service queues
         // behind it.
-        let b = queue_speculation(&mut free_at, at(101), 100, &costs);
+        let b = queue_speculation(&mut free_at, at(101), 100);
         assert_eq!(b.queued, at(100) + service - at(101));
         assert_eq!(b.ready_at, at(100) + service + service + merge);
         // One submitted after the queue drained waits zero.
-        let c = queue_speculation(&mut free_at, at(1_000), 100, &costs);
+        let c = queue_speculation(&mut free_at, at(1_000), 100);
         assert_eq!((c.queued, c.ready_at), (Duration::ZERO, at(1_000) + service + merge));
         // A speculation that probed nothing is ready at once, with no merge,
         // and leaves the FIFO untouched.
         let before = free_at;
-        let d = queue_speculation(&mut free_at, at(1_001), 0, &costs);
+        let d = queue_speculation(&mut free_at, at(1_001), 0);
         assert_eq!(d, SpecTiming { ready_at: at(1_001), ..SpecTiming::default() });
         assert_eq!(free_at, before);
     }
@@ -1253,7 +1239,7 @@ mod tests {
         for path in [CommitPath::Synchronous, CommitPath::Pipelined] {
             let cfg = ExperimentConfig::replicated(3, 30).with_commit_path(path);
             for site in 0..3 {
-                let mut r = Replica::new(site, &cfg, CertCostModel::default(), None);
+                let mut r = Replica::new(site, &cfg, None);
                 let mut rt = Recorder::default();
                 // Every speculation runs before the first confirmation, so
                 // the pipelined confirmations revalidate and roll back.
@@ -1278,9 +1264,8 @@ mod tests {
         // a request reads, so every decision needs another site's vote.
         let cfg = ExperimentConfig::replicated(3, 30).with_replication_factor(2);
         let mut partial = Partial::for_run(&cfg).expect("rf 2 of 3 replicates partially");
-        let mut replicas: Vec<Replica> = (0..3)
-            .map(|site| Replica::new(site, &cfg, CertCostModel::default(), Some(&partial)))
-            .collect();
+        let mut replicas: Vec<Replica> =
+            (0..3).map(|site| Replica::new(site, &cfg, Some(&partial))).collect();
         let mut rts: Vec<Recorder> = (0..3).map(|_| Recorder::default()).collect();
         for req in &reqs {
             for (r, rt) in replicas.iter_mut().zip(&mut rts) {

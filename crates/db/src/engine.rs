@@ -23,8 +23,6 @@ use std::time::Duration;
 /// from profiling a real database server, §4.1).
 #[derive(Debug, Clone)]
 pub struct TransactionSpec {
-    /// Workload class (indexes the per-class metrics; e.g. "payment-long").
-    pub class: u8,
     /// Tuples fetched.
     pub read_set: RwSet,
     /// Tuples written.
@@ -88,7 +86,6 @@ struct Txn {
     /// this transaction.
     writes: Arc<[TupleId]>,
     phase: Phase,
-    gen: u64,
     on_commit_request: Option<CommitRequestHook>,
     on_done: Option<DoneHook>,
     on_applied: Option<AppliedHook>,
@@ -98,8 +95,9 @@ struct Inner {
     locks: LockTable,
     /// Live transactions, only looked up by id and never iterated.
     txns: FxHashMap<TxnId, Txn>,
+    /// Ids are never reused, so a resource callback that finds its id gone
+    /// (or in another phase) knows the transaction ended meanwhile.
     next_txn: u64,
-    next_gen: u64,
 }
 
 /// One site's database engine.
@@ -135,7 +133,6 @@ impl DbEngine {
                 locks: LockTable::new(policy),
                 txns: FxHashMap::default(),
                 next_txn: 1,
-                next_gen: 1,
             })),
         }
     }
@@ -143,11 +140,6 @@ impl DbEngine {
     /// The engine's storage device (for utilisation reporting).
     pub fn storage(&self) -> &Storage {
         &self.storage
-    }
-
-    /// The engine's CPU bank.
-    pub fn cpu(&self) -> &CpuBank {
-        &self.cpu
     }
 
     /// Transactions currently inside the engine.
@@ -168,8 +160,6 @@ impl DbEngine {
             let mut inner = self.inner.borrow_mut();
             let id = TxnId(inner.next_txn);
             inner.next_txn += 1;
-            let gen = inner.next_gen;
-            inner.next_gen += 1;
             let writes: Arc<[TupleId]> = std::mem::take(&mut spec.write_set).ids().into();
             let lock_set = if spec.read_only { Arc::from([]) } else { Arc::clone(&writes) };
             inner.txns.insert(
@@ -178,7 +168,6 @@ impl DbEngine {
                     spec,
                     writes,
                     phase: Phase::WaitLocks,
-                    gen,
                     on_commit_request: Some(Box::new(on_commit_request)),
                     on_done: Some(Box::new(on_done)),
                     on_applied: None,
@@ -208,13 +197,10 @@ impl DbEngine {
             let mut inner = self.inner.borrow_mut();
             let id = TxnId(inner.next_txn);
             inner.next_txn += 1;
-            let gen = inner.next_gen;
-            inner.next_gen += 1;
             inner.txns.insert(
                 id,
                 Txn {
                     spec: TransactionSpec {
-                        class: u8::MAX,
                         read_set: RwSet::new(),
                         write_set: RwSet::new(),
                         write_bytes,
@@ -225,7 +211,6 @@ impl DbEngine {
                     },
                     writes: write_set.ids().into(),
                     phase: Phase::RemoteWait,
-                    gen,
                     on_commit_request: None,
                     on_done: None,
                     on_applied: Some(Box::new(on_applied)),
@@ -274,14 +259,14 @@ impl DbEngine {
             return; // transaction already gone (e.g. site-local race)
         }
         if commit {
-            let (sectors, gen) = {
+            let sectors = {
                 let mut inner = self.inner.borrow_mut();
                 let t = inner.txns.get_mut(&id).expect("checked above");
                 t.phase = Phase::WriteBack;
-                (t.writes.len() as u32, t.gen)
+                t.writes.len() as u32
             };
             let this = self.clone();
-            self.storage.write(sectors, move || this.writeback_done(id, gen));
+            self.storage.write(sectors, move || this.write_done(id));
         } else {
             let mut steps = Vec::new();
             self.release_and_collect(
@@ -297,40 +282,36 @@ impl DbEngine {
     // ----- internal pipeline --------------------------------------------
 
     fn start_fetch(&self, id: TxnId) {
-        let (sectors, gen) = {
+        let sectors = {
             let mut inner = self.inner.borrow_mut();
             let Some(t) = inner.txns.get_mut(&id) else { return };
             t.phase = Phase::Fetch;
-            (t.spec.read_set.len() as u32, t.gen)
+            t.spec.read_set.len() as u32
         };
         let this = self.clone();
-        self.storage.read(sectors, move || this.fetch_done(id, gen));
+        self.storage.read(sectors, move || this.fetch_done(id));
     }
 
-    fn fetch_done(&self, id: TxnId, gen: u64) {
+    fn fetch_done(&self, id: TxnId) {
         let cpu_time = {
             let mut inner = self.inner.borrow_mut();
             let Some(t) = inner.txns.get_mut(&id) else { return };
-            if t.gen != gen || t.phase != Phase::Fetch {
+            if t.phase != Phase::Fetch {
                 return; // aborted meanwhile
             }
             t.phase = Phase::Process;
             t.spec.cpu
         };
         let this = self.clone();
-        self.cpu.submit_sim(cpu_time, move || this.process_done(id, gen));
+        self.cpu.submit_sim(cpu_time, move || this.process_done(id));
     }
 
-    fn process_done(&self, id: TxnId, gen: u64) {
+    fn process_done(&self, id: TxnId) {
         let mut steps = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            let Some(t) = inner.txns.get(&id) else { return };
-            if t.gen != gen || t.phase != Phase::Process {
-                return;
-            }
-        }
-        let user_abort = self.inner.borrow().txns[&id].spec.user_abort;
+        let user_abort = match self.inner.borrow().txns.get(&id) {
+            Some(t) if t.phase == Phase::Process => t.spec.user_abort,
+            _ => return,
+        };
         if user_abort {
             self.release_and_collect(id, false, Outcome::Aborted(AbortReason::User), &mut steps);
         } else {
@@ -345,28 +326,9 @@ impl DbEngine {
         self.run_steps(steps);
     }
 
-    fn writeback_done(&self, id: TxnId, gen: u64) {
+    /// A local write-back or a remote apply is durable.
+    fn write_done(&self, id: TxnId) {
         let mut steps = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            let Some(t) = inner.txns.get(&id) else { return };
-            if t.gen != gen {
-                return;
-            }
-        }
-        self.release_and_collect(id, true, Outcome::Committed, &mut steps);
-        self.run_steps(steps);
-    }
-
-    fn remote_write_done(&self, id: TxnId, gen: u64) {
-        let mut steps = Vec::new();
-        {
-            let inner = self.inner.borrow();
-            let Some(t) = inner.txns.get(&id) else { return };
-            if t.gen != gen {
-                return;
-            }
-        }
         self.release_and_collect(id, true, Outcome::Committed, &mut steps);
         self.run_steps(steps);
     }
@@ -415,14 +377,14 @@ impl DbEngine {
                 Step::Finish(id, outcome) => self.finish(id, outcome),
                 Step::StartFetch(id) => self.start_fetch(id),
                 Step::StartRemoteWrite(id) => {
-                    let (sectors, gen) = {
+                    let sectors = {
                         let mut inner = self.inner.borrow_mut();
                         let Some(t) = inner.txns.get_mut(&id) else { continue };
                         t.phase = Phase::RemoteWrite;
-                        (t.writes.len() as u32, t.gen)
+                        t.writes.len() as u32
                     };
                     let this = self.clone();
-                    self.storage.write(sectors, move || this.remote_write_done(id, gen));
+                    self.storage.write(sectors, move || this.write_done(id));
                 }
                 Step::RaiseCommitRequest(id) => {
                     let (hook, spec) = {
@@ -443,10 +405,8 @@ impl DbEngine {
     fn finish(&self, id: TxnId, outcome: Outcome) {
         let (done, applied) = {
             let mut inner = self.inner.borrow_mut();
-            let Some(mut t) = inner.txns.remove(&id) else { return };
-            // Invalidate in-flight resource callbacks.
-            t.gen = 0;
-            (t.on_done.take(), t.on_applied.take())
+            let Some(t) = inner.txns.remove(&id) else { return };
+            (t.on_done, t.on_applied)
         };
         if let Some(h) = done {
             h(id, outcome);
@@ -476,7 +436,6 @@ mod tests {
 
     fn spec(reads: &[u64], writes: &[u64], cpu_ms: u64) -> TransactionSpec {
         TransactionSpec {
-            class: 0,
             read_set: reads.iter().map(|r| id(*r)).collect(),
             write_set: writes.iter().map(|r| id(*r)).collect(),
             write_bytes: 100,

@@ -26,7 +26,6 @@
 //! let cpu = CpuBank::new(&sim, 1, ProfilerMode::synthetic());
 //! let eng = DbEngine::new(&sim, &cpu, StorageConfig::raid5_fibre(), CcPolicy::MultiVersion, 1);
 //! let spec = TransactionSpec {
-//!     class: 0,
 //!     read_set: RwSet::new(),
 //!     write_set: [TupleId::new(TableId(1), 9)].into_iter().collect(),
 //!     write_bytes: 64,

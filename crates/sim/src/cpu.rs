@@ -215,9 +215,16 @@ impl CpuBank {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, or if the mode's speed or scale is not finite
+    /// and positive.
     pub fn new(sim: &Sim, n: usize, mode: ProfilerMode) -> Self {
         assert!(n >= 1, "a site needs at least one CPU");
+        let (ProfilerMode::Synthetic { speed: factor } | ProfilerMode::WallClock { scale: factor }) =
+            mode;
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "profiler factor must be finite and positive: {mode:?}"
+        );
         let state = Bank {
             n,
             slots: (0..n).map(|_| Slot::default()).collect(),
@@ -657,6 +664,20 @@ mod tests {
     fn zero_cpus_rejected() {
         let sim = Sim::new();
         let _ = CpuBank::new(&sim, 0, ProfilerMode::synthetic());
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn zero_speed_rejected() {
+        let sim = Sim::new();
+        let _ = CpuBank::new(&sim, 1, ProfilerMode::Synthetic { speed: 0.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn nan_scale_rejected() {
+        let sim = Sim::new();
+        let _ = CpuBank::new(&sim, 1, ProfilerMode::WallClock { scale: f64::NAN });
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod trace;
 pub use cpu::{CpuBank, CpuUsage, RealContext, RealJob};
 pub use event::EventId;
 pub use profiler::ProfilerMode;
-pub use rng::{derive_seed, derive_seed_indexed};
+pub use rng::{derive_seed, derive_seed_indexed, splitmix64};
 pub use scheduler::Sim;
 pub use time::{duration_to_nanos, scale_duration, SimTime};
 pub use trace::{Trace, TraceKind, TraceRecord};

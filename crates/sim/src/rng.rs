@@ -37,7 +37,10 @@ pub fn derive_seed_indexed(master: u64, label: &str, index: u64) -> u64 {
     splitmix64(derive_seed(master, label) ^ splitmix64(index.wrapping_add(0x9e37_79b9_7f4a_7c15)))
 }
 
-fn splitmix64(mut z: u64) -> u64 {
+/// The SplitMix64 step: adds the golden-ratio increment to `z`, then
+/// applies the SplitMix64 finalizer. Seeds, the warehouse placement and the
+/// bench artifacts' configuration hashes all use this one mixer.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -59,6 +62,12 @@ mod tests {
         assert_ne!(derive_seed(1, "x"), derive_seed(1, "y"));
         assert_ne!(derive_seed(1, "x"), derive_seed(2, "x"));
         assert_ne!(derive_seed_indexed(1, "x", 0), derive_seed_indexed(1, "x", 1));
+    }
+
+    #[test]
+    fn known_splitmix64_answers() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
     }
 
     #[test]

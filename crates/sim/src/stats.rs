@@ -1,8 +1,8 @@
 //! Small statistics toolkit used by the experiment harness: a sample set
-//! with its mean, percentiles (Fig. 7 records its CDFs as fixed quantiles),
+//! with its mean, quantiles (Fig. 7 records its CDFs as fixed quantiles),
 //! and quantile-quantile pairs (Fig. 4).
 
-/// A collection of samples supporting percentiles, CDF and Q-Q extraction.
+/// A collection of samples supporting quantiles and Q-Q extraction.
 #[derive(Debug, Clone, Default)]
 pub struct Samples {
     values: Vec<f64>,
@@ -66,11 +66,6 @@ impl Samples {
         Some(self.values[lo] * (1.0 - frac) + self.values[hi] * frac)
     }
 
-    /// Convenience percentile in `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> Option<f64> {
-        self.quantile(p / 100.0)
-    }
-
     /// Q-Q pairs against `other`: matching quantiles of the two sample sets
     /// (paper Fig. 4 plots simulation quantiles against real-system
     /// quantiles; a well-calibrated model hugs the diagonal).
@@ -124,7 +119,7 @@ mod tests {
         assert_eq!(s.quantile(0.0), Some(1.0));
         assert_eq!(s.quantile(1.0), Some(4.0));
         assert_eq!(s.quantile(0.5), Some(2.5));
-        assert_eq!(s.percentile(25.0), Some(1.75));
+        assert_eq!(s.quantile(0.25), Some(1.75));
     }
 
     #[test]

@@ -198,7 +198,6 @@ impl TpccGen {
         let write_bytes: u32 = write_set.ids().iter().map(|t| tuple_size(t.table())).sum();
         let cpu = profile(class).sample(&mut self.rng);
         TransactionSpec {
-            class: class.index(),
             read_set: RwSet::from_unsorted(reads),
             write_set,
             write_bytes,
@@ -379,7 +378,6 @@ mod tests {
             let r = g.next_request(k % 100);
             let s = &r.spec;
             eat(u64::from(r.class.index()));
-            assert_eq!(s.class, r.class.index());
             for set in [&s.read_set, &s.write_set] {
                 eat(set.len() as u64);
                 for t in set.ids() {

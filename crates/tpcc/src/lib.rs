@@ -30,5 +30,5 @@ pub mod schema;
 
 pub use class::TxnClass;
 pub use gen::{ClientRequest, TpccConfig, TpccGen};
-pub use nurand::{customer_id, item_id, last_name_id, last_name_string, nurand, NurandC};
+pub use nurand::{customer_id, item_id, last_name_id, nurand, NurandC};
 pub use profile::{profile, ClassProfile};

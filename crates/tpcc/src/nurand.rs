@@ -1,6 +1,7 @@
 //! TPC-C non-uniform random distribution (spec §2.1.6) and last-name
 //! generation — the skew that drives customer hot-spots.
 
+use crate::schema::{CUSTOMERS_PER_DISTRICT, ITEMS, LAST_NAMES};
 use rand::Rng;
 
 /// The C constants of NURand; fixed per run (spec allows any constant).
@@ -35,32 +36,17 @@ pub fn nurand(rng: &mut impl Rng, a: u64, c: u64, x: u64, y: u64) -> u64 {
 
 /// Non-uniform customer id in `1..=3000`.
 pub fn customer_id(rng: &mut impl Rng, c: &NurandC) -> u64 {
-    nurand(rng, 1023, c.c_cid, 1, 3000)
+    nurand(rng, 1023, c.c_cid, 1, CUSTOMERS_PER_DISTRICT)
 }
 
 /// Non-uniform item id in `1..=100000`.
 pub fn item_id(rng: &mut impl Rng, c: &NurandC) -> u64 {
-    nurand(rng, 8191, c.c_item, 1, 100_000)
+    nurand(rng, 8191, c.c_item, 1, ITEMS)
 }
 
 /// Non-uniform last-name id in `0..=999` (spec: NURand(255, 0, 999)).
 pub fn last_name_id(rng: &mut impl Rng, c: &NurandC) -> u64 {
-    nurand(rng, 255, c.c_lastname, 0, 999)
-}
-
-/// The spec's syllable table, for rendering last names in logs/examples.
-const SYLLABLES: [&str; 10] =
-    ["BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"];
-
-/// Renders a last-name id as the spec's three-syllable string.
-pub fn last_name_string(id: u64) -> String {
-    assert!(id < 1000, "last name id out of range: {id}");
-    format!(
-        "{}{}{}",
-        SYLLABLES[(id / 100) as usize],
-        SYLLABLES[((id / 10) % 10) as usize],
-        SYLLABLES[(id % 10) as usize]
-    )
+    nurand(rng, 255, c.c_lastname, 0, LAST_NAMES - 1)
 }
 
 #[cfg(test)]
@@ -97,18 +83,5 @@ mod tests {
         let max = *counts.iter().max().expect("non-empty");
         let uniform = n / 1000;
         assert!(max > uniform * 3, "max {max} vs uniform {uniform}");
-    }
-
-    #[test]
-    fn last_names_match_spec_examples() {
-        assert_eq!(last_name_string(0), "BARBARBAR");
-        assert_eq!(last_name_string(371), "PRICALLYOUGHT");
-        assert_eq!(last_name_string(999), "EINGEINGEING");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn last_name_rejects_large_ids() {
-        let _ = last_name_string(1000);
     }
 }

@@ -137,8 +137,8 @@ fn main() {
     println!();
     println!(
         "loss impact: random-loss p99 is {:.1}x the fault-free p99 (the paper's long tail)",
-        random.pooled_latencies_ms().percentile(99.0).unwrap_or(1.0)
-            / baseline.pooled_latencies_ms().percentile(99.0).unwrap_or(1.0)
+        random.pooled_latencies_ms().quantile(0.99).unwrap_or(1.0)
+            / baseline.pooled_latencies_ms().quantile(0.99).unwrap_or(1.0)
     );
     println!(
         "bursty loss hurts less than random loss: {:.2}% vs {:.2}% aborts",

@@ -27,8 +27,8 @@ fn run_with_lan_latency(label: &str, one_way: Duration) {
     println!(
         "{label:<18} tpm={:>6.0}  cert p50={:>7.1}ms  p99={:>8.1}ms  txn latency={:>7.1}ms",
         m.tpm(),
-        cert.percentile(50.0).unwrap_or(0.0),
-        cert.percentile(99.0).unwrap_or(0.0),
+        cert.quantile(0.5).unwrap_or(0.0),
+        cert.quantile(0.99).unwrap_or(0.0),
         m.mean_latency_ms()
     );
 }

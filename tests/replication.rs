@@ -419,7 +419,7 @@ fn random_loss_inflates_the_latency_tail() {
     );
     let mut b = base.pooled_latencies_ms();
     let mut l = lossy.pooled_latencies_ms();
-    let (b99, l99) = (b.percentile(99.0).expect("samples"), l.percentile(99.0).expect("samples"));
+    let (b99, l99) = (b.quantile(0.99).expect("samples"), l.quantile(0.99).expect("samples"));
     assert!(l99 > b99, "p99 {l99} vs fault-free {b99}");
 }
 

@@ -205,18 +205,20 @@ fn commit_digest(logs: &[Vec<(u16, u64)>]) -> u64 {
 }
 
 /// Runs `cfg` to its cap and returns `(events executed, commit digest,
-/// metrics)`.
-fn fingerprint(cfg: ExperimentConfig) -> (u64, u64, RunMetrics) {
+/// simulated nanoseconds elapsed, metrics)`.
+fn fingerprint(cfg: ExperimentConfig) -> (u64, u64, u64, RunMetrics) {
     let cluster = Cluster::build(cfg);
     let handle = cluster.clone();
     let m = cluster.run();
-    (handle.sim().events_executed(), commit_digest(&m.commit_logs), m)
+    (handle.sim().events_executed(), commit_digest(&m.commit_logs), m.elapsed.as_nanos(), m)
 }
 
 #[test]
 fn golden_cluster_digest() {
     // Pins the whole cluster's behaviour, not just its repeatability: the
-    // events executed and the commit logs of five small runs — each
+    // events executed, the commit logs and the simulated time elapsed
+    // (which a per-event CPU cost moves even when the first two hold) of
+    // five small runs — each
     // replication mode, both commit paths under churn and a partial
     // rejoin — must match recorded constants. A refactor leaves them
     // alone; a deliberate behaviour change re-records them.
@@ -229,18 +231,22 @@ fn golden_cluster_digest() {
     let mut central = ExperimentConfig::centralized(1, 200).with_target(1_200).with_seed(42);
     central.history_window = 256;
     central.max_sim = Duration::from_secs(60);
-    let (events, digest, m) = fingerprint(central);
+    let (events, digest, elapsed, m) = fingerprint(central);
     assert!(m.committed() > 0);
-    assert_eq!((events, digest), (24_436, 0x3f95f3e4631e7084), "1-site centralized");
+    assert_eq!(
+        (events, digest, elapsed),
+        (24_436, 0x3f95f3e4631e7084, 59_730_440_940),
+        "1-site centralized"
+    );
 
     let mut full = ExperimentConfig::replicated(3, 200).with_target(1_200).with_seed(42);
     full.history_window = 256;
     full.max_sim = Duration::from_secs(60);
-    let (events, digest, m) = fingerprint(full);
+    let (events, digest, elapsed, m) = fingerprint(full);
     dbsm_testbed::fault::check_logs(&m.commit_logs, &[false; 3]).expect("full replication");
     assert_eq!(
-        (events, digest),
-        (209_582, 0x3b0053dd09690fc1),
+        (events, digest, elapsed),
+        (209_582, 0x3b0053dd09690fc1, 56_588_235_076),
         "3-site full replication, synchronous"
     );
 
@@ -258,24 +264,24 @@ fn golden_cluster_digest() {
         );
     churn.history_window = 1 << 17;
     churn.max_sim = Duration::from_secs(30);
-    let (events, digest, m) = fingerprint(churn.clone());
+    let (events, digest, elapsed, m) = fingerprint(churn.clone());
     assert!(m.replacement_work.rehomed_spans > 0, "a stranded span re-homed");
     assert!(m.replacement_work.vote_rounds_recollected > 0, "vote rounds re-collected");
     assert_eq!(
-        (events, digest),
-        (216_244, 0xe3ef86dae12fc838),
+        (events, digest, elapsed),
+        (216_244, 0xe3ef86dae12fc838, 13_159_361_556),
         "6-site rf-2 partial, pipelined, pair crash"
     );
 
     // The same churn on the synchronous commit path: span votes certify
     // at delivery instead of confirming a speculation.
     let sync_churn = churn.with_commit_path(CommitPath::Synchronous);
-    let (events, digest, m) = fingerprint(sync_churn);
+    let (events, digest, elapsed, m) = fingerprint(sync_churn);
     assert!(m.replacement_work.rehomed_spans > 0, "a stranded span re-homed");
     assert!(m.replacement_work.vote_rounds_recollected > 0, "vote rounds re-collected");
     assert_eq!(
-        (events, digest),
-        (216_544, 0xf44826024f889fb0),
+        (events, digest, elapsed),
+        (216_544, 0xf44826024f889fb0, 12_906_807_843),
         "6-site rf-2 partial, synchronous, pair crash"
     );
 
@@ -288,12 +294,12 @@ fn golden_cluster_digest() {
         .with_faults(FaultPlan::crash_restart(2, SimTime::from_secs(3), SimTime::from_secs(6)));
     rejoin.history_window = 1 << 17;
     rejoin.max_sim = Duration::from_secs(30);
-    let (events, digest, m) = fingerprint(rejoin);
+    let (events, digest, elapsed, m) = fingerprint(rejoin);
     assert_eq!(m.rejoins.len(), 1, "the restarted site rejoined");
     assert!(m.recovery_work.replayed_entries > 0, "the delta log replayed entries");
     assert_eq!(
-        (events, digest),
-        (299_110, 0xea5ecf609fc2fa36),
+        (events, digest, elapsed),
+        (299_110, 0xea5ecf609fc2fa36, 12_602_765_936),
         "6-site rf-2 partial, synchronous, rejoin"
     );
 }

@@ -53,8 +53,8 @@ fn rig_and_sim_produce_comparable_latency_distributions() {
     // that granularity (tighter bounds would make the test flaky on loaded
     // CI machines).
     let (rm, sm) = (
-        real.update_ms.percentile(50.0).expect("samples"),
-        sim.update_ms.percentile(50.0).expect("samples"),
+        real.update_ms.quantile(0.5).expect("samples"),
+        sim.update_ms.quantile(0.5).expect("samples"),
     );
     let ratio = if rm > sm { rm / sm } else { sm / rm };
     assert!(ratio < 3.0, "median ratio {ratio:.2} (real {rm:.2}ms vs sim {sm:.2}ms)");
