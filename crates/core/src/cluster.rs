@@ -68,8 +68,6 @@ impl Cluster {
     /// Builds the full model for `cfg`: network, sites, protocol stacks and
     /// fault injection hooks. Clients start after [`Cluster::run`].
     pub fn build(cfg: ExperimentConfig) -> Self {
-        assert!(cfg.sites >= 1, "at least one site");
-        assert!(cfg.clients >= 1, "at least one client");
         if let Err(e) = cfg.validate() {
             panic!("invalid experiment config: {e}");
         }

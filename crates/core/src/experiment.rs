@@ -3,7 +3,7 @@
 use dbsm_cert::{CertBackendKind, CertWork};
 use dbsm_db::{CcPolicy, StorageConfig};
 use dbsm_fault::{FaultPlan, PlanError};
-use dbsm_gcs::{AnnBatchPolicy, GcsConfig};
+use dbsm_gcs::{AnnBatchPolicy, GcsConfig, MAX_NODES};
 use std::fmt;
 use std::time::Duration;
 
@@ -216,20 +216,31 @@ impl ExperimentConfig {
         gcs
     }
 
-    /// Checks the configuration: the CPU speed, the fault plan against the
-    /// site count, the replication factor, and — under partial replication
-    /// — the fault plan via [`FaultPlan::validate_coverage`]: only fault
-    /// schedules leaving some instant with *zero live sites cluster-wide*
-    /// are rejected, since a span stranded by the loss of its whole replica
-    /// set re-homes to an elected survivor instead of becoming unroutable. Both
-    /// commit paths combine with partial replication: the pipelined path
-    /// precomputes each site's wire vote at tentative delivery so the vote
-    /// round overlaps the ordering round.
+    /// Checks the configuration: the site, client and CPU counts (a group
+    /// addresses at most [`MAX_NODES`] sites), the CPU speed, the fault
+    /// plan against the site count, the replication factor, and — under
+    /// partial replication — the fault plan via
+    /// [`FaultPlan::validate_coverage`]: only fault schedules leaving some
+    /// instant with *zero live sites cluster-wide* are rejected, since a
+    /// span stranded by the loss of its whole replica set re-homes to an
+    /// elected survivor instead of becoming unroutable. Both commit paths
+    /// combine with partial replication: the pipelined path precomputes each
+    /// site's wire vote at tentative delivery so the vote round overlaps the
+    /// ordering round.
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] found.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(1..=MAX_NODES).contains(&self.sites) {
+            return Err(ConfigError::Sites(self.sites));
+        }
+        if self.clients == 0 {
+            return Err(ConfigError::NoClients);
+        }
+        if self.cpus_per_site == 0 {
+            return Err(ConfigError::NoCpus);
+        }
         if !(self.cpu_speed.is_finite() && self.cpu_speed > 0.0) {
             return Err(ConfigError::CpuSpeed(self.cpu_speed));
         }
@@ -251,6 +262,12 @@ pub enum ConfigError {
     /// The fault plan is malformed, or downs every site of a partially
     /// replicated run at once ([`FaultPlan::validate_coverage`]).
     Fault(PlanError),
+    /// `sites` is zero, or more than a group addresses ([`MAX_NODES`]).
+    Sites(usize),
+    /// `clients` is zero: no transaction would ever be submitted.
+    NoClients,
+    /// `cpus_per_site` is zero: no site could run anything.
+    NoCpus,
     /// The replication factor is zero: no site would store anything.
     ZeroReplication,
     /// `cpu_speed` is zero, negative, NaN or infinite: every charged cost
@@ -262,6 +279,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::Fault(e) => write!(f, "{e}"),
+            ConfigError::Sites(n) => write!(f, "sites must be 1 to {MAX_NODES}, not {n}"),
+            ConfigError::NoClients => write!(f, "a run needs at least one client"),
+            ConfigError::NoCpus => write!(f, "a site needs at least one CPU"),
             ConfigError::ZeroReplication => {
                 write!(f, "partial replication needs a replication factor of at least 1")
             }
@@ -541,6 +561,22 @@ mod tests {
             SimTime::from_secs(2),
         );
         assert!(ExperimentConfig::replicated(3, 30).with_faults(bad).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_counts_the_cluster_cannot_build() {
+        let base = ExperimentConfig::replicated(3, 60);
+        let cases = [
+            (ExperimentConfig { sites: 0, ..base.clone() }, ConfigError::Sites(0)),
+            (ExperimentConfig { sites: MAX_NODES + 1, ..base.clone() }, ConfigError::Sites(65)),
+            (ExperimentConfig { clients: 0, ..base.clone() }, ConfigError::NoClients),
+            (ExperimentConfig { cpus_per_site: 0, ..base.clone() }, ConfigError::NoCpus),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(cfg.validate(), Err(want));
+        }
+        let widest = ExperimentConfig { sites: MAX_NODES, ..base };
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     #[test]

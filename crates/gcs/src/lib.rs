@@ -59,8 +59,8 @@ pub use stability::{Gossip, Stability};
 pub use stack::Gcs;
 pub use types::{GcsMetrics, NodeId, NodeSet, Upcall, View, MAX_NODES};
 pub use wire::{
-    decode_seq_ann, encode_seq_ann, Envelope, Message, PayloadKind, SeqAssign, WireError, WireVote,
-    DATA_OVERHEAD, ENVELOPE_OVERHEAD, SEQ_ASSIGN_WIRE, WIRE_VOTE_WIRE,
+    decode_seq_ann, encode_seq_ann, Envelope, Fragment, Message, PayloadKind, SeqAssign, WireError,
+    WireVote,
 };
 
 #[cfg(test)]

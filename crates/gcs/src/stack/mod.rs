@@ -42,11 +42,13 @@ use crate::config::{GcsConfig, FRAG_PAYLOAD, HEARTBEAT_PERIOD, NAK_RETRY, PROC_C
 use crate::runtime::{ProtocolRuntime, TimerKind};
 use crate::stability::Stability;
 use crate::types::{GcsMetrics, NodeId, NodeSet, Upcall, View};
-use crate::wire::{decode_seq_ann, Envelope, Message, PayloadKind, WireVote, SEQ_ASSIGN_WIRE};
+use crate::wire::{
+    decode_seq_ann, Envelope, Field, Fragment, Message, PayloadKind, SeqAssign, WireVote,
+};
 use bytes::Bytes;
 use membership::{Grant, Phase};
 use order::TotalOrder;
-use reliable::{frags_for, Advanced, FragRecord, RecvStream, SendState};
+use reliable::{frags_for, Advanced, RecvStream, SendState};
 use std::collections::VecDeque;
 use votes::{VoteLink, VoteState};
 
@@ -359,15 +361,15 @@ impl Gcs {
                 if matches!(self.phase, Phase::Stable) && self.to.is_sequencer() {
                     ann = self.to.take_piggyback(rt, room, &mut self.metrics);
                 }
-                let room = room.saturating_sub(ann.len() * SEQ_ASSIGN_WIRE);
+                let room = room.saturating_sub(ann.len() * SeqAssign::LEN);
                 votes = self.votes.take_piggyback(room, &mut self.metrics);
             }
-            let rec = FragRecord { total, idx, kind, ann, votes, payload: chunk };
-            let seq = self.send.push(rec.clone());
-            self.out(rt).multicast(rec.data(seq, false));
+            let frag = Fragment { total, idx, kind, ann, votes, payload: chunk };
+            let seq = self.send.push(frag.clone());
+            self.out(rt).multicast(Message::Data { seq, retrans: false, frag: frag.clone() });
             self.metrics.frags_sent += 1;
             // Loopback: count own fragment as received by self.
-            self.on_fragment(rt, self.me, seq, rec);
+            self.on_fragment(rt, self.me, seq, frag);
         }
     }
 
@@ -419,10 +421,8 @@ impl Gcs {
             return self.on_join_grant(rt, msg);
         }
         match msg {
-            Message::Data { seq, total_frags, frag_idx, kind, ann, votes, payload, .. } => {
-                let rec =
-                    FragRecord { total: total_frags, idx: frag_idx, kind, ann, votes, payload };
-                self.on_fragment(rt, from, seq, rec);
+            Message::Data { seq, frag, .. } => {
+                self.on_fragment(rt, from, seq, frag);
                 self.try_complete_install(rt);
             }
             Message::Nak { target, ranges } => {
@@ -471,9 +471,9 @@ impl Gcs {
         rt: &mut dyn ProtocolRuntime,
         from: NodeId,
         seq: u64,
-        rec: FragRecord,
+        frag: Fragment,
     ) {
-        if self.peers[from.0 as usize].recv.accept(seq, rec, &mut self.metrics) {
+        if self.peers[from.0 as usize].recv.accept(seq, frag, &mut self.metrics) {
             self.advance_stream(rt, from);
         }
     }
@@ -585,8 +585,9 @@ impl Gcs {
             }
         };
         let seqs = ranges.iter().flat_map(|&(from, to)| from..=to);
-        for (seq, rec) in seqs.filter_map(|seq| Some((seq, cached(seq)?))).take(MAX_ANSWER) {
-            out.relay(target, [requester], rec.data(seq, true));
+        for (seq, frag) in seqs.filter_map(|seq| Some((seq, cached(seq)?))).take(MAX_ANSWER) {
+            let resend = Message::Data { seq, retrans: true, frag: frag.clone() };
+            out.relay(target, [requester], resend);
             self.metrics.retrans_sent += 1;
         }
     }

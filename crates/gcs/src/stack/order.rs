@@ -6,7 +6,7 @@ use super::{GcsMetrics, Upcall};
 use crate::config::{AnnBatchPolicy, GcsConfig};
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
 use crate::types::{NodeId, NodeSet};
-use crate::wire::{encode_seq_ann, SeqAssign, SEQ_ASSIGN_WIRE};
+use crate::wire::{encode_seq_ann, Field, SeqAssign};
 use bytes::Bytes;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -173,7 +173,7 @@ impl TotalOrder {
         room: usize,
         m: &mut GcsMetrics,
     ) -> Vec<SeqAssign> {
-        let k = (room / SEQ_ASSIGN_WIRE).min(self.pending_ann.len());
+        let k = (room / SeqAssign::LEN).min(self.pending_ann.len());
         if k == 0 {
             return Vec::new();
         }

@@ -11,40 +11,12 @@ use super::GcsMetrics;
 use crate::config::{GcsConfig, FRAG_PAYLOAD};
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
 use crate::seq_ring::SeqRing;
-use crate::wire::{Message, PayloadKind, SeqAssign, WireVote};
+use crate::wire::{Fragment, PayloadKind, SeqAssign, WireVote};
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
 
 pub(super) fn frags_for(len: usize) -> u64 {
     len.div_ceil(FRAG_PAYLOAD).max(1) as u64
-}
-
-#[derive(Debug, Clone)]
-pub(super) struct FragRecord {
-    pub total: u16,
-    pub idx: u16,
-    pub kind: PayloadKind,
-    /// Piggybacked sequencer assignments; part of the fragment's identity so
-    /// retransmissions (own buffer and peers' retained caches) carry them.
-    pub ann: Vec<SeqAssign>,
-    /// Piggybacked certification votes; like `ann`, fragment identity.
-    pub votes: Vec<WireVote>,
-    pub payload: Bytes,
-}
-
-impl FragRecord {
-    pub fn data(&self, seq: u64, retrans: bool) -> Message {
-        Message::Data {
-            seq,
-            total_frags: self.total,
-            frag_idx: self.idx,
-            kind: self.kind,
-            ann: self.ann.clone(),
-            votes: self.votes.clone(),
-            payload: self.payload.clone(),
-            retrans,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -58,20 +30,20 @@ struct Assembler {
 impl Assembler {
     /// Feeds the next in-order fragment; returns a complete message as
     /// `(first_seq, kind, payload)` when assembly finishes.
-    fn feed(&mut self, seq: u64, rec: &FragRecord) -> Option<(u64, PayloadKind, Bytes)> {
-        if rec.idx == 0 {
+    fn feed(&mut self, seq: u64, frag: &Fragment) -> Option<(u64, PayloadKind, Bytes)> {
+        if frag.idx == 0 {
             self.first_seq = seq;
-            self.total = rec.total;
-            self.kind = rec.kind;
+            self.total = frag.total;
+            self.kind = frag.kind;
             self.frags.clear();
-        } else if self.frags.len() != rec.idx as usize || self.total != rec.total {
+        } else if self.frags.len() != frag.idx as usize || self.total != frag.total {
             // Stream corruption would indicate a protocol bug: fragments
             // arrive in contiguous order by construction.
             debug_assert!(false, "fragment sequence corrupted");
             self.frags.clear();
             return None;
         }
-        self.frags.push(rec.payload.clone());
+        self.frags.push(frag.payload.clone());
         if self.frags.len() == self.total as usize {
             let payload = if self.frags.len() == 1 {
                 self.frags.pop().expect("one fragment")
@@ -103,10 +75,10 @@ pub(super) struct RecvStream {
     /// All fragments `1..=contiguous` received and processed.
     pub contiguous: u64,
     /// Out-of-order fragments beyond the contiguous prefix.
-    ooo: SeqRing<FragRecord>,
+    ooo: SeqRing<Fragment>,
     /// Contiguously received but not-yet-stable fragments, kept so peers can
     /// be served retransmissions when the original sender is gone.
-    retained: SeqRing<FragRecord>,
+    retained: SeqRing<Fragment>,
     /// Highest fragment known to exist in this stream (from data/heartbeats).
     pub highest_known: u64,
     /// When the current head gap was first noticed (ns); None = no gap.
@@ -133,13 +105,13 @@ impl RecvStream {
     }
 
     /// Buffers fragment `seq`; false if it is a duplicate.
-    pub fn accept(&mut self, seq: u64, rec: FragRecord, m: &mut GcsMetrics) -> bool {
+    pub fn accept(&mut self, seq: u64, frag: Fragment, m: &mut GcsMetrics) -> bool {
         self.highest_known = self.highest_known.max(seq);
         if seq <= self.contiguous || self.ooo.contains_key(seq) {
             m.duplicates += 1;
             return false;
         }
-        self.ooo.insert(seq, rec);
+        self.ooo.insert(seq, frag);
         true
     }
 
@@ -149,22 +121,22 @@ impl RecvStream {
     pub fn advance(&mut self, own: bool, up: &mut Advanced, now: impl FnOnce() -> u64) {
         while self.contiguous < self.delivery_limit() {
             let next = self.contiguous + 1;
-            let Some(rec) = self.ooo.remove(next) else { break };
+            let Some(frag) = self.ooo.remove(next) else { break };
             self.contiguous = next;
             // Piggybacked assignments apply only once their carrier fragment
             // is consumed into the contiguous prefix: that is the same
             // flush/cut discipline `SeqAnn` messages obey, so a beyond-cut
             // straggler can never apply assignments at some survivors and
             // not others across a view change.
-            up.anns.extend(rec.ann.iter().map(|a| (*a, next)));
+            up.anns.extend(frag.ann.iter().map(|a| (*a, next)));
             if !own {
-                up.votes.extend(rec.votes.iter().copied());
+                up.votes.extend(frag.votes.iter().copied());
             }
-            if let Some(msg) = self.asm.feed(next, &rec) {
+            if let Some(msg) = self.asm.feed(next, &frag) {
                 up.completed.push(msg);
             }
             if !own {
-                self.retained.insert(next, rec);
+                self.retained.insert(next, frag);
             }
         }
         // Gap bookkeeping for the NAK machinery.
@@ -177,7 +149,7 @@ impl RecvStream {
         }
     }
 
-    pub fn cached(&self, seq: u64) -> Option<&FragRecord> {
+    pub fn cached(&self, seq: u64) -> Option<&Fragment> {
         self.retained.get(seq).or_else(|| self.ooo.get(seq))
     }
 
@@ -249,7 +221,7 @@ pub(super) struct SendState {
     /// Next fragment sequence number to assign (1-based).
     pub next_frag: u64,
     /// Own unstable fragments (for retransmission).
-    pub buffer: SeqRing<FragRecord>,
+    pub buffer: SeqRing<Fragment>,
     /// Messages admitted by the application but not yet transmitted
     /// (window/rate/flush blocked).
     pub pending: VecDeque<(PayloadKind, Bytes)>,
@@ -337,10 +309,10 @@ impl SendState {
         }
     }
 
-    pub fn push(&mut self, rec: FragRecord) -> u64 {
+    pub fn push(&mut self, frag: Fragment) -> u64 {
         let seq = self.next_frag;
         self.next_frag += 1;
-        self.buffer.insert(seq, rec);
+        self.buffer.insert(seq, frag);
         seq
     }
 
@@ -353,8 +325,8 @@ impl SendState {
 mod tests {
     use super::*;
 
-    fn frag(idx: u16, total: u16, byte: u8) -> FragRecord {
-        FragRecord {
+    fn frag(idx: u16, total: u16, byte: u8) -> Fragment {
+        Fragment {
             total,
             idx,
             kind: PayloadKind::App,

@@ -20,16 +20,15 @@ fn pkt(sender: u16, msg: Message) -> Bytes {
 
 /// A single-fragment application message carrying `ann` piggybacked.
 fn data(seq: u64, ann: Vec<SeqAssign>, payload: &'static [u8]) -> Message {
-    Message::Data {
-        seq,
-        total_frags: 1,
-        frag_idx: 0,
+    let frag = Fragment {
+        total: 1,
+        idx: 0,
         kind: PayloadKind::App,
         ann,
         votes: Vec::new(),
         payload: Bytes::from_static(payload),
-        retrans: false,
-    }
+    };
+    Message::Data { seq, retrans: false, frag }
 }
 
 fn app_fragment(sender: NodeId, seq: u64, payload: &'static [u8]) -> Bytes {
@@ -230,8 +229,9 @@ fn pending_announcements_piggyback_on_app_fragments() {
     assert_eq!(g.to.pending_ann[0].sender, NodeId(0));
     assert!(ann_timer_armed(&g, &rt), "fresh assignment re-armed the flush timer");
     // The carried assignment is on the wire...
-    let carried =
-        sent_msgs(&rt).iter().any(|m| matches!(m, Message::Data { ann, .. } if !ann.is_empty()));
+    let carried = sent_msgs(&rt)
+        .iter()
+        .any(|m| matches!(m, Message::Data { frag, .. } if !frag.ann.is_empty()));
     assert!(carried, "an outgoing fragment carries the assignment");
     // ...and applied through loopback: the remote message delivers.
     assert_eq!(deliveries(&mut g), vec![(NodeId(1), 1)]);
@@ -277,7 +277,7 @@ fn piggyback_respects_mtu_slack() {
     g.broadcast(&mut rt, Bytes::from(vec![0u8; FRAG_PAYLOAD - 1]));
     assert_eq!(g.metrics().ann_piggybacked, 0, "no slack, no piggyback");
     g.broadcast(&mut rt, Bytes::from_static(b"x"));
-    let max_fit = ((FRAG_PAYLOAD - 1) / SEQ_ASSIGN_WIRE) as u64;
+    let max_fit = ((FRAG_PAYLOAD - 1) / SeqAssign::LEN) as u64;
     assert_eq!(g.metrics().ann_piggybacked, max_fit, "slack filled to the MTU");
     // Each broadcast's own message joins the batch at loopback: 200
     // seeded assignments + 2 own, minus what the second fragment carried.
@@ -575,7 +575,7 @@ fn votes_piggyback_on_outgoing_fragment_slack() {
     assert_eq!(m.votes_sent, 3);
     let carried = sent_msgs(&rt)
         .into_iter()
-        .any(|m| matches!(m, Message::Data { votes, .. } if votes.len() == 3));
+        .any(|m| matches!(m, Message::Data { frag, .. } if frag.votes.len() == 3));
     assert!(carried, "outgoing fragment carries the votes");
     assert!(g.votes.pending.is_empty());
     // No slack, no piggyback: a full fragment defers to the heartbeat.

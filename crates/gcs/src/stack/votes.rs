@@ -5,7 +5,7 @@
 use super::{GcsMetrics, Out};
 use crate::config::MAX_PACKET;
 use crate::seq_ring::SeqRing;
-use crate::wire::{Message, WireVote, ENVELOPE_OVERHEAD, WIRE_VOTE_WIRE};
+use crate::wire::{Field, Message, WireVote, ENVELOPE_OVERHEAD};
 
 /// Sender side: votes get a monotone per-voter sequence number, sit in
 /// `pending` until they either ride the MTU slack of an outgoing data
@@ -24,11 +24,11 @@ pub(super) struct VoteState {
 }
 
 /// Most votes that fit one standalone `Vote` frame: envelope plus the
-/// base/count header, then [`WIRE_VOTE_WIRE`] per vote, all within
+/// base/count header, then one [`WireVote`] record per vote, all within
 /// [`MAX_PACKET`]. The network drops datagrams over the MTU, so a frame
 /// that overflows it is lost on every transmission — including the
 /// heartbeat retransmissions that are supposed to repair the loss.
-const VOTES_PER_FRAME: usize = (MAX_PACKET - (ENVELOPE_OVERHEAD + 8 + 2)) / WIRE_VOTE_WIRE;
+const VOTES_PER_FRAME: usize = (MAX_PACKET - ENVELOPE_OVERHEAD - <(u64, u16)>::LEN) / WireVote::LEN;
 
 /// Receiver side, per voter: contiguity tracking surfaces votes in cast
 /// order exactly once.
@@ -86,7 +86,7 @@ impl VoteState {
     /// Drains as many pending votes as fit in `room` payload bytes of an
     /// outgoing application fragment (the slack left after announcements).
     pub fn take_piggyback(&mut self, room: usize, m: &mut GcsMetrics) -> Vec<WireVote> {
-        let k = (room / WIRE_VOTE_WIRE).min(self.pending.len());
+        let k = (room / WireVote::LEN).min(self.pending.len());
         if k == 0 {
             return Vec::new();
         }
@@ -173,7 +173,7 @@ mod tests {
         for txn in 0..3 {
             vs.cast(0, txn, None, true);
         }
-        assert_eq!(vs.take_piggyback(2 * WIRE_VOTE_WIRE + 1, &mut m).len(), 2);
+        assert_eq!(vs.take_piggyback(2 * WireVote::LEN + 1, &mut m).len(), 2);
         assert_eq!((vs.pending.len(), m.votes_piggybacked), (1, 2));
         vs.gc(Some(1));
         assert_eq!(vs.outbox.keys().collect::<Vec<_>>(), vec![2, 3]);

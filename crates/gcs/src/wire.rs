@@ -1,8 +1,10 @@
 //! Wire format of the group-communication stack.
 //!
-//! Hand-rolled little-endian encoding over [`bytes`]; data payloads are
-//! carried as zero-copy slices (§3.3's "avoids copying the contents of
-//! buffers that are already marshaled").
+//! Little-endian encoding over [`bytes`]. Each field type states its layout
+//! once, as a [`Field`]; the `frames!` table lists each frame once, as its
+//! kind byte and its fields in wire order. Data payloads are carried as
+//! zero-copy slices (§3.3's "avoids copying the contents of buffers that
+//! are already marshaled").
 
 use crate::stability::Gossip;
 use crate::types::{NodeId, NodeSet};
@@ -18,28 +20,11 @@ const MAGIC: u8 = 0x5D;
 pub enum PayloadKind {
     /// Application data (a marshalled certification request for the DBSM).
     #[default]
-    App,
+    App = 0,
     /// Sequencer announcements (total-order metadata) — deliberately shipped
     /// through the *reliable* layer so they consume the sequencer's buffer
     /// share, reproducing the bottleneck analysed in §5.3.
-    SeqAnn,
-}
-
-impl PayloadKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            PayloadKind::App => 0,
-            PayloadKind::SeqAnn => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(PayloadKind::App),
-            1 => Some(PayloadKind::SeqAnn),
-            _ => None,
-        }
-    }
+    SeqAnn = 1,
 }
 
 /// One sequencer assignment: `(sender, sender_seq) -> global_seq`.
@@ -69,6 +54,28 @@ pub struct WireVote {
     pub conflict: Option<u64>,
 }
 
+/// A data fragment of the reliable multicast layer, as the sender buffers
+/// it for retransmission, a receiver caches it for repair and reassembly
+/// consumes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fragment {
+    /// Number of fragments in the whole message.
+    pub total: u16,
+    /// Index of this fragment within the message.
+    pub idx: u16,
+    /// Payload routing tag.
+    pub kind: PayloadKind,
+    /// Sequencer assignments piggybacked in the packet's MTU slack —
+    /// hot-path announcements that cost zero extra messages. Part of the
+    /// fragment's identity: retransmissions carry the same batch.
+    pub ann: Vec<SeqAssign>,
+    /// Certification votes piggybacked after the announcements in the
+    /// remaining MTU slack. Like `ann`, part of the fragment's identity.
+    pub votes: Vec<WireVote>,
+    /// Fragment bytes.
+    pub payload: Bytes,
+}
+
 /// A protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
@@ -76,23 +83,10 @@ pub enum Message {
     Data {
         /// Fragment sequence number in the sender's stream.
         seq: u64,
-        /// Number of fragments in the whole message.
-        total_frags: u16,
-        /// Index of this fragment within the message.
-        frag_idx: u16,
-        /// Payload routing tag.
-        kind: PayloadKind,
-        /// Sequencer assignments piggybacked in the packet's MTU slack —
-        /// hot-path announcements that cost zero extra messages. Part of the
-        /// fragment's identity: retransmissions carry the same batch.
-        ann: Vec<SeqAssign>,
-        /// Certification votes piggybacked after the announcements in the
-        /// remaining MTU slack. Like `ann`, part of the fragment's identity.
-        votes: Vec<WireVote>,
-        /// Fragment bytes.
-        payload: Bytes,
         /// True when this is a retransmission (metrics only).
         retrans: bool,
+        /// The fragment.
+        frag: Fragment,
     },
     /// Receiver-initiated retransmission request: "I am missing fragments
     /// `ranges` of `target`'s stream" — unicast to whoever should resend.
@@ -178,6 +172,79 @@ pub enum Message {
     },
 }
 
+/// Expands one `frames!` row: `put` writes a frame's fields, `get` reads
+/// them back into its message. A row with `by` names its own codec pair.
+macro_rules! frame {
+    (put $b:ident { $($f:ident),* } $put:ident) => { $put($b, $($f),*) };
+    (put $b:ident { $($f:ident),* }) => { $(Field::put($f, $b);)* };
+    (put $b:ident ( $($f:ident),* )) => { $(Field::put($f, $b);)* };
+    (get $buf:ident $var:ident $fields:tt $get:ident) => { $get($buf)? };
+    (get $buf:ident $var:ident { $($f:ident),* }) => {{
+        $(let $f = Field::get($buf)?;)*
+        Message::$var { $($f),* }
+    }};
+    (get $buf:ident $var:ident ( $($f:ident),* )) => {{
+        $(let $f = Field::get($buf)?;)*
+        Message::$var($($f),*)
+    }};
+}
+
+/// The frame table: each frame's kind byte and its fields in wire order,
+/// after the envelope header. Generates encode and decode.
+macro_rules! frames {
+    ($($kind:literal => $var:ident $fields:tt $(by $put:ident, $get:ident)?;)*) => {
+        impl Envelope {
+            /// Encodes to a fresh buffer.
+            pub fn encode(&self) -> Bytes {
+                let kind: u8 = match self.msg {
+                    $(Message::$var { .. } => $kind,)*
+                };
+                let mut out = BytesMut::with_capacity(ENVELOPE_OVERHEAD + 64);
+                let b = &mut out;
+                (MAGIC, kind, self.sender, self.view).put(b);
+                match &self.msg {
+                    $(Message::$var $fields => {
+                        frame!(put b $fields $($put)?);
+                    })*
+                }
+                out.freeze()
+            }
+
+            /// Decodes an envelope.
+            ///
+            /// # Errors
+            ///
+            /// [`WireError`] on short or mis-tagged input.
+            pub fn decode(mut buf: Bytes) -> Result<Envelope, WireError> {
+                let buf = &mut buf;
+                let (magic, kind, sender, view) = Header::get(buf)?;
+                if magic != MAGIC {
+                    return Err(WireError::BadTag(magic));
+                }
+                let msg = match kind {
+                    $($kind => frame!(get buf $var $fields $($get)?),)*
+                    other => return Err(WireError::BadTag(other)),
+                };
+                Ok(Envelope { sender, view, msg })
+            }
+        }
+    };
+}
+
+frames! {
+    0 => Data { seq, retrans, frag } by put_data, get_data;
+    1 => Nak { target, ranges };
+    2 => Gossip(gossip);
+    3 => Heartbeat { sent };
+    4 => FlushReq { new_view, members };
+    5 => FlushAck { new_view, received };
+    6 => ViewInstall { new_view, members, cut };
+    7 => JoinReq {};
+    8 => JoinGrant { new_view, members, cut, order_base, skipped, sequencer };
+    9 => Vote { base, votes };
+    10 => VoteAck { up_to };
+}
+
 /// Decode error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -209,291 +276,40 @@ pub struct Envelope {
     pub msg: Message,
 }
 
-/// Fixed envelope overhead in bytes (magic, kind, sender, view).
-pub const ENVELOPE_OVERHEAD: usize = 1 + 1 + 2 + 8;
-/// Per-fragment data header beyond the envelope (includes both piggyback
-/// counts: announcements and votes).
-pub const DATA_OVERHEAD: usize = 8 + 2 + 2 + 1 + 1 + 2 + 2;
-/// Wire size of one encoded [`SeqAssign`].
-pub const SEQ_ASSIGN_WIRE: usize = 2 + 8 + 8;
-/// Wire size of one encoded [`WireVote`] (seq, origin, txn, flag, conflict).
-pub const WIRE_VOTE_WIRE: usize = 8 + 2 + 8 + 1 + 8;
+/// The envelope header: magic, kind, sender and view.
+type Header = (u8, u8, NodeId, u64);
 
-fn put_seq_assign(b: &mut BytesMut, a: &SeqAssign) {
-    b.put_u16_le(a.sender.0);
-    b.put_u64_le(a.msg_seq);
-    b.put_u64_le(a.global_seq);
+/// A `Data` frame's header: seq, total, idx, kind, retrans, then both
+/// piggyback counts. The two lists follow it, and the payload is the rest
+/// of the packet.
+type DataHeader = (u64, u16, u16, PayloadKind, bool, u16, u16);
+
+/// Fixed envelope overhead in bytes.
+pub(crate) const ENVELOPE_OVERHEAD: usize = Header::LEN;
+/// Per-fragment data header beyond the envelope.
+pub(crate) const DATA_OVERHEAD: usize = DataHeader::LEN;
+
+fn put_data(b: &mut BytesMut, seq: &u64, retrans: &bool, f: &Fragment) {
+    let counts = (f.ann.len() as u16, f.votes.len() as u16);
+    (*seq, f.total, f.idx, f.kind, *retrans, counts.0, counts.1).put(b);
+    f.ann.iter().for_each(|a| a.put(b));
+    f.votes.iter().for_each(|v| v.put(b));
+    b.put_slice(&f.payload);
 }
 
-fn get_seq_assign(buf: &mut Bytes) -> SeqAssign {
-    SeqAssign {
-        sender: NodeId(buf.get_u16_le()),
-        msg_seq: buf.get_u64_le(),
-        global_seq: buf.get_u64_le(),
-    }
-}
-
-fn put_wire_vote(b: &mut BytesMut, v: &WireVote) {
-    b.put_u64_le(v.seq);
-    b.put_u16_le(v.origin);
-    b.put_u64_le(v.txn);
-    // Fixed-width option: flag byte + always-present value keeps the record
-    // size constant so truncation checks stay a single multiply.
-    b.put_u8(u8::from(v.conflict.is_some()));
-    b.put_u64_le(v.conflict.unwrap_or(0));
-}
-
-fn get_wire_vote(buf: &mut Bytes) -> WireVote {
-    let seq = buf.get_u64_le();
-    let origin = buf.get_u16_le();
-    let txn = buf.get_u64_le();
-    let some = buf.get_u8() != 0;
-    let val = buf.get_u64_le();
-    WireVote { seq, origin, txn, conflict: some.then_some(val) }
-}
-
-/// Fails as truncated unless `buf` holds at least `n` more bytes.
-fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
-    if buf.len() < n {
-        return Err(WireError::Truncated);
-    }
-    Ok(())
-}
-
-/// A `u16` count, then that many `u64`s.
-fn put_u64s(b: &mut BytesMut, v: &[u64]) {
-    b.put_u16_le(v.len() as u16);
-    for x in v {
-        b.put_u64_le(*x);
-    }
-}
-
-fn get_u64s(buf: &mut Bytes) -> Result<Vec<u64>, WireError> {
-    need(buf, 2)?;
-    let n = buf.get_u16_le() as usize;
-    need(buf, n * 8)?;
-    Ok((0..n).map(|_| buf.get_u64_le()).collect())
-}
-
-impl Envelope {
-    /// Encodes to a fresh buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(ENVELOPE_OVERHEAD + 64);
-        b.put_u8(MAGIC);
-        b.put_u8(self.kind_byte());
-        b.put_u16_le(self.sender.0);
-        b.put_u64_le(self.view);
-        match &self.msg {
-            Message::Data { seq, total_frags, frag_idx, kind, ann, votes, payload, retrans } => {
-                b.put_u64_le(*seq);
-                b.put_u16_le(*total_frags);
-                b.put_u16_le(*frag_idx);
-                b.put_u8(kind.to_byte());
-                b.put_u8(u8::from(*retrans));
-                b.put_u16_le(ann.len() as u16);
-                b.put_u16_le(votes.len() as u16);
-                for a in ann {
-                    put_seq_assign(&mut b, a);
-                }
-                for v in votes {
-                    put_wire_vote(&mut b, v);
-                }
-                b.put_slice(payload);
-            }
-            Message::Nak { target, ranges } => {
-                b.put_u16_le(target.0);
-                b.put_u16_le(ranges.len() as u16);
-                for (from, to) in ranges {
-                    b.put_u64_le(*from);
-                    b.put_u64_le(*to);
-                }
-            }
-            Message::Gossip(g) => {
-                b.put_u64_le(g.round);
-                b.put_u64_le(g.w.bits());
-                b.put_u16_le(g.m.len() as u16);
-                for v in &g.m {
-                    b.put_u64_le(*v);
-                }
-                for v in &g.s {
-                    b.put_u64_le(*v);
-                }
-            }
-            Message::Heartbeat { sent } => {
-                b.put_u64_le(*sent);
-            }
-            Message::FlushReq { new_view, members } => {
-                b.put_u64_le(*new_view);
-                b.put_u64_le(members.bits());
-            }
-            Message::FlushAck { new_view, received } => {
-                b.put_u64_le(*new_view);
-                put_u64s(&mut b, received);
-            }
-            Message::ViewInstall { new_view, members, cut } => {
-                b.put_u64_le(*new_view);
-                b.put_u64_le(members.bits());
-                put_u64s(&mut b, cut);
-            }
-            Message::JoinReq => {}
-            Message::Vote { base, votes } => {
-                b.put_u64_le(*base);
-                b.put_u16_le(votes.len() as u16);
-                for v in votes {
-                    put_wire_vote(&mut b, v);
-                }
-            }
-            Message::VoteAck { up_to } => {
-                b.put_u64_le(*up_to);
-            }
-            Message::JoinGrant { new_view, members, cut, order_base, skipped, sequencer } => {
-                b.put_u64_le(*new_view);
-                b.put_u64_le(members.bits());
-                put_u64s(&mut b, cut);
-                b.put_u64_le(*order_base);
-                put_u64s(&mut b, skipped);
-                b.put_u16_le(sequencer.0);
-            }
-        }
-        b.freeze()
-    }
-
-    fn kind_byte(&self) -> u8 {
-        match &self.msg {
-            Message::Data { .. } => 0,
-            Message::Nak { .. } => 1,
-            Message::Gossip(_) => 2,
-            Message::Heartbeat { .. } => 3,
-            Message::FlushReq { .. } => 4,
-            Message::FlushAck { .. } => 5,
-            Message::ViewInstall { .. } => 6,
-            Message::JoinReq => 7,
-            Message::JoinGrant { .. } => 8,
-            Message::Vote { .. } => 9,
-            Message::VoteAck { .. } => 10,
-        }
-    }
-
-    /// Decodes an envelope.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on short or mis-tagged input.
-    pub fn decode(mut buf: Bytes) -> Result<Envelope, WireError> {
-        need(&buf, ENVELOPE_OVERHEAD)?;
-        let magic = buf.get_u8();
-        if magic != MAGIC {
-            return Err(WireError::BadTag(magic));
-        }
-        let kind = buf.get_u8();
-        let sender = NodeId(buf.get_u16_le());
-        let view = buf.get_u64_le();
-        let msg = match kind {
-            0 => {
-                need(&buf, DATA_OVERHEAD)?;
-                let seq = buf.get_u64_le();
-                let total_frags = buf.get_u16_le();
-                let frag_idx = buf.get_u16_le();
-                let k = buf.get_u8();
-                let retrans = buf.get_u8() != 0;
-                let kind = PayloadKind::from_byte(k).ok_or(WireError::BadTag(k))?;
-                let n_ann = buf.get_u16_le() as usize;
-                let n_votes = buf.get_u16_le() as usize;
-                need(&buf, n_ann * SEQ_ASSIGN_WIRE + n_votes * WIRE_VOTE_WIRE)?;
-                let ann = (0..n_ann).map(|_| get_seq_assign(&mut buf)).collect();
-                let votes = (0..n_votes).map(|_| get_wire_vote(&mut buf)).collect();
-                Message::Data {
-                    seq,
-                    total_frags,
-                    frag_idx,
-                    kind,
-                    ann,
-                    votes,
-                    payload: buf,
-                    retrans,
-                }
-            }
-            1 => {
-                need(&buf, 4)?;
-                let target = NodeId(buf.get_u16_le());
-                let n = buf.get_u16_le() as usize;
-                need(&buf, n * 16)?;
-                let ranges =
-                    (0..n).map(|_| (buf.get_u64_le(), buf.get_u64_le())).collect::<Vec<_>>();
-                Message::Nak { target, ranges }
-            }
-            2 => {
-                need(&buf, 18)?;
-                let round = buf.get_u64_le();
-                let w = NodeSet::from_bits(buf.get_u64_le());
-                let n = buf.get_u16_le() as usize;
-                need(&buf, n * 16)?;
-                let m = (0..n).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
-                let s = (0..n).map(|_| buf.get_u64_le()).collect::<Vec<_>>();
-                Message::Gossip(Gossip { round, w, m, s })
-            }
-            3 => {
-                need(&buf, 8)?;
-                Message::Heartbeat { sent: buf.get_u64_le() }
-            }
-            4 => {
-                need(&buf, 16)?;
-                Message::FlushReq {
-                    new_view: buf.get_u64_le(),
-                    members: NodeSet::from_bits(buf.get_u64_le()),
-                }
-            }
-            5 => {
-                need(&buf, 10)?;
-                let new_view = buf.get_u64_le();
-                Message::FlushAck { new_view, received: get_u64s(&mut buf)? }
-            }
-            6 => {
-                need(&buf, 18)?;
-                let new_view = buf.get_u64_le();
-                let members = NodeSet::from_bits(buf.get_u64_le());
-                Message::ViewInstall { new_view, members, cut: get_u64s(&mut buf)? }
-            }
-            7 => Message::JoinReq,
-            9 => {
-                need(&buf, 10)?;
-                let base = buf.get_u64_le();
-                let n = buf.get_u16_le() as usize;
-                need(&buf, n * WIRE_VOTE_WIRE)?;
-                let votes = (0..n).map(|_| get_wire_vote(&mut buf)).collect();
-                Message::Vote { base, votes }
-            }
-            10 => {
-                need(&buf, 8)?;
-                Message::VoteAck { up_to: buf.get_u64_le() }
-            }
-            8 => {
-                need(&buf, 18)?;
-                let new_view = buf.get_u64_le();
-                let members = NodeSet::from_bits(buf.get_u64_le());
-                let cut = get_u64s(&mut buf)?;
-                need(&buf, 8)?;
-                let order_base = buf.get_u64_le();
-                let skipped = get_u64s(&mut buf)?;
-                need(&buf, 2)?;
-                let sequencer = NodeId(buf.get_u16_le());
-                Message::JoinGrant { new_view, members, cut, order_base, skipped, sequencer }
-            }
-            other => return Err(WireError::BadTag(other)),
-        };
-        Ok(Envelope { sender, view, msg })
-    }
+fn get_data(buf: &mut Bytes) -> Result<Message, WireError> {
+    let (seq, total, idx, kind, retrans, n_ann, n_votes) = DataHeader::get(buf)?;
+    let ann = items(buf, n_ann.into())?;
+    let votes = items(buf, n_votes.into())?;
+    let frag = Fragment { total, idx, kind, ann, votes, payload: std::mem::take(buf) };
+    Ok(Message::Data { seq, retrans, frag })
 }
 
 /// Encodes a batch of sequencer assignments as a [`PayloadKind::SeqAnn`]
-/// payload.
+/// payload: the `Vec<SeqAssign>` layout.
 pub fn encode_seq_ann(assigns: &[SeqAssign]) -> Bytes {
-    debug_assert!(assigns.len() <= u16::MAX as usize, "announcement batch exceeds wire count");
-    let mut b = BytesMut::with_capacity(2 + assigns.len() * SEQ_ASSIGN_WIRE);
-    b.put_u16_le(assigns.len() as u16);
-    for a in assigns {
-        put_seq_assign(&mut b, a);
-    }
+    let mut b = BytesMut::with_capacity(u16::LEN + assigns.len() * SeqAssign::LEN);
+    put_list(&mut b, assigns);
     b.freeze()
 }
 
@@ -503,10 +319,137 @@ pub fn encode_seq_ann(assigns: &[SeqAssign]) -> Bytes {
 ///
 /// [`WireError::Truncated`] when the declared count exceeds the buffer.
 pub fn decode_seq_ann(mut buf: Bytes) -> Result<Vec<SeqAssign>, WireError> {
-    need(&buf, 2)?;
-    let n = buf.get_u16_le() as usize;
-    need(&buf, n * SEQ_ASSIGN_WIRE)?;
-    Ok((0..n).map(|_| get_seq_assign(&mut buf)).collect())
+    Vec::get(&mut buf)
+}
+
+/// A field type's little-endian wire layout.
+pub(crate) trait Field: Sized {
+    /// Encoded length in bytes; for a list, the length of its count.
+    const LEN: usize;
+    /// Appends the encoding to `b`.
+    fn put(&self, b: &mut BytesMut);
+    /// Reads one value off the front of `buf`: [`WireError::Truncated`] if
+    /// it is too short, [`WireError::BadTag`] for an unknown tag.
+    fn get(buf: &mut Bytes) -> Result<Self, WireError>;
+}
+
+/// Fails as truncated unless `buf` holds at least `n` more bytes.
+fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
+    (buf.len() >= n).then_some(()).ok_or(WireError::Truncated)
+}
+
+macro_rules! int_fields {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const LEN: usize = std::mem::size_of::<$t>();
+            fn put(&self, b: &mut BytesMut) {
+                b.put_slice(&self.to_le_bytes());
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, WireError> {
+                need(buf, Self::LEN)?;
+                let mut le = [0; std::mem::size_of::<$t>()];
+                buf.copy_to_slice(&mut le);
+                Ok(<$t>::from_le_bytes(le))
+            }
+        }
+    )*};
+}
+
+int_fields!(u8, u16, u64);
+
+/// Field types carried as another field type, written `Type as Carrier`
+/// with the conversion to the carrier and back.
+macro_rules! via {
+    ($($t:ty as $c:ty: |$x:ident| $to:expr, |$v:ident| $from:expr;)*) => {$(
+        impl Field for $t {
+            const LEN: usize = <$c>::LEN;
+            fn put(&self, b: &mut BytesMut) {
+                let $x = self;
+                <$c>::put(&$to, b);
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, WireError> {
+                let $v = <$c>::get(buf)?;
+                Ok($from)
+            }
+        }
+    )*};
+}
+
+via! {
+    bool as u8: |x| u8::from(*x), |v| v != 0;
+    NodeId as u16: |x| x.0, |v| NodeId(v);
+    NodeSet as u64: |x| x.bits(), |v| NodeSet::from_bits(v);
+    PayloadKind as u8: |x| *x as u8, |v| match v {
+        0 => PayloadKind::App,
+        1 => PayloadKind::SeqAnn,
+        k => return Err(WireError::BadTag(k)),
+    };
+    // A flag byte plus an always-present value: the fixed width keeps a
+    // record's size constant, so a list's length check stays one multiply.
+    Option<u64> as (bool, u64): |x| (x.is_some(), x.unwrap_or(0)), |v| v.0.then_some(v.1);
+    SeqAssign as (NodeId, u64, u64): |x| (x.sender, x.msg_seq, x.global_seq),
+        |v| SeqAssign { sender: v.0, msg_seq: v.1, global_seq: v.2 };
+    WireVote as (u64, u16, u64, Option<u64>): |x| (x.seq, x.origin, x.txn, x.conflict),
+        |v| WireVote { seq: v.0, origin: v.1, txn: v.2, conflict: v.3 };
+}
+
+macro_rules! tuple_fields {
+    ($(($($t:ident),+)),*) => {$(
+        #[allow(non_snake_case)]
+        impl<$($t: Field),+> Field for ($($t,)+) {
+            const LEN: usize = 0 $(+ $t::LEN)+;
+            fn put(&self, b: &mut BytesMut) {
+                let ($($t,)+) = self;
+                $($t.put(b);)+
+            }
+            fn get(buf: &mut Bytes) -> Result<Self, WireError> {
+                Ok(($($t::get(buf)?,)+))
+            }
+        }
+    )*};
+}
+
+tuple_fields!((A, B), (A, B, C), (A, B, C, D), (A, B, C, D, E, F, G));
+
+/// A `u16` count, then the items.
+impl<T: Field> Field for Vec<T> {
+    const LEN: usize = u16::LEN;
+    fn put(&self, b: &mut BytesMut) {
+        put_list(b, self);
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, WireError> {
+        let n = u16::get(buf)?;
+        items(buf, n.into())
+    }
+}
+
+/// One count covers both vectors.
+impl Field for Gossip {
+    const LEN: usize = <(u64, NodeSet, u16)>::LEN;
+    fn put(&self, b: &mut BytesMut) {
+        (self.round, self.w, self.m.len() as u16).put(b);
+        self.m.iter().chain(&self.s).for_each(|v| v.put(b));
+    }
+    fn get(buf: &mut Bytes) -> Result<Self, WireError> {
+        let (round, w, n) = <(u64, NodeSet, u16)>::get(buf)?;
+        Ok(Gossip { round, w, m: items(buf, n.into())?, s: items(buf, n.into())? })
+    }
+}
+
+fn put_list<T: Field>(b: &mut BytesMut, list: &[T]) {
+    debug_assert!(list.len() <= u16::MAX as usize, "list exceeds its wire count");
+    (list.len() as u16).put(b);
+    list.iter().for_each(|x| x.put(b));
+}
+
+/// `n` fixed-size items, length-checked before anything is allocated.
+fn items<T: Field>(buf: &mut Bytes, n: usize) -> Result<Vec<T>, WireError> {
+    need(buf, n * T::LEN)?;
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        v.push(T::get(buf)?);
+    }
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -519,44 +462,39 @@ mod tests {
         assert_eq!(back, env);
     }
 
+    fn data(retrans: bool, frag: Fragment) -> Message {
+        Message::Data { seq: 42, retrans, frag }
+    }
+
+    fn app(payload: Bytes) -> Fragment {
+        Fragment {
+            total: 1,
+            idx: 0,
+            kind: PayloadKind::App,
+            ann: Vec::new(),
+            votes: Vec::new(),
+            payload,
+        }
+    }
+
     #[test]
     fn all_kinds_roundtrip() {
-        roundtrip(Message::Data {
-            seq: 42,
-            total_frags: 3,
-            frag_idx: 1,
-            kind: PayloadKind::App,
-            ann: Vec::new(),
-            votes: Vec::new(),
-            payload: Bytes::from_static(b"hello"),
-            retrans: false,
-        });
-        roundtrip(Message::Data {
-            seq: 42,
-            total_frags: 1,
-            frag_idx: 0,
-            kind: PayloadKind::SeqAnn,
-            ann: Vec::new(),
-            votes: Vec::new(),
-            payload: Bytes::new(),
-            retrans: true,
-        });
-        roundtrip(Message::Data {
-            seq: 7,
-            total_frags: 1,
-            frag_idx: 0,
-            kind: PayloadKind::App,
-            ann: vec![
-                SeqAssign { sender: NodeId(1), msg_seq: 3, global_seq: 9 },
-                SeqAssign { sender: NodeId(2), msg_seq: 4, global_seq: 10 },
-            ],
-            votes: vec![
-                WireVote { seq: 1, origin: 2, txn: 17, conflict: None },
-                WireVote { seq: 2, origin: 0, txn: 3, conflict: Some(41) },
-            ],
-            payload: Bytes::from_static(b"carried"),
-            retrans: false,
-        });
+        roundtrip(data(false, Fragment { total: 3, idx: 1, ..app(Bytes::from_static(b"hello")) }));
+        roundtrip(data(true, Fragment { kind: PayloadKind::SeqAnn, ..app(Bytes::new()) }));
+        roundtrip(data(
+            false,
+            Fragment {
+                ann: vec![
+                    SeqAssign { sender: NodeId(1), msg_seq: 3, global_seq: 9 },
+                    SeqAssign { sender: NodeId(2), msg_seq: 4, global_seq: 10 },
+                ],
+                votes: vec![
+                    WireVote { seq: 1, origin: 2, txn: 17, conflict: None },
+                    WireVote { seq: 2, origin: 0, txn: 3, conflict: Some(41) },
+                ],
+                ..app(Bytes::from_static(b"carried"))
+            },
+        ));
         roundtrip(Message::Nak { target: NodeId(2), ranges: vec![(1, 5), (9, 9)] });
         roundtrip(Message::Vote {
             base: 4,
@@ -601,31 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_join_grant_rejected() {
-        let env = Envelope {
-            sender: NodeId(0),
-            view: 3,
-            msg: Message::JoinGrant {
-                new_view: 4,
-                members: NodeSet::first_n(3),
-                cut: vec![10, 20, 30],
-                order_base: 17,
-                skipped: vec![18],
-                sequencer: NodeId(1),
-            },
-        };
-        let full = env.encode();
-        for cut in ENVELOPE_OVERHEAD..full.len() {
-            assert_eq!(
-                Envelope::decode(full.slice(0..cut)),
-                Err(WireError::Truncated),
-                "cut={cut}"
-            );
-        }
-        assert!(Envelope::decode(full).is_ok());
-    }
-
-    #[test]
     fn rejects_bad_magic_and_kind() {
         let env = Envelope { sender: NodeId(0), view: 0, msg: Message::Heartbeat { sent: 0 } };
         let mut raw = BytesMut::from(&env.encode()[..]);
@@ -634,85 +547,6 @@ mod tests {
         raw[0] = MAGIC;
         raw[1] = 99;
         assert_eq!(Envelope::decode(raw.freeze()), Err(WireError::BadTag(99)));
-    }
-
-    #[test]
-    fn rejects_truncation_everywhere() {
-        let env = Envelope {
-            sender: NodeId(1),
-            view: 1,
-            msg: Message::Nak { target: NodeId(0), ranges: vec![(1, 2)] },
-        };
-        let full = env.encode();
-        for cut in 0..full.len() {
-            let r = Envelope::decode(full.slice(0..cut));
-            if cut < full.len() {
-                assert!(r.is_err() || cut >= ENVELOPE_OVERHEAD + 4, "cut={cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_piggyback_rejected() {
-        let env = Envelope {
-            sender: NodeId(0),
-            view: 1,
-            msg: Message::Data {
-                seq: 1,
-                total_frags: 1,
-                frag_idx: 0,
-                kind: PayloadKind::App,
-                ann: vec![SeqAssign { sender: NodeId(1), msg_seq: 1, global_seq: 1 }],
-                votes: vec![WireVote { seq: 1, origin: 0, txn: 1, conflict: Some(7) }],
-                payload: Bytes::new(),
-                retrans: false,
-            },
-        };
-        let full = env.encode();
-        // Cutting inside the piggyback region must be an error, never a
-        // misparse of assignment or vote bytes as payload.
-        for cut in ENVELOPE_OVERHEAD + DATA_OVERHEAD..full.len() {
-            assert_eq!(
-                Envelope::decode(full.slice(0..cut)),
-                Err(WireError::Truncated),
-                "cut={cut}"
-            );
-        }
-        assert!(Envelope::decode(full).is_ok());
-    }
-
-    #[test]
-    fn truncated_vote_batch_rejected() {
-        let env = Envelope {
-            sender: NodeId(2),
-            view: 5,
-            msg: Message::Vote {
-                base: 3,
-                votes: vec![
-                    WireVote { seq: 3, origin: 0, txn: 12, conflict: None },
-                    WireVote { seq: 4, origin: 1, txn: 2, conflict: Some(88) },
-                ],
-            },
-        };
-        let full = env.encode();
-        for cut in ENVELOPE_OVERHEAD..full.len() {
-            assert_eq!(
-                Envelope::decode(full.slice(0..cut)),
-                Err(WireError::Truncated),
-                "cut={cut}"
-            );
-        }
-        assert!(Envelope::decode(full).is_ok());
-        let ack = Envelope { sender: NodeId(2), view: 5, msg: Message::VoteAck { up_to: 4 } };
-        let full = ack.encode();
-        for cut in ENVELOPE_OVERHEAD..full.len() {
-            assert_eq!(
-                Envelope::decode(full.slice(0..cut)),
-                Err(WireError::Truncated),
-                "cut={cut}"
-            );
-        }
-        assert!(Envelope::decode(full).is_ok());
     }
 
     #[test]
@@ -730,23 +564,10 @@ mod tests {
     #[test]
     fn data_payload_is_zero_copy() {
         let payload = Bytes::from(vec![7u8; 100]);
-        let env = Envelope {
-            sender: NodeId(0),
-            view: 0,
-            msg: Message::Data {
-                seq: 1,
-                total_frags: 1,
-                frag_idx: 0,
-                kind: PayloadKind::App,
-                ann: Vec::new(),
-                votes: Vec::new(),
-                payload: payload.clone(),
-                retrans: false,
-            },
-        };
+        let env = Envelope { sender: NodeId(0), view: 0, msg: data(false, app(payload.clone())) };
         let decoded = Envelope::decode(env.encode()).expect("decode");
         match decoded.msg {
-            Message::Data { payload: p, .. } => assert_eq!(p, payload),
+            Message::Data { frag, .. } => assert_eq!(frag.payload, payload),
             other => panic!("wrong kind: {other:?}"),
         }
     }

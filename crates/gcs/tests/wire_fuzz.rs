@@ -1,11 +1,12 @@
-//! Property tests of the GCS wire format: arbitrary envelopes round-trip,
-//! and arbitrary byte soup never panics the decoder (robustness to stray
+//! Property tests of the GCS wire format: arbitrary envelopes of every kind
+//! round-trip, every strict prefix of one is rejected as truncated, and
+//! arbitrary byte soup never panics the decoder (robustness to stray
 //! datagrams, which the stack drops silently).
 
 use bytes::Bytes;
 use dbsm_gcs::{
-    decode_seq_ann, encode_seq_ann, Envelope, Gossip, Message, NodeId, NodeSet, PayloadKind,
-    SeqAssign, WireVote,
+    decode_seq_ann, encode_seq_ann, Envelope, Fragment, Gossip, Message, NodeId, NodeSet,
+    PayloadKind, SeqAssign, WireError, WireVote,
 };
 use proptest::prelude::*;
 
@@ -43,13 +44,15 @@ fn arb_message() -> impl Strategy<Value = Message> {
             .prop_flat_map(|(seq, total, retrans, ann, votes, payload)| {
                 (0..total).prop_map(move |idx| Message::Data {
                     seq,
-                    total_frags: total,
-                    frag_idx: idx,
-                    kind: if retrans { PayloadKind::SeqAnn } else { PayloadKind::App },
-                    ann: ann.clone(),
-                    votes: votes.clone(),
-                    payload: Bytes::from(payload.clone()),
                     retrans,
+                    frag: Fragment {
+                        total,
+                        idx,
+                        kind: if retrans { PayloadKind::SeqAnn } else { PayloadKind::App },
+                        ann: ann.clone(),
+                        votes: votes.clone(),
+                        payload: Bytes::from(payload.clone()),
+                    },
                 })
             }),
         (any::<u64>(), prop::collection::vec(arb_wire_vote(), 0..16))
@@ -71,6 +74,16 @@ fn arb_message() -> impl Strategy<Value = Message> {
             members: m,
             cut: c
         }),
+        Just(Message::JoinReq),
+        (any::<u64>(), arb_nodeset(), arb_vec64(16), any::<u64>(), arb_vec64(16), 0u16..64)
+            .prop_map(|(v, members, cut, order_base, skipped, s)| Message::JoinGrant {
+                new_view: v,
+                members,
+                cut,
+                order_base,
+                skipped,
+                sequencer: NodeId(s),
+            }),
     ]
 }
 
@@ -80,6 +93,33 @@ proptest! {
         let env = Envelope { sender: NodeId(sender), view, msg };
         let decoded = Envelope::decode(env.encode()).expect("roundtrip");
         prop_assert_eq!(decoded, env);
+    }
+
+    #[test]
+    fn strict_prefixes_are_truncated(
+        sender in 0u16..64, view in any::<u64>(), msg in arb_message()
+    ) {
+        let env = Envelope { sender: NodeId(sender), view, msg };
+        let wire = env.encode();
+        // A data frame's payload is the rest of the packet: a cut inside it
+        // is the same frame with a shorter payload.
+        let payload = match &env.msg {
+            Message::Data { frag, .. } => frag.payload.clone(),
+            _ => Bytes::new(),
+        };
+        let header = wire.len() - payload.len();
+        for cut in 0..wire.len() {
+            let got = Envelope::decode(wire.slice(0..cut));
+            if cut < header {
+                prop_assert_eq!(got, Err(WireError::Truncated), "cut {} of {}", cut, wire.len());
+            } else {
+                let mut short = env.clone();
+                if let Message::Data { frag, .. } = &mut short.msg {
+                    frag.payload = payload.slice(0..cut - header);
+                }
+                prop_assert_eq!(got, Ok(short));
+            }
+        }
     }
 
     #[test]
