@@ -549,6 +549,70 @@ mod tests {
         assert_eq!(Envelope::decode(raw.freeze()), Err(WireError::BadTag(99)));
     }
 
+    fn assert_truncated_from(env: &Envelope, first_cut: usize) {
+        let full = env.encode();
+        for cut in first_cut..full.len() {
+            assert_eq!(
+                Envelope::decode(full.slice(0..cut)),
+                Err(WireError::Truncated),
+                "cut={cut}"
+            );
+        }
+        assert!(Envelope::decode(full).is_ok());
+    }
+
+    #[test]
+    fn truncated_join_grant_rejected() {
+        let env = Envelope {
+            sender: NodeId(0),
+            view: 3,
+            msg: Message::JoinGrant {
+                new_view: 4,
+                members: NodeSet::first_n(3),
+                cut: vec![10, 20, 30],
+                order_base: 17,
+                skipped: vec![18],
+                sequencer: NodeId(1),
+            },
+        };
+        assert_truncated_from(&env, ENVELOPE_OVERHEAD);
+    }
+
+    #[test]
+    fn rejects_truncation_everywhere() {
+        let env = Envelope {
+            sender: NodeId(1),
+            view: 1,
+            msg: Message::Nak { target: NodeId(0), ranges: vec![(1, 2)] },
+        };
+        assert_truncated_from(&env, 0);
+    }
+
+    #[test]
+    fn truncated_piggyback_rejected() {
+        let frag = Fragment {
+            ann: vec![SeqAssign { sender: NodeId(1), msg_seq: 1, global_seq: 1 }],
+            votes: vec![WireVote { seq: 1, origin: 0, txn: 1, conflict: Some(7) }],
+            ..app(Bytes::new())
+        };
+        let env = Envelope { sender: NodeId(0), view: 1, msg: data(false, frag) };
+        // Cutting inside the piggyback region must be an error, never a
+        // misparse of assignment or vote bytes as payload.
+        assert_truncated_from(&env, ENVELOPE_OVERHEAD + DATA_OVERHEAD);
+    }
+
+    #[test]
+    fn truncated_vote_batch_rejected() {
+        let votes = vec![
+            WireVote { seq: 3, origin: 0, txn: 12, conflict: None },
+            WireVote { seq: 4, origin: 1, txn: 2, conflict: Some(88) },
+        ];
+        let vote = Envelope { sender: NodeId(2), view: 5, msg: Message::Vote { base: 3, votes } };
+        assert_truncated_from(&vote, ENVELOPE_OVERHEAD);
+        let ack = Envelope { sender: NodeId(2), view: 5, msg: Message::VoteAck { up_to: 4 } };
+        assert_truncated_from(&ack, ENVELOPE_OVERHEAD);
+    }
+
     #[test]
     fn seq_ann_roundtrip() {
         let assigns = vec![
