@@ -441,7 +441,7 @@ impl Inner {
             // A single-site run has no group to rejoin: its committed state
             // survived locally, so coming back up is immediate.
             self.net.set_host_down(self.sites[site].host, false);
-            let record = RejoinRecord { site: site as u16, kept, cut: kept, ttu: SimTime::ZERO };
+            let record = RejoinRecord { site: site as u16, kept, cut: kept };
             self.metrics.borrow_mut().rejoins.push(record);
             self.finish_rejoin(site);
         }
@@ -485,9 +485,8 @@ impl Inner {
             m.recovery_work.replayed_entries += replayed;
             // The chain record goes in *now*: from this instant the site's
             // log continues the reference from `cut`, even if the run stops
-            // before the streaming transfer finishes (`ttu` stays zero
-            // until [`Inner::finish_rejoin`] fills it in).
-            m.rejoins.push(RejoinRecord { site: site as u16, kept, cut, ttu: SimTime::ZERO });
+            // before the streaming transfer finishes.
+            m.rejoins.push(RejoinRecord { site: site as u16, kept, cut });
         }
         // Requests multicast by the first incarnation whose decision never
         // came back: abort them so their clients resume.
@@ -511,11 +510,10 @@ impl Inner {
             let m = &mut *self.metrics.borrow_mut();
             m.recovery_work.rejoins += 1;
             m.recovery_work.ttu_ns_total += ttu.as_nanos() as u64;
-            let ttu = SimTime::from_nanos(ttu.as_nanos() as u64);
-            // Fill in the record pushed at adoption (or at a bridge-less
-            // single-site restart, which has no adoption).
-            let record = m.rejoins.iter_mut().rev().find(|r| r.site == site as u16);
-            record.expect("a rejoin is recorded before it finishes").ttu = ttu;
+            // Pushed at adoption, or at a bridge-less single-site restart,
+            // which has no adoption.
+            let recorded = m.rejoins.iter().any(|r| r.site == site as u16);
+            assert!(recorded, "a rejoin is recorded before it finishes");
             let parked = std::mem::take(&mut st.parked);
             record_parked(m, &parked, now);
             parked

@@ -382,8 +382,9 @@ impl ReplacementWorkTotals {
     }
 }
 
-/// One completed rejoin: which site came back, where its retained log
-/// stood, where the transfer cut was, and how long until it served clients.
+/// One rejoin: which site came back, where its retained log stood and
+/// where the transfer cut was. Its time-to-useful is summed in
+/// [`RecoveryWorkTotals::ttu_ns_total`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RejoinRecord {
     /// The site that rejoined.
@@ -393,8 +394,6 @@ pub struct RejoinRecord {
     /// Reference-log position of the transfer cut: entries `[kept, cut)`
     /// arrived as state transfer, not as individual commits.
     pub cut: usize,
-    /// Restart to serving clients.
-    pub ttu: SimTime,
 }
 
 /// Per-site resource usage over the run.
@@ -777,8 +776,8 @@ mod tests {
     #[test]
     fn rejoin_cuts_keep_every_rejoin_per_site() {
         let mut m = RunMetrics::new(3);
-        m.rejoins.push(RejoinRecord { site: 2, kept: 4, cut: 9, ttu: SimTime::from_secs(1) });
-        m.rejoins.push(RejoinRecord { site: 2, kept: 9, cut: 20, ttu: SimTime::from_secs(1) });
+        m.rejoins.push(RejoinRecord { site: 2, kept: 4, cut: 9 });
+        m.rejoins.push(RejoinRecord { site: 2, kept: 9, cut: 20 });
         let cuts = m.rejoin_cuts();
         assert_eq!(cuts.len(), 3);
         assert!(cuts[0].is_empty());

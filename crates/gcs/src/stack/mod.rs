@@ -407,8 +407,8 @@ impl Gcs {
         let Ok(Envelope { sender: from, msg, .. }) = Envelope::decode(raw) else {
             return; // stray or corrupt packet: drop silently
         };
-        if from == self.me {
-            return; // our own multicast looped back
+        if from == self.me || !self.names_within_universe(&msg) {
+            return; // our own multicast looped back, or no frame of ours
         }
         let now = rt.now_nanos();
         let Some(peer) = self.peers.get_mut(from.0 as usize) else {
@@ -460,6 +460,47 @@ impl Gcs {
         }
     }
 
+    /// True if `id` is a node of this group's universe.
+    fn in_universe(&self, id: NodeId) -> bool {
+        usize::from(id.0) < self.cfg.n_nodes
+    }
+
+    /// True if every node id and node set in `msg` lies within the
+    /// universe. No stack of this group names another node, and the
+    /// per-node tables would be indexed past their end by one that did.
+    fn names_within_universe(&self, msg: &Message) -> bool {
+        let set = |s: NodeSet| s.is_subset(NodeSet::first_n(self.cfg.n_nodes));
+        match msg {
+            Message::Data { frag, .. } => frag.ann.iter().all(|a| self.in_universe(a.sender)),
+            Message::Nak { target, .. } => self.in_universe(*target),
+            Message::Gossip(g) => set(g.w),
+            Message::FlushReq { members, .. } | Message::ViewInstall { members, .. } => {
+                set(*members)
+            }
+            Message::JoinGrant { members, sequencer, .. } => {
+                set(*members) && self.in_universe(*sequencer)
+            }
+            Message::Heartbeat { .. }
+            | Message::FlushAck { .. }
+            | Message::JoinReq
+            | Message::Vote { .. }
+            | Message::VoteAck { .. } => true,
+        }
+    }
+
+    /// Furthest a fragment may lead its stream's contiguous prefix. A
+    /// sender keeps at most its buffer share beyond its own stable prefix,
+    /// and stability waits for every member's contiguous prefix, so a
+    /// member's stream leads it by one share at most. A rejoiner starts
+    /// each stream at the granter's received vector, which the sender's
+    /// stable prefix may pass by up to one more share before the grant's
+    /// install reaches it. A fragment past this bound comes from no sender
+    /// of this group and is dropped before it is buffered.
+    fn frag_lead(&self) -> u64 {
+        let share = self.cfg.buffer_share(true).max(self.cfg.buffer_share(false));
+        2 * share as u64
+    }
+
     fn received_vec(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.peers.iter().map(|p| p.recv.contiguous).collect();
         v[self.me.0 as usize] = self.send.sent();
@@ -473,7 +514,8 @@ impl Gcs {
         seq: u64,
         frag: Fragment,
     ) {
-        if self.peers[from.0 as usize].recv.accept(seq, frag, &mut self.metrics) {
+        let lead = self.frag_lead();
+        if self.peers[from.0 as usize].recv.accept(seq, frag, lead, &mut self.metrics) {
             self.advance_stream(rt, from);
         }
     }
@@ -524,7 +566,9 @@ impl Gcs {
                 self.try_deliver();
             }
             PayloadKind::SeqAnn => {
-                if let Ok(assigns) = decode_seq_ann(payload) {
+                let assigns = decode_seq_ann(payload);
+                let named = |a: &Vec<SeqAssign>| a.iter().all(|a| self.in_universe(a.sender));
+                if let Some(assigns) = assigns.ok().filter(named) {
                     for a in assigns {
                         self.to.apply(a, origin, last_frag);
                     }
@@ -577,15 +621,15 @@ impl Gcs {
     ) {
         const MAX_ANSWER: usize = 64;
         let mut out = self.out(rt);
-        let cached = |seq| {
-            if target == self.me {
-                self.send.buffer.get(seq)
-            } else {
-                self.peers[target.0 as usize].recv.cached(seq)
-            }
+        // Each range is clamped to the keys the cache holds, so a range as
+        // wide as the sequence space costs no more than the cache.
+        let (own, peer) = (&self.send.buffer, &self.peers[target.0 as usize].recv);
+        let cached = |&(from, to): &(u64, u64)| {
+            let own = (target == self.me).then(|| own.range(from..=to));
+            let peer = (target != self.me).then(|| peer.cached(from..=to));
+            own.into_iter().flatten().chain(peer.into_iter().flatten())
         };
-        let seqs = ranges.iter().flat_map(|&(from, to)| from..=to);
-        for (seq, frag) in seqs.filter_map(|seq| Some((seq, cached(seq)?))).take(MAX_ANSWER) {
+        for (seq, frag) in ranges.iter().flat_map(cached).take(MAX_ANSWER) {
             let resend = Message::Data { seq, retrans: true, frag: frag.clone() };
             out.relay(target, [requester], resend);
             self.metrics.retrans_sent += 1;

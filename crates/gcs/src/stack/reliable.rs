@@ -14,6 +14,7 @@ use crate::seq_ring::SeqRing;
 use crate::wire::{Fragment, PayloadKind, SeqAssign, WireVote};
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 
 pub(super) fn frags_for(len: usize) -> u64 {
     len.div_ceil(FRAG_PAYLOAD).max(1) as u64
@@ -104,8 +105,13 @@ impl RecvStream {
         !self.asm.frags.is_empty()
     }
 
-    /// Buffers fragment `seq`; false if it is a duplicate.
-    pub fn accept(&mut self, seq: u64, frag: Fragment, m: &mut GcsMetrics) -> bool {
+    /// Buffers fragment `seq`; false if it is a duplicate or leads the
+    /// contiguous prefix by more than `lead`, which would size the
+    /// out-of-order buffer by the gap.
+    pub fn accept(&mut self, seq: u64, frag: Fragment, lead: u64, m: &mut GcsMetrics) -> bool {
+        if seq > self.contiguous.saturating_add(lead) {
+            return false;
+        }
         self.highest_known = self.highest_known.max(seq);
         if seq <= self.contiguous || self.ooo.contains_key(seq) {
             m.duplicates += 1;
@@ -149,8 +155,11 @@ impl RecvStream {
         }
     }
 
-    pub fn cached(&self, seq: u64) -> Option<&Fragment> {
-        self.retained.get(seq).or_else(|| self.ooo.get(seq))
+    /// The cached fragments within `range`, in key order: every retained
+    /// key lies at or below the contiguous prefix, every out-of-order key
+    /// above it.
+    pub fn cached(&self, range: RangeInclusive<u64>) -> impl Iterator<Item = (u64, &Fragment)> {
+        self.retained.range(range.clone()).chain(self.ooo.range(range))
     }
 
     /// The missing ranges to NAK now, if any.
@@ -325,6 +334,13 @@ impl SendState {
 mod tests {
     use super::*;
 
+    /// A lead no fragment of these tests comes near.
+    const LEAD: u64 = 8;
+
+    fn cached_keys(s: &RecvStream) -> Vec<u64> {
+        s.cached(0..=u64::MAX).map(|(seq, _)| seq).collect()
+    }
+
     fn frag(idx: u16, total: u16, byte: u8) -> Fragment {
         Fragment {
             total,
@@ -342,22 +358,22 @@ mod tests {
         let mut s = RecvStream::new(0);
         let mut up = Advanced::default();
         // Fragment 2 arrives first: buffered, and the head gap opens.
-        assert!(s.accept(2, frag(1, 2, 0xB), &mut m));
+        assert!(s.accept(2, frag(1, 2, 0xB), LEAD, &mut m));
         s.advance(false, &mut up, || 7);
         assert!(up.completed.is_empty());
         assert_eq!(s.nak_due(7, 0, 0), Some(vec![(1, 1)]), "the missing head is NAKed");
         // Fragment 1 closes the gap: one message, both fragments cached.
-        assert!(s.accept(1, frag(0, 2, 0xA), &mut m));
-        assert!(!s.accept(1, frag(0, 2, 0xA), &mut m), "duplicate");
+        assert!(s.accept(1, frag(0, 2, 0xA), LEAD, &mut m));
+        assert!(!s.accept(1, frag(0, 2, 0xA), LEAD, &mut m), "duplicate");
         s.advance(false, &mut up, || unreachable!("no gap left"));
         assert_eq!(
             up.completed,
             vec![(1, PayloadKind::App, Bytes::from(vec![0xA, 0xA, 0xB, 0xB]))]
         );
-        assert!(s.cached(1).is_some() && s.cached(2).is_some());
+        assert_eq!(cached_keys(&s), vec![1, 2]);
         assert_eq!(m.duplicates, 1);
         s.gc(1);
-        assert!(s.cached(1).is_none() && s.cached(2).is_some(), "stable prefix dropped");
+        assert_eq!(cached_keys(&s), vec![2], "stable prefix dropped");
     }
 
     #[test]
@@ -366,12 +382,12 @@ mod tests {
         let mut s = RecvStream::new(0);
         s.freeze_at = Some(1);
         for seq in 1..=2 {
-            s.accept(seq, frag(0, 1, seq as u8), &mut m);
+            s.accept(seq, frag(0, 1, seq as u8), LEAD, &mut m);
         }
         let mut up = Advanced::default();
         s.advance(false, &mut up, || 0);
         assert_eq!((s.contiguous, up.completed.len()), (1, 1), "nothing past the freeze");
         s.cut_off(1);
-        assert!(s.cached(2).is_none(), "beyond-cut fragment dropped");
+        assert_eq!(cached_keys(&s), vec![1], "beyond-cut fragment dropped");
     }
 }

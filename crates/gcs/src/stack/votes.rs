@@ -30,6 +30,16 @@ pub(super) struct VoteState {
 /// heartbeat retransmissions that are supposed to repair the loss.
 const VOTES_PER_FRAME: usize = (MAX_PACKET - ENVELOPE_OVERHEAD - <(u64, u16)>::LEN) / WireVote::LEN;
 
+/// Furthest a received vote may lead its stream's contiguous prefix. Votes
+/// have no flow-control window: a voter runs ahead of a receiver by the
+/// votes it casts while a lost frame waits for the heartbeat resend, and a
+/// fresh rejoiner meets piggybacked votes at their absolute seq until a
+/// standalone frame's base moves it up. 2^16 votes is far more than either
+/// in any run here, and it caps the out-of-order buffer at as many slots.
+/// A vote dropped for its lead is not lost: the voter resends it until
+/// this node acks it.
+const MAX_VOTE_LEAD: u64 = 1 << 16;
+
 /// Receiver side, per voter: contiguity tracking surfaces votes in cast
 /// order exactly once.
 #[derive(Debug, Default)]
@@ -120,8 +130,9 @@ impl VoteState {
 }
 
 impl VoteLink {
-    /// Jumps to `base` (0 = no jump), buffers out-of-order votes, surfaces
-    /// the contiguous prefix exactly once; returns the cumulative ack.
+    /// Jumps to `base` (0 = no jump), buffers out-of-order votes within
+    /// [`MAX_VOTE_LEAD`], surfaces the contiguous prefix exactly once;
+    /// returns the cumulative ack.
     pub fn receive(
         &mut self,
         base: u64,
@@ -134,7 +145,8 @@ impl VoteLink {
             self.ooo.drop_through(jump);
         }
         for v in votes {
-            if v.seq > self.up_to && !self.ooo.contains_key(v.seq) {
+            let lead = v.seq.saturating_sub(self.up_to);
+            if (1..=MAX_VOTE_LEAD).contains(&lead) && !self.ooo.contains_key(v.seq) {
                 self.ooo.insert(v.seq, v);
             }
         }

@@ -2,7 +2,7 @@
 
 use crate::addr::HostId;
 use crate::network::{Network, SegmentConfig};
-use dbsm_sim::{Sim, Trace};
+use dbsm_sim::Sim;
 
 /// Builds a [`Network`]: one LAN, and the hosts attached to it.
 ///
@@ -26,7 +26,6 @@ pub struct NetworkBuilder {
     sim: Sim,
     lan: Option<SegmentConfig>,
     n_hosts: usize,
-    trace: Trace,
 }
 
 /// Proof that the builder's LAN exists; [`NetworkBuilder::host`] takes it.
@@ -36,13 +35,7 @@ pub struct SegmentHandle(());
 impl NetworkBuilder {
     /// Starts building a topology on the given simulation.
     pub fn new(sim: &Sim) -> Self {
-        NetworkBuilder { sim: sim.clone(), lan: None, n_hosts: 0, trace: Trace::disabled() }
-    }
-
-    /// Enables packet tracing with the given buffer capacity.
-    pub fn trace(&mut self, trace: Trace) -> &mut Self {
-        self.trace = trace;
-        self
+        NetworkBuilder { sim: sim.clone(), lan: None, n_hosts: 0 }
     }
 
     /// Declares the network's LAN.
@@ -69,7 +62,7 @@ impl NetworkBuilder {
     /// Panics if no LAN was declared.
     pub fn build(self) -> Network {
         let lan = self.lan.expect("a network needs its LAN: call NetworkBuilder::lan first");
-        Network::from_parts(self.sim, lan, self.n_hosts, self.trace)
+        Network::from_parts(self.sim, lan, self.n_hosts)
     }
 }
 

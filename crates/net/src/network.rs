@@ -1,7 +1,7 @@
 //! The network state machine: the LAN, hosts, sockets, transmission and
 //! delivery. This plays the role SSFNet plays in the paper (§2.1): a
-//! configurable model of NICs, links and protocol endpoints, with event
-//! logging.
+//! configurable model of NICs, links and protocol endpoints, with drops
+//! counted per cause in [`TrafficStats`].
 //!
 //! ## Transmission model
 //!
@@ -28,7 +28,7 @@ use crate::loss::LossModel;
 use crate::monitor::{DropCause, TrafficStats};
 use crate::packet::{wire_bytes, Datagram, Dest};
 use bytes::Bytes;
-use dbsm_sim::{Sim, SimTime, Trace, TraceKind};
+use dbsm_sim::{Sim, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -131,11 +131,10 @@ impl std::error::Error for BindError {}
 pub struct Network {
     sim: Sim,
     state: Rc<RefCell<NetState>>,
-    trace: Trace,
 }
 
 impl Network {
-    pub(crate) fn from_parts(sim: Sim, lan: SegmentConfig, n_hosts: usize, trace: Trace) -> Self {
+    pub(crate) fn from_parts(sim: Sim, lan: SegmentConfig, n_hosts: usize) -> Self {
         let hosts = (0..n_hosts)
             .map(|_| HostState {
                 down: false,
@@ -152,7 +151,7 @@ impl Network {
             stats: TrafficStats::new(n_hosts),
             partition: None,
         };
-        Network { sim, state: Rc::new(RefCell::new(state)), trace }
+        Network { sim, state: Rc::new(RefCell::new(state)) }
     }
 
     /// The simulation this network is attached to.
@@ -292,23 +291,14 @@ impl Network {
         let arrive = finish + lan.latency;
         if wire > lan.mtu {
             st.stats.on_drop(DropCause::Mtu);
-            self.trace.record_with(now, TraceKind::PacketDropped, || {
-                format!("{from}->{dest:?}: frame {wire}B exceeds MTU {}", lan.mtu)
-            });
             return;
         }
         if backlog > lan.tx_buffer {
             st.stats.on_drop(DropCause::TxOverflow);
-            self.trace.record_with(now, TraceKind::PacketDropped, || {
-                format!("{from}->{dest:?}: tx overflow ({backlog:?} backlog)")
-            });
             return;
         }
         st.busy_until = finish;
         st.stats.on_tx(from.host.0 as usize, wire);
-        self.trace.record_with(now, TraceKind::PacketSent, || {
-            format!("{from}->{dest:?} {wire}B arrive={arrive}")
-        });
         // Schedule the arrival still under the borrow: the sim's queue is a
         // cell of its own, and nothing runs until later.
         let this = self.clone();
@@ -360,9 +350,6 @@ impl Network {
             let mut st = self.state.borrow_mut();
             if Self::split(&st, from.host, to.host) {
                 st.stats.on_drop(DropCause::Partition);
-                self.trace.record_with(now, TraceKind::PacketDropped, || {
-                    format!("{from}->{to}: partition")
-                });
                 return;
             }
             let host = &mut st.hosts[to.host.0 as usize];
@@ -392,19 +379,10 @@ impl Network {
             }
             if lost {
                 st.stats.on_drop(DropCause::LossModel);
-                self.trace.record_with(now, TraceKind::PacketDropped, || {
-                    format!("{from}->{to}: loss model")
-                });
                 (None, copies)
             } else {
                 match host.sockets.iter().find(|(p, _)| *p == to.port) {
-                    Some((_, h)) => {
-                        let h = h.clone();
-                        self.trace.record_with(now, TraceKind::PacketDelivered, || {
-                            format!("{from}->{to} {wire}B{}", if dup { " (dup)" } else { "" })
-                        });
-                        (Some(h), copies)
-                    }
+                    Some((_, h)) => (Some(h.clone()), copies),
                     None => {
                         st.stats.on_drop(DropCause::NoSocket);
                         (None, copies)

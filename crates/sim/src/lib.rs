@@ -14,7 +14,7 @@
 //! * profiling modes ([`ProfilerMode`]): deterministic synthetic costs or
 //!   wall-clock measurement with the paper's clock-stop semantics;
 //! * deterministic seed derivation ([`derive_seed`]), sample
-//!   mean/quantile/Q-Q utilities ([`stats`]), and a bounded [`Trace`].
+//!   mean/quantile/Q-Q utilities ([`stats`]).
 //!
 //! # Examples
 //!
@@ -43,7 +43,6 @@ mod rng;
 mod scheduler;
 pub mod stats;
 mod time;
-mod trace;
 
 pub use cpu::{CpuBank, CpuUsage, RealContext, RealJob};
 pub use event::EventId;
@@ -51,4 +50,3 @@ pub use profiler::ProfilerMode;
 pub use rng::{derive_seed, derive_seed_indexed, splitmix64};
 pub use scheduler::Sim;
 pub use time::{duration_to_nanos, scale_duration, SimTime};
-pub use trace::{Trace, TraceKind, TraceRecord};
