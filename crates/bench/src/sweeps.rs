@@ -14,7 +14,7 @@ use dbsm_core::{
     run_experiment, AnnBatchPolicy, CertBackendKind, CommitPath, ExperimentConfig, RunMetrics,
 };
 use dbsm_db::CcPolicy;
-use dbsm_fault::{check_logs, FaultPlan, FaultSpec};
+use dbsm_fault::{check_logs, Divergence, FaultPlan, FaultSpec};
 use dbsm_gcs::GcsConfig;
 use dbsm_sim::SimTime;
 use std::time::{Duration, Instant};
@@ -57,6 +57,19 @@ impl Point {
             Some(RowLabel::Paper(faults)) => Some(PaperRow::from_metrics(faults, &self.cfg, m)),
             _ => None,
         }
+    }
+
+    /// The paper's safety condition on the run of a row point: a paper row
+    /// needs every site's log identical (§5.3). The cert sweeps crash
+    /// sites, so a cert row needs every log to be a prefix of the longest,
+    /// which a live site that ends a commit short still meets.
+    fn safety(&self, m: &RunMetrics) -> Result<(), Divergence> {
+        let prefix = match &self.row {
+            None => return Ok(()),
+            Some(RowLabel::Paper(_)) => false,
+            Some(RowLabel::Cert(_)) => true,
+        };
+        check_logs(&m.commit_logs, &vec![prefix; self.cfg.sites])
     }
 }
 
@@ -380,15 +393,15 @@ pub fn run(filters: &[String]) -> std::io::Result<()> {
             "{name}: run stalled at {} commits",
             m.committed()
         );
+        // A number from a run whose replicas diverged is not a result: the
+        // paper's safety condition gates every row.
+        if let Err(e) = p.safety(&m) {
+            panic!("{name}: replicas committed different sequences: {e:?}");
+        }
         if let Some(row) = p.cert_row(&m) {
             keep_latest(&mut cert_rows, row);
         }
         if let Some(row) = p.paper_row(&m) {
-            // A number from a run whose replicas diverged is not a result:
-            // the paper's safety condition gates every row.
-            if let Err(e) = check_logs(&m.commit_logs, &vec![false; p.cfg.sites]) {
-                panic!("{name}: replicas committed different sequences: {e:?}");
-            }
             keep_latest(&mut paper_rows, row);
         }
     }
@@ -444,6 +457,28 @@ mod tests {
         row_points_are_the_artifact(cert, Point::cert_row, (41, 34));
         let paper = include_str!("../../../BENCH_paper.json");
         row_points_are_the_artifact(paper, Point::paper_row, (49, 49));
+    }
+
+    #[test]
+    fn row_points_gate_their_runs_on_the_safety_condition() {
+        let point = |row| Point {
+            group: "g",
+            id: "i".to_string(),
+            cfg: ExperimentConfig::replicated(3, 30),
+            row,
+        };
+        let (cert, paper) =
+            (point(Some(RowLabel::Cert("indexed".into()))), point(Some(RowLabel::Paper("none"))));
+        let mut m = RunMetrics::new(3);
+        // Site 1 ends one commit short.
+        m.commit_logs = vec![vec![(0, 1), (1, 1)], vec![(0, 1)], vec![(0, 1), (1, 1)]];
+        assert_eq!(cert.safety(&m), Ok(()), "a cert row takes a prefix");
+        assert!(paper.safety(&m).is_err(), "a paper row needs identical logs");
+        // Site 1 commits what no other site did.
+        m.commit_logs[1] = vec![(1, 1)];
+        assert!(cert.safety(&m).is_err(), "a cert row needs one chain");
+        assert!(paper.safety(&m).is_err());
+        assert_eq!(point(None).safety(&m), Ok(()), "a point landing no row is not gated");
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! the run left queued, so nothing outlives the cluster.
 
 use crate::experiment::{ExperimentConfig, CERT_COSTS};
-use crate::metrics::{RejoinRecord, RunMetrics, SiteUsage};
+use crate::metrics::{RunMetrics, SiteUsage};
 use crate::replica::{Decision, Partial, Replica, Settled, SiteRuntime, TransferPacket};
 use dbsm_cert::{marshal, unmarshal, CertRequest, SiteId};
 use dbsm_db::{DbEngine, Outcome, TransactionSpec, TxnId};
-use dbsm_fault::FaultSpec;
+use dbsm_fault::{FaultSpec, RejoinCut};
 use dbsm_gcs::{GcsConfig, NodeId, SimBridge, Upcall, View};
 use dbsm_net::{
     Addr, BurstyLoss, GroupId, HostId, Network, NetworkBuilder, Port, RandomLoss, SegmentConfig,
@@ -37,6 +37,14 @@ struct SiteHandles {
     engine: DbEngine,
     bridge: Option<SimBridge>,
     host: HostId,
+}
+
+impl SiteHandles {
+    /// The site's GCS stack. Only a one-site run has none, and it casts no
+    /// votes and takes no faults ([`ExperimentConfig::validate`]).
+    fn bridge(&self) -> &SimBridge {
+        self.bridge.as_ref().expect("replicated site")
+    }
 }
 
 /// The assembled system under test: `sites` replicas on a simulated LAN,
@@ -266,8 +274,7 @@ impl Inner {
         f(&mut self.replicas.borrow_mut()[site], partial.as_deref_mut(), &mut rt);
         drop(partial);
         for (origin, txn, conflict) in rt.casts {
-            let bridge = self.sites[site].bridge.as_ref().expect("replicated site");
-            bridge.cast_vote(origin, txn, conflict);
+            self.sites[site].bridge().cast_vote(origin, txn, conflict);
         }
     }
 
@@ -357,18 +364,14 @@ impl Inner {
                     }
                 }
                 FaultSpec::ClockDrift { target, rate } => {
-                    for b in self.targeted(target).filter_map(|(_, s)| s.bridge.as_ref()) {
-                        b.set_clock_drift(*rate);
+                    for (_, s) in self.targeted(target) {
+                        s.bridge().set_clock_drift(*rate);
                     }
                 }
                 FaultSpec::SchedLatency { target, max } => {
                     for (i, s) in self.targeted(target) {
-                        if let Some(b) = &s.bridge {
-                            b.set_sched_latency(
-                                *max,
-                                derive_seed_indexed(self.cfg.seed, "sched", i as u64),
-                            );
-                        }
+                        let seed = derive_seed_indexed(self.cfg.seed, "sched", i as u64);
+                        s.bridge().set_sched_latency(*max, seed);
                     }
                 }
                 &FaultSpec::Crash { site, at } => {
@@ -414,11 +417,7 @@ impl Inner {
         if std::mem::replace(&mut self.replicas.borrow_mut()[site].st.crashed, true) {
             return;
         }
-        if let Some(b) = &self.sites[site].bridge {
-            b.kill();
-        } else {
-            self.net.set_host_down(self.sites[site].host, true);
-        }
+        self.sites[site].bridge().kill();
     }
 
     // ----- site recovery (snapshot + delta-log rejoin) -------------------
@@ -433,18 +432,8 @@ impl Inner {
             return;
         }
         reps[site].st.restarted_at = Some(self.sim.now());
-        let kept = reps[site].committed();
         drop(reps);
-        if let Some(b) = &self.sites[site].bridge {
-            b.revive();
-        } else {
-            // A single-site run has no group to rejoin: its committed state
-            // survived locally, so coming back up is immediate.
-            self.net.set_host_down(self.sites[site].host, false);
-            let record = RejoinRecord { site: site as u16, kept, cut: kept };
-            self.metrics.borrow_mut().rejoins.push(record);
-            self.finish_rejoin(site);
-        }
+        self.sites[site].bridge().revive();
     }
 
     /// Donor half of the rejoin ([`Upcall::ServeJoin`]): clones this site's
@@ -486,7 +475,7 @@ impl Inner {
             // The chain record goes in *now*: from this instant the site's
             // log continues the reference from `cut`, even if the run stops
             // before the streaming transfer finishes.
-            m.rejoins.push(RejoinRecord { site: site as u16, kept, cut });
+            m.rejoins[site].push(RejoinCut { kept, cut });
         }
         // Requests multicast by the first incarnation whose decision never
         // came back: abort them so their clients resume.
@@ -510,10 +499,7 @@ impl Inner {
             let m = &mut *self.metrics.borrow_mut();
             m.recovery_work.rejoins += 1;
             m.recovery_work.ttu_ns_total += ttu.as_nanos() as u64;
-            // Pushed at adoption, or at a bridge-less single-site restart,
-            // which has no adoption.
-            let recorded = m.rejoins.iter().any(|r| r.site == site as u16);
-            assert!(recorded, "a rejoin is recorded before it finishes");
+            assert!(!m.rejoins[site].is_empty(), "a rejoin is recorded at adoption");
             let parked = std::mem::take(&mut st.parked);
             record_parked(m, &parked, now);
             parked
@@ -564,7 +550,7 @@ impl Inner {
             // adopter's position.
             this.with_replica(adopter, ctx, |r, p, rt| r.advance(p, rt));
             let now = ctx.now();
-            let vote_seq = this.sites[adopter].bridge.as_ref().expect("replicated site").vote_seq();
+            let vote_seq = this.sites[adopter].bridge().vote_seq();
             let parked = {
                 let mut reps = this.replicas.borrow_mut();
                 let (adopted, recollected) =

@@ -218,7 +218,10 @@ impl ExperimentConfig {
 
     /// Checks the configuration: the site, client and CPU counts (a group
     /// addresses at most [`MAX_NODES`] sites), the CPU speed, the fault
-    /// plan against the site count, the replication factor, and — under
+    /// plan against the site count, settings a run would silently ignore
+    /// (faults or the pipelined commit path on a one-site run, which has no
+    /// group; the linear backend under partial replication, whose span
+    /// replicas are always indexed), the replication factor, and — under
     /// partial replication — the fault plan via
     /// [`FaultPlan::validate_coverage`]: only fault schedules leaving some
     /// instant with *zero live sites cluster-wide* are rejected, since a
@@ -245,10 +248,19 @@ impl ExperimentConfig {
             return Err(ConfigError::CpuSpeed(self.cpu_speed));
         }
         self.faults.validate(self.sites)?;
+        if self.sites == 1 && !self.faults.is_empty() {
+            return Err(ConfigError::FaultsWithoutGroup);
+        }
+        if self.sites == 1 && self.commit_path == CommitPath::Pipelined {
+            return Err(ConfigError::PipelinedWithoutGroup);
+        }
         if self.replication_factor == Some(0) {
             return Err(ConfigError::ZeroReplication);
         }
         if self.partial_factor().is_some() {
+            if self.cert_backend == CertBackendKind::Linear {
+                return Err(ConfigError::LinearSpans);
+            }
             self.faults.validate_coverage(self.sites)?;
         }
         Ok(())
@@ -268,6 +280,16 @@ pub enum ConfigError {
     NoClients,
     /// `cpus_per_site` is zero: no site could run anything.
     NoCpus,
+    /// A one-site run has a fault plan: it has no group and no traffic, so
+    /// no fault would reach it.
+    FaultsWithoutGroup,
+    /// A one-site run asks for the pipelined commit path: with no group
+    /// there is no tentative delivery, and the site certifies
+    /// synchronously.
+    PipelinedWithoutGroup,
+    /// Partial replication asks for the linear backend: span replicas are
+    /// always indexed.
+    LinearSpans,
     /// The replication factor is zero: no site would store anything.
     ZeroReplication,
     /// `cpu_speed` is zero, negative, NaN or infinite: every charged cost
@@ -282,6 +304,9 @@ impl fmt::Display for ConfigError {
             ConfigError::Sites(n) => write!(f, "sites must be 1 to {MAX_NODES}, not {n}"),
             ConfigError::NoClients => write!(f, "a run needs at least one client"),
             ConfigError::NoCpus => write!(f, "a site needs at least one CPU"),
+            ConfigError::FaultsWithoutGroup => write!(f, "a one-site run takes no faults"),
+            ConfigError::PipelinedWithoutGroup => write!(f, "a one-site run has no pipelined path"),
+            ConfigError::LinearSpans => write!(f, "span replicas are indexed, never linear"),
             ConfigError::ZeroReplication => {
                 write!(f, "partial replication needs a replication factor of at least 1")
             }
@@ -590,6 +615,41 @@ mod tests {
             );
         }
         assert_eq!(with_speed(2.0).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_faults_on_a_one_site_run() {
+        let crash = FaultPlan::crash(0, dbsm_sim::SimTime::from_secs(1));
+        let central = ExperimentConfig::centralized(1, 60);
+        for plan in [FaultPlan::random_loss(0.05), crash] {
+            let cfg = central.clone().with_faults(plan);
+            assert_eq!(cfg.validate(), Err(ConfigError::FaultsWithoutGroup));
+        }
+        assert_eq!(central.validate(), Ok(()));
+        let replicated = ExperimentConfig::replicated(2, 60);
+        assert_eq!(replicated.with_faults(FaultPlan::random_loss(0.05)).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_the_pipelined_path_on_a_one_site_run() {
+        let central = ExperimentConfig::centralized(3, 60).with_commit_path(CommitPath::Pipelined);
+        assert_eq!(central.validate(), Err(ConfigError::PipelinedWithoutGroup));
+        let replicated =
+            ExperimentConfig::replicated(2, 60).with_commit_path(CommitPath::Pipelined);
+        assert_eq!(replicated.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_the_linear_backend_under_partial_replication() {
+        let linear = |k| {
+            ExperimentConfig::replicated(6, 60)
+                .with_replication_factor(k)
+                .with_cert_backend(CertBackendKind::Linear)
+        };
+        assert_eq!(linear(2).validate(), Err(ConfigError::LinearSpans));
+        // A factor of at least the site count is full replication, which
+        // runs the configured backend.
+        assert_eq!(linear(6).validate(), Ok(()));
     }
 
     #[test]

@@ -382,20 +382,6 @@ impl ReplacementWorkTotals {
     }
 }
 
-/// One rejoin: which site came back, where its retained log stood and
-/// where the transfer cut was. Its time-to-useful is summed in
-/// [`RecoveryWorkTotals::ttu_ns_total`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RejoinRecord {
-    /// The site that rejoined.
-    pub site: u16,
-    /// Commit-log entries the site retained from before the crash.
-    pub kept: usize,
-    /// Reference-log position of the transfer cut: entries `[kept, cut)`
-    /// arrived as state transfer, not as individual commits.
-    pub cut: usize,
-}
-
 /// Per-site resource usage over the run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SiteUsage {
@@ -441,8 +427,10 @@ pub struct RunMetrics {
     /// Recovery-machinery work: snapshots served, transfer bytes, replayed
     /// entries, time-to-useful.
     pub recovery_work: RecoveryWorkTotals,
-    /// One record per completed rejoin, in completion order.
-    pub rejoins: Vec<RejoinRecord>,
+    /// Every rejoin's transfer cut, per site in completion order: the
+    /// shape [`dbsm_fault::check_logs_rejoined`] takes. Each time-to-useful
+    /// is summed in `recovery_work`.
+    pub rejoins: Vec<Vec<dbsm_fault::RejoinCut>>,
     /// Re-placement work: spans re-homed after churn stranded them, bytes
     /// transferred, vote rounds re-collected, client parked time.
     pub replacement_work: ReplacementWorkTotals,
@@ -454,6 +442,7 @@ impl RunMetrics {
         RunMetrics {
             per_class: (0..TxnClass::ALL.len()).map(|_| ClassStats::default()).collect(),
             commit_logs: vec![Vec::new(); sites],
+            rejoins: vec![Vec::new(); sites],
             site_usage: vec![SiteUsage::default(); sites],
             ..RunMetrics::default()
         }
@@ -570,21 +559,6 @@ impl RunMetrics {
             self.site_usage.iter().map(|u| u.cpu_total).sum::<f64>() / n,
             self.site_usage.iter().map(|u| u.cpu_real).sum::<f64>() / n,
         )
-    }
-
-    /// Per-site rejoin cuts in the shape [`check_logs_rejoined`]
-    /// expects, sized to `commit_logs`. A site that never rejoined maps to
-    /// an empty list; a site a plan restarted several times keeps **every**
-    /// completed rejoin's cut, in completion order — the chain checker
-    /// re-bases each log segment on the cut that preceded it.
-    ///
-    /// [`check_logs_rejoined`]: dbsm_fault::check_logs_rejoined
-    pub fn rejoin_cuts(&self) -> Vec<Vec<dbsm_fault::RejoinCut>> {
-        let mut cuts = vec![Vec::new(); self.commit_logs.len()];
-        for r in &self.rejoins {
-            cuts[r.site as usize].push(dbsm_fault::RejoinCut { kept: r.kept, cut: r.cut });
-        }
-        cuts
     }
 
     /// Mean disk utilisation across sites.
@@ -771,24 +745,6 @@ mod tests {
         assert!((t.mean_time_to_serving_ms() - 1500.0).abs() < 1e-9);
         assert!((t.parked_ms() - 2.5).abs() < 1e-12);
         assert_eq!(RunMetrics::new(2).replacement_work, ReplacementWorkTotals::default());
-    }
-
-    #[test]
-    fn rejoin_cuts_keep_every_rejoin_per_site() {
-        let mut m = RunMetrics::new(3);
-        m.rejoins.push(RejoinRecord { site: 2, kept: 4, cut: 9 });
-        m.rejoins.push(RejoinRecord { site: 2, kept: 9, cut: 20 });
-        let cuts = m.rejoin_cuts();
-        assert_eq!(cuts.len(), 3);
-        assert!(cuts[0].is_empty());
-        assert!(cuts[1].is_empty());
-        assert_eq!(
-            cuts[2],
-            vec![
-                dbsm_fault::RejoinCut { kept: 4, cut: 9 },
-                dbsm_fault::RejoinCut { kept: 9, cut: 20 },
-            ],
-        );
     }
 
     #[test]

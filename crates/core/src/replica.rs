@@ -64,10 +64,6 @@ pub(crate) trait SiteRuntime {
 /// A decision on its way to the engine, scheduled through
 /// [`SiteRuntime::schedule`].
 pub(crate) enum Decision {
-    /// A full replica's verdict, recorded when it fires: the synchronous
-    /// and centralized paths re-enter the simulated domain at start + Δ
-    /// (Fig. 1b).
-    Certified(CertRequest, CertOutcome),
     /// A verdict already recorded in the global sequence, with the
     /// origin's pending entry.
     Recorded(CertRequest, CertOutcome, Option<PendingCert>),
@@ -209,11 +205,6 @@ impl Replica {
         self.cert.backend().last_committed()
     }
 
-    /// Transactions committed in this incarnation's log.
-    pub(crate) fn committed(&self) -> usize {
-        self.ledger.log.len()
-    }
-
     /// Hands the ledger over for the run's metrics.
     pub(crate) fn take_ledger(&mut self) -> Ledger {
         std::mem::take(&mut self.ledger)
@@ -279,14 +270,16 @@ impl Replica {
     /// Certifies `req` on a full replica in delivery order — the
     /// synchronous commit path and the centralized one. Real code: the
     /// full conflict check stalls the delivery loop, charging its CPU
-    /// cost, and the decision is recorded when it re-enters the simulated
-    /// domain at start + Δ (Fig. 1b).
+    /// cost. The decision is recorded here, in the certifier's sequence,
+    /// and reaches the engine when it re-enters the simulated domain at
+    /// start + Δ (Fig. 1b).
     pub(crate) fn certify_in_order(&mut self, req: CertRequest, rt: &mut dyn SiteRuntime) {
         let (outcome, work) = self.cert.backend().certify(&req).expect("history window exceeded");
         self.ledger.work.record(work);
         self.ledger.work.stall_ns += CERT_COSTS.certify_data(work).as_nanos() as u64;
+        let pending = self.record(&req, outcome);
         rt.charge(CERT_COSTS.certify(work));
-        rt.schedule(Duration::ZERO, Decision::Certified(req, outcome));
+        rt.schedule(Duration::ZERO, Decision::Recorded(req, outcome, pending));
     }
 
     /// Confirms `req` on a full replica at total-order delivery against
@@ -309,7 +302,8 @@ impl Replica {
 
     /// The order-sensitive half of a decision: the certifier's gc cadence
     /// (its history trimmed to the window every 512 commits), the commit
-    /// log and the origin's pending entry. Runs in the global sequence.
+    /// log and the origin's pending entry. Every commit path calls it where
+    /// the certifier decides, in the global sequence.
     fn record(&mut self, req: &CertRequest, outcome: CertOutcome) -> Option<PendingCert> {
         if outcome.is_commit() {
             gc_tick(&mut self.st.commits_since_gc, self.cert.backend(), self.window);
@@ -322,15 +316,13 @@ impl Replica {
         }
     }
 
-    /// Settles a fired `decision`: records it if it was not recorded in
-    /// sequence yet, and says what the engine does with it — resolve the
-    /// origin's transaction, or store the committed rows of a remote one.
-    /// Order-insensitive past the record.
+    /// Settles a fired `decision`, recorded in sequence already: says what
+    /// the engine does with it — resolve the origin's transaction, or store
+    /// the committed rows of a remote one. Order-insensitive.
     pub(crate) fn settle(&mut self, decision: Decision) -> Option<Settled> {
-        let (pending, req, outcome) = match decision {
+        let (req, outcome, pending) = match decision {
             Decision::ReadOnly(db_txn, ok) => return Some(Settled::Resolve(db_txn, ok, None)),
-            Decision::Certified(req, outcome) => (self.record(&req, outcome), req, outcome),
-            Decision::Recorded(req, outcome, pending) => (pending, req, outcome),
+            Decision::Recorded(req, outcome, pending) => (req, outcome, pending),
         };
         if req.site.0 as usize == self.site {
             pending.map(|p| Settled::Resolve(p.db_txn, outcome.is_commit(), Some(p.sent_at)))
@@ -1248,7 +1240,8 @@ mod tests {
                 assert!(rt.casts.is_empty(), "a full replica casts no votes");
                 assert!(rt.charged > Duration::ZERO, "certification is charged");
                 assert_eq!(rt.decisions.len(), reqs.len(), "one decision per delivery");
-                for decision in rt.decisions {
+                assert_eq!(r.ledger.log, expected, "logged as certified, before any settles");
+                for decision in rt.decisions.into_iter().rev() {
                     r.settle(decision);
                 }
                 assert_eq!(r.take_ledger().log, expected, "site {site}, {path:?}");

@@ -148,8 +148,8 @@ fn ref_position(pos: usize, cuts: &[RejoinCut]) -> usize {
 
 /// [`check_logs`] extended with rejoin cuts: `rejoins[site]` lists every
 /// completed rejoin of the site, in completion order (`kept` is
-/// non-decreasing — a site's log only grows between rejoins), and is what
-/// `RunMetrics::rejoin_cuts()` returns. A site with cuts crashed/halted
+/// non-decreasing — a site's log only grows between rejoins), as
+/// `RunMetrics::rejoins` holds them. A site with cuts crashed/halted
 /// and re-entered the view via state transfer, and its log must *chain
 /// through each cut* instead of matching the reference exactly:
 /// `log[..kept]` is its pre-crash prefix of the reference, the gap

@@ -94,7 +94,10 @@ impl TotalOrder {
         self.sequencer == self.me
     }
 
+    /// Files a sequencer's assignment. One at the end of the sequence
+    /// space names no next number, so no stack sends it: it is dropped.
     pub fn apply(&mut self, a: SeqAssign, carrier: NodeId, carrier_seq: u64) {
+        let Some(next) = a.global_seq.checked_add(1) else { return };
         if a.global_seq < self.next_deliver || !self.assigned.insert((a.sender.0, a.msg_seq)) {
             return;
         }
@@ -103,7 +106,7 @@ impl TotalOrder {
             AppliedAssign { origin: a.sender, msg_seq: a.msg_seq, carrier, carrier_seq },
         );
         self.max_applied = self.max_applied.max(a.global_seq);
-        self.assign_counter = self.assign_counter.max(a.global_seq + 1);
+        self.assign_counter = self.assign_counter.max(next);
     }
 
     /// Holds a message until its global order is known; returns the

@@ -148,3 +148,15 @@ fn an_assignment_naming_a_node_outside_the_universe_is_dropped() {
     from1(&mut g, &mut rt, install);
     assert_eq!(g.view().members, members(&[0, 1]));
 }
+
+#[test]
+fn an_assignment_at_the_end_of_the_sequence_space_is_dropped() {
+    let (mut g, mut rt) = node0();
+    // Node 1 assigns its own message the last global sequence number; node
+    // 0, the sequencer, drops that and orders the message itself.
+    let ann = vec![SeqAssign { sender: NodeId(1), msg_seq: 1, global_seq: u64::MAX }];
+    from1(&mut g, &mut rt, data(1, ann));
+    let delivered =
+        g.drain_upcalls().iter().filter(|u| matches!(u, Upcall::Deliver { .. })).count();
+    assert_eq!(delivered, 1, "the message still delivers in the sequencer's order");
+}

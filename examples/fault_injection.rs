@@ -24,8 +24,7 @@ fn run(label: &str, faults: FaultPlan) -> RunMetrics {
     let cfg = ExperimentConfig::replicated(3, 120).with_target(1200).with_faults(faults);
     let metrics = run_experiment(cfg);
     let crashed: Vec<bool> = (0..3u16).map(|s| metrics.crashed_sites.contains(&s)).collect();
-    check_logs_rejoined(&metrics.commit_logs, &crashed, &metrics.rejoin_cuts())
-        .expect("safety violated");
+    check_logs_rejoined(&metrics.commit_logs, &crashed, &metrics.rejoins).expect("safety violated");
     println!("{}  (safety ok)", report::summary_line(&format!("{label:<22}"), &metrics));
     metrics
 }
@@ -127,7 +126,7 @@ fn main() {
             );
         let metrics = run_experiment(cfg);
         let crashed: Vec<bool> = (0..6u16).map(|s| metrics.crashed_sites.contains(&s)).collect();
-        check_logs_rejoined(&metrics.commit_logs, &crashed, &metrics.rejoin_cuts())
+        check_logs_rejoined(&metrics.commit_logs, &crashed, &metrics.rejoins)
             .expect("safety violated");
         let label = format!("{:<22}", "re-home rf2 pair crash");
         println!("{}  (safety ok)", report::summary_line(&label, &metrics));
@@ -166,11 +165,10 @@ fn main() {
         dup.fault_work.dup_injected,
         dup.gcs_sum(|g| g.duplicates)
     );
-    let r = rejoin.rejoins[0];
+    let r = rejoin.rejoins[2][0];
     println!(
-        "crash+rejoin: site {} kept {} commits, caught up to {} via {} KB of state transfer, \
+        "crash+rejoin: site 2 kept {} commits, caught up to {} via {} KB of state transfer, \
          replayed {} delta entries, useful again after {:.0} ms",
-        r.site,
         r.kept,
         r.cut,
         rejoin.recovery_work.total_bytes() / 1024,

@@ -165,7 +165,7 @@ proptest! {
         // one chain, with rejoined sites chaining through their cuts.
         let crashed: Vec<bool> =
             (0..SITES as u16).map(|s| m.crashed_sites.contains(&s)).collect();
-        if let Err(d) = check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoin_cuts()) {
+        if let Err(d) = check_logs_rejoined(&m.commit_logs, &crashed, &m.rejoins) {
             panic!("divergence under plan {plan:?} seed {seed}: {d}");
         }
         // Determinism: the same seed reproduces the run bit for bit,

@@ -724,7 +724,7 @@ proptest! {
         prop_assert_eq!(a.replacement_work, b.replacement_work);
         prop_assert_eq!(a.committed(), b.committed());
         let crashed: Vec<bool> = (0..6u16).map(|s| a.crashed_sites.contains(&s)).collect();
-        let chain = check_logs_rejoined(&a.commit_logs, &crashed, &a.rejoin_cuts());
+        let chain = check_logs_rejoined(&a.commit_logs, &crashed, &a.rejoins);
         prop_assert!(chain.is_ok(), "chain check: {:?}", chain);
         prop_assert!(a.committed() > 300, "run made progress: {}", a.committed());
         // rf 1 leaves every crashed site's span with zero replicas: the

@@ -170,7 +170,7 @@ fn crash_restart_runs_repeat_exactly() {
     };
     let (events_a, a) = run();
     let (events_b, b) = run();
-    assert_eq!(a.rejoins.len(), 1, "the restarted site rejoined");
+    assert_eq!(a.rejoins[2].len(), 1, "the restarted site rejoined");
     assert_eq!(events_a, events_b, "events executed");
     assert_identical(&a, &b);
 }
@@ -218,9 +218,9 @@ fn golden_cluster_digest() {
     // Pins the whole cluster's behaviour, not just its repeatability: the
     // events executed, the commit logs and the simulated time elapsed
     // (which a per-event CPU cost moves even when the first two hold) of
-    // five small runs — each
-    // replication mode, both commit paths under churn and a partial
-    // rejoin — must match recorded constants. A refactor leaves them
+    // six small runs — each replication mode, both commit paths under
+    // churn, a partial rejoin and multi-CPU sites — must match recorded
+    // constants. A refactor leaves them
     // alone; a deliberate behaviour change re-records them.
     //
     // A multicast arrival counts as one event, however many receivers it
@@ -295,11 +295,23 @@ fn golden_cluster_digest() {
     rejoin.history_window = 1 << 17;
     rejoin.max_sim = Duration::from_secs(30);
     let (events, digest, elapsed, m) = fingerprint(rejoin);
-    assert_eq!(m.rejoins.len(), 1, "the restarted site rejoined");
+    assert_eq!(m.rejoins[2].len(), 1, "the restarted site rejoined");
     assert!(m.recovery_work.replayed_entries > 0, "the delta log replayed entries");
     assert_eq!(
         (events, digest, elapsed),
         (299_110, 0xea5ecf609fc2fa36, 12_602_765_936),
         "6-site rf-2 partial, synchronous, rejoin"
+    );
+
+    // Three CPUs per site: concurrent delivery jobs settle out of
+    // certification order, and each site still logs in that order.
+    let mut multi_cpu = ExperimentConfig::replicated(3, 600).with_target(1_000).with_seed(42);
+    multi_cpu.cpus_per_site = 3;
+    let (events, digest, elapsed, m) = fingerprint(multi_cpu);
+    dbsm_testbed::fault::check_logs(&m.commit_logs, &[false; 3]).expect("3-CPU sites");
+    assert_eq!(
+        (events, digest, elapsed),
+        (1_329_751, 0x77a09a2fa1a88ad3, 16_391_224_812),
+        "3-site full replication, 3 CPUs per site"
     );
 }
