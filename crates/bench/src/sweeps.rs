@@ -342,6 +342,35 @@ pub fn catalogue() -> Vec<Point> {
             add("ablation_replacement", id, cfg, Some(&format!("churn{crashes}")));
         }
     }
+
+    // The five end-to-end benchmark workloads at its smoke scale (a tenth of
+    // each transaction target) and under its horizons. They land in no
+    // artifact: the tests pin what each run simulates, so a change that
+    // should move no simulated number proves it in `cargo test`.
+    // `benchmark/src/workloads.rs` keeps the benchmark's own copy.
+    let partial_shape = |sites, clients| {
+        let mut cfg = ExperimentConfig::replicated(sites, clients).with_replication_factor(2);
+        cfg.history_window = 1 << 17;
+        cfg.cpus_per_site = 3;
+        cfg
+    };
+    let pair_crash = FaultPlan::crash(0, SimTime::from_secs(3))
+        .with(FaultSpec::Crash { site: 1, at: SimTime::from_secs(5) });
+    for (name, mut cfg, horizon_s) in [
+        ("paper-3site-2k", paper_scale(30_000), 330),
+        ("loss-3site-2k", paper_scale(30_000).with_faults(FaultPlan::random_loss(0.05)), 330),
+        ("central-3cpu-7k", ExperimentConfig::centralized(3, 7000).with_target(6_000), 75),
+        (
+            "partial-12site-12k",
+            partial_shape(12, 12_000).with_commit_path(CommitPath::Pipelined).with_target(10_000),
+            40,
+        ),
+        ("churn-6site-3k", partial_shape(6, 3000).with_target(7_000).with_faults(pair_crash), 50),
+    ] {
+        cfg.target_txns /= 10;
+        cfg.max_sim = Duration::from_secs(horizon_s);
+        add("workload", name.to_string(), cfg, None);
+    }
     points
 }
 
@@ -413,6 +442,7 @@ pub fn run(filters: &[String]) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::cert_json::parse_document;
+    use dbsm_core::Cluster;
     use std::collections::BTreeSet;
 
     fn names() -> Vec<String> {
@@ -422,11 +452,11 @@ mod tests {
     #[test]
     fn catalogue_has_uniquely_named_points_in_contiguous_groups() {
         let names = names();
-        assert_eq!(names.len(), 119);
-        assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), 119, "duplicate group/id");
+        assert_eq!(names.len(), 124);
+        assert_eq!(names.iter().collect::<BTreeSet<_>>().len(), 124, "duplicate group/id");
         let mut groups: Vec<&str> = catalogue().iter().map(|p| p.group).collect();
         groups.dedup();
-        assert_eq!(groups.len(), 12, "groups are contiguous: {groups:?}");
+        assert_eq!(groups.len(), 13, "groups are contiguous: {groups:?}");
     }
 
     /// The `(key, config_hash)` of every row point of one artifact, as its
@@ -507,5 +537,115 @@ mod tests {
             }
             assert!(tokens >= at_least, "the documents name {prefix} ({tokens} mentions found)");
         }
+    }
+
+    /// FNV-1a over every site's commit log, each length, origin and
+    /// sequence number as eight little-endian bytes: the benchmark's
+    /// `commit_digest` of one trial.
+    fn commit_digest(logs: &[Vec<(u16, u64)>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for log in logs {
+            mix(log.len() as u64);
+            for &(site, seq) in log {
+                mix(u64::from(site));
+                mix(seq);
+            }
+        }
+        h
+    }
+
+    /// What pins a run: events executed, commit digest, simulated ns
+    /// elapsed, transactions committed and aborted.
+    type Identity = (u64, u64, u64, u64, u64);
+
+    /// Runs the `workload/` point `name` at seeds 42 and 7 and compares
+    /// each run's [`Identity`] with its pin.
+    ///
+    /// The configs are the five of `benchmark/src/workloads.rs`, which keeps
+    /// a second copy of them until the benchmark looks its workloads up in
+    /// the catalogue. A change that should move no simulated number leaves
+    /// every pin alone; a deliberate behaviour change re-records them.
+    fn workload_identity(name: &str, pins: [(u64, Identity); 2]) {
+        let point = catalogue()
+            .into_iter()
+            .find(|p| p.group == "workload" && p.id == name)
+            .expect("a workload point");
+        for (seed, pin) in pins {
+            let cluster = Cluster::build(point.cfg.clone().with_seed(seed));
+            let handle = cluster.clone();
+            let m = cluster.run();
+            let got = (
+                handle.sim().events_executed(),
+                commit_digest(&m.commit_logs),
+                m.elapsed.as_nanos(),
+                m.committed(),
+                m.aborted(),
+            );
+            assert_eq!(
+                got, pin,
+                "{name}, seed {seed}: (events, digest, elapsed ns, committed, aborted)"
+            );
+        }
+    }
+
+    #[test]
+    fn workload_paper_3site_2k_is_pinned() {
+        workload_identity(
+            "paper-3site-2k",
+            [
+                (42, (866_275, 0xac9a06714079478d, 16_699_065_674, 2_639, 560)),
+                (7, (866_063, 0xaa361b8d51e9d51e, 16_952_709_605, 2_552, 579)),
+            ],
+        );
+    }
+
+    #[test]
+    fn workload_loss_3site_2k_is_pinned() {
+        workload_identity(
+            "loss-3site-2k",
+            [
+                (42, (869_257, 0x438381cdc13eb98d, 16_740_300_121, 2_682, 461)),
+                (7, (863_168, 0x9e4e1b9e1f91c98b, 16_901_442_017, 2_602, 589)),
+            ],
+        );
+    }
+
+    #[test]
+    fn workload_central_3cpu_7k_is_pinned() {
+        workload_identity(
+            "central-3cpu-7k",
+            [
+                (42, (28_398, 0x1d7be598148ca5ed, 2_768_440_786, 1_261, 503)),
+                (7, (28_733, 0xd4da8170263dabba, 2_800_705_331, 1_289, 519)),
+            ],
+        );
+    }
+
+    #[test]
+    fn workload_partial_12site_12k_is_pinned() {
+        workload_identity(
+            "partial-12site-12k",
+            [
+                (42, (777_082, 0x7662192b2fe47b15, 990_348_284, 1_144, 40)),
+                (7, (773_037, 0xa88f1748cb23ff15, 995_531_887, 1_113, 31)),
+            ],
+        );
+    }
+
+    #[test]
+    fn workload_churn_6site_3k_is_pinned() {
+        workload_identity(
+            "churn-6site-3k",
+            [
+                (42, (236_419, 0x0552f42055ef5a2d, 2_389_748_764, 704, 9)),
+                (7, (234_351, 0x0b430589004c612d, 2_435_072_827, 700, 9)),
+            ],
+        );
     }
 }

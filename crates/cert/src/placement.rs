@@ -13,30 +13,30 @@
 //!
 //! # Index layout
 //!
-//! Every list below holds *ascending* sequence numbers: commits arrive in
-//! total order, so insertion is a push to the back, and garbage collection
-//! — which retires every sequence number at or below the stable point — is
-//! a trim of the front. A conflict probe is then one `partition_point` for
-//! the first sequence number above the request's snapshot.
+//! Commits arrive in total order, so sequence numbers only grow, and
+//! garbage collection retires every sequence number at or below the stable
+//! point.
 //!
-//! * Row writers live in one map from the raw [`TupleId`] to a `u64`. Most
-//!   rows inside the conflict window were written once, and that lone
-//!   writer's sequence number is the value itself; a second concurrent
-//!   writer moves the row into a slab list, and the value becomes the
-//!   tagged slot `1 << 63 | slot`. Drained lists go back to a free list for
-//!   the next multi-writer row.
+//! * Row writers live in a [`RowIndex`] of `(raw TupleId, seq)` pairs, 16
+//!   bytes a writer. The writers filed since the last gc sit in a flat
+//!   open-addressing table, one slot per writer. Every gc seals that table
+//!   in place into a run sorted by `(raw id, seq)`, and drops or trims the
+//!   runs at or below the stable point. A conflict probe binary-searches
+//!   each run that ends above the request's snapshot, oldest first, then
+//!   walks the open table's probe cluster.
 //! * Each table keeps its table-level (wildcard) writers and its any-writer
-//!   list, which a wildcard *read* probes.
+//!   list, which a wildcard *read* probes. Both are ascending deques: a
+//!   commit pushes to the back, gc trims the front, and a probe is one
+//!   `partition_point` for the first sequence number above the snapshot.
 //! * The history is a deque of run-length `(first, last)` ranges of
 //!   consecutive commits with a non-empty write-set. A span-restricted
 //!   certifier counts every such commit, whatever spans it touched, so
 //!   sequence numbers and history lengths stay in lockstep across sites.
 //!
-//! Nothing records which ids a commit indexed. When gc retires history it
-//! sweeps the index once instead: lone writers at or below the stable point
-//! leave the map, list fronts are trimmed and drained lists freed, and each
-//! table trims its two lists and is dropped once both are empty. No
-//! write-set is cloned or allocated per commit.
+//! Nothing records which ids a commit indexed: gc drops whole runs, trims
+//! the one run and the table lists that straddle the stable point, and
+//! drops each table once both its lists are empty. No write-set is cloned
+//! or allocated per commit.
 //!
 //! # Speculative certification
 //!
@@ -72,7 +72,6 @@ use crate::request::CertRequest;
 use crate::rwset::RwSet;
 use crate::span::ShardKeyFn;
 use crate::tuple::{TableId, TupleId};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Per-table slice of the write-history index: its wildcard and
@@ -108,112 +107,212 @@ fn trim_front(seqs: &mut VecDeque<u64>, stable_seq: u64) {
     seqs.drain(..retired);
 }
 
-/// Tag bit of a [`RowIndex`] value: set, the low bits name a slab list;
-/// clear, the value is the row's lone writer. Sequence numbers never reach
-/// it.
-const LIST: u64 = 1 << 63;
+/// Fibonacci-hashing multiplier of [`RowIndex::home`]: its product's high
+/// bits mix every bit of the raw id, table and row alike.
+const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The writers of every indexed row, ascending per row.
+/// Fewest slots the open table allocates.
+const MIN_SLOTS: usize = 16;
+
+/// One sealed run: the writers filed between two seals, sorted by
+/// `(raw id, seq)`, so a row's writers are adjacent and ascending.
+#[derive(Debug, Clone)]
+struct Run {
+    /// Highest sequence number in `pairs`.
+    last: u64,
+    pairs: Vec<(u64, u64)>,
+}
+
+impl Run {
+    /// The run of `pairs`, sorted in place; `None` when empty.
+    fn of(mut pairs: Vec<(u64, u64)>) -> Option<Run> {
+        let last = pairs.iter().map(|&(_, seq)| seq).max()?;
+        pairs.sort_unstable();
+        Some(Run { last, pairs })
+    }
+}
+
+/// The writers of every indexed row.
 ///
-/// A row's value is its lone writer's sequence number, or `LIST | slot`
-/// once a second concurrent writer arrives; `lists[slot]` then holds the
-/// writers. A drained list keeps its buffer and waits on `free` for the
-/// next multi-writer row.
+/// Writers filed since the last seal sit in the *open table*: flat
+/// `(raw id, seq)` slots under linear probing, one slot per writer, never
+/// deleted, raw id 0 marking an empty slot. A filed row is never
+/// table-level, so its raw id is never 0. [`RowIndex::seal`] turns the open
+/// table, in place, into a sorted [`Run`]; runs are kept oldest first, and
+/// each run's sequence numbers lie above the previous run's.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RowIndex {
-    /// Raw tuple id → lone writer or tagged slot. Iterated only by the gc
-    /// sweep, which keeps or drops each entry by its own value, and by
-    /// [`IndexedCertifier::restricted_to`], whose copy orders each row's
-    /// writers and each table's lists itself: hash order cannot leak.
-    writers: FxHashMap<u64, u64>,
-    lists: Vec<VecDeque<u64>>,
-    free: Vec<usize>,
+    /// The open table: empty, or a power-of-two number of slots at most
+    /// three quarters full. Its slot order follows the hash; the probe takes
+    /// the minimum over a row's slots and the seal sorts, so that order
+    /// reaches no answer.
+    open: Vec<(u64, u64)>,
+    /// Occupied slots of `open`.
+    filed: usize,
+    /// Sealed runs, oldest first.
+    runs: VecDeque<Run>,
 }
 
 impl RowIndex {
-    /// Appends `seq`, which is above every writer of `row` present.
+    /// The open-table slot where a probe for `raw` starts.
+    fn home(&self, raw: u64) -> usize {
+        let bits = self.open.len().trailing_zeros();
+        (raw.wrapping_mul(SPREAD) >> (u64::BITS - bits)) as usize
+    }
+
+    /// Files `(raw, seq)` in the first empty slot from its home on.
+    fn place(&mut self, raw: u64, seq: u64) {
+        let mask = self.open.len() - 1;
+        let mut i = self.home(raw);
+        while self.open[i].0 != 0 {
+            i = (i + 1) & mask;
+        }
+        self.open[i] = (raw, seq);
+    }
+
+    /// Files `seq`, which is above every writer of `row` present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is table-level: its raw id could be 0, the empty
+    /// slot.
     fn push_back(&mut self, row: TupleId, seq: u64) {
-        debug_assert!(seq < LIST, "sequence number reaches the tag bit");
-        match self.writers.entry(row.as_raw()) {
-            Entry::Vacant(e) => {
-                e.insert(seq);
-            }
-            Entry::Occupied(e) if *e.get() & LIST != 0 => {
-                self.lists[(*e.get() & !LIST) as usize].push_back(seq);
-            }
-            Entry::Occupied(mut e) => {
-                let lone = *e.get();
-                let slot = match self.free.pop() {
-                    Some(slot) => {
-                        self.lists[slot].extend([lone, seq]);
-                        slot
-                    }
-                    None => {
-                        self.lists.push(VecDeque::from([lone, seq]));
-                        self.lists.len() - 1
-                    }
-                };
-                e.insert(LIST | slot as u64);
+        assert!(!row.is_table_level(), "table-level id {row:?} has no row slot");
+        if 4 * (self.filed + 1) > 3 * self.open.len() {
+            let slots = (2 * self.open.len()).max(MIN_SLOTS);
+            let old = std::mem::replace(&mut self.open, vec![(0, 0); slots]);
+            for (raw, seq) in old.into_iter().filter(|&(raw, _)| raw != 0) {
+                self.place(raw, seq);
             }
         }
+        self.place(row.as_raw(), seq);
+        self.filed += 1;
     }
 
-    /// [`first_above`] over the writers of `row`.
+    /// Smallest writer of `row` strictly above `start_seq`: the first one
+    /// in the oldest run that ends above `start_seq` and holds one, else
+    /// the least one in the open table.
     fn first_above(&self, row: TupleId, start_seq: u64) -> Option<u64> {
-        let value = *self.writers.get(&row.as_raw())?;
-        if value & LIST == 0 {
-            (value > start_seq).then_some(value)
-        } else {
-            first_above(&self.lists[(value & !LIST) as usize], start_seq)
-        }
-    }
-
-    /// Drops every writer at or below `stable_seq`: lone writers leave
-    /// the map, lists lose their fronts, and a drained list's row leaves
-    /// the map while its slot goes back to the free list.
-    fn sweep(&mut self, stable_seq: u64) {
-        // Slot order, not hash order, decides the free list.
-        for (slot, list) in self.lists.iter_mut().enumerate() {
-            if !list.is_empty() {
-                trim_front(list, stable_seq);
-                if list.is_empty() {
-                    self.free.push(slot);
-                }
-            }
-        }
-        let lists = &self.lists;
-        self.writers.retain(|_, value| {
-            if *value & LIST == 0 {
-                *value > stable_seq
-            } else {
-                !lists[(*value & !LIST) as usize].is_empty()
-            }
+        let raw = row.as_raw();
+        let from = self.runs.partition_point(|run| run.last <= start_seq);
+        let sealed = self.runs.range(from..).find_map(|run| {
+            let i = run.pairs.partition_point(|&pair| pair <= (raw, start_seq));
+            run.pairs.get(i).filter(|&&(r, _)| r == raw).map(|&(_, seq)| seq)
         });
+        if sealed.is_some() || self.open.is_empty() {
+            return sealed;
+        }
+        // The table is never full, so the cluster ends at an empty slot.
+        let (mask, home) = (self.open.len() - 1, self.home(raw));
+        (0..)
+            .map(|k| self.open[(home + k) & mask])
+            .take_while(|&(r, _)| r != 0)
+            .filter(|&(r, seq)| r == raw && seq > start_seq)
+            .map(|(_, seq)| seq)
+            .min()
     }
 
-    /// The writers behind the map value `value`, ascending, as the two
-    /// halves of a deque.
-    fn seqs<'a>(&'a self, value: &'a u64) -> (&'a [u64], &'a [u64]) {
-        if value & LIST == 0 {
-            (std::slice::from_ref(value), &[])
-        } else {
-            self.lists[(value & !LIST) as usize].as_slices()
+    /// Turns the open table into a sealed run in place: drops the empty
+    /// slots, shrinks and sorts. The next writer filed allocates a new one.
+    fn seal(&mut self) {
+        let mut pairs = std::mem::take(&mut self.open);
+        pairs.retain(|&(raw, _)| raw != 0);
+        pairs.shrink_to_fit();
+        self.filed = 0;
+        self.runs.extend(Run::of(pairs));
+    }
+
+    /// Drops every writer at or below `stable_seq` from the sealed runs:
+    /// whole runs that end there, and those of the oldest run left, the
+    /// only one that can straddle it.
+    fn trim(&mut self, stable_seq: u64) {
+        while self.runs.front().is_some_and(|run| run.last <= stable_seq) {
+            self.runs.pop_front();
+        }
+        if let Some(run) = self.runs.front_mut() {
+            run.pairs.retain(|&(_, seq)| seq > stable_seq);
+            run.pairs.shrink_to_fit();
         }
     }
 
-    /// Every indexed row with its writers, as [`RowIndex::seqs`] gives
-    /// them, in hash order.
-    fn iter(&self) -> impl Iterator<Item = (TupleId, (&[u64], &[u64]))> {
-        self.writers.iter().map(|(&raw, value)| (TupleId::from_raw(raw), self.seqs(value)))
+    /// Panics unless the runs and the open table are well formed, and
+    /// returns each row's writers merged across them: runs oldest first,
+    /// then the open table's in ascending order (its slot order is not an
+    /// invariant). Each run is non-empty, strictly sorted, with its true
+    /// last, and lies above the previous run; the open table is
+    /// empty or a power of two of slots at most three quarters full, its
+    /// filed count is its number of occupied slots, and every occupied slot
+    /// is reachable from its home without crossing an empty one.
+    fn check(&self) -> BTreeMap<TupleId, Vec<u64>> {
+        let mut rows: BTreeMap<TupleId, Vec<u64>> = BTreeMap::new();
+        let mut above = 0;
+        for run in &self.runs {
+            assert!(run.pairs.is_sorted_by(|a, b| a < b), "run not strictly sorted");
+            let seqs = || run.pairs.iter().map(|&(_, seq)| seq);
+            let first = seqs().min().expect("empty run");
+            assert_eq!(seqs().max(), Some(run.last), "run's last");
+            assert!(above < first, "run {first}..={} after {above}", run.last);
+            above = run.last;
+        }
+        let n = self.open.len();
+        assert!(
+            n == 0 || n.is_power_of_two() && 4 * self.filed <= 3 * n,
+            "open table of {n} slots"
+        );
+        let mut open = Vec::new();
+        for (i, &(raw, seq)) in self.open.iter().enumerate() {
+            if raw != 0 {
+                let home = self.home(raw);
+                let walk = (i + n - home) % n;
+                assert!(
+                    (0..walk).all(|k| self.open[(home + k) % n].0 != 0),
+                    "slot {i} unreachable from its home {home}"
+                );
+                open.push((raw, seq));
+            }
+        }
+        assert_eq!(open.len(), self.filed, "filed count is not the occupied slots");
+        assert!(open.iter().all(|&(_, seq)| seq > above), "an open writer at or below a run's");
+        open.sort_unstable();
+        for &(raw, seq) in self.runs.iter().flat_map(|run| &run.pairs).chain(&open) {
+            let row = TupleId::from_raw(raw);
+            assert!(!row.is_table_level(), "table-level id {row:?} filed as a row");
+            rows.entry(row).or_default().push(seq);
+        }
+        rows
+    }
+
+    /// Every filed `(row, seq)`: the runs' in run order, then the open
+    /// table's in slot order.
+    fn pairs(&self) -> impl Iterator<Item = (TupleId, u64)> + '_ {
+        let sealed = self.runs.iter().flat_map(|run| &run.pairs);
+        let open = self.open.iter().filter(|&&(raw, _)| raw != 0);
+        sealed.chain(open).map(|&(raw, seq)| (TupleId::from_raw(raw), seq))
+    }
+
+    /// The writers of the rows `keep` accepts, all sealed: each run is
+    /// filtered on its own, and the open table becomes one last run.
+    fn filtered(&self, keep: impl Fn(TupleId) -> bool) -> RowIndex {
+        let kept = |pairs: &[(u64, u64)]| -> Vec<(u64, u64)> {
+            let keep = |raw| raw != 0 && keep(TupleId::from_raw(raw));
+            pairs.iter().copied().filter(|&(raw, _)| keep(raw)).collect()
+        };
+        let runs = self.runs.iter().map(|run| kept(&run.pairs)).chain([kept(&self.open)]);
+        RowIndex { runs: runs.filter_map(Run::of).collect(), ..RowIndex::default() }
     }
 
     /// The writers of `row`, ascending.
     #[cfg(test)]
     pub(crate) fn writers(&self, row: TupleId) -> Vec<u64> {
-        self.writers.get(&row.as_raw()).map_or_else(Vec::new, |value| {
-            let (front, back) = self.seqs(value);
-            [front, back].concat()
-        })
+        let mut seqs: Vec<u64> = self.pairs().filter(|&(r, _)| r == row).map(|(_, s)| s).collect();
+        seqs.sort_unstable();
+        seqs
+    }
+
+    /// Number of filed writers, sealed or open.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.runs.iter().map(|run| run.pairs.len()).sum::<usize>() + self.filed
     }
 }
 
@@ -261,11 +360,13 @@ pub enum SpecResolution {
 /// For every read-set entry the probe is: the row's writers (was this
 /// tuple overwritten concurrently?), the table's wildcard list (did a
 /// table-level write cover it?), and — for wildcard reads — the table's
-/// any-writer list. Each is a hash lookup plus at most one binary search,
-/// so the total cost is proportional to the *request*, not to the conflict
-/// window. The index is maintained incrementally: commits append, and gc
-/// sweeps out every writer at or below the stable point. The module
-/// documentation describes the layout.
+/// any-writer list. Each is a table lookup plus a binary search per list
+/// or recent run and a walk of one open-table probe cluster, so the total
+/// cost is proportional to the *request*, not to the conflict window. The
+/// index is maintained incrementally: commits append, and gc seals the
+/// writers filed since the last gc into a sorted run and drops every
+/// writer at or below the stable point. The module documentation describes
+/// the layout.
 ///
 /// A certifier built with [`IndexedCertifier::with_span`] indexes and
 /// probes only the tuples it [stores](IndexedCertifier::is_local). Drive it
@@ -274,12 +375,13 @@ pub enum SpecResolution {
 /// alone, which is only correct when they cover every span.
 #[derive(Debug, Clone)]
 pub struct IndexedCertifier {
-    /// The per-table wildcard and any-writer lists. Iterated only by the gc
-    /// sweep, which keeps or drops each table by its own lists, and by
+    /// The per-table wildcard and any-writer lists. Iterated only by gc,
+    /// which keeps or drops each table by its own lists, and by
     /// [`IndexedCertifier::restricted_to`], which copies them whole: hash
     /// order cannot leak.
     pub(crate) tables: FxHashMap<TableId, TableIndex>,
-    /// The writers of every indexed row.
+    /// The writers of every indexed row: sealed runs in sorted order and
+    /// the open table, whose slot order no probe or copy exposes.
     pub(crate) rows: RowIndex,
     /// The stored spans; `None` stores every tuple.
     span: Option<Span>,
@@ -336,9 +438,11 @@ impl IndexedCertifier {
     /// under partial placement: the unrestricted donor holds the full
     /// index, and the new replica only wants the rows its spans own, so the
     /// transfer rebuilds the index from the donor's instead of shipping it
-    /// verbatim. Each local row keeps its writers and each local table its
-    /// wildcard list; a table's any-writer list becomes the sorted union of
-    /// those, and the history ranges are copied as they are. Speculations
+    /// verbatim. Each of the donor's runs keeps its local rows' writers, and
+    /// its open table becomes one last run, so the copy is all sealed; each
+    /// local table keeps its wildcard list, a table's any-writer list
+    /// becomes the sorted union of those, and the history ranges are copied
+    /// as they are. Speculations
     /// are not carried over — they are bound to requests in flight at the
     /// donor, which the new replica never saw.
     ///
@@ -354,16 +458,13 @@ impl IndexedCertifier {
             low_water: self.low_water,
             ..IndexedCertifier::with_span(span_of, owned)
         };
-        // Each local table's writers, gathered in hash order and sorted
-        // below; each entry fills only its own table, so order cannot leak.
+        c.rows = self.rows.filtered(|row| c.is_local(row));
+        // Each local table's writers, gathered in run and hash order and
+        // sorted below; each entry fills only its own table, so order
+        // cannot leak.
         let mut any: FxHashMap<TableId, Vec<u64>> = FxHashMap::default();
-        for (row, (front, back)) in self.rows.iter() {
-            if c.is_local(row) {
-                for &seq in front.iter().chain(back) {
-                    c.rows.push_back(row, seq);
-                }
-                any.entry(row.table()).or_default().extend(front.iter().chain(back));
-            }
+        for (row, seq) in c.rows.pairs() {
+            any.entry(row.table()).or_default().push(seq);
         }
         for (&table, index) in &self.tables {
             if !index.wildcard.is_empty() && c.is_local(TupleId::table_level(table)) {
@@ -658,10 +759,12 @@ impl IndexedCertifier {
     /// Discards history at or below `stable_seq` (clamped to
     /// [`IndexedCertifier::last_committed`]) and prunes speculations whose
     /// snapshot fell below the new low-water mark (their confirm would
-    /// report truncation anyway). When any history retires, one sweep of
-    /// the index drops every writer at or below `stable_seq`.
+    /// report truncation anyway). Every call seals the writers filed since
+    /// the last one into a sorted run; when any history retires, the runs
+    /// at or below `stable_seq` go and the one straddling it is trimmed.
     pub fn gc(&mut self, stable_seq: u64) {
         let stable_seq = stable_seq.min(self.last_committed());
+        self.rows.seal();
         if self.history.front().is_some_and(|&(first, _)| first <= stable_seq) {
             while let Some(range) = self.history.front_mut() {
                 if range.1 > stable_seq {
@@ -670,7 +773,7 @@ impl IndexedCertifier {
                 }
                 self.history.pop_front();
             }
-            self.rows.sweep(stable_seq);
+            self.rows.trim(stable_seq);
             self.tables.retain(|_, table| {
                 trim_front(&mut table.wildcard, stable_seq);
                 trim_front(&mut table.any_writer, stable_seq);
@@ -685,12 +788,13 @@ impl IndexedCertifier {
     /// Panics unless the index agrees with the history and the low-water
     /// mark: every history range is non-empty, above `low_water` and
     /// separated from the next; every retained writer lies in a range and
-    /// above `low_water`; every row's and list's writers are strictly
-    /// ascending; each table's any-writer list is exactly the union of its
-    /// rows' and wildcard writers, and no table is empty; the free list
-    /// holds only drained slots; and [`IndexedCertifier::history_len`] is
-    /// the number of sequence numbers the ranges cover. A test aid: it
-    /// walks the whole index.
+    /// above `low_water`; every row's writers, merged across the runs and
+    /// the open table, and every list's are strictly ascending; each table's
+    /// any-writer list is exactly the union of its rows' and wildcard
+    /// writers, and no table is empty; the row index is well formed
+    /// ([`RowIndex::check`]); and [`IndexedCertifier::history_len`] is the
+    /// number of sequence numbers the ranges cover. A test aid: it walks the
+    /// whole index.
     #[doc(hidden)]
     pub fn check_index(&self) {
         let lw = self.low_water;
@@ -717,8 +821,8 @@ impl IndexedCertifier {
             seqs
         };
         let mut union: BTreeMap<TableId, BTreeSet<u64>> = BTreeMap::new();
-        for (row, (front, back)) in self.rows.iter() {
-            let seqs = check(&row, [front, back].concat());
+        for (row, seqs) in self.rows.check() {
+            let seqs = check(&row, seqs);
             union.entry(row.table()).or_default().extend(seqs);
         }
         for (table, index) in &self.tables {
@@ -735,13 +839,6 @@ impl IndexedCertifier {
                 "{table:?}: any-writer {any_writer:?}, union {seqs:?}"
             );
         }
-        let rows = &self.rows;
-        assert!(
-            rows.free.iter().all(|&slot| rows.lists[slot].is_empty()),
-            "a free slot holds writers"
-        );
-        let listed = rows.writers.values().filter(|&&value| value & LIST != 0).count();
-        assert_eq!(listed + rows.free.len(), rows.lists.len(), "a slot is neither listed nor free");
     }
 }
 
@@ -767,73 +864,141 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_index_matches_a_plain_deque() {
-        // Walk one row lone -> list slot -> swept -> drained -> slot reused,
-        // probing every snapshot at every step against the list it replaces.
-        let (row, other) = (id(1, 7), id(2, 7));
-        let mut rows = RowIndex::default();
-        let mut plain: VecDeque<u64> = VecDeque::new();
-        let check = |rows: &RowIndex, plain: &VecDeque<u64>| {
-            assert_eq!(rows.writers(row), Vec::from(plain.clone()));
-            for start in 0..16 {
-                assert_eq!(rows.first_above(row, start), first_above(plain, start), "{start}");
-            }
-            assert_eq!(rows.first_above(id(1, 8), 0), None, "an unwritten row has no writers");
-        };
-        check(&rows, &plain);
-        rows.push_back(row, 3);
-        plain.push_back(3);
-        check(&rows, &plain);
-        assert_eq!(rows.writers.get(&row.as_raw()), Some(&3), "a lone writer is stored inline");
-        assert!(rows.lists.is_empty(), "a lone writer allocates no list");
-        for seq in [5, 9] {
-            rows.push_back(row, seq);
-            plain.push_back(seq);
-            check(&rows, &plain);
+    /// `rows` agrees with `plain`, the writers of `row`, on every snapshot
+    /// up to `to`.
+    fn probes_match(rows: &RowIndex, row: TupleId, plain: &VecDeque<u64>, to: u64) {
+        assert_eq!(rows.writers(row), Vec::from(plain.clone()));
+        for start in 0..=to {
+            assert_eq!(rows.first_above(row, start), first_above(plain, start), "above {start}");
         }
-        assert_eq!(rows.writers.get(&row.as_raw()), Some(&LIST), "second writer: slot 0");
-        // Each sweep trims the writers at or below its stable point; one
-        // that passes no writer (4 after 3) leaves the row alone.
-        for stable in [3, 4, 7, 9] {
-            rows.sweep(stable);
-            trim_front(&mut plain, stable);
-            check(&rows, &plain);
-        }
-        assert!(rows.writers.is_empty(), "a drained row leaves the map");
-        assert_eq!(rows.free, [0], "its list waits on the free list");
-        // The next multi-writer row, of another table, reuses the slot.
-        rows.push_back(other, 11);
-        rows.push_back(other, 12);
-        assert_eq!(rows.writers.get(&other.as_raw()), Some(&LIST));
-        assert_eq!((rows.lists.len(), rows.free.len()), (1, 0));
-        assert_eq!(rows.writers(other), [11, 12]);
-        assert_eq!(rows.first_above(other, 11), Some(12));
-        assert_eq!(rows.first_above(row, 0), None, "the reused slot is not the old row's");
     }
 
     #[test]
-    fn row_index_sweep_drops_writers_at_or_below_the_stable_point() {
-        // A lone writer and a list front equal to the stable point both
-        // go; writers above it stay, whatever order the rows were written.
-        let (lone, listed, late) = (id(1, 7), id(1, 8), id(2, 1));
+    fn row_index_matches_a_plain_deque_across_seals() {
+        // One row written in four periods, between other rows' writers;
+        // each period is sealed into a run, and the last is trimmed. Every
+        // snapshot is probed at every step against the list it replaces.
+        let (row, other) = (id(1, 7), id(2, 7));
         let mut rows = RowIndex::default();
-        rows.push_back(listed, 2);
-        rows.push_back(lone, 3);
-        rows.push_back(listed, 3);
-        rows.push_back(listed, 4);
-        rows.push_back(late, 6);
-        rows.sweep(3);
-        assert_eq!(rows.writers(lone), [] as [u64; 0], "a lone writer at the stable point goes");
-        assert_eq!(rows.writers(listed), [4], "list fronts at or below it go");
-        assert_eq!(rows.writers(late), [6]);
-        assert!(rows.free.is_empty(), "a list with writers left is not freed");
-        rows.sweep(4);
-        assert_eq!(rows.writers(listed), [] as [u64; 0]);
-        assert_eq!(rows.free, [0], "the drained list's slot is free");
-        assert_eq!(rows.writers.len(), 1, "only the late row is left");
-        rows.sweep(4);
-        assert_eq!(rows.free, [0], "a slot already free is not freed twice");
+        let mut plain: VecDeque<u64> = VecDeque::new();
+        assert!(rows.open.is_empty(), "an empty index allocates nothing");
+        probes_match(&rows, row, &plain, 4);
+        let mut seq = 0;
+        for writers in [2, 1, 3, 2] {
+            for _ in 0..writers {
+                seq += 1;
+                rows.push_back(other, seq);
+                seq += 1;
+                rows.push_back(row, seq);
+                plain.push_back(seq);
+                probes_match(&rows, row, &plain, seq + 1);
+            }
+            rows.seal();
+            assert!(rows.open.is_empty() && rows.filed == 0, "the seal empties the open table");
+            probes_match(&rows, row, &plain, seq + 1);
+        }
+        assert_eq!(rows.runs.len(), 4, "one run per sealed period");
+        assert_eq!(rows.first_above(id(1, 8), 0), None, "an unwritten row has no writers");
+        // Trims to every stable point between two of the row's writers.
+        for stable in [3, 4, 9, 12] {
+            rows.trim(stable);
+            trim_front(&mut plain, stable);
+            probes_match(&rows, row, &plain, seq + 1);
+        }
+        assert_eq!(rows.writers(other), [13, 15]);
+        assert_eq!(rows.runs.len(), 1, "runs at or below the stable point go");
+    }
+
+    #[test]
+    #[should_panic(expected = "has no row slot")]
+    fn a_table_level_id_is_never_filed_as_a_row() {
+        // Table 0's table-level id is raw 0, the empty slot: filed, it would
+        // vanish from the open table.
+        RowIndex::default().push_back(TupleId::table_level(TableId(0)), 1);
+    }
+
+    #[test]
+    fn gc_drops_whole_runs_and_trims_the_straddling_one() {
+        // Three periods of four commits: seqs 1..=4, 5..=8 and 9..=12,
+        // each writing rows 1 and 2 of table 1, then one of three more.
+        let mut c = IndexedCertifier::new();
+        for i in 1..=12u64 {
+            c.certify(&req(0, i, i - 1, &[], &[id(1, 1), id(1, 2), id(1, i % 3 + 3)]))
+                .expect("fill");
+            if i % 4 == 0 {
+                c.gc(0);
+            }
+        }
+        c.check_index();
+        let runs = |c: &IndexedCertifier| -> Vec<(u64, usize)> {
+            c.rows.runs.iter().map(|run| (run.last, run.pairs.len())).collect()
+        };
+        assert_eq!(runs(&c), [(4, 12), (8, 12), (12, 12)], "a gc seals when nothing retires");
+        // Two commits into the next period, then a gc at a run's last
+        // writer: that run goes whole, and the open table is sealed.
+        c.certify(&req(0, 13, 12, &[], &[id(1, 1)])).expect("seq 13");
+        c.certify(&req(0, 14, 13, &[], &[id(1, 9)])).expect("seq 14");
+        assert_eq!(c.rows.filed, 2);
+        c.gc(4);
+        c.check_index();
+        assert_eq!(runs(&c), [(8, 12), (12, 12), (14, 2)]);
+        assert!(c.rows.open.is_empty() && c.rows.filed == 0, "the open table is sealed");
+        // A gc inside a run keeps only its writers above the cut.
+        c.gc(10);
+        c.check_index();
+        assert_eq!(runs(&c), [(12, 6), (14, 2)], "three writers each of seqs 11 and 12 stay");
+        assert_eq!(c.rows.writers(id(1, 1)), [11, 12, 13]);
+        assert_eq!(c.rows.first_above(id(1, 2), 10), Some(11));
+        c.gc(14);
+        c.check_index();
+        assert!(c.rows.runs.is_empty() && c.rows.len() == 0);
+    }
+
+    #[test]
+    fn an_open_table_probe_cluster_wraps_past_the_end() {
+        // Rows whose home is the last of the first table's slots: their
+        // writers fill it and wrap to slots 0 and 1, and a row homed at
+        // slot 0 lands behind them.
+        let mut rows = RowIndex::default();
+        rows.push_back(id(9, 1), 1);
+        let homed = |slot: usize| {
+            (1..).map(|r| id(1, r)).find(|&t| rows.home(t.as_raw()) == slot).expect("a row")
+        };
+        let (last, first) = (homed(MIN_SLOTS - 1), homed(0));
+        let mut rows = RowIndex::default();
+        for seq in [2, 3, 4] {
+            rows.push_back(last, seq);
+        }
+        rows.push_back(first, 5);
+        assert_eq!(rows.open.len(), MIN_SLOTS, "no growth");
+        let slot = |i: usize| rows.open[i];
+        assert_eq!([slot(MIN_SLOTS - 1), slot(0), slot(1), slot(2)].map(|(_, s)| s), [2, 3, 4, 5]);
+        let plain = VecDeque::from([2, 3, 4]);
+        probes_match(&rows, last, &plain, 5);
+        probes_match(&rows, first, &VecDeque::from([5]), 5);
+        RowIndex::check(&rows);
+    }
+
+    #[test]
+    fn one_row_with_many_writers_in_one_period() {
+        // A hot row's 200 writers share one probe cluster through several
+        // growths; the probe finds the least above every snapshot, before
+        // and after the seal.
+        let (hot, cold) = (id(1, 1), id(1, 2));
+        let mut rows = RowIndex::default();
+        let mut plain = VecDeque::new();
+        for seq in 1..=200 {
+            rows.push_back(hot, 2 * seq);
+            plain.push_back(2 * seq);
+        }
+        rows.push_back(cold, 401);
+        assert_eq!((rows.filed, rows.open.len()), (201, 512));
+        RowIndex::check(&rows);
+        probes_match(&rows, hot, &plain, 401);
+        rows.seal();
+        assert_eq!(rows.runs.len(), 1);
+        probes_match(&rows, hot, &plain, 401);
+        assert_eq!(rows.first_above(cold, 400), Some(401));
     }
 
     #[test]
@@ -844,10 +1009,10 @@ mod tests {
         c.certify(&req(0, 1, 0, &[], &[id(1, 1), id(1, 2)])).expect("two rows"); // seq 1
         c.gc(1);
         c.check_index();
-        assert!(c.tables.is_empty() && c.rows.writers.is_empty(), "nothing of seq 1 is left");
+        assert!(c.tables.is_empty() && c.rows.len() == 0, "nothing of seq 1 is left");
         c.certify(&req(0, 2, 1, &[], &[id(1, 2)])).expect("rewrite"); // seq 2
         c.gc(2);
-        assert!(c.rows.writers.is_empty());
+        assert_eq!(c.rows.len(), 0);
     }
 
     #[test]
@@ -864,12 +1029,12 @@ mod tests {
         assert_eq!(c.history_len(), 2);
         assert_eq!(c.rows.writers(id(1, 2)), [1], "an owned row is indexed");
         assert_eq!(c.rows.writers(id(0, 5)), [1], "a span-less row is indexed");
-        assert_eq!(c.rows.writers.len(), 2, "foreign rows are not");
+        assert_eq!(c.rows.len(), 2, "foreign rows are not");
         assert_eq!(c.tables[&TableId(1)].any_writer, [1], "seq 2 wrote nothing here");
         c.check_index();
         c.gc(2);
         c.check_index();
-        assert!(c.history.is_empty() && c.tables.is_empty() && c.rows.writers.is_empty());
+        assert!(c.history.is_empty() && c.tables.is_empty() && c.rows.len() == 0);
     }
 
     #[test]
@@ -924,25 +1089,42 @@ mod tests {
             2 => vec![id(1, i % 4 + 1), TupleId::table_level(TableId(3))],
             _ => vec![id(1, i % 4 + 1), id(1, (i + 1) % 4 + 1)],
         };
+        // Both seal at seqs 5 and 10, on either side of the cut at 7, and
+        // again at the cut; seqs 13 and 14 stay in the open tables.
         let mut full = IndexedCertifier::new();
         let mut follower = IndexedCertifier::with_span(span_of, [0]);
-        for i in 1..=12u64 {
+        for i in 1..=14u64 {
             let r = req(0, i, i - 1, &[], &writes(i));
             let (o, _) = full.certify(&r).expect("fill");
             follower.apply(&r, o);
+            let stable = match i {
+                5 | 10 => 0,
+                12 => 7,
+                _ => continue,
+            };
+            full.gc(stable);
+            follower.gc(stable);
         }
-        full.gc(7);
-        follower.gc(7);
         let rebuilt = full.restricted_to(span_of, [0]);
         rebuilt.check_index();
-        assert_eq!(rebuilt.history, [(8, 12)], "ranges are copied as they are");
+        assert_eq!(rebuilt.history, [(8, 14)], "ranges are copied as they are");
         assert_eq!(rebuilt.history, follower.history);
         assert_eq!(rebuilt.low_water(), 7);
+        // The donor's runs are filtered one by one, and its open table
+        // becomes the last run: the rebuilt index is all sealed.
+        let runs: Vec<_> =
+            rebuilt.rows.runs.iter().map(|run| (run.last, run.pairs.len())).collect();
+        assert_eq!(runs, [(9, 2), (11, 1), (13, 2)]);
+        assert!(rebuilt.rows.open.is_empty() && rebuilt.rows.filed == 0);
         for row in 1..=4 {
             assert_eq!(rebuilt.rows.writers(id(1, row)), follower.rows.writers(id(1, row)));
         }
-        assert_eq!(rebuilt.rows.writers(id(0, 7)), [9]);
-        assert_eq!(rebuilt.rows.writers.len(), follower.rows.writers.len());
+        assert_eq!(rebuilt.rows.writers(id(0, 7)), [9, 13]);
+        assert_eq!(rebuilt.rows.len(), follower.rows.len());
+        for start in 7..=14 {
+            let probe = req(1, 99, start, &[id(1, 2), id(1, 4), id(0, 7)], &[]);
+            assert_eq!(rebuilt.vote(&probe), follower.vote(&probe), "snapshot {start}");
+        }
         for t in [0, 1, 3] {
             let (a, b) = (&rebuilt.tables[&TableId(t)], &follower.tables[&TableId(t)]);
             assert_eq!((&a.wildcard, &a.any_writer), (&b.wildcard, &b.any_writer), "table {t}");

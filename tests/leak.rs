@@ -1,14 +1,15 @@
 //! Leak and footprint regression: a dropped cluster frees its memory, and
-//! a partial-replication run stays within its recorded heap peak.
+//! each run stays within its recorded heap peak.
 //!
 //! A counting global allocator tracks live heap bytes and their high-water
 //! mark. Building, running and dropping a cluster must return the live
 //! total to within [`SLACK`] of where it stood before the build — nothing
 //! the run scheduled, queued or captured may outlive the last `Cluster`
-//! handle. The two runs must also never hold more live bytes above that
+//! handle. The three runs must also never hold more live bytes above that
 //! starting point than their recorded peaks allow: [`FULL_PEAK_BOUND`] for
 //! the 3-site full-replication run, [`PARTIAL_PEAK_BOUND`] for the 6-site
-//! rf-2 partial one. The file holds a single test so that no concurrent
+//! rf-2 partial one and [`RETAINING_PEAK_BOUND`] for a 3-site run that
+//! retires no history. The file holds a single test so that no concurrent
 //! test moves the count.
 
 use dbsm_testbed::core::{Cluster, CommitPath, ExperimentConfig, FaultPlan};
@@ -85,6 +86,14 @@ const FULL_PEAK_BOUND: isize = 1_202_567;
 /// state per commit or per site fails here.
 const PARTIAL_PEAK_BOUND: isize = 1_749_414;
 
+/// Most live bytes the 3-site run below that keeps its whole history may
+/// hold at once: its measured peak of 3 555 208 bytes plus 10 %. Its
+/// history window outlasts the run, as on the partial and churn workloads,
+/// so the certifiers' row indexes grow for the whole run across several gc
+/// periods. Before the row index was sealed into sorted runs at each gc,
+/// this run peaked at 6 234 624 bytes.
+const RETAINING_PEAK_BOUND: isize = 3_910_728;
+
 /// Runs `body` and returns the live bytes it left behind and the most it
 /// held at once, both counted from where the live total stood before.
 fn retained(body: impl FnOnce()) -> (isize, isize) {
@@ -117,6 +126,14 @@ fn a_dropped_cluster_frees_its_memory() {
     assert!(left <= SLACK, "6-site rf-2 partial with a rejoin: {left} bytes outlived the cluster");
     println!("leak check: 6-site rf-2 partial peak {peak} live bytes (bound {PARTIAL_PEAK_BOUND})");
     assert!(peak <= PARTIAL_PEAK_BOUND, "6-site rf-2 partial: peak {peak} live bytes");
+
+    let mut retaining = ExperimentConfig::replicated(3, 600).with_target(3_000).with_seed(42);
+    retaining.history_window = 1 << 17;
+    retaining.max_sim = Duration::from_secs(60);
+    let (left, peak) = retained(|| assert!(Cluster::build(retaining).run().committed() > 0));
+    assert!(left <= SLACK, "3-site full, retaining: {left} bytes outlived the cluster");
+    println!("leak check: 3-site retaining peak {peak} live bytes (bound {RETAINING_PEAK_BOUND})");
+    assert!(peak <= RETAINING_PEAK_BOUND, "3-site full, retaining: peak {peak} live bytes");
 
     let (left, _) = retained(|| drop(Cluster::build(ExperimentConfig::replicated(3, 200))));
     assert!(left <= SLACK, "a cluster never run: {left} bytes outlived it");
