@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 /// Bumped whenever a schema or pricing change makes old rows incomparable
 /// with fresh ones; feeds [`config_hash`], so a bump forces a full re-sweep
 /// instead of a silent mixed-schema merge.
-pub const SCHEMA_VERSION: u32 = 5;
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// A column type of an artifact: how a row field of this type is written
 /// into, and read back out of, a row line.
@@ -238,16 +238,12 @@ cert_bench_row! {
     vote_rounds: u64,
     /// Update transactions that crossed spans and voted.
     cross_span_txns: u64,
-    /// Wire-level certification votes multicast, all sites (zero under
-    /// full replication, where no wire votes flow — as are the four below).
+    /// Wire-level certification votes cast onto the data streams, all
+    /// sites (zero under full replication, where no wire votes flow — as
+    /// are the two below).
     votes_sent: u64,
     /// Wire-level votes received, all sites.
     votes_received: u64,
-    /// Fraction of sent votes that rode outgoing data frames instead of
-    /// paying their own packet.
-    vote_piggyback_rate: f64,
-    /// Vote retransmissions after loss.
-    vote_resends: u64,
     /// Mean origin-side wait from delivery to quorum decision, ms.
     mean_vote_wait_ms: f64,
     /// View changes that stranded spans and triggered re-placement (nonzero
@@ -384,8 +380,6 @@ impl CertBenchRow {
             cross_span_txns: m.cert_work.cross_span_txns,
             votes_sent: m.gcs_sum(|g| g.votes_sent),
             votes_received: m.gcs_sum(|g| g.votes_received),
-            vote_piggyback_rate: m.vote_piggyback_rate(),
-            vote_resends: m.gcs_sum(|g| g.vote_resends),
             mean_vote_wait_ms: m.vote_wire.mean_wait_ms(),
             replacements: m.replacement_work.replacements,
             rehomed_spans: m.replacement_work.rehomed_spans,
@@ -670,8 +664,6 @@ mod tests {
             cross_span_txns: 0,
             votes_sent: 140,
             votes_received: 270,
-            vote_piggyback_rate: 0.62,
-            vote_resends: 4,
             mean_vote_wait_ms: 1.8,
             replacements: 1,
             rehomed_spans: 2,
@@ -702,13 +694,13 @@ mod tests {
     fn non_finite_metrics_degrade_to_zero_not_invalid_json() {
         let mut row = sample_row();
         row.tpm = f64::NAN;
-        row.vote_piggyback_rate = f64::INFINITY;
+        row.span_fraction = f64::INFINITY;
         let doc = rows_to_json(&[row]);
         assert!(doc.contains("\"tpm\": 0.000,"), "{doc}");
-        assert!(doc.contains("\"vote_piggyback_rate\": 0.000,"), "{doc}");
+        assert!(doc.contains("\"span_fraction\": 0.000,"), "{doc}");
         // The degraded value is one the reader takes back.
         let back = parse_document::<CertBenchRow>(&doc).expect("NaN/inf must not leak");
-        assert_eq!((back[0].tpm, back[0].vote_piggyback_rate), (0.0, 0.0));
+        assert_eq!((back[0].tpm, back[0].span_fraction), (0.0, 0.0));
         assert_eq!(rows_to_json(&back), doc);
     }
 

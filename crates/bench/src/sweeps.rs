@@ -300,13 +300,13 @@ pub fn catalogue() -> Vec<Point> {
     }
 
     // The decentralized-vote question: with certification verdicts multicast
-    // as wire-level votes (piggybacked on outgoing data frames where MTU
-    // slack allows) instead of modeled as a fixed RTT, what does the vote
-    // round actually cost — and how much of it does the pipelined path hide
-    // by pre-computing votes at tentative delivery, overlapping the vote
-    // round with the ordering round? Both commit paths at every genuinely
-    // partial point; the synchronous ones repeat the partial-replication
-    // sweep's experiments under the same row key.
+    // as wire-level votes (messages on each voter's data stream) instead of
+    // modeled as a fixed RTT, what does the vote round actually cost — and
+    // how much of it does the pipelined path hide by pre-computing votes at
+    // tentative delivery, overlapping the vote round with the ordering
+    // round? Both commit paths at every genuinely partial point; the
+    // synchronous ones repeat the partial-replication sweep's experiments
+    // under the same row key.
     for sites in [3usize, 6, 9, 12] {
         for factor in [2usize, 3].into_iter().filter(|f| *f < sites) {
             for path in paths {
@@ -599,8 +599,8 @@ mod tests {
         workload_identity(
             "paper-3site-2k",
             [
-                (42, (866_275, 0xac9a06714079478d, 16_699_065_674, 2_639, 560)),
-                (7, (866_063, 0xaa361b8d51e9d51e, 16_952_709_605, 2_552, 579)),
+                (42, (868_406, 0x31d9d47571272a8e, 16_779_616_628, 2_597, 571)),
+                (7, (870_833, 0x0d278b2ec896b7f5, 16_961_640_246, 2_622, 528)),
             ],
         );
     }
@@ -610,8 +610,8 @@ mod tests {
         workload_identity(
             "loss-3site-2k",
             [
-                (42, (869_257, 0x438381cdc13eb98d, 16_740_300_121, 2_682, 461)),
-                (7, (863_168, 0x9e4e1b9e1f91c98b, 16_901_442_017, 2_602, 589)),
+                (42, (863_412, 0x15145e9b46828841, 17_038_560_604, 2_590, 571)),
+                (7, (866_795, 0x291970779c2eb2ce, 16_771_559_777, 2_669, 458)),
             ],
         );
     }
@@ -632,8 +632,8 @@ mod tests {
         workload_identity(
             "partial-12site-12k",
             [
-                (42, (777_082, 0x7662192b2fe47b15, 990_348_284, 1_144, 40)),
-                (7, (773_037, 0xa88f1748cb23ff15, 995_531_887, 1_113, 31)),
+                (42, (703_496, 0x111ed30d8b2ff6c5, 982_610_578, 1_136, 27)),
+                (7, (702_712, 0xe78c8944f821b9f0, 1_003_361_008, 1_115, 34)),
             ],
         );
     }
@@ -643,8 +643,8 @@ mod tests {
         workload_identity(
             "churn-6site-3k",
             [
-                (42, (236_419, 0x0552f42055ef5a2d, 2_389_748_764, 704, 9)),
-                (7, (234_351, 0x0b430589004c612d, 2_435_072_827, 700, 9)),
+                (42, (217_657, 0x66aaf1a043ea4b91, 2_365_523_842, 693, 11)),
+                (7, (215_634, 0xb3abd31ae753b08b, 2_444_697_576, 699, 12)),
             ],
         );
     }

@@ -275,7 +275,7 @@ pub struct FaultWorkTotals {
 /// and how long origin sites waited from a transaction's total-order
 /// delivery to its quorum decision. All zeros under full replication (no
 /// votes are cast). The vote traffic itself is each site's
-/// [`GcsMetrics`] `votes_*` and `vote_resends` counters.
+/// [`GcsMetrics`] `votes_sent` and `votes_received` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VoteWireTotals {
     /// Update transactions decided at their origin site via the wire-vote
@@ -539,16 +539,6 @@ impl RunMetrics {
         }
     }
 
-    /// Fraction of sent wire votes that rode data frames' MTU slack.
-    pub fn vote_piggyback_rate(&self) -> f64 {
-        let sent = self.gcs_sum(|g| g.votes_sent);
-        if sent == 0 {
-            0.0
-        } else {
-            self.gcs_sum(|g| g.votes_piggybacked) as f64 / sent as f64
-        }
-    }
-
     /// Mean CPU usage across sites (total / real jobs), as fractions.
     pub fn mean_cpu_usage(&self) -> (f64, f64) {
         if self.site_usage.is_empty() {
@@ -750,26 +740,13 @@ mod tests {
     #[test]
     fn vote_wire_totals_accumulate_and_average() {
         let mut m = RunMetrics::new(2);
-        assert_eq!(m.vote_piggyback_rate(), 0.0);
         m.gcs = vec![
-            GcsMetrics {
-                votes_sent: 10,
-                votes_received: 30,
-                votes_piggybacked: 6,
-                vote_resends: 2,
-                ..GcsMetrics::default()
-            },
+            GcsMetrics { votes_sent: 10, votes_received: 30, ..GcsMetrics::default() },
             GcsMetrics { votes_received: 10, ..GcsMetrics::default() },
         ];
-        let sums = (
-            m.gcs_sum(|g| g.votes_sent),
-            m.gcs_sum(|g| g.votes_received),
-            m.gcs_sum(|g| g.votes_piggybacked),
-            m.gcs_sum(|g| g.vote_resends),
-        );
-        assert_eq!(sums, (10, 40, 6, 2));
+        let sums = (m.gcs_sum(|g| g.votes_sent), m.gcs_sum(|g| g.votes_received));
+        assert_eq!(sums, (10, 40));
         assert_eq!(m.gcs.iter().map(|g| g.votes_sent).collect::<Vec<_>>(), vec![10, 0]);
-        assert!((m.vote_piggyback_rate() - 0.6).abs() < 1e-12);
         let mut t = VoteWireTotals::default();
         assert_eq!(t.mean_wait_ms(), 0.0, "no decisions recorded yet");
         t.decided = 4;

@@ -796,9 +796,9 @@ pub(crate) struct SpanReplica {
     /// Entries popped off `fifo` so far: the entry at index `i` has serial
     /// `fifo_popped + i`, and a serial below `fifo_popped` has left the queue.
     fifo_popped: u64,
-    /// Wire votes that arrived before their transaction's delivery — votes
-    /// travel on their own (piggybacked) channel and may beat the data
-    /// frame's total-order slot.
+    /// Wire votes that arrived before their transaction's delivery — a vote
+    /// surfaces on receipt, without waiting for the total order, and may
+    /// beat its transaction's total-order slot.
     vote_stash: BTreeMap<Key, Vec<SiteVote>>,
     /// Rejoin bookkeeping: keys decided *before* this site's adopted
     /// snapshot was cut. Their deliveries are skipped outright — the

@@ -56,12 +56,10 @@ pub fn series_header(configs: &[&str]) -> String {
 /// replicated span (1.00 under full replication) and `vote=` counts the
 /// partial-replication vote rounds over the cross-span transactions that
 /// needed them. The `wire=` section is the decentralized vote traffic
-/// ledger: votes `s`ent, `r`eceived, `p`iggybacked on data frames, and
-/// retransmitted (`x`), with `wait=` the mean origin-side gap between a
-/// transaction's delivery and its quorum decision — all zero under full
-/// replication, where no wire votes flow. The `rec=` section is the
-/// recovery ledger: completed
-/// rejoins over snapshots served, snapshot+delta transfer kilobytes,
+/// ledger: votes `s`ent and `r`eceived, with `wait=` the mean origin-side
+/// gap between a transaction's delivery and its quorum decision — all zero
+/// under full replication, where no wire votes flow. The `rec=` section is
+/// the recovery ledger: completed rejoins over snapshots served, snapshot+delta transfer kilobytes,
 /// delta-log entries replayed, and the mean time-to-useful per rejoin —
 /// all zero for runs without restarts. The `repl=` section is the
 /// re-placement ledger: view changes that stranded spans over spans
@@ -71,7 +69,7 @@ pub fn series_header(configs: &[&str]) -> String {
 /// span without a live replica.
 pub fn summary_line(label: &str, m: &RunMetrics) -> String {
     format!(
-        "{label}: tpm={:.0} latency={:.1}ms aborts={:.2}% cpu={:.0}%/{:.2}% disk={:.0}% net={:.0}KB/s cert={:.1}cmp/{:.1}probe pipe=q{:.1}/s{:.1}/m{:.1}/st{:.1}us spec={}/{}/{}/{} ann={}x{:.1}+{}pb vc={} dup={}/{} span={:.2} vote={}/{} wire=s{}/r{}/p{}/x{} wait={:.1}ms rec={}/{}sn {}+{}KB replay={} ttu={:.0}ms repl={}/{}sp {}KB recast={} serve={:.0}ms park={:.0}ms",
+        "{label}: tpm={:.0} latency={:.1}ms aborts={:.2}% cpu={:.0}%/{:.2}% disk={:.0}% net={:.0}KB/s cert={:.1}cmp/{:.1}probe pipe=q{:.1}/s{:.1}/m{:.1}/st{:.1}us spec={}/{}/{}/{} ann={}x{:.1}+{}pb vc={} dup={}/{} span={:.2} vote={}/{} wire=s{}/r{} wait={:.1}ms rec={}/{}sn {}+{}KB replay={} ttu={:.0}ms repl={}/{}sp {}KB recast={} serve={:.0}ms park={:.0}ms",
         m.tpm(),
         m.mean_latency_ms(),
         m.abort_rate(),
@@ -100,8 +98,6 @@ pub fn summary_line(label: &str, m: &RunMetrics) -> String {
         m.cert_work.cross_span_txns,
         m.gcs_sum(|g| g.votes_sent),
         m.gcs_sum(|g| g.votes_received),
-        m.gcs_sum(|g| g.votes_piggybacked),
-        m.gcs_sum(|g| g.vote_resends),
         m.vote_wire.mean_wait_ms(),
         m.recovery_work.rejoins,
         m.recovery_work.snapshots_served,
@@ -241,17 +237,11 @@ mod tests {
     fn summary_line_reports_wire_vote_traffic() {
         let mut m = RunMetrics::new(1);
         // Full replication: no wire votes flow.
-        assert!(summary_line("x", &m).contains("wire=s0/r0/p0/x0 wait=0.0ms"));
-        m.gcs = vec![GcsMetrics {
-            votes_sent: 12,
-            votes_received: 24,
-            votes_piggybacked: 9,
-            vote_resends: 2,
-            ..GcsMetrics::default()
-        }];
+        assert!(summary_line("x", &m).contains("wire=s0/r0 wait=0.0ms"));
+        m.gcs = vec![GcsMetrics { votes_sent: 12, votes_received: 24, ..GcsMetrics::default() }];
         m.vote_wire.decided = 4;
         m.vote_wire.wait_ns = 6_000_000;
         let line = summary_line("x", &m);
-        assert!(line.contains("wire=s12/r24/p9/x2 wait=1.5ms"), "{line}");
+        assert!(line.contains("wire=s12/r24 wait=1.5ms"), "{line}");
     }
 }

@@ -12,8 +12,8 @@ pub(crate) const MAX_PACKET: usize = 1000;
 /// data headers.
 pub(crate) const FRAG_PAYLOAD: usize = MAX_PACKET - ENVELOPE_OVERHEAD - DATA_OVERHEAD;
 
-/// Heartbeat emission period; also the retransmission period of the
-/// unacked vote suffix and of view-change flush and join requests.
+/// Heartbeat emission period; also the retransmission period of
+/// view-change flush and join requests.
 pub(crate) const HEARTBEAT_PERIOD: Duration = Duration::from_millis(100);
 
 /// Spacing between repeated NAKs for the same gap.
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn frag_payload_subtracts_headers() {
-        assert_eq!(FRAG_PAYLOAD, 1000 - 12 - 18);
+        assert_eq!(FRAG_PAYLOAD, 1000 - 12 - 16);
     }
 
     #[test]

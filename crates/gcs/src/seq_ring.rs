@@ -1,8 +1,7 @@
 //! [`SeqRing`]: a map keyed by a dense, mostly monotone sequence number.
 //!
-//! The stack's per-stream buffers — out-of-order and retained fragments,
-//! the own send buffer, the vote outbox and out-of-order votes — and the
-//! simulation bridge's timer table are all keyed by a per-stream sequence
+//! The stack's per-stream buffers — out-of-order and retained fragments
+//! and the own send buffer — and the simulation bridge's timer table are all keyed by a per-stream sequence
 //! number that grows by one, get consumed from the front and garbage
 //! collected as a prefix. A ring of optional slots from the lowest live key
 //! serves that pattern in O(1) per step, where a `BTreeMap` paid a tree
@@ -42,11 +41,6 @@ impl<V> SeqRing<V> {
     /// True if no key is present.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The lowest key present.
-    pub fn first_key(&self) -> Option<u64> {
-        (!self.is_empty()).then_some(self.base)
     }
 
     fn index(&self, key: u64) -> Option<usize> {
@@ -223,7 +217,7 @@ mod tests {
                         let below: Vec<u64> = ring.range(..a).map(|(k, _)| k).collect();
                         prop_assert_eq!(below, model.range(..a).map(|(k, _)| *k).collect::<Vec<_>>());
                     }
-                    Op::First => prop_assert_eq!(ring.first_key(), model.keys().next().copied()),
+                    Op::First => prop_assert_eq!(ring.keys().next(), model.keys().next().copied()),
                     Op::Clear => {
                         ring.clear();
                         model.clear();
@@ -244,7 +238,7 @@ mod tests {
         }
         ring.remove(15);
         assert_eq!(ring.remove(10), Some(10));
-        assert_eq!(ring.first_key(), Some(11));
+        assert_eq!(ring.keys().next(), Some(11));
         ring.drop_through(16);
         assert_eq!(ring.keys().collect::<Vec<_>>(), vec![17, 18, 19]);
         assert_eq!(ring.slots.len(), 3, "the cut prefix is popped, not kept as holes");
@@ -252,6 +246,6 @@ mod tests {
         assert!(ring.is_empty());
         // An emptied ring starts over at whatever key comes next.
         ring.insert(5, 5);
-        assert_eq!((ring.first_key(), ring.slots.len()), (Some(5), 1));
+        assert_eq!((ring.keys().next(), ring.slots.len()), (Some(5), 1));
     }
 }

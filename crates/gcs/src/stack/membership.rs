@@ -1,6 +1,6 @@
 //! Membership: failure detection, flush/install view changes, and rejoin.
 
-use super::{Gcs, Peer, Upcall, VoteState};
+use super::{Gcs, Peer, Upcall};
 use crate::config::HEARTBEAT_PERIOD;
 use crate::runtime::{ProtocolRuntime, TimerKind};
 use crate::stability::Stability;
@@ -284,8 +284,6 @@ impl Gcs {
         self.phase = Phase::Stable;
         self.suspected = self.suspected.difference(members);
         self.stab.set_members(members);
-        // Excluded receivers stop gating vote GC the moment they are out.
-        self.gc_votes();
         self.metrics.view_changes += 1;
         self.upcalls.push_back(Upcall::ViewChange(self.view));
         // New sequencer sequences everything left unassigned,
@@ -412,9 +410,9 @@ impl Gcs {
     /// catches up through gossip max-merge — it is *not* seeded with the
     /// cut, because group-wide stable never exceeds the granter's received
     /// vector, so seeding could over-promise and garbage-collect fragments
-    /// a trailing survivor still needs. Fresh vote state: the application
-    /// resumes casting only after its state transfer completes, and peers'
-    /// `Vote` bases skip us past their pre-rejoin streams.
+    /// a trailing survivor still needs. Votes are stream payloads, so the
+    /// baselines skip every peer's pre-rejoin votes too: their outcomes
+    /// arrive with the state transfer.
     pub(super) fn on_join_grant(&mut self, rt: &mut dyn ProtocolRuntime, grant: Message) {
         let Message::JoinGrant { new_view, members, cut, order_base, skipped, sequencer } = grant
         else {
@@ -431,7 +429,6 @@ impl Gcs {
         self.send.next_frag = cut[self.me.0 as usize] + 1;
         self.send.last_refill = now;
         self.stab = Stability::new(self.me, self.cfg.n_nodes, members);
-        self.votes = VoteState::new();
         self.start_timers(rt);
         self.metrics.view_changes += 1;
         self.upcalls.push_back(Upcall::ViewChange(self.view));

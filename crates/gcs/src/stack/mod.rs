@@ -5,7 +5,7 @@
 //!
 //! [`Gcs`] is a single-threaded state machine driven through
 //! [`ProtocolRuntime`]; it is the *real code* the testbed exists to test.
-//! It composes the `reliable`, `order` and `votes` layers, owns membership
+//! It composes the `reliable` and `order` layers, owns membership
 //! (`membership`), and sends everything through one outbox ([`Out`]).
 //! Design choices called out by the paper are implemented faithfully, in
 //! particular the ones behind its §5.3 findings:
@@ -36,21 +36,20 @@
 mod membership;
 mod order;
 mod reliable;
-mod votes;
 
 use crate::config::{GcsConfig, FRAG_PAYLOAD, HEARTBEAT_PERIOD, NAK_RETRY, PROC_COST};
 use crate::runtime::{ProtocolRuntime, TimerKind};
 use crate::stability::Stability;
 use crate::types::{GcsMetrics, NodeId, NodeSet, Upcall, View};
 use crate::wire::{
-    decode_seq_ann, Envelope, Field, Fragment, Message, PayloadKind, SeqAssign, WireVote,
+    decode_seq_ann, decode_vote, encode_vote, Envelope, Fragment, Message, PayloadKind, SeqAssign,
+    WireVote,
 };
 use bytes::Bytes;
 use membership::{Grant, Phase};
 use order::TotalOrder;
 use reliable::{frags_for, Advanced, RecvStream, SendState};
 use std::collections::VecDeque;
-use votes::{VoteLink, VoteState};
 
 /// The stack's one path onto the wire: frames each message as this node's
 /// [`Envelope`] in the current view and hands it to the runtime at once, so
@@ -88,23 +87,19 @@ impl Out<'_> {
 #[derive(Debug)]
 struct Peer {
     recv: RecvStream,
-    votes: VoteLink,
     last_heard: u64,
 }
 
 impl Peer {
     fn new(base: u64, now: u64) -> Self {
-        Peer { recv: RecvStream::new(base), votes: VoteLink::default(), last_heard: now }
+        Peer { recv: RecvStream::new(base), last_heard: now }
     }
 
-    /// Newly added members (rejoiners): unfreeze their streams, reset the
+    /// Newly added members (rejoiners): unfreeze their streams and reset the
     /// failure detector so the fresh member is not instantly re-suspected on
-    /// pre-crash silence, and restart its vote stream from seq 1 — zeroing
-    /// its (stale-high) ack of ours so GC cannot run ahead of what the fresh
-    /// instance actually holds.
+    /// pre-crash silence.
     fn readmit(&mut self, now: u64) {
         self.recv.reopen();
-        self.votes = VoteLink::default();
         self.last_heard = now;
     }
 }
@@ -124,7 +119,8 @@ pub struct Gcs {
     peers: Vec<Peer>,
     stab: Stability,
     to: TotalOrder,
-    votes: VoteState,
+    /// The `seq` of the next vote this instance casts (1-based).
+    next_vote: u64,
     suspected: NodeSet,
     upcalls: VecDeque<Upcall>,
     metrics: GcsMetrics,
@@ -158,7 +154,7 @@ impl Gcs {
             peers: (0..cfg.n_nodes).map(|_| Peer::new(0, 0)).collect(),
             stab: Stability::new(me, cfg.n_nodes, view.members),
             to: TotalOrder::new(me, &cfg, view.members),
-            votes: VoteState::new(),
+            next_vote: 1,
             suspected: NodeSet::EMPTY,
             upcalls: VecDeque::new(),
             metrics: GcsMetrics::default(),
@@ -289,12 +285,12 @@ impl Gcs {
 
     /// Casts a certification verdict for transaction `(origin, txn)` into
     /// the group. The vote loops back to this node immediately (as
-    /// [`Upcall::Vote`]) and reaches every peer reliably: it rides the MTU
-    /// slack of outgoing data fragments when application traffic is queued,
-    /// flushes as a standalone [`Message::Vote`] otherwise, and is
-    /// retransmitted by the heartbeat until every view member acked it.
-    /// Dropped while halted or still joining — a crashed voter simply goes
-    /// silent and the survivors' votes cover its spans.
+    /// [`Upcall::Vote`]) and goes out as a [`PayloadKind::Vote`] message on
+    /// this node's own data stream, behind whatever is already queued: it
+    /// takes its turn for the buffer share, is repaired by NAK, and a view
+    /// change's flush hands it to every survivor or to none. Dropped while
+    /// halted or still joining — a crashed voter simply goes silent and the
+    /// survivors' votes cover its spans.
     pub fn cast_vote(
         &mut self,
         rt: &mut dyn ProtocolRuntime,
@@ -305,24 +301,21 @@ impl Gcs {
         if self.halted || self.joining {
             return;
         }
-        let peers = self.view.members.len() > 1;
-        let vote = self.votes.cast(origin, txn, conflict, peers);
+        let vote = WireVote { seq: self.next_vote, origin, txn, conflict };
+        self.next_vote += 1;
         // Loopback: the local application always sees its own verdict.
         self.upcalls.push_back(Upcall::Vote { voter: self.me, vote });
-        if peers && self.send.pending.is_empty() {
-            // No outgoing fragment to ride: flush standalone now. With
-            // traffic queued the vote waits for the next fragment's slack
-            // (the heartbeat arm is the straggler backstop).
-            self.votes.flush(&mut self.out(rt), &mut self.metrics);
-        }
+        self.metrics.votes_sent += 1;
+        self.send.enqueue(PayloadKind::Vote, encode_vote(&vote), &mut self.metrics);
+        self.drain_sends(rt);
     }
 
-    /// The next sequence number this node's vote stream will assign. Every
-    /// vote already cast carries a strictly smaller `seq`, so callers can
-    /// use this value as a staleness threshold: votes below it predate the
-    /// moment the snapshot was taken.
+    /// The `seq` the next vote cast here will carry. Every vote already
+    /// cast carries a strictly smaller `seq`, so callers can use this value
+    /// as a staleness threshold: votes below it predate the moment the
+    /// snapshot was taken.
     pub fn vote_seq(&self) -> u64 {
-        self.votes.next_seq
+        self.next_vote
     }
 
     // ----- sending & flow control -------------------------------------
@@ -353,18 +346,18 @@ impl Gcs {
         for idx in 0..total {
             let lo = idx as usize * FRAG_PAYLOAD;
             let chunk = payload.slice(lo..(lo + FRAG_PAYLOAD).min(payload.len()));
-            let (mut ann, mut votes) = (Vec::new(), Vec::new());
+            let mut ann = Vec::new();
             // The last fragment of an application message usually leaves MTU
-            // slack: fill it with pending announcements, then votes.
-            if idx + 1 == total && kind == PayloadKind::App {
+            // slack: fill it with pending announcements.
+            if idx + 1 == total
+                && kind == PayloadKind::App
+                && matches!(self.phase, Phase::Stable)
+                && self.to.is_sequencer()
+            {
                 let room = FRAG_PAYLOAD.saturating_sub(chunk.len());
-                if matches!(self.phase, Phase::Stable) && self.to.is_sequencer() {
-                    ann = self.to.take_piggyback(rt, room, &mut self.metrics);
-                }
-                let room = room.saturating_sub(ann.len() * SeqAssign::LEN);
-                votes = self.votes.take_piggyback(room, &mut self.metrics);
+                ann = self.to.take_piggyback(rt, room, &mut self.metrics);
             }
-            let frag = Fragment { total, idx, kind, ann, votes, payload: chunk };
+            let frag = Fragment { total, idx, kind, ann, payload: chunk };
             let seq = self.send.push(frag.clone());
             self.out(rt).multicast(Message::Data { seq, retrans: false, frag: frag.clone() });
             self.metrics.frags_sent += 1;
@@ -448,12 +441,6 @@ impl Gcs {
                 self.on_view_install(rt, new_view, members, cut);
             }
             Message::JoinReq => self.on_join_req(rt, from),
-            Message::Vote { base, votes } => self.on_vote_frame(rt, from, base, votes),
-            Message::VoteAck { up_to } => {
-                let link = &mut self.peers[from.0 as usize].votes;
-                link.acked = link.acked.max(up_to);
-                self.gc_votes();
-            }
             Message::JoinGrant { .. } => {
                 // Duplicate grant after adoption (or a stray): ignore.
             }
@@ -480,11 +467,7 @@ impl Gcs {
             Message::JoinGrant { members, sequencer, .. } => {
                 set(*members) && self.in_universe(*sequencer)
             }
-            Message::Heartbeat { .. }
-            | Message::FlushAck { .. }
-            | Message::JoinReq
-            | Message::Vote { .. }
-            | Message::VoteAck { .. } => true,
+            Message::Heartbeat { .. } | Message::FlushAck { .. } | Message::JoinReq => true,
         }
     }
 
@@ -526,14 +509,22 @@ impl Gcs {
         let mut up = std::mem::take(&mut self.advanced);
         let own = from == self.me;
         self.peers[from.0 as usize].recv.advance(own, &mut up, || rt.now_nanos());
+        // Votes first: a vote that overtook the sequencer's order on the
+        // wire surfaces before the deliveries that order releases, so the
+        // application files it before its transaction delivers. Votes keep
+        // their own FIFO order.
+        up.completed.retain(|(msg_seq, kind, payload)| {
+            let vote = *kind == PayloadKind::Vote;
+            if vote {
+                self.on_reliable_msg(rt, from, *msg_seq, *kind, payload.clone());
+            }
+            !vote
+        });
         if !up.anns.is_empty() {
             for (a, carrier_seq) in up.anns.drain(..) {
                 self.to.apply(a, from, carrier_seq);
             }
             self.try_deliver();
-        }
-        if !up.votes.is_empty() {
-            self.on_vote_frame(rt, from, 0, up.votes.drain(..));
         }
         for (msg_seq, kind, payload) in up.completed.drain(..) {
             self.on_reliable_msg(rt, from, msg_seq, kind, payload);
@@ -575,6 +566,14 @@ impl Gcs {
                     self.try_deliver();
                 }
             }
+            // Our own votes looped back at cast time.
+            PayloadKind::Vote if origin != self.me => {
+                if let Ok(vote) = decode_vote(payload) {
+                    self.metrics.votes_received += 1;
+                    self.upcalls.push_back(Upcall::Vote { voter: origin, vote });
+                }
+            }
+            PayloadKind::Vote => {}
         }
     }
 
@@ -583,31 +582,6 @@ impl Gcs {
             self.metrics.delivered += 1;
             self.upcalls.push_back(up);
         }
-    }
-
-    /// Feeds received votes from `from`'s stream, and cumulatively acks so
-    /// the voter can garbage-collect.
-    fn on_vote_frame(
-        &mut self,
-        rt: &mut dyn ProtocolRuntime,
-        from: NodeId,
-        base: u64,
-        votes: impl IntoIterator<Item = WireVote>,
-    ) {
-        let (metrics, upcalls) = (&mut self.metrics, &mut self.upcalls);
-        let up_to = self.peers[from.0 as usize].votes.receive(base, votes, |vote| {
-            metrics.votes_received += 1;
-            upcalls.push_back(Upcall::Vote { voter: from, vote });
-        });
-        self.out(rt).unicast(from, Message::VoteAck { up_to });
-    }
-
-    /// Garbage-collects the vote outbox up to the minimum cumulative ack
-    /// over the *current* view's peers (re-evaluated after every install: a
-    /// crashed receiver stops gating GC the moment it is excluded).
-    fn gc_votes(&mut self) {
-        let peers = self.view.members.iter().filter(|&m| m != self.me);
-        self.votes.gc(peers.map(|m| self.peers[m.0 as usize].votes.acked).min());
     }
 
     // ----- NAK / retransmission ----------------------------------------
@@ -703,11 +677,6 @@ impl Gcs {
             }
             TimerKind::Heartbeat => {
                 self.out(rt).multicast(Message::Heartbeat { sent: self.send.sent() });
-                // Vote reliability rides the heartbeat: retransmit the
-                // unacked suffix, then flush stragglers that found no
-                // fragment slack to piggyback on.
-                self.votes.resend(&mut self.out(rt), &mut self.metrics);
-                self.votes.flush(&mut self.out(rt), &mut self.metrics);
                 rt.set_timer(HEARTBEAT_PERIOD, TimerKind::Heartbeat);
             }
             TimerKind::FailureCheck => {

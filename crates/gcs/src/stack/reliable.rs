@@ -11,7 +11,7 @@ use super::GcsMetrics;
 use crate::config::{GcsConfig, FRAG_PAYLOAD};
 use crate::runtime::{ProtocolRuntime, TimerId, TimerKind};
 use crate::seq_ring::SeqRing;
-use crate::wire::{Fragment, PayloadKind, SeqAssign, WireVote};
+use crate::wire::{Fragment, PayloadKind, SeqAssign};
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
@@ -63,11 +63,10 @@ impl Assembler {
 }
 
 /// What advancing a stream hands upward, in stream order: assignments with
-/// their carrier's sequence number, piggybacked votes, completed messages.
+/// their carrier's sequence number, and completed messages.
 #[derive(Debug, Default)]
 pub(super) struct Advanced {
     pub anns: Vec<(SeqAssign, u64)>,
-    pub votes: Vec<WireVote>,
     pub completed: Vec<(u64, PayloadKind, Bytes)>,
 }
 
@@ -123,7 +122,7 @@ impl RecvStream {
 
     /// Advances the contiguous prefix as far as buffered fragments and the
     /// flush freeze limit allow, maintaining gap bookkeeping. `own` marks
-    /// the loopback stream: own votes already looped back at cast time.
+    /// the loopback stream, whose fragments the send buffer keeps for repair.
     pub fn advance(&mut self, own: bool, up: &mut Advanced, now: impl FnOnce() -> u64) {
         while self.contiguous < self.delivery_limit() {
             let next = self.contiguous + 1;
@@ -135,9 +134,6 @@ impl RecvStream {
             // straggler can never apply assignments at some survivors and
             // not others across a view change.
             up.anns.extend(frag.ann.iter().map(|a| (*a, next)));
-            if !own {
-                up.votes.extend(frag.votes.iter().copied());
-            }
             if let Some(msg) = self.asm.feed(next, &frag) {
                 up.completed.push(msg);
             }
@@ -347,7 +343,6 @@ mod tests {
             idx,
             kind: PayloadKind::App,
             ann: Vec::new(),
-            votes: Vec::new(),
             payload: Bytes::from(vec![byte; 2]),
         }
     }

@@ -4,7 +4,9 @@
 use super::*;
 use crate::config::{AnnBatchPolicy, MAX_PACKET};
 use crate::runtime::mock::MockRt;
-use crate::wire::SeqAssign;
+use crate::stability::Gossip;
+use crate::testkit::TestNet;
+use crate::wire::{Field, SeqAssign};
 use std::time::Duration;
 
 fn fixed_cfg(n: usize, window: Duration) -> GcsConfig {
@@ -25,7 +27,6 @@ fn data(seq: u64, ann: Vec<SeqAssign>, payload: &'static [u8]) -> Message {
         idx: 0,
         kind: PayloadKind::App,
         ann,
-        votes: Vec::new(),
         payload: Bytes::from_static(payload),
     };
     Message::Data { seq, retrans: false, frag }
@@ -495,6 +496,31 @@ fn rejoined_lowest_member_does_not_reclaim_the_sequencer_role() {
     assert_eq!(g.sequencer(), NodeId(1), "the rejoiner does not reclaim the role");
 }
 
+/// `vote` as fragment `seq` of its voter's data stream.
+fn vote_data(seq: u64, vote: WireVote) -> Message {
+    let frag = Fragment {
+        total: 1,
+        idx: 0,
+        kind: PayloadKind::Vote,
+        ann: Vec::new(),
+        payload: encode_vote(&vote),
+    };
+    Message::Data { seq, retrans: false, frag }
+}
+
+/// The `(fragment seq, vote)` of every vote fragment `rt` sent.
+fn sent_votes(rt: &MockRt) -> Vec<(u64, WireVote)> {
+    sent_msgs(rt)
+        .into_iter()
+        .filter_map(|m| match m {
+            Message::Data { seq, frag, .. } if frag.kind == PayloadKind::Vote => {
+                Some((seq, decode_vote(frag.payload).expect("well-formed vote")))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn cast_vote_loops_back_and_flushes_standalone() {
     let mut rt = MockRt::default();
@@ -504,23 +530,16 @@ fn cast_vote_loops_back_and_flushes_standalone() {
     g.cast_vote(&mut rt, 2, 3, Some(41));
     let ups = g.drain_upcalls();
     let votes = vote_upcalls(&ups);
-    assert_eq!(votes.len(), 2, "both verdicts looped back: {ups:?}");
+    assert_eq!(votes.len(), 2, "each verdict looped back exactly once: {ups:?}");
     assert_eq!(votes[0].0, NodeId(0));
     assert_eq!(votes[0].1, WireVote { seq: 1, origin: 1, txn: 7, conflict: None });
     assert_eq!(votes[1].1, WireVote { seq: 2, origin: 2, txn: 3, conflict: Some(41) });
-    // Idle sender: each cast flushed immediately as a standalone frame.
-    let wire: Vec<_> = sent_msgs(&rt)
-        .into_iter()
-        .filter_map(|m| match m {
-            Message::Vote { base, votes } => Some((base, votes)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(wire.len(), 2, "one Vote frame per cast at an idle sender");
-    assert_eq!(wire[0].0, 1, "nothing GC'd: base is the stream start");
+    // Idle sender: each cast leaves at once as a message of its own on the
+    // data stream, and stays buffered for repair until it is stable.
+    assert_eq!(sent_votes(&rt), vec![(1, votes[0].1), (2, votes[1].1)]);
     assert_eq!(g.metrics().votes_sent, 2);
-    assert_eq!(g.metrics().votes_piggybacked, 0);
-    assert_eq!(g.votes.outbox.len(), 2, "retained until every peer acks");
+    assert_eq!(g.unstable_frags(), 2);
+    assert!(g.to.store.is_empty() && g.to.pending_ann.is_empty(), "votes are never sequenced");
 }
 
 #[test]
@@ -530,62 +549,51 @@ fn received_votes_surface_in_stream_order_and_are_acked() {
     g.on_start(&mut rt);
     let v1 = WireVote { seq: 1, origin: 1, txn: 1, conflict: None };
     let v2 = WireVote { seq: 2, origin: 1, txn: 2, conflict: Some(9) };
-    // Seq 2 arrives first: buffered, not surfaced.
-    g.on_packet(&mut rt, pkt(1, Message::Vote { base: 1, votes: vec![v2] }));
+    // Fragment 2 arrives first: buffered, not surfaced.
+    g.on_packet(&mut rt, pkt(1, vote_data(2, v2)));
     assert!(vote_upcalls(&g.drain_upcalls()).is_empty(), "gap holds the stream");
-    // Seq 1 closes the gap: both surface, in cast order.
-    let fill = pkt(1, Message::Vote { base: 1, votes: vec![v1] });
+    // Fragment 1 closes the gap: both surface, in cast order.
+    let fill = pkt(1, vote_data(1, v1));
     g.on_packet(&mut rt, fill.clone());
     let votes = vote_upcalls(&g.drain_upcalls());
     assert_eq!(votes, vec![(NodeId(1), v1), (NodeId(1), v2)]);
     assert_eq!(g.metrics().votes_received, 2);
-    // A duplicate is dropped, and every frame is answered with the
-    // cumulative ack.
     g.on_packet(&mut rt, fill);
     assert!(vote_upcalls(&g.drain_upcalls()).is_empty(), "duplicate dropped");
-    let acks: Vec<_> = sent_msgs(&rt)
-        .into_iter()
-        .filter_map(|m| match m {
-            Message::VoteAck { up_to } => Some(up_to),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(acks, vec![0, 2, 2], "cumulative ack after each frame");
-}
-
-/// Queues votes `seqs` as if cast while traffic was queued.
-fn seed_votes(g: &mut Gcs, seqs: std::ops::RangeInclusive<u64>) {
-    for seq in seqs {
-        let v = WireVote { seq, origin: 0, txn: seq, conflict: None };
-        g.votes.outbox.insert(seq, v);
-        g.votes.pending.push(v);
-        g.votes.next_seq = seq + 1;
-    }
+    // The sequencer orders none of them, and receipt costs no frame of its
+    // own: the next stability gossip acknowledges both fragments.
+    assert!(g.to.store.is_empty() && g.to.pending_ann.is_empty(), "votes are never sequenced");
+    assert!(rt.sent.is_empty(), "nothing answered: {:?}", sent_msgs(&rt));
+    g.on_timer(&mut rt, TimerKind::Gossip);
+    let acked = sent_msgs(&rt).into_iter().find_map(|m| match m {
+        Message::Gossip(gossip) => Some(gossip.m[1]),
+        _ => None,
+    });
+    assert_eq!(acked, Some(2), "the gossip reports node 1's stream received through 2");
 }
 
 #[test]
-fn votes_piggyback_on_outgoing_fragment_slack() {
+fn a_vote_surfaces_before_the_delivery_its_advance_releases() {
     let mut rt = MockRt::default();
-    let mut g = Gcs::new(NodeId(0), fixed_cfg(2, Duration::from_millis(10)));
+    let mut g = Gcs::new(NodeId(2), fixed_cfg(3, Duration::from_millis(5)));
     g.on_start(&mut rt);
-    seed_votes(&mut g, 1..=3);
-    g.broadcast(&mut rt, Bytes::from_static(b"txn"));
-    let m = g.metrics();
-    assert_eq!(m.votes_piggybacked, 3, "all three rode the fragment slack");
-    assert_eq!(m.votes_sent, 3);
-    let carried = sent_msgs(&rt)
-        .into_iter()
-        .any(|m| matches!(m, Message::Data { frag, .. } if frag.votes.len() == 3));
-    assert!(carried, "outgoing fragment carries the votes");
-    assert!(g.votes.pending.is_empty());
-    // No slack, no piggyback: a full fragment defers to the heartbeat.
-    seed_votes(&mut g, 4..=4);
-    g.broadcast(&mut rt, Bytes::from(vec![0u8; FRAG_PAYLOAD]));
-    assert_eq!(g.metrics().votes_piggybacked, 3, "no room on a full fragment");
-    assert_eq!(g.votes.pending.len(), 1);
-    g.on_timer(&mut rt, TimerKind::Heartbeat);
-    assert!(g.votes.pending.is_empty(), "heartbeat flushed the straggler");
-    assert_eq!(g.metrics().votes_sent, 4);
+    // The sequencer's vote on its own message overtook the fragment that
+    // carries the message and its order: buffered behind the gap.
+    let v = WireVote { seq: 1, origin: 0, txn: 1, conflict: None };
+    g.on_packet(&mut rt, pkt(0, vote_data(2, v)));
+    assert!(vote_upcalls(&g.drain_upcalls()).is_empty(), "gap holds the stream");
+    let a = SeqAssign { sender: NodeId(0), msg_seq: 1, global_seq: 1 };
+    g.on_packet(&mut rt, pkt(0, data(1, vec![a], b"m")));
+    let order: Vec<&str> = g
+        .drain_upcalls()
+        .iter()
+        .map(|u| match u {
+            Upcall::Vote { .. } => "vote",
+            Upcall::Deliver { .. } => "deliver",
+            _ => "other",
+        })
+        .collect();
+    assert_eq!(order, ["vote", "deliver"], "the vote is filed before its transaction delivers");
 }
 
 #[test]
@@ -594,51 +602,33 @@ fn unacked_votes_resend_until_acked_then_gc() {
     let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::from_millis(5)));
     g.on_start(&mut rt);
     g.cast_vote(&mut rt, 0, 1, None);
-    assert_eq!(g.votes.outbox.len(), 1);
-    g.on_timer(&mut rt, TimerKind::Heartbeat);
-    assert_eq!(g.metrics().vote_resends, 1, "unacked vote retransmitted");
-    // One peer acks: still gated by the other.
-    g.on_packet(&mut rt, pkt(1, Message::VoteAck { up_to: 1 }));
-    assert_eq!(g.votes.outbox.len(), 1, "slowest view member gates GC");
-    g.on_packet(&mut rt, pkt(2, Message::VoteAck { up_to: 1 }));
-    assert!(g.votes.outbox.is_empty(), "acked by all: GC'd");
-    let before = g.metrics().vote_resends;
-    g.on_timer(&mut rt, TimerKind::Heartbeat);
-    assert_eq!(g.metrics().vote_resends, before, "nothing left to resend");
+    let sent = sent_votes(&rt);
+    rt.sent.clear();
+    // A peer lost it: its NAK is answered from the send buffer.
+    g.on_packet(&mut rt, pkt(1, Message::Nak { target: NodeId(0), ranges: vec![(1, 1)] }));
+    assert_eq!(sent_votes(&rt), sent, "the same vote resent");
+    assert_eq!(g.metrics().retrans_sent, 1);
+    // Once every member holds it, stability collects it.
+    let stable = Gossip { round: 0, w: NodeSet::EMPTY, m: vec![u64::MAX; 3], s: vec![1, 0, 0] };
+    g.on_packet(&mut rt, pkt(1, Message::Gossip(stable)));
+    assert_eq!(g.unstable_frags(), 0);
 }
 
 #[test]
 fn vote_frames_respect_the_packet_size_cap() {
-    // A burst of votes cast while application traffic was queued
-    // flushes at the next heartbeat; both that flush and the later
-    // retransmissions must split into frames within `MAX_PACKET`. The
-    // network drops oversized datagrams, so an oversized flush loses
-    // the whole burst — and an oversized *retransmission* is dropped
-    // on every heartbeat, pinning the receivers' stream gap open
-    // forever and wedging every vote round behind it.
+    // A burst of votes leaves as one fragment per vote, and the NAK
+    // answers that repair it reuse those fragments: the network drops
+    // oversized datagrams, so a frame over `MAX_PACKET` would be lost on
+    // every transmission.
     let mut rt = MockRt::default();
     let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::from_millis(5)));
     g.on_start(&mut rt);
-    seed_votes(&mut g, 1..=300);
-    rt.sent.clear();
-    g.on_timer(&mut rt, TimerKind::Heartbeat);
-    assert!(g.votes.pending.is_empty(), "heartbeat flushed the burst");
-    let flushed: usize = sent_msgs(&rt)
-        .into_iter()
-        .filter_map(|m| match m {
-            Message::Vote { votes, .. } => Some(votes.len()),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(flushed, 300, "every vote of the burst went out");
-    for raw in &rt.sent {
-        assert!(raw.len() <= MAX_PACKET, "{} > MAX_PACKET", raw.len());
+    for txn in 0..300 {
+        g.cast_vote(&mut rt, 0, txn, Some(txn));
     }
-    // Still unacked: the next heartbeat retransmits a bounded suffix,
-    // again in frames the network will actually deliver.
-    rt.sent.clear();
-    g.on_timer(&mut rt, TimerKind::Heartbeat);
-    assert_eq!(g.metrics().vote_resends, 256, "resend budget per beat");
+    assert_eq!(sent_votes(&rt).len(), 300, "every vote of the burst went out");
+    g.on_packet(&mut rt, pkt(1, Message::Nak { target: NodeId(0), ranges: vec![(1, 300)] }));
+    assert!(g.metrics().retrans_sent > 0);
     for raw in &rt.sent {
         assert!(raw.len() <= MAX_PACKET, "{} > MAX_PACKET", raw.len());
     }
@@ -650,29 +640,87 @@ fn view_change_drops_the_dead_receiver_from_vote_gc() {
     let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::from_millis(5)));
     g.on_start(&mut rt);
     g.cast_vote(&mut rt, 0, 1, None);
-    // Node 1 acks; node 2 crashes without acking.
-    g.on_packet(&mut rt, pkt(1, Message::VoteAck { up_to: 1 }));
-    assert_eq!(g.votes.outbox.len(), 1, "dead receiver still gates GC");
+    // Node 1 holds the vote; node 2 crashed without it, so it stays.
     remove_node(&mut rt, &mut g, NodeId(2));
-    assert!(g.votes.outbox.is_empty(), "install re-evaluates GC against the new view");
+    assert_eq!(g.unstable_frags(), 1, "not yet stable in the new view");
+    // The new view's stability round needs node 1 and us only.
+    g.on_timer(&mut rt, TimerKind::Gossip);
+    let w = [NodeId(1)].into_iter().collect();
+    let round = Gossip { round: 1, w, m: vec![1, 0, 0], s: vec![0, 0, 0] };
+    g.on_packet(&mut rt, pkt(1, Message::Gossip(round)));
+    assert_eq!(g.unstable_frags(), 0, "the dead receiver no longer gates gc");
+}
+
+/// The votes `net` surfaced at `node` from `voter`, as `txn`s.
+fn surfaced(net: &TestNet, node: u16, voter: u16) -> Vec<u64> {
+    vote_upcalls(&net.upcalls[usize::from(node)])
+        .into_iter()
+        .filter(|(v, _)| *v == NodeId(voter))
+        .map(|(_, vote)| vote.txn)
+        .collect()
 }
 
 #[test]
-fn vote_base_jump_skips_a_rejoiners_pre_crash_stream() {
-    let mut rt = MockRt::default();
-    let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::from_millis(5)));
-    g.on_start(&mut rt);
-    // A voter whose votes 1..=4 were GC'd before we rejoined announces
-    // base 5: we adopt it rather than waiting forever for 1..=4.
-    let v5 = WireVote { seq: 5, origin: 1, txn: 9, conflict: None };
-    g.on_packet(&mut rt, pkt(1, Message::Vote { base: 5, votes: vec![v5] }));
-    let votes = vote_upcalls(&g.drain_upcalls());
-    assert_eq!(votes, vec![(NodeId(1), v5)], "stream resumes at the base");
-    // A straggler below the base is a duplicate of transferred state.
-    let v4 = WireVote { seq: 4, origin: 1, txn: 8, conflict: None };
-    g.on_packet(&mut rt, pkt(1, Message::Vote { base: 5, votes: vec![v4] }));
-    assert!(vote_upcalls(&g.drain_upcalls()).is_empty());
-    assert_eq!(g.metrics().votes_received, 1);
+fn votes_cast_behind_a_full_buffer_share_still_reach_every_peer() {
+    // Votes compete with application data for the sender's share: cast
+    // while it is full, they wait their turn and then go out.
+    let mut cfg = GcsConfig::lan(3);
+    cfg.total_buffer_frags = 3 * 8;
+    let mut net = TestNet::new(cfg);
+    for k in 0..12u8 {
+        net.broadcast(NodeId(1), Bytes::from(vec![k; 3 * FRAG_PAYLOAD]));
+    }
+    let queued = net.nodes[1].borrow().send.pending.len();
+    assert!(queued > 0, "the share is full");
+    for txn in 0..5 {
+        net.cast_vote(NodeId(1), 1, txn, None);
+    }
+    net.run_for(Duration::from_secs(2));
+    for node in 0..3 {
+        assert_eq!(surfaced(&net, node, 1), (0..5).collect::<Vec<_>>(), "node {node}");
+        assert_eq!(net.deliveries(NodeId(node)).len(), 12, "node {node}");
+    }
+    assert!(net.nodes[1].borrow().metrics().blocked_ns > 0, "the sender did block");
+}
+
+#[test]
+fn a_dead_voters_vote_reaches_every_survivor_once() {
+    // Node 3's vote reaches node 0 only, and node 3 dies: the view
+    // change's flush agrees on node 3's stream, so the survivors that
+    // missed the vote repair it from node 0.
+    let mut net = TestNet::new(GcsConfig::lan(4));
+    net.run_for(Duration::from_millis(10));
+    net.set_drop_fn(|from, to, _| from == NodeId(3) && to != NodeId(0));
+    net.cast_vote(NodeId(3), 3, 42, None);
+    net.run_for(Duration::from_millis(1));
+    net.crash(NodeId(3));
+    net.run_for(Duration::from_secs(3));
+    for node in 0..3 {
+        assert_eq!(net.nodes[usize::from(node)].borrow().view().members.len(), 3);
+        assert_eq!(surfaced(&net, node, 3), vec![42], "node {node}");
+    }
+}
+
+#[test]
+fn a_rejoiner_surfaces_no_vote_from_below_its_grant_baseline() {
+    let mut net = TestNet::new(GcsConfig::lan(3));
+    net.cast_vote(NodeId(1), 1, 0, None);
+    net.run_for(Duration::from_millis(10));
+    net.crash(NodeId(2));
+    net.cast_vote(NodeId(1), 1, 1, None);
+    net.run_for(Duration::from_secs(2));
+    net.restart(NodeId(2), GcsConfig::lan(3));
+    net.run_for(Duration::from_secs(1));
+    assert!(!net.nodes[2].borrow().is_joining(), "rejoined");
+    let before = net.upcalls[2].len();
+    net.cast_vote(NodeId(1), 1, 2, None);
+    net.run_for(Duration::from_secs(1));
+    // The rejoiner's baseline covers votes 0 and 1, which the state
+    // transfer would carry: it surfaces vote 2 only.
+    let after: Vec<u64> = vote_upcalls(&net.upcalls[2][before..]).iter().map(|v| v.1.txn).collect();
+    assert_eq!(after, vec![2]);
+    assert_eq!(surfaced(&net, 2, 1), vec![0, 2], "vote 0 before the crash, then vote 2");
+    assert_eq!(surfaced(&net, 0, 1), vec![0, 1, 2]);
 }
 
 #[test]
@@ -691,6 +739,6 @@ fn rejoining_and_halted_nodes_do_not_vote() {
     h.drain_upcalls();
     h.cast_vote(&mut rt, 0, 1, None);
     let vote = WireVote { seq: 1, origin: 1, txn: 1, conflict: None };
-    h.on_packet(&mut rt, pkt(1, Message::Vote { base: 1, votes: vec![vote] }));
+    h.on_packet(&mut rt, pkt(1, vote_data(1, vote)));
     assert!(vote_upcalls(&h.drain_upcalls()).is_empty(), "halted node is silent");
 }

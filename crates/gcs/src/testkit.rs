@@ -168,6 +168,18 @@ impl TestNet {
         self.shared.borrow_mut().crashed.insert(node.0);
     }
 
+    /// Restarts a crashed node as a fresh [`Gcs::rejoin`] instance with
+    /// `cfg`; the old instance's timers are discarded.
+    pub fn restart(&mut self, node: NodeId, cfg: GcsConfig) {
+        {
+            let mut sh = self.shared.borrow_mut();
+            sh.crashed.remove(&node.0);
+            sh.queue.retain(|q| !matches!(q.0.ev, Event::Timer { node: n, .. } if n == node));
+        }
+        self.nodes[usize::from(node.0)] = Rc::new(RefCell::new(Gcs::rejoin(node, cfg)));
+        self.with_node(node, |g, rt| g.on_start(rt));
+    }
+
     /// Current virtual time in nanoseconds.
     pub fn now(&self) -> u64 {
         self.shared.borrow().now

@@ -212,10 +212,16 @@ pub enum Upcall {
     /// application must install the transferred state before acting on
     /// the deliveries that follow.
     Rejoined,
-    /// A certification vote from `voter` (possibly this node, via loopback)
-    /// surfaced by the reliable vote stream. Votes from one voter arrive in
-    /// cast order; the application collects a covering quorum per
-    /// transaction and decides by merging.
+    /// A certification vote from `voter`: this node's own at once, via
+    /// loopback, and a peer's when its [`PayloadKind::Vote`] message
+    /// completes on the peer's data stream, never waiting for the total
+    /// order: it comes ahead of any delivery that the same stream advance
+    /// releases. Votes from one voter arrive in cast order, and a view change
+    /// hands a failed voter's votes to every survivor or to none; the
+    /// application collects a covering quorum per transaction and decides
+    /// by merging.
+    ///
+    /// [`PayloadKind::Vote`]: crate::PayloadKind::Vote
     Vote {
         /// The site that cast the vote.
         voter: NodeId,
@@ -245,9 +251,12 @@ pub struct GcsMetrics {
     pub view_changes: u64,
     /// Cumulative nanoseconds the sender spent blocked by flow control with
     /// traffic pending — the paper's "whole system blocked temporarily
-    /// waiting for garbage collection".
+    /// waiting for garbage collection". Certification votes share the send
+    /// queue with application messages and announcements, so a vote waiting
+    /// there counts too.
     pub blocked_ns: u64,
-    /// Peak pending (flow-control-blocked) queue length.
+    /// Peak pending (flow-control-blocked) queue length, queued votes
+    /// included.
     pub pending_peak: usize,
     /// `SeqAnn` announcement messages submitted to the reliable layer
     /// (sequencer only).
@@ -257,16 +266,18 @@ pub struct GcsMetrics {
     /// Assignments piggybacked on outgoing application fragments instead of
     /// costing a `SeqAnn` message of their own (sequencer only).
     pub ann_piggybacked: u64,
-    /// Certification votes transmitted (first time, standalone or
-    /// piggybacked).
+    /// Certification votes cast onto this node's data stream.
     pub votes_sent: u64,
     /// Certification votes received from peers (non-duplicate, surfaced in
     /// stream order).
     pub votes_received: u64,
-    /// Votes carried in the MTU slack of outgoing data fragments instead of
-    /// costing a standalone `Vote` message.
+    /// Always 0: votes ride the data stream, and no longer piggyback on
+    /// fragment slack. Kept only while the end-to-end benchmark still sums
+    /// it; ROADMAP item 1b deletes it.
     pub votes_piggybacked: u64,
-    /// Votes retransmitted by the heartbeat-driven reliability arm.
+    /// Always 0: a lost vote is repaired by NAK like any fragment, counted
+    /// in `retrans_sent`. Kept only while the end-to-end benchmark still
+    /// sums it; ROADMAP item 1b deletes it.
     pub vote_resends: u64,
 }
 

@@ -25,6 +25,10 @@ pub enum PayloadKind {
     /// through the *reliable* layer so they consume the sequencer's buffer
     /// share, reproducing the bottleneck analysed in §5.3.
     SeqAnn = 1,
+    /// One certification vote ([`WireVote`]). Consumed on receipt in the
+    /// voter's stream order, never sequenced: it is repaired, flushed at a
+    /// view change and garbage-collected like any other payload.
+    Vote = 2,
 }
 
 /// One sequencer assignment: `(sender, sender_seq) -> global_seq`.
@@ -39,11 +43,12 @@ pub struct SeqAssign {
 }
 
 /// One certification verdict on the wire: the voting site's span-restricted
-/// answer for transaction `(origin, txn)`. Votes form a per-voter reliable
-/// stream numbered by `seq`, resent until every view member acks them.
+/// answer for transaction `(origin, txn)`, carried as a
+/// [`PayloadKind::Vote`] message on the voter's data stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireVote {
-    /// Position in the voter's vote stream (1-based, monotone).
+    /// The voter's cast counter (1-based, monotone): the application's
+    /// staleness threshold across a rejoin.
     pub seq: u64,
     /// Site that originated the transaction being voted on.
     pub origin: u16,
@@ -69,9 +74,6 @@ pub struct Fragment {
     /// hot-path announcements that cost zero extra messages. Part of the
     /// fragment's identity: retransmissions carry the same batch.
     pub ann: Vec<SeqAssign>,
-    /// Certification votes piggybacked after the announcements in the
-    /// remaining MTU slack. Like `ann`, part of the fragment's identity.
-    pub votes: Vec<WireVote>,
     /// Fragment bytes.
     pub payload: Bytes,
 }
@@ -152,24 +154,6 @@ pub enum Message {
         /// The group's current (sticky) sequencer.
         sequencer: NodeId,
     },
-    /// Standalone certification-vote batch (multicast) for verdicts that
-    /// found no outgoing data fragment to ride on.
-    Vote {
-        /// The voter's first un-garbage-collected vote sequence number.
-        /// Receivers jump their expectation forward to it: for operational
-        /// members that is a no-op (GC waits for every member's ack), for a
-        /// rejoiner it skips pre-rejoin votes whose outcomes arrived with
-        /// the state transfer.
-        base: u64,
-        /// The votes, contiguous by `seq` within a batch.
-        votes: Vec<WireVote>,
-    },
-    /// Cumulative acknowledgement of a voter's vote stream (unicast,
-    /// receiver → voter): "I have every vote of yours up to `up_to`".
-    VoteAck {
-        /// Highest contiguously received vote sequence number.
-        up_to: u64,
-    },
 }
 
 /// Expands one `frames!` row: `put` writes a frame's fields, `get` reads
@@ -241,8 +225,6 @@ frames! {
     6 => ViewInstall { new_view, members, cut };
     7 => JoinReq {};
     8 => JoinGrant { new_view, members, cut, order_base, skipped, sequencer };
-    9 => Vote { base, votes };
-    10 => VoteAck { up_to };
 }
 
 /// Decode error.
@@ -279,10 +261,10 @@ pub struct Envelope {
 /// The envelope header: magic, kind, sender and view.
 type Header = (u8, u8, NodeId, u64);
 
-/// A `Data` frame's header: seq, total, idx, kind, retrans, then both
-/// piggyback counts. The two lists follow it, and the payload is the rest
-/// of the packet.
-type DataHeader = (u64, u16, u16, PayloadKind, bool, u16, u16);
+/// A `Data` frame's header: seq, total, idx, kind, retrans, then the
+/// piggybacked assignments' count. The assignments follow it, and the
+/// payload is the rest of the packet.
+type DataHeader = (u64, u16, u16, PayloadKind, bool, u16);
 
 /// Fixed envelope overhead in bytes.
 pub(crate) const ENVELOPE_OVERHEAD: usize = Header::LEN;
@@ -290,18 +272,15 @@ pub(crate) const ENVELOPE_OVERHEAD: usize = Header::LEN;
 pub(crate) const DATA_OVERHEAD: usize = DataHeader::LEN;
 
 fn put_data(b: &mut BytesMut, seq: &u64, retrans: &bool, f: &Fragment) {
-    let counts = (f.ann.len() as u16, f.votes.len() as u16);
-    (*seq, f.total, f.idx, f.kind, *retrans, counts.0, counts.1).put(b);
+    (*seq, f.total, f.idx, f.kind, *retrans, f.ann.len() as u16).put(b);
     f.ann.iter().for_each(|a| a.put(b));
-    f.votes.iter().for_each(|v| v.put(b));
     b.put_slice(&f.payload);
 }
 
 fn get_data(buf: &mut Bytes) -> Result<Message, WireError> {
-    let (seq, total, idx, kind, retrans, n_ann, n_votes) = DataHeader::get(buf)?;
+    let (seq, total, idx, kind, retrans, n_ann) = DataHeader::get(buf)?;
     let ann = items(buf, n_ann.into())?;
-    let votes = items(buf, n_votes.into())?;
-    let frag = Fragment { total, idx, kind, ann, votes, payload: std::mem::take(buf) };
+    let frag = Fragment { total, idx, kind, ann, payload: std::mem::take(buf) };
     Ok(Message::Data { seq, retrans, frag })
 }
 
@@ -320,6 +299,23 @@ pub fn encode_seq_ann(assigns: &[SeqAssign]) -> Bytes {
 /// [`WireError::Truncated`] when the declared count exceeds the buffer.
 pub fn decode_seq_ann(mut buf: Bytes) -> Result<Vec<SeqAssign>, WireError> {
     Vec::get(&mut buf)
+}
+
+/// Encodes one vote as a [`PayloadKind::Vote`] payload: the [`WireVote`]
+/// layout.
+pub fn encode_vote(vote: &WireVote) -> Bytes {
+    let mut b = BytesMut::with_capacity(WireVote::LEN);
+    vote.put(&mut b);
+    b.freeze()
+}
+
+/// Decodes a [`PayloadKind::Vote`] payload.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when the payload is shorter than a vote.
+pub fn decode_vote(mut buf: Bytes) -> Result<WireVote, WireError> {
+    WireVote::get(&mut buf)
 }
 
 /// A field type's little-endian wire layout.
@@ -382,6 +378,7 @@ via! {
     PayloadKind as u8: |x| *x as u8, |v| match v {
         0 => PayloadKind::App,
         1 => PayloadKind::SeqAnn,
+        2 => PayloadKind::Vote,
         k => return Err(WireError::BadTag(k)),
     };
     // A flag byte plus an always-present value: the fixed width keeps a
@@ -409,7 +406,7 @@ macro_rules! tuple_fields {
     )*};
 }
 
-tuple_fields!((A, B), (A, B, C), (A, B, C, D), (A, B, C, D, E, F, G));
+tuple_fields!((A, B), (A, B, C), (A, B, C, D), (A, B, C, D, E, F));
 
 /// A `u16` count, then the items.
 impl<T: Field> Field for Vec<T> {
@@ -467,20 +464,15 @@ mod tests {
     }
 
     fn app(payload: Bytes) -> Fragment {
-        Fragment {
-            total: 1,
-            idx: 0,
-            kind: PayloadKind::App,
-            ann: Vec::new(),
-            votes: Vec::new(),
-            payload,
-        }
+        Fragment { total: 1, idx: 0, kind: PayloadKind::App, ann: Vec::new(), payload }
     }
 
     #[test]
     fn all_kinds_roundtrip() {
         roundtrip(data(false, Fragment { total: 3, idx: 1, ..app(Bytes::from_static(b"hello")) }));
         roundtrip(data(true, Fragment { kind: PayloadKind::SeqAnn, ..app(Bytes::new()) }));
+        let vote = WireVote { seq: 2, origin: 0, txn: 3, conflict: Some(41) };
+        roundtrip(data(false, Fragment { kind: PayloadKind::Vote, ..app(encode_vote(&vote)) }));
         roundtrip(data(
             false,
             Fragment {
@@ -488,23 +480,10 @@ mod tests {
                     SeqAssign { sender: NodeId(1), msg_seq: 3, global_seq: 9 },
                     SeqAssign { sender: NodeId(2), msg_seq: 4, global_seq: 10 },
                 ],
-                votes: vec![
-                    WireVote { seq: 1, origin: 2, txn: 17, conflict: None },
-                    WireVote { seq: 2, origin: 0, txn: 3, conflict: Some(41) },
-                ],
                 ..app(Bytes::from_static(b"carried"))
             },
         ));
         roundtrip(Message::Nak { target: NodeId(2), ranges: vec![(1, 5), (9, 9)] });
-        roundtrip(Message::Vote {
-            base: 4,
-            votes: vec![
-                WireVote { seq: 4, origin: 1, txn: 9, conflict: Some(0) },
-                WireVote { seq: 5, origin: 1, txn: 10, conflict: None },
-            ],
-        });
-        roundtrip(Message::Vote { base: 1, votes: Vec::new() });
-        roundtrip(Message::VoteAck { up_to: 23 });
         roundtrip(Message::Gossip(Gossip {
             round: 8,
             w: NodeSet::first_n(3),
@@ -592,25 +571,12 @@ mod tests {
     fn truncated_piggyback_rejected() {
         let frag = Fragment {
             ann: vec![SeqAssign { sender: NodeId(1), msg_seq: 1, global_seq: 1 }],
-            votes: vec![WireVote { seq: 1, origin: 0, txn: 1, conflict: Some(7) }],
             ..app(Bytes::new())
         };
         let env = Envelope { sender: NodeId(0), view: 1, msg: data(false, frag) };
         // Cutting inside the piggyback region must be an error, never a
-        // misparse of assignment or vote bytes as payload.
+        // misparse of assignment bytes as payload.
         assert_truncated_from(&env, ENVELOPE_OVERHEAD + DATA_OVERHEAD);
-    }
-
-    #[test]
-    fn truncated_vote_batch_rejected() {
-        let votes = vec![
-            WireVote { seq: 3, origin: 0, txn: 12, conflict: None },
-            WireVote { seq: 4, origin: 1, txn: 2, conflict: Some(88) },
-        ];
-        let vote = Envelope { sender: NodeId(2), view: 5, msg: Message::Vote { base: 3, votes } };
-        assert_truncated_from(&vote, ENVELOPE_OVERHEAD);
-        let ack = Envelope { sender: NodeId(2), view: 5, msg: Message::VoteAck { up_to: 4 } };
-        assert_truncated_from(&ack, ENVELOPE_OVERHEAD);
     }
 
     #[test]
@@ -623,6 +589,16 @@ mod tests {
         assert_eq!(back, assigns);
         assert!(decode_seq_ann(Bytes::from_static(&[5])).is_err());
         assert!(decode_seq_ann(encode_seq_ann(&assigns).slice(0..5)).is_err());
+    }
+
+    #[test]
+    fn truncated_vote_payload_rejected() {
+        let vote = WireVote { seq: 4, origin: 1, txn: 2, conflict: Some(88) };
+        let full = encode_vote(&vote);
+        assert_eq!(decode_vote(full.clone()), Ok(vote));
+        for cut in 0..full.len() {
+            assert_eq!(decode_vote(full.slice(0..cut)), Err(WireError::Truncated), "cut={cut}");
+        }
     }
 
     #[test]

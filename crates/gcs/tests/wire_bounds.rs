@@ -5,8 +5,8 @@
 
 use bytes::Bytes;
 use dbsm_gcs::{
-    Envelope, Fragment, Gcs, GcsConfig, Message, NodeId, NodeSet, PayloadKind, ProtocolRuntime,
-    SeqAssign, TimerId, TimerKind, Upcall, WireVote,
+    encode_vote, Envelope, Fragment, Gcs, GcsConfig, Message, NodeId, NodeSet, PayloadKind,
+    ProtocolRuntime, SeqAssign, TimerId, TimerKind, Upcall, WireVote,
 };
 use std::sync::mpsc;
 use std::time::Duration;
@@ -58,14 +58,30 @@ fn from1(g: &mut Gcs, rt: &mut Rt, msg: Message) {
     g.on_packet(rt, Envelope { sender: NodeId(1), view: 0, msg }.encode());
 }
 
-fn data(seq: u64, ann: Vec<SeqAssign>) -> Message {
-    let payload = Bytes::from(seq.to_le_bytes().to_vec());
-    let frag = Fragment { total: 1, idx: 0, kind: PayloadKind::App, ann, votes: vec![], payload };
+fn frame(seq: u64, kind: PayloadKind, ann: Vec<SeqAssign>, payload: Bytes) -> Message {
+    let frag = Fragment { total: 1, idx: 0, kind, ann, payload };
     Message::Data { seq, retrans: false, frag }
 }
 
-fn vote(seq: u64) -> WireVote {
-    WireVote { seq, origin: 1, txn: seq, conflict: None }
+fn data(seq: u64, ann: Vec<SeqAssign>) -> Message {
+    frame(seq, PayloadKind::App, ann, Bytes::from(seq.to_le_bytes().to_vec()))
+}
+
+/// Node 1's vote cast as fragment `seq` of its stream.
+fn vote(seq: u64) -> Message {
+    let vote = WireVote { seq, origin: 1, txn: seq, conflict: None };
+    frame(seq, PayloadKind::Vote, vec![], encode_vote(&vote))
+}
+
+/// The `txn`s of the votes `g` surfaced from node 1.
+fn votes_from1(g: &mut Gcs) -> Vec<u64> {
+    g.drain_upcalls()
+        .into_iter()
+        .filter_map(|u| match u {
+            Upcall::Vote { voter: NodeId(1), vote } => Some(vote.txn),
+            _ => None,
+        })
+        .collect()
 }
 
 fn members(ids: &[u16]) -> NodeSet {
@@ -85,19 +101,21 @@ fn a_fragment_far_ahead_of_its_stream_is_dropped() {
 
 #[test]
 fn a_vote_far_ahead_of_its_stream_is_dropped() {
+    // Votes are fragments: the same lead bound holds them.
     let (mut g, mut rt) = node0();
-    from1(&mut g, &mut rt, Message::Vote { base: 1, votes: vec![vote(2)] });
-    from1(&mut g, &mut rt, Message::Vote { base: 1, votes: vec![vote(2 + FAR)] });
-    from1(&mut g, &mut rt, Message::Vote { base: 1, votes: vec![vote(1)] });
-    let surfaced: Vec<u64> = g
-        .drain_upcalls()
-        .into_iter()
-        .filter_map(|u| match u {
-            Upcall::Vote { voter: NodeId(1), vote } => Some(vote.seq),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(surfaced, vec![1, 2]);
+    from1(&mut g, &mut rt, vote(2));
+    from1(&mut g, &mut rt, vote(2 + FAR));
+    from1(&mut g, &mut rt, vote(1));
+    assert_eq!(votes_from1(&mut g), vec![1, 2]);
+}
+
+#[test]
+fn a_malformed_vote_payload_is_ignored() {
+    let (mut g, mut rt) = node0();
+    let short = frame(1, PayloadKind::Vote, vec![], Bytes::from_static(&[7; 3]));
+    from1(&mut g, &mut rt, short);
+    from1(&mut g, &mut rt, vote(2));
+    assert_eq!(votes_from1(&mut g), vec![2], "the stream goes on past the malformed vote");
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use bytes::Bytes;
 use dbsm_gcs::{
-    decode_seq_ann, encode_seq_ann, Envelope, Fragment, Gossip, Message, NodeId, NodeSet,
-    PayloadKind, SeqAssign, WireError, WireVote,
+    decode_seq_ann, decode_vote, encode_seq_ann, encode_vote, Envelope, Fragment, Gossip, Message,
+    NodeId, NodeSet, PayloadKind, SeqAssign, WireError, WireVote,
 };
 use proptest::prelude::*;
 
@@ -37,27 +37,23 @@ fn arb_message() -> impl Strategy<Value = Message> {
             any::<u64>(),
             1u16..64,
             any::<bool>(),
+            prop_oneof![Just(PayloadKind::App), Just(PayloadKind::SeqAnn), Just(PayloadKind::Vote)],
             prop::collection::vec(arb_seq_assign(), 0..8),
-            prop::collection::vec(arb_wire_vote(), 0..8),
             prop::collection::vec(any::<u8>(), 0..512)
         )
-            .prop_flat_map(|(seq, total, retrans, ann, votes, payload)| {
+            .prop_flat_map(|(seq, total, retrans, kind, ann, payload)| {
                 (0..total).prop_map(move |idx| Message::Data {
                     seq,
                     retrans,
                     frag: Fragment {
                         total,
                         idx,
-                        kind: if retrans { PayloadKind::SeqAnn } else { PayloadKind::App },
+                        kind,
                         ann: ann.clone(),
-                        votes: votes.clone(),
                         payload: Bytes::from(payload.clone()),
                     },
                 })
             }),
-        (any::<u64>(), prop::collection::vec(arb_wire_vote(), 0..16))
-            .prop_map(|(base, votes)| Message::Vote { base, votes }),
-        any::<u64>().prop_map(|up_to| Message::VoteAck { up_to }),
         (0u16..64, prop::collection::vec((any::<u64>(), any::<u64>()), 0..16))
             .prop_map(|(t, ranges)| Message::Nak { target: NodeId(t), ranges }),
         (any::<u64>(), arb_nodeset(), arb_vec64(16)).prop_map(|(round, w, m)| {
@@ -150,5 +146,10 @@ proptest! {
     #[test]
     fn seq_ann_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         let _ = decode_seq_ann(Bytes::from(bytes));
+    }
+
+    #[test]
+    fn votes_roundtrip(vote in arb_wire_vote()) {
+        prop_assert_eq!(decode_vote(encode_vote(&vote)), Ok(vote));
     }
 }

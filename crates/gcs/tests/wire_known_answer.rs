@@ -1,6 +1,6 @@
 //! Known-answer bytes for every GCS frame kind.
 //!
-//! One fixed envelope of each of the 11 kinds, with a non-empty list
+//! One fixed envelope of each of the 9 kinds, with a non-empty list
 //! wherever the kind has one, against its exact encoding. A roundtrip test
 //! passes for any self-consistent codec; these pin the layout itself: the
 //! field order, each field's width and where each count sits. Every frame
@@ -9,7 +9,9 @@
 //! zero bytes.
 
 use bytes::Bytes;
-use dbsm_gcs::{Envelope, Gossip, Message, NodeId, NodeSet, WireVote};
+use dbsm_gcs::{
+    encode_vote, Envelope, Fragment, Gossip, Message, NodeId, NodeSet, PayloadKind, WireVote,
+};
 
 fn hex(raw: &[u8]) -> String {
     raw.iter().map(|b| format!("{b:02x}")).collect()
@@ -114,36 +116,36 @@ fn every_frame_kind_encodes_to_known_bytes() {
             "0100",             // sequencer
         ),
     );
+    let vote = WireVote { seq: 5, origin: 2, txn: 17, conflict: Some(41) };
+    let frag = Fragment {
+        total: 1,
+        idx: 0,
+        kind: PayloadKind::Vote,
+        ann: vec![],
+        payload: encode_vote(&vote),
+    };
     known(
-        Message::Vote {
-            base: 4,
-            votes: vec![
-                WireVote { seq: 4, origin: 1, txn: 9, conflict: Some(0) },
-                WireVote { seq: 5, origin: 1, txn: 10, conflict: None },
-            ],
-        },
+        Message::Data { seq: 4, retrans: false, frag },
         concat!(
-            "5d0903000700000000000000",
-            "0400000000000000", // base
-            "0200",
-            // seq, origin, txn, conflict flag, conflict value
-            "0400000000000000",
-            "0100",
-            "0900000000000000",
-            "01",
-            "0000000000000000",
+            "5d0003000700000000000000",
+            "0400000000000000", // seq
+            "0100",             // total fragments
+            "0000",             // fragment index
+            "02",               // payload kind: vote
+            "00",               // first transmission
+            "0000",             // no assignments
+            // the vote: seq, origin, txn, conflict flag, conflict value
             "0500000000000000",
-            "0100",
-            "0a00000000000000",
-            "00",
-            "0000000000000000",
+            "0200",
+            "1100000000000000",
+            "01",
+            "2900000000000000",
         ),
     );
-    known(Message::VoteAck { up_to: 23 }, "5d0a030007000000000000001700000000000000");
 }
 
 /// A data fragment: `seq` 7, fragment 2 of 3, an application payload, a
-/// retransmission, two piggybacked assignments and one vote.
+/// retransmission and two piggybacked assignments.
 const DATA: &str = concat!(
     "5d0003000700000000000000",
     "0700000000000000", // seq
@@ -152,7 +154,6 @@ const DATA: &str = concat!(
     "00",               // payload kind: application
     "01",               // retransmission
     "0200",             // assignments
-    "0100",             // votes
     // assignments: sender, message seq, global seq
     "0100",
     "0300000000000000",
@@ -160,18 +161,12 @@ const DATA: &str = concat!(
     "0200",
     "0400000000000000",
     "0a00000000000000",
-    // vote: seq, origin, txn, conflict flag, conflict value
-    "0500000000000000",
-    "0200",
-    "1100000000000000",
-    "01",
-    "2900000000000000",
     "63617272696564", // payload "carried": the rest of the packet
 );
 
 #[test]
 fn data_frame_decodes_from_known_bytes() {
-    // Checked through its `Debug` text, which names the piggyback lists and
+    // Checked through its `Debug` text, which names the piggyback list and
     // the payload without depending on how the variant groups its fields.
     let raw = unhex(DATA);
     let env = Envelope::decode(raw.clone()).expect("decodes");
@@ -183,7 +178,6 @@ fn data_frame_decodes_from_known_bytes() {
         "idx: 2, kind: App, ",
         "ann: [SeqAssign { sender: NodeId(1), msg_seq: 3, global_seq: 9 }, \
          SeqAssign { sender: NodeId(2), msg_seq: 4, global_seq: 10 }]",
-        "votes: [WireVote { seq: 5, origin: 2, txn: 17, conflict: Some(41) }]",
         "payload: b\"carried\"",
         "retrans: true",
     ] {

@@ -550,7 +550,8 @@ proptest! {
         // site count, replication factor, loss rate up to 20% and BOTH
         // commit paths, the span votes each site multicasts over the real
         // wire protocol ([`Gcs::cast_vote`]) arrive at every node exactly
-        // once per voter — surviving loss through piggybacked resends — and
+        // once per voter — surviving loss through NAK repair of the voter's
+        // data stream — and
         // the covering quorum each node collects merges
         // (earliest-conflict rule) to a verdict bit-identical to the PR 7
         // cluster-level vote box AND to a full-replication
@@ -568,7 +569,8 @@ proptest! {
             .map(|s| IndexedCertifier::with_span(span8, p.spans_of(s, 8)))
             .collect();
         // A real GCS group carries the votes, with deterministic
-        // content-keyed loss (resends of a lost vote meet a fresh fate).
+        // content-keyed loss (retransmissions of a lost vote fragment meet a
+        // fresh fate).
         let mut cfg = GcsConfig::lan(sites);
         cfg.failure_timeout = Duration::from_secs(60);
         let mut net = TestNet::new(cfg);
@@ -624,7 +626,7 @@ proptest! {
             }
             expected.push((origin, i as u64, of, votes));
         }
-        // Settle: heartbeat resends recover every lost vote.
+        // Settle: NAK repair recovers every lost vote.
         net.run_for(Duration::from_secs(3));
         for n in 0..sites {
             // Collect the wire votes this node received: exactly one per

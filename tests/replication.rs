@@ -629,8 +629,8 @@ fn partition_heal_during_vote_rounds_recovers_the_lost_votes() {
     // A 300 ms split — below the failure-detector timeout — isolates span
     // owner 5 with vote rounds in flight: votes multicast across the
     // boundary die at the partition, cross-span transactions needing site
-    // 5's verdict stall, and after the heal the piggybacked resend path
-    // must recover every lost vote with no membership change. All six
+    // 5's verdict stall, and after the heal NAK repair of the voters' data
+    // streams must recover every lost vote with no membership change. All six
     // logs end identical.
     let plan = FaultPlan::partition(
         vec![vec![0, 1, 2, 3, 4], vec![5]],

@@ -246,7 +246,7 @@ fn golden_cluster_digest() {
     dbsm_testbed::fault::check_logs(&m.commit_logs, &[false; 3]).expect("full replication");
     assert_eq!(
         (events, digest, elapsed),
-        (209_582, 0x3b0053dd09690fc1, 56_588_235_076),
+        (209_582, 0x3b0053dd09690fc1, 56_588_236_680),
         "3-site full replication, synchronous"
     );
 
@@ -269,7 +269,7 @@ fn golden_cluster_digest() {
     assert!(m.replacement_work.vote_rounds_recollected > 0, "vote rounds re-collected");
     assert_eq!(
         (events, digest, elapsed),
-        (216_244, 0xe3ef86dae12fc838, 13_159_361_556),
+        (191_173, 0x79728dea0cacdade, 13_118_500_631),
         "6-site rf-2 partial, pipelined, pair crash"
     );
 
@@ -281,7 +281,7 @@ fn golden_cluster_digest() {
     assert!(m.replacement_work.vote_rounds_recollected > 0, "vote rounds re-collected");
     assert_eq!(
         (events, digest, elapsed),
-        (216_544, 0xf44826024f889fb0, 12_906_807_843),
+        (192_224, 0xb8385ea0ea898548, 13_185_530_824),
         "6-site rf-2 partial, synchronous, pair crash"
     );
 
@@ -299,7 +299,7 @@ fn golden_cluster_digest() {
     assert!(m.recovery_work.replayed_entries > 0, "the delta log replayed entries");
     assert_eq!(
         (events, digest, elapsed),
-        (299_110, 0xea5ecf609fc2fa36, 12_602_765_936),
+        (262_863, 0x1fe496eb0e27a628, 13_174_771_717),
         "6-site rf-2 partial, synchronous, rejoin"
     );
 
@@ -311,7 +311,7 @@ fn golden_cluster_digest() {
     dbsm_testbed::fault::check_logs(&m.commit_logs, &[false; 3]).expect("3-CPU sites");
     assert_eq!(
         (events, digest, elapsed),
-        (1_329_751, 0x77a09a2fa1a88ad3, 16_391_224_812),
+        (1_329_751, 0x77a09a2fa1a88ad3, 16_391_220_780),
         "3-site full replication, 3 CPUs per site"
     );
 }
